@@ -37,6 +37,7 @@ spawns, restore-on-crash belongs to the resilience layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -165,6 +166,8 @@ class FleetTrace:
             raise ValueError("a trace needs at least one request")
         if len(self.tenants) != len(self.arrivals):
             raise ValueError("tenants must tag every arrival")
+        if not all(map(math.isfinite, self.arrivals)):
+            raise ValueError("non-finite arrival time")
         if any(t < 0 for t in self.arrivals):
             raise ValueError("negative arrival time")
         if list(self.arrivals) != sorted(self.arrivals):

@@ -15,6 +15,7 @@ queueing, autoscaling and keep-alive on top.
 from __future__ import annotations
 
 import heapq
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -84,8 +85,8 @@ class ClusterConfig:
                 "redefine the cold-spawn path; configure one of them "
                 "(checkpoint/restore already ships warm state per "
                 "instance — packs generalize it across instances)")
-        if self.keep_alive_s < 0:
-            raise ValueError("keep-alive must be non-negative")
+        if not 0 <= self.keep_alive_s < math.inf:
+            raise ValueError("keep-alive must be finite and non-negative")
         if (self.trace_retention is not None
                 and self.trace_retention not in RETENTION_POLICIES):
             raise ValueError(
@@ -619,12 +620,12 @@ class ClusterSimulator:
                 queue_waits.extend(map(operator.sub, span_starts, window))
                 latencies.extend(map(operator.sub, span_ends, window))
                 if recorder is not None:
-                    # One homogeneous batch: the recorder resolves its
-                    # accumulator buckets once and, under aggregate
-                    # retention, only builds the records that survive
-                    # the ring.  Flushing before each transition record
-                    # keeps the global record order identical.
-                    recorder.ingest_stream(zip(span_starts, span_ends),
+                    # One homogeneous batch of two float columns: the
+                    # recorder resolves its accumulator buckets once and
+                    # builds no records until they are read.  Flushing
+                    # before each transition record keeps the global
+                    # record order identical.
+                    recorder.ingest_stream(span_starts, span_ends,
                                            "cluster", Phase.EXEC, "serve")
                 stats.warm_hits += served
                 pos += served

@@ -28,6 +28,8 @@ class RequestTrace:
     def __post_init__(self) -> None:
         if not self.arrivals:
             raise ValueError("a trace needs at least one request")
+        if not all(map(math.isfinite, self.arrivals)):
+            raise ValueError("non-finite arrival time")
         if any(t < 0 for t in self.arrivals):
             raise ValueError("negative arrival time")
         if list(self.arrivals) != sorted(self.arrivals):

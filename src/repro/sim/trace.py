@@ -30,6 +30,7 @@ Two retention policies control what else is kept:
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from bisect import bisect_left
 from collections import deque
@@ -203,6 +204,14 @@ class _Accumulator:
 
 
 _Key = Tuple[Optional[Phase], Optional[str]]
+_Route = Tuple[_Accumulator, _Accumulator, _Accumulator, _Accumulator]
+_INF = math.inf
+
+
+def _route_keys(phase: Optional[Phase], actor: Optional[str]
+                ) -> Tuple[_Key, _Key, _Key, _Key]:
+    """The four filter keys a ``(phase, actor)`` record counts under."""
+    return ((phase, actor), (phase, None), (None, actor), (None, None))
 
 
 class TraceRecorder:
@@ -215,6 +224,11 @@ class TraceRecorder:
     accumulators plus a bounded ring (``ring_size``) of the most recent
     records; aggregate metrics are byte-identical between the two
     policies, but ``filtered()`` then only sees the ring.
+
+    The retained tail of the newest :meth:`ingest_stream` batch is held
+    as columns and built into :class:`TraceRecord` objects only when
+    ``records`` is first read, so a replay that never reads its records
+    never builds them.
     """
 
     def __init__(self, records: Optional[Iterable[TraceRecord]] = None,
@@ -226,12 +240,17 @@ class TraceRecorder:
             raise ValueError("ring_size must be positive")
         self.retention = retention
         self.ring_size = ring_size
-        self.records: Union[List[TraceRecord], "deque[TraceRecord]"]
+        self._records: Union[List[TraceRecord], "deque[TraceRecord]"]
         if retention == "full":
-            self.records = []
+            self._records = []
         else:
-            self.records = deque(maxlen=ring_size)
+            self._records = deque(maxlen=ring_size)
+        # ``(starts, ends, actor, phase, label)``: records that belong
+        # after ``_records`` but are not built yet (see ``records``).
+        self._pending: Optional[Tuple[Sequence[float], Sequence[float],
+                                      str, Phase, str]] = None
         self._acc: Dict[_Key, _Accumulator] = {}
+        self._routes: Dict[_Key, _Route] = {}
         self._count = 0          # records ever ingested
         self._synced = 0         # records folded from the full-mode list
         self._span_start = 0.0
@@ -245,14 +264,49 @@ class TraceRecorder:
             for record in records:
                 self.ingest(record)
 
+    @property
+    def records(self) -> Union[List[TraceRecord], "deque[TraceRecord]"]:
+        """The retained records: the whole history under full
+        retention, the ring of recent ones under aggregate retention."""
+        if self._pending is not None:
+            self._flush()
+        return self._records
+
+    def _flush(self, keep: Optional[int] = None) -> None:
+        """Build the pending batch tail into records — only its last
+        ``keep`` when the ring is about to evict the rest."""
+        starts, ends, actor, phase, label = self._pending
+        self._pending = None
+        if keep is not None:
+            starts = starts[-keep:]
+            ends = ends[-keep:]
+        built = [TraceRecord(start, end, actor, phase, label)
+                 for start, end in zip(starts, ends)]
+        records = self._records
+        if self.retention == "full":
+            # Records appended through a reference taken before the
+            # batch arrived after it: keep them behind it.
+            late = records[self._synced:]
+            del records[self._synced:]
+            records.extend(built)
+            self._synced += len(built)
+            records.extend(late)
+        else:
+            records.extend(built)
+
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
     def record(self, start: float, end: float, actor: str, phase: Phase,
                label: str = "", **meta: Any) -> TraceRecord:
-        """Append a record; ``end`` must not precede ``start``."""
-        if end < start:
-            raise ValueError(f"record ends before it starts: {start} > {end}")
+        """Append a record; ``end`` must not precede ``start`` and both
+        must be finite."""
+        if not 0.0 <= end - start < _INF:
+            if end < start:
+                raise ValueError(
+                    f"record ends before it starts: {start} > {end}")
+            raise ValueError(
+                f"record duration must be finite: ({start}, {end})")
         rec = TraceRecord(start, end, actor, phase, label,
                           tuple(sorted(meta.items())))
         self.ingest(rec)
@@ -262,38 +316,58 @@ class TraceRecorder:
         """Fold an already-built record into the aggregates and retain it
         (fully, or in the ring under ``retention="aggregate"``)."""
         self._sync()
+        if self._pending is not None:
+            self._flush()
         self._fold(rec)
-        self.records.append(rec)
+        self._records.append(rec)
         self._synced = self._count
         if self.observer is not None:
             self.observer(rec)
 
-    def ingest_stream(self, spans: Iterable[Tuple[float, float]],
+    def ingest_stream(self, starts: Sequence[float], ends: Sequence[float],
                       actor: str, phase: Phase, label: str = "") -> None:
-        """Fold a homogeneous stream of ``(start, end)`` intervals.
+        """Fold a homogeneous batch of intervals given as parallel
+        ``starts``/``ends`` columns.
 
         Byte-identical to calling :meth:`record` once per pair with the
-        same actor/phase/label (and no meta), but the accumulator keys
-        resolve once for the whole stream and, under aggregate
-        retention, only intervals that can survive the ring are
-        materialized as :class:`TraceRecord` objects — which is what
-        makes million-record steady-state batches cheap.
+        same actor/phase/label (and no meta), but the accumulator
+        buckets resolve once for the whole batch, buckets whose running
+        totals are bit-identical share one summation pass, and the
+        retained tail stays columnar until ``records`` is read — which
+        is what makes million-record steady-state batches cheap.
         """
         self._sync()
-        span_list = list(spans)
-        if not span_list:
+        batch = len(starts)
+        if len(ends) != batch:
+            raise ValueError(
+                f"{batch} starts but {len(ends)} ends in one batch")
+        if not batch:
             return
-        starts = [start for start, _ in span_list]
-        ends = [end for _, end in span_list]
         if any(map(operator.gt, starts, ends)):
-            for start, end in span_list:
+            for start, end in zip(starts, ends):
                 if end < start:
                     raise ValueError(
                         f"record ends before it starts: {start} > {end}")
-        # Durations once, at C speed; each bucket still folds them
-        # left-to-right so its running sum is the exact float sequence a
-        # per-record ingest would produce.
+        # Durations once, at C speed; each bucket's total is still the
+        # left-to-right fold a per-record ingest would produce.  That
+        # fold depends only on its starting value, so buckets starting
+        # from bit-identical totals (same value, same sign) share one.
         durations = list(map(operator.sub, ends, starts))
+        acc = self._acc
+        bases = [acc[key].total if key in acc else 0.0
+                 for key in _route_keys(phase, actor)]
+        folded: Dict[Tuple[float, float], float] = {}
+        for base in bases:
+            fold_key = (base, math.copysign(1.0, base))
+            if fold_key not in folded:
+                total = deque(accumulate(durations, initial=base),
+                              maxlen=1)[0]
+                # A NaN or infinite bound makes every fold non-finite:
+                # one check per batch, before anything is committed.
+                if not math.isfinite(total):
+                    raise ValueError(
+                        f"non-finite span in a batch for {actor!r}")
+                folded[fold_key] = total
         # Merge the batch into its canonical interval union ONCE, then
         # fold the (typically few) merged segments into each bucket.
         # Canonical form — sorted, disjoint, touching intervals merged,
@@ -303,7 +377,7 @@ class TraceRecorder:
         # so union-then-fold yields byte-identical segs to folding the
         # raw spans one at a time.
         if any(map(operator.gt, starts, islice(starts, 1, None))):
-            union = merge_intervals(span_list)
+            union = merge_intervals(zip(starts, ends))
         else:
             # Sorted starts (the steady-state shape): a new canonical
             # segment opens exactly where a start clears the running
@@ -317,15 +391,8 @@ class TraceRecorder:
             opens = list(map(operator.gt, islice(starts, 1, None), run_max))
             union = list(zip(compress(starts, chain((True,), opens)),
                              compress(run_max, chain(opens, (True,)))))
-        acc = self._acc
-        batch = len(span_list)
-        for key in ((phase, actor), (phase, None),
-                    (None, actor), (None, None)):
-            bucket = acc.get(key)
-            if bucket is None:
-                bucket = acc[key] = _Accumulator()
-            bucket.total = deque(
-                accumulate(durations, initial=bucket.total), maxlen=1)[0]
+        for bucket, base in zip(self._route(phase, actor), bases):
+            bucket.total = folded[(base, math.copysign(1.0, base))]
             bucket.count += batch
             bucket._dirty = True
             segs = bucket.segs
@@ -356,7 +423,7 @@ class TraceRecorder:
             # individual spans downstream: synthesize the records a
             # per-record ingest would have produced.
             observer = self.observer
-            for start, end in span_list:
+            for start, end in zip(starts, ends):
                 observer(TraceRecord(start, end, actor, phase, label))
         lo = min(starts)
         hi = max(ends)
@@ -368,23 +435,40 @@ class TraceRecorder:
                 self._span_start = lo
             if hi > self._span_end:
                 self._span_end = hi
-        self._count += len(span_list)
-        records = self.records
-        tail = (span_list if self.retention == "full"
-                else span_list[-self.ring_size:])
-        for start, end in tail:
-            records.append(TraceRecord(start, end, actor, phase, label))
-        self._synced = self._count
+        self._count += batch
+        # Retain the batch's tail as columns.  Under aggregate retention
+        # at most ``ring_size`` of it can survive, and a tail that fills
+        # the ring evicts everything before it unbuilt.
+        keep = batch
+        if self.retention == "aggregate":
+            keep = min(batch, self.ring_size)
+            if keep == self.ring_size:
+                self._pending = None
+                self._records.clear()
+            elif self._pending is not None:
+                self._flush(self.ring_size - keep)
+        elif self._pending is not None:
+            self._flush()
+        self._pending = (starts[batch - keep:], ends[batch - keep:],
+                         actor, phase, label)
+        if self.observer is not None:
+            self._flush()
+
+    def _route(self, phase: Optional[Phase], actor: Optional[str]) -> _Route:
+        """The four accumulators a ``(phase, actor)`` record folds into,
+        resolved once per key."""
+        route = self._routes.get((phase, actor))
+        if route is None:
+            acc = self._acc
+            route = self._routes[(phase, actor)] = tuple(  # type: ignore
+                acc.setdefault(key, _Accumulator())
+                for key in _route_keys(phase, actor))
+        return route
 
     def _fold(self, rec: TraceRecord) -> None:
         start, end = rec.start, rec.end
         duration = end - start
-        acc = self._acc
-        for key in ((rec.phase, rec.actor), (rec.phase, None),
-                    (None, rec.actor), (None, None)):
-            bucket = acc.get(key)
-            if bucket is None:
-                bucket = acc[key] = _Accumulator()
+        for bucket in self._route(rec.phase, rec.actor):
             bucket.add(start, end, duration)
         if self._count == 0:
             self._span_start = start
@@ -401,13 +485,16 @@ class TraceRecorder:
         full retention only) that the accumulators have not seen yet."""
         if self.retention != "full":
             return
-        records = self.records
+        records = self._records
         if len(records) == self._synced:
             return
+        if self._pending is not None:
+            self._flush()
         if len(records) < self._synced:
             # The list shrank under us (external truncation): rebuild.
             retained = list(records)
             self._acc.clear()
+            self._routes.clear()
             self._count = 0
             self._synced = 0
             records.clear()
@@ -565,7 +652,7 @@ class TraceRecorder:
         recorder = cls(retention=state["retention"],
                        ring_size=state["ring_size"])
         for start, end, actor, phase, label, meta in state["records"]:
-            recorder.records.append(TraceRecord(
+            recorder._records.append(TraceRecord(
                 start, end, actor, Phase(phase), label,
                 tuple((k, v) for k, v in meta)))
         for phase, actor, total, count, segs in state["acc"]:
@@ -577,14 +664,16 @@ class TraceRecorder:
             key = (Phase(phase) if phase is not None else None, actor)
             recorder._acc[key] = acc
         recorder._count = state["count"]
-        recorder._synced = len(recorder.records)
+        recorder._synced = len(recorder._records)
         recorder._span_start, recorder._span_end = state["span"]
         return recorder
 
     def clear(self) -> None:
         """Drop all records and aggregates."""
-        self.records.clear()
+        self._pending = None
+        self._records.clear()
         self._acc.clear()
+        self._routes.clear()
         self._count = 0
         self._synced = 0
         self._span_start = 0.0

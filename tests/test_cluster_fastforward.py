@@ -43,6 +43,9 @@ def _assert_identical(slow, fast):
     assert fast.faults.as_dict() == slow.faults.as_dict()
     if slow.trace is not None:
         assert list(fast.trace.records) == list(slow.trace.records)
+        # Under aggregate retention the records are only the ring:
+        # totals, segments and counts must match as well.
+        assert fast.trace.state_dict() == slow.trace.state_dict()
 
 
 @pytest.mark.parametrize("crash", (None, 0.05),

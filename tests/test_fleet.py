@@ -1,5 +1,7 @@
 """Unit tests for the fleet layer: configs, traces, stats, payloads."""
 
+import math
+
 import pytest
 
 from repro.core.schemes import Scheme
@@ -135,6 +137,11 @@ class TestFleetTrace:
     def test_rejects_unsorted_arrivals(self):
         with pytest.raises(ValueError, match="sorted"):
             FleetTrace("res", (1.0, 0.5), (0, 0))
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_rejects_non_finite_arrivals(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            FleetTrace("res", (0.0, bad, 1.0), (0, 0, 0))
 
     def test_rejects_mismatched_tenant_tags(self):
         with pytest.raises(ValueError, match="tag every arrival"):

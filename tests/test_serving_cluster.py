@@ -1,5 +1,7 @@
 """Tests for request traces and the autoscaling cluster simulator."""
 
+import math
+
 import pytest
 
 from repro.core.schemes import Scheme
@@ -53,6 +55,14 @@ class TestTraces:
         with pytest.raises(ValueError):
             RequestTrace("m", (0.0,), batch=0)
 
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_trace_rejects_non_finite_arrivals(self, bad):
+        # NaN compares false both ways, so it used to slip past the
+        # sortedness and sign checks.
+        for arrivals in ((0.0, bad, 1.0), (bad,), (0.0, bad)):
+            with pytest.raises(ValueError, match="non-finite"):
+                RequestTrace("m", arrivals)
+
 
 class TestClusterConfig:
     def test_validation(self):
@@ -60,6 +70,9 @@ class TestClusterConfig:
             ClusterConfig(max_instances=0)
         with pytest.raises(ValueError):
             ClusterConfig(keep_alive_s=-1)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="keep-alive"):
+                ClusterConfig(keep_alive_s=bad)
 
 
 class TestClusterSimulator:

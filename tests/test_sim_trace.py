@@ -1,5 +1,7 @@
 """Unit tests for the trace recorder and interval math."""
 
+import math
+
 import pytest
 
 from repro.sim import Phase, TraceRecorder, merge_intervals
@@ -82,6 +84,17 @@ def test_record_rejects_reversed_interval():
     recorder = TraceRecorder()
     with pytest.raises(ValueError):
         recorder.record(2.0, 1.0, "gpu", Phase.EXEC)
+
+
+@pytest.mark.parametrize("start,end", [
+    (math.nan, 1.0), (0.0, math.nan), (0.0, math.inf),
+    (-math.inf, 1.0), (math.inf, math.inf), (-math.inf, -math.inf)])
+def test_record_rejects_non_finite_bounds(start, end):
+    recorder = TraceRecorder()
+    with pytest.raises(ValueError):
+        recorder.record(start, end, "gpu", Phase.EXEC)
+    assert recorder.record_count == 0
+    assert recorder.records == []
 
 
 def test_busy_time_merges_overlap():

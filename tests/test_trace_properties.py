@@ -8,6 +8,10 @@ fault layer added two phases (FAULT, RETRY) that flow through the same
 algebra, so the strategies here draw from every phase.
 """
 
+import json
+import math
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.trace import (
@@ -208,3 +212,95 @@ def test_fault_phase_competes_like_any_other(records):
         [Phase.EXEC, Phase.LOAD], total_time=1.0)
     assert with_faults[Phase.EXEC] <= without[Phase.EXEC] + 1e-9
     assert with_faults[Phase.LOAD] <= without[Phase.LOAD] + 1e-9
+
+
+# ----------------------------------------------------------------------
+# ingest_stream: a column batch is a run of record() calls
+# ----------------------------------------------------------------------
+
+# A coarse grid next to arbitrary floats, so batches carry touching and
+# zero-length spans as often as overlapping ones.
+_bound = st.one_of(st.floats(0, 10, allow_nan=False),
+                   st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0, 7.5, 10.0]))
+_span = st.tuples(_bound, _bound).map(lambda p: (min(p), max(p)))
+
+_stream_op = st.tuples(
+    st.just("stream"),
+    st.lists(_span, min_size=0, max_size=12),
+    st.booleans(),  # sort the batch by start (the steady-state shape)
+    st.sampled_from(_ACTORS),
+    st.sampled_from(_ALL_PHASES))
+_record_op = st.tuples(st.just("record"), _span,
+                       st.sampled_from(_ACTORS), st.sampled_from(_ALL_PHASES))
+_ops = st.lists(st.one_of(_stream_op, _record_op), max_size=8)
+
+
+def _state(recorder):
+    # json.dumps keeps -0.0 apart from 0.0: "byte-identical" means it.
+    return json.dumps(recorder.state_dict())
+
+
+def _aggregates(recorder):
+    out = [recorder.span(), recorder.record_count,
+           recorder.breakdown(_ALL_PHASES),
+           recorder.exclusive_fractions(_ALL_PHASES)]
+    for phase in _ALL_PHASES + [None]:
+        for actor in _ACTORS + (None,):
+            out.append((recorder.total(phase, actor),
+                        recorder.busy_time(phase, actor)))
+    return repr(out)
+
+
+def _replay(ops, retention, ring_size, streamed):
+    recorder = TraceRecorder(retention=retention, ring_size=ring_size)
+    for op in ops:
+        if op[0] == "record":
+            _, (start, end), actor, phase = op
+            recorder.record(start, end, actor, phase, "x")
+            continue
+        _, spans, ordered, actor, phase = op
+        if ordered:
+            spans = sorted(spans)
+        if streamed:
+            recorder.ingest_stream([s for s, _ in spans],
+                                   [e for _, e in spans], actor, phase, "x")
+        else:
+            for start, end in spans:
+                recorder.record(start, end, actor, phase, "x")
+    return recorder
+
+
+@settings(max_examples=150)
+@given(_ops, st.sampled_from(("full", "aggregate")), st.integers(1, 16))
+def test_ingest_stream_matches_per_record_ingest(ops, retention, ring_size):
+    streamed = _replay(ops, retention, ring_size, streamed=True)
+    stepped = _replay(ops, retention, ring_size, streamed=False)
+    assert _aggregates(streamed) == _aggregates(stepped)
+    assert _state(streamed) == _state(stepped)
+    assert list(streamed.records) == list(stepped.records)
+
+
+_bad_bound = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=60)
+@given(_ops, st.sampled_from(("full", "aggregate")), st.integers(1, 16),
+       st.lists(_span, min_size=1, max_size=6), st.integers(0, 5),
+       st.sampled_from(("reversed", "start", "end")), _bad_bound,
+       st.sampled_from(_ACTORS), st.sampled_from(_ALL_PHASES))
+def test_invalid_stream_batch_raises_and_changes_nothing(
+        ops, retention, ring_size, spans, at, fault, bad, actor, phase):
+    recorder = _replay(ops, retention, ring_size, streamed=True)
+    before = _state(recorder)
+    starts = [s for s, _ in spans]
+    ends = [e for _, e in spans]
+    at = min(at, len(spans) - 1)
+    if fault == "reversed":
+        starts[at], ends[at] = ends[at] + 1.0, starts[at]
+    elif fault == "start":
+        starts[at] = bad
+    else:
+        ends[at] = bad
+    with pytest.raises(ValueError):
+        recorder.ingest_stream(starts, ends, actor, phase, "x")
+    assert _state(recorder) == before

@@ -172,3 +172,130 @@ def test_state_dict_round_trips_through_json(retention):
     assert clone.retention == recorder.retention
     assert list(clone.records) == list(recorder.records)
     _assert_metrics_identical(clone, recorder)
+
+
+# ----------------------------------------------------------------------
+# The lazy ring: a streamed batch's tail is built on first read
+# ----------------------------------------------------------------------
+
+_STARTS = [0.5 * i for i in range(10)]
+_ENDS = [0.5 * i + 0.75 for i in range(10)]
+
+
+def _lazy_and_eager(retention, ring_size):
+    """The same history ingested twice: the last batch streamed as
+    columns (still pending), and one record() call at a time."""
+    lazy = TraceRecorder(retention=retention, ring_size=ring_size)
+    eager = TraceRecorder(retention=retention, ring_size=ring_size)
+    for recorder in (lazy, eager):
+        recorder.record(0.0, 1.0, "host", Phase.LOAD, "boot", layer=1)
+    lazy.ingest_stream(_STARTS, _ENDS, "cluster", Phase.EXEC, "serve")
+    for start, end in zip(_STARTS, _ENDS):
+        eager.record(start, end, "cluster", Phase.EXEC, "serve")
+    return lazy, eager
+
+
+_PAIRS = pytest.mark.parametrize("retention,ring_size", [
+    ("full", 4), ("aggregate", 4), ("aggregate", 64)],
+    ids=("full", "ring-smaller-than-batch", "ring-larger-than-batch"))
+
+
+def _round_trip(recorder):
+    state = json.loads(json.dumps(recorder.state_dict()))
+    return list(TraceRecorder.from_state(state).records)
+
+
+_READERS = {
+    "records": lambda r: list(r.records),
+    "filtered-all": lambda r: list(r.filtered()),
+    "filtered-exec": lambda r: r.filtered(phase=Phase.EXEC, actor="cluster"),
+    "filtered-host": lambda r: r.filtered(actor="host"),
+    "retained_records": lambda r: r.retained_records,
+    "state_dict": lambda r: json.dumps(r.state_dict()),
+    "from_state": _round_trip,
+}
+
+
+def test_stream_batch_builds_no_records_until_read():
+    recorder = TraceRecorder(retention="aggregate", ring_size=4)
+    recorder.ingest_stream(_STARTS, _ENDS, "cluster", Phase.EXEC)
+    assert recorder.record_count == 10
+    assert recorder.total(Phase.EXEC) == sum(
+        e - s for s, e in zip(_STARTS, _ENDS))
+    assert not recorder._records
+    assert [r.start for r in recorder.records] == _STARTS[-4:]
+
+
+@_PAIRS
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_first_reader_of_a_pending_tail_sees_eager_records(
+        retention, ring_size, reader):
+    lazy, eager = _lazy_and_eager(retention, ring_size)
+    read = _READERS[reader]
+    assert read(lazy) == read(eager)
+    assert list(lazy.records) == list(eager.records)
+
+
+@_PAIRS
+def test_equality_reads_the_pending_tail(retention, ring_size):
+    lazy, eager = _lazy_and_eager(retention, ring_size)
+    assert lazy == eager
+    other, _ = _lazy_and_eager(retention, ring_size)
+    other.record(9.0, 9.5, "gpu", Phase.EXEC)
+    assert lazy != other
+
+
+@_PAIRS
+def test_clear_drops_the_pending_tail(retention, ring_size):
+    lazy, _ = _lazy_and_eager(retention, ring_size)
+    lazy.clear()
+    assert list(lazy.records) == []
+    assert lazy.retained_records == 0
+    assert lazy.record_count == 0
+    lazy.record(2.0, 3.0, "gpu", Phase.EXEC)
+    fresh = TraceRecorder(retention=retention, ring_size=ring_size)
+    fresh.record(2.0, 3.0, "gpu", Phase.EXEC)
+    assert json.dumps(lazy.state_dict()) == json.dumps(fresh.state_dict())
+
+
+def test_legacy_append_lands_behind_a_pending_tail():
+    lazy, eager = _lazy_and_eager("full", 4)
+    for recorder in (lazy, eager):
+        recorder.records.append(TraceRecord(9.0, 9.5, "gpu", Phase.EXEC))
+    assert lazy.total(Phase.EXEC) == eager.total(Phase.EXEC)
+    assert lazy.busy_time(Phase.EXEC) == eager.busy_time(Phase.EXEC)
+    assert lazy.record_count == eager.record_count == 12
+    assert lazy.span() == eager.span()
+    assert list(lazy.records) == list(eager.records)
+
+
+def test_append_through_a_held_list_lands_behind_a_pending_tail():
+    # A reference taken before the batch still sees appends land after
+    # the batch's records, as they would have with an eager ingest.
+    recorder = TraceRecorder()
+    held = recorder.records
+    recorder.ingest_stream(_STARTS, _ENDS, "cluster", Phase.EXEC)
+    late = TraceRecord(9.0, 9.5, "gpu", Phase.EXEC)
+    held.append(late)
+    assert recorder.record_count == 11
+    assert recorder.records is held
+    assert held[-1] is late
+    assert [r.start for r in held[:-1]] == _STARTS
+
+
+@pytest.mark.parametrize("streamed", (False, True), ids=("record", "stream"))
+def test_state_dict_lists_buckets_in_fold_order(streamed):
+    # Serialized payloads carry the accumulators in creation order; it
+    # is part of the byte-identical state_dict contract.
+    recorder = TraceRecorder(retention="aggregate")
+    if streamed:
+        recorder.ingest_stream([0.0], [1.0], "gpu", Phase.EXEC)
+        recorder.ingest_stream([1.0], [2.0], "loader", Phase.LOAD)
+    else:
+        recorder.record(0.0, 1.0, "gpu", Phase.EXEC)
+        recorder.record(1.0, 2.0, "loader", Phase.LOAD)
+    keys = [(phase, actor)
+            for phase, actor, *_ in recorder.state_dict()["acc"]]
+    assert keys == [("exec", "gpu"), ("exec", None), (None, "gpu"),
+                    (None, None), ("load", "loader"), ("load", None),
+                    (None, "loader")]
