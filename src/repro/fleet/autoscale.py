@@ -71,18 +71,18 @@ class AutoscalePolicy:
                              f"expected one of {AUTOSCALE_KINDS}")
         if self.min_instances < 0:
             raise ValueError("min_instances must be non-negative")
-        if self.idle_timeout_s is not None and self.idle_timeout_s < 0:
-            raise ValueError("idle_timeout_s must be non-negative")
         if self.kind == "scale-to-zero" and self.idle_timeout_s is None:
             raise ValueError("scale-to-zero needs an idle_timeout_s")
-        for name in ("scale_up_wait_s", "scale_down_idle_s",
-                     "prewarm_cooldown_s", "restore_overhead_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for name in ("idle_timeout_s", "scale_up_wait_s",
+                     "scale_down_idle_s", "prewarm_cooldown_s",
+                     "restore_overhead_s"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.prewarm_headroom <= 0:
-            raise ValueError("prewarm_headroom must be positive")
+        if not 0 < self.prewarm_headroom < math.inf:
+            raise ValueError("prewarm_headroom must be finite and positive")
         if self.restore_speedup < 1.0:
             raise ValueError("restore_speedup must be >= 1")
 

@@ -18,9 +18,9 @@ Two execution paths, one contract
   handing the trace straight to ``ClusterSimulator`` — byte-identical to
   the bare cluster by construction, fast-forward and resilience
   included (golden-pinned).
-- **General**: anything else replays arrival-by-arrival.  The
-  per-region scheduling arithmetic mirrors the cluster stepping loop
-  operation-for-operation, so a single-region fleet on the general path
+- **General**: anything else replays arrival-by-arrival.  Each region
+  schedules through the same :class:`~repro.serving.pool.InstancePool`
+  the cluster drives, so a single-region fleet on the general path
   produces the same latencies/counters as
   ``ClusterSimulator(fast_forward=False)`` (equivalence-pinned).
 
@@ -46,18 +46,18 @@ from repro.core.schemes import Scheme
 from repro.fleet.autoscale import AutoscalePolicy, AutoscalerState
 from repro.fleet.routing import RouterState, RoutingPolicy
 from repro.obs.monitors import SLOMonitorSet, SLOPolicy, emit_alert_spans
-from repro.packs.artifact import KernelPack, pack_for
-from repro.packs.store import (PackPolicy, PackStoreState,
-                               PackTransferCounters, RegistryFabric,
-                               feed_pack_metrics)
-from repro.serving.cluster import ClusterConfig, ClusterSimulator, \
-    ClusterStats, _Instance
+from repro.packs.artifact import pack_for
+from repro.packs.store import (PackPolicy, PackTransferCounters,
+                               RegistryFabric, feed_pack_metrics)
+from repro.serving.cluster import (ClusterConfig, ClusterSimulator,
+                                   ClusterStats, service_times)
 from repro.serving.metrics import percentile as nearest_rank_percentile
+from repro.serving.pool import COLD, FAILED, SHED, InstancePool
 from repro.serving.requests import RequestTrace
 from repro.serving.resilience import ResiliencePolicy
 from repro.serving.server import InferenceServer
-from repro.sim.faults import FaultCounters, FaultInjector, FaultPlan
-from repro.sim.trace import RETENTION_POLICIES, Phase, TraceRecorder
+from repro.sim.faults import FaultCounters, FaultPlan
+from repro.sim.trace import RETENTION_POLICIES, TraceRecorder
 
 __all__ = ["RegionConfig", "FleetConfig", "FleetTrace", "merge_traces",
            "RegionStats", "TenantStats", "FleetStats", "FleetSimulator"]
@@ -87,8 +87,8 @@ class RegionConfig:
             raise ValueError("region needs a name")
         if self.max_instances <= 0:
             raise ValueError("need at least one instance")
-        if self.keep_alive_s < 0:
-            raise ValueError("keep-alive must be non-negative")
+        if not 0 <= self.keep_alive_s < math.inf:
+            raise ValueError("keep-alive must be finite and non-negative")
         for window in self.drain_windows:
             if len(window) != 2 or window[0] < 0 or window[1] <= window[0]:
                 raise ValueError(f"bad drain window {window!r}; "
@@ -125,8 +125,9 @@ class FleetConfig:
         names = [r.name for r in self.regions]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate region names: {names}")
-        if self.shed_wait_s is not None and self.shed_wait_s < 0:
-            raise ValueError("shed_wait_s must be non-negative")
+        if (self.shed_wait_s is not None
+                and not 0 <= self.shed_wait_s < math.inf):
+            raise ValueError("shed_wait_s must be finite and non-negative")
         if (self.trace_retention is not None
                 and self.trace_retention not in RETENTION_POLICIES):
             raise ValueError(
@@ -432,11 +433,15 @@ class FleetStats:
 # Control-plane telemetry
 # ----------------------------------------------------------------------
 #
-# Decision spans and fleet metrics are emitted through the module-level
-# helpers below so the serial loop and the sharded coordinator replay
-# (repro.fleet.parallel) call the *same* code with the same arguments —
-# that is what makes telemetry-on sharded span/metrics dumps
-# byte-identical to telemetry-on serial.
+# A region logs each control-plane decision as a ``(k, code, a, b)``
+# event tuple (``k`` the global arrival index).  The serial loop logs
+# into a :class:`_SpanSink`, which emits the span at once; a sharded
+# worker logs into a list the coordinator (repro.fleet.parallel)
+# replays through the same :func:`_emit_event` — that is what makes
+# telemetry-on sharded span dumps byte-identical to serial.
+
+EV_SCALE_DOWN, EV_SHED, EV_ROUTE, EV_SCALE_UP, EV_PREWARM = range(5)
+
 
 class _QueueDepthTracker:
     """Peak number of concurrently queued requests in one region.
@@ -463,26 +468,23 @@ class _QueueDepthTracker:
                 self.peak = len(starts)
 
 
-def _emit_scale_down(spans, name: str, t: float, count: int,
-                     cap: int) -> None:
-    spans.event("fleet:scale-down", t, actor=f"region:{name}",
-                count=count, cap=cap)
-
-
-def _emit_scale_up(spans, name: str, t: float, count: int,
-                   cap: int) -> None:
-    spans.event("fleet:scale-up", t, actor=f"region:{name}",
-                count=count, cap=cap)
-
-
-def _emit_prewarm(spans, name: str, t: float, spawned: int,
-                  restores: int) -> None:
-    spans.event("fleet:prewarm", t, actor=f"region:{name}",
-                spawned=spawned, restores=restores)
-
-
-def _emit_shed(spans, name: str, t: float, wait: float) -> None:
-    spans.event("fleet:shed", t, actor=f"region:{name}", wait=wait)
+def _emit_event(spans, name: str, policy: str, trace: "FleetTrace",
+                event: Tuple) -> None:
+    """Emit one logged control-plane event as a zero-duration span."""
+    k, code, a, b = event
+    t = trace.arrivals[k]
+    actor = f"region:{name}"
+    if code == EV_SCALE_DOWN:
+        spans.event("fleet:scale-down", t, actor=actor, count=a, cap=b)
+    elif code == EV_SHED:
+        spans.event("fleet:shed", t, actor=actor, wait=a)
+    elif code == EV_ROUTE:
+        spans.event("fleet:route", t, actor=actor, policy=policy,
+                    tenant=trace.tenant_names[trace.tenants[k]])
+    elif code == EV_SCALE_UP:
+        spans.event("fleet:scale-up", t, actor=actor, count=a, cap=b)
+    else:
+        spans.event("fleet:prewarm", t, actor=actor, spawned=a, restores=b)
 
 
 def _emit_unroutable(spans, t: float, tenant: str) -> None:
@@ -490,10 +492,22 @@ def _emit_unroutable(spans, t: float, tenant: str) -> None:
                 tenant=tenant)
 
 
-def _emit_route(spans, name: str, t: float, policy: str,
-                tenant: str) -> None:
-    spans.event("fleet:route", t, actor=f"region:{name}", policy=policy,
-                tenant=tenant)
+class _SpanSink:
+    """A region's event log in the serial loop: each appended event
+    becomes a span at once, interleaved with the trace records the
+    spans mirror."""
+
+    __slots__ = ("spans", "name", "policy", "trace")
+
+    def __init__(self, spans, name: str, policy: str,
+                 trace: "FleetTrace") -> None:
+        self.spans = spans
+        self.name = name
+        self.policy = policy
+        self.trace = trace
+
+    def append(self, event: Tuple) -> None:
+        _emit_event(self.spans, self.name, self.policy, self.trace, event)
 
 
 _REQUESTS_HELP = "Fleet requests by outcome and region"
@@ -591,264 +605,114 @@ def _feed_fleet_metrics(registry, stats: "FleetStats", routing_kind: str,
 # ----------------------------------------------------------------------
 
 class _RegionState:
-    """Mutable per-replay state of one region.
+    """One region: its :class:`InstancePool` under an autoscaler.
 
-    The scheduling arithmetic in :meth:`serve` mirrors the cluster
-    stepping loop (`ClusterSimulator.run`) operation-for-operation —
-    same reclaim predicate, same instance pick, same ``max(now,
-    busy_until)`` start, same crash/reroute bookkeeping — so that a
-    single-region fleet on the general path reproduces the bare
-    cluster's numbers exactly.  On top it adds what the fleet layer
-    owns: an autoscaled instance cap, a keep-alive override, a warm
-    floor (``min_instances``), checkpoint-restore billing for scale-up
-    spawns, and off-path pre-warming.
+    The pool does the scheduling; the region adds what the fleet layer
+    owns — the routing query surface (drains, predicted wait, warm
+    headroom), the autoscaler's breathing cap and warm floor, fleet
+    load shedding and off-path pre-warming — and logs its control-plane
+    decisions as event tuples when ``events`` is given.
     """
 
-    def __init__(self, config: RegionConfig, sim: ClusterSimulator,
+    def __init__(self, config: RegionConfig, server: InferenceServer,
                  policy: AutoscalePolicy, model: str, batch: int,
                  retention: Optional[str], ring: int,
+                 shed_wait: Optional[float] = None,
                  pack_policy: Optional[PackPolicy] = None,
-                 pack: Optional[KernelPack] = None,
                  region_index: int = 0,
                  fabric: Optional[RegistryFabric] = None) -> None:
         self.config = config
-        self.actor = f"region:{config.name}"
-        self.cold = sim._cold_time(model, batch)
-        self.warm = sim._warm_time(model, batch)
-        self.cold_extra = (self.cold - self.warm
-                           if self.cold > self.warm else 0.0)
-        self.restore_cost = (policy.restore_overhead_s
-                             + self.cold_extra / policy.restore_speedup)
         self.policy = policy
         self.scaler = AutoscalerState(policy, config.max_instances)
-        self.keep_alive = self.scaler.keep_alive(config.keep_alive_s)
-        self.injector: Optional[FaultInjector] = (
-            config.faults.injector() if config.faults is not None else None)
-        self.instances: List[_Instance] = []
-        self.ever_warm = False   # a checkpoint exists once anything ran
         self.stats = RegionStats(name=config.name, device=config.device)
-        if self.injector is not None:
-            self.stats.faults = self.injector.counters
-        self.recorder: Optional[TraceRecorder] = None
-        if retention is not None:
-            self.recorder = TraceRecorder(retention=retention,
-                                          ring_size=ring)
-            self.stats.trace = self.recorder
-        # Kernel-pack fetch ladder: this region's store, running against
-        # its own registry (dark during its outage windows) with
-        # cross-region failover through ``fabric``.
-        self.pack_state: Optional[PackStoreState] = None
+        pack = (pack_for(server, model, config.scheme, batch)
+                if pack_policy is not None else None)
+        cold, self.warm = service_times(server, config.scheme, model, batch)
+        recorder = (TraceRecorder(retention=retention, ring_size=ring)
+                    if retention is not None else None)
+        self.pool = pool = InstancePool(
+            self.stats, self.warm, cold, cap=self.scaler.cap,
+            keep_alive=self.scaler.keep_alive(config.keep_alive_s),
+            actor=f"region:{config.name}", faults=config.faults,
+            recorder=recorder)
+        pool.shed_wait = shed_wait
+        self._sync_cap()
+        if policy.checkpoint_restore:
+            pool.restore_cost = (policy.restore_overhead_s
+                                 + pool.cold_extra / policy.restore_speedup)
         if pack_policy is not None:
-            self.pack_state = PackStoreState(
-                pack_policy, pack, self.injector, self.recorder,
-                actor=self.actor, region_index=region_index,
-                fabric=fabric)
-            self.stats.packs = self.pack_state.counters
-        # Attached by the fleet loop (or a sharded worker) when metrics
-        # are on; None keeps the serve hot path allocation-free.
-        self.queue_depth: Optional[_QueueDepthTracker] = None
+            # This region's ladder runs against its own registry (dark
+            # during its outage windows), failing over through ``fabric``.
+            pool.attach_packs(pack_policy, pack, region_index, fabric)
+
+    def _sync_cap(self) -> None:
+        pool = self.pool
+        pool.cap = self.scaler.cap
+        pool.floor = min(self.policy.min_instances, pool.cap)
 
     # -- deterministic query surface (used by routing + autoscaling) ---
-
-    def drained(self, now: float) -> bool:
-        return any(start <= now < end
-                   for start, end in self.config.drain_windows)
 
     def routable(self, now: float) -> bool:
         """A region is routable unless drained: capacity can always be
         spawned (the arrival pays the cold start), so only an explicit
         drain takes a region out of rotation."""
-        return not self.drained(now)
-
-    def _live(self, now: float) -> List[_Instance]:
-        """The instances that survive a reclaim at ``now`` (non-mutating
-        twin of :meth:`_reclaim`, including the warm floor)."""
-        keep = [i for i in self.instances
-                if i.busy_until > now
-                or now - i.last_used <= self.keep_alive]
-        floor = min(self.policy.min_instances, self.scaler.cap)
-        if len(keep) < floor and len(self.instances) > len(keep):
-            kept = set(map(id, keep))
-            expired = [i for i in self.instances if id(i) not in kept]
-            expired.sort(key=lambda i: i.last_used, reverse=True)
-            kept.update(map(id, expired[:floor - len(keep)]))
-            keep = [i for i in self.instances if id(i) in kept]
-        return keep
+        return not any(start <= now < end
+                       for start, end in self.config.drain_windows)
 
     def live_count(self, now: float) -> int:
-        return len(self._live(now))
+        return len(self.pool.live(now))
 
     def has_warm_idle(self, now: float) -> bool:
-        return any(i.busy_until <= now and i.warm for i in self._live(now))
+        return any(i.busy_until <= now and i.warm
+                   for i in self.pool.live(now))
 
     def predicted_wait(self, now: float) -> float:
-        """Queueing delay the next arrival would see: zero when an idle
-        warm instance or a spawn slot exists, else the wait for the
-        earliest instance to free up."""
-        live = self._live(now)
-        if any(i.busy_until <= now and i.warm for i in live):
-            return 0.0
-        if len(live) < self.scaler.cap:
-            return 0.0
-        earliest = min(i.busy_until for i in live)
-        return earliest - now if earliest > now else 0.0
+        return self.pool.predicted_wait(now)
 
     # -- mutation ------------------------------------------------------
 
-    def _reclaim(self, now: float) -> None:
-        self.instances[:] = self._live(now)
-
-    def prewarm(self, count: int, now: float) -> None:
-        """Spawn ``count`` instances off the request path.  The fleet
-        (not any request) pays the spin-up — the full cold-start extra,
-        or the checkpoint restore cost when one exists — and the
-        instance joins the pool warm, busy until the spin-up ends."""
-        for _ in range(count):
-            if len(self.instances) >= self.scaler.cap:
-                break
-            from_checkpoint = (self.policy.checkpoint_restore
-                               and self.ever_warm)
-            if from_checkpoint:
-                cost = self.restore_cost
-            elif self.pack_state is not None:
-                # Off-path spawns walk the same pack ladder; the fleet
-                # pays the fetch (or the bounded ladder walk plus the
-                # cold spin-up when the hierarchy is dark).
-                peer = any(i.warm for i in self.instances)
-                fetch = self.pack_state.fetch(now, peer)
-                if fetch.hit:
-                    cost = fetch.elapsed_s + self.pack_state.apply_s
-                else:
-                    cost = fetch.elapsed_s + self.cold_extra
-            else:
-                cost = self.cold_extra
-            instance = _Instance(busy_until=now + cost,
-                                 last_used=now + cost, warm=True)
-            self.instances.append(instance)
-            self.ever_warm = True
-            self.stats.prewarm_spawns += 1
-            self.stats.prewarm_s += cost
-            if from_checkpoint:
-                self.stats.prewarm_restores += 1
-            if self.recorder is not None:
-                self.recorder.record(now, now + cost, self.actor,
-                                     Phase.LOAD, "prewarm")
-
-    def serve(self, arrival: float) -> bool:
-        """Schedule one request; returns True iff it completed.
-
-        Mirrors the cluster stepping loop, with two fleet extensions:
-        the spawn cap is the autoscaler's breathing cap (not the static
-        ``max_instances``), and a spawn backed by a warm-state
-        checkpoint serves at restore cost instead of the full cold
-        start (billed as a *restore*, never as a cold start).
-        """
+    def tick(self, now: float, k: int = 0, events=None) -> None:
+        """The autoscaler's idle tick at fleet arrival ``k``."""
         stats = self.stats
-        recorder = self.recorder
-        injector = self.injector
-        plan = self.config.faults
-        now = arrival
-        attempts = 0
-        while True:
-            self._reclaim(now)
-            instance = self._pick(now)
-            restored = False
-            if instance is None:
-                if len(self.instances) < self.scaler.cap:
-                    instance = _Instance()
-                    self.instances.append(instance)
-                    restored = (self.policy.checkpoint_restore
-                                and self.ever_warm)
-                else:
-                    instance = min(self.instances,
-                                   key=lambda i: i.busy_until)
-            start = max(now, instance.busy_until)
-            if attempts == 0:
-                stats.queue_waits.append(start - arrival)
-                if self.queue_depth is not None:
-                    self.queue_depth.observe(arrival, start)
-            warm_attempt = instance.warm
-            pack_tier: Optional[str] = None
-            if warm_attempt:
-                service = self.warm
-            elif restored:
-                # A checkpoint restore already ships this instance's
-                # warm state; it takes precedence over the pack ladder.
-                service = self.restore_cost + self.warm
-            elif self.pack_state is not None:
-                peer = any(other.warm for other in self.instances
-                           if other is not instance)
-                fetch = self.pack_state.fetch(start, peer)
-                if fetch.hit:
-                    pack_tier = fetch.tier
-                    service = (fetch.elapsed_s
-                               + self.pack_state.apply_s + self.warm)
-                else:
-                    service = fetch.elapsed_s + self.cold
-            else:
-                service = self.cold
-            crash_at = (injector.crash_point(service)
-                        if injector is not None else None)
-            if crash_at is None:
-                if warm_attempt:
-                    stats.warm_hits += 1
-                elif restored:
-                    stats.restores += 1
-                    stats.restore_s += self.restore_cost
-                elif pack_tier is not None:
-                    stats.pack_restores += 1
-                else:
-                    stats.cold_starts += 1
-                finish = start + service
-                instance.busy_until = finish
-                instance.last_used = finish
-                instance.warm = True
-                self.ever_warm = True
-                stats.latencies.append(finish - arrival)
-                if recorder is not None:
-                    if warm_attempt:
-                        recorder.record(start, finish, self.actor,
-                                        Phase.EXEC, "serve")
-                    else:
-                        boundary = start + (service - self.warm
-                                            if service > self.warm else 0.0)
-                        if restored:
-                            load_name = "restore"
-                        elif pack_tier is not None:
-                            load_name = f"pack-restore/{pack_tier}"
-                        else:
-                            load_name = "cold-start"
-                        recorder.record(start, boundary, self.actor,
-                                        Phase.LOAD, load_name)
-                        recorder.record(boundary, finish, self.actor,
-                                        Phase.EXEC, "serve")
-                if injector is not None:
-                    stats.faults.completed_requests += 1
-                return True
-            stats.faults.crashes += 1
-            crash_time = start + crash_at
-            instance.busy_until = crash_time + plan.restart_delay_s
-            instance.last_used = instance.busy_until
-            instance.warm = False
-            if recorder is not None:
-                recorder.record(start, crash_time, self.actor,
-                                Phase.FAULT, "crash")
-            attempts += 1
-            if attempts > plan.max_reroutes:
-                stats.failed += 1
-                stats.faults.failed_requests += 1
-                return False
-            stats.faults.reroutes += 1
-            now = crash_time
+        downs = stats.scale_downs
+        self.scaler.idle_tick(self, now)
+        if stats.scale_downs > downs:
+            self._sync_cap()
+            if events is not None:
+                events.append((k, EV_SCALE_DOWN, stats.scale_downs - downs,
+                               self.scaler.cap))
 
-    def _pick(self, now: float) -> Optional[_Instance]:
-        """The warm instance free at ``now`` that has idled longest
-        (identical to ``ClusterSimulator._pick_instance``)."""
-        free = [i for i in self.instances
-                if i.busy_until <= now and i.warm]
-        if not free:
-            return None
-        return min(free, key=lambda i: i.last_used)
+    def offer(self, t: float, k: int = 0, events=None) -> int:
+        """Serve arrival ``k`` routed here: shed check, autoscaler
+        observation, pre-warm, then the pool step — in that order.
+        Returns the pool's outcome code."""
+        stats = self.stats
+        pool = self.pool
+        if pool.shed_wait is not None:
+            wait = pool.predicted_wait(t)
+            if wait > pool.shed_wait:
+                stats.shed += 1
+                if events is not None:
+                    events.append((k, EV_SHED, wait, 0))
+                return SHED
+        if events is not None:
+            events.append((k, EV_ROUTE, 0, 0))
+        ups = stats.scale_ups
+        extra = self.scaler.observe_arrival(self, t)
+        if stats.scale_ups > ups:
+            self._sync_cap()
+            if events is not None:
+                events.append((k, EV_SCALE_UP, stats.scale_ups - ups,
+                               self.scaler.cap))
+        if extra:
+            spawned = stats.prewarm_spawns
+            restored = stats.prewarm_restores
+            pool.prewarm(extra, t)
+            if events is not None and stats.prewarm_spawns > spawned:
+                events.append((k, EV_PREWARM,
+                               stats.prewarm_spawns - spawned,
+                               stats.prewarm_restores - restored))
+        return pool.step(t)
 
 
 # ----------------------------------------------------------------------
@@ -951,7 +815,6 @@ class FleetSimulator:
             else None
         policy = config.autoscale if config.autoscale is not None \
             else AutoscalePolicy()
-        routing_kind = config.routing.kind
         # Region registries for the pack hierarchy: each region's own
         # outage windows, shared so every store can find the first lit
         # remote registry for cross-region failover.
@@ -963,44 +826,30 @@ class FleetSimulator:
                 for rc in config.regions])
         regions: List[_RegionState] = []
         for region_index, region_config in enumerate(config.regions):
-            server = _server_for(region_config.device, self._servers)
-            sim = ClusterSimulator(
-                server,
-                ClusterConfig(scheme=region_config.scheme,
-                              max_instances=region_config.max_instances,
-                              keep_alive_s=region_config.keep_alive_s))
-            pack: Optional[KernelPack] = None
-            if config.packs is not None:
-                pack = pack_for(server, trace.model, region_config.scheme,
-                                trace.batch)
-            state = _RegionState(region_config, sim, policy,
-                                 trace.model, trace.batch,
-                                 config.trace_retention, config.trace_ring,
-                                 pack_policy=config.packs, pack=pack,
-                                 region_index=region_index, fabric=fabric)
-            if spans is not None and state.recorder is not None:
-                spans.bind(state.recorder)
+            state = _RegionState(
+                region_config, _server_for(region_config.device,
+                                           self._servers),
+                policy, trace.model, trace.batch, config.trace_retention,
+                config.trace_ring, config.shed_wait_s,
+                pack_policy=config.packs, region_index=region_index,
+                fabric=fabric)
+            if spans is not None and state.pool.recorder is not None:
+                spans.bind(state.pool.recorder)
             if self.metrics is not None:
-                state.queue_depth = _QueueDepthTracker()
+                state.pool.queue_depth = _QueueDepthTracker()
             regions.append(state)
+        sinks = ([_SpanSink(spans, region.config.name, config.routing.kind,
+                            trace) for region in regions]
+                 if spans is not None else [None] * len(regions))
         stats = FleetStats(offered=len(trace))
         tenants = [TenantStats(name=name) for name in trace.tenant_names]
         router = RouterState(config.routing)
-        for arrival, tenant_index in zip(trace.arrivals, trace.tenants):
+        for k, (arrival, tenant_index) in enumerate(zip(trace.arrivals,
+                                                         trace.tenants)):
             tenant = tenants[tenant_index]
             tenant.offered += 1
-            if spans is None:
-                for region in regions:
-                    region.scaler.idle_tick(region, arrival)
-            else:
-                for region in regions:
-                    downs = region.stats.scale_downs
-                    region.scaler.idle_tick(region, arrival)
-                    delta = region.stats.scale_downs - downs
-                    if delta:
-                        _emit_scale_down(spans, region.config.name,
-                                         arrival, delta,
-                                         region.scaler.cap)
+            for region, sink in zip(regions, sinks):
+                region.tick(arrival, k, sink)
             choice = router.choose(regions, arrival)
             if choice is None:
                 stats.shed_unroutable += 1
@@ -1009,55 +858,22 @@ class FleetSimulator:
                     _emit_unroutable(spans, arrival, tenant.name)
                 continue
             region = regions[choice]
-            if config.shed_wait_s is not None:
-                wait = region.predicted_wait(arrival)
-                if wait > config.shed_wait_s:
-                    region.stats.shed += 1
-                    tenant.shed += 1
-                    if spans is not None:
-                        _emit_shed(spans, region.config.name, arrival,
-                                   wait)
-                    continue
-            if spans is None:
-                extra = region.scaler.observe_arrival(region, arrival)
-                if extra:
-                    region.prewarm(extra, arrival)
+            code = region.offer(arrival, k, sinks[choice])
+            if code == SHED:
+                tenant.shed += 1
+                continue
+            if code == FAILED:
+                tenant.failed += 1
+                fresh = (monitors.observe_failed(arrival)
+                         if monitors is not None else None)
             else:
-                _emit_route(spans, region.config.name, arrival,
-                            routing_kind, tenant.name)
-                ups = region.stats.scale_ups
-                extra = region.scaler.observe_arrival(region, arrival)
-                if region.stats.scale_ups > ups:
-                    _emit_scale_up(spans, region.config.name, arrival,
-                                   region.stats.scale_ups - ups,
-                                   region.scaler.cap)
-                if extra:
-                    spawned = region.stats.prewarm_spawns
-                    restored = region.stats.prewarm_restores
-                    region.prewarm(extra, arrival)
-                    spawned = region.stats.prewarm_spawns - spawned
-                    if spawned:
-                        _emit_prewarm(
-                            spans, region.config.name, arrival, spawned,
-                            region.stats.prewarm_restores - restored)
-            if monitors is None:
-                if region.serve(arrival):
-                    tenant.latencies.append(region.stats.latencies[-1])
-                else:
-                    tenant.failed += 1
-            else:
-                colds = region.stats.cold_starts
-                if region.serve(arrival):
-                    latency = region.stats.latencies[-1]
-                    tenant.latencies.append(latency)
-                    fresh = monitors.observe_completed(
-                        arrival, latency,
-                        region.stats.cold_starts > colds)
-                else:
-                    tenant.failed += 1
-                    fresh = monitors.observe_failed(arrival)
-                if spans is not None and fresh:
-                    emit_alert_spans(spans, fresh)
+                latency = region.stats.latencies[-1]
+                tenant.latencies.append(latency)
+                fresh = (monitors.observe_completed(arrival, latency,
+                                                    code == COLD)
+                         if monitors is not None else None)
+            if spans is not None and fresh:
+                emit_alert_spans(spans, fresh)
         for region in regions:
             stats.regions[region.config.name] = region.stats
         for tenant in tenants:
@@ -1066,7 +882,7 @@ class FleetSimulator:
             stats.monitors = monitors.summary()
         queue_peaks = None
         if self.metrics is not None:
-            queue_peaks = {region.config.name: region.queue_depth.peak
+            queue_peaks = {region.config.name: region.pool.queue_depth.peak
                            for region in regions}
         self._feed_metrics(stats, queue_peaks)
         return stats

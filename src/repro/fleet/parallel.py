@@ -19,10 +19,10 @@ execution modes, picked automatically:
   ``round-robin``, or a lone routable region) is precomputed exactly
   from the drain windows.  Every region then replays its own
   sub-stream in one shot; regions under ``fixed`` / ``scale-to-zero``
-  autoscaling with no fault plan ride an analytic min-heap fast path
-  (the fleet twin of the cluster fast-forward, warm floor / restore
-  billing / shedding included).  Zero rollbacks by construction — this
-  is the 1e7–1e8-request throughput path.
+  autoscaling with no fault plan replay it through the pool's analytic
+  :meth:`~repro.serving.pool.InstancePool.advance` (warm floor, restore
+  billing and shedding included).  Zero rollbacks by construction —
+  this is the 1e7–1e8-request throughput path.
 - **time-warp** — state-coupled routing (``least-queue`` /
   ``warm-first`` across >= 2 routable regions).  Shards simulate
   optimistically under a guessed assignment while recording the
@@ -45,23 +45,21 @@ from __future__ import annotations
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from heapq import heappop, heappush, heapreplace
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.fleet.autoscale import AutoscalePolicy
-from repro.fleet.fleet import (FleetConfig, FleetSimulator, FleetStats,
+from repro.fleet.fleet import (EV_ROUTE, EV_SCALE_DOWN, EV_SHED,
+                               FleetConfig, FleetSimulator, FleetStats,
                                FleetTrace, RegionConfig, RegionStats,
                                TenantStats, _QueueDepthTracker,
-                               _RegionState, _emit_prewarm, _emit_route,
-                               _emit_scale_down, _emit_scale_up,
-                               _emit_shed, _emit_unroutable,
+                               _RegionState, _emit_event, _emit_unroutable,
                                _feed_region_metrics, _feed_tenant_metrics,
                                _server_for)
 from repro.fleet.routing import RouterState, RoutingPolicy
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitors import SLOMonitorSet, emit_alert_spans
-from repro.serving.cluster import ClusterConfig, ClusterSimulator, _Instance
+from repro.serving.pool import COLD, FAILED, SHED, _Instance
 from repro.serving.requests import RequestTrace, poisson_trace
 from repro.sim.trace import TraceRecorder
 
@@ -69,18 +67,6 @@ __all__ = ["TraceSpec", "ShardReport", "run_fleet_sharded",
            "equivalence_problems"]
 
 DEFAULT_CHECKPOINT_EVERY = 2048
-
-# Per-arrival outcome codes a shard reports back for tenant accounting.
-# The detailed completed codes (cold / restore) let the coordinator
-# replay SLO monitor observations without re-deriving billing; plain
-# _COMPLETED remains what the undetailed stepping path emits.
-_COMPLETED, _FAILED, _SHED = 0, 1, 2
-_COMPLETED_COLD, _COMPLETED_RESTORE = 3, 4
-
-# Control-plane event codes a shard logs (as ``(k, code, a, b)`` tuples)
-# when the coordinator needs to replay decision spans.  Only logged when
-# spans are on — the off path appends nothing.
-_EV_SCALE_DOWN, _EV_SCALE_UP, _EV_PREWARM, _EV_SHED = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -265,7 +251,6 @@ class _RegionJob:
     # --- telemetry knobs (final pass only) ----------------------------
     collect_metrics: bool = False    # feed a fresh registry, ship a dump
     want_events: bool = False        # log control-plane event tuples
-    detail: bool = False             # detailed completed codes (SLO)
     routing_kind: str = "single"     # the fleet_routed_total policy label
 
 
@@ -275,7 +260,7 @@ class _RegionResult:
 
     stats: RegionStats
     trace_state: Optional[dict]
-    outcomes: bytes
+    outcomes: bytes                  # one pool outcome code per arrival
     analytic: int
     wall_s: float
     metrics: Optional[dict] = None   # per-shard MetricsRegistry dump
@@ -288,32 +273,30 @@ def _job_trace(job: _RegionJob) -> FleetTrace:
 
 def _build_state(job: _RegionJob, trace: FleetTrace) -> _RegionState:
     region = job.config
-    sim = ClusterSimulator(
-        _server_for(region.device, None),
-        ClusterConfig(scheme=region.scheme,
-                      max_instances=region.max_instances,
-                      keep_alive_s=region.keep_alive_s))
-    return _RegionState(region, sim, job.policy, trace.model, trace.batch,
-                        job.retention, job.ring)
+    return _RegionState(region, _server_for(region.device, None),
+                        job.policy, trace.model, trace.batch,
+                        job.retention, job.ring, job.shed_wait_s)
 
 
 def _snapshot(state: _RegionState, index: int) -> _Checkpoint:
     scaler = state.scaler
+    pool = state.pool
     return _Checkpoint(
         index=index,
         instances=tuple((i.busy_until, i.last_used, i.warm)
-                        for i in state.instances),
+                        for i in pool.instances),
         cap=scaler.cap,
         rate=scaler._rate,
         last_arrival=scaler._last_arrival,
         last_prewarm=scaler._last_prewarm,
-        ever_warm=state.ever_warm,
-        draws=(dict(state.injector._draws)
-               if state.injector is not None else None))
+        ever_warm=pool.ever_warm,
+        draws=(dict(pool.injector._draws)
+               if pool.injector is not None else None))
 
 
 def _restore(state: _RegionState, checkpoint: _Checkpoint) -> None:
-    state.instances[:] = [
+    pool = state.pool
+    pool.instances[:] = [
         _Instance(busy_until=busy, last_used=last, warm=warm)
         for busy, last, warm in checkpoint.instances]
     scaler = state.scaler
@@ -321,10 +304,11 @@ def _restore(state: _RegionState, checkpoint: _Checkpoint) -> None:
     scaler._rate = checkpoint.rate
     scaler._last_arrival = checkpoint.last_arrival
     scaler._last_prewarm = checkpoint.last_prewarm
-    state.ever_warm = checkpoint.ever_warm
-    if state.injector is not None:
-        state.injector._draws.clear()
-        state.injector._draws.update(checkpoint.draws)
+    state._sync_cap()
+    pool.ever_warm = checkpoint.ever_warm
+    if pool.injector is not None:
+        pool.injector._draws.clear()
+        pool.injector._draws.update(checkpoint.draws)
 
 
 def _observe_region(job: _RegionJob):
@@ -345,8 +329,6 @@ def _observe_region(job: _RegionJob):
     arrivals = trace.arrivals
     mine = job.region_index
     member = _membership(job.assignment)
-    shed_wait = job.shed_wait_s
-    scaler = state.scaler
     every = job.checkpoint_every
     waits = array("d")
     warms = bytearray()
@@ -355,208 +337,12 @@ def _observe_region(job: _RegionJob):
         if every and k > start and k % every == 0:
             checkpoints.append(_snapshot(state, k))
         t = arrivals[k]
-        scaler.idle_tick(state, t)
+        state.tick(t)
         waits.append(state.predicted_wait(t))
         warms.append(1 if state.has_warm_idle(t) else 0)
-        if member(k) != mine:
-            continue
-        if shed_wait is not None and state.predicted_wait(t) > shed_wait:
-            continue  # shed: no state change
-        extra = scaler.observe_arrival(state, t)
-        if extra:
-            state.prewarm(extra, t)
-        state.serve(t)
+        if member(k) == mine:
+            state.offer(t)
     return start, waits.tobytes(), bytes(warms), checkpoints
-
-
-def _serve_one(state: _RegionState, t: float, shed_wait: Optional[float],
-               append) -> None:
-    """Serial per-arrival sequence for the routed region: shed check,
-    autoscaler observation, pre-warm, serve — in that order."""
-    if shed_wait is not None and state.predicted_wait(t) > shed_wait:
-        state.stats.shed += 1
-        append(_SHED)
-        return
-    extra = state.scaler.observe_arrival(state, t)
-    if extra:
-        state.prewarm(extra, t)
-    append(_COMPLETED if state.serve(t) else _FAILED)
-
-
-def _serve_one_obs(state: _RegionState, t: float,
-                   shed_wait: Optional[float], append, k: int,
-                   events: Optional[list]) -> None:
-    """:func:`_serve_one` with telemetry: detailed completed codes and
-    (when ``events`` is a list) the control-plane deltas the
-    coordinator replays into decision spans.  Deltas are detected
-    exactly the way the serial loop detects them, and the values keep
-    their Python types so replayed span attrs compare byte-equal."""
-    stats = state.stats
-    if shed_wait is not None:
-        wait = state.predicted_wait(t)
-        if wait > shed_wait:
-            stats.shed += 1
-            append(_SHED)
-            if events is not None:
-                events.append((k, _EV_SHED, wait, 0))
-            return
-    if events is None:
-        extra = state.scaler.observe_arrival(state, t)
-        if extra:
-            state.prewarm(extra, t)
-    else:
-        ups = stats.scale_ups
-        extra = state.scaler.observe_arrival(state, t)
-        if stats.scale_ups > ups:
-            events.append((k, _EV_SCALE_UP, stats.scale_ups - ups,
-                           state.scaler.cap))
-        if extra:
-            spawned = stats.prewarm_spawns
-            restored = stats.prewarm_restores
-            state.prewarm(extra, t)
-            spawned = stats.prewarm_spawns - spawned
-            if spawned:
-                events.append((k, _EV_PREWARM, spawned,
-                               stats.prewarm_restores - restored))
-    colds = stats.cold_starts
-    restores = stats.restores
-    if state.serve(t):
-        if stats.cold_starts > colds:
-            append(_COMPLETED_COLD)
-        elif stats.restores > restores:
-            append(_COMPLETED_RESTORE)
-        else:
-            append(_COMPLETED)
-    else:
-        append(_FAILED)
-
-
-def _serve_stepping(state: _RegionState, arrivals, job: _RegionJob,
-                    outcomes, events: Optional[list] = None) -> None:
-    mine = job.region_index
-    shed_wait = job.shed_wait_s
-    append = outcomes.append
-    obs = events is not None or job.detail
-    if state.policy.kind == "reactive":
-        # Reactive capacity breathes on *global* quiet time: the scaler
-        # ticks at every fleet arrival, routed here or not.
-        member = _membership(job.assignment)
-        scaler = state.scaler
-        stats = state.stats
-        for k, t in enumerate(arrivals):
-            if events is None:
-                scaler.idle_tick(state, t)
-            else:
-                downs = stats.scale_downs
-                scaler.idle_tick(state, t)
-                if stats.scale_downs > downs:
-                    events.append((k, _EV_SCALE_DOWN,
-                                   stats.scale_downs - downs, scaler.cap))
-            if member(k) == mine:
-                if obs:
-                    _serve_one_obs(state, t, shed_wait, append, k, events)
-                else:
-                    _serve_one(state, t, shed_wait, append)
-    elif obs:
-        for k in _assigned(job.assignment, mine, len(arrivals)):
-            _serve_one_obs(state, arrivals[k], shed_wait, append, k,
-                           events)
-    else:
-        for k in _assigned(job.assignment, mine, len(arrivals)):
-            _serve_one(state, arrivals[k], shed_wait, append)
-
-
-def _serve_analytic(state: _RegionState, arrivals, indices,
-                    shed_wait: Optional[float], outcomes,
-                    events: Optional[list] = None) -> int:
-    """Heap-analytic sub-stream replay: the fleet twin of the cluster
-    fast-forward.
-
-    Eligible when the region's evolution is closed-form: no fault plan
-    (every serve succeeds), no recorder, and a ``fixed`` /
-    ``scale-to-zero`` autoscaler (constant cap, inert ticks, the only
-    observable scaler effect is the keep-alive override already folded
-    into ``state.keep_alive``).  Instances live in a min-heap of finish
-    times — for all-warm pools ``busy_until == last_used``, so heap
-    order is both the reclaim order and the pick order.  Reclaims stop
-    at the warm floor (keeping the newest-expired instances, exactly
-    the ``_live`` backfill), spawns bill a cold start or — under
-    ``checkpoint_restore`` once anything ran — a restore, and the shed
-    predicate mirrors ``predicted_wait`` bit for bit.
-    """
-    pool: List[float] = []
-    size = 0
-    cap = state.scaler.cap
-    floor = min(state.policy.min_instances, cap)
-    keep_alive = state.keep_alive
-    warm_time = state.warm
-    cold_time = state.cold
-    restore_cost = state.restore_cost
-    restore_service = restore_cost + warm_time
-    use_restore = state.policy.checkpoint_restore
-    ever_warm = state.ever_warm
-    stats = state.stats
-    latencies = stats.latencies
-    queue_waits = stats.queue_waits
-    tracker = state.queue_depth
-    append = outcomes.append
-    served = 0
-    for k in indices:
-        t = arrivals[k]
-        while size > floor and t - pool[0] > keep_alive:
-            heappop(pool)
-            size -= 1
-        if shed_wait is not None:
-            if (size and pool[0] <= t) or size < cap:
-                wait = 0.0
-            else:
-                front = pool[0]
-                wait = front - t if front > t else 0.0
-            if wait > shed_wait:
-                stats.shed += 1
-                append(_SHED)
-                if events is not None:
-                    events.append((k, _EV_SHED, wait, 0))
-                continue
-        if size and pool[0] <= t:
-            # Warm hit on the longest-idle free instance (the root).
-            start = t
-            finish = t + warm_time
-            heapreplace(pool, finish)
-            stats.warm_hits += 1
-            code = _COMPLETED
-        elif size < cap:
-            # Spawn: a fresh instance (busy since 0.0) serves cold, or
-            # from a checkpoint once the region has ever been warm.
-            start = t if t > 0.0 else 0.0
-            if use_restore and ever_warm:
-                finish = start + restore_service
-                stats.restores += 1
-                stats.restore_s += restore_cost
-                code = _COMPLETED_RESTORE
-            else:
-                finish = start + cold_time
-                stats.cold_starts += 1
-                code = _COMPLETED_COLD
-            heappush(pool, finish)
-            size += 1
-        else:
-            # Queue on the earliest-free (warm) instance.
-            busy = pool[0]
-            start = busy if busy > t else t
-            finish = start + warm_time
-            heapreplace(pool, finish)
-            stats.warm_hits += 1
-            code = _COMPLETED
-        ever_warm = True
-        queue_waits.append(start - t)
-        if tracker is not None:
-            tracker.observe(t, start)
-        latencies.append(finish - t)
-        append(code)
-        served += 1
-    state.ever_warm = ever_warm
-    return served
 
 
 def _finalize_region(job: _RegionJob) -> _RegionResult:
@@ -564,31 +350,54 @@ def _finalize_region(job: _RegionJob) -> _RegionResult:
     verified assignment, producing the exact serial RegionStats."""
     trace = _job_trace(job)
     state = _build_state(job, trace)
+    pool = state.pool
     if job.collect_metrics:
-        state.queue_depth = _QueueDepthTracker()
+        pool.queue_depth = _QueueDepthTracker()
     arrivals = trace.arrivals
+    mine = job.region_index
     outcomes = array("b")
     events: Optional[list] = [] if job.want_events else None
     analytic = 0
     began = perf_counter()
-    if (job.retention is None and state.injector is None
-            and state.policy.kind in ("fixed", "scale-to-zero")):
-        analytic = _serve_analytic(
-            state, arrivals,
-            _assigned(job.assignment, job.region_index, len(arrivals)),
-            job.shed_wait_s, outcomes, events)
+    if state.policy.kind == "reactive":
+        # Reactive capacity breathes on *global* quiet time: the scaler
+        # ticks at every fleet arrival, routed here or not.
+        member = _membership(job.assignment)
+        for k, t in enumerate(arrivals):
+            state.tick(t, k, events)
+            if member(k) == mine:
+                outcomes.append(state.offer(t, k, events))
+    elif (job.retention is None and pool.injector is None
+          and state.policy.kind in ("fixed", "scale-to-zero")):
+        # Closed-form evolution: no crashes, a constant cap and inert
+        # autoscaler hooks, so the sub-stream replays analytically.
+        indices = _assigned(job.assignment, mine, len(arrivals))
+        if isinstance(indices, range):
+            sub = arrivals[indices.start:indices.stop:indices.step]
+        else:
+            sub = [arrivals[k] for k in indices]
+        sheds: List[Tuple[int, float]] = []
+        pool.advance(sub, 0, len(sub), outcomes, sheds)
+        analytic = len(sub) - len(sheds)
+        if events is not None:
+            shed_waits = dict(sheds)
+            events.extend(
+                (k, EV_SHED, shed_waits[pos], 0) if pos in shed_waits
+                else (k, EV_ROUTE, 0, 0)
+                for pos, k in enumerate(indices))
     else:
-        _serve_stepping(state, arrivals, job, outcomes, events)
+        for k in _assigned(job.assignment, mine, len(arrivals)):
+            outcomes.append(state.offer(arrivals[k], k, events))
     wall = perf_counter() - began
-    trace_state = (state.recorder.state_dict()
-                   if state.recorder is not None else None)
+    trace_state = (pool.recorder.state_dict()
+                   if pool.recorder is not None else None)
     stats = state.stats
     stats.trace = None  # recorders travel as state dicts
     metrics_dump = None
     if job.collect_metrics:
         registry = MetricsRegistry()
         _feed_region_metrics(registry, stats, job.routing_kind,
-                             state.queue_depth.peak)
+                             pool.queue_depth.peak)
         metrics_dump = registry.to_json()
     return _RegionResult(stats=stats, trace_state=trace_state,
                          outcomes=outcomes.tobytes(), analytic=analytic,
@@ -705,11 +514,11 @@ def _merge(config: FleetConfig, trace: FleetTrace, assignment,
     outputs, walking tenants in global arrival order.
 
     With ``spans`` the walk also replays the shards' recorded
-    control-plane event tuples — interleaved with the route /
-    unroutable decisions only the coordinator sees — in the exact
-    order the serial loop emits them, so the sharded span list is
+    control-plane event tuples — interleaved with the unroutable
+    decisions only the coordinator sees — in the exact order the serial
+    loop emits them, so the sharded span list is
     byte-identical to the serial one.  With ``monitors`` it feeds the
-    SLO monitor set from the detailed outcome codes and the merged
+    SLO monitor set from the shards' outcome codes and the merged
     latency stream (again the serial observation order)."""
     stats = FleetStats(offered=len(trace))
     for region, result in zip(config.regions, results):
@@ -756,11 +565,11 @@ def _merge(config: FleetConfig, trace: FleetTrace, assignment,
                 # the routing decision, in region order.
                 for i, name in enumerate(names):
                     log, p = events[i], positions[i]
-                    if (p < len(log) and log[p][0] == k
-                            and log[p][1] == _EV_SCALE_DOWN):
-                        _emit_scale_down(spans, name, t, log[p][2],
-                                         log[p][3])
-                        positions[i] = p + 1
+                    while (p < len(log) and log[p][0] == k
+                           and log[p][1] == EV_SCALE_DOWN):
+                        _emit_event(spans, name, routing_kind, trace, log[p])
+                        p += 1
+                    positions[i] = p
             code = member(k)
             if code < 0:
                 stats.shed_unroutable += 1
@@ -769,38 +578,28 @@ def _merge(config: FleetConfig, trace: FleetTrace, assignment,
                     _emit_unroutable(spans, t, tenant.name)
                 continue
             outcome = next(outcome_iters[code])
-            if outcome == _SHED:
-                tenant.shed += 1
-                if spans is not None:
-                    log, p = events[code], positions[code]
-                    _emit_shed(spans, names[code], t, log[p][2])
-                    positions[code] = p + 1
-                continue
             if spans is not None:
-                _emit_route(spans, names[code], t, routing_kind,
-                            tenant.name)
+                # Then the routed region's shed or route decision and
+                # its autoscaler reaction, in the order it logged them.
                 log, p = events[code], positions[code]
-                if (p < len(log) and log[p][0] == k
-                        and log[p][1] == _EV_SCALE_UP):
-                    _emit_scale_up(spans, names[code], t, log[p][2],
-                                   log[p][3])
-                    p += 1
-                if (p < len(log) and log[p][0] == k
-                        and log[p][1] == _EV_PREWARM):
-                    _emit_prewarm(spans, names[code], t, log[p][2],
-                                  log[p][3])
+                while p < len(log) and log[p][0] == k:
+                    _emit_event(spans, names[code], routing_kind, trace,
+                                log[p])
                     p += 1
                 positions[code] = p
-            if outcome == _FAILED:
+            if outcome == SHED:
+                tenant.shed += 1
+                continue
+            if outcome == FAILED:
                 tenant.failed += 1
                 fresh = (monitors.observe_failed(t)
                          if monitors is not None else None)
             else:
                 latency = next(latency_iters[code])
                 tenant.latencies.append(latency)
-                fresh = (monitors.observe_completed(
-                    t, latency, outcome == _COMPLETED_COLD)
-                    if monitors is not None else None)
+                fresh = (monitors.observe_completed(t, latency,
+                                                    outcome == COLD)
+                         if monitors is not None else None)
             if spans is not None and fresh:
                 emit_alert_spans(spans, fresh)
     for tenant in tenants:
@@ -903,7 +702,6 @@ def run_fleet_sharded(config: FleetConfig,
                        spec=ship_spec, assignment=assignment,
                        collect_metrics=metrics is not None,
                        want_events=spans is not None,
-                       detail=monitors is not None,
                        routing_kind=config.routing.kind)
             for i, region in enumerate(config.regions)]
         results = run_shards(_finalize_region, final_jobs, pool=pool)

@@ -131,7 +131,7 @@ class ResiliencePolicy:
 
 
 class ResilienceState:
-    """Per-replay supervisor driven by :class:`ClusterSimulator.run`.
+    """Per-replay supervisor driven by :meth:`InstancePool.step`.
 
     Owns the mutable mechanism state (admission queue, degraded-mode
     flag) and implements the per-instance health transitions.  All

@@ -3,7 +3,8 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core.schemes import Scheme
-from repro.serving.cluster import ClusterConfig, ClusterSimulator
+from repro.serving.cluster import (ClusterConfig, ClusterSimulator,
+                                   service_times)
 from repro.serving.requests import RequestTrace, poisson_trace
 from repro.serving.server import InferenceServer
 
@@ -44,7 +45,7 @@ def test_every_request_is_answered(trace, max_instances, keep_alive):
 def test_latency_bounds(trace, max_instances, keep_alive):
     sim = simulator(max_instances, keep_alive)
     stats = sim.run(trace)
-    warm = sim._warm_time("alex", 1)
+    _, warm = service_times(_SERVER, Scheme.IDEAL, "alex", 1)
     assert all(q >= 0 for q in stats.queue_waits)
     assert all(latency >= warm - 1e-12 for latency in stats.latencies)
 

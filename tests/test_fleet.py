@@ -33,6 +33,11 @@ class TestRegionConfig:
         with pytest.raises(ValueError, match="keep-alive"):
             RegionConfig("r0", keep_alive_s=-1.0)
 
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_rejects_non_finite_keep_alive(self, bad):
+        with pytest.raises(ValueError, match="keep-alive"):
+            RegionConfig("r0", keep_alive_s=bad)
+
     @pytest.mark.parametrize("window", [(1.0, 1.0), (2.0, 1.0),
                                         (-1.0, 2.0), (0.0,)])
     def test_rejects_bad_drain_window(self, window):
@@ -52,6 +57,11 @@ class TestFleetConfig:
     def test_rejects_negative_shed_wait(self):
         with pytest.raises(ValueError, match="shed_wait_s"):
             FleetConfig(regions=(RegionConfig("r0"),), shed_wait_s=-0.1)
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_rejects_non_finite_shed_wait(self, bad):
+        with pytest.raises(ValueError, match="shed_wait_s"):
+            FleetConfig(regions=(RegionConfig("r0"),), shed_wait_s=bad)
 
     def test_rejects_unknown_retention(self):
         with pytest.raises(ValueError, match="retention"):

@@ -8,6 +8,8 @@ an idle gap of precisely the idle timeout keeps the instance; any
 longer reclaims it.
 """
 
+import math
+
 import pytest
 
 from repro.core.schemes import Scheme
@@ -183,3 +185,19 @@ class TestPredictivePrewarm:
         assert region.prewarm_spawns > 0
         assert region.prewarm_restores > 0
         assert region.prewarm_restores <= region.prewarm_spawns
+
+
+class TestPolicyValidation:
+    @pytest.mark.parametrize("field", ("idle_timeout_s", "scale_up_wait_s",
+                                       "scale_down_idle_s",
+                                       "prewarm_cooldown_s",
+                                       "restore_overhead_s"))
+    @pytest.mark.parametrize("bad", (-1.0, math.nan, math.inf))
+    def test_rejects_bad_time_fields(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            AutoscalePolicy(**{field: bad})
+
+    @pytest.mark.parametrize("bad", (0.0, math.nan, math.inf))
+    def test_rejects_bad_prewarm_headroom(self, bad):
+        with pytest.raises(ValueError, match="prewarm_headroom"):
+            AutoscalePolicy(kind="predictive", prewarm_headroom=bad)

@@ -33,6 +33,7 @@ from repro.fleet.fleet import _QueueDepthTracker
 from repro.obs import (FlightRecorder, MetricsRegistry, SLOMonitorSet,
                        SLOPolicy, SpanRecorder, to_perfetto, validate_dump,
                        validate_monitors, validate_trace, write_trace)
+from repro.packs import PackPolicy
 from repro.serving.requests import RequestTrace, poisson_trace
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
@@ -258,6 +259,28 @@ class TestSLOMonitors:
                 monitors.observe_completed(i * 0.02, 0.01, cold=i % 2 == 0)
             return monitors.summary()
         assert burn() == burn()
+
+    def test_pack_restores_are_not_cold_on_either_fleet_path(self):
+        # The delegated (bare-cluster) path and the general path must
+        # feed the cold-rate monitor the same outcome: a pack restore is
+        # not a cold start.
+        trace = poisson_trace("res", 20.0, 30.0, seed=1)
+        slo = SLOPolicy(cold_rate_target=0.01, window_s=5.0)
+
+        def summary(routing):
+            config = FleetConfig(
+                regions=(RegionConfig("r0", scheme=Scheme.PASK,
+                                      max_instances=4, keep_alive_s=0.05),),
+                routing=RoutingPolicy(routing), packs=PackPolicy())
+            stats = FleetSimulator(config, slo=slo).run(trace)
+            assert stats.cold_starts == 0 and stats.pack_restores > 0
+            return stats.delegated, stats.monitors
+
+        delegated, via_cluster = summary("single")
+        general, via_regions = summary("least-queue")
+        assert delegated and not general
+        assert via_cluster == via_regions
+        assert via_cluster["monitors"]["cold-rate"]["worst"] == 0.0
 
     def test_validate_monitors_rejects_junk(self):
         assert validate_monitors(None)

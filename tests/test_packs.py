@@ -208,11 +208,35 @@ class TestLadder:
 
 
 class TestClusterWiring:
-    def test_packs_rejects_active_resilience(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(scheme=Scheme.PASK, packs=PackPolicy(),
-                          resilience=ResiliencePolicy(
-                              checkpoint_interval_s=0.25))
+    def test_packs_compose_with_active_resilience(self):
+        # Crash restarts restore from checkpoints, fresh spawns walk the
+        # pack ladder (local faults, a registry outage), and admission
+        # control sheds: every request and every pack byte is accounted
+        # for, and the replay is a pure function of the seed.
+        server = InferenceServer()
+        trace = poisson_trace("res", 80.0, 6.0, seed=5)
+
+        def run(seed):
+            config = ClusterConfig(
+                scheme=Scheme.PASK, max_instances=3, keep_alive_s=0.05,
+                packs=PackPolicy(),
+                faults=FaultPlan(seed=seed, crash_rate=0.1,
+                                 pack_local_failure_rate=0.3,
+                                 registry_outage_windows=((2.0, 4.0),)),
+                resilience=ResiliencePolicy(checkpoint_interval_s=0.25,
+                                            shed_wait_s=0.01))
+            return ClusterSimulator(server, config).run(trace)
+
+        stats = run(11)
+        assert stats.completed + stats.failed + stats.shed == len(trace)
+        assert stats.faults.warm_restores > 0
+        assert stats.shed > 0
+        assert stats.pack_restores > 0
+        assert stats.packs.conserved
+        again = run(11)
+        assert again.latencies == stats.latencies
+        assert again.faults.as_dict() == stats.faults.as_dict()
+        assert again.packs.as_dict() == stats.packs.as_dict()
 
     def test_pack_restores_replace_cold_starts(self):
         server = InferenceServer()
