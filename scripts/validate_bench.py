@@ -75,18 +75,6 @@ def main(argv):
                              for summary in monitors.values())
                 extra += (f", {len(monitors)} SLO-watched cells "
                           f"({fired} fired, {alerts} alerts)")
-            scenarios = payload.get("chaos", {}).get("scenarios", [])
-            if scenarios:
-                passed = sum(1 for s in scenarios if s.get("pass"))
-                extra += f", {passed}/{len(scenarios)} scenarios passed"
-            frontier = payload.get("fleet_frontier")
-            if frontier:
-                legs = ", ".join(
-                    f"{leg}={value if value is not None else 'none'}"
-                    for leg, value in frontier.get("frontiers",
-                                                   {}).items())
-                verdict = "pass" if frontier.get("pass") else "FAIL"
-                extra += f", frontier [{legs}] {verdict}"
             print(f"{path}: ok "
                   f"({payload['totals']['cells']} cells, "
                   f"schema v{payload['schema_version']}{extra})")

@@ -9,15 +9,14 @@ Commands
   without Sec. VI interval preloading.
 - ``cluster MODEL`` — replay a Poisson trace against an autoscaled pool.
 - ``fleet MODEL`` — replay arrivals across a multi-region fleet with
-  warm-pool routing, per-tenant traffic classes and autoscaling;
-  ``--frontier`` runs the scale-to-zero frontier sweep instead
-  (Baseline vs PaSK vs PaSK+restore, gated on the p99 SLO).
+  warm-pool routing, per-tenant traffic classes and autoscaling.
 - ``chaos MODEL`` — the same stack under seeded fault injection:
   load/launch faults with retry, loader stalls with reactive fallback,
   and instance crash/restart churn during a trace replay.
-  ``--resilience`` runs the curated chaos comparison instead (crash-
-  heavy and overload scenarios without/with the resilience policy),
-  gated on availability and p99.
+- ``scenario NAME`` — run one checked-in comparison report (``chaos``,
+  ``packs`` or ``fleet-frontier``), print its gates and optionally
+  write the byte-stable report; ``--output benchmarks/<report>``
+  regenerates the checked-in copy.
 - ``bench`` — run a curated benchmark grid through the parallel engine
   (``--jobs``) with the on-disk result cache, emit a machine-readable
   ``BENCH_<timestamp>.json`` and optionally gate against a baseline.
@@ -42,6 +41,7 @@ from typing import List, Optional
 from repro.core.schemes import Scheme
 from repro.models import MODEL_INFO, list_models
 from repro.report import format_table
+from repro.runner.scenarios import SCENARIOS, run_scenario
 from repro.serving.cluster import ClusterConfig, ClusterSimulator
 from repro.serving.experiments import DEFAULT_BATCHES, ExperimentSuite
 from repro.serving.requests import poisson_trace
@@ -125,8 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet = sub.add_parser(
         "fleet", help="replay a trace across a multi-region fleet with "
-                      "routing and autoscaling (--frontier runs the "
-                      "scale-to-zero frontier sweep instead)")
+                      "routing and autoscaling")
     fleet.add_argument("model", nargs="?", default="res")
     fleet.add_argument("--scheme", default="pask", choices=sorted(_SCHEMES))
     fleet.add_argument("--devices", default="MI100,A100",
@@ -172,14 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--crash-rate", type=float, default=0.0,
                        help="per-second instance crash rate in every "
                             "region (seeded)")
-    fleet.add_argument("--frontier", action="store_true",
-                       help="run the scale-to-zero frontier sweep "
-                            "(Baseline vs PaSK vs PaSK+restore) instead "
-                            "of a single scenario")
     fleet.add_argument("--jobs", type=int, default=1,
                        help="worker processes: shards the replay by "
-                            "region (results byte-identical to serial) "
-                            "and parallelizes the --frontier sweep")
+                            "region (results byte-identical to serial)")
     fleet.add_argument("--verify-serial", action="store_true",
                        help="also run the serial simulator and check the "
                             "sharded replay is byte-identical (CI gate)")
@@ -211,12 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--metrics-output", default=None, metavar="FILE",
                        help="write the --metrics dump here instead of "
                             "stdout")
-    fleet.add_argument("--device", default="MI100",
-                       choices=["MI100", "A100", "6900XT"],
-                       help="device for the --frontier sweep")
-    fleet.add_argument("--output", default=None, metavar="FILE",
-                       help="write the --frontier report (BENCH-shaped "
-                            "JSON with a 'fleet_frontier' section) here")
 
     validate = sub.add_parser(
         "validate", help="check the reproduction's acceptance criteria")
@@ -247,28 +235,19 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["MI100", "A100", "6900XT"])
     chaos.add_argument("--timeline", action="store_true",
                        help="render the faulted cold start as a Gantt")
-    chaos.add_argument("--resilience", action="store_true",
-                       help="run the curated chaos comparison instead: "
-                            "crash-heavy and overload scenarios without/"
-                            "with the resilience policy, gated on "
-                            "availability and p99")
-    chaos.add_argument("--packs", action="store_true",
-                       help="run the kernel-pack degradation ladder "
-                            "instead: no-packs/healthy/registry-outage/"
-                            "fully-degraded legs, gated on cold-start "
-                            "reduction, lossless degradation and byte "
-                            "conservation")
-    chaos.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for --resilience/--packs "
-                            "(default: 1, serial)")
-    chaos.add_argument("--min-availability", type=float, default=None,
-                       metavar="FRAC",
-                       help="override the availability gate for "
-                            "--resilience/--packs (default: 0.999)")
-    chaos.add_argument("--output", default=None, metavar="FILE",
-                       help="write the --resilience/--packs comparison "
-                            "report (BENCH-shaped JSON with a 'chaos'/"
-                            "'packs' section) to this path")
+
+    scenario = sub.add_parser(
+        "scenario", help="run a checked-in comparison report and gate it")
+    scenario.add_argument("name", choices=sorted(SCENARIOS))
+    scenario.add_argument("--model", default="res")
+    scenario.add_argument("--device", default="MI100",
+                          choices=["MI100", "A100", "6900XT"])
+    scenario.add_argument("--jobs", type=int, default=1,
+                          help="worker processes (default: 1, serial)")
+    scenario.add_argument("--output", default=None, metavar="FILE",
+                          help="write the byte-stable report (BENCH-"
+                               "shaped JSON plus the scenario's section) "
+                               "here")
 
     bench = sub.add_parser(
         "bench", help="run the benchmark grid through the parallel engine "
@@ -836,48 +815,11 @@ def _cmd_cluster(args, out) -> int:
     return 0
 
 
-def _cmd_fleet_frontier(args, out) -> int:
-    import json
-
-    from repro.runner import fleet_frontier_report
-
-    report = fleet_frontier_report(device=args.device, model=args.model,
-                                   jobs=args.jobs)
-    frontier = report["fleet_frontier"]
-    out(f"scale-to-zero frontier on {frontier['device']}/"
-        f"{frontier['model']}: p99 SLO {frontier['slo_p99_s'] * 1e3:.2f} ms "
-        f"({frontier['slo_multiplier']:g}x warm), availability >= "
-        f"{frontier['min_availability']:.4%}")
-    for row in frontier["sweep"]:
-        mark = "ok " if row["meets_slo"] else "MISS"
-        out(f"  [{mark}] {row['leg']:<12s} T={row['idle_timeout_s']:<4g} "
-            f"p99 {row['p99_s'] * 1e3:7.2f} ms  "
-            f"cold {row['cold_starts']:3d}  "
-            f"restores {row['restores']:3d}  "
-            f"avail {row['availability']:.4f}")
-    for leg, value in frontier["frontiers"].items():
-        shown = "none (never meets SLO)" if value is None else f"{value:g}s"
-        out(f"frontier[{leg}] = {shown}")
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        out(f"wrote {args.output}")
-    verdict = frontier["pass"]
-    out(f"verdict: {'PASS' if verdict else 'FAIL'} — PaSK "
-        f"{'shifts' if verdict else 'does not shift'} the scale-to-zero "
-        f"frontier below Baseline at equal availability")
-    return 0 if verdict else 1
-
-
 def _cmd_fleet(args, out) -> int:
     from repro.fleet import (AutoscalePolicy, FleetConfig, FleetSimulator,
                              RegionConfig, RoutingPolicy, merge_traces)
     from repro.serving import bursty_trace, diurnal_trace
     from repro.sim.faults import FaultPlan
-
-    if args.frontier:
-        return _cmd_fleet_frontier(args, out)
 
     scheme = _SCHEMES[args.scheme]
     devices = tuple(d.strip() for d in args.devices.split(",") if d.strip())
@@ -1043,85 +985,23 @@ def _cmd_fleet(args, out) -> int:
     return 0
 
 
-def _cmd_chaos_resilience(args, out) -> int:
+def _cmd_scenario(args, out) -> int:
     import json
 
-    from repro.runner import chaos_report
-
-    report = chaos_report(device=args.device, model=args.model,
-                          jobs=args.jobs,
-                          min_availability=args.min_availability)
-    failures = 0
-    for scenario in report["chaos"]["scenarios"]:
-        verdict = "PASS" if scenario["pass"] else "FAIL"
-        failures += not scenario["pass"]
-        out(f"[{verdict}] {scenario['name']}: {scenario['description']}")
-        out(f"  p99 {scenario['baseline_p99_s'] * 1e3:.2f} ms -> "
-            f"{scenario['resilient_p99_s'] * 1e3:.2f} ms "
-            f"({scenario['p99_speedup']:.1f}x); cold starts "
-            f"{scenario['baseline_cold_starts']} -> "
-            f"{scenario['resilient_cold_starts']}")
-        out(f"  availability {scenario['availability']:.4%} "
-            f"(gate {scenario['min_availability']:.4%}), "
-            f"shed {scenario['shed']}")
-        counters = scenario["resilient_faults"]
-        if counters:
-            interesting = {k: v for k, v in sorted(counters.items()) if v}
-            if interesting:
-                out("  counters: " + ", ".join(
-                    f"{k}={v}" for k, v in interesting.items()))
-        out("")
+    report, gates = run_scenario(args.name, device=args.device,
+                                 model=args.model, jobs=args.jobs)
+    for gate, passed in gates.items():
+        out(f"[{'PASS' if passed else 'FAIL'}] {args.name}: {gate}")
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
         out(f"wrote {args.output}")
-    out(f"{len(report['chaos']['scenarios']) - failures}/"
-        f"{len(report['chaos']['scenarios'])} scenarios passed")
-    return 1 if failures else 0
-
-
-def _cmd_chaos_packs(args, out) -> int:
-    import json
-
-    from repro.runner import packs_report
-
-    kwargs = dict(device=args.device, model=args.model, jobs=args.jobs)
-    if args.min_availability is not None:
-        kwargs["min_availability"] = args.min_availability
-    report = packs_report(**kwargs)
-    for leg in report["packs"]["legs"]:
-        out(f"{leg['name']}: {leg['description']}")
-        out(f"  cold starts {leg['cold_starts']}, pack restores "
-            f"{leg['pack_restores']} (degraded-to-cold "
-            f"{leg['degraded_cold']}, failover hits "
-            f"{leg['failover_hits']})")
-        out(f"  p99 {leg['p99_s'] * 1e3:.2f} ms, availability "
-            f"{leg['availability']:.4%}, lost {leg['lost_requests']}, "
-            f"{leg['bytes_fetched']:,} bytes fetched "
-            f"(conserved: {leg['bytes_conserved']})")
-        out("")
-    gates = report["packs"]["gates"]
-    for name in ("healthy_reduces_cold_starts",
-                 "degraded_falls_back_to_cold", "bytes_conserved",
-                 "no_lost_requests"):
-        out(f"[{'PASS' if gates[name] else 'FAIL'}] {name}")
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        out(f"wrote {args.output}")
-    out("packs ladder: " + ("PASS" if gates["pass"] else "FAIL"))
-    return 0 if gates["pass"] else 1
+    return 0 if all(gates.values()) else 1
 
 
 def _cmd_chaos(args, out) -> int:
     from repro.sim.faults import FaultPlan
-
-    if args.resilience:
-        return _cmd_chaos_resilience(args, out)
-    if args.packs:
-        return _cmd_chaos_packs(args, out)
 
     plan = FaultPlan(
         seed=args.seed,
@@ -1217,6 +1097,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_validate(args, out)
     if args.command == "chaos":
         return _cmd_chaos(args, out)
+    if args.command == "scenario":
+        return _cmd_scenario(args, out)
     if args.command == "profile":
         return _cmd_profile(args, out)
     if args.command == "trace":

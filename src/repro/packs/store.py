@@ -29,6 +29,7 @@ discarded-corrupt, or abandoned-on-timeout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
@@ -54,11 +55,11 @@ class TierPolicy:
     backoff_base_s: float = 500e-6  # doubles per retry
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.bandwidth_bps < math.inf:
+            raise ValueError("bandwidth must be positive and finite")
         for name in ("latency_s", "timeout_s", "backoff_base_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
 
@@ -91,12 +92,13 @@ class PackPolicy:
 
     def __post_init__(self) -> None:
         for name in ("verify_bps", "apply_bps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.apply_overhead_s < 0:
-            raise ValueError("apply_overhead_s must be non-negative")
-        if self.cross_region_penalty < 1.0:
-            raise ValueError("cross_region_penalty must be >= 1")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.apply_overhead_s < math.inf:
+            raise ValueError("apply_overhead_s must be non-negative and "
+                             "finite")
+        if not 1.0 <= self.cross_region_penalty < math.inf:
+            raise ValueError("cross_region_penalty must be >= 1 and finite")
 
     def tier(self, name: str) -> TierPolicy:
         if name not in PACK_TIERS:

@@ -17,6 +17,8 @@ results per process; this package adds the layer above it:
 - :mod:`repro.runner.bench` / :mod:`repro.runner.schema` — the ``repro
   bench`` harness: curated grids, machine-readable ``BENCH_*.json``
   reports and baseline regression checks.
+- :mod:`repro.runner.scenarios` — the ``repro scenario`` table: one
+  entry per checked-in comparison report under ``benchmarks/``.
 
 Everything is deterministic: a parallel run is byte-identical to the
 serial path, and the determinism tests pin that property.
@@ -25,19 +27,16 @@ serial path, and the determinism tests pin that property.
 from repro.runner.bench import (BenchReport, compare_reports, run_bench,
                                 write_report)
 from repro.runner.cache import CacheCounters, ResultCache, task_key
-from repro.runner.chaos import ChaosScenario, chaos_report, chaos_scenarios
 from repro.runner.engine import (RunStats, TaskOutcome, prewarm_suite,
                                  run_shards, run_tasks)
-from repro.runner.fleetbench import fleet_frontier_report, frontier_tasks
 from repro.runner.grid import bench_grid, experiment_grid
-from repro.runner.packbench import (PackScenario, packs_report,
-                                    packs_scenarios)
 from repro.runner.profile import (ClusterProfile, EventKernelProfile,
                                   FleetProfile, FleetTelemetryProfile,
                                   PackProfile, TelemetryProfile,
                                   profile_cluster, profile_event_kernel,
                                   profile_fleet, profile_fleet_telemetry,
                                   profile_packs, profile_telemetry)
+from repro.runner.scenarios import SCENARIOS, Scenario, run_scenario
 from repro.runner.schema import BENCH_SCHEMA, validate_report
 from repro.runner.tasks import (ExperimentTask, cluster_stats_from_payload,
                                 cluster_stats_to_payload, execute_task,
@@ -54,8 +53,6 @@ __all__ = [
     "cluster_stats_from_payload",
     "fleet_stats_to_payload",
     "fleet_stats_from_payload",
-    "fleet_frontier_report",
-    "frontier_tasks",
     "ResultCache",
     "CacheCounters",
     "task_key",
@@ -72,12 +69,9 @@ __all__ = [
     "BenchReport",
     "BENCH_SCHEMA",
     "validate_report",
-    "ChaosScenario",
-    "chaos_report",
-    "chaos_scenarios",
-    "PackScenario",
-    "packs_report",
-    "packs_scenarios",
+    "Scenario",
+    "SCENARIOS",
+    "run_scenario",
     "ClusterProfile",
     "EventKernelProfile",
     "FleetProfile",

@@ -1,43 +1,13 @@
-"""The ``repro chaos --resilience`` comparison harness.
+"""The resilience policies of the ``chaos`` scenario's resilient legs.
 
-Two curated chaos scenarios, each replayed twice — without and with a
-:class:`~repro.serving.resilience.ResiliencePolicy` — through the same
-engine/cache/report machinery as ``repro bench``:
-
-- **crash-heavy** — a Poisson trace under instance crash/restart churn
-  (``cluster.request`` fault site).  The resilient leg adds warm-state
-  checkpoint/restore plus the circuit breaker, so post-crash serves
-  restore the freshest checkpoint instead of paying a full cold start.
-- **overload** — the same pool offered ~2x its warm-capacity request
-  rate with no faults at all.  The resilient leg adds admission control
-  (bounded queue, deadline shedding, degraded mode), which bounds p99
-  at the cost of explicitly shed requests.
-
-:func:`chaos_report` returns a ``BENCH_*.json``-shaped payload (schema-
-valid under :func:`~repro.runner.schema.validate_report`) extended with
-a ``chaos`` section carrying the per-scenario comparison: cold-start
-and p99 deltas, the availability gate, and a ``pass`` verdict.  With a
-pinned ``created_unix`` the payload is byte-stable, which is how the
-checked-in ``benchmarks/chaos_resilience_report.json`` is pinned by the
-regression tests.
+:mod:`repro.runner.scenarios` runs the scenario; the policies live here
+so replays elsewhere can reuse the exact policy behind the checked-in
+``benchmarks/chaos_resilience_report.json``.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
-
-from repro.core.schemes import Scheme
-from repro.runner.bench import build_report
-from repro.runner.engine import run_tasks
-from repro.runner.schema import validate_report
-from repro.runner.tasks import ExperimentTask
 from repro.serving.resilience import ResiliencePolicy
-from repro.serving.server import InferenceServer
-from repro.sim.faults import FaultPlan
 
-__all__ = ["ChaosScenario", "chaos_scenarios", "chaos_report",
-           "CRASH_POLICY", "OVERLOAD_POLICY"]
+__all__ = ["CRASH_POLICY", "OVERLOAD_POLICY"]
 
 # The resilient leg of the crash-heavy scenario: frequent checkpoints
 # (the trace is seconds long) with the breaker off — crashes in this
@@ -53,135 +23,3 @@ CRASH_POLICY = ResiliencePolicy(checkpoint_interval_s=0.25,
 OVERLOAD_POLICY = ResiliencePolicy(
     checkpoint_interval_s=None, breaker_threshold=None,
     max_queue_depth=64, shed_wait_s=0.02, degrade_wait_s=0.01)
-
-
-@dataclass(frozen=True)
-class ChaosScenario:
-    """One chaos comparison: the same replay without/with a policy."""
-
-    name: str
-    description: str
-    baseline: ExperimentTask
-    resilient: ExperimentTask
-    min_availability: float = 0.999
-
-
-def chaos_scenarios(device: str = "MI100", model: str = "res",
-                    collect_metrics: bool = False) -> List[ChaosScenario]:
-    """The curated scenario pair behind ``repro chaos --resilience``.
-
-    The overload arrival rate is derived from the model's warm service
-    time (2x the two-instance warm capacity), so the scenario stays a
-    genuine overload on every device — and stays deterministic, since
-    the warm time is itself a pure simulation output.
-    """
-    crash_plan = FaultPlan(seed=3, crash_rate=0.08)
-    crash_common = dict(kind="cluster", device=device, model=model,
-                        scheme=Scheme.PASK.value, rate_hz=40.0,
-                        duration_s=30.0,
-                        seed=0, instances=4, keep_alive_s=0.5,
-                        collect_metrics=collect_metrics)
-    # 2x overload: two instances can drain 2/warm requests per second.
-    warm_s = InferenceServer(device).serve_hot(model).total_time
-    overload_rate = 2.0 * (2.0 / warm_s)
-    overload_common = dict(kind="cluster", device=device, model=model,
-                           scheme=Scheme.PASK.value, rate_hz=overload_rate,
-                           duration_s=1.0, seed=1, instances=2,
-                           keep_alive_s=0.5,
-                           # An all-zero plan: no faults fire, but the
-                           # report cell gains the robustness columns
-                           # (shed/availability) the gate reads.
-                           faults=FaultPlan(seed=1),
-                           collect_metrics=collect_metrics)
-    return [
-        ChaosScenario(
-            name="crash-heavy",
-            description="Poisson 40 Hz x 30 s on 4 PASK instances with "
-                        "crash rate 0.08; resilient leg adds warm-state "
-                        "checkpoint/restore.",
-            baseline=ExperimentTask(faults=crash_plan, **crash_common),
-            resilient=ExperimentTask(faults=crash_plan,
-                                     resilience=CRASH_POLICY,
-                                     **crash_common)),
-        ChaosScenario(
-            name="overload",
-            description="2x warm capacity offered to 2 PASK instances "
-                        "for 1 s; resilient leg adds admission control "
-                        "(bounded queue, deadline shedding, degraded "
-                        "mode).",
-            baseline=ExperimentTask(**overload_common),
-            resilient=ExperimentTask(resilience=OVERLOAD_POLICY,
-                                     **overload_common)),
-    ]
-
-
-def _cell_by_id(cells: List[Dict[str, Any]], cell_id: str) -> Dict[str, Any]:
-    for cell in cells:
-        if cell["id"] == cell_id:
-            return cell
-    raise KeyError(f"cell {cell_id!r} missing from chaos report")
-
-
-def _comparison(scenario: ChaosScenario, cells: List[Dict[str, Any]]
-                ) -> Dict[str, Any]:
-    base = _cell_by_id(cells, scenario.baseline.cell_id)
-    res = _cell_by_id(cells, scenario.resilient.cell_id)
-    availability = res.get("availability", 1.0)
-    p99_speedup = (base["p99_s"] / res["p99_s"]) if res["p99_s"] > 0 else 1.0
-    return {
-        "name": scenario.name,
-        "description": scenario.description,
-        "baseline_cell": base["id"],
-        "resilient_cell": res["id"],
-        "min_availability": scenario.min_availability,
-        "availability": availability,
-        "baseline_p99_s": base["p99_s"],
-        "resilient_p99_s": res["p99_s"],
-        "p99_speedup": p99_speedup,
-        "baseline_cold_starts": base["cold_starts"],
-        "resilient_cold_starts": res["cold_starts"],
-        "shed": res.get("shed", 0),
-        "resilient_faults": res.get("faults", {}),
-        "pass": (availability >= scenario.min_availability
-                 and res["p99_s"] <= base["p99_s"]
-                 and res["cold_starts"] <= base["cold_starts"]),
-    }
-
-
-def chaos_report(device: str = "MI100", model: str = "res",
-                 jobs: int = 1, collect_metrics: bool = True,
-                 min_availability: Optional[float] = None,
-                 created_unix: Optional[float] = None) -> Dict[str, Any]:
-    """Run the chaos scenarios and build the comparison report.
-
-    Returns a BENCH-shaped payload with an extra ``chaos`` section (one
-    comparison entry per scenario, most-recently-defined order).  When
-    ``created_unix`` is given, the volatile ``run`` section is pinned
-    (``wall_clock_s`` zeroed) so the payload is byte-stable across runs
-    — the form the checked-in report uses.  ``min_availability``
-    overrides every scenario's availability gate.
-    """
-    scenarios = chaos_scenarios(device, model,
-                                collect_metrics=collect_metrics)
-    if min_availability is not None:
-        scenarios = [ChaosScenario(
-            name=s.name, description=s.description, baseline=s.baseline,
-            resilient=s.resilient, min_availability=min_availability)
-            for s in scenarios]
-    tasks: List[ExperimentTask] = []
-    for scenario in scenarios:
-        tasks += [scenario.baseline, scenario.resilient]
-    outcomes, stats = run_tasks(tasks, jobs=jobs, cache=None)
-    report = build_report("chaos", outcomes, stats, cache=None,
-                          created_unix=created_unix)
-    if created_unix is not None:
-        report["run"]["wall_clock_s"] = 0.0
-    report["chaos"] = {
-        "device": device, "model": model,
-        "scenarios": [_comparison(s, report["cells"]) for s in scenarios],
-    }
-    problems = validate_report(report)
-    if problems:  # defensive: the builder always emits schema-valid JSON
-        raise RuntimeError(f"chaos emitted schema-invalid report: "
-                           f"{problems}")
-    return report

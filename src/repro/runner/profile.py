@@ -190,7 +190,7 @@ def profile_fleet(device: str = "MI100", model: str = "res",
     if regions <= 0:
         raise ValueError("regions must be positive")
     # Local imports: repro.fleet pulls in this module's package sibling
-    # fleetbench via repro.runner, so a top-level import would cycle.
+    # scenarios via repro.runner, so a top-level import would cycle.
     from repro.fleet.fleet import FleetConfig, FleetSimulator, RegionConfig
     from repro.fleet.parallel import TraceSpec, run_fleet_sharded
     from repro.fleet.routing import RoutingPolicy

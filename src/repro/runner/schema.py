@@ -54,7 +54,7 @@ _CLUSTER_CELL_PROPS = {
     "faults": {"type": "object"},
     "resilience": {"type": "boolean"},
     # Pack-hierarchy columns, present only on cells that ran with a
-    # kernel-pack policy (``repro chaos --packs`` cells).
+    # kernel-pack policy (``repro scenario packs`` cells).
     "pack_restores": {"type": "integer", "minimum": 0},
     "packs": {"type": "object"},
 }

@@ -39,6 +39,7 @@ simulator, which the golden regression tests pin.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -84,18 +85,19 @@ class ResiliencePolicy:
 
     def __post_init__(self) -> None:
         if (self.checkpoint_interval_s is not None
-                and self.checkpoint_interval_s <= 0):
-            raise ValueError("checkpoint_interval_s must be positive")
+                and not 0 < self.checkpoint_interval_s < math.inf):
+            raise ValueError("checkpoint_interval_s must be positive and "
+                             "finite")
         for name in ("checkpoint_write_s", "restore_overhead_s",
                      "max_restart_delay_s", "breaker_window_s",
                      "breaker_cooldown_s", "breaker_max_cooldown_s",
                      "drain_restart_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         for name in ("restore_speedup", "restart_backoff",
                      "breaker_backoff"):
-            if getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be >= 1")
+            if not 1.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 1 and finite")
         if self.checkpoint_retention < 1:
             raise ValueError("checkpoint_retention must be >= 1")
         if self.breaker_threshold is not None and self.breaker_threshold < 1:
@@ -104,8 +106,8 @@ class ResiliencePolicy:
             raise ValueError("max_queue_depth must be non-negative")
         for name in ("shed_wait_s", "degrade_wait_s"):
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         if (self.recycle_after_requests is not None
                 and self.recycle_after_requests < 1):
             raise ValueError("recycle_after_requests must be >= 1")

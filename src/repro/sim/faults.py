@@ -27,6 +27,7 @@ fallback, request rerouting) is exhausted.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
@@ -163,18 +164,20 @@ class FaultPlan:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("load_backoff_base_s", "exec_stall_s",
                      "loader_stall_s", "restart_delay_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.load_timeout_s is not None and self.load_timeout_s < 0:
-            raise ValueError("load_timeout_s must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
+        if (self.load_timeout_s is not None
+                and not 0 <= self.load_timeout_s < math.inf):
+            raise ValueError("load_timeout_s must be non-negative and "
+                             "finite")
         if self.max_reroutes < 0:
             raise ValueError("max_reroutes must be non-negative")
         for name in ("registry_outage_windows", "peer_churn_windows"):
             for window in getattr(self, name):
-                if (len(window) != 2 or window[0] < 0
-                        or window[1] <= window[0]):
+                if (len(window) != 2
+                        or not 0 <= window[0] < window[1] < math.inf):
                     raise ValueError(f"bad {name} window {window!r}; "
-                                     "need 0 <= start < end")
+                                     "need 0 <= start < end < inf")
 
     @property
     def is_zero(self) -> bool:
@@ -197,7 +200,7 @@ class FaultPlan:
         """Short stable hex digest of the plan.
 
         Used to disambiguate report cell ids when two tasks differ only
-        in their fault plans (e.g. the legs of ``repro chaos --packs``).
+        in their fault plans (e.g. the legs of ``repro scenario packs``).
         """
         payload = repr(sorted(asdict(self).items()))
         return hashlib.blake2b(payload.encode("utf-8"),

@@ -145,7 +145,6 @@ class TestFleetCommand:
         assert args.devices == "MI100,A100"
         assert args.routing == "warm-first"
         assert args.autoscale == "none"
-        assert not args.frontier
 
     def test_bad_routing_rejected(self):
         with pytest.raises(SystemExit):
@@ -178,12 +177,11 @@ class TestFleetCommand:
         from repro.runner import validate_report
 
         report_path = tmp_path / "frontier.json"
-        code = main(["fleet", "--frontier", "--output",
+        code = main(["scenario", "fleet-frontier", "--output",
                      str(report_path)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "frontier[pask]" in out
-        assert "PASS" in out
+        assert "[PASS] fleet-frontier: pask_frontier_below_baseline" in out
         payload = json.loads(report_path.read_text())
         assert validate_report(payload) == []
         assert payload["fleet_frontier"]["pass"] is True

@@ -1,5 +1,7 @@
 """Unit tests for the fault-injection layer (repro.sim.faults)."""
 
+import math
+
 import pytest
 
 from repro.core.schemes import Scheme
@@ -33,6 +35,15 @@ def test_plan_validation():
         FaultPlan(loader_stall_s=-1.0)
     with pytest.raises(ValueError):
         FaultPlan(load_timeout_s=-1.0)
+    for name in ("load_backoff_base_s", "exec_stall_s", "loader_stall_s",
+                 "restart_delay_s", "load_timeout_s"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                FaultPlan(**{name: bad})
+    for window in ((math.nan, 1.0), (0.0, math.nan), (0.0, math.inf)):
+        for name in ("registry_outage_windows", "peer_churn_windows"):
+            with pytest.raises(ValueError, match=name):
+                FaultPlan(**{name: (window,)})
 
 
 def test_zero_plan_is_zero():

@@ -6,6 +6,8 @@ registry-outage failover), the byte-accounting ledger, and the wiring
 into the cluster replay.
 """
 
+import math
+
 import pytest
 
 from repro.core.schemes import Scheme
@@ -75,6 +77,11 @@ class TestContentAddress:
         with pytest.raises(ValueError):
             KernelPack(digest="d", size_bytes=-1, modules=(),
                        constants=())
+        for name in ("verify_bps", "apply_bps", "apply_overhead_s",
+                     "cross_region_penalty"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=name):
+                    PackPolicy(**{name: bad})
 
 
 class TestPolicies:
@@ -86,6 +93,12 @@ class TestPolicies:
         with pytest.raises(ValueError):
             TierPolicy(bandwidth_bps=1e9, latency_s=0, timeout_s=1,
                        max_attempts=0)
+        finite = dict(bandwidth_bps=1e9, latency_s=0.0, timeout_s=1.0,
+                      backoff_base_s=0.0)
+        for name in finite:
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    TierPolicy(**{**finite, name: bad})
 
     def test_pack_policy_tier_lookup(self):
         policy = PackPolicy()

@@ -4,11 +4,9 @@
 evidence: the healthy fetch hierarchy strictly reduces cold serves at
 equal availability, and under a full registry outage the ladder
 degrades to cold load with zero lost requests while conserving every
-fetched byte.  These tests pin the checked-in copy byte-for-byte
-against a fresh regeneration (the simulator is deterministic, so any
-drift is a real behavior change that must be reviewed and re-committed
-via ``scripts/make_packs_report.py``) and assert the claims hold in
-the numbers themselves.
+fetched byte.  These tests assert the claims hold in the numbers
+themselves; ``tests/test_scenarios.py`` pins the file's bytes against
+a fresh ``repro scenario packs`` run.
 """
 
 import json
@@ -16,10 +14,10 @@ import os
 
 import pytest
 
-from repro.runner import packs_report, packs_scenarios, validate_report
+from repro.runner import SCENARIOS, validate_report
 
 REPORT_PATH = os.path.join(os.path.dirname(__file__), "..",
-                           "benchmarks", "pack_degradation_report.json")
+                           "benchmarks", SCENARIOS["packs"].report)
 
 
 @pytest.fixture(scope="module")
@@ -32,15 +30,10 @@ def test_checked_in_report_validates(checked_in):
     assert validate_report(checked_in) == []
 
 
-def test_checked_in_report_matches_regeneration(checked_in):
-    fresh = packs_report(created_unix=0.0)
-    assert fresh == checked_in
-
-
 def test_legs_cover_the_curated_ladder(checked_in):
     legs = checked_in["packs"]["legs"]
-    assert [leg["name"] for leg in legs] == [
-        s.name for s in packs_scenarios()]
+    assert [leg["name"] for leg in legs] == list(
+        SCENARIOS["packs"].tasks("MI100", "res"))
     # Distinct report cells: the fault-plan digest suffix keeps the
     # outage and degraded legs from colliding with the healthy one.
     assert len({leg["cell"] for leg in legs}) == len(legs)

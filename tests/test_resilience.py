@@ -9,6 +9,8 @@ admission control bounds p99 under overload while every request stays
 accounted for.
 """
 
+import math
+
 import pytest
 
 from repro.core.schemes import Scheme
@@ -52,6 +54,17 @@ def test_policy_validation():
         ResiliencePolicy(recycle_after_requests=0)
     with pytest.raises(ValueError):
         ResiliencePolicy(drain_restart_s=-1.0)
+    # Non-finite values are rejected at construction, not mid-replay.
+    floats = ("checkpoint_interval_s", "checkpoint_write_s",
+              "restore_overhead_s", "restore_speedup", "restart_backoff",
+              "max_restart_delay_s", "breaker_window_s",
+              "breaker_cooldown_s", "breaker_backoff",
+              "breaker_max_cooldown_s", "shed_wait_s", "degrade_wait_s",
+              "drain_restart_s")
+    for name in floats:
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                ResiliencePolicy(**{name: bad})
 
 
 def test_disabled_policy_is_inert_and_default_is_not():
