@@ -10,7 +10,9 @@ and pins the two properties the streaming trace layer exists for:
 
 The emitted table feeds the BENCH report narrative so the next PR has a
 wall-clock trajectory to compare against.  CI runs the same measurement
-at reduced size through ``scripts/check_perf_budget.py``.
+at reduced size through ``repro profile --budget
+benchmarks/perf_budget.json`` (layers ``cluster-ff`` and
+``cluster-stepping``).
 """
 
 import time

@@ -20,10 +20,9 @@ Commands
 - ``bench`` — run a curated benchmark grid through the parallel engine
   (``--jobs``) with the on-disk result cache, emit a machine-readable
   ``BENCH_<timestamp>.json`` and optionally gate against a baseline.
-- ``profile`` — measure simulator throughput: wall-clock per simulated
-  request on a cluster replay, peak retained trace records, raw
-  event-kernel throughput, and the causal-span telemetry overhead
-  (off vs on wall-clock).
+- ``profile [LAYER ...]`` — time simulator layers (event kernel, cold
+  serve, cluster, fleet and spin-up replays) from one layer table, one
+  row per layer; ``--budget benchmarks/perf_budget.json`` gates them.
 - ``trace export`` — run one instrumented cold start and write a
   Chrome/Perfetto ``trace.json`` (open in https://ui.perfetto.dev),
   optionally with the cold-start attribution report.
@@ -41,6 +40,7 @@ from typing import List, Optional
 from repro.core.schemes import Scheme
 from repro.models import MODEL_INFO, list_models
 from repro.report import format_table
+from repro.runner.profile import LAYERS, profile_layer
 from repro.runner.scenarios import SCENARIOS, run_scenario
 from repro.serving.cluster import ClusterConfig, ClusterSimulator
 from repro.serving.experiments import DEFAULT_BATCHES, ExperimentSuite
@@ -299,58 +299,18 @@ def build_parser() -> argparse.ArgumentParser:
                             "section to the report")
 
     profile = sub.add_parser(
-        "profile", help="measure simulator throughput: wall-clock per "
-                        "simulated request, peak retained trace records "
-                        "and event-kernel throughput")
-    profile.add_argument("model", nargs="?", default="res")
-    profile.add_argument("--scheme", default="pask",
-                         choices=sorted(_SCHEMES))
-    profile.add_argument("--requests", type=int, default=100_000,
-                         help="target simulated request count "
-                              "(default: 100000)")
-    profile.add_argument("--rate", type=float, default=20.0,
-                         help="requests per second (default: 20)")
-    profile.add_argument("--instances", type=int, default=4)
-    profile.add_argument("--keep-alive", type=float, default=0.5)
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--trace-retention", default="aggregate",
-                         choices=["none", "full", "aggregate"],
-                         help="trace retention during the replay "
-                              "(default: aggregate)")
-    profile.add_argument("--no-fast-forward", action="store_true",
-                         help="disable the steady-state fast path for "
-                              "comparison")
-    profile.add_argument("--events", type=int, default=100_000,
-                         help="timeout-chain length for the event-kernel "
-                              "microbench (default: 100000)")
-    profile.add_argument("--device", default="MI100",
-                         choices=["MI100", "A100", "6900XT"])
-    profile.add_argument("--telemetry-requests", type=int, default=3,
-                         help="cold serves per leg of the telemetry "
-                              "off-vs-on overhead comparison "
-                              "(default: 3; 0 skips it); with --fleet: "
-                              "fleet arrivals per leg (floor 2000)")
-    profile.add_argument("--fleet", action="store_true",
-                         help="profile the sharded fleet replay instead "
-                              "of the single-cluster path")
-    profile.add_argument("--packs", action="store_true",
-                         help="profile spin-up strategies instead: "
-                              "pack restore vs checkpoint restore vs "
-                              "cold load on a scale-to-zero replay")
-    profile.add_argument("--scale", type=int, default=1_000_000,
-                         help="target request count for --fleet "
-                              "(default: 1000000)")
-    profile.add_argument("--regions", type=int, default=4,
-                         help="fleet regions for --fleet (default: 4)")
-    profile.add_argument("--jobs", type=int, default=1,
-                         help="shard worker processes for --fleet")
-    profile.add_argument("--routing", default="round-robin",
-                         choices=["single", "round-robin", "least-queue",
-                                  "warm-first"],
-                         help="fleet routing policy for --fleet")
-    profile.add_argument("--compare-serial", action="store_true",
-                         help="also time the serial fleet replay and "
-                              "report the sharded speedup (--fleet)")
+        "profile", help="time simulator layers, one row per layer; with "
+                        "--budget, gate them against a budget file")
+    profile.add_argument("layers", nargs="*", metavar="LAYER",
+                         help="layers to time (default: all): "
+                              + ", ".join(LAYERS))
+    profile.add_argument("--ops", type=int, default=None,
+                         help="operations per layer (default: each "
+                              "layer's own)")
+    profile.add_argument("--budget", default=None, metavar="FILE",
+                         help="time each entry of this budget file, best "
+                              "of its repeats; exit 1 if one exceeds "
+                              "regression_factor x budget_s")
 
     trace = sub.add_parser(
         "trace", help="causal-span telemetry: export Perfetto traces")
@@ -529,125 +489,51 @@ def _cmd_bench(args, out) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_profile_packs(args, out) -> int:
-    from repro.runner import profile_packs
-    profile = profile_packs(
-        device=args.device, model=args.model,
-        scheme=_SCHEMES[args.scheme],
-        requests=min(args.requests, 50_000), rate_hz=args.rate,
-        instances=args.instances, seed=args.seed)
-    out(f"spin-up profile: {profile.requests} requests of "
-        f"{args.model!r} under {_SCHEMES[args.scheme].label} on "
-        f"{args.device}, scale-to-zero pool")
-    out(f"  cold load:          wall {profile.wall_cold_s:.3f}s, "
-        f"{profile.cold_starts} cold starts, mean latency "
-        f"{profile.mean_latency_cold_s * 1e3:.3f} ms")
-    out(f"  checkpoint restore: wall {profile.wall_checkpoint_s:.3f}s, "
-        f"{profile.checkpoint_restores} restores, mean latency "
-        f"{profile.mean_latency_checkpoint_s * 1e3:.3f} ms")
-    out(f"  pack restore:       wall {profile.wall_pack_s:.3f}s, "
-        f"{profile.pack_restores} restores "
-        f"({profile.pack_bytes:,} bytes verified), mean latency "
-        f"{profile.mean_latency_pack_s * 1e3:.3f} ms")
-    out(f"  modeled speedup: {profile.modeled_speedup_vs_cold:.2f}x vs "
-        f"cold, {profile.modeled_speedup_vs_checkpoint:.2f}x vs "
-        f"checkpoint")
-    return 0
-
-
 def _cmd_profile(args, out) -> int:
-    from repro.runner import profile_cluster, profile_event_kernel
-    if args.fleet:
-        return _cmd_profile_fleet(args, out)
-    if args.packs:
-        return _cmd_profile_packs(args, out)
-    retention = (None if args.trace_retention == "none"
-                 else args.trace_retention)
-    cluster = profile_cluster(
-        device=args.device, model=args.model,
-        scheme=_SCHEMES[args.scheme], requests=args.requests,
-        rate_hz=args.rate, instances=args.instances,
-        keep_alive_s=args.keep_alive, seed=args.seed,
-        trace_retention=retention,
-        fast_forward=not args.no_fast_forward)
-    out(f"cluster replay: {cluster.requests} requests of {args.model!r} "
-        f"under {_SCHEMES[args.scheme].label} on {args.device}")
-    out(f"  wall-clock: {cluster.wall_s:.3f}s total, "
-        f"{cluster.wall_per_request_s * 1e6:.2f} us/request "
-        f"({cluster.requests_per_s:,.0f} requests/s)")
-    out(f"  fast-forwarded: {cluster.fast_forwarded} requests "
-        f"({cluster.fast_forward_fraction:.1%}); "
-        f"cold starts: {cluster.cold_starts}")
-    out(f"  trace: {cluster.trace_records} records, peak retained "
-        f"{cluster.peak_retained_records} "
-        f"(retention {args.trace_retention})")
-    out(f"  mean latency: {cluster.mean_latency_s * 1e3:.3f} ms")
-    kernel = profile_event_kernel(events=args.events)
-    out(f"event kernel: {kernel.events} events in {kernel.wall_s:.3f}s "
-        f"({kernel.events_per_s:,.0f} events/s)")
-    if args.telemetry_requests > 0:
-        from repro.runner import profile_telemetry
-        telemetry = profile_telemetry(
-            device=args.device, model=args.model,
-            scheme=_SCHEMES[args.scheme],
-            requests=args.telemetry_requests)
-        out(f"telemetry overhead ({telemetry.requests} cold serves "
-            f"per leg):")
-        out(f"  off: {telemetry.per_request_off_s * 1e3:.2f} ms/request  "
-            f"on: {telemetry.per_request_on_s * 1e3:.2f} ms/request "
-            f"({telemetry.overhead_fraction:+.1%}, "
-            f"{telemetry.spans_per_request} spans/request)")
-    return 0
+    import json
 
-
-def _cmd_profile_fleet(args, out) -> int:
-    from repro.runner import profile_fleet
-    fleet = profile_fleet(
-        device=args.device, model=args.model,
-        scheme=_SCHEMES[args.scheme], requests=args.scale,
-        rate_hz=args.rate, regions=args.regions,
-        instances=args.instances, keep_alive_s=args.keep_alive,
-        routing=args.routing, seed=args.seed, jobs=args.jobs,
-        compare_serial=args.compare_serial)
-    out(f"fleet replay: {fleet.requests} requests of {args.model!r} "
-        f"under {_SCHEMES[args.scheme].label} across {fleet.regions} "
-        f"region(s), {args.routing} routing, {fleet.jobs} job(s) "
-        f"({fleet.mode} mode)")
-    out(f"  wall-clock: {fleet.wall_s:.3f}s total, "
-        f"{fleet.wall_per_request_s * 1e6:.2f} us/request "
-        f"({fleet.requests_per_s:,.0f} requests/s)")
-    out(f"  fast-forwarded: {fleet.fast_forwarded} requests "
-        f"({fleet.fast_forward_fraction:.1%}); "
-        f"rounds {fleet.rounds}, rollbacks {fleet.rollbacks}")
-    if fleet.mode == "time-warp":
-        rounds = ", ".join(f"{wall * 1e3:.1f}" for wall in fleet.round_wall_s)
-        out(f"  flight recorder: max rollback depth "
-            f"{fleet.max_rollback_depth}, resimulated "
-            f"{fleet.resimulated} requests, round wall [{rounds}] ms")
-    if fleet.region_wall_s:
-        shards = ", ".join(f"{name} {wall:.3f}s"
-                           for name, wall in fleet.region_wall_s.items())
-        out(f"  shard wall-clock: {shards}")
-    out(f"  mean latency: {fleet.mean_latency_s * 1e3:.3f} ms")
-    if args.compare_serial:
-        out(f"  serial replay: {fleet.serial_wall_s:.3f}s "
-            f"({fleet.speedup:.1f}x speedup sharded)")
-    if args.telemetry_requests > 0:
-        from repro.runner import profile_fleet_telemetry
-        requests = max(2000, args.telemetry_requests)
-        telemetry = profile_fleet_telemetry(
-            device=args.device, model=args.model,
-            scheme=_SCHEMES[args.scheme], requests=requests,
-            rate_hz=args.rate, regions=args.regions,
-            instances=args.instances,
-            keep_alive_s=args.keep_alive, routing=args.routing,
-            seed=args.seed, jobs=args.jobs)
-        out(f"fleet telemetry overhead ({telemetry.requests} requests "
-            f"per leg, {telemetry.mode} mode):")
-        out(f"  off: {telemetry.per_request_off_s * 1e6:.2f} us/request  "
-            f"on: {telemetry.per_request_on_s * 1e6:.2f} us/request "
-            f"({telemetry.overhead_fraction:+.1%}; {telemetry.spans} "
-            f"spans, {telemetry.alerts} alerts)")
+    rows = [{"layer": name, "ops": args.ops}
+            for name in args.layers or LAYERS]
+    factor, repeats = None, 1
+    if args.budget is not None:
+        if args.ops is not None:
+            print("--ops does not combine with --budget; a budget entry "
+                  "fixes its ops", file=sys.stderr)
+            return 2
+        with open(args.budget, encoding="utf-8") as handle:
+            budget = json.load(handle)
+        factor, repeats = budget["regression_factor"], budget["repeats"]
+        rows = [entry for entry in budget["entries"]
+                if not args.layers or entry["layer"] in args.layers]
+    unknown = sorted(set(args.layers).union(row["layer"] for row in rows)
+                     - set(LAYERS))
+    if unknown:
+        print(f"unknown layer(s) {unknown}; expected one of "
+              f"{list(LAYERS)}", file=sys.stderr)
+        return 2
+    failures = 0
+    for row in rows:
+        timing = min((profile_layer(row["layer"], row["ops"])
+                      for _ in range(repeats)), key=lambda t: t.wall_s)
+        counters = "  ".join(
+            f"{key}={value:.3f}" if isinstance(value, float)
+            else f"{key}={value}" for key, value in timing.counters.items())
+        line = (f"{timing.layer:<24}  ops={timing.ops:<9}  "
+                f"wall={timing.wall_s:8.3f}s  "
+                f"{timing.ops_per_s:>12,.0f} ops/s  {counters}")
+        if factor is not None:
+            ceiling = factor * row["budget_s"]
+            verdict = "ok" if timing.wall_s <= ceiling else "REGRESSION"
+            failures += verdict != "ok"
+            line += (f"  budget={row['budget_s']:.3f}s  "
+                     f"ceiling={ceiling:.3f}s  {verdict}")
+        out(line)
+    if failures:
+        print(f"{failures} measurement(s) over {factor}x budget",
+              file=sys.stderr)
+        return 1
+    if factor is not None:
+        out("all measurements within budget")
     return 0
 
 

@@ -42,6 +42,7 @@ megabytes of arrivals through pickles.
 
 from __future__ import annotations
 
+import math
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -85,10 +86,10 @@ class TraceSpec:
     tenant: str = "default"
 
     def __post_init__(self) -> None:
-        if self.rate_hz <= 0:
-            raise ValueError("rate_hz must be positive")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        if not 0 < self.rate_hz < math.inf:
+            raise ValueError("rate_hz must be positive and finite")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError("duration_s must be positive and finite")
 
     def materialize(self) -> FleetTrace:
         return FleetTrace.from_request_trace(

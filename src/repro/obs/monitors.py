@@ -25,6 +25,7 @@ replay leaves every latency, counter and trace byte-identical
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
@@ -55,15 +56,16 @@ class SLOPolicy:
     def __post_init__(self) -> None:
         if not 0.0 < self.availability_target < 1.0:
             raise ValueError("availability_target must be in (0, 1)")
-        if self.p99_target_s is not None and self.p99_target_s <= 0:
-            raise ValueError("p99_target_s must be positive")
+        if (self.p99_target_s is not None
+                and not 0 < self.p99_target_s < math.inf):
+            raise ValueError("p99_target_s must be positive and finite")
         if (self.cold_rate_target is not None
                 and not 0.0 <= self.cold_rate_target < 1.0):
             raise ValueError("cold_rate_target must be in [0, 1)")
-        if self.window_s <= 0:
-            raise ValueError("window_s must be positive")
-        if self.burn_threshold <= 0:
-            raise ValueError("burn_threshold must be positive")
+        if not 0 < self.window_s < math.inf:
+            raise ValueError("window_s must be positive and finite")
+        if not 0 < self.burn_threshold < math.inf:
+            raise ValueError("burn_threshold must be positive and finite")
 
 
 @dataclass(frozen=True)

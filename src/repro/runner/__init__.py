@@ -19,6 +19,8 @@ results per process; this package adds the layer above it:
   reports and baseline regression checks.
 - :mod:`repro.runner.scenarios` — the ``repro scenario`` table: one
   entry per checked-in comparison report under ``benchmarks/``.
+- :mod:`repro.runner.profile` — the ``repro profile`` table: one timed
+  workload per simulator layer.
 
 Everything is deterministic: a parallel run is byte-identical to the
 serial path, and the determinism tests pin that property.
@@ -30,12 +32,8 @@ from repro.runner.cache import CacheCounters, ResultCache, task_key
 from repro.runner.engine import (RunStats, TaskOutcome, prewarm_suite,
                                  run_shards, run_tasks)
 from repro.runner.grid import bench_grid, experiment_grid
-from repro.runner.profile import (ClusterProfile, EventKernelProfile,
-                                  FleetProfile, FleetTelemetryProfile,
-                                  PackProfile, TelemetryProfile,
-                                  profile_cluster, profile_event_kernel,
-                                  profile_fleet, profile_fleet_telemetry,
-                                  profile_packs, profile_telemetry)
+from repro.runner.profile import (LAYERS, Layer, LayerTiming,
+                                  profile_layer)
 from repro.runner.scenarios import SCENARIOS, Scenario, run_scenario
 from repro.runner.schema import BENCH_SCHEMA, validate_report
 from repro.runner.tasks import (ExperimentTask, cluster_stats_from_payload,
@@ -72,16 +70,8 @@ __all__ = [
     "Scenario",
     "SCENARIOS",
     "run_scenario",
-    "ClusterProfile",
-    "EventKernelProfile",
-    "FleetProfile",
-    "FleetTelemetryProfile",
-    "PackProfile",
-    "TelemetryProfile",
-    "profile_cluster",
-    "profile_event_kernel",
-    "profile_fleet",
-    "profile_fleet_telemetry",
-    "profile_packs",
-    "profile_telemetry",
+    "Layer",
+    "LayerTiming",
+    "LAYERS",
+    "profile_layer",
 ]

@@ -58,8 +58,8 @@ def poisson_trace(model: str, rate_hz: float, duration_s: float,
                   seed: int = 0, batch: int = 1) -> RequestTrace:
     """Poisson arrivals at ``rate_hz`` for ``duration_s`` (deterministic
     per seed; always contains at least the t=0 request)."""
-    if rate_hz <= 0 or duration_s <= 0:
-        raise ValueError("rate and duration must be positive")
+    if not (0 < rate_hz < math.inf and 0 < duration_s < math.inf):
+        raise ValueError("rate and duration must be positive and finite")
     rng = random.Random(seed)
     arrivals: List[float] = [0.0]
     t = 0.0
@@ -76,8 +76,8 @@ def burst_trace(model: str, burst_size: int, spacing_s: float = 0.0,
     """A spike: ``burst_size`` requests arriving ~simultaneously."""
     if burst_size <= 0:
         raise ValueError("burst_size must be positive")
-    if spacing_s < 0:
-        raise ValueError("spacing must be non-negative")
+    if not 0 <= spacing_s < math.inf:
+        raise ValueError("spacing must be non-negative and finite")
     arrivals = tuple(i * spacing_s for i in range(burst_size))
     return RequestTrace(model, arrivals, batch)
 
@@ -85,8 +85,8 @@ def burst_trace(model: str, burst_size: int, spacing_s: float = 0.0,
 def periodic_trace(model: str, period_s: float, count: int,
                    batch: int = 1) -> RequestTrace:
     """Evenly spaced requests (an edge-device sensor loop)."""
-    if period_s <= 0 or count <= 0:
-        raise ValueError("period and count must be positive")
+    if not 0 < period_s < math.inf or count <= 0:
+        raise ValueError("period and count must be positive and finite")
     arrivals = tuple(i * period_s for i in range(count))
     return RequestTrace(model, arrivals, batch)
 
@@ -121,10 +121,10 @@ def diurnal_trace(model: str, base_rate_hz: float, peak_rate_hz: float,
     exactly the cold-start exposure the paper's serverless scenario
     describes.  Deterministic per seed.
     """
-    if base_rate_hz <= 0 or peak_rate_hz < base_rate_hz:
-        raise ValueError("need 0 < base_rate_hz <= peak_rate_hz")
-    if period_s <= 0 or duration_s <= 0:
-        raise ValueError("period and duration must be positive")
+    if not 0 < base_rate_hz <= peak_rate_hz < math.inf:
+        raise ValueError("need 0 < base_rate_hz <= peak_rate_hz < inf")
+    if not (0 < period_s < math.inf and 0 < duration_s < math.inf):
+        raise ValueError("period and duration must be positive and finite")
 
     def rate_at(t: float) -> float:
         phase = 0.5 * (1.0 - math.cos(2.0 * math.pi * t / period_s))
@@ -145,10 +145,11 @@ def bursty_trace(model: str, base_rate_hz: float, burst_rate_hz: float,
     Bursts starting from an idle (scaled-down) pool are the adversarial
     input for autoscaling hysteresis.  Deterministic per seed.
     """
-    if base_rate_hz <= 0 or burst_rate_hz < base_rate_hz:
-        raise ValueError("need 0 < base_rate_hz <= burst_rate_hz")
-    if burst_every_s <= 0 or duration_s <= 0:
-        raise ValueError("burst period and duration must be positive")
+    if not 0 < base_rate_hz <= burst_rate_hz < math.inf:
+        raise ValueError("need 0 < base_rate_hz <= burst_rate_hz < inf")
+    if not (0 < burst_every_s < math.inf and 0 < duration_s < math.inf):
+        raise ValueError("burst period and duration must be positive and "
+                         "finite")
     if not 0 <= burst_duration_s <= burst_every_s:
         raise ValueError("burst_duration_s must fit inside burst_every_s")
 

@@ -19,6 +19,7 @@ Three contracts are pinned here:
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -229,6 +230,10 @@ class TestSLOMonitors:
             SLOPolicy(window_s=0.0)
         with pytest.raises(ValueError):
             SLOPolicy(p99_target_s=-1.0)
+        for bad in (math.nan, math.inf):
+            for field in ("p99_target_s", "window_s", "burn_threshold"):
+                with pytest.raises(ValueError, match="finite"):
+                    SLOPolicy(**{field: bad})
 
     def test_availability_monitor_fires_on_burn(self):
         monitors = SLOMonitorSet(SLOPolicy(availability_target=0.99,
@@ -397,8 +402,8 @@ class TestCLISurface:
         assert "--slo needs --fleet" in capsys.readouterr().out
 
     def test_profile_fleet_reports_flight_stats(self, capsys):
-        assert main(["profile", "--fleet", "--scale", "2000",
-                     "--telemetry-requests", "0"]) == 0
+        assert main(["profile", "fleet-timewarp", "--ops", "2000"]) == 0
         out = capsys.readouterr().out
-        assert "fleet replay" in out
-        assert "rounds" in out
+        assert out.startswith("fleet-timewarp")
+        for counter in ("rounds=", "rollbacks=", "max_rollback_depth="):
+            assert counter in out

@@ -9,6 +9,7 @@ golden grid of configs and on hypothesis-generated fleets.
 """
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +169,14 @@ def test_trace_spec_regenerates_identically():
         checkpoint_every=64)
     assert not equivalence_problems(serial, sharded)
     assert report.mode == "time-warp"
+
+
+@pytest.mark.parametrize("field", ("rate_hz", "duration_s"))
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_trace_spec_rejects_non_finite(field, bad):
+    # materialize() used to loop forever on these.
+    with pytest.raises(ValueError, match="finite"):
+        TraceSpec(**{field: bad})
 
 
 def test_trace_spec_validates():

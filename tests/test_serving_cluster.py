@@ -7,7 +7,7 @@ import pytest
 from repro.core.schemes import Scheme
 from repro.serving.cluster import ClusterConfig, ClusterSimulator
 from repro.serving.requests import RequestTrace, burst_trace, \
-    periodic_trace, poisson_trace
+    bursty_trace, diurnal_trace, periodic_trace, poisson_trace
 from repro.serving.server import InferenceServer
 
 
@@ -32,6 +32,27 @@ class TestTraces:
     def test_poisson_validation(self):
         with pytest.raises(ValueError):
             poisson_trace("alex", rate_hz=0, duration_s=1)
+
+    # Each call used to loop forever on a non-finite rate or duration.
+    @pytest.mark.parametrize("make", (
+        lambda bad: poisson_trace("res", bad, 1.0),
+        lambda bad: poisson_trace("res", 10.0, bad),
+        lambda bad: diurnal_trace("res", bad, 2.0, 1.0, 1.0),
+        lambda bad: diurnal_trace("res", 1.0, bad, 1.0, 1.0),
+        lambda bad: diurnal_trace("res", 1.0, 2.0, bad, 1.0),
+        lambda bad: diurnal_trace("res", 1.0, 2.0, 1.0, bad),
+        lambda bad: bursty_trace("res", bad, 2.0, 1.0, 0.5, 1.0),
+        lambda bad: bursty_trace("res", 1.0, bad, 1.0, 0.5, 1.0),
+        lambda bad: bursty_trace("res", 1.0, 2.0, bad, 0.5, 1.0),
+        lambda bad: bursty_trace("res", 1.0, 2.0, 1.0, bad, 1.0),
+        lambda bad: bursty_trace("res", 1.0, 2.0, 1.0, 0.5, bad),
+        lambda bad: periodic_trace("res", bad, 3),
+        lambda bad: burst_trace("res", 3, spacing_s=bad),
+    ))
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_generators_reject_non_finite(self, make, bad):
+        with pytest.raises(ValueError):
+            make(bad)
 
     def test_burst(self):
         trace = burst_trace("alex", 5)
