@@ -333,20 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--attribution", action="store_true",
                         help="print the cold-start attribution report "
                              "(per-phase critical path, load bytes)")
-    export.add_argument("--fleet", action="store_true",
-                        help="export the time-warp flight-recorder view "
-                             "of a sharded two-region fleet replay "
-                             "instead of a cold start (one Perfetto "
-                             "track per shard: optimistic / rolled-back "
-                             "/ committed windows)")
-    export.add_argument("--rate", type=float, default=120.0,
-                        help="fleet arrival rate for --fleet "
-                             "(default: 120)")
-    export.add_argument("--duration", type=float, default=4.0,
-                        help="fleet trace duration for --fleet "
-                             "(default: 4)")
-    export.add_argument("--seed", type=int, default=0,
-                        help="arrival stream seed for --fleet")
 
     metrics = sub.add_parser(
         "metrics", help="run an instrumented serve + cluster replay and "
@@ -537,58 +523,8 @@ def _cmd_profile(args, out) -> int:
     return 0
 
 
-def _cmd_trace_fleet(args, out) -> int:
-    """``trace export --fleet``: the flight-recorder Perfetto view of a
-    sharded two-region time-warp replay."""
-    from repro.fleet import (FleetConfig, RegionConfig, RoutingPolicy,
-                             run_fleet_sharded)
-    from repro.obs import FlightRecorder, validate_trace, write_trace
-
-    scheme = _SCHEMES[args.scheme]
-    config = FleetConfig(
-        regions=(RegionConfig(name="us-east", device=args.device,
-                              scheme=scheme, max_instances=4),
-                 RegionConfig(name="eu-west", device="MI100",
-                              scheme=scheme, max_instances=2)),
-        routing=RoutingPolicy("warm-first"))
-    trace = poisson_trace(args.model, args.rate, args.duration,
-                          seed=args.seed)
-    flight = FlightRecorder()
-    stats, report = run_fleet_sharded(config, trace, flight=flight)
-    payload = write_trace(
-        args.output, flight.to_spans(), device="fleet",
-        metadata={"model": args.model, "scheme": scheme.label,
-                  "mode": report.mode, "rounds": report.rounds,
-                  "rollbacks": report.rollbacks,
-                  "resimulated": report.resimulated,
-                  "requests": stats.offered})
-    summary = flight.summary()
-    out(f"fleet flight recorder: {stats.offered} requests across "
-        f"{len(config.regions)} regions ({report.mode} mode)")
-    out(f"  rounds {summary['rounds']}, rollbacks {summary['rollbacks']}, "
-        f"max rollback depth {summary['max_rollback_depth']}, "
-        f"resimulated {summary['resimulated']}; "
-        f"verified prefix per round {summary['verified_prefix']}")
-    out(f"  wrote {args.output}: {len(payload['traceEvents'])} events "
-        f"(one track per shard: optimistic / rolled-back / committed)")
-    out("  open in https://ui.perfetto.dev or chrome://tracing")
-    if args.validate:
-        problems = validate_trace(payload)
-        if problems:
-            out("")
-            out("  INVALID trace:")
-            for problem in problems:
-                out(f"    {problem}")
-            return 1
-        out("  trace validated: required keys, monotonic ts per tid, "
-            "matched flow pairs")
-    return 0
-
-
 def _cmd_trace(args, out) -> int:
     # Only subcommand so far: export.
-    if args.fleet:
-        return _cmd_trace_fleet(args, out)
     from repro.obs import (SpanRecorder, attribute_request, spans_summary,
                            validate_trace, write_trace)
     scheme = _SCHEMES[args.scheme]
@@ -819,8 +755,7 @@ def _cmd_fleet(args, out) -> int:
            if stats.delegated else ""))
     if report is not None and report.mode != "delegated":
         out(f"  sharded replay: {report.mode} mode, {report.shards} "
-            f"shard(s) x {report.jobs} job(s), {report.rounds} round(s), "
-            f"{report.rollbacks} rollback(s)")
+            f"shard(s) x {report.jobs} job(s)")
     if args.telemetry:
         from repro.obs import spans_summary
         counts = spans_summary(spans)

@@ -90,9 +90,9 @@ class RegionConfig:
         if not 0 <= self.keep_alive_s < math.inf:
             raise ValueError("keep-alive must be finite and non-negative")
         for window in self.drain_windows:
-            if len(window) != 2 or window[0] < 0 or window[1] <= window[0]:
+            if len(window) != 2 or not 0 <= window[0] < window[1] < math.inf:
                 raise ValueError(f"bad drain window {window!r}; "
-                                 "need 0 <= start < end")
+                                 "need 0 <= start < end < inf")
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,10 @@ operations:
 - **fleet-static** / **fleet-serial** — 4 regions, round-robin, 200 Hz,
   replayed sharded (static mode, one job) / through the serial
   :class:`~repro.fleet.fleet.FleetSimulator`.
-- **fleet-timewarp** / **fleet-timewarp-telemetry** — 2 regions,
-  warm-first, 200 Hz (time-warp mode), telemetry off / every sink on
-  (metrics, decision spans and SLO monitors).
+- **fleet-coupled** / **fleet-coupled-telemetry** — 2 regions,
+  warm-first, 200 Hz, through the sharded entry point (state-coupled
+  routing, so serial mode), telemetry off / every sink on (metrics,
+  decision spans and SLO monitors).
 - **spinup-cold** / **spinup-checkpoint** / **spinup-pack** — one
   scale-to-zero region of 2 instances, idle timeout 0.05 s, 50 Hz; a
   reclaimed instance comes back by cold load, checkpoint restore or a
@@ -162,10 +163,6 @@ def _fleet_counters(stats, report=None, spans=None) -> Counters:
                           if region.packs is not None),
         "mean_latency_ms": stats.mean_latency * 1e3,
     }
-    if report is not None:
-        counters.update(rounds=report.rounds, rollbacks=report.rollbacks,
-                        max_rollback_depth=report.max_rollback_depth,
-                        resimulated=report.resimulated)
     if spans is not None:
         counters.update(spans=len(spans), alerts=len(
             (stats.monitors or {}).get("alerts", ())))
@@ -234,8 +231,8 @@ LAYERS: Dict[str, Layer] = {layer.name: layer for layer in (
     Layer("fleet-static", 100_000, _sharded(_fleet_config(4, "round-robin"))),
     Layer("fleet-serial", 100_000,
           _serial(_fleet_config(4, "round-robin"), 200.0)),
-    Layer("fleet-timewarp", 10_000, _sharded(_fleet_config(2, "warm-first"))),
-    Layer("fleet-timewarp-telemetry", 10_000,
+    Layer("fleet-coupled", 10_000, _sharded(_fleet_config(2, "warm-first"))),
+    Layer("fleet-coupled-telemetry", 10_000,
           _sharded(_fleet_config(2, "warm-first"), telemetry=True)),
     Layer("spinup-cold", 5_000, _serial(_spinup_config(False, False), 50.0)),
     Layer("spinup-checkpoint", 5_000,

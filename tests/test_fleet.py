@@ -39,7 +39,9 @@ class TestRegionConfig:
             RegionConfig("r0", keep_alive_s=bad)
 
     @pytest.mark.parametrize("window", [(1.0, 1.0), (2.0, 1.0),
-                                        (-1.0, 2.0), (0.0,)])
+                                        (-1.0, 2.0), (0.0,),
+                                        (math.nan, 1.0), (0.0, math.nan),
+                                        (0.0, math.inf)])
     def test_rejects_bad_drain_window(self, window):
         with pytest.raises(ValueError, match="drain window"):
             RegionConfig("r0", drain_windows=(window,))

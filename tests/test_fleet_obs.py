@@ -1,26 +1,18 @@
-"""The fleet observability plane: control-plane spans, SLO monitors,
-the time-warp flight recorder and the golden fleet Perfetto export.
+"""The fleet observability plane: control-plane spans and SLO monitors.
 
-Three contracts are pinned here:
+Two contracts are pinned here:
 
 - **Byte-inertness** — attaching any combination of telemetry sinks
-  (spans, metrics, monitors, flight recorder) to a fleet replay leaves
-  every stat byte-identical to the telemetry-off run, serial and
-  sharded alike (hypothesis-pinned across configs).
+  (spans, metrics, monitors) to a fleet replay leaves every stat
+  byte-identical to the telemetry-off run, serial and sharded alike
+  (hypothesis-pinned across configs).
 - **Serial/sharded telemetry identity** — a telemetry-on sharded
   replay produces byte-identical span lists, metrics dumps and monitor
-  summaries to the telemetry-on serial replay, in static and time-warp
+  summaries to the telemetry-on serial replay, in static and serial
   mode, in-process and across worker processes.
-- **Golden flight recording** — the two-region flight-recorder export
-  behind ``repro trace export --fleet`` is pinned structurally in
-  ``tests/data/golden_fleet_trace.json``, regenerated with::
-
-      PYTHONPATH=src python tests/make_golden_fleet_trace.py
 """
 
-import json
 import math
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,14 +23,10 @@ from repro.fleet import (AutoscalePolicy, FleetConfig, FleetSimulator,
                          RegionConfig, RoutingPolicy, equivalence_problems,
                          run_fleet_sharded)
 from repro.fleet.fleet import _QueueDepthTracker
-from repro.obs import (FlightRecorder, MetricsRegistry, SLOMonitorSet,
-                       SLOPolicy, SpanRecorder, to_perfetto, validate_dump,
-                       validate_monitors, validate_trace, write_trace)
+from repro.obs import (MetricsRegistry, SLOMonitorSet, SLOPolicy,
+                       SpanRecorder, validate_dump, validate_monitors)
 from repro.packs import PackPolicy
 from repro.serving.requests import RequestTrace, poisson_trace
-
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
-                           "golden_fleet_trace.json")
 
 _SLO = SLOPolicy(availability_target=0.999, p99_target_s=1.0,
                  cold_rate_target=0.5, window_s=2.0)
@@ -57,27 +45,6 @@ def _config(autoscale=None, routing="warm-first", shed_wait_s=None):
 
 def _trace(rate=60.0, duration=2.0, seed=0):
     return poisson_trace("res", rate, duration, seed=seed)
-
-
-def _export_fleet(path):
-    """Mirror of ``repro trace export --fleet`` with its defaults, so
-    the golden pins the exact CLI artifact."""
-    config = FleetConfig(
-        regions=(RegionConfig(name="us-east", device="MI100",
-                              scheme=Scheme.PASK, max_instances=4),
-                 RegionConfig(name="eu-west", device="MI100",
-                              scheme=Scheme.PASK, max_instances=2)),
-        routing=RoutingPolicy("warm-first"))
-    trace = poisson_trace("res", 120.0, 4.0, seed=0)
-    flight = FlightRecorder()
-    stats, report = run_fleet_sharded(config, trace, flight=flight)
-    return write_trace(
-        path, flight.to_spans(), device="fleet",
-        metadata={"model": "res", "scheme": Scheme.PASK.label,
-                  "mode": report.mode, "rounds": report.rounds,
-                  "rollbacks": report.rollbacks,
-                  "resimulated": report.resimulated,
-                  "requests": stats.offered})
 
 
 class TestControlPlaneSpans:
@@ -142,7 +109,7 @@ class TestShardedTelemetryIdentity:
     @pytest.mark.parametrize("autoscale,routing", [
         (None, "round-robin"),                                    # static
         (AutoscalePolicy(kind="scale-to-zero", idle_timeout_s=0.2),
-         "warm-first"),                                           # time-warp
+         "warm-first"),                                           # serial
     ])
     def test_spans_metrics_monitors_match_serial(self, autoscale, routing):
         config = _config(autoscale, routing=routing)
@@ -154,7 +121,7 @@ class TestShardedTelemetryIdentity:
         sharded, report = run_fleet_sharded(
             config, trace, metrics=shard_metrics, spans=shard_spans,
             slo=_SLO)
-        assert report.mode in ("static", "time-warp")
+        assert report.mode in ("static", "serial")
         assert equivalence_problems(serial, sharded) == []
         assert list(serial_spans) == list(shard_spans)
         assert serial_metrics.to_json() == shard_metrics.to_json()
@@ -162,8 +129,11 @@ class TestShardedTelemetryIdentity:
         assert validate_monitors(sharded.monitors) == []
 
     def test_identity_holds_across_worker_processes(self):
+        # Round-robin shards statically, so the shards really cross
+        # the process boundary.
         config = _config(AutoscalePolicy(kind="scale-to-zero",
-                                         idle_timeout_s=0.2))
+                                         idle_timeout_s=0.2),
+                         routing="round-robin")
         trace = _trace(rate=40.0)
         serial_metrics = MetricsRegistry()
         serial = FleetSimulator(config, metrics=serial_metrics,
@@ -184,6 +154,29 @@ class TestShardedTelemetryIdentity:
             trace_retention="aggregate")
         with pytest.raises(ValueError, match="trace retention"):
             run_fleet_sharded(config, _trace(), spans=SpanRecorder())
+
+    def test_coupled_routing_composes_spans_with_trace_retention(self):
+        # Coupled routing runs serially, where request-level recorders
+        # and the span recorder compose, so the static-path guard does
+        # not apply.
+        config = FleetConfig(
+            regions=(RegionConfig(name="us-east", device="MI100",
+                                  scheme=Scheme.PASK, max_instances=2),
+                     RegionConfig(name="eu-west", device="A100",
+                                  scheme=Scheme.PASK, max_instances=2)),
+            routing=RoutingPolicy("least-queue"),
+            trace_retention="aggregate")
+        trace = _trace()
+        serial_spans = SpanRecorder()
+        serial = FleetSimulator(config, spans=serial_spans,
+                                slo=_SLO).run(trace)
+        spans = SpanRecorder()
+        sharded, report = run_fleet_sharded(config, trace, spans=spans,
+                                            slo=_SLO)
+        assert report.mode == "serial"
+        assert equivalence_problems(serial, sharded) == []
+        assert list(serial_spans) == list(spans)
+        assert serial.monitors == sharded.monitors
 
 
 @st.composite
@@ -213,7 +206,7 @@ class TestNoPerturbationProperty:
                                 spans=SpanRecorder(), slo=_SLO).run(trace)
         sharded, _ = run_fleet_sharded(
             config, trace, metrics=MetricsRegistry(), spans=SpanRecorder(),
-            slo=_SLO, flight=FlightRecorder())
+            slo=_SLO)
         # Monitors are the one field only telemetry-on runs carry.
         assert serial.monitors is not None
         assert serial.monitors == sharded.monitors
@@ -314,65 +307,6 @@ class TestQueueDepthTracker:
         assert tracker.peak == 0
 
 
-class TestFlightRecorder:
-    def _recorded(self):
-        flight = FlightRecorder()
-        flight.begin("time-warp", ("us-east", "eu-west"), (0.0, 0.5, 1.0,
-                                                           1.5, 2.0))
-        flight.record_round(0, (0, 0), 5, None, 0)
-        flight.record_round(1, (0, 0), 5, 2, 2, restarts=(2, 3))
-        flight.record_round(2, (2, 3), 5, None, 5)
-        flight.record_final(5)
-        return flight
-
-    def test_digest_counts(self):
-        flight = self._recorded()
-        assert flight.rollbacks == 1
-        assert flight.max_rollback_depth == 3
-        assert flight.resimulated == 5
-        summary = flight.summary()
-        assert summary["rounds"] == 3
-        assert summary["verified_prefix"] == [0, 2, 5]
-
-    def test_spans_validate_as_perfetto(self):
-        flight = self._recorded()
-        payload = to_perfetto(flight.to_spans(), device="fleet")
-        assert validate_trace(payload) == []
-        names = {e["name"] for e in payload["traceEvents"]
-                 if e.get("ph") == "X"}
-        assert any(n.startswith("round-") for n in names)
-        assert any(n.startswith("rollback-") for n in names)
-        assert "final" in names
-
-    def test_one_track_per_shard(self):
-        payload = to_perfetto(self._recorded().to_spans(), device="fleet")
-        tids = {e["tid"] for e in payload["traceEvents"]
-                if e.get("ph") == "X"}
-        # Two shard tracks plus the coordinator's divergence track.
-        assert len(tids) == 3
-
-
-class TestGoldenFleetTrace:
-    def test_export_is_deterministic_across_runs(self, tmp_path):
-        first, second = tmp_path / "a.json", tmp_path / "b.json"
-        _export_fleet(str(first))
-        _export_fleet(str(second))
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_matches_checked_in_golden(self, tmp_path):
-        exported = _export_fleet(str(tmp_path / "trace.json"))
-        with open(GOLDEN_PATH, encoding="utf-8") as handle:
-            golden = json.load(handle)
-        assert exported == golden
-
-    def test_golden_file_validates(self):
-        with open(GOLDEN_PATH, encoding="utf-8") as handle:
-            golden = json.load(handle)
-        assert validate_trace(golden) == []
-        assert golden["metadata"]["mode"] == "time-warp"
-        assert golden["metadata"]["requests"] > 0
-
-
 class TestCLISurface:
     def test_fleet_telemetry_flag(self, capsys):
         assert main(["fleet", "res", "--duration", "1", "--telemetry"]) == 0
@@ -386,24 +320,16 @@ class TestCLISurface:
         out = capsys.readouterr().out
         assert "# TYPE fleet_routed_total counter" in out
 
-    def test_trace_export_fleet_validates(self, tmp_path, capsys):
-        path = str(tmp_path / "fleet.json")
-        assert main(["trace", "export", "--fleet", "--duration", "1",
-                     "--output", path, "--validate"]) == 0
-        out = capsys.readouterr().out
-        assert "flight recorder" in out
-        assert "trace validated" in out
-        with open(path, encoding="utf-8") as handle:
-            assert validate_trace(json.load(handle)) == []
-
     def test_bench_slo_requires_fleet(self, capsys):
         assert main(["bench", "--quick", "--slo", "--no-report",
                      "--no-cache"]) == 2
         assert "--slo needs --fleet" in capsys.readouterr().out
 
-    def test_profile_fleet_reports_flight_stats(self, capsys):
-        assert main(["profile", "fleet-timewarp", "--ops", "2000"]) == 0
+    def test_profile_fleet_coupled_reports_counters(self, capsys):
+        assert main(["profile", "fleet-coupled", "--ops", "2000"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("fleet-timewarp")
-        for counter in ("rounds=", "rollbacks=", "max_rollback_depth="):
+        assert out.startswith("fleet-coupled")
+        for counter in ("cold_starts=", "mean_latency_ms="):
             assert counter in out
+        for counter in ("rounds=", "rollbacks=", "max_rollback_depth="):
+            assert counter not in out

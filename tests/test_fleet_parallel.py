@@ -1,14 +1,15 @@
 """Sharded fleet replay: byte-identity with the serial simulator.
 
-The time-warp engine must be invisible in every result — region
-counters, latencies, queue waits, fault dictionaries, trace records and
-tenant accounting all equal the serial ``FleetSimulator.run`` output
-bit for bit, across every execution mode (delegated, static, time-warp),
-at ``jobs=1`` (in-process shards) and across a real process pool, on a
+Sharding must be invisible in every result — region counters,
+latencies, queue waits, fault dictionaries, trace records and tenant
+accounting all equal the serial ``FleetSimulator.run`` output bit for
+bit, across every execution mode (delegated, static, serial), at
+``jobs=1`` (in-process shards) and across a real process pool, on a
 golden grid of configs and on hypothesis-generated fleets.
 """
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -19,7 +20,9 @@ from repro.fleet import (AutoscalePolicy, FleetConfig, FleetSimulator,
                          FleetTrace, RegionConfig, RoutingPolicy, TraceSpec,
                          equivalence_problems, merge_traces,
                          run_fleet_sharded)
+from repro.obs import MetricsRegistry, SLOPolicy, SpanRecorder
 from repro.runner.engine import run_shards
+from repro.runner.tasks import fleet_stats_to_payload
 from repro.serving.requests import poisson_trace
 from repro.sim.faults import FaultPlan
 from tests.test_fleet_properties import _fleet_configs, _fleet_traces
@@ -99,7 +102,7 @@ _GRID = {
 
 @pytest.mark.parametrize("name", sorted(_GRID))
 def test_sharded_matches_serial_golden_grid(name):
-    _check(_GRID[name], _trace(), checkpoint_every=16)
+    _check(_GRID[name], _trace())
 
 
 @pytest.mark.parametrize("name", ("round-robin-full",
@@ -108,7 +111,7 @@ def test_sharded_matches_serial_golden_grid(name):
 def test_sharded_matches_serial_process_pool(name):
     # The same grid rows across a real ProcessPoolExecutor: pickling
     # jobs out and stats/recorder state back must not perturb a bit.
-    _check(_GRID[name], _trace(), jobs=2, checkpoint_every=16)
+    _check(_GRID[name], _trace(), jobs=2)
 
 
 def test_delegated_single_cluster_passthrough():
@@ -147,17 +150,39 @@ def test_analytic_fast_path_with_shedding():
     assert sum(r.shed for r in stats.regions.values()) > 0
 
 
-def test_time_warp_converges_with_rollbacks():
-    _, report = _check(_GRID["warm-first-reactive-shed"], _trace(),
-                       checkpoint_every=16)
-    assert report.mode == "time-warp"
-    assert report.rounds >= 1
+@pytest.mark.parametrize("jobs", (1, 2))
+@pytest.mark.parametrize("routing", ("warm-first", "least-queue"))
+def test_coupled_routing_runs_serially(routing, jobs):
+    # State-coupled routing reads every region at every arrival, so the
+    # sharded entry point hands it to the serial simulator: every result
+    # and every telemetry sink is the serial one, byte for byte.
+    config = dataclasses.replace(
+        _GRID["warm-first-reactive-shed"], routing=RoutingPolicy(routing))
+    trace = _trace()
+    slo = SLOPolicy(p99_target_s=0.05, cold_rate_target=0.1, window_s=2.0)
+    serial_metrics, serial_spans = MetricsRegistry(), SpanRecorder()
+    serial = FleetSimulator(config, metrics=serial_metrics,
+                            spans=serial_spans, slo=slo).run(trace)
+    metrics, spans = MetricsRegistry(), SpanRecorder()
+    sharded, report = run_fleet_sharded(config, trace, jobs=jobs,
+                                        metrics=metrics, spans=spans,
+                                        slo=slo)
+    assert report.mode == "serial"
+    assert report.rounds == report.rollbacks == report.resimulated == 0
+    assert not equivalence_problems(serial, sharded)
+    assert (json.dumps(fleet_stats_to_payload(serial), sort_keys=True)
+            == json.dumps(fleet_stats_to_payload(sharded), sort_keys=True))
+    assert (json.dumps(serial_metrics.to_json(), sort_keys=True)
+            == json.dumps(metrics.to_json(), sort_keys=True))
+    assert list(serial_spans) == list(spans)
+    assert serial.monitors is not None
+    assert serial.monitors == sharded.monitors
 
 
 def test_multi_tenant_merge_order():
     trace = merge_traces([("t0", poisson_trace("res", 3.0, 6.0, seed=1)),
                           ("t1", poisson_trace("res", 4.0, 6.0, seed=2))])
-    _check(_GRID["predictive-prewarm"], trace, checkpoint_every=32)
+    _check(_GRID["predictive-prewarm"], trace)
 
 
 def test_trace_spec_regenerates_identically():
@@ -165,10 +190,9 @@ def test_trace_spec_regenerates_identically():
     serial = FleetSimulator(_GRID["warm-first-reactive-shed"]).run(
         spec.materialize())
     sharded, report = run_fleet_sharded(
-        _GRID["warm-first-reactive-shed"], jobs=2, trace_spec=spec,
-        checkpoint_every=64)
+        _GRID["warm-first-reactive-shed"], jobs=2, trace_spec=spec)
     assert not equivalence_problems(serial, sharded)
-    assert report.mode == "time-warp"
+    assert report.mode == "serial"
 
 
 @pytest.mark.parametrize("field", ("rate_hz", "duration_s"))
@@ -186,9 +210,6 @@ def test_trace_spec_validates():
         TraceSpec(duration_s=-1.0)
     with pytest.raises(ValueError):
         run_fleet_sharded(_GRID["round-robin-full"])  # no trace, no spec
-    with pytest.raises(ValueError):
-        run_fleet_sharded(_GRID["round-robin-full"], _trace(),
-                          checkpoint_every=-1)
 
 
 def _square(x):
@@ -209,10 +230,8 @@ def test_run_shards_preserves_order():
 @settings(max_examples=40, deadline=None)
 @given(config=_fleet_configs(), trace=_fleet_traces())
 def test_sharded_equivalence_property(config, trace):
-    # Small checkpoint interval forces real rollback/restore cycles
-    # whenever the generated fleet lands in time-warp mode.
     serial = FleetSimulator(config).run(trace)
-    sharded, _ = run_fleet_sharded(config, trace, checkpoint_every=7)
+    sharded, _ = run_fleet_sharded(config, trace)
     problems = equivalence_problems(serial, sharded)
     assert not problems, "\n".join(problems)
     assert sharded.conserved
@@ -223,6 +242,6 @@ def test_sharded_equivalence_property(config, trace):
 def test_sharded_equivalence_property_full_retention(config, trace):
     config = dataclasses.replace(config, trace_retention="full")
     serial = FleetSimulator(config).run(trace)
-    sharded, _ = run_fleet_sharded(config, trace, checkpoint_every=16)
+    sharded, _ = run_fleet_sharded(config, trace)
     problems = equivalence_problems(serial, sharded)
     assert not problems, "\n".join(problems)
