@@ -17,9 +17,6 @@ Commands
   ``packs`` or ``fleet-frontier``), print its gates and optionally
   write the byte-stable report; ``--output benchmarks/<report>``
   regenerates the checked-in copy.
-- ``bench`` — run a curated benchmark grid through the parallel engine
-  (``--jobs``) with the on-disk result cache, emit a machine-readable
-  ``BENCH_<timestamp>.json`` and optionally gate against a baseline.
 - ``profile [LAYER ...]`` — time simulator layers (event kernel, cold
   serve, cluster, fleet and spin-up replays) from one layer table, one
   row per layer; ``--budget benchmarks/perf_budget.json`` gates them.
@@ -245,58 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--jobs", type=int, default=1,
                           help="worker processes (default: 1, serial)")
     scenario.add_argument("--output", default=None, metavar="FILE",
-                          help="write the byte-stable report (BENCH-"
-                               "shaped JSON plus the scenario's section) "
-                               "here")
-
-    bench = sub.add_parser(
-        "bench", help="run the benchmark grid through the parallel engine "
-                      "and emit a BENCH_<timestamp>.json perf report")
-    bench.add_argument("--quick", action="store_true",
-                       help="run the small smoke grid instead of the full "
-                            "device/model/scheme/batch grid")
-    bench.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (default: 1, serial)")
-    bench.add_argument("--no-cache", action="store_true",
-                       help="bypass cache reads (results are still "
-                            "written back)")
-    bench.add_argument("--cache-dir", default=".repro-cache",
-                       help="on-disk result cache location "
-                            "(default: .repro-cache)")
-    bench.add_argument("--output", default=".", metavar="DIR",
-                       help="directory for the BENCH_*.json report "
-                            "(default: current directory)")
-    bench.add_argument("--no-report", action="store_true",
-                       help="skip writing the BENCH_*.json file")
-    bench.add_argument("--baseline", default=None, metavar="FILE",
-                       help="compare against this BENCH_*.json and exit "
-                            "nonzero on regression beyond the tolerance")
-    bench.add_argument("--tolerance", type=float, default=0.05,
-                       help="relative regression tolerance for --baseline "
-                            "(default: 0.05)")
-    bench.add_argument("--trace-retention", default=None,
-                       choices=["full", "aggregate"],
-                       help="record request-level traces on the cluster "
-                            "cells (default: off)")
-    bench.add_argument("--cluster-scale", type=float, default=1.0,
-                       help="multiply the cluster cells' trace duration, "
-                            "scaling the simulated request count "
-                            "(default: 1.0)")
-    bench.add_argument("--metrics", action="store_true",
-                       help="collect telemetry metrics per cell and add "
-                            "a merged 'metrics' section to the report")
-    bench.add_argument("--resilience", action="store_true",
-                       help="add the resilience dimension: every cluster "
-                            "cell also runs with the default "
-                            "ResiliencePolicy attached ('/rz' cells)")
-    bench.add_argument("--fleet", action="store_true",
-                       help="add the fleet dimension: multi-region "
-                            "scale-to-zero cells over a bursty arrival "
-                            "process ('fleet/' cells)")
-    bench.add_argument("--slo", action="store_true",
-                       help="attach SLO burn-rate monitors to the fleet "
-                            "cells (needs --fleet) and add a 'monitors' "
-                            "section to the report")
+                          help="write the byte-stable report here")
 
     profile = sub.add_parser(
         "profile", help="time simulator layers, one row per layer; with "
@@ -437,42 +383,6 @@ def _cmd_experiment(args, out) -> int:
         _render_experiment(suite, name, out)
         out("")
     return 0
-
-
-def _cmd_bench(args, out) -> int:
-    from repro.runner import run_bench
-    resilience = None
-    if args.resilience:
-        from repro.serving.resilience import ResiliencePolicy
-        resilience = ResiliencePolicy()
-    slo = None
-    if args.slo:
-        if not args.fleet:
-            out("--slo needs --fleet (monitors attach to the fleet cells)")
-            return 2
-        from repro.obs.monitors import SLOPolicy
-        # Tight enough that a Baseline fleet cell's cold starts show up
-        # as burn-rate alerts while PASK stays quiet.
-        slo = SLOPolicy(p99_target_s=1.0, cold_rate_target=0.5,
-                        window_s=2.0)
-    report = run_bench(
-        grid="quick" if args.quick else "full",
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        out_dir=args.output,
-        baseline_path=args.baseline,
-        tolerance=args.tolerance,
-        write=not args.no_report,
-        trace_retention=args.trace_retention,
-        cluster_scale=args.cluster_scale,
-        collect_metrics=args.metrics,
-        resilience=resilience,
-        fleet=args.fleet,
-        slo=slo,
-        echo=out,
-    )
-    return 0 if report.ok else 1
 
 
 def _cmd_profile(args, out) -> int:
@@ -906,8 +816,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_serve(args, out)
     if args.command == "experiment":
         return _cmd_experiment(args, out)
-    if args.command == "bench":
-        return _cmd_bench(args, out)
     if args.command == "session":
         return _cmd_session(args, out)
     if args.command == "cluster":

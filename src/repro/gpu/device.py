@@ -10,7 +10,8 @@ and the CDNA/ROCm loader is slightly slower than CUDA's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Dict, List
 
 __all__ = ["DeviceSpec", "MI100", "A100", "RX6900XT", "get_device", "list_devices"]
@@ -40,14 +41,15 @@ class DeviceSpec:
     reactive_load_penalty: float = 2.3
 
     def __post_init__(self) -> None:
-        numeric_fields = (
-            self.compute_units, self.clock_ghz, self.fp32_tflops,
-            self.mem_bandwidth_gbps, self.kernel_launch_overhead_s,
-            self.code_load_base_s, self.code_io_bandwidth_mbps,
-            self.symbol_resolve_s, self.mem_protect_s,
-        )
-        if any(v <= 0 for v in numeric_fields):
-            raise ValueError(f"device {self.name!r} has non-positive constants")
+        # Every cost constant, the reactive penalty included, must be
+        # positive and finite; NaN fails the comparison too.
+        for spec in fields(self):
+            if spec.name in ("name", "vendor"):
+                continue
+            value = getattr(self, spec.name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"device {self.name!r}: {spec.name} must "
+                                 f"be positive and finite, got {value!r}")
 
     @property
     def fp32_flops(self) -> float:

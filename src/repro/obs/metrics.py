@@ -4,7 +4,7 @@ A small, dependency-free cousin of the Prometheus client model, tuned
 for a simulator: bucket bounds are *fixed* exponential ladders (never
 adapted from data), label sets are sorted, and both dump formats emit in
 sorted order — so two identical runs produce byte-identical dumps, and
-dumps from parallel bench shards merge associatively.
+dumps from parallel engine workers merge associatively.
 
 Instruments are created through a :class:`MetricsRegistry`::
 
@@ -15,12 +15,13 @@ Instruments are created through a :class:`MetricsRegistry`::
                                  buckets=exponential_buckets(1e-4, 2, 16))
     latency.observe(0.0123)
 
-Dump with :meth:`MetricsRegistry.to_json` (stable dict for BENCH
+Dump with :meth:`MetricsRegistry.to_json` (stable dict for scenario
 reports) or :meth:`MetricsRegistry.to_prometheus` (text exposition
 format).  :func:`merge_dumps` folds per-task JSON dumps into one
-(counters/histograms add, gauges last-write-wins);``validate_dump``
-checks structural invariants and is what ``scripts/validate_bench.py``
-uses for the report's ``metrics`` section.
+(counters/histograms add, gauges last-write-wins); :func:`validate_dump`
+checks structural invariants and is what
+:func:`~repro.runner.schema.validate_report` uses for the report's
+``metrics`` section.
 """
 
 from __future__ import annotations
@@ -263,7 +264,7 @@ class MetricsRegistry:
     # Dumps
     # ------------------------------------------------------------------
     def to_json(self) -> Dict[str, Any]:
-        """Stable JSON-able dump; the BENCH report ``metrics`` payload."""
+        """Stable JSON-able dump; a scenario report's ``metrics`` payload."""
         out: Dict[str, Any] = {}
         for name in sorted(self._instruments):
             inst = self._instruments[name]

@@ -248,7 +248,8 @@ class SLOMonitorSet:
 
     def summary(self) -> Dict[str, Any]:
         """JSON-safe digest: per-monitor verdicts plus the full alert
-        stream (the bench report ``monitors`` payload)."""
+        stream (``FleetStats.monitors`` and the fleet payload's
+        ``monitors`` key)."""
         monitors: Dict[str, Any] = {}
         for monitor in self._monitors():
             monitors[monitor.name] = {
@@ -288,7 +289,7 @@ _ALERT_STATES = ("firing", "resolved")
 
 def validate_monitors(payload: Any) -> List[str]:
     """Structural validation of one :meth:`SLOMonitorSet.summary` dump
-    (the per-cell entries of a bench report ``monitors`` section)."""
+    (``FleetStats.monitors``)."""
     errors: List[str] = []
     if not isinstance(payload, dict):
         return ["monitors summary must be an object"]

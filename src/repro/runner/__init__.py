@@ -4,9 +4,9 @@ The serial :class:`~repro.serving.experiments.ExperimentSuite` memoizes
 results per process; this package adds the layer above it:
 
 - :mod:`repro.runner.tasks` — a serializable :class:`ExperimentTask`
-  describing one simulation cell (cold/hot serve or cluster replay) and
-  a pure executor turning a task into a JSON-safe payload that round-
-  trips back into an :class:`~repro.core.results.ExecutionResult`.
+  describing one simulation cell (cold/hot serve, cluster or fleet
+  replay) and a pure executor turning a task into a JSON-safe payload
+  that round-trips back into its result object.
 - :mod:`repro.runner.cache` — a content-addressed on-disk store under
   ``.repro-cache/``; keys hash the task, the device's calibration
   constants, the fault plan and the code version, so stale caches
@@ -14,11 +14,10 @@ results per process; this package adds the layer above it:
 - :mod:`repro.runner.engine` — fans task grids across a
   ``ProcessPoolExecutor`` and can prewarm an ``ExperimentSuite`` so all
   figure/table computations run from parallel-computed cells.
-- :mod:`repro.runner.bench` / :mod:`repro.runner.schema` — the ``repro
-  bench`` harness: curated grids, machine-readable ``BENCH_*.json``
-  reports and baseline regression checks.
-- :mod:`repro.runner.scenarios` — the ``repro scenario`` table: one
-  entry per checked-in comparison report under ``benchmarks/``.
+- :mod:`repro.runner.grid` — the paper-figure task grid.
+- :mod:`repro.runner.scenarios` / :mod:`repro.runner.schema` — the
+  ``repro scenario`` table, one entry per checked-in comparison report
+  under ``benchmarks/``, and the validator those reports pass.
 - :mod:`repro.runner.profile` — the ``repro profile`` table: one timed
   workload per simulator layer.
 
@@ -26,16 +25,14 @@ Everything is deterministic: a parallel run is byte-identical to the
 serial path, and the determinism tests pin that property.
 """
 
-from repro.runner.bench import (BenchReport, compare_reports, run_bench,
-                                write_report)
 from repro.runner.cache import CacheCounters, ResultCache, task_key
 from repro.runner.engine import (RunStats, TaskOutcome, prewarm_suite,
                                  run_shards, run_tasks)
-from repro.runner.grid import bench_grid, experiment_grid
+from repro.runner.grid import experiment_grid
 from repro.runner.profile import (LAYERS, Layer, LayerTiming,
                                   profile_layer)
 from repro.runner.scenarios import SCENARIOS, Scenario, run_scenario
-from repro.runner.schema import BENCH_SCHEMA, validate_report
+from repro.runner.schema import validate_report
 from repro.runner.tasks import (ExperimentTask, cluster_stats_from_payload,
                                 cluster_stats_to_payload, execute_task,
                                 fleet_stats_from_payload,
@@ -59,13 +56,7 @@ __all__ = [
     "RunStats",
     "TaskOutcome",
     "prewarm_suite",
-    "bench_grid",
     "experiment_grid",
-    "run_bench",
-    "write_report",
-    "compare_reports",
-    "BenchReport",
-    "BENCH_SCHEMA",
     "validate_report",
     "Scenario",
     "SCENARIOS",

@@ -66,17 +66,10 @@ class CacheCounters:
 
 
 class ResultCache:
-    """Single-writer JSON object store under ``root``.
+    """Single-writer JSON object store under ``root``."""
 
-    ``read=False`` (the ``--no-cache`` path) bypasses lookups but still
-    writes fresh results, so a forced re-run repopulates the store.
-    """
-
-    def __init__(self, root: str = ".repro-cache", read: bool = True,
-                 write: bool = True) -> None:
+    def __init__(self, root: str = ".repro-cache") -> None:
         self.root = root
-        self.read = read
-        self.write = write
         self.counters = CacheCounters()
 
     @property
@@ -93,9 +86,6 @@ class ResultCache:
         A corrupt, truncated or wrong-shape object is a miss, not an
         error: the engine simply recomputes and overwrites it.
         """
-        if not self.read:
-            self.counters.misses += 1
-            return None
         try:
             with open(self._path(key), "r", encoding="utf-8") as handle:
                 obj = json.load(handle)
@@ -116,8 +106,6 @@ class ResultCache:
         Only the coordinating process calls this (single-writer); the
         task description rides along for debuggability.
         """
-        if not self.write:
-            return
         os.makedirs(self.objects_dir, exist_ok=True)
         obj = {"key": key, "cache_format": CACHE_FORMAT_VERSION,
                "code_version": __version__, "task": task.describe(),
@@ -136,5 +124,4 @@ class ResultCache:
         self.counters.writes += 1
 
     def __repr__(self) -> str:
-        return (f"<ResultCache {self.root!r} read={self.read} "
-                f"write={self.write} {self.counters.as_dict()}>")
+        return f"<ResultCache {self.root!r} {self.counters.as_dict()}>"

@@ -1,14 +1,8 @@
-"""Curated task grids for the engine and the ``repro bench`` harness.
+"""The paper-figure task grid for the engine.
 
-Two families:
-
-- :func:`experiment_grid` — everything the paper figures need for one
-  suite (used to prewarm an ``ExperimentSuite`` before ``experiment
-  all``).
-- :func:`bench_grid` — the benchmark grids behind ``repro bench``:
-  ``quick`` is a smoke-sized subset (CI), ``full`` covers every device,
-  the whole model zoo, the headline schemes, the Table II batch sweep
-  and cluster trace replays.
+:func:`experiment_grid` is everything the paper figures need for one
+suite.  It prewarms an ``ExperimentSuite`` before ``experiment all``,
+and the ``paper-grid`` benchmark workload draws its cells from it.
 """
 
 from __future__ import annotations
@@ -16,20 +10,15 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.core.schemes import Scheme
-from repro.fleet.autoscale import AutoscalePolicy
 from repro.models import list_models
-from repro.obs.monitors import SLOPolicy
 from repro.runner.tasks import ExperimentTask
-from repro.serving.resilience import ResiliencePolicy
 from repro.sim.faults import FaultPlan
 
-__all__ = ["bench_grid", "experiment_grid", "BENCH_GRIDS"]
+__all__ = ["experiment_grid"]
 
 _HEADLINE_SCHEMES = (Scheme.BASELINE, Scheme.NNV12, Scheme.PASK, Scheme.IDEAL)
 _ABLATION_SCHEMES = (Scheme.PASK_I, Scheme.PASK_R)
 _DEVICES = ("MI100", "A100", "6900XT")
-
-BENCH_GRIDS = ("quick", "full")
 
 
 def experiment_grid(device: str = "MI100",
@@ -63,131 +52,4 @@ def experiment_grid(device: str = "MI100",
                 scheme=Scheme.BASELINE.value, faults=faults))
             tasks.append(ExperimentTask(kind="hot", device=other, model=model,
                                         faults=faults))
-    return tasks
-
-
-def _cluster_cells(models: Sequence[str], schemes: Sequence[Scheme],
-                   duration_s: float,
-                   trace_retention: Optional[str] = None,
-                   collect_metrics: bool = False,
-                   resilience: Optional[ResiliencePolicy] = None
-                   ) -> List[ExperimentTask]:
-    tasks = [ExperimentTask(kind="cluster", model=model, scheme=scheme.value,
-                            rate_hz=20.0, duration_s=duration_s, seed=0,
-                            instances=4, keep_alive_s=0.5,
-                            trace_retention=trace_retention,
-                            collect_metrics=collect_metrics)
-             for model in models for scheme in schemes]
-    if resilience is not None:
-        # The resilience dimension: every cluster cell also runs with
-        # the policy attached (the ``/rz`` cell), so one report carries
-        # the side-by-side comparison.
-        tasks += [ExperimentTask(kind="cluster", model=model,
-                                 scheme=scheme.value, rate_hz=20.0,
-                                 duration_s=duration_s, seed=0,
-                                 instances=4, keep_alive_s=0.5,
-                                 trace_retention=trace_retention,
-                                 collect_metrics=collect_metrics,
-                                 resilience=resilience)
-                  for model in models for scheme in schemes]
-    return tasks
-
-
-def _fleet_cells(schemes: Sequence[Scheme], duration_s: float,
-                 collect_metrics: bool = False,
-                 slo: Optional[SLOPolicy] = None) -> List[ExperimentTask]:
-    """The fleet bench dimension: one heterogeneous two-region replay
-    per scheme, under bursty traffic with warm-first routing and
-    scale-to-zero autoscaling — the configuration where a cheap cold
-    start (PASK) shows up directly in the latency columns."""
-    autoscale = AutoscalePolicy(kind="scale-to-zero", idle_timeout_s=0.25)
-    return [ExperimentTask(kind="fleet", model="res", scheme=scheme.value,
-                           arrival="bursty", rate_hz=4.0,
-                           duration_s=duration_s, seed=0, instances=2,
-                           keep_alive_s=0.5,
-                           fleet_devices=("MI100", "A100"),
-                           routing="warm-first", autoscale=autoscale,
-                           collect_metrics=collect_metrics, slo=slo)
-            for scheme in schemes]
-
-
-def bench_grid(name: str = "quick",
-               trace_retention: Optional[str] = None,
-               cluster_scale: float = 1.0,
-               collect_metrics: bool = False,
-               resilience: Optional[ResiliencePolicy] = None,
-               fleet: bool = False,
-               slo: Optional[SLOPolicy] = None
-               ) -> List[ExperimentTask]:
-    """The curated ``repro bench`` grid called ``name``.
-
-    ``trace_retention`` turns on request-level tracing for the cluster
-    cells (``"full"`` or ``"aggregate"``); ``cluster_scale`` multiplies
-    their trace duration, scaling the simulated request count without
-    touching the serve cells (a scale of 1000 on the quick grid yields
-    ~10⁶-request replays).  ``collect_metrics`` attaches a telemetry
-    registry to every cell; the per-cell dumps merge into the report's
-    ``metrics`` section.  ``resilience`` adds the resilience dimension:
-    every cluster cell is duplicated with the policy attached.
-    ``fleet`` adds the fleet dimension: a multi-region fleet replay per
-    headline scheme (see :func:`_fleet_cells`).  ``slo`` attaches SLO
-    burn-rate monitors to every fleet cell; their summaries land in the
-    report's ``monitors`` section.
-    """
-    if slo is not None and not fleet:
-        raise ValueError("slo monitors need the fleet dimension "
-                         "(pass fleet=True)")
-    if name not in BENCH_GRIDS:
-        raise ValueError(f"unknown bench grid {name!r}; "
-                         f"expected one of {BENCH_GRIDS}")
-    if cluster_scale <= 0:
-        raise ValueError("cluster_scale must be positive")
-    cm = collect_metrics
-    tasks: List[ExperimentTask] = []
-    if name == "quick":
-        models = ("res", "vit")
-        for model in models:
-            for scheme in (Scheme.BASELINE, Scheme.PASK):
-                tasks.append(ExperimentTask(kind="cold", model=model,
-                                            scheme=scheme.value,
-                                            collect_metrics=cm))
-            tasks.append(ExperimentTask(kind="hot", model=model,
-                                        collect_metrics=cm))
-        tasks += _cluster_cells(("res",), (Scheme.BASELINE, Scheme.PASK),
-                                duration_s=2.0 * cluster_scale,
-                                trace_retention=trace_retention,
-                                collect_metrics=cm, resilience=resilience)
-        if fleet:
-            tasks += _fleet_cells((Scheme.BASELINE, Scheme.PASK),
-                                  duration_s=8.0, collect_metrics=cm,
-                                  slo=slo)
-        return tasks
-    models = list_models()
-    for model in models:
-        for scheme in _HEADLINE_SCHEMES:
-            tasks.append(ExperimentTask(kind="cold", model=model,
-                                        scheme=scheme.value,
-                                        collect_metrics=cm))
-        for batch in (16, 128):
-            for scheme in (Scheme.BASELINE, Scheme.PASK):
-                tasks.append(ExperimentTask(kind="cold", model=model,
-                                            scheme=scheme.value, batch=batch,
-                                            collect_metrics=cm))
-        tasks.append(ExperimentTask(kind="hot", model=model,
-                                    collect_metrics=cm))
-    for device in ("A100", "6900XT"):
-        for model in models:
-            for scheme in (Scheme.BASELINE, Scheme.PASK):
-                tasks.append(ExperimentTask(kind="cold", device=device,
-                                            model=model, scheme=scheme.value,
-                                            collect_metrics=cm))
-            tasks.append(ExperimentTask(kind="hot", device=device,
-                                        model=model, collect_metrics=cm))
-    tasks += _cluster_cells(("res", "vit"), (Scheme.BASELINE, Scheme.PASK),
-                            duration_s=4.0 * cluster_scale,
-                            trace_retention=trace_retention,
-                            collect_metrics=cm, resilience=resilience)
-    if fleet:
-        tasks += _fleet_cells(_HEADLINE_SCHEMES, duration_s=16.0,
-                              collect_metrics=cm, slo=slo)
     return tasks

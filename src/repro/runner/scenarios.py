@@ -4,12 +4,11 @@ Each checked-in comparison report under ``benchmarks/`` is one
 :class:`Scenario` entry.  An entry names its labelled task list and a
 ``summarize`` that turns the report cells into the report's extra
 section plus named pass/fail gates.  :func:`run_scenario` does the work
-every entry shares: run the tasks through the same engine and report
-builder as ``repro bench``, pin the volatile ``run`` section, look up
-each task's cell once and validate the payload.  The output is
-byte-stable, so ``repro scenario NAME --output benchmarks/<report>``
-regenerates a checked-in report, and ``tests/test_scenarios.py`` pins
-each report's bytes.
+every entry shares: run the tasks through the engine, build the report
+with :func:`build_report`, look up each task's cell once and validate
+the payload.  The output is byte-stable, so ``repro scenario NAME
+--output benchmarks/<report>`` regenerates a checked-in report, and
+``tests/test_scenarios.py`` pins each report's bytes.
 
 The entries:
 
@@ -41,18 +40,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
+from repro._version import __version__
 from repro.core.schemes import Scheme
 from repro.fleet.autoscale import AutoscalePolicy
+from repro.obs.metrics import merge_dumps
 from repro.packs import PackPolicy
-from repro.runner.bench import build_report
+from repro.packs.store import PackTransferCounters
 from repro.runner.chaos import CRASH_POLICY, OVERLOAD_POLICY
-from repro.runner.engine import run_tasks
-from repro.runner.schema import validate_report
-from repro.runner.tasks import ExperimentTask
+from repro.runner.engine import RunStats, TaskOutcome, run_tasks
+from repro.runner.schema import SCHEMA_VERSION, validate_report
+from repro.runner.tasks import (ExperimentTask, cluster_stats_from_payload,
+                                fleet_stats_from_payload)
 from repro.serving.server import InferenceServer
 from repro.sim.faults import FaultPlan
 
-__all__ = ["Scenario", "SCENARIOS", "run_scenario"]
+__all__ = ["Scenario", "SCENARIOS", "build_report", "run_scenario"]
 
 Cells = Dict[Hashable, Dict[str, Any]]
 Gates = Dict[str, bool]
@@ -324,21 +326,119 @@ SCENARIOS: Dict[str, Scenario] = {s.name: s for s in (
 )}
 
 
+# --- the report -------------------------------------------------------
+
+def _cluster_cell(task: ExperimentTask, outcome: TaskOutcome
+                  ) -> Dict[str, Any]:
+    stats = cluster_stats_from_payload(outcome.payload)
+    trace = stats.trace
+    cell = {
+        "id": task.cell_id, "kind": "cluster", "device": task.device,
+        "model": task.model, "scheme": task.scheme, "batch": task.batch,
+        "cache_hit": outcome.cached, "requests": stats.requests,
+        "completed": stats.completed, "failed": stats.failed,
+        "cold_starts": stats.cold_starts,
+        "mean_latency_s": stats.mean_latency,
+        "p50_s": stats.percentile(0.50), "p99_s": stats.percentile(0.99),
+        "fast_forwarded": stats.fast_forwarded,
+        "trace_records": trace.record_count if trace is not None else 0,
+        "trace_retained": trace.retained_records if trace is not None else 0,
+    }
+    if task.faults is not None or task.resilience is not None:
+        # Robustness columns, only for cells that can exercise them.
+        cell["shed"] = stats.shed
+        cell["availability"] = stats.availability
+        cell["faults"] = stats.faults.as_dict()
+        cell["resilience"] = task.resilience is not None
+    if task.packs is not None:
+        # Pack-hierarchy columns, same gating rule.
+        cell["pack_restores"] = stats.pack_restores
+        cell["packs"] = (stats.packs.as_dict()
+                         if stats.packs is not None else None)
+    return cell
+
+
+def _fleet_cell(task: ExperimentTask, outcome: TaskOutcome
+                ) -> Dict[str, Any]:
+    stats = fleet_stats_from_payload(outcome.payload)
+    cell = {
+        "id": task.cell_id, "kind": "fleet",
+        "device": ",".join(task.region_devices),
+        "model": task.model, "scheme": task.scheme, "batch": task.batch,
+        "cache_hit": outcome.cached,
+        "regions": len(stats.regions),
+        "routing": task.routing,
+        "autoscale": (task.autoscale.kind if task.autoscale is not None
+                      else "fixed"),
+        "arrival": task.arrival,
+        "offered": stats.offered, "completed": stats.completed,
+        "failed": stats.failed, "shed": stats.shed,
+        "cold_starts": stats.cold_starts, "warm_hits": stats.warm_hits,
+        "restores": stats.restores,
+        "prewarm_spawns": stats.prewarm_spawns,
+        "availability": stats.availability,
+        "mean_latency_s": stats.mean_latency,
+        "p50_s": stats.percentile(0.50), "p99_s": stats.percentile(0.99),
+        "fast_forwarded": stats.fast_forwarded,
+        "delegated": stats.delegated,
+    }
+    if task.packs is not None:
+        merged = PackTransferCounters()
+        for region in stats.regions.values():
+            if region.packs is not None:
+                merged.merge(region.packs)
+        cell["pack_restores"] = stats.pack_restores
+        cell["packs"] = merged.as_dict()
+    return cell
+
+
+_CELL_BUILDERS = {"cluster": _cluster_cell, "fleet": _fleet_cell}
+
+
+def build_report(grid: str, outcomes: Dict[ExperimentTask, TaskOutcome],
+                 stats: RunStats) -> Dict[str, Any]:
+    """The report payload for one uncached engine run.
+
+    ``run``, ``cache``, ``summary`` and ``totals.simulated_time_s`` are
+    constant for every scenario; they stay in the layout as literals so
+    the checked-in reports keep their bytes.
+    """
+    cells = [_CELL_BUILDERS[task.kind](task, outcome)
+             for task, outcome in outcomes.items()]
+    report: Dict[str, Any] = {
+        "schema_version": SCHEMA_VERSION,
+        "meta": {"code_version": __version__, "grid": grid,
+                 "jobs": stats.jobs},
+        "run": {"created_unix": 0.0,
+                "created_iso": "1970-01-01T00:00:00+00:00",
+                "wall_clock_s": 0.0},
+        "cache": {"enabled": False, "hits": 0, "misses": 0, "writes": 0},
+        "totals": {"cells": len(cells), "executed": stats.executed,
+                   "simulated_time_s": 0},
+        "cells": cells,
+        "summary": {"speedups": {}},
+    }
+    dumps = [outcome.payload["metrics"] for outcome in outcomes.values()
+             if outcome.payload.get("metrics")]
+    if dumps:
+        # Per-cell registry dumps fold into one report-level view
+        # (counters/histograms add, gauges last-write-wins).
+        report["metrics"] = merge_dumps(dumps)
+    return report
+
+
 def run_scenario(name: str, device: str = "MI100", model: str = "res",
                  jobs: int = 1) -> Tuple[Dict[str, Any], Gates]:
     """Run scenario ``name`` and return its report and gates.
 
-    The report is a ``BENCH_*.json``-shaped payload plus the scenario's
-    section.  Its ``run`` section is pinned (``created_unix=0``,
-    ``wall_clock_s=0``), so the payload is byte-stable across runs.
-    The gates are not part of the report.
+    The report is :func:`build_report`'s payload plus the scenario's
+    section, byte-stable across runs.  The gates are not part of the
+    report.
     """
     scenario = SCENARIOS[name]
     tasks = scenario.tasks(device, model)
     outcomes, stats = run_tasks(list(tasks.values()), jobs=jobs, cache=None)
-    report = build_report(scenario.name, outcomes, stats, cache=None,
-                          created_unix=0.0)
-    report["run"]["wall_clock_s"] = 0.0
+    report = build_report(scenario.name, outcomes, stats)
     by_id = {cell["id"]: cell for cell in report["cells"]}
     cells = {label: by_id[task.cell_id] for label, task in tasks.items()}
     report[scenario.section], gates = scenario.summarize(cells, device,

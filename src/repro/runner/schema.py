@@ -1,37 +1,22 @@
-"""Schema for ``BENCH_*.json`` reports, with a dependency-free validator.
+"""The scenario report layout and its dependency-free validator.
 
-``BENCH_SCHEMA`` is a standard JSON-Schema document (draft-07 subset)
-for external tooling; :func:`validate_report` implements the same
-checks in plain Python so the test suite and CI smoke job need no
-third-party validator.
+:func:`validate_report` is the one definition of a valid report: the
+fixed sections, every cluster and fleet cell column, and the pack-byte
+and fleet-request conservation rules.  ``run_scenario`` raises on any
+problem it reports.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List
 
-__all__ = ["BENCH_SCHEMA", "SCHEMA_VERSION", "validate_report"]
+__all__ = ["SCHEMA_VERSION", "validate_report"]
 
 SCHEMA_VERSION = 1
 
-_SERVE_CELL_PROPS = {
-    "id": {"type": "string"},
-    "kind": {"type": "string", "enum": ["cold", "hot"]},
-    "device": {"type": "string"},
-    "model": {"type": "string"},
-    "scheme": {"type": "string"},
-    "batch": {"type": "integer", "minimum": 1},
-    "cache_hit": {"type": "boolean"},
-    "total_time_s": {"type": "number", "minimum": 0},
-    "loads": {"type": "integer", "minimum": 0},
-    "loaded_bytes": {"type": "integer", "minimum": 0},
-    "gpu_utilization": {"type": "number", "minimum": 0, "maximum": 1},
-    "failed": {"type": "boolean"},
-}
-
 _CLUSTER_CELL_PROPS = {
     "id": {"type": "string"},
-    "kind": {"type": "string", "enum": ["cluster"]},
+    "kind": {"type": "string"},
     "device": {"type": "string"},
     "model": {"type": "string"},
     "scheme": {"type": "string"},
@@ -48,26 +33,25 @@ _CLUSTER_CELL_PROPS = {
     "trace_records": {"type": "integer", "minimum": 0},
     "trace_retained": {"type": "integer", "minimum": 0},
     # Robustness columns, present only on cells that ran with a fault
-    # plan or a resilience policy (``repro chaos`` / chaos bench cells).
+    # plan or a resilience policy.
     "shed": {"type": "integer", "minimum": 0},
     "availability": {"type": "number", "minimum": 0, "maximum": 1},
     "faults": {"type": "object"},
     "resilience": {"type": "boolean"},
     # Pack-hierarchy columns, present only on cells that ran with a
-    # kernel-pack policy (``repro scenario packs`` cells).
+    # kernel-pack policy.
     "pack_restores": {"type": "integer", "minimum": 0},
     "packs": {"type": "object"},
 }
 
-# Cluster-cell keys that may be absent (fault-free, policy-free replays
-# keep the historic report shape byte-for-byte).
+# Cluster-cell keys that may be absent.
 _OPTIONAL_CLUSTER_KEYS = frozenset(
     {"shed", "availability", "faults", "resilience",
      "pack_restores", "packs"})
 
 _FLEET_CELL_PROPS = {
     "id": {"type": "string"},
-    "kind": {"type": "string", "enum": ["fleet"]},
+    "kind": {"type": "string"},
     # Comma-joined device list, one region per device.
     "device": {"type": "string"},
     "model": {"type": "string"},
@@ -97,85 +81,11 @@ _FLEET_CELL_PROPS = {
     "packs": {"type": "object"},
 }
 
-# Fleet-cell keys that may be absent (pack-free replays keep the
-# historic report shape byte-for-byte).
+# Fleet-cell keys that may be absent.
 _OPTIONAL_FLEET_KEYS = frozenset({"pack_restores", "packs"})
 
-BENCH_SCHEMA: Dict[str, Any] = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "repro bench report",
-    "type": "object",
-    "required": ["schema_version", "meta", "run", "cache", "totals",
-                 "cells", "summary"],
-    "properties": {
-        "schema_version": {"type": "integer", "const": SCHEMA_VERSION},
-        "meta": {
-            "type": "object",
-            "required": ["code_version", "grid", "jobs"],
-            "properties": {
-                "code_version": {"type": "string"},
-                "grid": {"type": "string"},
-                "jobs": {"type": "integer", "minimum": 1},
-            },
-        },
-        # Volatile per-run facts; determinism comparisons drop this
-        # section wholesale.
-        "run": {
-            "type": "object",
-            "required": ["created_unix", "created_iso", "wall_clock_s"],
-            "properties": {
-                "created_unix": {"type": "number"},
-                "created_iso": {"type": "string"},
-                "wall_clock_s": {"type": "number", "minimum": 0},
-            },
-        },
-        "cache": {
-            "type": "object",
-            "required": ["enabled", "hits", "misses", "writes"],
-            "properties": {
-                "enabled": {"type": "boolean"},
-                "hits": {"type": "integer", "minimum": 0},
-                "misses": {"type": "integer", "minimum": 0},
-                "writes": {"type": "integer", "minimum": 0},
-            },
-        },
-        "totals": {
-            "type": "object",
-            "required": ["cells", "executed", "simulated_time_s"],
-            "properties": {
-                "cells": {"type": "integer", "minimum": 0},
-                "executed": {"type": "integer", "minimum": 0},
-                "simulated_time_s": {"type": "number", "minimum": 0},
-            },
-        },
-        "cells": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "kind", "device", "model", "batch",
-                             "cache_hit"],
-            },
-        },
-        "summary": {
-            "type": "object",
-            "required": ["speedups"],
-            "properties": {
-                "speedups": {
-                    "type": "object",
-                    "additionalProperties": {"type": "number"},
-                },
-            },
-        },
-        # Optional: merged telemetry-registry dump (repro.obs.metrics),
-        # present when the run collected metrics.  Structure validated
-        # by repro.obs.metrics.validate_dump.
-        "metrics": {"type": "object"},
-        # Optional: SLO monitor summaries keyed by fleet cell id,
-        # present when the run attached burn-rate monitors.  Each value
-        # is validated by repro.obs.monitors.validate_monitors.
-        "monitors": {"type": "object"},
-    },
-}
+_CELL_KINDS = {"cluster": (_CLUSTER_CELL_PROPS, _OPTIONAL_CLUSTER_KEYS),
+               "fleet": (_FLEET_CELL_PROPS, _OPTIONAL_FLEET_KEYS)}
 
 _TYPE_CHECKS = {
     "string": lambda v: isinstance(v, str),
@@ -184,7 +94,6 @@ _TYPE_CHECKS = {
     and not isinstance(v, bool),
     "boolean": lambda v: isinstance(v, bool),
     "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
 }
 
 
@@ -213,22 +122,14 @@ def _check_cell(cell: Any, index: int, errors: List[str]) -> None:
         errors.append(f"{prefix}: not an object")
         return
     kind = cell.get("kind")
-    if kind in ("cold", "hot"):
-        props = _SERVE_CELL_PROPS
-    elif kind == "cluster":
-        props = _CLUSTER_CELL_PROPS
-    elif kind == "fleet":
-        props = _FLEET_CELL_PROPS
-    else:
+    if kind not in _CELL_KINDS:
         errors.append(f"{prefix}.kind: unknown kind {kind!r}")
         return
+    props, optional = _CELL_KINDS[kind]
     for key, spec in props.items():
         if key not in cell:
-            if kind == "cluster" and key in _OPTIONAL_CLUSTER_KEYS:
-                continue
-            if kind == "fleet" and key in _OPTIONAL_FLEET_KEYS:
-                continue
-            errors.append(f"{prefix}.{key}: missing")
+            if key not in optional:
+                errors.append(f"{prefix}.{key}: missing")
             continue
         value = cell[key]
         if not _TYPE_CHECKS[spec["type"]](value):
@@ -239,8 +140,6 @@ def _check_cell(cell: Any, index: int, errors: List[str]) -> None:
             errors.append(f"{prefix}.{key}: {value} below {spec['minimum']}")
         if "maximum" in spec and value > spec["maximum"]:
             errors.append(f"{prefix}.{key}: {value} above {spec['maximum']}")
-        if "enum" in spec and value not in spec["enum"]:
-            errors.append(f"{prefix}.{key}: {value!r} not in {spec['enum']}")
     if kind == "cluster" and isinstance(cell.get("faults"), dict):
         for name, count in cell["faults"].items():
             if not _TYPE_CHECKS["integer"](count) or count < 0:
@@ -275,7 +174,7 @@ def _check_cell(cell: Any, index: int, errors: List[str]) -> None:
 
 
 def validate_report(payload: Any) -> List[str]:
-    """Structural validation of a ``BENCH_*.json`` payload.
+    """Structural validation of a scenario report payload.
 
     Returns a list of human-readable problems; an empty list means the
     payload is schema-valid.
@@ -318,21 +217,4 @@ def validate_report(payload: Any) -> List[str]:
         from repro.obs.metrics import validate_dump
         errors.extend(f"metrics: {problem}"
                       for problem in validate_dump(payload["metrics"]))
-    if "monitors" in payload:
-        # Optional SLO section; every entry must be a structurally
-        # valid monitor summary for a fleet cell in this report.
-        from repro.obs.monitors import validate_monitors
-        block = payload["monitors"]
-        if not isinstance(block, dict):
-            errors.append("monitors: not an object")
-        else:
-            fleet_ids = {cell.get("id") for cell in payload.get("cells", [])
-                         if isinstance(cell, dict)
-                         and cell.get("kind") == "fleet"}
-            for cell_id, summary in block.items():
-                if cell_id not in fleet_ids:
-                    errors.append(f"monitors[{cell_id}]: no fleet cell "
-                                  f"with this id")
-                errors.extend(f"monitors[{cell_id}]: {problem}"
-                              for problem in validate_monitors(summary))
     return errors

@@ -26,7 +26,6 @@ from repro.fleet.autoscale import AutoscalePolicy
 from repro.fleet.fleet import (FleetConfig, FleetSimulator, FleetStats,
                                RegionConfig, RegionStats, TenantStats)
 from repro.fleet.routing import ROUTING_POLICIES, RoutingPolicy
-from repro.obs.monitors import SLOPolicy
 from repro.packs.store import PackPolicy, PackTransferCounters
 from repro.serving.cluster import ClusterConfig, ClusterSimulator, ClusterStats
 from repro.serving.requests import (RequestTrace, bursty_trace, diurnal_trace,
@@ -109,10 +108,6 @@ class ExperimentTask:
     routing: str = "single"
     autoscale: Optional[AutoscalePolicy] = None
     shed_wait_s: Optional[float] = None
-    # SLO burn-rate monitors evaluated during a fleet replay; the
-    # summary lands in the payload's "monitors" key and the report's
-    # "monitors" section.  None keeps existing cache keys stable.
-    slo: Optional[SLOPolicy] = None
     # Kernel-pack fetch hierarchy (repro.packs) for cluster and fleet
     # replays; None keeps existing cache keys stable.
     packs: Optional[PackPolicy] = None
@@ -146,9 +141,6 @@ class ExperimentTask:
         if self.kind == "fleet" and self.resilience is not None:
             raise ValueError("fleet tasks do not take a resilience policy "
                              "(it is a cluster-level knob)")
-        if self.slo is not None and self.kind != "fleet":
-            raise ValueError("SLO monitors are a fleet-level knob; "
-                             f"{self.kind!r} tasks do not take one")
         if self.packs is not None and self.kind not in ("cluster", "fleet"):
             raise ValueError("kernel packs apply to cluster/fleet replays; "
                              f"{self.kind!r} tasks do not take them")
@@ -166,8 +158,8 @@ class ExperimentTask:
 
     @property
     def cell_id(self) -> str:
-        """Human-readable stable identifier (used to match baseline
-        cells across ``BENCH_*.json`` files)."""
+        """Human-readable stable identifier: the report cell's ``id``
+        and the key a scenario looks its cells up by."""
         if self.kind == "cluster":
             cell = (f"cluster/{self.device}/{self.model}/{self.scheme}"
                     f"/b{self.batch}/r{self.rate_hz:g}/d{self.duration_s:g}"
@@ -198,12 +190,6 @@ class ExperimentTask:
                     cell += "-cr"
             if self.shed_wait_s is not None:
                 cell += f"/w{self.shed_wait_s:g}"
-            if self.slo is not None:
-                cell += f"/slo{self.slo.availability_target:g}"
-                if self.slo.p99_target_s is not None:
-                    cell += f"-p{self.slo.p99_target_s:g}"
-                if self.slo.cold_rate_target is not None:
-                    cell += f"-c{self.slo.cold_rate_target:g}"
             if self.packs is not None:
                 cell += "/pk"
             if self.faults is not None and not self.faults.is_zero:
@@ -245,9 +231,6 @@ class ExperimentTask:
                          "fleet_devices", "routing", "autoscale",
                          "shed_wait_s"):
                 del out[knob]
-        if self.slo is None:
-            # Same stability rule for the SLO-monitor knob.
-            del out["slo"]
         if self.packs is None:
             # Same stability rule for the pack-hierarchy knob.
             out.pop("packs", None)
@@ -562,7 +545,7 @@ def execute_task(task: ExperimentTask) -> Dict[str, Any]:
                              packs=task.packs)
         servers = {device: _server(device)
                    for device in task.region_devices}
-        stats = FleetSimulator(config, metrics=metrics, slo=task.slo,
+        stats = FleetSimulator(config, metrics=metrics,
                                servers=servers).run(arrival_trace(task))
         return _with_metrics(fleet_stats_to_payload(stats))
     trace = poisson_trace(task.model, task.rate_hz, task.duration_s,

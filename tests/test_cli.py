@@ -81,57 +81,6 @@ class TestCommands:
 
 
 class TestBenchCommand:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert not args.quick
-        assert args.jobs == 1
-        assert not args.no_cache
-        assert args.cache_dir == ".repro-cache"
-        assert args.baseline is None
-        assert args.tolerance == 0.05
-
-    def test_quick_bench_writes_valid_report(self, tmp_path, capsys):
-        import json
-        import os
-        from repro.runner import validate_report
-        code = main(["bench", "--quick", "--jobs", "2",
-                     "--cache-dir", str(tmp_path / "cache"),
-                     "--output", str(tmp_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "grid 'quick'" in out
-        reports = [name for name in os.listdir(tmp_path)
-                   if name.startswith("BENCH_") and name.endswith(".json")]
-        assert len(reports) == 1
-        with open(tmp_path / reports[0], encoding="utf-8") as handle:
-            payload = json.load(handle)
-        assert validate_report(payload) == []
-
-    def test_bench_regression_gate(self, tmp_path, capsys):
-        import json
-        import os
-        cache = str(tmp_path / "cache")
-        assert main(["bench", "--quick", "--cache-dir", cache,
-                     "--output", str(tmp_path)]) == 0
-        report = [name for name in os.listdir(tmp_path)
-                  if name.startswith("BENCH_")][0]
-        baseline = str(tmp_path / report)
-        # Identical warm rerun: no regressions, exit 0.
-        assert main(["bench", "--quick", "--cache-dir", cache,
-                     "--no-report", "--baseline", baseline]) == 0
-        # Tighten the baseline artificially: every cold cell regresses.
-        with open(baseline, encoding="utf-8") as handle:
-            doctored = json.load(handle)
-        for cell in doctored["cells"]:
-            if "total_time_s" in cell:
-                cell["total_time_s"] *= 0.5
-        with open(baseline, "w", encoding="utf-8") as handle:
-            json.dump(doctored, handle)
-        capsys.readouterr()
-        assert main(["bench", "--quick", "--cache-dir", cache,
-                     "--no-report", "--baseline", baseline]) == 1
-        assert "regression" in capsys.readouterr().out.lower()
-
     def test_experiment_jobs_flag(self, capsys):
         args = build_parser().parse_args(
             ["experiment", "fig6a", "--jobs", "4"])
@@ -185,7 +134,3 @@ class TestFleetCommand:
         payload = json.loads(report_path.read_text())
         assert validate_report(payload) == []
         assert payload["fleet_frontier"]["pass"] is True
-
-    def test_bench_fleet_flag_parses(self):
-        args = build_parser().parse_args(["bench", "--quick", "--fleet"])
-        assert args.fleet

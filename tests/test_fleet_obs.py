@@ -320,11 +320,6 @@ class TestCLISurface:
         out = capsys.readouterr().out
         assert "# TYPE fleet_routed_total counter" in out
 
-    def test_bench_slo_requires_fleet(self, capsys):
-        assert main(["bench", "--quick", "--slo", "--no-report",
-                     "--no-cache"]) == 2
-        assert "--slo needs --fleet" in capsys.readouterr().out
-
     def test_profile_fleet_coupled_reports_counters(self, capsys):
         assert main(["profile", "fleet-coupled", "--ops", "2000"]) == 0
         out = capsys.readouterr().out

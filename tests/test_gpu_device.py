@@ -35,6 +35,15 @@ def test_device_rejects_nonpositive_constants():
         dataclasses.replace(MI100, fp32_tflops=0.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("field", ["fp32_tflops", "code_load_base_s",
+                                   "code_io_bandwidth_mbps",
+                                   "reactive_load_penalty"])
+def test_device_rejects_bad_constants(field, value):
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(MI100, **{field: value})
+
+
 def test_derived_units():
     assert MI100.fp32_flops == pytest.approx(23.1e12)
     assert MI100.mem_bandwidth == pytest.approx(1228.8e9)

@@ -7,7 +7,7 @@ no pack hierarchy attached, because the pack sites are only ever
 visited when a :class:`~repro.packs.PackPolicy` is set and a zero-rate
 site never draws.  Pinned for the cluster replay, the serial fleet
 simulator and the sharded fleet runner, at the payload level (the form
-that lands in caches and ``BENCH_*.json`` reports).
+that lands in caches and scenario reports).
 """
 
 import pytest

@@ -120,28 +120,6 @@ class TestResultCache:
             json.dump({"key": "somebody-else", "payload": {}}, handle)
         assert cache.lookup(key) is None
 
-    def test_read_false_bypasses_lookups_but_still_writes(self, tmp_path):
-        root = str(tmp_path / "cache")
-        task = _task()
-        key = task_key(task)
-        payload = execute_task(task)
-        ResultCache(root).store(key, task, payload)
-
-        no_read = ResultCache(root, read=False)
-        assert no_read.lookup(key) is None           # bypassed
-        assert no_read.counters.misses == 1
-        fresh = execute_task(task)
-        no_read.store(key, task, fresh)              # still writes
-        assert no_read.counters.writes == 1
-        assert ResultCache(root).lookup(key) == fresh
-
-    def test_write_false_never_touches_disk(self, tmp_path):
-        root = str(tmp_path / "cache")
-        cache = ResultCache(root, write=False)
-        task = _task()
-        cache.store(task_key(task), task, execute_task(task))
-        assert not os.path.exists(cache.objects_dir)
-
     def test_no_stray_temp_files_after_store(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
         task = _task()

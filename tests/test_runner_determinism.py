@@ -6,15 +6,15 @@ replayed from the on-disk cache, must be *byte-identical* to the same
 grid computed serially in-process by :class:`ExperimentSuite`.  These
 tests pin that invariant at every level — raw payloads, reconstructed
 ``ExecutionResult`` objects (including full traces), figure/table
-output, and the emitted ``BENCH_*.json`` reports.
+output, and the checked-in scenario reports.
 """
 
 import pytest
 
 from repro.core.schemes import Scheme
-from repro.runner import (ExperimentTask, ResultCache, execute_task,
-                          prewarm_suite, result_from_payload, run_bench,
-                          run_tasks, validate_report)
+from repro.runner import (SCENARIOS, ExperimentTask, ResultCache,
+                          execute_task, prewarm_suite, result_from_payload,
+                          run_scenario, run_tasks)
 from repro.serving.experiments import ExperimentSuite
 
 _MODELS = ("res", "vit")
@@ -75,6 +75,8 @@ class TestParallelEqualsSerial:
         fresh, first = run_tasks(tasks, jobs=2, cache=ResultCache(root))
         warm, second = run_tasks(tasks, jobs=2, cache=ResultCache(root))
         assert first.executed == len(tasks) and second.executed == 0
+        assert second.cache.hits == len(tasks)
+        assert second.cache.misses == 0
         for task in tasks:
             assert warm[task].payload == fresh[task].payload
 
@@ -86,42 +88,11 @@ class TestParallelEqualsSerial:
         assert parallel[task].payload == serial
 
 
-class TestBenchReportDeterminism:
-    @pytest.fixture()
-    def cache_dir(self, tmp_path):
-        root = str(tmp_path / "cache")
-        # Populate the cache once so the runs under test are fully warm.
-        run_bench(grid="quick", jobs=2, cache_dir=root, write=False)
-        return root
-
-    def test_warm_runs_identical_modulo_run_section(self, cache_dir):
-        one = run_bench(grid="quick", jobs=1, cache_dir=cache_dir,
-                        write=False).payload
-        two = run_bench(grid="quick", jobs=4, cache_dir=cache_dir,
-                        write=False).payload
-        # The ``run`` section (timestamps, wall clock, jobs) is declared
-        # volatile; everything else must match byte for byte.
-        one["run"] = two["run"] = None
-        one["meta"]["jobs"] = two["meta"]["jobs"] = None
-        assert one == two
-
-    def test_warm_cache_means_zero_cold_executions(self, cache_dir):
-        report = run_bench(grid="quick", jobs=2, cache_dir=cache_dir,
-                           write=False)
-        assert report.payload["totals"]["executed"] == 0
-        assert report.payload["cache"]["misses"] == 0
-        assert all(cell["cache_hit"] for cell in report.payload["cells"])
-
-    def test_report_is_schema_valid(self, cache_dir):
-        report = run_bench(grid="quick", jobs=1, cache_dir=cache_dir,
-                           write=False)
-        assert validate_report(report.payload) == []
-
-    def test_warm_run_never_regresses_against_itself(self, tmp_path,
-                                                     cache_dir):
-        baseline = run_bench(grid="quick", jobs=1, cache_dir=cache_dir,
-                             out_dir=str(tmp_path))
-        again = run_bench(grid="quick", jobs=1, cache_dir=cache_dir,
-                          baseline_path=baseline.path, write=False)
-        assert again.regressions == []
-        assert again.ok
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_report_independent_of_jobs(name):
+    serial, serial_gates = run_scenario(name, jobs=1)
+    parallel, parallel_gates = run_scenario(name, jobs=2)
+    assert serial["meta"].pop("jobs") == 1
+    assert parallel["meta"].pop("jobs") == 2
+    assert parallel == serial
+    assert parallel_gates == serial_gates

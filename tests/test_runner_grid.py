@@ -1,16 +1,12 @@
-"""Structural tests for the curated task grids.
+"""Structural tests for the paper-figure task grid.
 
-These pin the *shape* of the grids — which cells exist, no duplicates,
+These pin the *shape* of the grid — which cells exist, no duplicates,
 ablations at batch 1 only — without executing anything, so they are
 essentially free.
 """
 
-import pytest
-
 from repro.core.schemes import Scheme
-from repro.models import list_models
-from repro.runner import bench_grid, experiment_grid
-from repro.runner.grid import BENCH_GRIDS
+from repro.runner import experiment_grid
 from repro.sim.faults import FaultPlan
 
 
@@ -48,26 +44,3 @@ class TestExperimentGrid:
         # + 2 other devices x 12 models x (1 baseline + 1 hot)
         assert len(experiment_grid()) == 12 * 23 + 2 * 12 * 2
 
-
-class TestBenchGrid:
-    def test_unknown_grid_rejected(self):
-        with pytest.raises(ValueError):
-            bench_grid("nope")
-
-    def test_quick_is_smoke_sized(self):
-        tasks = bench_grid("quick")
-        assert len(tasks) == 8
-        assert {t.kind for t in tasks} == {"cold", "hot", "cluster"}
-
-    def test_full_covers_the_zoo_and_all_devices(self):
-        tasks = bench_grid("full")
-        assert len(tasks) == len(set(tasks))
-        cold_models = {t.model for t in tasks if t.kind == "cold"}
-        assert cold_models == set(list_models())
-        assert {t.device for t in tasks} == {"MI100", "A100", "6900XT"}
-        assert any(t.kind == "cluster" for t in tasks)
-        assert any(t.batch == 128 for t in tasks if t.kind == "cold")
-
-    def test_every_named_grid_builds(self):
-        for name in BENCH_GRIDS:
-            assert bench_grid(name)
