@@ -14,7 +14,8 @@ import pytest
 from repro.core.schemes import Scheme
 from repro.runner import (SCENARIOS, ExperimentTask, ResultCache,
                           execute_task, prewarm_suite, result_from_payload,
-                          run_scenario, run_tasks)
+                          run_scenario, run_tasks, validate_report)
+from repro.runner.scenarios import build_report
 from repro.serving.experiments import ExperimentSuite
 
 _MODELS = ("res", "vit")
@@ -96,3 +97,33 @@ def test_scenario_report_independent_of_jobs(name):
     assert parallel["meta"].pop("jobs") == 2
     assert parallel == serial
     assert parallel_gates == serial_gates
+
+
+class TestBenchReportDeterminism:
+    """A scenario's cells built into a report from a warm result cache."""
+
+    @pytest.fixture()
+    def cache_dir(self, tmp_path):
+        root = str(tmp_path / "cache")
+        # Populate the cache once so the runs under test are fully warm.
+        run_tasks(_chaos_tasks(), jobs=2, cache=ResultCache(root))
+        return root
+
+    def test_warm_cache_means_zero_cold_executions(self, cache_dir):
+        tasks = _chaos_tasks()
+        outcomes, stats = run_tasks(tasks, jobs=2,
+                                    cache=ResultCache(cache_dir))
+        report = build_report("chaos", outcomes, stats)
+        assert report["totals"]["executed"] == 0
+        assert stats.cache.hits == len(tasks)
+        assert stats.cache.misses == 0
+        assert all(cell["cache_hit"] for cell in report["cells"])
+
+    def test_report_is_schema_valid(self, cache_dir):
+        outcomes, stats = run_tasks(_chaos_tasks(), jobs=1,
+                                    cache=ResultCache(cache_dir))
+        assert validate_report(build_report("chaos", outcomes, stats)) == []
+
+
+def _chaos_tasks():
+    return list(SCENARIOS["chaos"].tasks("MI100", "res").values())
