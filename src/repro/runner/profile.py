@@ -9,6 +9,13 @@ operations:
 - **event-kernel** — a timeout-chain process drained through
   :class:`~repro.sim.core.Environment`; ``ops`` loop iterations, and
   the row counts every scheduled event.
+- **model-build** — ``ops`` calls of :func:`~repro.models.build_model`
+  on ``res``, the offline graph construction a fresh server pays once
+  per model.
+- **lowering** — ``ops`` lowerings of the built ``res`` graph under
+  PaSK's lowering options: the optimization passes, then
+  :func:`~repro.engine.lowering.lower`, after one untimed warm-up
+  lowering on the same library.
 - **serve-cold** / **serve-cold-telemetry** — ``ops`` cold serves after
   one untimed warm-up serve (compilation and find-db), with spans and
   metrics off / on.
@@ -44,10 +51,12 @@ from time import perf_counter
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.schemes import Scheme
+from repro.engine.lowering import lower
 from repro.fleet.autoscale import AutoscalePolicy
 from repro.fleet.fleet import FleetConfig, FleetSimulator, RegionConfig
 from repro.fleet.parallel import TraceSpec, run_fleet_sharded
 from repro.fleet.routing import RoutingPolicy
+from repro.models import build_model
 from repro.obs import MetricsRegistry, SLOPolicy, SpanRecorder
 from repro.packs import PackPolicy
 from repro.serving.cluster import ClusterConfig, ClusterSimulator
@@ -105,6 +114,27 @@ def _event_kernel(ops: int) -> Callable[[], Readout]:
     def run() -> Readout:
         env.run()
         return lambda: (env.events_scheduled, {})
+    return run
+
+
+def _model_build(ops: int) -> Callable[[], Readout]:
+    def run() -> Readout:
+        for _ in range(ops):
+            graph = build_model(MODEL)
+        return lambda: (ops, {"nodes": len(graph.nodes)})
+    return run
+
+
+def _lowering(ops: int) -> Callable[[], Readout]:
+    graph = build_model(MODEL)
+    library = InferenceServer(DEVICE).library
+    options = SCHEME.lowering_options(1)
+    lower(graph, library, options)  # warm-up: find-db queries
+
+    def run() -> Readout:
+        for _ in range(ops):
+            program = lower(graph, library, options)
+        return lambda: (ops, {"instructions": len(program.instructions)})
     return run
 
 
@@ -224,6 +254,8 @@ def _sharded(config: FleetConfig, telemetry: bool = False):
 
 LAYERS: Dict[str, Layer] = {layer.name: layer for layer in (
     Layer("event-kernel", 100_000, _event_kernel),
+    Layer("model-build", 100, _model_build),
+    Layer("lowering", 100, _lowering),
     Layer("serve-cold", 20, _serve_cold(telemetry=False)),
     Layer("serve-cold-telemetry", 20, _serve_cold(telemetry=True)),
     Layer("cluster-ff", 100_000, _cluster("aggregate", fast_forward=True)),

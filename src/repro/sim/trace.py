@@ -8,23 +8,27 @@ over such traces:
 - Fig. 1(b) / Fig. 7: per-phase time breakdowns,
 - Fig. 6(b): GPU utilization = merged EXEC interval length / total time.
 
-Aggregation is *streaming*: the recorder folds every record into
-per-(phase, actor) accumulators — a running duration sum plus an online
-interval union — as it arrives, so ``total`` / ``busy_time`` /
-``breakdown`` / ``exclusive_fractions`` / ``utilization`` never re-scan
-the record history.  That turns metric queries from O(records) into
-O(merged segments), which is what lets million-request serving
-simulations stay interactive (see docs/PERFORMANCE.md).
+The recorder keeps per-(phase, actor) accumulators — a running duration
+sum plus an interval union held as ``starts``/``ends`` float columns —
+so ``total`` / ``busy_time`` / ``breakdown`` / ``exclusive_fractions`` /
+``utilization`` read O(merged segments) state instead of re-scanning
+the record history.  *When* a record is folded into them depends on the
+retention policy:
 
-Two retention policies control what else is kept:
-
-- ``"full"`` (default) — every record is retained, as before; the
-  accumulators are a pure acceleration structure and all metrics are
-  byte-identical to a full scan (pinned by the property tests).
+- ``"full"`` (default) — every record is retained, and the fold is
+  lazy: ``record()``/``ingest()`` only append, and the first metric
+  query folds everything appended since the last one, in list order.
+  A serve whose trace is never queried never pays for the fold.  All
+  metrics are byte-identical to folding on arrival (pinned by the
+  property tests).
 - ``"aggregate"`` — only the accumulators plus a bounded ring of the
-  most recent records are retained, so a long-horizon run holds O(1)
+  most recent records are retained, so records are folded as they
+  arrive (before the ring evicts them).  A long-horizon run holds O(1)
   memory in the number of records while reporting the exact same
   aggregate metrics.
+
+Column batches (:meth:`TraceRecorder.ingest_stream`) are folded as they
+arrive under both policies (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import operator
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, islice
+from itertools import accumulate, chain, compress, islice, repeat
 from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple,
                     Union)
 
@@ -116,16 +120,31 @@ def subtract_intervals(base: List[Tuple[float, float]],
     subtracting a point never splits a base interval in two.  A
     zero-length *base* interval survives unless a positive-length remove
     interval covers it.
+
+    One sweep over both lists: a remove interval that is zero-length or
+    ends by the current base start can touch no later base either, so
+    the ``remove`` cursor only moves forward — O(len(base) +
+    len(remove)) on merged inputs.
     """
     out: List[Tuple[float, float]] = []
+    first = 0
+    n_remove = len(remove)
     for start, end in base:
+        while first < n_remove:
+            r_start, r_end = remove[first]
+            if r_end > r_start and r_end > start:
+                break
+            first += 1
         cursor = start
-        for r_start, r_end in remove:
-            if r_end <= r_start or r_end <= cursor or r_start >= end:
+        for index in range(first, n_remove):
+            r_start, r_end = remove[index]
+            if r_start >= end:
+                break
+            if r_end <= r_start or r_end <= cursor:
                 continue
             if r_start > cursor:
-                out.append((cursor, min(r_start, end)))
-            cursor = max(cursor, r_end)
+                out.append((cursor, r_start))
+            cursor = r_end
             if cursor >= end:
                 break
         if cursor < end or (cursor == start == end):
@@ -133,45 +152,52 @@ def subtract_intervals(base: List[Tuple[float, float]],
     return out
 
 
-def _insert_interval(segs: List[Tuple[float, float]],
+def _insert_interval(starts: List[float], ends: List[float],
                      start: float, end: float) -> None:
-    """Insert ``(start, end)`` into the sorted disjoint union ``segs``.
+    """Insert ``(start, end)`` into the sorted disjoint union held as
+    the ``starts``/``ends`` columns.
 
     Out-of-order arrivals land here (the appending fast path lives in
     :meth:`_Accumulator.add`); the result is the same canonical form
     :func:`merge_intervals` produces over the whole history.
     """
-    i = bisect_left(segs, (start, end))
-    if i > 0 and segs[i - 1][1] >= start:
+    i = bisect_left(starts, start)
+    # Land where a bisect over (start, end) pairs would: after a segment
+    # that starts at the same point but ends earlier.
+    if i < len(starts) and starts[i] == start and ends[i] < end:
+        i += 1
+    if i > 0 and ends[i - 1] >= start:
         i -= 1
-        start = segs[i][0]
-        if segs[i][1] > end:
-            end = segs[i][1]
+        start = starts[i]
+        if ends[i] > end:
+            end = ends[i]
     j = i
-    while j < len(segs) and segs[j][0] <= end:
-        if segs[j][1] > end:
-            end = segs[j][1]
+    while j < len(starts) and starts[j] <= end:
+        if ends[j] > end:
+            end = ends[j]
         j += 1
-    segs[i:j] = [(start, end)]
+    starts[i:j] = (start,)
+    ends[i:j] = (end,)
 
 
 class _Accumulator:
-    """Streaming aggregate for one (phase, actor) filter key.
+    """Aggregate for one (phase, actor) filter key.
 
-    ``total`` accumulates durations in record-arrival order — the exact
-    float sequence a full scan would sum — and ``segs`` maintains the
-    canonical merged interval union online.  Records for a single actor
-    mostly arrive in non-decreasing start order, so the common case is a
-    O(1) append/extend of the last segment; stragglers fall back to a
-    bisect insertion.
+    ``total`` accumulates durations in record order — the exact float
+    sequence a full scan would sum — and ``starts``/``ends`` hold the
+    canonical merged interval union as two float columns.  Records for
+    a single actor mostly arrive in non-decreasing start order, so the
+    common case appends a segment or extends the last one in place;
+    stragglers fall back to a bisect insertion.
     """
 
-    __slots__ = ("total", "count", "segs", "_busy", "_dirty")
+    __slots__ = ("total", "count", "starts", "ends", "_busy", "_dirty")
 
     def __init__(self) -> None:
         self.total = 0.0
         self.count = 0
-        self.segs: List[Tuple[float, float]] = []
+        self.starts: List[float] = []
+        self.ends: List[float] = []
         self._busy = 0.0
         self._dirty = False
 
@@ -179,15 +205,19 @@ class _Accumulator:
         self.total += duration
         self.count += 1
         self._dirty = True
-        segs = self.segs
-        if not segs or start > segs[-1][1]:
-            segs.append((start, end))
-        elif start >= segs[-1][0]:
-            last = segs[-1]
-            if end > last[1]:
-                segs[-1] = (last[0], end)
+        ends = self.ends
+        if not ends or start > ends[-1]:
+            self.starts.append(start)
+            ends.append(end)
+        elif start >= self.starts[-1]:
+            if end > ends[-1]:
+                ends[-1] = end
         else:
-            _insert_interval(segs, start, end)
+            _insert_interval(self.starts, ends, start, end)
+
+    def segments(self) -> List[Tuple[float, float]]:
+        """The union as ``(start, end)`` pairs."""
+        return list(zip(self.starts, self.ends))
 
     def busy(self) -> float:
         """Union length — identical to summing the merged full scan.
@@ -198,7 +228,7 @@ class _Accumulator:
         scans on repeated metric queries.
         """
         if self._dirty:
-            self._busy = sum(e - s for s, e in self.segs)
+            self._busy = sum(map(operator.sub, self.ends, self.starts))
             self._dirty = False
         return self._busy
 
@@ -214,16 +244,38 @@ def _route_keys(phase: Optional[Phase], actor: Optional[str]
     return ((phase, actor), (phase, None), (None, actor), (None, None))
 
 
+def _state_count(field: str, count: Any) -> int:
+    """``count`` if it is a non-negative integer (bool is not one)."""
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        raise ValueError(f"trace state field {field} must be a "
+                         f"non-negative integer, got {count!r}")
+    return count
+
+
+def _check_union(field: str, starts: List[float], ends: List[float]) -> None:
+    """Reject columns that are not a canonical interval union: every
+    segment ordered, each one starting after the previous one ends, all
+    bounds finite.  NaN fails every comparison, so it is caught too."""
+    if starts and not (
+            -_INF < starts[0] and ends[-1] < _INF
+            and all(map(operator.le, starts, ends))
+            and all(map(operator.lt, ends, islice(starts, 1, None)))):
+        raise ValueError(f"trace state field {field} must be sorted, "
+                         f"disjoint, finite (start, end) segments")
+
+
 class TraceRecorder:
     """Collects trace records and computes the paper's aggregate metrics.
 
     ``retention="full"`` (default) keeps the entire record history in
-    ``records`` — a plain list, safe to read (and, for legacy callers,
-    append to: lazily-folded stragglers are picked up before the next
-    metric query).  ``retention="aggregate"`` keeps only the streaming
-    accumulators plus a bounded ring (``ring_size``) of the most recent
-    records; aggregate metrics are byte-identical between the two
-    policies, but ``filtered()`` then only sees the ring.
+    ``records`` — a plain list, safe to read and, for legacy callers,
+    to append to or truncate.  The accumulators catch up with that list
+    before every metric query: appended records are folded in list
+    order, a truncated list is re-folded from scratch.
+    ``retention="aggregate"`` folds each record as it arrives and keeps
+    only the accumulators plus a bounded ring (``ring_size``) of the
+    most recent records; aggregate metrics are byte-identical between
+    the two policies, but ``filtered()`` then only sees the ring.
 
     The retained tail of the newest :meth:`ingest_stream` batch is held
     as columns and built into :class:`TraceRecord` objects only when
@@ -236,8 +288,10 @@ class TraceRecorder:
         if retention not in RETENTION_POLICIES:
             raise ValueError(f"unknown retention policy {retention!r}; "
                              f"expected one of {RETENTION_POLICIES}")
-        if ring_size <= 0:
-            raise ValueError("ring_size must be positive")
+        if (not isinstance(ring_size, int) or isinstance(ring_size, bool)
+                or ring_size <= 0):
+            raise ValueError(
+                f"ring_size must be a positive integer, got {ring_size!r}")
         self.retention = retention
         self.ring_size = ring_size
         self._records: Union[List[TraceRecord], "deque[TraceRecord]"]
@@ -251,8 +305,9 @@ class TraceRecorder:
                                       str, Phase, str]] = None
         self._acc: Dict[_Key, _Accumulator] = {}
         self._routes: Dict[_Key, _Route] = {}
-        self._count = 0          # records ever ingested
+        self._count = 0          # records folded so far
         self._synced = 0         # records folded from the full-mode list
+        self._tail: Optional[TraceRecord] = None  # the last one folded
         self._span_start = 0.0
         self._span_end = 0.0
         # Optional telemetry hook (repro.obs): called with every record
@@ -290,6 +345,7 @@ class TraceRecorder:
             del records[self._synced:]
             records.extend(built)
             self._synced += len(built)
+            self._tail = built[-1]
             records.extend(late)
         else:
             records.extend(built)
@@ -308,19 +364,20 @@ class TraceRecorder:
             raise ValueError(
                 f"record duration must be finite: ({start}, {end})")
         rec = TraceRecord(start, end, actor, phase, label,
-                          tuple(sorted(meta.items())))
+                          tuple(sorted(meta.items())) if meta else ())
         self.ingest(rec)
         return rec
 
     def ingest(self, rec: TraceRecord) -> None:
-        """Fold an already-built record into the aggregates and retain it
-        (fully, or in the ring under ``retention="aggregate"``)."""
-        self._sync()
+        """Retain an already-built record (fully, or in the ring under
+        ``retention="aggregate"``).  Under full retention the record is
+        folded into the aggregates on the next query; the ring evicts
+        records, so aggregate retention folds it now."""
         if self._pending is not None:
             self._flush()
-        self._fold(rec)
+        if self.retention != "full":
+            self._fold((rec,))
         self._records.append(rec)
-        self._synced = self._count
         if self.observer is not None:
             self.observer(rec)
 
@@ -343,16 +400,18 @@ class TraceRecorder:
                 f"{batch} starts but {len(ends)} ends in one batch")
         if not batch:
             return
-        if any(map(operator.gt, starts, ends)):
-            for start, end in zip(starts, ends):
-                if end < start:
-                    raise ValueError(
-                        f"record ends before it starts: {start} > {end}")
         # Durations once, at C speed; each bucket's total is still the
         # left-to-right fold a per-record ingest would produce.  That
         # fold depends only on its starting value, so buckets starting
         # from bit-identical totals (same value, same sign) share one.
+        # ``end - start < 0`` exactly when ``end < start``, for every
+        # float pair, so the durations also carry the reversed check.
         durations = list(map(operator.sub, ends, starts))
+        if any(map(operator.lt, durations, repeat(0.0))):
+            for start, end in zip(starts, ends):
+                if end < start:
+                    raise ValueError(
+                        f"record ends before it starts: {start} > {end}")
         acc = self._acc
         bases = [acc[key].total if key in acc else 0.0
                  for key in _route_keys(phase, actor)]
@@ -378,6 +437,10 @@ class TraceRecorder:
         # raw spans one at a time.
         if any(map(operator.gt, starts, islice(starts, 1, None))):
             union = merge_intervals(zip(starts, ends))
+            union_starts = [start for start, _ in union]
+            union_ends = [end for _, end in union]
+            lo = min(starts)
+            hi = max(ends)
         else:
             # Sorted starts (the steady-state shape): a new canonical
             # segment opens exactly where a start clears the running
@@ -389,35 +452,40 @@ class TraceRecorder:
             else:
                 run_max = ends
             opens = list(map(operator.gt, islice(starts, 1, None), run_max))
-            union = list(zip(compress(starts, chain((True,), opens)),
-                             compress(run_max, chain(opens, (True,)))))
+            union_starts = list(compress(starts, chain((True,), opens)))
+            union_ends = list(compress(run_max, chain(opens, (True,))))
+            # The first start is the least and the running maximum's
+            # last entry the greatest end: no min()/max() passes.
+            lo = starts[0]
+            hi = run_max[-1]
         for bucket, base in zip(self._route(phase, actor), bases):
             bucket.total = folded[(base, math.copysign(1.0, base))]
             bucket.count += batch
             bucket._dirty = True
-            segs = bucket.segs
+            seg_starts, seg_ends = bucket.starts, bucket.ends
             # Merge only the union prefix that interacts with existing
             # history; the remainder — all of it, in the common case of
             # a batch that starts after everything recorded so far —
-            # appends in one C-level extend.
+            # appends in one C-level extend per column.
             overlap = 0
-            if segs:
-                last_start, last_end = segs[-1]
-                for start, end in union:
+            if seg_ends:
+                last_start, last_end = seg_starts[-1], seg_ends[-1]
+                for start, end in zip(union_starts, union_ends):
                     if start > last_end:
                         break
                     if start >= last_start:
                         if end > last_end:
-                            segs[-1] = (last_start, end)
-                            last_end = end
+                            seg_ends[-1] = last_end = end
                     else:
-                        _insert_interval(segs, start, end)
-                        last_start, last_end = segs[-1]
+                        _insert_interval(seg_starts, seg_ends, start, end)
+                        last_start, last_end = seg_starts[-1], seg_ends[-1]
                     overlap += 1
             if overlap:
-                segs.extend(islice(union, overlap, None))
+                seg_starts.extend(islice(union_starts, overlap, None))
+                seg_ends.extend(islice(union_ends, overlap, None))
             else:
-                segs.extend(union)
+                seg_starts.extend(union_starts)
+                seg_ends.extend(union_ends)
         if self.observer is not None:
             # Fast-forwarded / batched segments still surface as
             # individual spans downstream: synthesize the records a
@@ -425,8 +493,6 @@ class TraceRecorder:
             observer = self.observer
             for start, end in zip(starts, ends):
                 observer(TraceRecord(start, end, actor, phase, label))
-        lo = min(starts)
-        hi = max(ends)
         if self._count == 0:
             self._span_start = lo
             self._span_end = hi
@@ -465,45 +531,62 @@ class TraceRecorder:
                 for key in _route_keys(phase, actor))
         return route
 
-    def _fold(self, rec: TraceRecord) -> None:
-        start, end = rec.start, rec.end
-        duration = end - start
-        for bucket in self._route(rec.phase, rec.actor):
-            bucket.add(start, end, duration)
+    def _fold(self, recs: Sequence[TraceRecord]) -> None:
+        """Fold ``recs`` into the aggregates, in order."""
+        if not recs:
+            return
+        routes = self._routes
         if self._count == 0:
-            self._span_start = start
-            self._span_end = end
+            lo, hi = recs[0].start, recs[0].end
         else:
-            if start < self._span_start:
-                self._span_start = start
-            if end > self._span_end:
-                self._span_end = end
-        self._count += 1
+            lo, hi = self._span_start, self._span_end
+        for rec in recs:
+            start = rec.start
+            end = rec.end
+            route = routes.get((rec.phase, rec.actor))
+            if route is None:
+                route = self._route(rec.phase, rec.actor)
+            duration = end - start
+            for bucket in route:
+                bucket.add(start, end, duration)
+            if start < lo:
+                lo = start
+            if end > hi:
+                hi = end
+        self._span_start = lo
+        self._span_end = hi
+        self._count += len(recs)
 
     def _sync(self) -> None:
-        """Fold records appended directly to ``records`` (legacy path,
-        full retention only) that the accumulators have not seen yet."""
+        """Fold the records in the full-mode list that the accumulators
+        have not seen yet: everything ``record()``/``ingest()`` appended
+        since the last query, and anything legacy callers appended to
+        ``records`` directly.
+
+        A list that no longer holds the last folded record where it was
+        folded has been truncated (and maybe appended to since): what
+        is left is re-folded from scratch.
+        """
         if self.retention != "full":
             return
         records = self._records
-        if len(records) == self._synced:
+        synced = self._synced
+        if len(records) == synced and (not synced
+                                       or records[-1] is self._tail):
             return
         if self._pending is not None:
             self._flush()
-        if len(records) < self._synced:
-            # The list shrank under us (external truncation): rebuild.
-            retained = list(records)
+            synced = self._synced
+        if synced and (len(records) < synced
+                       or records[synced - 1] is not self._tail):
             self._acc.clear()
             self._routes.clear()
             self._count = 0
-            self._synced = 0
-            records.clear()
-            for rec in retained:
-                self.ingest(rec)
-            return
-        for rec in list(records[self._synced:]):
-            self._fold(rec)
+            synced = 0
+        self._fold(records[synced:])
         self._synced = len(records)
+        if records:
+            self._tail = records[-1]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -539,14 +622,10 @@ class TraceRecorder:
 
     def _segments(self, phase: Optional[Phase],
                   actor: Optional[str]) -> List[Tuple[float, float]]:
-        """The canonical merged interval union for a filter key.
-
-        The returned list is live accumulator state — callers must not
-        mutate it.
-        """
+        """The canonical merged interval union for a filter key."""
         self._sync()
         acc = self._acc.get((phase, actor))
-        return acc.segs if acc is not None else []
+        return acc.segments() if acc is not None else []
 
     # ------------------------------------------------------------------
     # Aggregate metrics (all O(merged segments), never O(records))
@@ -642,30 +721,50 @@ class TraceRecorder:
             "records": [[r.start, r.end, r.actor, r.phase.value, r.label,
                          [[k, v] for k, v in r.meta]] for r in self.records],
             "acc": [[phase.value if phase is not None else None, actor,
-                     a.total, a.count, [[s, e] for s, e in a.segs]]
+                     a.total, a.count, [[s, e] for s, e in a.segments()]]
                     for (phase, actor), a in self._acc.items()],
         }
 
     @classmethod
     def from_state(cls, state: Dict[str, Any]) -> "TraceRecorder":
-        """Inverse of :meth:`state_dict`."""
+        """Inverse of :meth:`state_dict`.
+
+        Cached payloads load through here, so a state no recorder could
+        have written is rejected with an error naming the field: a
+        negative or non-integer count, a total that is negative or not
+        finite, segments that are not a sorted, disjoint union of finite
+        intervals, or a span that is reversed or not finite.
+        """
         recorder = cls(retention=state["retention"],
                        ring_size=state["ring_size"])
         for start, end, actor, phase, label, meta in state["records"]:
             recorder._records.append(TraceRecord(
                 start, end, actor, Phase(phase), label,
                 tuple((k, v) for k, v in meta)))
-        for phase, actor, total, count, segs in state["acc"]:
+        for index, (phase, actor, total, count, segs) in enumerate(
+                state["acc"]):
+            field = f"acc[{index}]"
+            if not 0.0 <= total < _INF:
+                raise ValueError(f"trace state field {field}.total must be "
+                                 f"finite and non-negative, got {total!r}")
             acc = _Accumulator()
             acc.total = total
-            acc.count = count
-            acc.segs = [(s, e) for s, e in segs]
+            acc.count = _state_count(f"{field}.count", count)
+            acc.starts = [start for start, _ in segs]
+            acc.ends = [end for _, end in segs]
+            _check_union(f"{field}.segs", acc.starts, acc.ends)
             acc._dirty = True
             key = (Phase(phase) if phase is not None else None, actor)
             recorder._acc[key] = acc
-        recorder._count = state["count"]
+        recorder._count = _state_count("count", state["count"])
+        span_start, span_end = state["span"]
+        if not -_INF < span_start <= span_end < _INF:
+            raise ValueError(f"trace state field span must be a finite "
+                             f"(start, end) pair, got {state['span']!r}")
         recorder._synced = len(recorder._records)
-        recorder._span_start, recorder._span_end = state["span"]
+        if recorder._records:
+            recorder._tail = recorder._records[-1]
+        recorder._span_start, recorder._span_end = span_start, span_end
         return recorder
 
     def clear(self) -> None:
@@ -676,6 +775,7 @@ class TraceRecorder:
         self._routes.clear()
         self._count = 0
         self._synced = 0
+        self._tail = None
         self._span_start = 0.0
         self._span_end = 0.0
 

@@ -14,7 +14,10 @@ import pytest
 
 import repro.cli
 from repro.cli import main
+from repro.core.schemes import Scheme
+from repro.models import build_model
 from repro.runner.profile import LAYERS, profile_layer
+from repro.serving.server import InferenceServer
 
 _BUDGET = os.path.join(os.path.dirname(__file__), os.pardir,
                        "benchmarks", "perf_budget.json")
@@ -62,6 +65,16 @@ class TestBudgetGate:
         cold = profile_layer("spinup-cold", 200).counters
         assert pack["pack_restores"] > 0 and pack["pack_bytes"] > 0
         assert cold["pack_restores"] == 0 and cold["cold_starts"] > 0
+
+
+    def test_build_and_lowering_layers_time_the_offline_path(self):
+        # The lowering row lowers exactly the program a PaSK serve runs.
+        build = profile_layer("model-build", 3)
+        lowering = profile_layer("lowering", 3)
+        assert build.ops == lowering.ops == 3
+        assert build.counters["nodes"] == len(build_model("res").nodes)
+        served = InferenceServer("MI100")._lowered("res", Scheme.PASK, 1)
+        assert lowering.counters["instructions"] == len(served.instructions)
 
 
 class TestEndToEnd:

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.trace import (
     Phase,
+    TraceRecord,
     TraceRecorder,
     merge_intervals,
     subtract_intervals,
@@ -26,6 +27,13 @@ intervals = st.lists(
               st.floats(0, 100, allow_nan=False)).map(
         lambda p: (min(p), max(p))),
     max_size=25)
+
+
+# A coarse grid next to arbitrary floats, so touching, nested and
+# zero-length spans are as common as overlapping ones.
+_bound = st.one_of(st.floats(0, 10, allow_nan=False),
+                   st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0, 7.5, 10.0]))
+_span = st.tuples(_bound, _bound).map(lambda p: (min(p), max(p)))
 
 
 def _measure(items):
@@ -98,6 +106,57 @@ def test_subtract_conserves_coverage(base, remove):
 def test_subtract_self_is_empty(items):
     merged = merge_intervals(items)
     assert _measure(subtract_intervals(merged, merged)) < 1e-9
+
+
+def _reference_subtract(base, remove):
+    """The original quadratic subtraction: every base interval rescans
+    ``remove`` from the front.  The sweep must reproduce it exactly."""
+    out = []
+    for start, end in base:
+        cursor = start
+        for r_start, r_end in remove:
+            if r_end <= r_start or r_end <= cursor or r_start >= end:
+                continue
+            if r_start > cursor:
+                out.append((cursor, min(r_start, end)))
+            cursor = max(cursor, r_end)
+            if cursor >= end:
+                break
+        if cursor < end or (cursor == start == end):
+            out.append((cursor, end))
+    return out
+
+
+_spans = st.lists(_span, max_size=20)
+
+
+@settings(max_examples=300)
+@given(_spans, _spans)
+def test_subtract_sweep_matches_reference_on_merged_inputs(base, remove):
+    merged_base = merge_intervals(base)
+    merged_remove = merge_intervals(remove)
+    assert (subtract_intervals(merged_base, merged_remove)
+            == _reference_subtract(merged_base, merged_remove))
+
+
+@settings(max_examples=300)
+@given(_spans, _spans)
+def test_subtract_sweep_matches_reference_on_sorted_raw_inputs(base, remove):
+    # Unmerged but start-sorted inputs keep their touching, nested and
+    # zero-length intervals; the sweep still agrees with the rescan.
+    assert (subtract_intervals(sorted(base), sorted(remove))
+            == _reference_subtract(sorted(base), sorted(remove)))
+
+
+def test_subtract_scales_to_50k_segments():
+    # 50k interleaved segments: the quadratic rescan took minutes here.
+    n = 50_000
+    base = [(2.0 * i, 2.0 * i + 1.0) for i in range(n)]
+    remove = [(2.0 * i + 0.5, 2.0 * i + 1.5) for i in range(n)]
+    assert subtract_intervals(base, remove) == [
+        (2.0 * i, 2.0 * i + 0.5) for i in range(n)]
+    assert subtract_intervals(remove, base) == [
+        (2.0 * i + 1.0, 2.0 * i + 1.5) for i in range(n)]
 
 
 # ----------------------------------------------------------------------
@@ -218,12 +277,6 @@ def test_fault_phase_competes_like_any_other(records):
 # ingest_stream: a column batch is a run of record() calls
 # ----------------------------------------------------------------------
 
-# A coarse grid next to arbitrary floats, so batches carry touching and
-# zero-length spans as often as overlapping ones.
-_bound = st.one_of(st.floats(0, 10, allow_nan=False),
-                   st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0, 7.5, 10.0]))
-_span = st.tuples(_bound, _bound).map(lambda p: (min(p), max(p)))
-
 _stream_op = st.tuples(
     st.just("stream"),
     st.lists(_span, min_size=0, max_size=12),
@@ -304,3 +357,159 @@ def test_invalid_stream_batch_raises_and_changes_nothing(
     with pytest.raises(ValueError):
         recorder.ingest_stream(starts, ends, actor, phase, "x")
     assert _state(recorder) == before
+
+
+# ----------------------------------------------------------------------
+# Full retention against a naive oracle: lazy folding is invisible
+# ----------------------------------------------------------------------
+
+_full_record = st.tuples(_span, st.sampled_from(_ACTORS),
+                         st.sampled_from(_ALL_PHASES))
+_query = st.tuples(
+    st.sampled_from(("total", "busy_time", "span", "record_count",
+                     "breakdown", "exclusive_fractions", "utilization",
+                     "filtered", "records", "state_dict")),
+    st.sampled_from(_ALL_PHASES + [None]),
+    st.sampled_from(_ACTORS + (None,)))
+_full_ops = st.lists(st.one_of(
+    st.tuples(st.just("record"), _full_record, st.booleans()),
+    st.tuples(st.just("ingest"), _full_record),
+    st.tuples(st.just("append"), _full_record),
+    st.tuples(st.just("stream"), st.lists(_span, max_size=8), st.booleans(),
+              st.sampled_from(_ACTORS), st.sampled_from(_ALL_PHASES)),
+    st.tuples(st.just("truncate"), st.integers(0, 12)),
+    st.tuples(st.just("query"), _query)), max_size=25)
+
+
+class _Oracle:
+    """The documented semantics, computed from scratch on every read:
+    a per-key left-to-right sum of durations over the current records,
+    ``merge_intervals`` per key, and a span over the records."""
+
+    def __init__(self):
+        self.records = []
+
+    def _matching(self, phase, actor):
+        return [r for r in self.records
+                if (phase is None or r.phase is phase)
+                and (actor is None or r.actor == actor)]
+
+    def total(self, phase=None, actor=None):
+        total = 0.0
+        for rec in self._matching(phase, actor):
+            total += rec.end - rec.start
+        return total
+
+    def segments(self, phase=None, actor=None):
+        return merge_intervals((r.start, r.end)
+                               for r in self._matching(phase, actor))
+
+    def busy_time(self, phase=None, actor=None):
+        return sum(e - s for s, e in self.segments(phase, actor))
+
+    def span(self):
+        if not self.records:
+            return (0.0, 0.0)
+        return (min(r.start for r in self.records),
+                max(r.end for r in self.records))
+
+    def _wall(self):
+        start, end = self.span()
+        return end - start
+
+    def breakdown(self, phases):
+        wall = self._wall()
+        if wall <= 0:
+            return {phase: 0.0 for phase in phases}
+        return {phase: self.busy_time(phase) / wall for phase in phases}
+
+    def exclusive_fractions(self, priorities):
+        wall = self._wall()
+        if wall <= 0:
+            return {phase: 0.0 for phase in priorities}
+        claimed, out = [], {}
+        for phase in priorities:
+            mine = self.segments(phase)
+            exclusive = _reference_subtract(mine, claimed)
+            out[phase] = sum(e - s for s, e in exclusive) / wall
+            claimed = merge_intervals(claimed + mine)
+        return out
+
+    def utilization(self, actor):
+        wall = self._wall()
+        if wall <= 0:
+            return 0.0
+        return self.busy_time(Phase.EXEC, actor) / wall
+
+
+def _check_query(recorder, oracle, query):
+    name, phase, actor = query
+    if name in ("total", "busy_time"):
+        assert (getattr(recorder, name)(phase, actor)
+                == getattr(oracle, name)(phase, actor))
+    elif name == "span":
+        assert recorder.span() == oracle.span()
+    elif name == "record_count":
+        assert recorder.record_count == len(oracle.records)
+    elif name in ("breakdown", "exclusive_fractions"):
+        assert (getattr(recorder, name)(_ALL_PHASES)
+                == getattr(oracle, name)(_ALL_PHASES))
+    elif name == "utilization":
+        assert (recorder.utilization(actor or "gpu")
+                == oracle.utilization(actor or "gpu"))
+    elif name == "filtered":
+        assert recorder.filtered(phase, actor) == oracle._matching(
+            phase, actor)
+    elif name == "records":
+        assert list(recorder.records) == oracle.records
+    else:
+        state = json.loads(json.dumps(recorder.state_dict()))
+        assert state["count"] == len(oracle.records)
+        assert list(TraceRecorder.from_state(state).records) == (
+            oracle.records)
+
+
+@settings(max_examples=200)
+@given(_full_ops)
+def test_full_retention_matches_naive_oracle(ops):
+    recorder = TraceRecorder()
+    oracle = _Oracle()
+    for index, op in enumerate(ops):
+        kind = op[0]
+        if kind in ("record", "ingest", "append"):
+            ((start, end), actor, phase) = op[1]
+            meta = (("step", index),) if kind == "record" and op[2] else ()
+            rec = TraceRecord(start, end, actor, phase, "x", meta)
+            if kind == "record":
+                returned = recorder.record(start, end, actor, phase, "x",
+                                           **dict(meta))
+                assert returned == rec
+            elif kind == "ingest":
+                recorder.ingest(rec)
+            else:
+                recorder.records.append(rec)
+            oracle.records.append(rec)
+        elif kind == "stream":
+            _, spans, ordered, actor, phase = op
+            if ordered:
+                spans = sorted(spans)
+            recorder.ingest_stream([s for s, _ in spans],
+                                   [e for _, e in spans], actor, phase, "x")
+            oracle.records.extend(TraceRecord(s, e, actor, phase, "x")
+                                  for s, e in spans)
+        elif kind == "truncate":
+            del recorder.records[op[1]:]
+            del oracle.records[op[1]:]
+        else:
+            _check_query(recorder, oracle, op[1])
+    # Every query agrees at the end, whatever the interleaving left
+    # unfolded.
+    for name in ("total", "busy_time"):
+        for phase in _ALL_PHASES + [None]:
+            for actor in _ACTORS + (None,):
+                _check_query(recorder, oracle, (name, phase, actor))
+    for name in ("span", "record_count", "breakdown", "exclusive_fractions",
+                 "records", "state_dict"):
+        _check_query(recorder, oracle, (name, None, None))
+    for actor in _ACTORS:
+        _check_query(recorder, oracle, ("utilization", None, actor))

@@ -7,6 +7,7 @@ the golden-regression model × scheme grid produces.
 """
 
 import json
+import math
 
 import pytest
 
@@ -85,6 +86,13 @@ def test_retention_policies_are_validated():
         TraceRecorder(retention="aggregate", ring_size=0)
 
 
+@pytest.mark.parametrize("retention", RETENTION_POLICIES)
+@pytest.mark.parametrize("ring_size", [2.5, 4.0, True, "8", None])
+def test_ring_size_must_be_an_integer(retention, ring_size):
+    with pytest.raises(ValueError, match="ring_size"):
+        TraceRecorder(retention=retention, ring_size=ring_size)
+
+
 def test_aggregate_ring_is_bounded():
     recorder = TraceRecorder(retention="aggregate", ring_size=8)
     for i in range(100):
@@ -139,10 +147,40 @@ def test_external_truncation_rebuilds_aggregates():
     recorder = TraceRecorder()
     recorder.record(0.0, 1.0, "gpu", Phase.EXEC)
     recorder.record(5.0, 6.0, "gpu", Phase.EXEC)
+    # Query first, so both records are folded before the truncation:
+    # the rebuild must fold what is left, not merely retain it.
+    assert recorder.busy_time(Phase.EXEC) == 2.0
     del recorder.records[1:]
+    assert recorder.busy_time(Phase.EXEC) == 1.0
     assert recorder.record_count == 1
     assert recorder.total(Phase.EXEC) == pytest.approx(1.0)
     assert recorder.span() == (0.0, 1.0)
+
+
+def test_truncation_hidden_by_later_appends_still_rebuilds():
+    # Truncate, then append back to the folded length: the list is as
+    # long as before, but its last folded record is gone.
+    recorder = TraceRecorder()
+    recorder.record(0.0, 1.0, "gpu", Phase.EXEC)
+    recorder.record(5.0, 6.0, "gpu", Phase.EXEC)
+    assert recorder.total(Phase.EXEC) == 2.0
+    del recorder.records[1:]
+    recorder.record(2.0, 4.0, "gpu", Phase.EXEC)
+    assert recorder.total(Phase.EXEC) == 3.0
+    assert recorder.span() == (0.0, 4.0)
+    del recorder.records[1:]
+    recorder.records.append(TraceRecord(3.0, 3.5, "gpu", Phase.EXEC))
+    assert recorder.busy_time(Phase.EXEC) == 1.5
+    assert recorder.record_count == 2
+
+
+def test_record_is_not_folded_until_queried():
+    recorder = TraceRecorder()
+    rec = recorder.record(0.0, 1.0, "gpu", Phase.EXEC)
+    assert recorder.records == [rec]
+    assert not recorder._acc
+    assert recorder.busy_time(Phase.EXEC) == 1.0
+    assert recorder._acc
 
 
 def test_out_of_order_records_merge_correctly():
@@ -172,6 +210,94 @@ def test_state_dict_round_trips_through_json(retention):
     assert clone.retention == recorder.retention
     assert list(clone.records) == list(recorder.records)
     _assert_metrics_identical(clone, recorder)
+
+
+def _valid_state(retention="aggregate"):
+    recorder = TraceRecorder(retention=retention, ring_size=4)
+    for start in (0.0, 2.0, 4.0):
+        recorder.record(start, start + 1.0, "gpu", Phase.EXEC)
+    return json.loads(json.dumps(recorder.state_dict()))
+
+
+def test_from_state_accepts_what_state_dict_writes():
+    for retention in RETENTION_POLICIES:
+        TraceRecorder.from_state(_valid_state(retention))
+    TraceRecorder.from_state(TraceRecorder().state_dict())
+
+
+def test_from_state_rejects_a_nan_total():
+    state = _valid_state()
+    state["acc"][1][2] = math.nan
+    with pytest.raises(ValueError, match=r"acc\[1\]\.total"):
+        TraceRecorder.from_state(state)
+
+
+def test_from_state_rejects_a_negative_total():
+    state = _valid_state()
+    state["acc"][0][2] = -1.0
+    with pytest.raises(ValueError, match=r"acc\[0\]\.total"):
+        TraceRecorder.from_state(state)
+
+
+def test_from_state_rejects_unsorted_segments():
+    state = _valid_state()
+    state["acc"][0][4] = [[4.0, 5.0], [0.0, 1.0], [2.0, 3.0]]
+    with pytest.raises(ValueError, match=r"acc\[0\]\.segs"):
+        TraceRecorder.from_state(state)
+
+
+def test_from_state_rejects_overlapping_segments():
+    # Loaded as is, busy_time would read 6.0 for a union of length 5.0.
+    state = _valid_state()
+    state["acc"][0][4] = [[0.0, 3.0], [2.0, 5.0]]
+    with pytest.raises(ValueError, match=r"acc\[0\]\.segs"):
+        TraceRecorder.from_state(state)
+
+
+def test_from_state_rejects_touching_or_reversed_segments():
+    for segs in ([[0.0, 1.0], [1.0, 2.0]], [[1.0, 0.0]],
+                 [[0.0, math.inf]], [[math.nan, 1.0]]):
+        state = _valid_state()
+        state["acc"][0][4] = segs
+        with pytest.raises(ValueError, match=r"acc\[0\]\.segs"):
+            TraceRecorder.from_state(state)
+
+
+def test_from_state_rejects_a_negative_count():
+    state = _valid_state()
+    state["count"] = -1
+    with pytest.raises(ValueError, match="field count"):
+        TraceRecorder.from_state(state)
+    state = _valid_state()
+    state["acc"][2][3] = -3
+    with pytest.raises(ValueError, match=r"acc\[2\]\.count"):
+        TraceRecorder.from_state(state)
+
+
+def test_from_state_rejects_a_non_integer_count():
+    for count in (1.5, True):
+        state = _valid_state()
+        state["count"] = count
+        with pytest.raises(ValueError, match="field count"):
+            TraceRecorder.from_state(state)
+
+
+def test_from_state_rejects_an_infinite_span():
+    for span in ([0.0, math.inf], [-math.inf, 5.0], [math.nan, 5.0],
+                 [5.0, 0.0]):
+        state = _valid_state()
+        state["span"] = span
+        with pytest.raises(ValueError, match="field span"):
+            TraceRecorder.from_state(state)
+
+
+@pytest.mark.parametrize("retention", RETENTION_POLICIES)
+def test_from_state_rejects_a_non_integer_ring_size(retention):
+    for ring_size in (2.5, True):
+        state = _valid_state(retention)
+        state["ring_size"] = ring_size
+        with pytest.raises(ValueError, match="ring_size"):
+            TraceRecorder.from_state(state)
 
 
 # ----------------------------------------------------------------------
