@@ -38,6 +38,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.sim.trace import check_count
+
 __all__ = ["AutoscalePolicy", "AutoscalerState", "AUTOSCALE_KINDS"]
 
 AUTOSCALE_KINDS = ("fixed", "scale-to-zero", "reactive", "predictive")
@@ -69,8 +71,7 @@ class AutoscalePolicy:
         if self.kind not in AUTOSCALE_KINDS:
             raise ValueError(f"unknown autoscale kind {self.kind!r}; "
                              f"expected one of {AUTOSCALE_KINDS}")
-        if self.min_instances < 0:
-            raise ValueError("min_instances must be non-negative")
+        check_count("min_instances", self.min_instances)
         if self.kind == "scale-to-zero" and self.idle_timeout_s is None:
             raise ValueError("scale-to-zero needs an idle_timeout_s")
         for name in ("idle_timeout_s", "scale_up_wait_s",

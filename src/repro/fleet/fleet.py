@@ -47,17 +47,16 @@ from repro.fleet.autoscale import AutoscalePolicy, AutoscalerState
 from repro.fleet.routing import RouterState, RoutingPolicy
 from repro.obs.monitors import SLOMonitorSet, SLOPolicy, emit_alert_spans
 from repro.packs.artifact import pack_for
-from repro.packs.store import (PackPolicy, PackTransferCounters,
-                               RegistryFabric, feed_pack_metrics)
+from repro.packs.store import PackPolicy, RegistryFabric, feed_pack_metrics
 from repro.serving.cluster import (ClusterConfig, ClusterSimulator,
-                                   ClusterStats, service_times)
-from repro.serving.metrics import percentile as nearest_rank_percentile
-from repro.serving.pool import COLD, FAILED, SHED, InstancePool
+                                   service_times)
+from repro.serving.pool import (COLD, FAILED, SHED, InstancePool,
+                                OfferedSummary, PoolStats)
 from repro.serving.requests import RequestTrace
 from repro.serving.resilience import ResiliencePolicy
 from repro.serving.server import InferenceServer
-from repro.sim.faults import FaultCounters, FaultPlan
-from repro.sim.trace import RETENTION_POLICIES, TraceRecorder
+from repro.sim.faults import FaultPlan
+from repro.sim.trace import RETENTION_POLICIES, TraceRecorder, check_count
 
 __all__ = ["RegionConfig", "FleetConfig", "FleetTrace", "merge_traces",
            "RegionStats", "TenantStats", "FleetStats", "FleetSimulator"]
@@ -85,8 +84,7 @@ class RegionConfig:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("region needs a name")
-        if self.max_instances <= 0:
-            raise ValueError("need at least one instance")
+        check_count("max_instances", self.max_instances, 1)
         if not 0 <= self.keep_alive_s < math.inf:
             raise ValueError("keep-alive must be finite and non-negative")
         for window in self.drain_windows:
@@ -133,8 +131,7 @@ class FleetConfig:
             raise ValueError(
                 f"unknown trace retention {self.trace_retention!r}; "
                 f"expected None or one of {RETENTION_POLICIES}")
-        if self.trace_ring <= 0:
-            raise ValueError("trace_ring must be positive")
+        check_count("trace_ring", self.trace_ring, 1)
 
     @property
     def is_single_cluster(self) -> bool:
@@ -228,76 +225,18 @@ def merge_traces(named: Sequence[Tuple[str, RequestTrace]]) -> FleetTrace:
 # ----------------------------------------------------------------------
 
 @dataclass
-class RegionStats:
-    """Outcome of one replay as seen by a single region."""
+class RegionStats(PoolStats):
+    """Outcome of one replay as seen by a single region: its pool's
+    outcome plus the region's identity and autoscaler counters."""
 
-    name: str
-    device: str
-    latencies: List[float] = field(default_factory=list)
-    cold_starts: int = 0
-    warm_hits: int = 0
-    restores: int = 0          # scale-up spawns served from a checkpoint
-    restore_s: float = 0.0     # total restore spin-up paid on-path
-    queue_waits: List[float] = field(default_factory=list)
-    failed: int = 0
-    shed: int = 0              # load-shed at this region (fleet policy)
-    prewarm_spawns: int = 0    # predictive spawns off the request path
-    prewarm_restores: int = 0  # ... of which came from a checkpoint
-    prewarm_s: float = 0.0     # off-path spin-up time the fleet paid
+    name: str = field(kw_only=True)
+    device: str = field(kw_only=True)
     scale_ups: int = 0
     scale_downs: int = 0
-    faults: FaultCounters = field(default_factory=FaultCounters)
-    trace: Optional[TraceRecorder] = None
-    fast_forwarded: int = 0
-    # Cold spawns restored from a kernel pack (request path), and the
-    # fetch-hierarchy ledger (None unless FleetConfig.packs is set).
-    pack_restores: int = 0
-    packs: Optional[PackTransferCounters] = None
-
-    @classmethod
-    def from_cluster(cls, name: str, device: str,
-                     stats: ClusterStats) -> "RegionStats":
-        return cls(name=name, device=device, latencies=stats.latencies,
-                   cold_starts=stats.cold_starts,
-                   warm_hits=stats.warm_hits,
-                   queue_waits=stats.queue_waits, failed=stats.failed,
-                   shed=stats.shed, faults=stats.faults,
-                   trace=stats.trace,
-                   fast_forwarded=stats.fast_forwarded,
-                   pack_restores=stats.pack_restores,
-                   packs=stats.packs)
-
-    @property
-    def completed(self) -> int:
-        return len(self.latencies)
-
-    @property
-    def requests(self) -> int:
-        return len(self.latencies) + self.failed + self.shed
-
-    @property
-    def availability(self) -> float:
-        finished = self.completed + self.failed
-        if not finished:
-            return 1.0
-        return self.completed / finished
-
-    @property
-    def mean_latency(self) -> float:
-        if not self.latencies:
-            return 0.0
-        return sum(self.latencies) / len(self.latencies)
-
-    def percentile(self, q: float) -> float:
-        if not 0 <= q <= 1:
-            raise ValueError(f"quantile out of range: {q}")
-        if not self.latencies:
-            return 0.0
-        return nearest_rank_percentile(self.latencies, q)
 
 
 @dataclass
-class TenantStats:
+class TenantStats(OfferedSummary):
     """Per-traffic-class outcome accounting."""
 
     name: str
@@ -306,34 +245,14 @@ class TenantStats:
     shed: int = 0
     latencies: List[float] = field(default_factory=list)
 
-    @property
-    def completed(self) -> int:
-        return len(self.latencies)
-
-    @property
-    def availability(self) -> float:
-        finished = self.completed + self.failed
-        if not finished:
-            return 1.0
-        return self.completed / finished
-
-    @property
-    def mean_latency(self) -> float:
-        if not self.latencies:
-            return 0.0
-        return sum(self.latencies) / len(self.latencies)
-
-    def percentile(self, q: float) -> float:
-        if not 0 <= q <= 1:
-            raise ValueError(f"quantile out of range: {q}")
-        if not self.latencies:
-            return 0.0
-        return nearest_rank_percentile(self.latencies, q)
-
 
 @dataclass
-class FleetStats:
-    """Outcome of one fleet replay: per-region, per-tenant, aggregate."""
+class FleetStats(OfferedSummary):
+    """Outcome of one fleet replay: per-region, per-tenant, aggregate.
+
+    The aggregates sum the regions; only :attr:`latencies` (and so
+    :meth:`percentile`) concatenates their latency lists.
+    """
 
     offered: int = 0
     regions: Dict[str, RegionStats] = field(default_factory=dict)
@@ -389,44 +308,17 @@ class FleetStats:
     def fast_forwarded(self) -> int:
         return sum(r.fast_forwarded for r in self.regions.values())
 
+    def _latency_sum(self) -> float:
+        # Summed region by region: no concatenated list, and the
+        # summation order every checked-in mean was computed in.
+        return sum(sum(region.latencies) for region in self.regions.values())
+
     @property
     def latencies(self) -> List[float]:
         out: List[float] = []
         for region in self.regions.values():
             out.extend(region.latencies)
         return out
-
-    @property
-    def conserved(self) -> bool:
-        """The fleet accounting invariant: every offered request is
-        exactly one of completed, failed, or shed."""
-        return self.offered == self.completed + self.failed + self.shed
-
-    @property
-    def availability(self) -> float:
-        """Shed-adjusted availability (same contract as
-        :attr:`~repro.serving.cluster.ClusterStats.availability`)."""
-        finished = self.completed + self.failed
-        if not finished:
-            return 1.0
-        return self.completed / finished
-
-    @property
-    def mean_latency(self) -> float:
-        total = n = 0
-        acc = 0.0
-        for region in self.regions.values():
-            acc += sum(region.latencies)
-            n += len(region.latencies)
-        return acc / n if n else 0.0
-
-    def percentile(self, q: float) -> float:
-        if not 0 <= q <= 1:
-            raise ValueError(f"quantile out of range: {q}")
-        merged = self.latencies
-        if not merged:
-            return 0.0
-        return nearest_rank_percentile(merged, q)
 
 
 # ----------------------------------------------------------------------
@@ -537,12 +429,7 @@ def _feed_region_metrics(registry, region: "RegionStats",
     routed = registry.counter("fleet_routed_total", _ROUTED_HELP)
     autoscale = registry.counter("fleet_autoscale_total", _AUTOSCALE_HELP)
     depth = registry.gauge("fleet_queue_depth", _QUEUE_DEPTH_HELP)
-    for outcome, value in (("warm", region.warm_hits),
-                           ("cold", region.cold_starts),
-                           ("restore", region.restores),
-                           ("pack", region.pack_restores),
-                           ("failed", region.failed),
-                           ("shed", region.shed)):
+    for outcome, value in region.outcome_counts():
         if value:
             requests.inc(value, outcome=outcome, region=name)
     for kind, value in (("up", region.scale_ups),
@@ -793,8 +680,8 @@ class FleetSimulator:
                                spans=self.spans, monitors=monitors)
         cluster_stats = sim.run(trace.to_request_trace())
         stats = FleetStats(offered=len(trace), delegated=True)
-        stats.regions[region.name] = RegionStats.from_cluster(
-            region.name, region.device, cluster_stats)
+        stats.regions[region.name] = RegionStats(
+            name=region.name, device=region.device, **vars(cluster_stats))
         tenant = TenantStats(name=trace.tenant_names[0],
                              offered=len(trace),
                              failed=cluster_stats.failed,

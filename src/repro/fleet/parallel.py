@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from array import array
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -496,58 +496,40 @@ def run_fleet_sharded(config: FleetConfig,
 # Equivalence audit (tests + the `repro fleet --verify-serial` CI gate)
 # ----------------------------------------------------------------------
 
-_REGION_FIELDS = ("cold_starts", "warm_hits", "restores", "restore_s",
-                  "failed", "shed", "prewarm_spawns", "prewarm_restores",
-                  "prewarm_s", "scale_ups", "scale_downs",
-                  "fast_forwarded", "pack_restores")
-_TENANT_FIELDS = ("offered", "failed", "shed", "latencies")
+def equivalence_problems(serial, sharded) -> List[str]:
+    """Field-by-field audit of two stats objects of one type -- a serial
+    and a sharded :class:`FleetStats`, or any stats and its payload
+    round trip; empty when the two are equal.
 
-
-def equivalence_problems(serial: FleetStats,
-                         sharded: FleetStats) -> List[str]:
-    """Field-by-field audit of sharded vs serial replay; empty when the
-    two are byte-equal (latencies, counters, faults, traces, tenants)."""
+    It walks every dataclass field (regions, tenants and monitors key by
+    key, fault and pack counters field by field) and compares trace
+    recorders by their records and record count, so a field added to a
+    stats type is audited without being listed here.
+    """
     problems: List[str] = []
 
-    def check(label, expected, got):
+    def audit(label: str, expected, got) -> None:
+        if type(expected) is type(got):
+            if isinstance(expected, TraceRecorder):
+                audit(f"{label}.records", list(expected.records),
+                      list(got.records))
+                audit(f"{label}.record_count", expected.record_count,
+                      got.record_count)
+                return
+            if isinstance(expected, dict):
+                audit(label, list(expected), list(got))
+                for key in expected:
+                    if key in got:
+                        audit(f"{label}.{key}", expected[key], got[key])
+                return
+            if is_dataclass(expected):
+                for f in fields(expected):
+                    audit(f"{label}.{f.name}" if label else f.name,
+                          getattr(expected, f.name), getattr(got, f.name))
+                return
         if expected != got:
             problems.append(f"{label}: serial {expected!r} "
                             f"!= sharded {got!r}")
 
-    check("offered", serial.offered, sharded.offered)
-    check("shed_unroutable", serial.shed_unroutable,
-          sharded.shed_unroutable)
-    check("delegated", serial.delegated, sharded.delegated)
-    check("regions", list(serial.regions), list(sharded.regions))
-    for name, region in serial.regions.items():
-        other = sharded.regions.get(name)
-        if other is None:
-            continue
-        for field_name in _REGION_FIELDS:
-            check(f"{name}.{field_name}", getattr(region, field_name),
-                  getattr(other, field_name))
-        check(f"{name}.latencies", region.latencies, other.latencies)
-        check(f"{name}.queue_waits", region.queue_waits,
-              other.queue_waits)
-        check(f"{name}.faults", region.faults.as_dict(),
-              other.faults.as_dict())
-        check(f"{name}.packs",
-              None if region.packs is None else region.packs.as_dict(),
-              None if other.packs is None else other.packs.as_dict())
-        mine = None if region.trace is None else list(region.trace.records)
-        theirs = None if other.trace is None else list(other.trace.records)
-        check(f"{name}.trace", mine, theirs)
-        if region.trace is not None and other.trace is not None:
-            check(f"{name}.trace.record_count",
-                  region.trace.record_count, other.trace.record_count)
-    check("monitors", serial.monitors, sharded.monitors)
-    check("tenants", list(serial.tenants), list(sharded.tenants))
-    for name, tenant in serial.tenants.items():
-        other = sharded.tenants.get(name)
-        if other is None:
-            continue
-        for field_name in _TENANT_FIELDS:
-            check(f"tenant {name}.{field_name}",
-                  getattr(tenant, field_name),
-                  getattr(other, field_name))
+    audit("", serial, sharded)
     return problems

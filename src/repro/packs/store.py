@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.packs.artifact import KernelPack
 from repro.sim.faults import FaultInjector
-from repro.sim.trace import Phase, TraceRecorder
+from repro.sim.trace import Phase, TraceRecorder, check_count
 
 __all__ = ["TierPolicy", "PackPolicy", "PackTransferCounters",
            "PackFetchResult", "PackStoreState", "RegistryFabric",
@@ -60,8 +60,7 @@ class TierPolicy:
         for name in ("latency_s", "timeout_s", "backoff_base_s"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        check_count("max_attempts", self.max_attempts, 1)
 
 
 @dataclass(frozen=True)

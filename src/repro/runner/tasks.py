@@ -28,13 +28,14 @@ from repro.fleet.fleet import (FleetConfig, FleetSimulator, FleetStats,
 from repro.fleet.routing import ROUTING_POLICIES, RoutingPolicy
 from repro.packs.store import PackPolicy, PackTransferCounters
 from repro.serving.cluster import ClusterConfig, ClusterSimulator, ClusterStats
+from repro.serving.pool import PoolStats
 from repro.serving.requests import (RequestTrace, bursty_trace, diurnal_trace,
                                     poisson_trace)
 from repro.serving.resilience import ResiliencePolicy
 from repro.serving.server import InferenceServer
 from repro.sim.faults import FaultCounters, FaultPlan
 from repro.sim.trace import (RETENTION_POLICIES, Phase, TraceRecord,
-                             TraceRecorder)
+                             TraceRecorder, check_count)
 
 __all__ = [
     "ExperimentTask",
@@ -117,15 +118,13 @@ class ExperimentTask:
             raise ValueError(f"unknown task kind {self.kind!r}")
         if self.scheme not in _SCHEMES_BY_VALUE:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.batch <= 0:
-            raise ValueError("batch must be positive")
+        for name in ("batch", "instances", "trace_ring"):
+            check_count(name, getattr(self, name), 1)
         if (self.trace_retention is not None
                 and self.trace_retention not in RETENTION_POLICIES):
             raise ValueError(
                 f"unknown trace retention {self.trace_retention!r}; "
                 f"expected None or one of {RETENTION_POLICIES}")
-        if self.trace_ring <= 0:
-            raise ValueError("trace_ring must be positive")
         if self.arrival not in ARRIVAL_KINDS:
             raise ValueError(f"unknown arrival kind {self.arrival!r}; "
                              f"expected one of {ARRIVAL_KINDS}")
@@ -327,71 +326,65 @@ def result_from_payload(payload: Dict[str, Any]) -> ExecutionResult:
     )
 
 
+# Per-field JSON codecs of the pool fields that are not plain JSON
+# values (a None passes through either way).
+_POOL_ENCODERS = {"latencies": list, "queue_waits": list,
+                  "faults": FaultCounters.as_dict,
+                  "packs": PackTransferCounters.as_dict,
+                  "trace": _trace_to_payload}
+_POOL_DECODERS = {"latencies": list, "queue_waits": list,
+                  "faults": lambda d: FaultCounters(**d),
+                  "packs": lambda d: PackTransferCounters(**d),
+                  "trace": _trace_from_payload}
+# A bare cluster never restores from a checkpoint or pre-warms; its
+# payload has never carried those counters.
+_CLUSTER_OMITS = ("restores", "restore_s", "prewarm_spawns",
+                  "prewarm_restores", "prewarm_s")
+
+
+def _pool_to_payload(stats: PoolStats,
+                     omit: Tuple[str, ...] = ()) -> Dict[str, Any]:
+    """Every dataclass field of ``stats`` (pool fields plus, for a
+    region, its own), JSON-safe."""
+    out: Dict[str, Any] = {}
+    for f in fields(stats):
+        value = getattr(stats, f.name)
+        encode = _POOL_ENCODERS.get(f.name)
+        if encode is not None and value is not None:
+            value = encode(value)
+        out[f.name] = value
+    if stats.packs is None:
+        # Absent rather than null so pre-packs payloads stay byte-stable.
+        omit += ("pack_restores", "packs")
+    for name in omit:
+        del out[name]
+    return out
+
+
+def _pool_from_payload(cls, entry: Dict[str, Any]) -> PoolStats:
+    """Inverse of :func:`_pool_to_payload` for ``cls`` (a PoolStats or a
+    subclass); absent fields keep their defaults."""
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in entry:
+            continue
+        value = entry[f.name]
+        decode = _POOL_DECODERS.get(f.name)
+        kwargs[f.name] = (value if decode is None or value is None
+                          else decode(value))
+    return cls(**kwargs)
+
+
 def cluster_stats_to_payload(stats: ClusterStats) -> Dict[str, Any]:
     """A JSON-safe payload that reconstructs ``stats`` exactly."""
-    payload = {
-        "type": "cluster",
-        "latencies": list(stats.latencies),
-        "cold_starts": stats.cold_starts,
-        "warm_hits": stats.warm_hits,
-        "queue_waits": list(stats.queue_waits),
-        "failed": stats.failed,
-        "shed": stats.shed,
-        "faults": stats.faults.as_dict(),
-        "fast_forwarded": stats.fast_forwarded,
-        "trace": (_trace_to_payload(stats.trace)
-                  if stats.trace is not None else None),
-    }
-    if stats.packs is not None:
-        # Absent rather than null so pre-packs payloads stay byte-stable.
-        payload["pack_restores"] = stats.pack_restores
-        payload["packs"] = stats.packs.as_dict()
-    return payload
+    return {"type": "cluster", **_pool_to_payload(stats, _CLUSTER_OMITS)}
 
 
 def cluster_stats_from_payload(payload: Dict[str, Any]) -> ClusterStats:
     """Inverse of :func:`cluster_stats_to_payload`."""
     if payload.get("type") != "cluster":
         raise ValueError(f"not a cluster payload: {payload.get('type')!r}")
-    trace_payload = payload.get("trace")
-    return ClusterStats(
-        latencies=list(payload["latencies"]),
-        cold_starts=payload["cold_starts"],
-        warm_hits=payload["warm_hits"],
-        queue_waits=list(payload["queue_waits"]),
-        failed=payload["failed"],
-        shed=payload.get("shed", 0),
-        faults=FaultCounters(**payload["faults"]),
-        fast_forwarded=payload.get("fast_forwarded", 0),
-        trace=(_trace_from_payload(trace_payload)
-               if trace_payload is not None else None),
-        pack_restores=payload.get("pack_restores", 0),
-        packs=(PackTransferCounters(**payload["packs"])
-               if payload.get("packs") is not None else None),
-    )
-
-
-def _region_to_payload(r: RegionStats) -> Dict[str, Any]:
-    entry: Dict[str, Any] = {
-        "name": r.name, "device": r.device,
-        "latencies": list(r.latencies),
-        "cold_starts": r.cold_starts, "warm_hits": r.warm_hits,
-        "restores": r.restores, "restore_s": r.restore_s,
-        "queue_waits": list(r.queue_waits),
-        "failed": r.failed, "shed": r.shed,
-        "prewarm_spawns": r.prewarm_spawns,
-        "prewarm_restores": r.prewarm_restores,
-        "prewarm_s": r.prewarm_s,
-        "scale_ups": r.scale_ups, "scale_downs": r.scale_downs,
-        "faults": r.faults.as_dict(),
-        "fast_forwarded": r.fast_forwarded,
-        "trace": (_trace_to_payload(r.trace)
-                  if r.trace is not None else None)}
-    if r.packs is not None:
-        # Absent rather than null so pre-packs payloads stay byte-stable.
-        entry["pack_restores"] = r.pack_restores
-        entry["packs"] = r.packs.as_dict()
-    return entry
+    return _pool_from_payload(ClusterStats, payload)
 
 
 def fleet_stats_to_payload(stats: FleetStats) -> Dict[str, Any]:
@@ -401,7 +394,7 @@ def fleet_stats_to_payload(stats: FleetStats) -> Dict[str, Any]:
         "offered": stats.offered,
         "shed_unroutable": stats.shed_unroutable,
         "delegated": stats.delegated,
-        "regions": [_region_to_payload(r) for r in stats.regions.values()],
+        "regions": [_pool_to_payload(r) for r in stats.regions.values()],
         "tenants": [
             {"name": t.name, "offered": t.offered, "failed": t.failed,
              "shed": t.shed, "latencies": list(t.latencies)}
@@ -421,27 +414,7 @@ def fleet_stats_from_payload(payload: Dict[str, Any]) -> FleetStats:
                        shed_unroutable=payload["shed_unroutable"],
                        delegated=payload["delegated"])
     for entry in payload["regions"]:
-        trace_payload = entry.get("trace")
-        stats.regions[entry["name"]] = RegionStats(
-            name=entry["name"], device=entry["device"],
-            latencies=list(entry["latencies"]),
-            cold_starts=entry["cold_starts"],
-            warm_hits=entry["warm_hits"],
-            restores=entry["restores"], restore_s=entry["restore_s"],
-            queue_waits=list(entry["queue_waits"]),
-            failed=entry["failed"], shed=entry["shed"],
-            prewarm_spawns=entry["prewarm_spawns"],
-            prewarm_restores=entry["prewarm_restores"],
-            prewarm_s=entry["prewarm_s"],
-            scale_ups=entry["scale_ups"],
-            scale_downs=entry["scale_downs"],
-            faults=FaultCounters(**entry["faults"]),
-            fast_forwarded=entry["fast_forwarded"],
-            trace=(_trace_from_payload(trace_payload)
-                   if trace_payload is not None else None),
-            pack_restores=entry.get("pack_restores", 0),
-            packs=(PackTransferCounters(**entry["packs"])
-                   if entry.get("packs") is not None else None))
+        stats.regions[entry["name"]] = _pool_from_payload(RegionStats, entry)
     for entry in payload["tenants"]:
         stats.tenants[entry["name"]] = TenantStats(
             name=entry["name"], offered=entry["offered"],

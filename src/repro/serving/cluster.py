@@ -17,22 +17,20 @@ sharded fleet workers drive too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.core.schemes import Scheme
 from repro.obs.monitors import emit_alert_spans
 from repro.packs.artifact import pack_for
-from repro.packs.store import (PackPolicy, PackTransferCounters,
-                               feed_pack_metrics)
-from repro.serving.metrics import percentile as nearest_rank_percentile
-from repro.serving.pool import COLD, FAILED, SHED, InstancePool
+from repro.packs.store import PackPolicy, feed_pack_metrics
+from repro.serving.pool import COLD, FAILED, SHED, InstancePool, PoolStats
 from repro.serving.requests import RequestTrace
 from repro.serving.resilience import ResiliencePolicy, ResilienceState
 from repro.serving.server import InferenceServer
-from repro.sim.faults import FaultCounters, FaultPlan
-from repro.sim.trace import RETENTION_POLICIES, TraceRecorder
+from repro.sim.faults import FaultPlan
+from repro.sim.trace import RETENTION_POLICIES, TraceRecorder, check_count
 
 __all__ = ["ClusterConfig", "ClusterStats", "ClusterSimulator",
            "service_times"]
@@ -81,8 +79,8 @@ class ClusterConfig:
     packs: Optional[PackPolicy] = None
 
     def __post_init__(self) -> None:
-        if self.max_instances <= 0:
-            raise ValueError("need at least one instance")
+        check_count("max_instances", self.max_instances, 1)
+        check_count("trace_ring", self.trace_ring, 1)
         if not 0 <= self.keep_alive_s < math.inf:
             raise ValueError("keep-alive must be finite and non-negative")
         if (self.trace_retention is not None
@@ -90,90 +88,12 @@ class ClusterConfig:
             raise ValueError(
                 f"unknown trace retention {self.trace_retention!r}; "
                 f"expected None or one of {RETENTION_POLICIES}")
-        if self.trace_ring <= 0:
-            raise ValueError("trace_ring must be positive")
 
 
-@dataclass
-class ClusterStats:
-    """Outcome of one trace replay."""
-
-    latencies: List[float] = field(default_factory=list)
-    cold_starts: int = 0
-    warm_hits: int = 0
-    queue_waits: List[float] = field(default_factory=list)
-    failed: int = 0   # requests explicitly failed (reroute budget spent)
-    shed: int = 0     # requests rejected up front by admission control
-    faults: FaultCounters = field(default_factory=FaultCounters)
-    # Request-level trace (None unless ClusterConfig.trace_retention set).
-    trace: Optional[TraceRecorder] = None
-    # Requests replayed through the steady-state fast path.
-    fast_forwarded: int = 0
-    # Cold spawns restored from a kernel pack instead of a full cold
-    # load (counted separately from cold_starts so the hierarchy's
-    # savings are directly measurable).
-    pack_restores: int = 0
-    # Pack fetch-hierarchy accounting (None unless ClusterConfig.packs
-    # is set), including the byte-conservation ledger.
-    packs: Optional[PackTransferCounters] = None
-
-    @property
-    def completed(self) -> int:
-        """Requests that finished successfully."""
-        return len(self.latencies)
-
-    @property
-    def requests(self) -> int:
-        """Total requests accounted for: every offered request is
-        exactly one of completed, explicitly failed, or shed."""
-        return len(self.latencies) + self.failed + self.shed
-
-    @property
-    def availability(self) -> float:
-        """Fraction of *served* requests that completed successfully.
-
-        Shed requests are excluded from the denominator: admission
-        control rejects them immediately with a well-defined error
-        (the shed-adjusted availability the SLO is stated against),
-        which is not the same failure as a request that was accepted
-        and then lost.  With nothing shed this is exactly the historic
-        completed/requests ratio.
-        """
-        finished = self.completed + self.failed
-        if not finished:
-            return 1.0
-        return self.completed / finished
-
-    @property
-    def mean_latency(self) -> float:
-        """Arithmetic mean of per-request latency.
-
-        ``0.0`` when nothing completed (e.g. every request was
-        explicitly failed by a fault plan) — a replay must always be
-        reportable, crash-free, whatever the fault plan did.
-        """
-        if not self.latencies:
-            return 0.0
-        return sum(self.latencies) / len(self.latencies)
-
-    def percentile(self, q: float) -> float:
-        """The q-quantile (0..1) of request latency, by nearest rank.
-
-        Delegates to :func:`repro.serving.metrics.percentile` (the same
-        definition the metrics registry summaries use), except that an
-        empty sample returns ``0.0`` instead of raising, for the same
-        reason as :attr:`mean_latency`.
-        """
-        if not 0 <= q <= 1:
-            raise ValueError(f"quantile out of range: {q}")
-        if not self.latencies:
-            return 0.0
-        return nearest_rank_percentile(self.latencies, q)
-
-    @property
-    def cold_start_fraction(self) -> float:
-        """Share of requests that paid a cold start."""
-        return self.cold_starts / self.requests if self.requests else 0.0
+# A bare cluster's replay outcome is one pool's (the restore and prewarm
+# counters stay 0: a cluster neither restores from checkpoints nor
+# pre-warms).
+ClusterStats = PoolStats
 
 
 # Per-server service-time memo shared by every ClusterSimulator built on
@@ -332,11 +252,7 @@ class ClusterSimulator:
         """Fed once from the collected stats (covers both the stepping
         and fast-forward paths) so the scheduling loop stays untouched."""
         label = self.config.scheme.label
-        for outcome, value in (("warm", stats.warm_hits),
-                               ("cold", stats.cold_starts),
-                               ("failed", stats.failed),
-                               ("shed", stats.shed),
-                               ("pack", stats.pack_restores)):
+        for outcome, value in stats.outcome_counts():
             if value:
                 self._m_requests.inc(value, outcome=outcome, scheme=label)
         if pool.pack_state is not None:

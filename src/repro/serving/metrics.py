@@ -3,7 +3,8 @@ robustness counters collected under fault injection.
 
 :class:`FaultCounters` (re-exported from :mod:`repro.sim.faults`) is the
 canonical record of retries, fallbacks, reroutes and availability for a
-run; :func:`availability` computes the same ratio from raw counts.
+run; :func:`availability` (also from :mod:`repro.sim.faults`) computes
+the same ratio from raw counts.
 """
 
 from __future__ import annotations
@@ -11,20 +12,10 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Sequence
 
-from repro.sim.faults import FaultCounters
+from repro.sim.faults import FaultCounters, availability
 
 __all__ = ["FaultCounters", "availability", "geometric_mean", "mean",
            "normalize", "percentile", "histogram_summary"]
-
-
-def availability(completed: int, failed: int) -> float:
-    """Fraction of finished requests that completed successfully."""
-    if completed < 0 or failed < 0:
-        raise ValueError("counts must be non-negative")
-    finished = completed + failed
-    if finished == 0:
-        return 1.0
-    return completed / finished
 
 
 def mean(values: Iterable[float]) -> float:

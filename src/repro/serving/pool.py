@@ -24,6 +24,14 @@ autoscaler can move the cap between arrivals.  The optional
 collaborators (``resilience``, ``pack_state``, ``restore_cost``,
 ``queue_depth``) are ``None`` until a driver attaches them, and an
 absent one changes nothing.
+
+A pool writes its outcomes into one :class:`PoolStats`.  A bare cluster
+reads it as ``ClusterStats`` (the same class); a fleet region's
+``RegionStats`` subclass adds only the region's name, device and
+autoscaler counters.  Tenant and fleet totals are not pools, but all
+four types summarize latency through the one :class:`LatencySummary`
+base, so availability, mean latency, nearest-rank percentiles and the
+conservation predicate each have a single definition.
 """
 
 from __future__ import annotations
@@ -35,13 +43,15 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.packs.artifact import KernelPack
-from repro.packs.store import PackPolicy, PackStoreState, RegistryFabric
+from repro.packs.store import (PackPolicy, PackStoreState,
+                               PackTransferCounters, RegistryFabric)
+from repro.serving.metrics import percentile as nearest_rank_percentile
 from repro.serving.resilience import ResilienceState
-from repro.sim.faults import FaultPlan
+from repro.sim.faults import FaultCounters, FaultPlan, availability
 from repro.sim.trace import Phase, TraceRecorder
 
-__all__ = ["InstancePool", "WARM", "FAILED", "SHED", "COLD", "RESTORE",
-           "PACK"]
+__all__ = ["InstancePool", "PoolStats", "LatencySummary", "OfferedSummary",
+           "WARM", "FAILED", "SHED", "COLD", "RESTORE", "PACK"]
 
 # Outcome codes of one arrival.  ``advance`` bills a run of warm hits as
 # a block of zero bytes, so WARM must stay 0.
@@ -49,6 +59,121 @@ WARM, FAILED, SHED, COLD, RESTORE, PACK = range(6)
 
 _LAST_USED = operator.attrgetter("last_used")
 _READY_AT = ResilienceState.ready_at
+
+
+class LatencySummary:
+    """The request-outcome summary every stats type shares.
+
+    A subclass provides ``latencies`` (one per completed request),
+    ``failed`` and ``shed``: every request it accounts for is exactly
+    one of completed, failed or shed.
+    """
+
+    @property
+    def completed(self) -> int:
+        """Requests that finished successfully."""
+        return len(self.latencies)
+
+    @property
+    def requests(self) -> int:
+        """Requests accounted for: completed + failed + shed."""
+        return self.completed + self.failed + self.shed
+
+    @property
+    def availability(self) -> float:
+        """Fraction of *served* requests that completed successfully.
+
+        Shed requests are excluded from the denominator: shedding
+        rejects them immediately with a well-defined error (the
+        shed-adjusted availability the SLO is stated against), which is
+        not the same failure as a request that was accepted and then
+        lost.  With nothing shed this is completed / requests.
+        """
+        return availability(self.completed, self.failed)
+
+    def _latency_sum(self) -> float:
+        """Sum of the latencies; a subclass may sum them without
+        building one list."""
+        return sum(self.latencies)
+
+    @property
+    def mean_latency(self) -> float:
+        """Arithmetic mean of per-request latency.
+
+        ``0.0`` when nothing completed (e.g. every request was
+        explicitly failed by a fault plan): a replay must always be
+        reportable, whatever the fault plan did.
+        """
+        completed = self.completed
+        return self._latency_sum() / completed if completed else 0.0
+
+    def percentile(self, q: float) -> float:
+        """The q-quantile (0..1) of request latency, by nearest rank.
+
+        Delegates to :func:`repro.serving.metrics.percentile` (the same
+        definition the metrics registry summaries use), except that an
+        empty sample returns ``0.0`` instead of raising, for the same
+        reason as :attr:`mean_latency`.
+        """
+        if not 0 <= q <= 1:
+            raise ValueError(f"quantile out of range: {q}")
+        latencies = self.latencies
+        if not latencies:
+            return 0.0
+        return nearest_rank_percentile(latencies, q)
+
+
+class OfferedSummary(LatencySummary):
+    """A summary that also counts the requests it was ``offered``."""
+
+    @property
+    def conserved(self) -> bool:
+        """The accounting invariant: every offered request is exactly
+        one of completed, failed, or shed."""
+        return self.offered == self.requests
+
+
+@dataclass
+class PoolStats(LatencySummary):
+    """Outcome of one pool's replay: what :class:`InstancePool` writes."""
+
+    latencies: List[float] = field(default_factory=list)
+    queue_waits: List[float] = field(default_factory=list)
+    cold_starts: int = 0
+    warm_hits: int = 0
+    failed: int = 0   # requests explicitly failed (reroute budget spent)
+    shed: int = 0     # requests rejected up front (admission, shedding)
+    faults: FaultCounters = field(default_factory=FaultCounters)
+    # Request-level trace (None unless a trace retention is set).
+    trace: Optional[TraceRecorder] = None
+    # Requests replayed through the analytic fast path.
+    fast_forwarded: int = 0
+    # Spawns restored from a kernel pack instead of a full cold load
+    # (counted apart from cold_starts, so the hierarchy's savings are
+    # directly measurable) and the fetch ledger (None without packs).
+    pack_restores: int = 0
+    packs: Optional[PackTransferCounters] = None
+    # Spawns served from a warm-state checkpoint (``restore_cost`` set)
+    # and the restore spin-up they paid on the request path.
+    restores: int = 0
+    restore_s: float = 0.0
+    # Spawns off the request path, of which from a checkpoint, and the
+    # spin-up time their owner paid (:meth:`InstancePool.prewarm`).
+    prewarm_spawns: int = 0
+    prewarm_restores: int = 0
+    prewarm_s: float = 0.0
+
+    @property
+    def cold_start_fraction(self) -> float:
+        """Share of requests that paid a cold start."""
+        return self.cold_starts / self.requests if self.requests else 0.0
+
+    def outcome_counts(self) -> Tuple[Tuple[str, int], ...]:
+        """``(outcome, count)`` per way a request ended: the ``outcome``
+        labels of the request-counter metrics."""
+        return (("warm", self.warm_hits), ("cold", self.cold_starts),
+                ("restore", self.restores), ("pack", self.pack_restores),
+                ("failed", self.failed), ("shed", self.shed))
 
 
 @dataclass
@@ -72,13 +197,14 @@ class _Instance:
 class InstancePool:
     """The instances of one pool and the scheduling step over them.
 
-    ``stats`` receives the outcome accounting; it is a
-    :class:`~repro.serving.cluster.ClusterStats` or a fleet
-    ``RegionStats`` (restore and prewarm counters are only touched when
-    ``restore_cost`` is set or :meth:`prewarm` is called).
+    ``stats`` receives the outcome accounting: a :class:`PoolStats`
+    (``ClusterStats`` is the same class) or a fleet ``RegionStats``, the
+    subclass that adds a region's name, device and autoscaler counters.
+    The restore and prewarm counters stay 0 unless ``restore_cost`` is
+    set or :meth:`prewarm` is called.
     """
 
-    def __init__(self, stats, warm: float, cold: float, *, cap: int,
+    def __init__(self, stats: PoolStats, warm: float, cold: float, *, cap: int,
                  keep_alive: float, actor: str = "cluster",
                  faults: Optional[FaultPlan] = None,
                  recorder: Optional[TraceRecorder] = None) -> None:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.sim.faults import FaultCounters, FaultInjector
-from repro.sim.trace import Phase, TraceRecorder
+from repro.sim.trace import Phase, TraceRecorder, check_count
 
 __all__ = ["ResiliencePolicy", "ResilienceState"]
 
@@ -98,19 +98,16 @@ class ResiliencePolicy:
                      "breaker_backoff"):
             if not 1.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be >= 1 and finite")
-        if self.checkpoint_retention < 1:
-            raise ValueError("checkpoint_retention must be >= 1")
-        if self.breaker_threshold is not None and self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
-        if self.max_queue_depth is not None and self.max_queue_depth < 0:
-            raise ValueError("max_queue_depth must be non-negative")
+        check_count("checkpoint_retention", self.checkpoint_retention, 1)
+        for name, minimum in (("breaker_threshold", 1),
+                              ("max_queue_depth", 0),
+                              ("recycle_after_requests", 1)):
+            if getattr(self, name) is not None:
+                check_count(name, getattr(self, name), minimum)
         for name in ("shed_wait_s", "degrade_wait_s"):
             value = getattr(self, name)
             if value is not None and not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite")
-        if (self.recycle_after_requests is not None
-                and self.recycle_after_requests < 1):
-            raise ValueError("recycle_after_requests must be >= 1")
 
     @classmethod
     def disabled(cls) -> "ResiliencePolicy":

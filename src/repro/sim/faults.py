@@ -31,6 +31,8 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
+from repro.sim.trace import check_count
+
 __all__ = [
     "FaultError",
     "LoadFault",
@@ -43,6 +45,7 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
     "FaultCounters",
+    "availability",
 ]
 
 
@@ -160,8 +163,8 @@ class FaultPlan:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
         for name in ("max_load_attempts", "max_launch_attempts"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            check_count(name, getattr(self, name), 1)
+        check_count("max_reroutes", self.max_reroutes)
         for name in ("load_backoff_base_s", "exec_stall_s",
                      "loader_stall_s", "restart_delay_s"):
             if not 0 <= getattr(self, name) < math.inf:
@@ -170,8 +173,6 @@ class FaultPlan:
                 and not 0 <= self.load_timeout_s < math.inf):
             raise ValueError("load_timeout_s must be non-negative and "
                              "finite")
-        if self.max_reroutes < 0:
-            raise ValueError("max_reroutes must be non-negative")
         for name in ("registry_outage_windows", "peer_churn_windows"):
             for window in getattr(self, name):
                 if (len(window) != 2
@@ -211,6 +212,18 @@ class FaultPlan:
         return FaultInjector(self)
 
 
+def availability(completed: int, failed: int) -> float:
+    """Fraction of finished requests that completed successfully (1.0
+    when nothing finished).  The one definition: fault counters and
+    every outcome-stats type report through it."""
+    if completed < 0 or failed < 0:
+        raise ValueError("counts must be non-negative")
+    finished = completed + failed
+    if finished == 0:
+        return 1.0
+    return completed / finished
+
+
 @dataclass
 class FaultCounters:
     """What the fault layer actually did during one run."""
@@ -244,10 +257,7 @@ class FaultCounters:
     @property
     def availability(self) -> float:
         """Fraction of finished requests that completed successfully."""
-        finished = self.completed_requests + self.failed_requests
-        if finished == 0:
-            return 1.0
-        return self.completed_requests / finished
+        return availability(self.completed_requests, self.failed_requests)
 
     def merge(self, other: "FaultCounters") -> None:
         """Accumulate ``other`` into this counter set."""

@@ -44,7 +44,7 @@ from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple,
                     Union)
 
 __all__ = ["Phase", "TraceRecord", "TraceRecorder", "merge_intervals",
-           "subtract_intervals", "RETENTION_POLICIES"]
+           "subtract_intervals", "RETENTION_POLICIES", "check_count"]
 
 RETENTION_POLICIES = ("full", "aggregate")
 
@@ -244,11 +244,20 @@ def _route_keys(phase: Optional[Phase], actor: Optional[str]
     return ((phase, actor), (phase, None), (None, actor), (None, None))
 
 
+def check_count(field: str, value: Any, minimum: int = 0) -> None:
+    """Raise ``ValueError`` naming ``field`` unless ``value`` is an
+    integer (a bool is not one) of at least ``minimum``.  Every config
+    constructor checks its integer counts with this, so a NaN or
+    fractional count fails where it is written, not mid-replay."""
+    if not isinstance(value, int) or isinstance(value, bool) \
+            or value < minimum:
+        raise ValueError(f"{field} must be an integer >= {minimum}, "
+                         f"got {value!r}")
+
+
 def _state_count(field: str, count: Any) -> int:
     """``count`` if it is a non-negative integer (bool is not one)."""
-    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-        raise ValueError(f"trace state field {field} must be a "
-                         f"non-negative integer, got {count!r}")
+    check_count(f"trace state field {field}", count)
     return count
 
 
@@ -288,10 +297,7 @@ class TraceRecorder:
         if retention not in RETENTION_POLICIES:
             raise ValueError(f"unknown retention policy {retention!r}; "
                              f"expected one of {RETENTION_POLICIES}")
-        if (not isinstance(ring_size, int) or isinstance(ring_size, bool)
-                or ring_size <= 0):
-            raise ValueError(
-                f"ring_size must be a positive integer, got {ring_size!r}")
+        check_count("ring_size", ring_size, 1)
         self.retention = retention
         self.ring_size = ring_size
         self._records: Union[List[TraceRecord], "deque[TraceRecord]"]

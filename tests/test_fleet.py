@@ -1,5 +1,7 @@
 """Unit tests for the fleet layer: configs, traces, stats, payloads."""
 
+import dataclasses
+import json
 import math
 
 import pytest
@@ -7,7 +9,9 @@ import pytest
 from repro.core.schemes import Scheme
 from repro.fleet import (AUTOSCALE_KINDS, AutoscalePolicy, FleetConfig,
                          FleetSimulator, FleetTrace, ROUTING_POLICIES,
-                         RegionConfig, RoutingPolicy, merge_traces)
+                         RegionConfig, RegionStats, RoutingPolicy,
+                         equivalence_problems, merge_traces)
+from repro.packs.store import PackPolicy
 from repro.runner import (ExperimentTask, execute_task,
                           fleet_stats_from_payload, fleet_stats_to_payload)
 from repro.serving.requests import poisson_trace
@@ -212,6 +216,15 @@ def _general_stats(seed=0, **fleet_kwargs):
     return FleetSimulator(config).run(trace)
 
 
+def _perturbed(value):
+    """Some value unequal to ``value``."""
+    if isinstance(value, list):
+        return value + [1.0]
+    if isinstance(value, (int, float, str)):
+        return value + type(value)(1)
+    return None if value is not None else "set"
+
+
 class TestFleetStats:
     def test_aggregates_sum_regions(self):
         stats = _general_stats()
@@ -231,27 +244,24 @@ class TestFleetStats:
             stats.percentile(1.5)
 
     def test_payload_round_trip_exact(self):
-        stats = _general_stats()
-        restored = fleet_stats_from_payload(fleet_stats_to_payload(stats))
-        assert restored.offered == stats.offered
-        assert restored.delegated == stats.delegated
-        assert restored.shed_unroutable == stats.shed_unroutable
-        assert list(restored.regions) == list(stats.regions)
-        for name, region in stats.regions.items():
-            other = restored.regions[name]
-            assert other.latencies == region.latencies
-            assert other.queue_waits == region.queue_waits
-            assert other.cold_starts == region.cold_starts
-            assert other.restores == region.restores
-            assert other.restore_s == region.restore_s
-            assert other.scale_ups == region.scale_ups
-            assert other.scale_downs == region.scale_downs
-            assert other.faults.as_dict() == region.faults.as_dict()
-        for name, tenant in stats.tenants.items():
-            other = restored.tenants[name]
-            assert other.offered == tenant.offered
-            assert other.latencies == tenant.latencies
-        assert restored.conserved
+        for kwargs in ({"trace_retention": "full"},
+                       {"trace_retention": "aggregate",
+                        "packs": PackPolicy()}):
+            stats = _general_stats(**kwargs)
+            payload = json.loads(json.dumps(fleet_stats_to_payload(stats)))
+            restored = fleet_stats_from_payload(payload)
+            assert equivalence_problems(stats, restored) == []
+            assert restored.conserved
+
+    def test_audit_covers_every_region_field(self):
+        stats = _general_stats(trace_retention="full")
+        for f in dataclasses.fields(RegionStats):
+            restored = fleet_stats_from_payload(fleet_stats_to_payload(stats))
+            region = restored.regions["east"]
+            setattr(region, f.name, _perturbed(getattr(region, f.name)))
+            problems = equivalence_problems(stats, restored)
+            assert any(p.startswith(f"regions.east.{f.name}")
+                       for p in problems), f.name
 
     def test_payload_rejects_wrong_type(self):
         with pytest.raises(ValueError, match="not a fleet payload"):

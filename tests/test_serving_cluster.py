@@ -1,14 +1,27 @@
 """Tests for request traces and the autoscaling cluster simulator."""
 
+import json
 import math
 
 import pytest
 
 from repro.core.schemes import Scheme
-from repro.serving.cluster import ClusterConfig, ClusterSimulator
+from repro.fleet.autoscale import AutoscalePolicy
+from repro.fleet.fleet import (FleetConfig, FleetStats, RegionConfig,
+                               RegionStats, TenantStats)
+from repro.fleet.parallel import equivalence_problems
+from repro.packs.store import PackPolicy, TierPolicy
+from repro.runner.tasks import (ExperimentTask, cluster_stats_from_payload,
+                                cluster_stats_to_payload)
+from repro.serving.cluster import (ClusterConfig, ClusterSimulator,
+                                   ClusterStats)
+from repro.serving.metrics import percentile
+from repro.serving.pool import PoolStats
 from repro.serving.requests import RequestTrace, burst_trace, \
     bursty_trace, diurnal_trace, periodic_trace, poisson_trace
+from repro.serving.resilience import ResiliencePolicy
 from repro.serving.server import InferenceServer
+from repro.sim.faults import FaultPlan
 
 
 @pytest.fixture(scope="module")
@@ -149,49 +162,90 @@ class TestClusterSimulator:
             stats.percentile(1.5)
 
 
+def _each_stats_type(latencies=(), failed=0):
+    """The same request outcomes as each of the four stats types; the
+    fleet splits them over two regions."""
+    latencies = list(latencies)
+    offered = len(latencies) + failed
+    yield ClusterStats(latencies=list(latencies), failed=failed)
+    yield RegionStats(name="r0", device="MI100", latencies=list(latencies),
+                      failed=failed)
+    yield TenantStats(name="t", offered=offered, failed=failed,
+                      latencies=list(latencies))
+    yield FleetStats(offered=offered, regions={
+        "r0": RegionStats(name="r0", device="MI100",
+                          latencies=latencies[::2], failed=failed),
+        "r1": RegionStats(name="r1", device="A100",
+                          latencies=latencies[1::2])})
+
+
 class TestClusterStatsEdgeCases:
-    """Regression tests: stats must be crash-free on empty latencies and
-    use the nearest-rank percentile definition."""
+    """Regression tests, over cluster, region, tenant and fleet stats:
+    stats must be crash-free on empty latencies and use the nearest-rank
+    percentile definition."""
 
     def test_empty_stats_are_reportable(self):
-        from repro.serving.cluster import ClusterStats
-        stats = ClusterStats()
-        assert stats.mean_latency == 0.0
-        assert stats.percentile(0.5) == 0.0
-        assert stats.percentile(0.99) == 0.0
-        assert stats.cold_start_fraction == 0.0
-        assert stats.availability == 1.0
+        for stats in _each_stats_type():
+            assert stats.mean_latency == 0.0
+            assert stats.percentile(0.5) == 0.0
+            assert stats.percentile(0.99) == 0.0
+            assert stats.availability == 1.0
+            if isinstance(stats, PoolStats):
+                assert stats.cold_start_fraction == 0.0
 
     def test_all_failed_stats_are_reportable(self):
-        from repro.serving.cluster import ClusterStats
-        stats = ClusterStats(failed=5)
-        assert stats.completed == 0
-        assert stats.requests == 5
-        assert stats.availability == 0.0
-        assert stats.mean_latency == 0.0
-        assert stats.percentile(0.99) == 0.0
+        for stats in _each_stats_type(failed=5):
+            assert stats.completed == 0
+            assert stats.requests == 5
+            assert stats.availability == 0.0
+            assert stats.mean_latency == 0.0
+            assert stats.percentile(0.99) == 0.0
+            assert getattr(stats, "conserved", True)
 
     def test_nearest_rank_percentile(self):
-        from repro.serving.cluster import ClusterStats
-        stats = ClusterStats(latencies=[5.0, 1.0, 3.0, 2.0, 4.0])
-        # Nearest rank: rank = ceil(q * 5), 1-based.
-        assert stats.percentile(0.5) == 3.0    # true median, odd n
-        assert stats.percentile(1.0) == 5.0    # maximum
-        assert stats.percentile(0.0) == 1.0    # clamped to rank 1
-        assert stats.percentile(0.2) == 1.0
-        assert stats.percentile(0.21) == 2.0
+        sample = [5.0, 1.0, 3.0, 2.0, 4.0]
+        for stats in _each_stats_type(sample):
+            # Nearest rank: rank = ceil(q * 5), 1-based.
+            assert stats.percentile(0.5) == 3.0    # true median, odd n
+            assert stats.percentile(1.0) == 5.0    # maximum
+            assert stats.percentile(0.0) == 1.0    # clamped to rank 1
+            assert stats.percentile(0.2) == 1.0
+            assert stats.percentile(0.21) == 2.0
+            assert stats.mean_latency == 3.0
+
+    def test_delegates_to_nearest_rank(self):
+        # Every stats type uses the metrics-registry helper's definition,
+        # whatever order the latencies were recorded in.
+        for sample in ([3.0, 1.0, 2.0], [5.0, 1.0, 3.0, 2.0, 4.0]):
+            for stats in _each_stats_type(sample):
+                for q in (0.0, 0.1, 0.5, 0.9, 0.99, 1.0):
+                    assert stats.percentile(q) == percentile(sorted(sample), q)
+
+    def test_empty_latencies_return_zero(self):
+        # Legacy contract: stats report 0.0 with no samples instead of
+        # raising like the bare helper.
+        with pytest.raises(ValueError):
+            percentile([], 0.99)
+        for stats in _each_stats_type():
+            for q in (0.0, 0.5, 0.99, 1.0):
+                assert stats.percentile(q) == 0.0
 
     def test_single_latency(self):
-        from repro.serving.cluster import ClusterStats
-        stats = ClusterStats(latencies=[0.25])
-        assert stats.mean_latency == 0.25
-        for q in (0.0, 0.5, 0.99, 1.0):
-            assert stats.percentile(q) == 0.25
+        for stats in _each_stats_type([0.25]):
+            assert stats.mean_latency == 0.25
+            for q in (0.0, 0.5, 0.99, 1.0):
+                assert stats.percentile(q) == 0.25
+
+    def test_out_of_range_quantile_raises(self):
+        for sample in ((), (1.0, 2.0)):
+            for stats in _each_stats_type(sample):
+                for q in (-0.1, 1.5):
+                    with pytest.raises(ValueError, match="out of range"):
+                        stats.percentile(q)
 
     def test_replay_with_every_request_failed(self, server):
         """A fault plan that kills every attempt must yield a replay
         whose stats are still fully reportable (the original crash)."""
-        from repro.sim.faults import FaultPlan
         plan = FaultPlan(seed=11, crash_rate=1.0, max_reroutes=0,
                          restart_delay_s=0.01)
         sim = ClusterSimulator(
@@ -205,3 +259,68 @@ class TestClusterStatsEdgeCases:
         assert stats.mean_latency == 0.0
         assert stats.percentile(0.5) == 0.0
         assert stats.percentile(0.99) == 0.0
+
+
+@pytest.mark.parametrize("retention", ("full", "aggregate"))
+def test_cluster_payload_round_trip_exact(server, retention):
+    """Every pool field survives the cluster payload's JSON round trip,
+    on a replay with packs, crashes and a trace."""
+    config = ClusterConfig(
+        scheme=Scheme.PASK, max_instances=2, keep_alive_s=0.05,
+        faults=FaultPlan(seed=3, crash_rate=0.05,
+                         pack_local_failure_rate=0.2),
+        packs=PackPolicy(), trace_retention=retention)
+    stats = ClusterSimulator(server, config).run(
+        poisson_trace("res", 25.0, 4.0, seed=1))
+    assert stats.pack_restores and stats.faults.crashes
+    payload = json.loads(json.dumps(cluster_stats_to_payload(stats)))
+    restored = cluster_stats_from_payload(payload)
+    assert equivalence_problems(stats, restored) == []
+
+
+def _fleet_config(**kw):
+    return FleetConfig(regions=(RegionConfig("r0"),), **kw)
+
+
+def _region_config(**kw):
+    return RegionConfig("r0", **kw)
+
+
+def _cluster_task(**kw):
+    return ExperimentTask(kind="cluster", **kw)
+
+
+def _tier_policy(**kw):
+    return TierPolicy(bandwidth_bps=1e9, latency_s=0.0, timeout_s=1.0, **kw)
+
+
+# (constructor, field, minimum) for every integer count a config
+# constructor checks.
+_INTEGER_COUNTS = [
+    (ClusterConfig, "max_instances", 1), (ClusterConfig, "trace_ring", 1),
+    (_region_config, "max_instances", 1), (_fleet_config, "trace_ring", 1),
+    (AutoscalePolicy, "min_instances", 0), (FaultPlan, "max_reroutes", 0),
+    (FaultPlan, "max_load_attempts", 1),
+    (FaultPlan, "max_launch_attempts", 1),
+    (ResiliencePolicy, "checkpoint_retention", 1),
+    (ResiliencePolicy, "breaker_threshold", 1),
+    (ResiliencePolicy, "max_queue_depth", 0),
+    (ResiliencePolicy, "recycle_after_requests", 1),
+    (_cluster_task, "instances", 1), (_cluster_task, "trace_ring", 1),
+    (_cluster_task, "batch", 1), (_tier_policy, "max_attempts", 1)]
+
+
+@pytest.mark.parametrize("bad", ("nan", "fraction", "bool", "below"))
+@pytest.mark.parametrize(
+    "make,name,minimum", _INTEGER_COUNTS,
+    ids=[f"{make.__name__.lstrip('_')}.{name}"
+         for make, name, _ in _INTEGER_COUNTS])
+def test_config_rejects_bad_integer_counts(make, name, minimum, bad):
+    """A NaN, fractional, bool or too-small count fails at construction,
+    naming the field (``ClusterConfig(max_instances=nan)`` used to build
+    and then die mid-replay with an IndexError)."""
+    value = {"nan": float("nan"), "fraction": minimum + 0.5, "bool": True,
+             "below": minimum - 1}[bad]
+    with pytest.raises(ValueError, match=name):
+        make(**{name: value})
+    make(**{name: minimum + 1})  # a valid count still builds

@@ -2,13 +2,13 @@
 
 Covers the satellite work of the telemetry PR: the deterministic
 nearest-rank ``percentile`` / ``histogram_summary`` now shared by the
-cluster stats and the metrics registry, and the zero-total-time
-guards on ``TraceRecorder``.
+outcome stats and the metrics registry (the stats side is pinned in
+``tests/test_serving_cluster.py``), and the zero-total-time guards on
+``TraceRecorder``.
 """
 
 import pytest
 
-from repro.serving.cluster import ClusterStats
 from repro.serving.metrics import histogram_summary, percentile
 from repro.sim.trace import Phase, TraceRecorder
 
@@ -76,24 +76,6 @@ class TestHistogramSummary:
         summary = histogram_summary(values)
         for q, key in ((0.5, "p50"), (0.9, "p90"), (0.99, "p99")):
             assert summary[key] == percentile(values, q)
-
-
-class TestClusterStatsPercentileDelegation:
-    def stats(self, latencies):
-        return ClusterStats(latencies=latencies)
-
-    def test_delegates_to_nearest_rank(self):
-        stats = self.stats([3.0, 1.0, 2.0])
-        assert stats.percentile(0.5) == percentile([1.0, 2.0, 3.0], 0.5)
-
-    def test_empty_latencies_return_zero(self):
-        # Legacy contract: cluster stats report 0.0 with no samples
-        # instead of raising like the bare helper.
-        assert self.stats([]).percentile(0.99) == 0.0
-
-    def test_out_of_range_q_still_raises_on_empty(self):
-        with pytest.raises(ValueError):
-            self.stats([]).percentile(1.5)
 
 
 class TestTraceRecorderZeroTotalTime:
