@@ -26,23 +26,33 @@ Commands
 - ``metrics`` — run an instrumented cold serve plus a small cluster
   replay and dump the merged metrics registry as Prometheus text or
   JSON.
+
+The run commands (``cluster``, ``chaos``, ``metrics``, ``fleet``) parse
+their arguments into one :class:`~repro.runner.tasks.ExperimentTask`
+and replay it through the same ``build_replay``/``run_replay`` as the
+experiment grid and the scenarios; a handler only picks its telemetry
+sinks, serial or sharded replay, and formats the outcome.  A bad run
+argument prints ``error: ...`` and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.schemes import Scheme
+from repro.fleet import AutoscalePolicy
 from repro.models import MODEL_INFO, list_models
+from repro.obs import MetricsRegistry, SLOPolicy, SpanRecorder, spans_summary
 from repro.report import format_table
 from repro.runner.profile import LAYERS, profile_layer
 from repro.runner.scenarios import SCENARIOS, run_scenario
-from repro.serving.cluster import ClusterConfig, ClusterSimulator
+from repro.runner.tasks import (ExperimentTask, build_replay, run_replay,
+                                server_for)
 from repro.serving.experiments import DEFAULT_BATCHES, ExperimentSuite
-from repro.serving.requests import poisson_trace
 from repro.serving.server import InferenceServer
+from repro.sim.faults import FaultPlan
 
 __all__ = ["main", "build_parser"]
 
@@ -115,10 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="record request-level trace intervals "
                               "(aggregate keeps streaming metrics plus a "
                               "bounded ring of recent records)")
-    cluster.add_argument("--no-fast-forward", action="store_true",
-                         help="disable the steady-state fast path "
-                              "(results are identical; this is a perf "
-                              "comparison knob)")
 
     fleet = sub.add_parser(
         "fleet", help="replay a trace across a multi-region fleet with "
@@ -476,35 +482,6 @@ def _cmd_trace(args, out) -> int:
     return 0
 
 
-def _cmd_metrics(args, out) -> int:
-    from repro.obs import MetricsRegistry, SpanRecorder
-    scheme = _SCHEMES[args.scheme]
-    server = InferenceServer(args.device)
-    registry = MetricsRegistry()
-    server.serve_cold(args.model, scheme, spans=SpanRecorder(),
-                      metrics=registry)
-    trace = poisson_trace(args.model, args.rate, args.duration,
-                          seed=args.seed)
-    config = ClusterConfig(scheme=scheme, max_instances=args.instances)
-    ClusterSimulator(server, config, metrics=registry).run(trace)
-    if args.format == "json":
-        import json
-        dump = json.dumps(registry.to_json(), indent=2, sort_keys=True)
-    else:
-        dump = registry.to_prometheus()
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(dump)
-            if not dump.endswith("\n"):
-                handle.write("\n")
-        out(f"wrote {args.output} ({args.format}): one cold serve plus "
-            f"{len(trace)} replayed requests of {args.model!r} "
-            f"under {scheme.label}")
-    else:
-        out(dump)
-    return 0
-
-
 def _cmd_session(args, out) -> int:
     server = InferenceServer(args.device)
     results = server.serve_session(
@@ -520,18 +497,86 @@ def _cmd_session(args, out) -> int:
     return 0
 
 
-def _cmd_cluster(args, out) -> int:
-    server = InferenceServer(args.device)
-    scheme = _SCHEMES[args.scheme]
-    trace = poisson_trace(args.model, args.rate, args.duration,
-                          seed=args.seed)
-    config = ClusterConfig(scheme=scheme, max_instances=args.instances,
-                           keep_alive_s=args.keep_alive,
-                           trace_retention=args.trace_retention,
-                           fast_forward=not args.no_fast_forward)
-    stats = ClusterSimulator(server, config).run(trace)
-    out(f"{len(trace)} requests of {args.model!r} under {scheme.label} "
-        f"({args.instances} instances, keep-alive {args.keep_alive}s):")
+def _run_task(args) -> ExperimentTask:
+    """Parse a run command's arguments into its :class:`ExperimentTask`."""
+    knobs = dict(model=args.model, scheme=_SCHEMES[args.scheme].value,
+                 rate_hz=args.rate, duration_s=args.duration,
+                 seed=args.seed, instances=args.instances)
+    if args.command == "fleet":
+        autoscale = (None if args.autoscale == "none" else AutoscalePolicy(
+            kind=args.autoscale, min_instances=args.min_instances,
+            idle_timeout_s=args.idle_timeout,
+            checkpoint_restore=args.checkpoint_restore))
+        # Region i of the task crashes on seed + 1000 + i.
+        faults = (FaultPlan(seed=args.seed + 1000, crash_rate=args.crash_rate)
+                  if args.crash_rate > 0 else None)
+        return ExperimentTask(
+            kind="fleet", keep_alive_s=args.keep_alive, faults=faults,
+            fleet_devices=tuple(d.strip() for d in args.devices.split(",")
+                                if d.strip()),
+            arrival=args.arrival, peak_rate_hz=args.peak_rate,
+            period_s=args.period, burst_s=args.burst, routing=args.routing,
+            autoscale=autoscale, shed_wait_s=args.shed_wait,
+            tenants=args.tenants, **knobs)
+    faults = None
+    if args.command == "chaos":
+        faults = FaultPlan(
+            seed=args.seed,
+            load_failure_rate=args.load_failure_rate,
+            launch_failure_rate=args.launch_failure_rate,
+            loader_stall_rate=args.stall_rate,
+            loader_stall_s=args.stall_ms / 1e3,
+            load_timeout_s=args.load_timeout_ms / 1e3,
+            crash_rate=args.crash_rate,
+        )
+    # ``metrics`` has no --keep-alive; its replay keeps a 10 s keep-alive.
+    return ExperimentTask(
+        kind="cluster", device=args.device, faults=faults,
+        keep_alive_s=getattr(args, "keep_alive", 10.0),
+        trace_retention=getattr(args, "trace_retention", None), **knobs)
+
+
+def _run_sinks(args) -> Dict[str, Any]:
+    """The telemetry sinks a run command passes to its replay."""
+    telemetry = getattr(args, "telemetry", False)
+    sinks: Dict[str, Any] = {}
+    if (args.command == "metrics" or telemetry
+            or getattr(args, "metrics", None) is not None):
+        sinks["metrics"] = MetricsRegistry()
+    if telemetry:
+        sinks["spans"] = SpanRecorder()
+        sinks["slo"] = SLOPolicy(
+            availability_target=args.slo_availability,
+            p99_target_s=(args.slo_p99_ms / 1e3
+                          if args.slo_p99_ms is not None else None),
+            cold_rate_target=args.slo_cold_rate,
+            window_s=args.slo_window, burn_threshold=args.slo_burn)
+    return sinks
+
+
+def _dump_metrics(registry, fmt: str, path: Optional[str], out) -> bool:
+    """Print ``registry`` as ``fmt`` (prom or json), or write it to
+    ``path``; returns whether it wrote the file."""
+    if fmt == "json":
+        import json
+        dump = json.dumps(registry.to_json(), indent=2, sort_keys=True)
+    else:
+        dump = registry.to_prometheus()
+    if path is None:
+        out(dump)
+        return False
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(dump)
+        if not dump.endswith("\n"):
+            handle.write("\n")
+    return True
+
+
+def _cmd_cluster(args, task, config, trace, sinks, out) -> int:
+    stats = run_replay(task, config, trace, **sinks)
+    out(f"{len(trace)} requests of {task.model!r} under "
+        f"{task.scheme_enum.label} ({task.instances} instances, "
+        f"keep-alive {task.keep_alive_s}s):")
     out(f"  cold starts: {stats.cold_starts} "
         f"({stats.cold_start_fraction:.0%})")
     out(f"  latency mean {stats.mean_latency * 1e3:.2f} ms, "
@@ -547,93 +592,73 @@ def _cmd_cluster(args, out) -> int:
     return 0
 
 
-def _cmd_fleet(args, out) -> int:
-    from repro.fleet import (AutoscalePolicy, FleetConfig, FleetSimulator,
-                             RegionConfig, RoutingPolicy, merge_traces)
-    from repro.serving import bursty_trace, diurnal_trace
-    from repro.sim.faults import FaultPlan
+def _cmd_chaos(args, task, config, trace, sinks, out) -> int:
+    scheme = task.scheme_enum
+    server = server_for(task.device)
 
-    scheme = _SCHEMES[args.scheme]
-    devices = tuple(d.strip() for d in args.devices.split(",") if d.strip())
-    if not devices:
-        out("error: --devices needs at least one device")
-        return 2
-    if args.tenants < 1:
-        out("error: --tenants must be >= 1")
-        return 2
+    # One faulted cold start vs the fault-free reference.
+    reference = server.serve_cold(task.model, scheme)
+    result = server.serve_cold(task.model, scheme, faults=task.faults)
+    counters = result.faults
+    out(f"{task.model} cold start under {scheme.label} with faults "
+        f"(seed {task.seed}):")
+    status = "FAILED" if result.failed else "completed"
+    out(f"  request {status}: {result.total_time * 1e3:.2f} ms "
+        f"(fault-free {reference.total_time * 1e3:.2f} ms)")
+    out(f"  load faults: {counters.load_faults}  "
+        f"launch faults: {counters.launch_faults}  "
+        f"retries: {counters.retries}")
+    out(f"  loader stalls: {counters.loader_stalls}  "
+        f"fallbacks to reactive path: {counters.fallbacks}")
+    if args.timeline:
+        from repro.report import render_timeline
+        out("")
+        out(render_timeline(result.trace, total_time=result.total_time))
 
-    rate = args.rate / args.tenants
-    peak_default = {"diurnal": 4.0, "bursty": 8.0}.get(args.arrival, 1.0)
-    peak = ((args.peak_rate if args.peak_rate is not None
-             else peak_default * args.rate) / args.tenants)
-    period = (args.period if args.period is not None
-              else args.duration / (2.0 if args.arrival == "diurnal"
-                                    else 4.0))
+    # Trace replay with instance crash/restart churn.
+    stats = run_replay(task, config, trace, **sinks)
+    out("")
+    out(f"{len(trace)} requests replayed on {task.instances} instances "
+        f"with crash rate {task.faults.crash_rate:g}:")
+    out(f"  crashes: {stats.faults.crashes}  reroutes: "
+        f"{stats.faults.reroutes}  explicitly failed: {stats.failed}")
+    out(f"  availability: {stats.availability:.1%}  cold starts: "
+        f"{stats.cold_starts} ({stats.cold_start_fraction:.0%})")
+    if stats.latencies:
+        out(f"  latency mean {stats.mean_latency * 1e3:.2f} ms, "
+            f"p99 {stats.percentile(0.99) * 1e3:.2f} ms")
+    lost = len(trace) - stats.requests
+    if lost:
+        out(f"  ERROR: {lost} requests lost (neither completed nor failed)")
+        return 1
+    out("  no lost requests: every request completed or explicitly failed")
+    return 0
 
-    def tenant_trace(seed: int):
-        if args.arrival == "poisson":
-            return poisson_trace(args.model, rate, args.duration, seed=seed)
-        if args.arrival == "diurnal":
-            return diurnal_trace(args.model, rate, peak, period,
-                                 args.duration, seed=seed)
-        burst_len = args.burst if args.burst is not None else period / 5.0
-        return bursty_trace(args.model, rate, peak, period, burst_len,
-                            args.duration, seed=seed)
 
-    names = (["default"] if args.tenants == 1
-             else [f"t{i}" for i in range(args.tenants)])
-    trace = merge_traces([(name, tenant_trace(args.seed + i))
-                          for i, name in enumerate(names)])
+def _cmd_metrics(args, task, config, trace, sinks, out) -> int:
+    registry = sinks["metrics"]
+    server_for(task.device).serve_cold(task.model, task.scheme_enum,
+                                       spans=SpanRecorder(),
+                                       metrics=registry)
+    run_replay(task, config, trace, **sinks)
+    if _dump_metrics(registry, args.format, args.output, out):
+        out(f"wrote {args.output} ({args.format}): one cold serve plus "
+            f"{len(trace)} replayed requests of {task.model!r} "
+            f"under {task.scheme_enum.label}")
+    return 0
 
-    try:
-        autoscale = (None if args.autoscale == "none" else AutoscalePolicy(
-            kind=args.autoscale, min_instances=args.min_instances,
-            idle_timeout_s=args.idle_timeout,
-            checkpoint_restore=args.checkpoint_restore))
-    except ValueError as exc:
-        out(f"error: {exc}")
-        return 2
-    regions = tuple(
-        RegionConfig(name=f"r{i}", device=device, scheme=scheme,
-                     max_instances=args.instances,
-                     keep_alive_s=args.keep_alive,
-                     faults=(FaultPlan(seed=args.seed + 1000 + i,
-                                       crash_rate=args.crash_rate)
-                             if args.crash_rate > 0 else None))
-        for i, device in enumerate(devices))
-    config = FleetConfig(regions=regions,
-                         routing=RoutingPolicy(kind=args.routing),
-                         autoscale=autoscale, shed_wait_s=args.shed_wait)
-    metrics = spans = slo = None
-    if args.telemetry or args.metrics is not None:
-        from repro.obs import MetricsRegistry, SLOPolicy, SpanRecorder
-        metrics = MetricsRegistry()
-        if args.telemetry:
-            spans = SpanRecorder()
-            try:
-                slo = SLOPolicy(
-                    availability_target=args.slo_availability,
-                    p99_target_s=(args.slo_p99_ms / 1e3
-                                  if args.slo_p99_ms is not None
-                                  else None),
-                    cold_rate_target=args.slo_cold_rate,
-                    window_s=args.slo_window,
-                    burn_threshold=args.slo_burn)
-            except ValueError as exc:
-                out(f"error: {exc}")
-                return 2
+
+def _cmd_fleet(args, task, config, trace, sinks, out) -> int:
     report = None
     if args.jobs > 1 or args.verify_serial:
         from repro.fleet import equivalence_problems, run_fleet_sharded
         stats, report = run_fleet_sharded(config, trace, jobs=args.jobs,
-                                          metrics=metrics, spans=spans,
-                                          slo=slo)
+                                          **sinks)
     else:
-        stats = FleetSimulator(config, metrics=metrics, spans=spans,
-                               slo=slo).run(trace)
+        stats = run_replay(task, config, trace, **sinks)
 
-    out(f"{stats.offered} requests of {args.model!r} under {scheme.label} "
-        f"across {len(regions)} region(s) "
+    out(f"{stats.offered} requests of {task.model!r} under "
+        f"{task.scheme_enum.label} across {len(config.regions)} region(s) "
         f"({args.routing} routing, autoscale {args.autoscale}, "
         f"{args.arrival} arrivals):")
     for region in stats.regions.values():
@@ -667,7 +692,7 @@ def _cmd_fleet(args, out) -> int:
         out(f"  sharded replay: {report.mode} mode, {report.shards} "
             f"shard(s) x {report.jobs} job(s)")
     if args.telemetry:
-        from repro.obs import spans_summary
+        spans = sinks["spans"]
         counts = spans_summary(spans)
         summary = ", ".join(f"{v} {k}" for k, v in counts.items())
         out(f"  telemetry: {len(spans)} decision span(s)"
@@ -684,20 +709,10 @@ def _cmd_fleet(args, out) -> int:
                 f"t={alert['t']:.3f}s (value {alert['value']:.4g})")
         if len(alerts) > 5:
             out(f"    ... {len(alerts) - 5} more alert(s)")
-    if args.metrics is not None:
-        if args.metrics == "json":
-            import json
-            dump = json.dumps(metrics.to_json(), indent=2, sort_keys=True)
-        else:
-            dump = metrics.to_prometheus()
-        if args.metrics_output is not None:
-            with open(args.metrics_output, "w", encoding="utf-8") as handle:
-                handle.write(dump)
-                if not dump.endswith("\n"):
-                    handle.write("\n")
-            out(f"  wrote {args.metrics_output} ({args.metrics})")
-        else:
-            out(dump)
+    if (args.metrics is not None
+            and _dump_metrics(sinks["metrics"], args.metrics,
+                              args.metrics_output, out)):
+        out(f"  wrote {args.metrics_output} ({args.metrics})")
     if not stats.conserved:
         out(f"error: conservation violated — offered {stats.offered} != "
             f"completed {stats.completed} + failed {stats.failed} + "
@@ -705,7 +720,7 @@ def _cmd_fleet(args, out) -> int:
         return 1
     if args.verify_serial:
         problems = equivalence_problems(
-            FleetSimulator(config, slo=slo).run(trace), stats)
+            run_replay(task, config, trace, slo=sinks.get("slo")), stats)
         if problems:
             out(f"  serial equivalence: FAIL ({len(problems)} mismatched "
                 f"field(s))")
@@ -731,64 +746,6 @@ def _cmd_scenario(args, out) -> int:
     return 0 if all(gates.values()) else 1
 
 
-def _cmd_chaos(args, out) -> int:
-    from repro.sim.faults import FaultPlan
-
-    plan = FaultPlan(
-        seed=args.seed,
-        load_failure_rate=args.load_failure_rate,
-        launch_failure_rate=args.launch_failure_rate,
-        loader_stall_rate=args.stall_rate,
-        loader_stall_s=args.stall_ms / 1e3,
-        load_timeout_s=args.load_timeout_ms / 1e3,
-        crash_rate=args.crash_rate,
-    )
-    scheme = _SCHEMES[args.scheme]
-    server = InferenceServer(args.device)
-
-    # One faulted cold start vs the fault-free reference.
-    reference = server.serve_cold(args.model, scheme)
-    result = server.serve_cold(args.model, scheme, faults=plan)
-    counters = result.faults
-    out(f"{args.model} cold start under {scheme.label} with faults "
-        f"(seed {args.seed}):")
-    status = "FAILED" if result.failed else "completed"
-    out(f"  request {status}: {result.total_time * 1e3:.2f} ms "
-        f"(fault-free {reference.total_time * 1e3:.2f} ms)")
-    out(f"  load faults: {counters.load_faults}  "
-        f"launch faults: {counters.launch_faults}  "
-        f"retries: {counters.retries}")
-    out(f"  loader stalls: {counters.loader_stalls}  "
-        f"fallbacks to reactive path: {counters.fallbacks}")
-    if args.timeline:
-        from repro.report import render_timeline
-        out("")
-        out(render_timeline(result.trace, total_time=result.total_time))
-
-    # Trace replay with instance crash/restart churn.
-    trace = poisson_trace(args.model, args.rate, args.duration,
-                          seed=args.seed)
-    config = ClusterConfig(scheme=scheme, max_instances=args.instances,
-                           keep_alive_s=args.keep_alive, faults=plan)
-    stats = ClusterSimulator(server, config).run(trace)
-    out("")
-    out(f"{len(trace)} requests replayed on {args.instances} instances "
-        f"with crash rate {args.crash_rate:g}:")
-    out(f"  crashes: {stats.faults.crashes}  reroutes: "
-        f"{stats.faults.reroutes}  explicitly failed: {stats.failed}")
-    out(f"  availability: {stats.availability:.1%}  cold starts: "
-        f"{stats.cold_starts} ({stats.cold_start_fraction:.0%})")
-    if stats.latencies:
-        out(f"  latency mean {stats.mean_latency * 1e3:.2f} ms, "
-            f"p99 {stats.percentile(0.99) * 1e3:.2f} ms")
-    lost = len(trace) - stats.requests
-    if lost:
-        out(f"  ERROR: {lost} requests lost (neither completed nor failed)")
-        return 1
-    out("  no lost requests: every request completed or explicitly failed")
-    return 0
-
-
 def _cmd_validate(args, out) -> int:
     from repro.serving.validation import validate
     suite = ExperimentSuite(args.device)
@@ -801,6 +758,12 @@ def _cmd_validate(args, out) -> int:
     out("")
     out(f"{len(outcomes) - failures}/{len(outcomes)} criteria satisfied")
     return 1 if failures else 0
+
+
+# The run commands: each parses into an ExperimentTask, replays it
+# through build_replay/run_replay and formats the outcome.
+_RUNS = {"cluster": _cmd_cluster, "chaos": _cmd_chaos,
+         "metrics": _cmd_metrics, "fleet": _cmd_fleet}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -818,22 +781,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_experiment(args, out)
     if args.command == "session":
         return _cmd_session(args, out)
-    if args.command == "cluster":
-        return _cmd_cluster(args, out)
-    if args.command == "fleet":
-        return _cmd_fleet(args, out)
+    if args.command in _RUNS:
+        try:
+            task = _run_task(args)
+            config, trace = build_replay(task)
+            sinks = _run_sinks(args)
+        except ValueError as exc:
+            out(f"error: {exc}")
+            return 2
+        return _RUNS[args.command](args, task, config, trace, sinks, out)
     if args.command == "validate":
         return _cmd_validate(args, out)
-    if args.command == "chaos":
-        return _cmd_chaos(args, out)
     if args.command == "scenario":
         return _cmd_scenario(args, out)
     if args.command == "profile":
         return _cmd_profile(args, out)
     if args.command == "trace":
         return _cmd_trace(args, out)
-    if args.command == "metrics":
-        return _cmd_metrics(args, out)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -177,8 +177,7 @@ class FleetTrace:
         n = len(self.tenant_names)
         if any(not 0 <= t < n for t in self.tenants):
             raise ValueError("tenant index out of range")
-        if self.batch <= 0:
-            raise ValueError("batch must be positive")
+        check_count("batch", self.batch, 1)
 
     def __len__(self) -> int:
         return len(self.arrivals)
@@ -244,6 +243,12 @@ class TenantStats(OfferedSummary):
     failed: int = 0
     shed: int = 0
     latencies: List[float] = field(default_factory=list)
+
+    def outcome_counts(self) -> Tuple[Tuple[str, int], ...]:
+        """``(outcome, count)`` per way a request ended: the ``outcome``
+        labels of the per-tenant request counter."""
+        return (("completed", self.completed), ("failed", self.failed),
+                ("shed", self.shed))
 
 
 @dataclass
@@ -468,9 +473,7 @@ def _feed_tenant_metrics(registry, stats: "FleetStats") -> None:
     tenant_counter = registry.counter("fleet_tenant_requests_total",
                                       _TENANT_HELP)
     for name, tenant in stats.tenants.items():
-        for outcome, value in (("completed", tenant.completed),
-                               ("failed", tenant.failed),
-                               ("shed", tenant.shed)):
+        for outcome, value in tenant.outcome_counts():
             if value:
                 tenant_counter.inc(value, outcome=outcome, tenant=name)
     if stats.shed_unroutable:

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import Dict, List
 
+from repro.sim.trace import check_count
+
 __all__ = ["DeviceSpec", "MI100", "A100", "RX6900XT", "get_device", "list_devices"]
 
 
@@ -41,6 +43,7 @@ class DeviceSpec:
     reactive_load_penalty: float = 2.3
 
     def __post_init__(self) -> None:
+        check_count("compute_units", self.compute_units, 1)
         # Every cost constant, the reactive penalty included, must be
         # positive and finite; NaN fails the comparison too.
         for spec in fields(self):

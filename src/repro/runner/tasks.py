@@ -1,8 +1,12 @@
 """Experiment tasks: serializable simulation cells and their executor.
 
 An :class:`ExperimentTask` names one deterministic simulation — a cold
-serve, a hot serve or a cluster trace replay — with every knob that can
-change its outcome.  :func:`execute_task` turns a task into a JSON-safe
+serve, a hot serve, a cluster or a fleet trace replay — with every knob
+that can change its outcome; it is the one run spec behind the grid,
+the scenarios and the ``repro cluster|chaos|metrics|fleet`` commands.
+:func:`build_replay` turns a cluster or fleet task into its
+``(config, trace)``, :func:`run_replay` replays them with the caller's
+telemetry sinks, and :func:`execute_task` turns a task into a JSON-safe
 payload; :func:`result_from_payload` / :func:`cluster_stats_from_payload`
 reconstruct the original result objects exactly (floats survive a JSON
 round-trip bit-for-bit via ``repr``), which is what lets the parallel
@@ -16,19 +20,19 @@ changes a result.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.cache import CacheStats
 from repro.core.results import ExecutionResult
 from repro.core.schemes import Scheme
 from repro.fleet.autoscale import AutoscalePolicy
 from repro.fleet.fleet import (FleetConfig, FleetSimulator, FleetStats,
-                               RegionConfig, RegionStats, TenantStats)
+                               FleetTrace, RegionConfig, RegionStats,
+                               TenantStats, merge_traces)
 from repro.fleet.routing import ROUTING_POLICIES, RoutingPolicy
 from repro.packs.store import PackPolicy, PackTransferCounters
 from repro.serving.cluster import ClusterConfig, ClusterSimulator, ClusterStats
-from repro.serving.pool import PoolStats
 from repro.serving.requests import (RequestTrace, bursty_trace, diurnal_trace,
                                     poisson_trace)
 from repro.serving.resilience import ResiliencePolicy
@@ -39,6 +43,8 @@ from repro.sim.trace import (RETENTION_POLICIES, Phase, TraceRecord,
 
 __all__ = [
     "ExperimentTask",
+    "build_replay",
+    "run_replay",
     "execute_task",
     "result_to_payload",
     "result_from_payload",
@@ -68,6 +74,8 @@ class ExperimentTask:
       cluster knobs shape each region, ``fleet_devices`` places one
       region per device, ``arrival`` selects the workload shape, and
       ``routing``/``autoscale``/``shed_wait_s`` are the fleet policies.
+      ``tenants`` splits the arrivals into that many seeded traffic
+      classes, and region i replays ``faults`` reseeded to seed + i.
     """
 
     kind: str = "cold"
@@ -109,6 +117,9 @@ class ExperimentTask:
     routing: str = "single"
     autoscale: Optional[AutoscalePolicy] = None
     shed_wait_s: Optional[float] = None
+    # Tenant i offers rate_hz/tenants (and peak/tenants) from seed + i;
+    # left out of describe() at 1.
+    tenants: int = 1
     # Kernel-pack fetch hierarchy (repro.packs) for cluster and fleet
     # replays; None keeps existing cache keys stable.
     packs: Optional[PackPolicy] = None
@@ -118,7 +129,7 @@ class ExperimentTask:
             raise ValueError(f"unknown task kind {self.kind!r}")
         if self.scheme not in _SCHEMES_BY_VALUE:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        for name in ("batch", "instances", "trace_ring"):
+        for name in ("batch", "instances", "trace_ring", "tenants"):
             check_count(name, getattr(self, name), 1)
         if (self.trace_retention is not None
                 and self.trace_retention not in RETENTION_POLICIES):
@@ -137,6 +148,9 @@ class ExperimentTask:
             if not self.fleet_devices:
                 raise ValueError("fleet_devices must name at least one "
                                  "device when given")
+        if self.kind != "fleet" and self.tenants != 1:
+            raise ValueError("the tenant split applies to fleet replays; "
+                             f"{self.kind!r} tasks have one tenant")
         if self.kind == "fleet" and self.resilience is not None:
             raise ValueError("fleet tasks do not take a resilience policy "
                              "(it is a cluster-level knob)")
@@ -189,6 +203,8 @@ class ExperimentTask:
                     cell += "-cr"
             if self.shed_wait_s is not None:
                 cell += f"/w{self.shed_wait_s:g}"
+            if self.tenants != 1:
+                cell += f"/n{self.tenants}"
             if self.packs is not None:
                 cell += "/pk"
             if self.faults is not None and not self.faults.is_zero:
@@ -233,6 +249,9 @@ class ExperimentTask:
         if self.packs is None:
             # Same stability rule for the pack-hierarchy knob.
             out.pop("packs", None)
+        if self.tenants == 1:
+            # Same stability rule for the tenant split.
+            del out["tenants"]
         if self.kind == "hot":
             # Hot serves always run the baseline-lowered program.
             del out["scheme"]
@@ -342,10 +361,9 @@ _CLUSTER_OMITS = ("restores", "restore_s", "prewarm_spawns",
                   "prewarm_restores", "prewarm_s")
 
 
-def _pool_to_payload(stats: PoolStats,
-                     omit: Tuple[str, ...] = ()) -> Dict[str, Any]:
-    """Every dataclass field of ``stats`` (pool fields plus, for a
-    region, its own), JSON-safe."""
+def _pool_to_payload(stats, omit: Tuple[str, ...] = ()) -> Dict[str, Any]:
+    """Every dataclass field of ``stats`` (a pool, a region or a
+    tenant), JSON-safe."""
     out: Dict[str, Any] = {}
     for f in fields(stats):
         value = getattr(stats, f.name)
@@ -353,7 +371,7 @@ def _pool_to_payload(stats: PoolStats,
         if encode is not None and value is not None:
             value = encode(value)
         out[f.name] = value
-    if stats.packs is None:
+    if "packs" in out and stats.packs is None:
         # Absent rather than null so pre-packs payloads stay byte-stable.
         omit += ("pack_restores", "packs")
     for name in omit:
@@ -361,9 +379,9 @@ def _pool_to_payload(stats: PoolStats,
     return out
 
 
-def _pool_from_payload(cls, entry: Dict[str, Any]) -> PoolStats:
-    """Inverse of :func:`_pool_to_payload` for ``cls`` (a PoolStats or a
-    subclass); absent fields keep their defaults."""
+def _pool_from_payload(cls, entry: Dict[str, Any]):
+    """Inverse of :func:`_pool_to_payload` for ``cls`` (a PoolStats
+    subclass or TenantStats); absent fields keep their defaults."""
     kwargs = {}
     for f in fields(cls):
         if f.name not in entry:
@@ -395,10 +413,7 @@ def fleet_stats_to_payload(stats: FleetStats) -> Dict[str, Any]:
         "shed_unroutable": stats.shed_unroutable,
         "delegated": stats.delegated,
         "regions": [_pool_to_payload(r) for r in stats.regions.values()],
-        "tenants": [
-            {"name": t.name, "offered": t.offered, "failed": t.failed,
-             "shed": t.shed, "latencies": list(t.latencies)}
-            for t in stats.tenants.values()],
+        "tenants": [_pool_to_payload(t) for t in stats.tenants.values()],
     }
     if stats.monitors is not None:
         # Absent rather than null so pre-SLO payloads stay byte-stable.
@@ -416,10 +431,7 @@ def fleet_stats_from_payload(payload: Dict[str, Any]) -> FleetStats:
     for entry in payload["regions"]:
         stats.regions[entry["name"]] = _pool_from_payload(RegionStats, entry)
     for entry in payload["tenants"]:
-        stats.tenants[entry["name"]] = TenantStats(
-            name=entry["name"], offered=entry["offered"],
-            failed=entry["failed"], shed=entry["shed"],
-            latencies=list(entry["latencies"]))
+        stats.tenants[entry["name"]] = _pool_from_payload(TenantStats, entry)
     stats.monitors = payload.get("monitors")
     return stats
 
@@ -443,37 +455,99 @@ def payload_to_object(payload: Dict[str, Any]) -> Any:
 _SERVERS: Dict[str, InferenceServer] = {}
 
 
-def _server(device: str) -> InferenceServer:
+def server_for(device: str) -> InferenceServer:
+    """This process's shared :class:`InferenceServer` for ``device``."""
     if device not in _SERVERS:
         _SERVERS[device] = InferenceServer(device)
     return _SERVERS[device]
 
 
-def arrival_trace(task: ExperimentTask) -> RequestTrace:
+def arrival_trace(task: ExperimentTask) -> Union[RequestTrace, FleetTrace]:
     """The workload a fleet task replays, from its arrival knobs.
 
     Unset shape knobs get derived defaults (peak = 4x/8x the base rate,
     period = a fraction of the duration) so the common case needs only
-    ``arrival=...`` on top of the cluster knobs.
+    ``arrival=...`` on top of the cluster knobs.  With N tenants the
+    rate and the (defaulted) peak are divided by N and tenant i draws
+    from seed + i; the tenant traces merge into one :class:`FleetTrace`.
     """
-    if task.arrival == "poisson":
-        return poisson_trace(task.model, task.rate_hz, task.duration_s,
-                             seed=task.seed, batch=task.batch)
-    if task.arrival == "diurnal":
-        peak = (task.peak_rate_hz if task.peak_rate_hz is not None
-                else 4.0 * task.rate_hz)
-        period = (task.period_s if task.period_s is not None
-                  else task.duration_s / 2.0)
-        return diurnal_trace(task.model, task.rate_hz, peak, period,
-                             task.duration_s, seed=task.seed,
-                             batch=task.batch)
-    burst = (task.peak_rate_hz if task.peak_rate_hz is not None
-             else 8.0 * task.rate_hz)
-    every = (task.period_s if task.period_s is not None
-             else task.duration_s / 4.0)
-    burst_len = task.burst_s if task.burst_s is not None else every / 5.0
-    return bursty_trace(task.model, task.rate_hz, burst, every, burst_len,
-                        task.duration_s, seed=task.seed, batch=task.batch)
+    n = task.tenants
+    rate = task.rate_hz / n
+    period = task.period_s
+    if period is None:
+        period = task.duration_s / (2.0 if task.arrival == "diurnal" else 4.0)
+    peak = task.peak_rate_hz
+    if peak is None:
+        peak = (4.0 if task.arrival == "diurnal" else 8.0) * task.rate_hz
+    peak /= n
+
+    def tenant_trace(seed: int) -> RequestTrace:
+        if task.arrival == "poisson":
+            return poisson_trace(task.model, rate, task.duration_s,
+                                 seed=seed, batch=task.batch)
+        if task.arrival == "diurnal":
+            return diurnal_trace(task.model, rate, peak, period,
+                                 task.duration_s, seed=seed, batch=task.batch)
+        burst_len = task.burst_s if task.burst_s is not None else period / 5.0
+        return bursty_trace(task.model, rate, peak, period, burst_len,
+                            task.duration_s, seed=seed, batch=task.batch)
+
+    if n == 1:
+        return tenant_trace(task.seed)
+    return merge_traces([(f"t{i}", tenant_trace(task.seed + i))
+                         for i in range(n)])
+
+
+def build_replay(task: ExperimentTask):
+    """The ``(config, trace)`` a cluster or fleet task replays: a
+    :class:`ClusterConfig` and a Poisson trace, or a
+    :class:`FleetConfig` (region i on ``region_devices[i]``, its faults
+    reseeded to seed + i) and the :func:`arrival_trace`."""
+    if task.kind == "cluster":
+        config = ClusterConfig(scheme=task.scheme_enum,
+                               max_instances=task.instances,
+                               keep_alive_s=task.keep_alive_s,
+                               faults=task.faults,
+                               trace_retention=task.trace_retention,
+                               trace_ring=task.trace_ring,
+                               resilience=task.resilience,
+                               packs=task.packs)
+        return config, poisson_trace(task.model, task.rate_hz,
+                                     task.duration_s, seed=task.seed,
+                                     batch=task.batch)
+    if task.kind != "fleet":
+        raise ValueError(f"{task.kind!r} tasks are serves, not replays")
+    faults = task.faults
+    regions = tuple(
+        RegionConfig(name=f"r{index}", device=device,
+                     scheme=task.scheme_enum,
+                     max_instances=task.instances,
+                     keep_alive_s=task.keep_alive_s,
+                     faults=(replace(faults, seed=faults.seed + index)
+                             if faults is not None else None))
+        for index, device in enumerate(task.region_devices))
+    config = FleetConfig(regions=regions,
+                         routing=RoutingPolicy(task.routing),
+                         autoscale=task.autoscale,
+                         shed_wait_s=task.shed_wait_s,
+                         trace_retention=task.trace_retention,
+                         trace_ring=task.trace_ring,
+                         packs=task.packs)
+    return config, arrival_trace(task)
+
+
+def run_replay(task: ExperimentTask, config, trace, metrics=None,
+               spans=None, slo=None):
+    """Replay :func:`build_replay`'s ``(config, trace)`` for ``task``
+    serially, feeding the given telemetry sinks (an SLO policy applies
+    to fleets only); returns the cluster or fleet stats."""
+    if task.kind == "fleet":
+        servers = {device: server_for(device)
+                   for device in task.region_devices}
+        return FleetSimulator(config, metrics=metrics, spans=spans, slo=slo,
+                              servers=servers).run(trace)
+    return ClusterSimulator(server_for(task.device), config, metrics=metrics,
+                            spans=spans).run(trace)
 
 
 def execute_task(task: ExperimentTask) -> Dict[str, Any]:
@@ -482,54 +556,21 @@ def execute_task(task: ExperimentTask) -> Dict[str, Any]:
     This is the function worker processes run; it must stay importable
     at module top level so :mod:`concurrent.futures` can pickle it.
     """
-    server = _server(task.device)
     metrics = None
     if task.collect_metrics:
         from repro.obs.metrics import MetricsRegistry
         metrics = MetricsRegistry()
-
-    def _with_metrics(payload: Dict[str, Any]) -> Dict[str, Any]:
-        if metrics is not None:
-            payload["metrics"] = metrics.to_json()
-        return payload
-
     if task.kind == "cold":
-        result = server.serve_cold(task.model, task.scheme_enum, task.batch,
-                                   faults=task.faults, metrics=metrics)
-        return _with_metrics(result_to_payload(result))
-    if task.kind == "hot":
-        result = server.serve_hot(task.model, task.batch, faults=task.faults,
-                                  metrics=metrics)
-        return _with_metrics(result_to_payload(result))
-    if task.kind == "fleet":
-        regions = tuple(
-            RegionConfig(name=f"r{index}", device=device,
-                         scheme=task.scheme_enum,
-                         max_instances=task.instances,
-                         keep_alive_s=task.keep_alive_s,
-                         faults=task.faults)
-            for index, device in enumerate(task.region_devices))
-        config = FleetConfig(regions=regions,
-                             routing=RoutingPolicy(task.routing),
-                             autoscale=task.autoscale,
-                             shed_wait_s=task.shed_wait_s,
-                             trace_retention=task.trace_retention,
-                             trace_ring=task.trace_ring,
-                             packs=task.packs)
-        servers = {device: _server(device)
-                   for device in task.region_devices}
-        stats = FleetSimulator(config, metrics=metrics,
-                               servers=servers).run(arrival_trace(task))
-        return _with_metrics(fleet_stats_to_payload(stats))
-    trace = poisson_trace(task.model, task.rate_hz, task.duration_s,
-                          seed=task.seed, batch=task.batch)
-    config = ClusterConfig(scheme=task.scheme_enum,
-                           max_instances=task.instances,
-                           keep_alive_s=task.keep_alive_s,
-                           faults=task.faults,
-                           trace_retention=task.trace_retention,
-                           trace_ring=task.trace_ring,
-                           resilience=task.resilience,
-                           packs=task.packs)
-    stats = ClusterSimulator(server, config, metrics=metrics).run(trace)
-    return _with_metrics(cluster_stats_to_payload(stats))
+        payload = result_to_payload(server_for(task.device).serve_cold(
+            task.model, task.scheme_enum, task.batch, faults=task.faults,
+            metrics=metrics))
+    elif task.kind == "hot":
+        payload = result_to_payload(server_for(task.device).serve_hot(
+            task.model, task.batch, faults=task.faults, metrics=metrics))
+    else:
+        stats = run_replay(task, *build_replay(task), metrics=metrics)
+        payload = (fleet_stats_to_payload(stats) if task.kind == "fleet"
+                   else cluster_stats_to_payload(stats))
+    if metrics is not None:
+        payload["metrics"] = metrics.to_json()
+    return payload

@@ -14,9 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.results import ExecutionResult
 from repro.core.schemes import Scheme
 from repro.models import list_models
-from repro.serving.cluster import ClusterConfig, ClusterSimulator, ClusterStats
 from repro.serving.metrics import mean
-from repro.serving.requests import poisson_trace
 from repro.serving.server import InferenceServer
 from repro.sim.faults import FaultPlan
 from repro.sim.trace import Phase
@@ -34,20 +32,15 @@ class ExperimentSuite:
 
     def __init__(self, device: str = "MI100",
                  models: Optional[Sequence[str]] = None,
-                 faults: Optional[FaultPlan] = None,
-                 trace_retention: Optional[str] = None) -> None:
+                 faults: Optional[FaultPlan] = None) -> None:
         self.device = device
         self.models = list(models) if models is not None else list_models()
         # Optional fault plan threaded through every serve; an all-zero
         # plan leaves every experiment byte-identical to no plan at all.
         self.faults = faults
-        # Trace retention for cluster replays (None / "full" /
-        # "aggregate"); aggregate metrics are identical across policies.
-        self.trace_retention = trace_retention
         self._servers: Dict[str, InferenceServer] = {}
         self._cold: Dict[Tuple[str, str, Scheme, int], ExecutionResult] = {}
         self._hot: Dict[Tuple[str, str, int], ExecutionResult] = {}
-        self._cluster: Dict[Tuple, ClusterStats] = {}
 
     # ------------------------------------------------------------------
     # Memoized serving
@@ -78,30 +71,6 @@ class ExperimentSuite:
             self._hot[key] = self.server(device).serve_hot(
                 model, batch, faults=self.faults)
         return self._hot[key]
-
-    def cluster_replay(self, model: str, scheme: Scheme,
-                       rate_hz: float = 20.0, duration_s: float = 4.0,
-                       seed: int = 0, instances: int = 4,
-                       keep_alive_s: float = 0.5,
-                       device: Optional[str] = None) -> ClusterStats:
-        """Memoized Poisson-trace cluster replay.
-
-        Uses the suite's fault plan and trace retention policy; repeated
-        calls with the same knobs replay from the memo, mirroring
-        :meth:`cold`/:meth:`hot` for the serving-scale experiments.
-        """
-        device = device or self.device
-        key = (device, model, scheme, rate_hz, duration_s, seed,
-               instances, keep_alive_s)
-        if key not in self._cluster:
-            trace = poisson_trace(model, rate_hz, duration_s, seed=seed)
-            config = ClusterConfig(scheme=scheme, max_instances=instances,
-                                   keep_alive_s=keep_alive_s,
-                                   faults=self.faults,
-                                   trace_retention=self.trace_retention)
-            self._cluster[key] = ClusterSimulator(
-                self.server(device), config).run(trace)
-        return self._cluster[key]
 
     def inject_cold(self, device: str, model: str, scheme: Scheme,
                     batch: int, result: ExecutionResult) -> None:

@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from repro.sim.trace import check_count
+
 __all__ = ["RequestTrace", "poisson_trace", "burst_trace", "periodic_trace",
            "diurnal_trace", "bursty_trace"]
 
@@ -34,8 +36,7 @@ class RequestTrace:
             raise ValueError("negative arrival time")
         if list(self.arrivals) != sorted(self.arrivals):
             raise ValueError("arrivals must be sorted")
-        if self.batch <= 0:
-            raise ValueError("batch must be positive")
+        check_count("batch", self.batch, 1)
 
     def __len__(self) -> int:
         return len(self.arrivals)

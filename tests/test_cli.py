@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -134,3 +136,49 @@ class TestFleetCommand:
         payload = json.loads(report_path.read_text())
         assert validate_report(payload) == []
         assert payload["fleet_frontier"]["pass"] is True
+
+
+_GOLDEN_DIR = Path(__file__).parent / "data" / "cli"
+
+# (golden file stem, argv): stdout of each run command, recorded before
+# the commands were rebuilt on ExperimentTask and pinned byte for byte.
+_GOLDEN_RUNS = [
+    ("cluster_res", ["cluster", "res"]),
+    ("cluster_res_aggregate",
+     ["cluster", "res", "--trace-retention", "aggregate"]),
+    ("chaos_res", ["chaos", "res"]),
+    ("metrics_res_prom", ["metrics", "res"]),
+    ("metrics_res_json", ["metrics", "res", "--format", "json"]),
+    ("fleet_res", ["fleet", "res"]),
+    ("fleet_res_tenants",
+     ["fleet", "res", "--tenants", "3", "--arrival", "diurnal",
+      "--crash-rate", "0.05", "--duration", "10"]),
+    ("fleet_res_scale_to_zero",
+     ["fleet", "res", "--devices", "MI100,A100", "--routing", "round-robin",
+      "--autoscale", "scale-to-zero", "--idle-timeout", "0.2",
+      "--min-instances", "1", "--checkpoint-restore", "--keep-alive", "0.2",
+      "--instances", "2", "--arrival", "bursty", "--rate", "4",
+      "--peak-rate", "2000", "--duration", "20", "--shed-wait", "0.002"]),
+]
+
+
+@pytest.mark.parametrize("stem,argv", _GOLDEN_RUNS,
+                         ids=[stem for stem, _ in _GOLDEN_RUNS])
+def test_run_command_stdout_matches_golden(stem, argv, capsys):
+    assert main(argv) == 0
+    expected = (_GOLDEN_DIR / f"{stem}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["cluster", "res", "--instances", "0"], "instances"),
+    (["chaos", "res", "--instances", "0"], "instances"),
+    (["fleet", "res", "--instances", "0"], "instances"),
+    (["cluster", "res", "--keep-alive", "-1"], "keep-alive"),
+    (["fleet", "res", "--tenants", "0"], "tenants"),
+], ids=["cluster-instances", "chaos-instances", "fleet-instances",
+        "cluster-keep-alive", "fleet-tenants"])
+def test_bad_run_arguments_print_error_and_exit_2(argv, field, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and field in out

@@ -14,6 +14,7 @@ from repro.fleet import (AUTOSCALE_KINDS, AutoscalePolicy, FleetConfig,
 from repro.packs.store import PackPolicy
 from repro.runner import (ExperimentTask, execute_task,
                           fleet_stats_from_payload, fleet_stats_to_payload)
+from repro.runner.tasks import build_replay
 from repro.serving.requests import poisson_trace
 from repro.sim.faults import FaultPlan
 
@@ -314,6 +315,35 @@ class TestFleetTask:
         for knob in ("arrival", "routing", "autoscale", "fleet_devices",
                      "shed_wait_s"):
             assert knob not in description
+
+    def test_region_i_replays_faults_reseeded_to_seed_plus_i(self):
+        plan = FaultPlan(seed=1000, crash_rate=0.05)
+        task = ExperimentTask(kind="fleet", model="res", scheme="PaSK",
+                              fleet_devices=("MI100", "A100", "6900XT"),
+                              faults=plan)
+        config, _ = build_replay(task)
+        assert [region.faults for region in config.regions] == [
+            dataclasses.replace(plan, seed=1000 + i) for i in range(3)]
+
+    def test_describe_omits_tenants_at_one(self):
+        task = ExperimentTask(kind="fleet", model="res", scheme="PaSK")
+        assert "tenants" not in task.describe()
+        split = dataclasses.replace(task, tenants=3)
+        assert split.describe()["tenants"] == 3
+        assert split.cell_id != task.cell_id
+
+    def test_tenant_split_divides_rate_and_offsets_seeds(self):
+        task = ExperimentTask(kind="fleet", model="res", scheme="PaSK",
+                              rate_hz=6.0, duration_s=5.0, seed=4,
+                              tenants=3)
+        _, trace = build_replay(task)
+        assert trace == merge_traces(
+            [(f"t{i}", poisson_trace("res", 2.0, 5.0, seed=4 + i))
+             for i in range(3)])
+
+    def test_rejects_tenants_on_cluster_tasks(self):
+        with pytest.raises(ValueError, match="tenant"):
+            ExperimentTask(kind="cluster", tenants=2)
 
     def test_execute_round_trips_through_payload(self):
         task = ExperimentTask(

@@ -1,14 +1,16 @@
 """Tests for request traces and the autoscaling cluster simulator."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
 from repro.core.schemes import Scheme
+from repro.gpu.device import MI100
 from repro.fleet.autoscale import AutoscalePolicy
-from repro.fleet.fleet import (FleetConfig, FleetStats, RegionConfig,
-                               RegionStats, TenantStats)
+from repro.fleet.fleet import (FleetConfig, FleetStats, FleetTrace,
+                               RegionConfig, RegionStats, TenantStats)
 from repro.fleet.parallel import equivalence_problems
 from repro.packs.store import PackPolicy, TierPolicy
 from repro.runner.tasks import (ExperimentTask, cluster_stats_from_payload,
@@ -290,6 +292,22 @@ def _cluster_task(**kw):
     return ExperimentTask(kind="cluster", **kw)
 
 
+def _fleet_task(**kw):
+    return ExperimentTask(kind="fleet", **kw)
+
+
+def _request_trace(**kw):
+    return RequestTrace("res", (0.0,), **kw)
+
+
+def _fleet_trace(**kw):
+    return FleetTrace("res", (0.0,), (0,), **kw)
+
+
+def _device_spec(**kw):
+    return dataclasses.replace(MI100, **kw)
+
+
 def _tier_policy(**kw):
     return TierPolicy(bandwidth_bps=1e9, latency_s=0.0, timeout_s=1.0, **kw)
 
@@ -307,7 +325,9 @@ _INTEGER_COUNTS = [
     (ResiliencePolicy, "max_queue_depth", 0),
     (ResiliencePolicy, "recycle_after_requests", 1),
     (_cluster_task, "instances", 1), (_cluster_task, "trace_ring", 1),
-    (_cluster_task, "batch", 1), (_tier_policy, "max_attempts", 1)]
+    (_cluster_task, "batch", 1), (_tier_policy, "max_attempts", 1),
+    (_fleet_task, "tenants", 1), (_request_trace, "batch", 1),
+    (_fleet_trace, "batch", 1), (_device_spec, "compute_units", 1)]
 
 
 @pytest.mark.parametrize("bad", ("nan", "fraction", "bool", "below"))
