@@ -1,6 +1,10 @@
 """Regenerate EXPERIMENTS.md from a full experiment run.
 
 Usage:  python scripts/generate_experiments_md.py > EXPERIMENTS.md
+
+Each section prints the reproduced figure or table, then the rows of
+the paper-claims table (``repro.serving.validation.CLAIMS``) that
+check it, with the paper's value next to the reproduced one.
 """
 
 import io
@@ -8,115 +12,90 @@ import sys
 
 from repro.report import format_table
 from repro.serving.experiments import DEFAULT_BATCHES, ExperimentSuite
+from repro.serving.validation import CLAIMS, format_value
+
+
+def _section(w, suite, group, title, table=None, note=None):
+    """One section: the table, the claims whose id starts with
+    ``group``, and an optional note."""
+    w(f"## {title}\n\n")
+    if table is not None:
+        w(f"```\n{table}\n```\n\n")
+    w("| claim | check | paper | reproduced | |\n|---|---|---|---|---|\n")
+    for claim in CLAIMS:
+        if claim.name.split("-")[0] == group:
+            value, passed = claim.evaluate(suite)
+            w(f"| `{claim.name}` | {claim.description} | {claim.paper} | "
+              f"{format_value(value)} | {'PASS' if passed else 'FAIL'} |\n")
+    if note is not None:
+        w(f"\n{note}\n")
+    w("\n")
+
+
+def _per_model(figure, models, precision=2):
+    """``figure[column][model]`` with one row per model."""
+    rows = [[m] + [figure[c][m] for c in figure] for m in models]
+    return format_table(["model"] + list(figure), rows, precision=precision)
+
+
+def _per_row(figure, precision):
+    """``figure[row][column]`` as printed."""
+    columns = list(next(iter(figure.values())))
+    rows = [[m] + [figure[m][c] for c in columns] for m in figure]
+    return format_table(["model"] + columns, rows, precision=precision)
 
 
 def main(out=sys.stdout):
     suite = ExperimentSuite("MI100")
     w = out.write
+    models = suite.models + ["average"]
 
     w("# EXPERIMENTS — paper vs. reproduction\n\n")
     w("All measurements below come from the deterministic simulation\n"
       "(`python scripts/generate_experiments_md.py`); the paper's numbers\n"
       "were measured on real MI100/A100/6900XT hardware.  Per DESIGN.md the\n"
       "goal is matching *shape* (orderings, trends, crossovers), not\n"
-      "absolute values.\n\n")
+      "absolute values.  Each claim row below is one row of\n"
+      "`repro.serving.validation.CLAIMS`, the table `python -m repro\n"
+      "validate` and `tests/test_paper_results.py` check.\n\n")
 
-    # ------------------------------------------------------------- Fig 1a
-    fig1a = suite.fig1a()
-    w("## Fig. 1(a) — cold/hot slowdown per device\n\n")
-    w("Paper averages: MI100 23.7x, A100 19.5x, 6900XT 31.3x.\n\n```\n")
-    models = suite.models + ["average"]
-    rows = [[m] + [fig1a[d][m] for d in fig1a] for m in models]
-    w(format_table(["model"] + list(fig1a), rows, precision=1))
-    w("\n```\n\nShape check: 6900XT > MI100 > A100 ordering holds; every "
-      "model slows down by an order of magnitude.\n\n")
-
-    # ------------------------------------------------------------- Fig 1b
-    fig1b = suite.fig1b()
-    w("## Fig. 1(b) — baseline cold-start breakdown\n\n")
-    w("Paper averages: code loading 65.8%, GPU execution 8.4%.\n\n```\n")
-    phases = list(next(iter(fig1b.values())))
-    rows = [[m] + [fig1b[m][p] for p in phases] for m in fig1b]
-    w(format_table(["model"] + phases, rows, precision=3))
-    w("\n```\n\nShape check: code loading dominates everywhere; GPU "
-      "execution is a minor share.\n\n")
-
-    # ------------------------------------------------------------- Fig 6a
-    fig6a = suite.fig6a()
-    w("## Fig. 6(a) — end-to-end cold-start speedups\n\n")
-    w("Paper averages: NNV12 3.04x, PaSK 5.62x, Ideal 7.75x.\n\n```\n")
-    rows = [[m] + [fig6a[s][m] for s in fig6a] for m in models]
-    w(format_table(["model"] + list(fig6a), rows))
-    w("\n```\n\nShape check: Ideal > PaSK > NNV12 > 1 on average and on "
-      "every convolutional model; models with more primitive layers "
-      "(eff, reg, ssd, unet) gain the most; the transformers gain least.\n"
-      "Known deviation: our PaSK average sits below the paper's 5.62x "
-      "because (a) the strict reading of Sec. VI leaves BLAS completely "
-      "unmanaged, capping the transformer rows near 1.1-1.4x, and (b) the "
-      "simulated PaSK remains loader-bound on shallow models "
-      "(alex/vgg/res) where first-of-bucket misses cannot be amortized. "
-      "The extension bench `bench_ext_blas_reuse.py` shows the transformer "
-      "rows improving substantially once PASK manages BLAS, as the paper "
-      "predicts.\n\n")
-
-    # ------------------------------------------------------------- Fig 6b
-    fig6b = suite.fig6b()
-    w("## Fig. 6(b) — GPU utilization during cold start\n\n")
-    w("Paper averages: NNV12 8.2%, PaSK 25.9%, Ideal 68.5%.\n\n```\n")
-    rows = [[m] + [fig6b[s][m] for s in fig6b] for m in models]
-    w(format_table(["model"] + list(fig6b), rows, precision=3))
-    w("\n```\n\nShape check: Ideal > PaSK > NNV12 utilization ordering "
-      "holds on average.\n\n")
-
-    # ------------------------------------------------------------ Table 2
+    _section(w, suite, "fig1a", "Fig. 1(a) — cold/hot slowdown per device",
+             _per_model(suite.fig1a(), models, precision=1))
+    _section(w, suite, "fig1b", "Fig. 1(b) — baseline cold-start breakdown",
+             _per_row(suite.fig1b(), precision=3))
+    _section(
+        w, suite, "fig6a", "Fig. 6(a) — end-to-end cold-start speedups",
+        _per_model(suite.fig6a(), models),
+        "Known deviation: our PaSK average sits below the paper's 5.62x "
+        "because (a) the strict reading of Sec. VI leaves BLAS completely "
+        "unmanaged, capping the transformer rows near 1.1-1.4x, and (b) the "
+        "simulated PaSK remains loader-bound on shallow models "
+        "(alex/vgg/res) where first-of-bucket misses cannot be amortized. "
+        "The `ext-blas-managed-transformers` claim shows the transformer "
+        "rows improving substantially once PASK manages BLAS, as the paper "
+        "predicts.")
+    _section(w, suite, "fig6b", "Fig. 6(b) — GPU utilization during cold "
+             "start", _per_model(suite.fig6b(), models, precision=3))
     table2 = suite.table2(batches=DEFAULT_BATCHES)
-    w("## Table II — speedup vs inference batch size\n\n")
-    w("Paper: NNV12 3.04->1.74x, PaSK 5.62->3.10x, Ideal 7.75->6.41x "
-      "(batch 1 -> 128), all monotonically decreasing.\n\n```\n")
-    rows = [[s] + [table2[s][b] for b in DEFAULT_BATCHES] for s in table2]
-    w(format_table(["scheme"] + [str(b) for b in DEFAULT_BATCHES], rows))
-    w("\n```\n\nShape check: every scheme's average speedup decreases "
-      "monotonically with batch size, and the per-batch ordering "
-      "Ideal > PaSK > NNV12 is preserved.\n\n")
-
-    # ------------------------------------------------------------- Fig 7
-    fig7 = suite.fig7()
-    w("## Fig. 7 — PaSK cold-start breakdown\n\n")
-    w("Paper averages: solution loading 11.2%, PASK overhead 1.3%; "
-      "transformers show larger loading shares.\n\n```\n")
-    phases7 = list(next(iter(fig7.values())))
-    rows = [[m] + [fig7[m][p] for p in phases7] for m in fig7]
-    w(format_table(["model"] + phases7, rows, precision=3))
-    w("\n```\n\nShape check: PASK overhead stays in the low single-digit "
-      "percent; transformer loading shares exceed the convolutional "
-      "models'.  Known deviation: our loading share stays larger than "
-      "11.2% because the simulated PaSK remains load-bound (see Fig. 6(a) "
-      "note).\n\n")
-
-    # ------------------------------------------------------------- Fig 8
-    fig8 = suite.fig8()
-    w("## Fig. 8 — ablation: variants normalized to PaSK\n\n")
-    w("Paper: both variants below PaSK everywhere; PaSK-I weakest where "
-      "pre-milestone execution is short; transformers show only "
-      "nuances.\n\n```\n")
-    rows = [[m] + [fig8[s][m] for s in fig8] for m in models]
-    w(format_table(["model"] + list(fig8), rows))
-    w("\n```\n\nShape check: neither variant ever beats full PaSK; the "
-      "transformer rows are ~1.0 for PaSK-I (single reusable operator); "
-      "PaSK-R's deficit is largest on lookup-heavy models.\n\n")
-
-    # ------------------------------------------------------------- Fig 9
-    fig9 = suite.fig9()
-    w("## Fig. 9 — cache hit rate and lookups per query\n\n")
-    w("Paper: 69.7% average hit rate; 1.22 (categorical) vs 1.89 (naive) "
-      "lookups per query.  Transformers omitted (one primitive op).\n\n```\n")
-    metrics = list(next(iter(fig9.values())))
-    rows = [[m] + [fig9[m][k] for k in metrics] for m in fig9]
-    w(format_table(["model"] + metrics, rows))
-    w("\n```\n\nShape check: hit rate lands in the paper's band and grows "
-      "with operator count (alex lowest); the categorical cache needs "
-      "fewer IsApplicable evaluations per query than the naive "
-      "organization.\n")
+    _section(w, suite, "table2",
+             "Table II — speedup vs inference batch size",
+             format_table(["scheme"] + [str(b) for b in DEFAULT_BATCHES],
+                          [[s] + [table2[s][b] for b in DEFAULT_BATCHES]
+                           for s in table2]))
+    _section(w, suite, "fig7", "Fig. 7 — PaSK cold-start breakdown",
+             _per_row(suite.fig7(), precision=3),
+             "Known deviation: our loading share stays larger than 11.2% "
+             "because the simulated PaSK remains load-bound (see Fig. 6(a) "
+             "note).")
+    _section(w, suite, "fig8", "Fig. 8 — ablation: variants normalized to "
+             "PaSK", _per_model(suite.fig8(), models),
+             "PaSK-R's deficit is largest on lookup-heavy models.")
+    _section(w, suite, "fig9", "Fig. 9 — cache hit rate and lookups per "
+             "query", _per_row(suite.fig9(), precision=2),
+             "Transformers are omitted (one primitive operator), as in the "
+             "paper.")
+    _section(w, suite, "ext", "Extensions — Sec. VI, design ablations, "
+             "sensitivity and serving")
 
 
 if __name__ == "__main__":

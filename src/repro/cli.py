@@ -48,10 +48,9 @@ from repro.obs import MetricsRegistry, SLOPolicy, SpanRecorder, spans_summary
 from repro.report import format_table
 from repro.runner.profile import LAYERS, profile_layer
 from repro.runner.scenarios import SCENARIOS, run_scenario
-from repro.runner.tasks import (ExperimentTask, build_replay, run_replay,
-                                server_for)
+from repro.runner.tasks import ExperimentTask, build_replay, run_replay
 from repro.serving.experiments import DEFAULT_BATCHES, ExperimentSuite
-from repro.serving.server import InferenceServer
+from repro.serving.server import InferenceServer, server_for
 from repro.sim.faults import FaultPlan
 
 __all__ = ["main", "build_parser"]
@@ -210,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "stdout")
 
     validate = sub.add_parser(
-        "validate", help="check the reproduction's acceptance criteria")
+        "validate", help="check the reproduction against the paper's claims")
     validate.add_argument("--device", default="MI100",
                           choices=["MI100", "A100", "6900XT"])
 
@@ -747,16 +746,18 @@ def _cmd_scenario(args, out) -> int:
 
 
 def _cmd_validate(args, out) -> int:
-    from repro.serving.validation import validate
+    from repro.serving.validation import CLAIMS, format_value
     suite = ExperimentSuite(args.device)
-    outcomes = validate(suite)
     failures = 0
-    for criterion, passed in outcomes:
-        status = "PASS" if passed else "FAIL"
+    for claim in CLAIMS:
+        value, passed = claim.evaluate(suite)
         failures += not passed
-        out(f"[{status}] {criterion.name}: {criterion.description}")
+        out(f"[{'PASS' if passed else 'FAIL'}] {claim.name} "
+            f"({claim.figure}): {claim.description}")
+        out(f"       paper: {claim.paper}; "
+            f"reproduced: {format_value(value)}")
     out("")
-    out(f"{len(outcomes) - failures}/{len(outcomes)} criteria satisfied")
+    out(f"{len(CLAIMS) - failures}/{len(CLAIMS)} paper claims hold")
     return 1 if failures else 0
 
 

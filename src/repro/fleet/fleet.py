@@ -54,7 +54,7 @@ from repro.serving.pool import (COLD, FAILED, SHED, InstancePool,
                                 OfferedSummary, PoolStats)
 from repro.serving.requests import RequestTrace
 from repro.serving.resilience import ResiliencePolicy
-from repro.serving.server import InferenceServer
+from repro.serving.server import InferenceServer, server_for
 from repro.sim.faults import FaultPlan
 from repro.sim.trace import RETENTION_POLICIES, TraceRecorder, check_count
 
@@ -609,21 +609,16 @@ class _RegionState:
 # The simulator
 # ----------------------------------------------------------------------
 
-# Per-device server cache: fleets instantiate regions by device name;
-# building one InferenceServer per device per process keeps replays fast
-# and lets the cluster-level service-time memo (_SERVICE_TIMES) be
-# shared across every fleet and cluster in the process.
-_FLEET_SERVERS: Dict[str, InferenceServer] = {}
-
-
+# Fleets instantiate regions by device name; the process's shared
+# server per device keeps replays fast and lets the cluster-level
+# service-time memo (_SERVICE_TIMES) be shared across every fleet and
+# cluster in the process.
 def _server_for(device: str,
                 override: Optional[Dict[str, InferenceServer]]) -> \
         InferenceServer:
     if override is not None and device in override:
         return override[device]
-    if device not in _FLEET_SERVERS:
-        _FLEET_SERVERS[device] = InferenceServer(device)
-    return _FLEET_SERVERS[device]
+    return server_for(device)
 
 
 class FleetSimulator:

@@ -12,10 +12,10 @@ reconstruct the original result objects exactly (floats survive a JSON
 round-trip bit-for-bit via ``repr``), which is what lets the parallel
 engine and the on-disk cache stay byte-identical to the serial path.
 
-Workers keep a per-process :class:`~repro.serving.server.InferenceServer`
-per device so repeated tasks in one worker reuse compiled programs; the
-simulation itself is a pure function of the task, so server reuse never
-changes a result.
+Workers use the process's shared server per device
+(:func:`~repro.serving.server.server_for`), so repeated tasks in one
+worker reuse compiled programs; the simulation itself is a pure
+function of the task, so server reuse never changes a result.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.serving.cluster import ClusterConfig, ClusterSimulator, ClusterStats
 from repro.serving.requests import (RequestTrace, bursty_trace, diurnal_trace,
                                     poisson_trace)
 from repro.serving.resilience import ResiliencePolicy
-from repro.serving.server import InferenceServer
+from repro.serving.server import server_for
 from repro.sim.faults import FaultCounters, FaultPlan
 from repro.sim.trace import (RETENTION_POLICIES, Phase, TraceRecord,
                              TraceRecorder, check_count)
@@ -448,19 +448,6 @@ def payload_to_object(payload: Dict[str, Any]) -> Any:
 # ----------------------------------------------------------------------
 # Worker-side execution
 # ----------------------------------------------------------------------
-
-# One server per device per process: reuses compiled programs across
-# tasks without ever affecting results (each serve runs a fresh
-# Environment).
-_SERVERS: Dict[str, InferenceServer] = {}
-
-
-def server_for(device: str) -> InferenceServer:
-    """This process's shared :class:`InferenceServer` for ``device``."""
-    if device not in _SERVERS:
-        _SERVERS[device] = InferenceServer(device)
-    return _SERVERS[device]
-
 
 def arrival_trace(task: ExperimentTask) -> Union[RequestTrace, FleetTrace]:
     """The workload a fleet task replays, from its arrival knobs.

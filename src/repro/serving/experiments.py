@@ -1,10 +1,10 @@
 """Experiment runners: one function per figure/table of the paper.
 
 Each runner returns plain data structures (dicts keyed by model/scheme)
-that the benchmark harness prints and the integration tests assert
-against.  An :class:`ExperimentSuite` memoizes serve results so that one
-pytest/benchmark session never simulates the same (device, model, scheme,
-batch) combination twice.
+that the CLI prints and the paper-claims table
+(:mod:`repro.serving.validation`) checks.  An :class:`ExperimentSuite`
+memoizes serve results so that one session never simulates the same
+(device, model, scheme, batch) combination twice.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from repro.core.results import ExecutionResult
 from repro.core.schemes import Scheme
 from repro.models import list_models
 from repro.serving.metrics import mean
-from repro.serving.server import InferenceServer
+from repro.serving.server import InferenceServer, server_for
 from repro.sim.faults import FaultPlan
 from repro.sim.trace import Phase
 
@@ -38,7 +38,6 @@ class ExperimentSuite:
         # Optional fault plan threaded through every serve; an all-zero
         # plan leaves every experiment byte-identical to no plan at all.
         self.faults = faults
-        self._servers: Dict[str, InferenceServer] = {}
         self._cold: Dict[Tuple[str, str, Scheme, int], ExecutionResult] = {}
         self._hot: Dict[Tuple[str, str, int], ExecutionResult] = {}
 
@@ -46,11 +45,8 @@ class ExperimentSuite:
     # Memoized serving
     # ------------------------------------------------------------------
     def server(self, device: Optional[str] = None) -> InferenceServer:
-        """The (cached) inference server for ``device``."""
-        device = device or self.device
-        if device not in self._servers:
-            self._servers[device] = InferenceServer(device)
-        return self._servers[device]
+        """The process's shared inference server for ``device``."""
+        return server_for(device or self.device)
 
     def cold(self, model: str, scheme: Scheme, batch: int = 1,
              device: Optional[str] = None) -> ExecutionResult:

@@ -24,7 +24,8 @@ from repro.sim.core import Environment
 from repro.sim.faults import (CheckpointFault, FaultError, FaultPlan,
                               RestoreFault)
 
-__all__ = ["InferenceServer", "ServeResult", "serve_cold", "serve_hot"]
+__all__ = ["InferenceServer", "ServeResult", "serve_cold", "serve_hot",
+           "server_for"]
 
 ServeResult = ExecutionResult
 
@@ -426,6 +427,21 @@ class InferenceServer:
             failed=failed,
             metadata=metadata,
         )
+
+
+# One server per device per process, shared by the experiment suites,
+# the task runner and the fleet replays.  A server only caches compiled
+# programs; every serve runs a fresh Environment, so sharing one never
+# changes a result.
+_SERVERS: Dict[str, InferenceServer] = {}
+
+
+def server_for(device: str) -> InferenceServer:
+    """This process's shared :class:`InferenceServer` for ``device``."""
+    server = _SERVERS.get(device)
+    if server is None:
+        server = _SERVERS[device] = InferenceServer(device)
+    return server
 
 
 def serve_cold(model: str, scheme: Scheme = Scheme.BASELINE, batch: int = 1,

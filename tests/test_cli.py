@@ -170,6 +170,13 @@ def test_run_command_stdout_matches_golden(stem, argv, capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_validate_stdout_matches_golden(capsys):
+    # Every paper claim with its paper and reproduced value.
+    assert main(["validate"]) == 0
+    expected = (_GOLDEN_DIR / "validate.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("argv,field", [
     (["cluster", "res", "--instances", "0"], "instances"),
     (["chaos", "res", "--instances", "0"], "instances"),

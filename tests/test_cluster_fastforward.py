@@ -22,6 +22,7 @@ from repro.serving.requests import (RequestTrace, burst_trace,
                                     periodic_trace, poisson_trace)
 from repro.serving.server import InferenceServer
 from repro.sim.faults import FaultPlan
+from repro.sim.trace import Phase
 
 _SERVER = InferenceServer("MI100")
 
@@ -80,6 +81,29 @@ def test_dense_traffic_mostly_fast_forwards():
     _, fast = _both(trace, scheme=Scheme.PASK, max_instances=4,
                     keep_alive_s=0.5)
     assert fast.fast_forwarded > 0.9 * fast.requests
+
+
+def test_streaming_replay_matches_full_stepping():
+    # The long-horizon path -- aggregate retention with fast-forward --
+    # reports the latencies and trace metrics of full retention with
+    # event stepping, while retaining only its ring.
+    trace = poisson_trace("res", 200.0, 5.0, seed=1)
+    config = dict(scheme=Scheme.PASK, max_instances=4, keep_alive_s=0.5)
+    full = ClusterSimulator(_SERVER, ClusterConfig(
+        fast_forward=False, trace_retention="full", **config)).run(trace)
+    streamed = ClusterSimulator(_SERVER, ClusterConfig(
+        fast_forward=True, trace_retention="aggregate", trace_ring=64,
+        **config)).run(trace)
+
+    def metrics(recorder):
+        return (recorder.total(), recorder.busy_time(), recorder.span(),
+                recorder.busy_time(Phase.EXEC),
+                recorder.utilization("cluster"), recorder.record_count)
+
+    assert streamed.latencies == full.latencies
+    assert metrics(streamed.trace) == metrics(full.trace)
+    assert streamed.trace.record_count >= streamed.requests
+    assert streamed.trace.retained_records <= 64
 
 
 def test_sparse_traffic_fast_forwards_reclaims_and_spawns():

@@ -1,11 +1,18 @@
 """Tests for the experiment suite plumbing and the validation module."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.core.schemes import Scheme
 from repro.serving.experiments import CONV_MODELS, DEFAULT_BATCHES, \
     ExperimentSuite, TRANSFORMER_MODELS
-from repro.serving.validation import CRITERIA, validate
+from repro.serving.validation import CLAIMS, validate
 
 
 class TestSuitePlumbing:
@@ -50,11 +57,20 @@ class TestSuitePlumbing:
 
 class TestValidation:
     def test_criteria_have_unique_names(self):
-        names = [c.name for c in CRITERIA]
+        names = [c.name for c in CLAIMS]
         assert len(names) == len(set(names))
 
     def test_full_validation_passes(self):
         suite = ExperimentSuite("MI100")
         outcomes = validate(suite)
         failures = [c.name for c, ok in outcomes if not ok]
-        assert not failures, f"acceptance criteria failed: {failures}"
+        assert not failures, f"paper claims failed: {failures}"
+
+    def test_import_does_not_load_pytest(self):
+        # The benchmark validates inside the process whose peak RSS it
+        # measures; importing pytest there alone costs several MB.
+        code = ("import sys, repro.serving.validation; "
+                "sys.exit('pytest' in sys.modules)")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)

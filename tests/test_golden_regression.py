@@ -14,7 +14,7 @@ import pytest
 from repro.core.schemes import Scheme
 from repro.models import list_models
 from repro.serving.experiments import ExperimentSuite
-from repro.serving.validation import CRITERIA
+from repro.serving.validation import CLAIMS
 from repro.sim.faults import FaultPlan
 
 # Two independent suites over the full model zoo: one clean, one with an
@@ -25,11 +25,9 @@ _ZERO = ExperimentSuite("MI100", faults=FaultPlan(seed=123456789))
 _SCHEMES = (Scheme.BASELINE, Scheme.NNV12, Scheme.PASK, Scheme.IDEAL)
 
 
-def _criterion(name):
-    for criterion in CRITERIA:
-        if criterion.name == name:
-            return criterion
-    raise KeyError(name)
+def _holds(name, suite):
+    claim, = (claim for claim in CLAIMS if claim.name == name)
+    return claim.evaluate(suite)[1]
 
 
 # ----------------------------------------------------------------------
@@ -69,7 +67,7 @@ def test_zero_plan_figures_identical():
 # ----------------------------------------------------------------------
 
 def test_fig6a_ordering_holds_under_zero_plan():
-    assert _criterion("fig6a-ordering").check(_ZERO)
+    assert _holds("fig6a-ordering", _ZERO)
     data = _ZERO.fig6a()
     # Pin the band too, so a silent recalibration cannot hide behind
     # the ordering still holding (paper: PaSK averages 5.62x).
@@ -78,7 +76,7 @@ def test_fig6a_ordering_holds_under_zero_plan():
 
 
 def test_table2_monotonicity_holds_under_zero_plan():
-    assert _criterion("table2-monotone").check(_ZERO)
+    assert _holds("table2-monotone", _ZERO)
 
 
 def test_fig1a_cold_hot_ratios_hold_under_zero_plan():
@@ -92,11 +90,10 @@ def test_fig1a_cold_hot_ratios_hold_under_zero_plan():
 
 
 def test_all_criteria_agree_between_suites():
-    # Every shape criterion evaluates identically on the two suites --
+    # Every paper claim measures the same value on the two suites --
     # the strongest statement that the zero plan changed nothing.
-    for criterion in CRITERIA:
-        assert bool(criterion.check(_ZERO)) == bool(
-            criterion.check(_CLEAN)), criterion.name
+    for claim in CLAIMS:
+        assert claim.measure(_ZERO) == claim.measure(_CLEAN), claim.name
 
 
 # ----------------------------------------------------------------------
@@ -111,5 +108,5 @@ def test_orderings_survive_moderate_chaos():
                      launch_failure_rate=0.02,
                      loader_stall_rate=0.1, loader_stall_s=5e-4)
     chaotic = ExperimentSuite("MI100", faults=plan)
-    assert _criterion("fig6a-ordering").check(chaotic)
-    assert _criterion("table2-monotone").check(chaotic)
+    assert _holds("fig6a-ordering", chaotic)
+    assert _holds("table2-monotone", chaotic)

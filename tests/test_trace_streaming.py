@@ -107,6 +107,38 @@ def test_aggregate_ring_is_bounded():
     assert recorder.span() == (0.0, 99.5)
 
 
+@pytest.mark.parametrize("retention", RETENTION_POLICIES)
+@pytest.mark.parametrize("n", [100, 10_000])
+def test_repeated_metric_queries_fold_nothing(retention, n, monkeypatch):
+    # A report reads several metrics from one trace.  Each record is
+    # folded once, by ingest or by the first query; repeated queries
+    # fold nothing, so they cost the same whatever was ingested.
+    folded = []
+    fold = TraceRecorder._fold
+
+    def counting_fold(self, recs):
+        folded.append(len(recs))
+        fold(self, recs)
+
+    monkeypatch.setattr(TraceRecorder, "_fold", counting_fold)
+    recorder = TraceRecorder(retention=retention, ring_size=64)
+    for i in range(n):
+        recorder.record(float(i), i + 0.5, "gpu", Phase.EXEC)
+
+    def queries():
+        recorder.busy_time(Phase.EXEC)
+        recorder.total()
+        recorder.span()
+        recorder.utilization("gpu")
+
+    queries()
+    assert sum(folded) == n
+    folded.clear()
+    for _ in range(50):
+        queries()
+    assert folded == []
+
+
 def test_aggregate_filtered_sees_only_the_ring():
     recorder = TraceRecorder(retention="aggregate", ring_size=4)
     for i in range(10):
