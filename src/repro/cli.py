@@ -20,19 +20,17 @@ Commands
 - ``profile [LAYER ...]`` — time simulator layers (event kernel, cold
   serve, cluster, fleet and spin-up replays) from one layer table, one
   row per layer; ``--budget benchmarks/perf_budget.json`` gates them.
-- ``trace export`` — run one instrumented cold start and write a
-  Chrome/Perfetto ``trace.json`` (open in https://ui.perfetto.dev),
-  optionally with the cold-start attribution report.
-- ``metrics`` — run an instrumented cold serve plus a small cluster
-  replay and dump the merged metrics registry as Prometheus text or
-  JSON.
 
-The run commands (``cluster``, ``chaos``, ``metrics``, ``fleet``) parse
-their arguments into one :class:`~repro.runner.tasks.ExperimentTask`
-and replay it through the same ``build_replay``/``run_replay`` as the
-experiment grid and the scenarios; a handler only picks its telemetry
-sinks, serial or sharded replay, and formats the outcome.  A bad run
-argument prints ``error: ...`` and exits 2.
+The run commands (``serve``, ``cluster``, ``chaos``, ``fleet``) parse
+their arguments into one :class:`~repro.runner.tasks.ExperimentTask`;
+the replays go through the same ``build_replay``/``run_replay`` as the
+experiment grid and the scenarios.  A handler only picks serial or
+sharded replay and formats the outcome.  A bad argument prints
+``error: ...`` and exits 2.  ``--telemetry DIR`` on any run command
+records spans and metrics (plus SLO monitors for a fleet) and writes
+them as one bundle (:func:`repro.obs.write_bundle`): manifest, Perfetto
+trace (open in https://ui.perfetto.dev), cold-start attribution,
+metrics as Prometheus text and JSON, and the fleet's monitors.
 """
 
 from __future__ import annotations
@@ -41,17 +39,20 @@ import argparse
 import sys
 from typing import Any, Dict, List, Optional
 
+from repro._version import __version__
 from repro.core.schemes import Scheme
 from repro.fleet import AutoscalePolicy
 from repro.models import MODEL_INFO, list_models
-from repro.obs import MetricsRegistry, SLOPolicy, SpanRecorder, spans_summary
+from repro.obs import MetricsRegistry, SLOPolicy, SpanRecorder, write_bundle
 from repro.report import format_table
+from repro.runner.cache import task_key
 from repro.runner.profile import LAYERS, profile_layer
 from repro.runner.scenarios import SCENARIOS, run_scenario
 from repro.runner.tasks import ExperimentTask, build_replay, run_replay
 from repro.serving.experiments import DEFAULT_BATCHES, ExperimentSuite
 from repro.serving.server import InferenceServer, server_for
 from repro.sim.faults import FaultPlan
+from repro.sim.trace import check_count
 
 __all__ = ["main", "build_parser"]
 
@@ -179,35 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--verify-serial", action="store_true",
                        help="also run the serial simulator and check the "
                             "sharded replay is byte-identical (CI gate)")
-    fleet.add_argument("--telemetry", action="store_true",
-                       help="record control-plane decision spans and "
-                            "evaluate SLO burn-rate monitors during the "
-                            "replay (simulated results are unchanged)")
-    fleet.add_argument("--slo-availability", type=float, default=0.999,
-                       metavar="FRAC",
-                       help="availability SLO target for --telemetry "
-                            "(default: 0.999)")
-    fleet.add_argument("--slo-p99-ms", type=float, default=None,
-                       help="p99 latency SLO in milliseconds; adds the "
-                            "p99 monitor (--telemetry)")
-    fleet.add_argument("--slo-cold-rate", type=float, default=None,
-                       metavar="FRAC",
-                       help="cold-serve rate SLO; adds the cold-rate "
-                            "monitor (--telemetry)")
-    fleet.add_argument("--slo-window", type=float, default=5.0,
-                       help="sliding monitor window in simulated seconds "
-                            "(default: 5)")
-    fleet.add_argument("--slo-burn", type=float, default=1.0,
-                       help="availability burn-rate firing threshold "
-                            "(default: 1.0 = burning exactly the budget)")
-    fleet.add_argument("--metrics", default=None,
-                       choices=["prom", "json"],
-                       help="collect labeled fleet metrics and dump the "
-                            "registry in this format")
-    fleet.add_argument("--metrics-output", default=None, metavar="FILE",
-                       help="write the --metrics dump here instead of "
-                            "stdout")
-
     validate = sub.add_parser(
         "validate", help="check the reproduction against the paper's claims")
     validate.add_argument("--device", default="MI100",
@@ -263,51 +235,15 @@ def build_parser() -> argparse.ArgumentParser:
                               "of its repeats; exit 1 if one exceeds "
                               "regression_factor x budget_s")
 
-    trace = sub.add_parser(
-        "trace", help="causal-span telemetry: export Perfetto traces")
-    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    export = trace_sub.add_parser(
-        "export", help="run one instrumented cold start and write a "
-                       "Chrome/Perfetto trace.json")
-    export.add_argument("model", nargs="?", default="res",
-                        help="model abbreviation (default: res)")
-    export.add_argument("--scheme", default="pask",
-                        choices=sorted(_SCHEMES))
-    export.add_argument("--batch", type=int, default=1)
-    export.add_argument("--device", default="MI100",
-                        choices=["MI100", "A100", "6900XT"])
-    export.add_argument("--output", default="trace.json", metavar="FILE",
-                        help="output path (default: trace.json)")
-    export.add_argument("--validate", action="store_true",
-                        help="structurally validate the exported payload "
-                             "and exit nonzero on problems")
-    export.add_argument("--attribution", action="store_true",
-                        help="print the cold-start attribution report "
-                             "(per-phase critical path, load bytes)")
-
-    metrics = sub.add_parser(
-        "metrics", help="run an instrumented serve + cluster replay and "
-                        "dump the metrics registry")
-    metrics.add_argument("model", nargs="?", default="res")
-    metrics.add_argument("--scheme", default="pask",
-                         choices=sorted(_SCHEMES))
-    metrics.add_argument("--device", default="MI100",
-                         choices=["MI100", "A100", "6900XT"])
-    metrics.add_argument("--rate", type=float, default=20.0,
-                         help="cluster replay requests per second")
-    metrics.add_argument("--duration", type=float, default=2.0)
-    metrics.add_argument("--instances", type=int, default=4)
-    metrics.add_argument("--seed", type=int, default=0)
-    metrics.add_argument("--format", default="prom",
-                         choices=["prom", "json"],
-                         help="dump format (default: prom, the "
-                              "Prometheus text exposition)")
-    metrics.add_argument("--output", default=None, metavar="FILE",
-                         help="write the dump here instead of stdout")
+    for run in (serve, cluster, chaos, fleet):
+        run.add_argument("--telemetry", default=None, metavar="DIR",
+                         help="record spans and metrics (and a fleet's SLO "
+                              "monitors) and write them as one bundle to "
+                              "DIR; the printed results are unchanged")
     return parser
 
 
-def _cmd_models(out) -> int:
+def _cmd_models(args, out) -> int:
     rows = []
     for abbr in list_models():
         info = MODEL_INFO[abbr]
@@ -315,31 +251,6 @@ def _cmd_models(out) -> int:
                      info.paper_primitive_layers])
     out(format_table(["abbr", "model", "type", "# primitive layers (paper)"],
                      rows, title="Table I model zoo"))
-    return 0
-
-
-def _cmd_serve(args, out) -> int:
-    server = InferenceServer(args.device)
-    if args.hot:
-        result = server.serve_hot(args.model, args.batch)
-        out(f"{args.model} hot run on {args.device}: "
-            f"{result.total_time * 1e3:.2f} ms")
-        return 0
-    scheme = _SCHEMES[args.scheme]
-    result = server.serve_cold(args.model, scheme, args.batch)
-    out(f"{args.model} cold start under {scheme.label} on {args.device} "
-        f"(batch {args.batch}): {result.total_time * 1e3:.2f} ms")
-    out(f"  loads: {result.loads}  gpu utilization: "
-        f"{result.gpu_utilization:.1%}")
-    if result.cache_stats and result.cache_stats.queries:
-        out(f"  reuse: {result.reused_layers} layers, hit rate "
-            f"{result.cache_stats.hit_rate:.0%}, "
-            f"{result.cache_stats.lookups_per_query:.2f} lookups/query, "
-            f"milestone layer {result.milestone}")
-    if args.timeline:
-        from repro.report import render_timeline
-        out("")
-        out(render_timeline(result.trace, total_time=result.total_time))
     return 0
 
 
@@ -438,49 +349,6 @@ def _cmd_profile(args, out) -> int:
     return 0
 
 
-def _cmd_trace(args, out) -> int:
-    # Only subcommand so far: export.
-    from repro.obs import (SpanRecorder, attribute_request, spans_summary,
-                           validate_trace, write_trace)
-    scheme = _SCHEMES[args.scheme]
-    server = InferenceServer(args.device)
-    spans = SpanRecorder()
-    result = server.serve_cold(args.model, scheme, args.batch, spans=spans)
-    payload = write_trace(
-        args.output, list(spans), device=args.device,
-        metadata={"model": args.model, "scheme": scheme.label,
-                  "batch": args.batch,
-                  "total_time_s": result.total_time})
-    counts = spans_summary(spans)
-    out(f"{args.model} cold start under {scheme.label} on {args.device}: "
-        f"{result.total_time * 1e3:.2f} ms")
-    out(f"  wrote {args.output}: {len(payload['traceEvents'])} events "
-        f"({', '.join(f'{v} {k}' for k, v in counts.items())})")
-    out("  open in https://ui.perfetto.dev or chrome://tracing")
-    if args.attribution:
-        for request in spans.requests():
-            verdict = attribute_request(list(spans), request)
-            out("")
-            out(f"  attribution of {request.name!r} "
-                f"({verdict.total_time * 1e3:.2f} ms):")
-            for name, seconds in verdict.components().items():
-                out(f"    {name:<10} {seconds * 1e3:8.3f} ms  "
-                    f"({verdict.fractions()[name]:6.1%})")
-            out(f"    critical-path loads: {len(verdict.critical_loads)} "
-                f"code objects, {verdict.critical_load_bytes} bytes")
-    if args.validate:
-        problems = validate_trace(payload)
-        if problems:
-            out("")
-            out("  INVALID trace:")
-            for problem in problems:
-                out(f"    {problem}")
-            return 1
-        out("  trace validated: required keys, monotonic ts per tid, "
-            "matched flow pairs")
-    return 0
-
-
 def _cmd_session(args, out) -> int:
     server = InferenceServer(args.device)
     results = server.serve_session(
@@ -498,9 +366,15 @@ def _cmd_session(args, out) -> int:
 
 def _run_task(args) -> ExperimentTask:
     """Parse a run command's arguments into its :class:`ExperimentTask`."""
+    if args.command == "serve":
+        return ExperimentTask(kind="hot" if args.hot else "cold",
+                              device=args.device, model=args.model,
+                              scheme=_SCHEMES[args.scheme].value,
+                              batch=args.batch)
     knobs = dict(model=args.model, scheme=_SCHEMES[args.scheme].value,
                  rate_hz=args.rate, duration_s=args.duration,
-                 seed=args.seed, instances=args.instances)
+                 seed=args.seed, instances=args.instances,
+                 keep_alive_s=args.keep_alive)
     if args.command == "fleet":
         autoscale = (None if args.autoscale == "none" else AutoscalePolicy(
             kind=args.autoscale, min_instances=args.min_instances,
@@ -510,7 +384,7 @@ def _run_task(args) -> ExperimentTask:
         faults = (FaultPlan(seed=args.seed + 1000, crash_rate=args.crash_rate)
                   if args.crash_rate > 0 else None)
         return ExperimentTask(
-            kind="fleet", keep_alive_s=args.keep_alive, faults=faults,
+            kind="fleet", faults=faults,
             fleet_devices=tuple(d.strip() for d in args.devices.split(",")
                                 if d.strip()),
             arrival=args.arrival, peak_rate_hz=args.peak_rate,
@@ -528,50 +402,65 @@ def _run_task(args) -> ExperimentTask:
             load_timeout_s=args.load_timeout_ms / 1e3,
             crash_rate=args.crash_rate,
         )
-    # ``metrics`` has no --keep-alive; its replay keeps a 10 s keep-alive.
     return ExperimentTask(
         kind="cluster", device=args.device, faults=faults,
-        keep_alive_s=getattr(args, "keep_alive", 10.0),
         trace_retention=getattr(args, "trace_retention", None), **knobs)
 
 
 def _run_sinks(args) -> Dict[str, Any]:
-    """The telemetry sinks a run command passes to its replay."""
-    telemetry = getattr(args, "telemetry", False)
-    sinks: Dict[str, Any] = {}
-    if (args.command == "metrics" or telemetry
-            or getattr(args, "metrics", None) is not None):
-        sinks["metrics"] = MetricsRegistry()
-    if telemetry:
-        sinks["spans"] = SpanRecorder()
-        sinks["slo"] = SLOPolicy(
-            availability_target=args.slo_availability,
-            p99_target_s=(args.slo_p99_ms / 1e3
-                          if args.slo_p99_ms is not None else None),
-            cold_rate_target=args.slo_cold_rate,
-            window_s=args.slo_window, burn_threshold=args.slo_burn)
+    """The telemetry sinks a run command passes to the serves and
+    replays it prints: none, or with ``--telemetry`` a span recorder
+    and a metrics registry (plus the default SLO policy for a fleet)."""
+    if args.telemetry is None:
+        return {}
+    sinks: Dict[str, Any] = {"spans": SpanRecorder(),
+                             "metrics": MetricsRegistry()}
+    if args.command == "fleet":
+        sinks["slo"] = SLOPolicy()
     return sinks
 
 
-def _dump_metrics(registry, fmt: str, path: Optional[str], out) -> bool:
-    """Print ``registry`` as ``fmt`` (prom or json), or write it to
-    ``path``; returns whether it wrote the file."""
-    if fmt == "json":
-        import json
-        dump = json.dumps(registry.to_json(), indent=2, sort_keys=True)
-    else:
-        dump = registry.to_prometheus()
-    if path is None:
-        out(dump)
-        return False
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dump)
-        if not dump.endswith("\n"):
-            handle.write("\n")
-    return True
+def _write_telemetry(args, task, sinks, monitors, out) -> int:
+    """Write the ``--telemetry`` bundle; exit 1 if its trace is invalid."""
+    spans, metrics = sinks["spans"], sinks["metrics"]
+    manifest = {"command": args.command, "task": task.describe(),
+                "task_key": task_key(task), "code_version": __version__}
+    problems = write_bundle(args.telemetry, manifest, spans, metrics,
+                            monitors=monitors,
+                            device=",".join(task.region_devices))
+    out(f"  telemetry: wrote {args.telemetry} ({len(spans)} spans, "
+        f"{len(metrics)} metrics)")
+    for problem in problems:
+        out(f"  invalid trace: {problem}")
+    return 1 if problems else 0
 
 
-def _cmd_cluster(args, task, config, trace, sinks, out) -> int:
+def _cmd_serve(args, task, config, trace, sinks, out):
+    server = server_for(task.device)
+    if task.kind == "hot":
+        result = server.serve_hot(task.model, task.batch, **sinks)
+        out(f"{task.model} hot run on {task.device}: "
+            f"{result.total_time * 1e3:.2f} ms")
+        return 0, result
+    scheme = task.scheme_enum
+    result = server.serve_cold(task.model, scheme, task.batch, **sinks)
+    out(f"{task.model} cold start under {scheme.label} on {task.device} "
+        f"(batch {task.batch}): {result.total_time * 1e3:.2f} ms")
+    out(f"  loads: {result.loads}  gpu utilization: "
+        f"{result.gpu_utilization:.1%}")
+    if result.cache_stats and result.cache_stats.queries:
+        out(f"  reuse: {result.reused_layers} layers, hit rate "
+            f"{result.cache_stats.hit_rate:.0%}, "
+            f"{result.cache_stats.lookups_per_query:.2f} lookups/query, "
+            f"milestone layer {result.milestone}")
+    if args.timeline:
+        from repro.report import render_timeline
+        out("")
+        out(render_timeline(result.trace, total_time=result.total_time))
+    return 0, result
+
+
+def _cmd_cluster(args, task, config, trace, sinks, out):
     stats = run_replay(task, config, trace, **sinks)
     out(f"{len(trace)} requests of {task.model!r} under "
         f"{task.scheme_enum.label} ({task.instances} instances, "
@@ -588,16 +477,18 @@ def _cmd_cluster(args, task, config, trace, sinks, out) -> int:
         out(f"  trace: {stats.trace.record_count} records "
             f"({stats.trace.retained_records} retained, "
             f"retention {stats.trace.retention})")
-    return 0
+    return 0, stats
 
 
-def _cmd_chaos(args, task, config, trace, sinks, out) -> int:
+def _cmd_chaos(args, task, config, trace, sinks, out):
     scheme = task.scheme_enum
     server = server_for(task.device)
 
-    # One faulted cold start vs the fault-free reference.
+    # One faulted cold start (instrumented) vs the fault-free reference.
     reference = server.serve_cold(task.model, scheme)
-    result = server.serve_cold(task.model, scheme, faults=task.faults)
+    result = server.serve_cold(task.model, scheme, faults=task.faults,
+                               spans=sinks.get("spans"),
+                               metrics=sinks.get("metrics"))
     counters = result.faults
     out(f"{task.model} cold start under {scheme.label} with faults "
         f"(seed {task.seed}):")
@@ -629,25 +520,12 @@ def _cmd_chaos(args, task, config, trace, sinks, out) -> int:
     lost = len(trace) - stats.requests
     if lost:
         out(f"  ERROR: {lost} requests lost (neither completed nor failed)")
-        return 1
+        return 1, stats
     out("  no lost requests: every request completed or explicitly failed")
-    return 0
+    return 0, stats
 
 
-def _cmd_metrics(args, task, config, trace, sinks, out) -> int:
-    registry = sinks["metrics"]
-    server_for(task.device).serve_cold(task.model, task.scheme_enum,
-                                       spans=SpanRecorder(),
-                                       metrics=registry)
-    run_replay(task, config, trace, **sinks)
-    if _dump_metrics(registry, args.format, args.output, out):
-        out(f"wrote {args.output} ({args.format}): one cold serve plus "
-            f"{len(trace)} replayed requests of {task.model!r} "
-            f"under {task.scheme_enum.label}")
-    return 0
-
-
-def _cmd_fleet(args, task, config, trace, sinks, out) -> int:
+def _cmd_fleet(args, task, config, trace, sinks, out):
     report = None
     if args.jobs > 1 or args.verify_serial:
         from repro.fleet import equivalence_problems, run_fleet_sharded
@@ -690,33 +568,11 @@ def _cmd_fleet(args, task, config, trace, sinks, out) -> int:
     if report is not None and report.mode != "delegated":
         out(f"  sharded replay: {report.mode} mode, {report.shards} "
             f"shard(s) x {report.jobs} job(s)")
-    if args.telemetry:
-        spans = sinks["spans"]
-        counts = spans_summary(spans)
-        summary = ", ".join(f"{v} {k}" for k, v in counts.items())
-        out(f"  telemetry: {len(spans)} decision span(s)"
-            + (f" ({summary})" if summary else ""))
-        monitors = stats.monitors or {}
-        for name, entry in monitors.get("monitors", {}).items():
-            state = "FIRING" if entry["firing"] else "ok"
-            out(f"  slo {name}: {state} — worst {entry['worst']:.4g} vs "
-                f"threshold {entry['threshold']:.4g}, "
-                f"fired {entry['fired']}x")
-        alerts = monitors.get("alerts", [])
-        for alert in alerts[:5]:
-            out(f"    [{alert['state']}] {alert['monitor']} at "
-                f"t={alert['t']:.3f}s (value {alert['value']:.4g})")
-        if len(alerts) > 5:
-            out(f"    ... {len(alerts) - 5} more alert(s)")
-    if (args.metrics is not None
-            and _dump_metrics(sinks["metrics"], args.metrics,
-                              args.metrics_output, out)):
-        out(f"  wrote {args.metrics_output} ({args.metrics})")
     if not stats.conserved:
         out(f"error: conservation violated — offered {stats.offered} != "
             f"completed {stats.completed} + failed {stats.failed} + "
             f"shed {stats.shed}")
-        return 1
+        return 1, stats
     if args.verify_serial:
         problems = equivalence_problems(
             run_replay(task, config, trace, slo=sinks.get("slo")), stats)
@@ -725,9 +581,9 @@ def _cmd_fleet(args, task, config, trace, sinks, out) -> int:
                 f"field(s))")
             for problem in problems[:10]:
                 out(f"    {problem}")
-            return 1
+            return 1, stats
         out("  serial equivalence: PASS (sharded replay byte-identical)")
-    return 0
+    return 0, stats
 
 
 def _cmd_scenario(args, out) -> int:
@@ -761,10 +617,26 @@ def _cmd_validate(args, out) -> int:
     return 1 if failures else 0
 
 
-# The run commands: each parses into an ExperimentTask, replays it
-# through build_replay/run_replay and formats the outcome.
-_RUNS = {"cluster": _cmd_cluster, "chaos": _cmd_chaos,
-         "metrics": _cmd_metrics, "fleet": _cmd_fleet}
+# The run commands: each parses into an ExperimentTask, serves or
+# replays it with its telemetry sinks, formats the outcome and returns
+# (exit code, outcome).
+_RUNS = {"serve": _cmd_serve, "cluster": _cmd_cluster, "chaos": _cmd_chaos,
+         "fleet": _cmd_fleet}
+_COMMANDS = {"models": _cmd_models, "experiment": _cmd_experiment,
+             "session": _cmd_session, "validate": _cmd_validate,
+             "scenario": _cmd_scenario, "profile": _cmd_profile}
+
+
+def _check_args(args) -> None:
+    """Reject the bad arguments of the commands that build no task (a
+    run command's task checks its own)."""
+    if args.command == "session":
+        check_count("requests", args.requests, 1)
+        if not args.interval_ms >= 0:
+            raise ValueError(f"interval-ms must be >= 0, "
+                             f"got {args.interval_ms!r}")
+    elif args.command == "profile" and args.ops is not None:
+        check_count("ops", args.ops, 1)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -774,32 +646,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     def out(text: str = "") -> None:
         print(text)
 
-    if args.command == "models":
-        return _cmd_models(out)
-    if args.command == "serve":
-        return _cmd_serve(args, out)
-    if args.command == "experiment":
-        return _cmd_experiment(args, out)
-    if args.command == "session":
-        return _cmd_session(args, out)
-    if args.command in _RUNS:
-        try:
+    try:
+        _check_args(args)
+        if args.command in _RUNS:
             task = _run_task(args)
-            config, trace = build_replay(task)
-            sinks = _run_sinks(args)
-        except ValueError as exc:
-            out(f"error: {exc}")
-            return 2
-        return _RUNS[args.command](args, task, config, trace, sinks, out)
-    if args.command == "validate":
-        return _cmd_validate(args, out)
-    if args.command == "scenario":
-        return _cmd_scenario(args, out)
-    if args.command == "profile":
-        return _cmd_profile(args, out)
-    if args.command == "trace":
-        return _cmd_trace(args, out)
-    raise AssertionError(f"unhandled command {args.command!r}")
+            config, trace = (build_replay(task)
+                             if task.kind in ("cluster", "fleet")
+                             else (None, None))
+    except ValueError as exc:
+        out(f"error: {exc}")
+        return 2
+    if args.command not in _RUNS:
+        return _COMMANDS[args.command](args, out)
+    sinks = _run_sinks(args)
+    code, outcome = _RUNS[args.command](args, task, config, trace, sinks,
+                                        out)
+    if args.telemetry is not None:
+        code = max(code, _write_telemetry(
+            args, task, sinks, getattr(outcome, "monitors", None), out))
+    return code
 
 
 if __name__ == "__main__":

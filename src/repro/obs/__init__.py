@@ -7,20 +7,22 @@ and zero-cost when disabled: the stack holds
 :class:`~repro.obs.metrics.MetricsRegistry`, and golden replays stay
 byte-identical with telemetry off.
 
-See docs/OBSERVABILITY.md for the span model, attribution semantics and
-exporter formats.
+:func:`~repro.obs.bundle.write_bundle` writes one run's telemetry as a
+single directory bundle.  See docs/OBSERVABILITY.md for the span model,
+attribution semantics, exporter formats and the bundle layout.
 """
 
 from repro.obs.attribution import (Attribution, attribute_request,
                                    attribute_result, attribute_spans,
                                    spans_breakdown, spans_from_trace)
+from repro.obs.bundle import write_bundle
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                exponential_buckets, merge_dumps,
                                validate_dump)
 from repro.obs.monitors import (Alert, SLOMonitorSet, SLOPolicy,
                                 emit_alert_spans, validate_monitors)
-from repro.obs.perfetto import (spans_summary, to_perfetto, trace_events,
-                                validate_trace, write_trace)
+from repro.obs.perfetto import (to_perfetto, trace_events, validate_trace,
+                                write_trace)
 from repro.obs.spans import NULL_RECORDER, NullRecorder, Span, SpanRecorder
 
 __all__ = [
@@ -30,7 +32,7 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "exponential_buckets", "merge_dumps", "validate_dump",
     "trace_events", "to_perfetto", "write_trace", "validate_trace",
-    "spans_summary",
+    "write_bundle",
     "SLOPolicy", "Alert", "SLOMonitorSet", "validate_monitors",
     "emit_alert_spans",
 ]

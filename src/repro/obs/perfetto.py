@@ -20,19 +20,18 @@ produce byte-identical files (pinned by a golden test).
 
 :func:`validate_trace` structurally checks an exported payload —
 required keys per event type, monotonic ``ts`` per tid, and matched
-flow begin/end pairs — and is used by the CLI's ``--validate`` flag and
-the test suite.
+flow begin/end pairs — and gates every telemetry bundle
+(:mod:`repro.obs.bundle`) and the test suite.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.spans import Span
 
-__all__ = ["trace_events", "to_perfetto", "write_trace", "validate_trace",
-           "spans_summary"]
+__all__ = ["trace_events", "to_perfetto", "write_trace", "validate_trace"]
 
 _PID = 1
 # Deterministic event ordering at equal timestamps: metadata first, then
@@ -185,11 +184,3 @@ def validate_trace(payload: Any) -> List[str]:
                 f"flow {flow_id!r}: expected one matched s/f pair, "
                 f"got {phases}")
     return errors
-
-
-def spans_summary(spans: Iterable[Span]) -> Dict[str, int]:
-    """Event counts per category — a cheap sanity line for the CLI."""
-    out: Dict[str, int] = {}
-    for span in spans:
-        out[span.category] = out.get(span.category, 0) + 1
-    return {k: out[k] for k in sorted(out)}

@@ -3,7 +3,7 @@
 An :class:`ExperimentTask` names one deterministic simulation — a cold
 serve, a hot serve, a cluster or a fleet trace replay — with every knob
 that can change its outcome; it is the one run spec behind the grid,
-the scenarios and the ``repro cluster|chaos|metrics|fleet`` commands.
+the scenarios and the ``repro serve|cluster|chaos|fleet`` commands.
 :func:`build_replay` turns a cluster or fleet task into its
 ``(config, trace)``, :func:`run_replay` replays them with the caller's
 telemetry sinks, and :func:`execute_task` turns a task into a JSON-safe

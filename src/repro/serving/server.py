@@ -185,7 +185,7 @@ class InferenceServer:
                 if spans is not None:
                     spans.bind(trace)
                 loads_before = runtime.load_count
-                start = self.env_now(env)
+                start = env.now
                 try:
                     with runtime.spans.request(f"request-{request}",
                                                model=model, request=request,
@@ -241,11 +241,6 @@ class InferenceServer:
         process = env.process(session(), name=f"session-{model}")
         env.run(until=process)
         return results
-
-    @staticmethod
-    def env_now(env: Environment) -> float:
-        """Current simulated time (hook point for tests)."""
-        return env.now
 
     # ------------------------------------------------------------------
     # Warm-state checkpoint / restore serving

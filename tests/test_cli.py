@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import MetricsRegistry, merge_dumps
 
 
 class TestParser:
@@ -147,8 +149,6 @@ _GOLDEN_RUNS = [
     ("cluster_res_aggregate",
      ["cluster", "res", "--trace-retention", "aggregate"]),
     ("chaos_res", ["chaos", "res"]),
-    ("metrics_res_prom", ["metrics", "res"]),
-    ("metrics_res_json", ["metrics", "res", "--format", "json"]),
     ("fleet_res", ["fleet", "res"]),
     ("fleet_res_tenants",
      ["fleet", "res", "--tenants", "3", "--arrival", "diurnal",
@@ -183,9 +183,123 @@ def test_validate_stdout_matches_golden(capsys):
     (["fleet", "res", "--instances", "0"], "instances"),
     (["cluster", "res", "--keep-alive", "-1"], "keep-alive"),
     (["fleet", "res", "--tenants", "0"], "tenants"),
+    (["serve", "alex", "--batch", "0"], "batch"),
+    (["session", "alex", "--requests", "0"], "requests"),
+    (["profile", "event-kernel", "--ops", "0"], "ops"),
 ], ids=["cluster-instances", "chaos-instances", "fleet-instances",
-        "cluster-keep-alive", "fleet-tenants"])
+        "cluster-keep-alive", "fleet-tenants", "serve-batch",
+        "session-requests", "profile-ops"])
 def test_bad_run_arguments_print_error_and_exit_2(argv, field, capsys):
     assert main(argv) == 2
     out = capsys.readouterr().out
     assert out.startswith("error: ") and field in out
+
+
+# --telemetry DIR: one bundle per run command.
+
+def _bundle(directory):
+    """Every file of a telemetry bundle, by name, as bytes."""
+    return {path.name: path.read_bytes()
+            for path in sorted(Path(directory).iterdir())}
+
+
+def _run_with_telemetry(argv, directory, capsys):
+    """Run ``argv`` with ``--telemetry directory``; return its stdout
+    without the one telemetry line."""
+    assert main(argv + ["--telemetry", str(directory)]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    marked = [line for line in lines
+              if line.startswith(f"  telemetry: wrote {directory}")]
+    assert len(marked) == 1
+    return "".join(line for line in lines if line not in marked)
+
+
+_SERVE_PASK = ["serve", "res", "--scheme", "pask"]
+_CLUSTER_PASK = ["cluster", "res", "--scheme", "pask", "--duration", "2",
+                 "--keep-alive", "10"]
+
+
+def test_serve_and_cluster_bundles_hold_the_metrics_goldens(tmp_path,
+                                                            capsys):
+    # One cold serve plus a short cluster replay, merged: the registry
+    # the expected dumps were recorded from.
+    dumps = []
+    for name, argv in (("serve", _SERVE_PASK), ("cluster", _CLUSTER_PASK)):
+        _run_with_telemetry(argv, tmp_path / name, capsys)
+        dumps.append(json.loads(
+            (tmp_path / name / "metrics.json").read_text(encoding="utf-8")))
+    expected_json = (_GOLDEN_DIR / "metrics_res_json.txt").read_text(
+        encoding="utf-8")
+    assert merge_dumps(dumps) == json.loads(expected_json)
+    registry = MetricsRegistry()
+    for dump in dumps:
+        registry.merge(dump)
+    expected_prom = (_GOLDEN_DIR / "metrics_res_prom.txt").read_text(
+        encoding="utf-8")
+    assert registry.to_prometheus() + "\n" == expected_prom
+
+
+def test_serve_bundle_layout(tmp_path, capsys):
+    from repro._version import __version__
+    from repro.runner.cache import task_key
+    from repro.runner.tasks import ExperimentTask
+
+    _run_with_telemetry(_SERVE_PASK, tmp_path, capsys)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    task = ExperimentTask(kind="cold", model="res", scheme="PaSK")
+    assert manifest == {
+        "command": "serve", "task": task.describe(),
+        "task_key": task_key(task), "code_version": __version__}
+    assert sorted(_bundle(tmp_path)) == [
+        "attribution.json", "manifest.json", "metrics.json", "metrics.prom",
+        "trace.json"]
+    (verdict,) = json.loads((tmp_path / "attribution.json").read_text())
+    assert verdict["request"] == "serve:res"
+    assert sum(verdict["components"].values()) == pytest.approx(
+        verdict["total_time"])
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert {e["cat"] for e in trace["traceEvents"] if e["ph"] == "X"} >= {
+        "load", "exec", "request"}
+
+
+@pytest.mark.parametrize("stem,argv", [
+    (None, _SERVE_PASK),
+    ("cluster_res", ["cluster", "res"]),
+    ("chaos_res", ["chaos", "res"]),
+    ("fleet_res", ["fleet", "res"]),
+], ids=["serve", "cluster", "chaos", "fleet"])
+def test_telemetry_adds_one_stdout_line(stem, argv, tmp_path, capsys):
+    if stem is None:
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+    else:
+        expected = (_GOLDEN_DIR / f"{stem}.txt").read_text(encoding="utf-8")
+    assert _run_with_telemetry(argv, tmp_path, capsys) == expected
+
+
+def test_two_runs_write_identical_bundles(tmp_path, capsys):
+    argv = ["chaos", "res", "--duration", "1"]
+    _run_with_telemetry(argv, tmp_path / "a", capsys)
+    _run_with_telemetry(argv, tmp_path / "b", capsys)
+    assert _bundle(tmp_path / "a") == _bundle(tmp_path / "b")
+
+
+def test_sharded_fleet_bundle_matches_serial(tmp_path, capsys):
+    argv = ["fleet", "res", "--devices", "MI100,A100", "--routing",
+            "round-robin", "--autoscale", "scale-to-zero", "--idle-timeout",
+            "0.2", "--min-instances", "1", "--checkpoint-restore",
+            "--keep-alive", "0.2", "--instances", "2", "--arrival", "bursty",
+            "--rate", "4", "--peak-rate", "2000", "--duration", "20",
+            "--shed-wait", "0.002"]
+    _run_with_telemetry(argv, tmp_path / "serial", capsys)
+    _run_with_telemetry(argv + ["--jobs", "2"], tmp_path / "sharded", capsys)
+    serial = _bundle(tmp_path / "serial")
+    assert "monitors.json" in serial
+    assert _bundle(tmp_path / "sharded") == serial
+
+
+def test_invalid_bundle_trace_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("repro.obs.bundle.validate_trace",
+                        lambda payload: ["event[3]: broken"])
+    assert main(_SERVE_PASK + ["--telemetry", str(tmp_path)]) == 1
+    assert "  invalid trace: event[3]: broken" in capsys.readouterr().out

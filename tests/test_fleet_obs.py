@@ -12,6 +12,7 @@ Two contracts are pinned here:
   mode, in-process and across worker processes.
 """
 
+import json
 import math
 
 import pytest
@@ -308,17 +309,24 @@ class TestQueueDepthTracker:
 
 
 class TestCLISurface:
-    def test_fleet_telemetry_flag(self, capsys):
-        assert main(["fleet", "res", "--duration", "1", "--telemetry"]) == 0
-        out = capsys.readouterr().out
-        assert "decision span(s)" in out
-        assert "slo availability" in out
-
-    def test_fleet_metrics_export(self, capsys):
+    def test_fleet_telemetry_flag(self, tmp_path, capsys):
         assert main(["fleet", "res", "--duration", "1",
-                     "--metrics", "prom"]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE fleet_routed_total counter" in out
+                     "--telemetry", str(tmp_path)]) == 0
+        assert f"telemetry: wrote {tmp_path}" in capsys.readouterr().out
+        trace = json.loads((tmp_path / "trace.json").read_text())
+        assert any(event.get("cat") == "decision"
+                   for event in trace["traceEvents"])
+        monitors = json.loads((tmp_path / "monitors.json").read_text())
+        assert validate_monitors(monitors) == []
+        assert "availability" in monitors["monitors"]
+
+    def test_fleet_metrics_export(self, tmp_path, capsys):
+        assert main(["fleet", "res", "--duration", "1",
+                     "--telemetry", str(tmp_path)]) == 0
+        prom = (tmp_path / "metrics.prom").read_text()
+        assert "# TYPE fleet_routed_total counter" in prom
+        dump = json.loads((tmp_path / "metrics.json").read_text())
+        assert validate_dump(dump) == []
 
     def test_profile_fleet_coupled_reports_counters(self, capsys):
         assert main(["profile", "fleet-coupled", "--ops", "2000"]) == 0
