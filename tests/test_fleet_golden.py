@@ -1,6 +1,6 @@
 """Golden regressions for the fleet layer.
 
-Two pins:
+Three pins:
 
 - **Delegation byte-identity** — a single-region fleet under inert
   policies replays byte-identical to the bare
@@ -16,6 +16,7 @@ The claims of ``benchmarks/fleet_frontier_report.json`` are checked
 here too; ``tests/test_scenarios.py`` pins its bytes.
 """
 
+import hashlib
 import json
 import os
 
@@ -23,10 +24,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.schemes import Scheme
-from repro.fleet import (FleetConfig, FleetSimulator, FleetTrace,
-                         RegionConfig, RoutingPolicy, merge_traces)
+from repro.fleet import (AutoscalePolicy, FleetConfig, FleetSimulator,
+                         FleetTrace, RegionConfig, RoutingPolicy,
+                         merge_traces)
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.monitors import SLOPolicy
+from repro.obs.spans import SpanRecorder
+from repro.packs import PackPolicy
+from repro.runner import fleet_stats_to_payload
 from repro.serving.cluster import ClusterConfig, ClusterSimulator
-from repro.serving.requests import burst_trace, poisson_trace
+from repro.serving.requests import bursty_trace, burst_trace, poisson_trace
 from repro.serving.resilience import ResiliencePolicy
 from repro.serving.server import InferenceServer
 from repro.sim.faults import FaultPlan
@@ -179,3 +186,88 @@ class TestFrontierReportGolden:
                 < frontier["frontiers"]["baseline"])
         assert (frontier["frontiers"]["pask+restore"]
                 <= frontier["frontiers"]["pask"])
+
+
+# ----------------------------------------------------------------------
+# Coupled serial golden
+# ----------------------------------------------------------------------
+
+_COUPLED_CONFIGS = {
+    "scale-to-zero": dict(
+        autoscale=AutoscalePolicy(kind="scale-to-zero", idle_timeout_s=0.1)),
+    "reactive-shed": dict(
+        autoscale=AutoscalePolicy(kind="reactive", min_instances=1,
+                                  scale_up_wait_s=0.001,
+                                  scale_down_idle_s=0.3),
+        shed_wait_s=0.008),
+    "predictive": dict(
+        autoscale=AutoscalePolicy(kind="predictive", prewarm_headroom=4.0,
+                                  prewarm_cooldown_s=0.2,
+                                  checkpoint_restore=True)),
+    "crash": dict(
+        autoscale=AutoscalePolicy(kind="scale-to-zero", idle_timeout_s=0.2),
+        faults=True),
+    "packs": dict(
+        autoscale=AutoscalePolicy(kind="scale-to-zero", idle_timeout_s=0.05),
+        packs=PackPolicy()),
+}
+
+# (routing, config) -> (blake2b of the sorted-key payload JSON, spans).
+_COUPLED_GOLDEN = {
+    ('warm-first', 'crash'):
+        ('7599b031ed13387750516cfd47b0baa4', 1402),
+    ('warm-first', 'packs'):
+        ('501e97e42d56d166395f6e6e4ea20c05', 1336),
+    ('warm-first', 'predictive'):
+        ('5e59b020d77b3028a1618873d9b25b41', 1325),
+    ('warm-first', 'reactive-shed'):
+        ('60b075501e60bf20cdb0df9dbc8966ac', 1319),
+    ('warm-first', 'scale-to-zero'):
+        ('637b331e2109734dcabcbc143abb6750', 1339),
+    ('least-queue', 'crash'):
+        ('d5930b61fecf157fe9aeaf0c61fe1e8f', 1403),
+    ('least-queue', 'packs'):
+        ('501e97e42d56d166395f6e6e4ea20c05', 1336),
+    ('least-queue', 'predictive'):
+        ('051e48bd8c7d10df02f19a5df87262d6', 1338),
+    ('least-queue', 'reactive-shed'):
+        ('c56e828918ab1f7f969ede0422f46ce7', 1322),
+    ('least-queue', 'scale-to-zero'):
+        ('637b331e2109734dcabcbc143abb6750', 1339),
+}
+
+
+def _coupled_run(routing, name):
+    options = dict(_COUPLED_CONFIGS[name])
+    faulty = options.pop("faults", False)
+    # r0 reclaims sooner than r1, so r1 can hold warm capacity while r0
+    # only has a spawn slot: there warm-first and least-queue differ.
+    regions = tuple(
+        RegionConfig(name=f"r{k}", device=device, scheme=Scheme.PASK,
+                     max_instances=2, keep_alive_s=keep_alive,
+                     faults=(FaultPlan(seed=5 + k, crash_rate=0.08)
+                             if faulty else None))
+        for k, (device, keep_alive) in enumerate((("MI100", 0.05),
+                                                  ("A100", 0.4))))
+    config = FleetConfig(regions=regions, routing=RoutingPolicy(routing),
+                         trace_retention="full", **options)
+    # Every seeded trace starts at t=0, so the two tenants collide there.
+    trace = merge_traces([
+        ("bursty", bursty_trace("res", 10.0, 1500.0, 0.5, 0.1, 2.0, seed=1)),
+        ("steady", poisson_trace("res", 20.0, 2.0, seed=2))])
+    spans = SpanRecorder()
+    stats = FleetSimulator(
+        config, metrics=MetricsRegistry(), spans=spans,
+        slo=SLOPolicy(p99_target_s=0.05, cold_rate_target=0.05)).run(trace)
+    assert not stats.delegated
+    assert stats.conserved
+    payload = json.dumps(fleet_stats_to_payload(stats), sort_keys=True)
+    return (hashlib.blake2b(payload.encode(), digest_size=16).hexdigest(),
+            len(spans.spans))
+
+
+class TestCoupledSerialGolden:
+    @pytest.mark.parametrize("name", sorted(_COUPLED_CONFIGS))
+    @pytest.mark.parametrize("routing", ["warm-first", "least-queue"])
+    def test_payload_and_span_count_pinned(self, routing, name):
+        assert _coupled_run(routing, name) == _COUPLED_GOLDEN[routing, name]
