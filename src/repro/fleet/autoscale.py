@@ -84,8 +84,8 @@ class AutoscalePolicy:
             raise ValueError("ewma_alpha must be in (0, 1]")
         if not 0 < self.prewarm_headroom < math.inf:
             raise ValueError("prewarm_headroom must be finite and positive")
-        if self.restore_speedup < 1.0:
-            raise ValueError("restore_speedup must be >= 1")
+        if not 1.0 <= self.restore_speedup < math.inf:
+            raise ValueError("restore_speedup must be finite and >= 1")
 
     @property
     def is_inert(self) -> bool:

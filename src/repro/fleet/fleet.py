@@ -174,8 +174,12 @@ class FleetTrace:
             raise ValueError("need at least one tenant name")
         if len(set(self.tenant_names)) != len(self.tenant_names):
             raise ValueError(f"duplicate tenant names: {self.tenant_names}")
-        n = len(self.tenant_names)
-        if any(not 0 <= t < n for t in self.tenants):
+        # Whole-column checks: a fleet trace can hold 1e8 arrivals.
+        if set(map(type, self.tenants)) - {int}:
+            bad = next(t for t in self.tenants if type(t) is not int)
+            raise ValueError(f"tenant index must be an integer, got {bad!r}")
+        if (min(self.tenants) < 0
+                or max(self.tenants) >= len(self.tenant_names)):
             raise ValueError("tenant index out of range")
         check_count("batch", self.batch, 1)
 
@@ -541,20 +545,24 @@ class _RegionState:
         pool.floor = min(self.policy.min_instances, pool.cap)
 
     # -- deterministic query surface (used by routing + autoscaling) ---
+    #
+    # The pool answers each query from one scan per arrival
+    # (:meth:`InstancePool.scan`), which every reader shares.
 
     def routable(self, now: float) -> bool:
         """A region is routable unless drained: capacity can always be
         spawned (the arrival pays the cold start), so only an explicit
         drain takes a region out of rotation."""
-        return not any(start <= now < end
-                       for start, end in self.config.drain_windows)
+        windows = self.config.drain_windows
+        if not windows:
+            return True
+        return not any(start <= now < end for start, end in windows)
 
     def live_count(self, now: float) -> int:
-        return len(self.pool.live(now))
+        return len(self.pool.scan(now)[0])
 
     def has_warm_idle(self, now: float) -> bool:
-        return any(i.busy_until <= now and i.warm
-                   for i in self.pool.live(now))
+        return self.pool.scan(now)[1]
 
     def predicted_wait(self, now: float) -> float:
         return self.pool.predicted_wait(now)
@@ -729,12 +737,16 @@ class FleetSimulator:
         stats = FleetStats(offered=len(trace))
         tenants = [TenantStats(name=name) for name in trace.tenant_names]
         router = RouterState(config.routing)
+        # Only the reactive autoscaler has an idle tick; every other
+        # kind's returns at once.
+        ticking = policy.kind == "reactive"
         for k, (arrival, tenant_index) in enumerate(zip(trace.arrivals,
                                                          trace.tenants)):
             tenant = tenants[tenant_index]
             tenant.offered += 1
-            for region, sink in zip(regions, sinks):
-                region.tick(arrival, k, sink)
+            if ticking:
+                for region, sink in zip(regions, sinks):
+                    region.tick(arrival, k, sink)
             choice = router.choose(regions, arrival)
             if choice is None:
                 stats.shed_unroutable += 1

@@ -17,8 +17,9 @@ Policies
   ties break toward the lowest region index.
 - ``warm-first`` — prefer regions that can serve the request on an idle
   *warm* instance right now (avoiding both queueing and a cold spawn);
-  among several, the least-loaded wins.  Falls back to least-queue when
-  no region has warm headroom — this is the policy that exploits
+  among several, the lowest index wins (each predicts a zero wait, so
+  it is also the least-loaded).  Falls back to least-queue when no
+  region has warm headroom — this is the policy that exploits
   PASK-style cheap cold starts least and a warm pool most.
 
 The starvation invariant (property-pinned): a policy never dispatches
@@ -89,7 +90,10 @@ class RouterState:
         if kind == "least-queue":
             return min(routable,
                        key=lambda i: (regions[i].predicted_wait(now), i))
-        # warm-first
-        warm = [i for i in routable if regions[i].has_warm_idle(now)]
-        pool = warm if warm else routable
-        return min(pool, key=lambda i: (regions[i].predicted_wait(now), i))
+        # warm-first: a region with an idle warm instance predicts a wait
+        # of 0.0, so the lowest-index one is also the least-loaded.
+        for index in routable:
+            if regions[index].has_warm_idle(now):
+                return index
+        return min(routable,
+                   key=lambda i: (regions[i].predicted_wait(now), i))

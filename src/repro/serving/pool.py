@@ -18,6 +18,10 @@ sharded fleet worker — drives the same :class:`InstancePool`:
   :meth:`step` operation for operation, so either path yields the same
   latencies, counters and trace records bit for bit (pinned by tests).
 
+A fleet region's routing, shedding and autoscaler queries read
+:meth:`InstancePool.scan`, one pass over the live instances kept until
+the pool next changes, and :meth:`step`'s first attempt reuses it.
+
 The pool reads its policy — ``cap``, ``floor``, ``keep_alive``,
 ``shed_wait`` and the trace ``actor`` — as plain attributes, so a fleet
 autoscaler can move the cap between arrivals.  The optional
@@ -226,6 +230,9 @@ class InstancePool:
         self.recorder = recorder
         stats.trace = recorder
         self.instances: List[_Instance] = []
+        # ``(now, floor, keep_alive, scan result)`` of the last scan;
+        # None once the instances change.
+        self._scan: Optional[tuple] = None
         self.ever_warm = False        # a checkpoint exists once anything ran
         # Spin-up of a spawn restored from a warm-state checkpoint; None
         # disables checkpoint-restore spawns.
@@ -272,16 +279,50 @@ class InstancePool:
             keep = [i for i in instances if id(i) in kept]
         return keep
 
+    def scan(self, now: float) -> Tuple[List[_Instance], bool, float]:
+        """``(live, warm_idle, earliest)`` at ``now``: :meth:`live`, then
+        one pass over it for whether an instance is warm and idle and
+        for the earliest ``busy_until`` (``inf`` when nothing lives).
+
+        Routing, shedding, the autoscaler and the first attempt of
+        :meth:`step` all read one region's pool at the same arrival, so
+        the scan is kept until the pool next changes: :meth:`step`,
+        :meth:`prewarm` or :meth:`advance` runs, or ``floor`` or
+        ``keep_alive`` moves.  Nothing in it depends on ``cap``.
+        """
+        result = self._memo(now)
+        if result is not None:
+            return result
+        live = self.live(now)
+        warm_idle = False
+        earliest = math.inf
+        for instance in live:
+            busy_until = instance.busy_until
+            if busy_until < earliest:
+                earliest = busy_until
+            if busy_until <= now and instance.warm:
+                warm_idle = True
+        result = (live, warm_idle, earliest)
+        self._scan = (now, self.floor, self.keep_alive, result)
+        return result
+
+    def _memo(self, now: float):
+        """The kept scan if it was taken at ``now`` under the current
+        ``floor`` and ``keep_alive``, else None."""
+        memo = self._scan
+        if (memo is not None and memo[0] == now and memo[1] == self.floor
+                and memo[2] == self.keep_alive):
+            return memo[3]
+        return None
+
     def predicted_wait(self, now: float) -> float:
         """Queueing delay the next arrival would see: zero when an idle
         warm instance or a spawn slot exists, else the wait for the
-        earliest instance to free up."""
-        live = self.live(now)
-        if any(i.busy_until <= now and i.warm for i in live):
+        earliest instance to free up.  Reads the current ``cap``, which
+        an autoscaler may move between two reads at one arrival."""
+        live, warm_idle, earliest = self.scan(now)
+        if warm_idle or len(live) < self.cap:
             return 0.0
-        if len(live) < self.cap:
-            return 0.0
-        earliest = min(i.busy_until for i in live)
         return earliest - now if earliest > now else 0.0
 
     # -- the scheduling step -------------------------------------------
@@ -332,8 +373,15 @@ class InstancePool:
         injector = self.injector
         now = arrival
         attempts = 0
+        # The first attempt reuses a scan taken at this arrival; each
+        # reroute rescans.
+        scanned = None
+        if self._scan is not None:
+            scanned = self._memo(now)
+            self._scan = None
+        live = scanned[0] if scanned is not None else self.live(now)
         while True:
-            instances[:] = self.live(now)
+            instances[:] = live
             free = [i for i in instances
                     if i.busy_until <= now and i.warm
                     and (not i.breaker_open or i.breaker_until <= now)]
@@ -394,6 +442,7 @@ class InstancePool:
             # crash was detected.
             stats.faults.reroutes += 1
             now = crash_time
+            live = self.live(now)
         if code == WARM:
             stats.warm_hits += 1
         elif code == COLD:
@@ -437,6 +486,7 @@ class InstancePool:
         source chain as a spawn; the instance joins warm, busy until the
         spin-up ends."""
         stats = self.stats
+        self._scan = None
         for _ in range(count):
             if len(self.instances) >= self.cap:
                 break
@@ -477,6 +527,7 @@ class InstancePool:
         one code per arrival; ``sheds`` receives ``(index, wait)`` per
         shed arrival.
         """
+        self._scan = None
         keep_alive = self.keep_alive
         cap = self.cap
         floor = self.floor

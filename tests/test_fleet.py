@@ -168,6 +168,13 @@ class TestFleetTrace:
         with pytest.raises(ValueError, match="out of range"):
             FleetTrace("res", (0.0,), (1,), ("default",))
 
+    @pytest.mark.parametrize("bad", (0.5, True, math.nan, -1))
+    def test_rejects_bad_tenant_index(self, bad):
+        # A float index used to build and then fail mid-replay with a
+        # TypeError on the tenant list.
+        with pytest.raises(ValueError, match="tenant index"):
+            FleetTrace("res", (0.0, 1.0), (0, bad), ("x", "y"))
+
     def test_rejects_duplicate_tenant_names(self):
         with pytest.raises(ValueError, match="duplicate"):
             FleetTrace("res", (0.0, 1.0), (0, 1), ("a", "a"))

@@ -201,3 +201,11 @@ class TestPolicyValidation:
     def test_rejects_bad_prewarm_headroom(self, bad):
         with pytest.raises(ValueError, match="prewarm_headroom"):
             AutoscalePolicy(kind="predictive", prewarm_headroom=bad)
+
+    @pytest.mark.parametrize("bad", (0.5, math.nan, math.inf))
+    def test_rejects_bad_restore_speedup(self, bad):
+        # A NaN speedup used to build, and a checkpoint-restore fleet
+        # then reported a NaN mean latency while still conserving.
+        with pytest.raises(ValueError, match="restore_speedup"):
+            AutoscalePolicy(kind="scale-to-zero", idle_timeout_s=0.1,
+                            checkpoint_restore=True, restore_speedup=bad)

@@ -10,19 +10,29 @@ Three invariants, each pinned under hypothesis-generated configs:
 - **No starvation** — the router never dispatches to an unroutable
   (drained) region while a routable one exists, and full drains shed
   with a well-defined error rather than hanging or crashing.
+
+The router is also checked against a written-out reference of every
+policy, and the coupled loop against its scan budget: one pool scan
+per region per arrival, plus one per reroute.
 """
 
+import math
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.schemes import Scheme
 from repro.fleet import (AutoscalePolicy, FleetConfig, FleetSimulator,
                          RegionConfig, RouterState, RoutingPolicy,
                          merge_traces)
+from repro.fleet.fleet import _RegionState
 from repro.runner import fleet_stats_from_payload, fleet_stats_to_payload
-from repro.serving.requests import poisson_trace
+from repro.serving.pool import InstancePool
+from repro.serving.requests import bursty_trace, poisson_trace
 from repro.sim.faults import FaultPlan
+
+_POLICIES = ("single", "round-robin", "least-queue", "warm-first")
 
 _DEVICES = ("MI100", "A100", "6900XT")
 _SCHEMES = (Scheme.BASELINE, Scheme.PASK, Scheme.NNV12)
@@ -141,26 +151,148 @@ class TestDeterminism:
         assert restored.restores == stats.restores
 
 
-def _fake_region(drained, warm, wait):
-    return SimpleNamespace(
-        routable=lambda now, _d=drained: not _d,
-        has_warm_idle=lambda now, _w=warm: _w,
-        predicted_wait=lambda now, _p=wait: _p)
+class _FakePool:
+    """A pool reduced to one fixed scan ``(live, warm_idle, earliest)``
+    and a cap; ``predicted_wait`` is the pool's own."""
+
+    predicted_wait = InstancePool.predicted_wait
+
+    def __init__(self, scan, cap):
+        self._result = scan
+        self.cap = cap
+
+    def scan(self, now):
+        return self._result
+
+
+class _FakeRegion:
+    """A region whose query surface is the fleet's own, read off a
+    :class:`_FakePool`."""
+
+    routable = _RegionState.routable
+    has_warm_idle = _RegionState.has_warm_idle
+    predicted_wait = _RegionState.predicted_wait
+
+    def __init__(self, drained, live, warm_idle, earliest, cap):
+        self.config = SimpleNamespace(
+            drain_windows=((0.0, 1.0),) if drained else ())
+        # Only a live instance can be warm and idle, and with nothing
+        # live there is no earliest finish.
+        self.pool = _FakePool(
+            ([None] * live, warm_idle and live > 0,
+             earliest if live else math.inf), cap)
+
+
+def _fake_regions():
+    return st.lists(
+        st.builds(_FakeRegion, drained=st.booleans(),
+                  live=st.integers(0, 3), warm_idle=st.booleans(),
+                  earliest=st.floats(0.0, 5.0), cap=st.integers(1, 3)),
+        min_size=1, max_size=6)
+
+
+def _reference_choice(kind, regions, now, cursor):
+    """``(choice, next cursor)`` of each policy, written out."""
+    routable = [i for i, region in enumerate(regions)
+                if region.routable(now)]
+    if not routable:
+        return None, cursor
+    if kind == "single" or len(routable) == 1:
+        return routable[0], cursor
+    if kind == "round-robin":
+        n = len(regions)
+        index = next(i % n for i in range(cursor, cursor + n)
+                     if i % n in routable)
+        return index, index + 1
+
+    def key(i):
+        return (regions[i].predicted_wait(now), i)
+
+    if kind == "least-queue":
+        return min(routable, key=key), cursor
+    warm = [i for i in routable if regions[i].has_warm_idle(now)]
+    return min(warm or routable, key=key), cursor
+
+
+class TestRouterReference:
+    @given(kind=st.sampled_from(_POLICIES), regions=_fake_regions(),
+           now=st.floats(0.0, 5.0), steps=st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_choose_matches_reference(self, kind, regions, now, steps):
+        router = RouterState(RoutingPolicy(kind))
+        cursor = 0
+        for _ in range(steps):
+            expected, cursor = _reference_choice(kind, regions, now, cursor)
+            assert router.choose(regions, now) == expected
+
+
+def _count_scans(monkeypatch, config, trace):
+    """Replay ``trace``; return the stats and, per arrival, the number of
+    ``InstancePool.live`` calls at the arrival's own time per pool and
+    the number at any other time (the reroutes, at crash times)."""
+    calls = []
+    live = InstancePool.live
+    choose = RouterState.choose
+
+    def counting_live(pool, now):
+        calls[-1].append((id(pool), now))
+        return live(pool, now)
+
+    def marking_choose(router, regions, now):
+        calls.append([])
+        return choose(router, regions, now)
+
+    monkeypatch.setattr(InstancePool, "live", counting_live)
+    monkeypatch.setattr(RouterState, "choose", marking_choose)
+    stats = FleetSimulator(config).run(trace)
+    per_arrival = []
+    for arrival, logged in zip(trace.arrivals, calls):
+        own = [pool for pool, now in logged if now == arrival]
+        per_arrival.append((max(map(own.count, own), default=0),
+                            len(logged) - len(own)))
+    return stats, per_arrival
+
+
+class TestScanBudget:
+    @pytest.mark.parametrize("autoscale,shed,faults", [
+        (AutoscalePolicy(kind="scale-to-zero", idle_timeout_s=0.1), None,
+         True),
+        (AutoscalePolicy(kind="reactive", min_instances=1,
+                         scale_up_wait_s=0.001), 0.008, False),
+    ], ids=["scale-to-zero-crash", "reactive-shed"])
+    def test_one_live_scan_per_region_per_arrival(self, monkeypatch,
+                                                  autoscale, shed, faults):
+        regions = tuple(
+            RegionConfig(name=f"r{k}", device=device, scheme=Scheme.PASK,
+                         max_instances=2, keep_alive_s=0.05,
+                         faults=(FaultPlan(seed=k, crash_rate=0.1)
+                                 if faults else None))
+            for k, device in enumerate(("MI100", "A100")))
+        config = FleetConfig(regions=regions,
+                             routing=RoutingPolicy("warm-first"),
+                             autoscale=autoscale, shed_wait_s=shed)
+        trace = merge_traces([
+            ("bursty", bursty_trace("res", 10.0, 1500.0, 0.5, 0.1, 2.0,
+                                    seed=1)),
+            ("steady", poisson_trace("res", 20.0, 2.0, seed=2))])
+        stats, per_arrival = _count_scans(monkeypatch, config, trace)
+        assert len(per_arrival) == len(trace)
+        assert max(own for own, _ in per_arrival) == 1
+        reroutes = sum(region.faults.reroutes
+                       for region in stats.regions.values())
+        assert sum(other for _, other in per_arrival) == reroutes
+        if faults:
+            assert reroutes > 0
 
 
 class TestNoStarvation:
-    @given(kind=st.sampled_from(("single", "round-robin", "least-queue",
-                                 "warm-first")),
-           states=st.lists(st.tuples(st.booleans(), st.booleans(),
-                                     st.floats(0.0, 5.0)),
-                           min_size=1, max_size=6),
+    @given(kind=st.sampled_from(_POLICIES), regions=_fake_regions(),
            steps=st.integers(1, 8))
     @settings(max_examples=100, deadline=None)
-    def test_router_never_picks_unroutable_region(self, kind, states,
+    def test_router_never_picks_unroutable_region(self, kind, regions,
                                                   steps):
-        regions = [_fake_region(*state) for state in states]
         router = RouterState(RoutingPolicy(kind))
-        any_routable = any(not drained for drained, _, _ in states)
+        any_routable = any(region.routable(0.0) for region in regions)
         for _ in range(steps):
             choice = router.choose(regions, now=0.0)
             if not any_routable:
