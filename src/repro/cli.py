@@ -562,10 +562,8 @@ def _cmd_fleet(args, task, config, trace, sinks, out):
     out(f"  latency mean {stats.mean_latency * 1e3:.2f} ms, "
         f"p50 {stats.percentile(0.5) * 1e3:.2f} ms, "
         f"p99 {stats.percentile(0.99) * 1e3:.2f} ms")
-    out(f"  availability {stats.availability:.4%}"
-        + (" (delegated to the single-cluster fast path)"
-           if stats.delegated else ""))
-    if report is not None and report.mode != "delegated":
+    out(f"  availability {stats.availability:.4%}")
+    if report is not None:
         out(f"  sharded replay: {report.mode} mode, {report.shards} "
             f"shard(s) x {report.jobs} job(s)")
     if not stats.conserved:

@@ -11,28 +11,27 @@ autoscaling policy (:mod:`repro.fleet.autoscale`) manage per-region
 capacity — with every scale-up billed through the existing cold-start /
 checkpoint-restore accounting.
 
-Two execution paths, one contract
----------------------------------
-- **Delegation**: a single-region fleet under inert routing/autoscaling
-  (:attr:`FleetConfig.is_single_cluster`) with a single tenant is run by
-  handing the trace straight to ``ClusterSimulator`` — byte-identical to
-  the bare cluster by construction, fast-forward and resilience
-  included (golden-pinned).
-- **General**: anything else replays arrival-by-arrival.  Each region
-  schedules through the same :class:`~repro.serving.pool.InstancePool`
-  the cluster drives, so a single-region fleet on the general path
-  produces the same latencies/counters as
-  ``ClusterSimulator(fast_forward=False)`` (equivalence-pinned).
+One execution path
+------------------
+Every fleet replays arrival by arrival.  Each region schedules through
+the same :class:`~repro.serving.pool.InstancePool` the cluster drives,
+with the same resilience supervisor attached when a non-inert
+:class:`ResiliencePolicy` is set, so a one-region fleet under inert
+routing and autoscaling (:attr:`FleetConfig.is_single_cluster`)
+produces the latencies, counters, fault dictionaries and trace records
+of the bare ``ClusterSimulator`` — under fault plans, resilience and
+packs alike, with ``cluster`` records on ``region:<name>``
+(equivalence-pinned).  Such a fleet steps where the bare cluster
+fast-forwards, so its ``fast_forwarded`` stays 0; the sharded replay
+(:mod:`repro.fleet.parallel`) can run it analytically.
 
 Accounting invariant (property-pinned): every offered request is
 exactly one of completed, failed, or shed —
 ``stats.offered == stats.completed + stats.failed + stats.shed``.
 
-Scope notes: non-inert :class:`ResiliencePolicy` is a cluster-level
-feature and is honoured on the delegation path only (the general path
-rejects it rather than silently dropping guarantees); crashed instances
-always restart *cold* — checkpoint restore applies to autoscaler
-spawns, restore-on-crash belongs to the resilience layer.
+Scope note: without a resilience policy crashed instances restart
+*cold* — checkpoint restore applies to autoscaler spawns, and
+restore-on-crash belongs to the resilience supervisor.
 """
 
 from __future__ import annotations
@@ -45,11 +44,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.core.schemes import Scheme
 from repro.fleet.autoscale import AutoscalePolicy, AutoscalerState
 from repro.fleet.routing import RouterState, RoutingPolicy
+from repro.gpu.device import check_device
 from repro.obs.monitors import SLOMonitorSet, SLOPolicy, emit_alert_spans
 from repro.packs.artifact import pack_for
 from repro.packs.store import PackPolicy, RegistryFabric, feed_pack_metrics
-from repro.serving.cluster import (ClusterConfig, ClusterSimulator,
-                                   service_times)
+from repro.serving.cluster import attach_resilience, service_times
 from repro.serving.pool import (COLD, FAILED, SHED, InstancePool,
                                 OfferedSummary, PoolStats)
 from repro.serving.requests import RequestTrace
@@ -84,6 +83,7 @@ class RegionConfig:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("region needs a name")
+        check_device(self.device)
         check_count("max_instances", self.max_instances, 1)
         if not 0 <= self.keep_alive_s < math.inf:
             raise ValueError("keep-alive must be finite and non-negative")
@@ -107,8 +107,9 @@ class FleetConfig:
     shed_wait_s: Optional[float] = None
     trace_retention: Optional[str] = None
     trace_ring: int = 1024
-    fast_forward: bool = True
-    # Honoured on the delegation path only (see module docstring).
+    # Resilience supervisor (repro.serving.resilience), attached to
+    # every region's pool; its records land on the region's actor.
+    # ``None`` (default), or an inert policy, is byte-inert.
     resilience: Optional[ResiliencePolicy] = None
     # Kernel-pack fetch hierarchy (repro.packs), fleet-wide: each region
     # runs its own ladder against its *own* registry (dark during that
@@ -136,8 +137,9 @@ class FleetConfig:
     @property
     def is_single_cluster(self) -> bool:
         """Whether this fleet is observationally a bare cluster: one
-        region, no drains, inert routing and autoscaling, no shedding —
-        the delegation-path precondition."""
+        region, no drains, inert routing and autoscaling, no shedding.
+        Such a fleet replays like any other; with one tenant its stats
+        say ``delegated`` (see :func:`_new_stats`)."""
         return (len(self.regions) == 1
                 and not self.regions[0].drain_windows
                 and self.routing.is_inert
@@ -269,7 +271,9 @@ class FleetStats(OfferedSummary):
     # Arrivals dropped because *no* region was routable (all drained);
     # distinct from per-region load shedding.
     shed_unroutable: int = 0
-    # Whether the replay took the single-cluster delegation path.
+    # Whether the replay is observationally a bare cluster: a
+    # single-cluster config and one tenant (:func:`_new_stats`).
+    # The name is the payload and report key, kept for their bytes.
     delegated: bool = False
     # SLO monitor digest (SLOMonitorSet.summary()) when a policy was
     # attached; None otherwise.  Sharded replays reproduce this
@@ -328,6 +332,14 @@ class FleetStats(OfferedSummary):
         for region in self.regions.values():
             out.extend(region.latencies)
         return out
+
+
+def _new_stats(config: FleetConfig, trace: FleetTrace) -> FleetStats:
+    """The empty :class:`FleetStats` a replay of ``trace`` fills; the
+    one place ``delegated`` is derived."""
+    return FleetStats(offered=len(trace),
+                      delegated=(config.is_single_cluster
+                                 and len(trace.tenant_names) == 1))
 
 
 # ----------------------------------------------------------------------
@@ -498,14 +510,22 @@ def _feed_fleet_metrics(registry, stats: "FleetStats", routing_kind: str,
 # Region runtime state
 # ----------------------------------------------------------------------
 
+def _drained(windows: Tuple[Tuple[float, float], ...], now: float) -> bool:
+    """Whether ``now`` falls in one of a region's half-open drain
+    ``windows``: the one drain predicate of routing, serial or
+    precomputed."""
+    return any(start <= now < end for start, end in windows)
+
+
 class _RegionState:
     """One region: its :class:`InstancePool` under an autoscaler.
 
-    The pool does the scheduling; the region adds what the fleet layer
-    owns — the routing query surface (drains, predicted wait, warm
-    headroom), the autoscaler's breathing cap and warm floor, fleet
-    load shedding and off-path pre-warming — and logs its control-plane
-    decisions as event tuples when ``events`` is given.
+    The pool does the scheduling, with the resilience supervisor when a
+    policy is given; the region adds what the fleet layer owns — the
+    routing query surface (drains, predicted wait, warm headroom), the
+    autoscaler's breathing cap and warm floor, fleet load shedding and
+    off-path pre-warming — and logs its control-plane decisions as
+    event tuples when ``events`` is given.
     """
 
     def __init__(self, config: RegionConfig, server: InferenceServer,
@@ -514,7 +534,8 @@ class _RegionState:
                  shed_wait: Optional[float] = None,
                  pack_policy: Optional[PackPolicy] = None,
                  region_index: int = 0,
-                 fabric: Optional[RegistryFabric] = None) -> None:
+                 fabric: Optional[RegistryFabric] = None,
+                 resilience: Optional[ResiliencePolicy] = None) -> None:
         self.config = config
         self.policy = policy
         self.scaler = AutoscalerState(policy, config.max_instances)
@@ -534,6 +555,7 @@ class _RegionState:
         if policy.checkpoint_restore:
             pool.restore_cost = (policy.restore_overhead_s
                                  + pool.cold_extra / policy.restore_speedup)
+        attach_resilience(pool, resilience, server, model, batch)
         if pack_policy is not None:
             # This region's ladder runs against its own registry (dark
             # during its outage windows), failing over through ``fabric``.
@@ -554,9 +576,7 @@ class _RegionState:
         spawned (the arrival pays the cold start), so only an explicit
         drain takes a region out of rotation."""
         windows = self.config.drain_windows
-        if not windows:
-            return True
-        return not any(start <= now < end for start, end in windows)
+        return not windows or not _drained(windows, now)
 
     def live_count(self, now: float) -> int:
         return len(self.pool.scan(now)[0])
@@ -641,67 +661,13 @@ class FleetSimulator:
         self.spans = spans
         self.slo = slo
         self._servers = servers
-        if (config.resilience is not None
-                and not config.resilience.is_inert
-                and not config.is_single_cluster):
-            raise ValueError(
-                "a non-inert resilience policy is honoured on the "
-                "single-cluster delegation path only; attach it to the "
-                "regions' ClusterSimulator runs or use one region with "
-                "inert routing/autoscaling")
 
     def run(self, trace) -> FleetStats:
         """Replay ``trace`` (a :class:`RequestTrace` or
-        :class:`FleetTrace`) and collect fleet statistics."""
+        :class:`FleetTrace`) arrival by arrival and collect fleet
+        statistics."""
         if isinstance(trace, RequestTrace):
             trace = FleetTrace.from_request_trace(trace)
-        config = self.config
-        if config.is_single_cluster and len(trace.tenant_names) == 1:
-            return self._run_delegated(trace)
-        return self._run_general(trace)
-
-    # -- delegation path ----------------------------------------------
-
-    def _run_delegated(self, trace: FleetTrace) -> FleetStats:
-        region = self.config.regions[0]
-        # SLO monitors need the per-request stepping stream; disabling
-        # fast-forward changes only ``stats.fast_forwarded`` — the
-        # ff==stepping byte-identity contract guarantees every other
-        # stat is unchanged (golden-pinned).
-        monitors = SLOMonitorSet(self.slo) if self.slo is not None \
-            else None
-        cluster_config = ClusterConfig(
-            scheme=region.scheme,
-            max_instances=region.max_instances,
-            keep_alive_s=region.keep_alive_s,
-            faults=region.faults,
-            trace_retention=self.config.trace_retention,
-            trace_ring=self.config.trace_ring,
-            fast_forward=(self.config.fast_forward
-                          and monitors is None),
-            resilience=self.config.resilience,
-            packs=self.config.packs)
-        sim = ClusterSimulator(_server_for(region.device, self._servers),
-                               cluster_config, metrics=None,
-                               spans=self.spans, monitors=monitors)
-        cluster_stats = sim.run(trace.to_request_trace())
-        stats = FleetStats(offered=len(trace), delegated=True)
-        stats.regions[region.name] = RegionStats(
-            name=region.name, device=region.device, **vars(cluster_stats))
-        tenant = TenantStats(name=trace.tenant_names[0],
-                             offered=len(trace),
-                             failed=cluster_stats.failed,
-                             shed=cluster_stats.shed,
-                             latencies=cluster_stats.latencies)
-        stats.tenants[tenant.name] = tenant
-        if monitors is not None:
-            stats.monitors = monitors.summary()
-        self._feed_metrics(stats, queue_peaks=None)
-        return stats
-
-    # -- general path --------------------------------------------------
-
-    def _run_general(self, trace: FleetTrace) -> FleetStats:
         config = self.config
         spans = self.spans
         monitors = SLOMonitorSet(self.slo) if self.slo is not None \
@@ -725,7 +691,7 @@ class FleetSimulator:
                 policy, trace.model, trace.batch, config.trace_retention,
                 config.trace_ring, config.shed_wait_s,
                 pack_policy=config.packs, region_index=region_index,
-                fabric=fabric)
+                fabric=fabric, resilience=config.resilience)
             if spans is not None and state.pool.recorder is not None:
                 spans.bind(state.pool.recorder)
             if self.metrics is not None:
@@ -734,7 +700,7 @@ class FleetSimulator:
         sinks = ([_SpanSink(spans, region.config.name, config.routing.kind,
                             trace) for region in regions]
                  if spans is not None else [None] * len(regions))
-        stats = FleetStats(offered=len(trace))
+        stats = _new_stats(config, trace)
         tenants = [TenantStats(name=name) for name in trace.tenant_names]
         router = RouterState(config.routing)
         # Only the reactive autoscaler has an idle tick; every other

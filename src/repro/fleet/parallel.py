@@ -9,25 +9,26 @@ trace records and tenant accounting (equivalence-pinned by
 --verify-serial`` CI gate).
 
 The only cross-region coupling in a fleet replay is the *routing
-decision*: ``idle_tick`` / ``observe_arrival`` / shedding / serving all
-mutate the routed region alone.  That observation yields three
-execution modes, picked automatically:
+decision*: ``idle_tick`` / ``observe_arrival`` / shedding / the
+resilience supervisor / serving all mutate the routed region alone.
+That observation yields two execution modes, picked automatically:
 
-- **delegated** — a single-cluster fleet takes the existing delegation
-  path untouched (cluster fast-forward included).
 - **static** — routing that never reads region state (``single``,
-  ``round-robin``, or a lone routable region) is precomputed exactly
-  from the drain windows.  Every region then replays its own
-  sub-stream in one shot; regions under ``fixed`` / ``scale-to-zero``
-  autoscaling with no fault plan replay it through the pool's analytic
-  :meth:`~repro.serving.pool.InstancePool.advance` (warm floor, restore
-  billing and shedding included).  This is the 1e7–1e8-request
-  throughput path.
+  ``round-robin``, or a lone routable region, as in any one-region
+  fleet) is precomputed exactly from the drain windows.  Every region
+  then replays its own sub-stream in one shot; regions under ``fixed``
+  / ``scale-to-zero`` autoscaling with no fault plan, no resilience
+  supervisor and no trace retention replay it through the pool's
+  analytic :meth:`~repro.serving.pool.InstancePool.advance` (warm
+  floor, restore billing and shedding included).  This is the
+  1e7–1e8-request throughput path.
 - **serial** — coupled work runs serially.  State-coupled routing
   (``least-queue`` / ``warm-first`` across >= 2 routable regions) reads
-  every region's predicted wait and warm-idle bit at every arrival, and
-  kernel packs couple regions through the registry fabric; both replay
-  through the serial ``FleetSimulator.run``.
+  every region's predicted wait and warm-idle bit at every arrival,
+  and kernel packs couple regions through the registry fabric; span
+  capture with trace retention binds each region's recorder to the
+  span recorder.  All three replay through the serial
+  ``FleetSimulator.run``.
 
 Workers regenerate the arrival stream from a :class:`TraceSpec` when
 one is supplied, so scaling to 1e8 requests never ships hundreds of
@@ -47,15 +48,17 @@ from repro.fleet.autoscale import AutoscalePolicy
 from repro.fleet.fleet import (EV_ROUTE, EV_SCALE_DOWN, EV_SHED,
                                FleetConfig, FleetSimulator, FleetStats,
                                FleetTrace, RegionConfig, RegionStats,
-                               TenantStats, _QueueDepthTracker,
-                               _RegionState, _emit_event, _emit_unroutable,
-                               _feed_region_metrics, _feed_tenant_metrics,
+                               TenantStats, _drained, _emit_event,
+                               _emit_unroutable, _feed_region_metrics,
+                               _feed_tenant_metrics, _new_stats,
+                               _QueueDepthTracker, _RegionState,
                                _server_for)
 from repro.fleet.routing import RouterState
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitors import SLOMonitorSet, emit_alert_spans
 from repro.serving.pool import COLD, FAILED, SHED
 from repro.serving.requests import RequestTrace, poisson_trace
+from repro.serving.resilience import ResiliencePolicy
 from repro.sim.trace import TraceRecorder
 
 __all__ = ["TraceSpec", "ShardReport", "run_fleet_sharded",
@@ -94,7 +97,7 @@ class TraceSpec:
 class ShardReport:
     """How a sharded replay executed (the results are in the stats)."""
 
-    mode: str    # "delegated" | "static" | "serial"
+    mode: str    # "static" | "serial"
     jobs: int
     shards: int                # regions replayed as parallel shards
     analytic_served: Dict[str, int] = field(default_factory=dict)
@@ -153,7 +156,7 @@ class _DrainProxy:
         self.windows = windows
 
     def routable(self, now: float) -> bool:
-        return not any(start <= now < end for start, end in self.windows)
+        return not _drained(self.windows, now)
 
 
 def _static_assignment(config: FleetConfig, trace: FleetTrace):
@@ -198,6 +201,7 @@ class _RegionJob:
     region_index: int
     config: RegionConfig
     policy: AutoscalePolicy
+    resilience: Optional[ResiliencePolicy]
     shed_wait_s: Optional[float]
     retention: Optional[str]
     ring: int
@@ -231,7 +235,8 @@ def _build_state(job: _RegionJob, trace: FleetTrace) -> _RegionState:
     region = job.config
     return _RegionState(region, _server_for(region.device, None),
                         job.policy, trace.model, trace.batch,
-                        job.retention, job.ring, job.shed_wait_s)
+                        job.retention, job.ring, job.shed_wait_s,
+                        resilience=job.resilience)
 
 
 def _replay_region(job: _RegionJob) -> _RegionResult:
@@ -257,9 +262,11 @@ def _replay_region(job: _RegionJob) -> _RegionResult:
             if member(k) == mine:
                 outcomes.append(state.offer(t, k, events))
     elif (job.retention is None and pool.injector is None
+          and pool.resilience is None
           and state.policy.kind in ("fixed", "scale-to-zero")):
-        # Closed-form evolution: no crashes, a constant cap and inert
-        # autoscaler hooks, so the sub-stream replays analytically.
+        # Closed-form evolution: no crashes, no supervisor, a constant
+        # cap and inert autoscaler hooks, so the sub-stream replays
+        # analytically.
         indices = _assigned(job.assignment, mine, len(arrivals))
         if isinstance(indices, range):
             sub = arrivals[indices.start:indices.stop:indices.step]
@@ -311,7 +318,7 @@ def _merge(config: FleetConfig, trace: FleetTrace, assignment,
     byte-identical to the serial one.  With ``monitors`` it feeds the
     SLO monitor set from the shards' outcome codes and the merged
     latency stream (again the serial observation order)."""
-    stats = FleetStats(offered=len(trace))
+    stats = _new_stats(config, trace)
     for region, result in zip(config.regions, results):
         region_stats = result.stats
         if result.trace_state is not None:
@@ -421,9 +428,6 @@ def run_fleet_sharded(config: FleetConfig,
     associatively; control-plane spans replay on the coordinator).
     """
     began = perf_counter()
-    # Validates config combinations; also the delegated and serial runner.
-    simulator = FleetSimulator(config, metrics=metrics, spans=spans,
-                               slo=slo)
     if trace is None:
         if trace_spec is None:
             raise ValueError("need a trace or a trace_spec")
@@ -431,25 +435,21 @@ def run_fleet_sharded(config: FleetConfig,
     if isinstance(trace, RequestTrace):
         trace = FleetTrace.from_request_trace(trace)
     jobs = max(1, jobs)
-    if config.is_single_cluster and len(trace.tenant_names) == 1:
-        stats = simulator.run(trace)
-        return stats, ShardReport(mode="delegated", jobs=jobs, shards=0,
-                                  wall_s=perf_counter() - began)
     # Coupled work runs serially: state-coupled routing reads every
     # region at every arrival, and the pack hierarchy couples regions
     # through the registry fabric (cross-region failover reads every
-    # region's outage windows).
+    # region's outage windows).  Span capture with trace retention runs
+    # serially too: request-level recorders bind to the span recorder
+    # in-region, which a shard cannot do across the process boundary.
     assignment = (None if config.packs is not None
+                  or (spans is not None
+                      and config.trace_retention is not None)
                   else _static_assignment(config, trace))
     if assignment is None:
-        stats = simulator.run(trace)
+        stats = FleetSimulator(config, metrics=metrics, spans=spans,
+                               slo=slo).run(trace)
         return stats, ShardReport(mode="serial", jobs=jobs, shards=0,
                                   wall_s=perf_counter() - began)
-    if spans is not None and config.trace_retention is not None:
-        raise ValueError(
-            "sharded span capture does not compose with trace retention "
-            "(request-level recorders bind to the span recorder "
-            "in-region); run the serial FleetSimulator for that combo")
     n_regions = len(config.regions)
     policy = (config.autoscale if config.autoscale is not None
               else AutoscalePolicy())
@@ -466,6 +466,7 @@ def run_fleet_sharded(config: FleetConfig,
         ship_spec = trace_spec if pool is not None else None
         region_jobs = [
             _RegionJob(region_index=i, config=region, policy=policy,
+                       resilience=config.resilience,
                        shed_wait_s=config.shed_wait_s,
                        retention=config.trace_retention,
                        ring=config.trace_ring,

@@ -16,7 +16,8 @@ from typing import Dict, List
 
 from repro.sim.trace import check_count
 
-__all__ = ["DeviceSpec", "MI100", "A100", "RX6900XT", "get_device", "list_devices"]
+__all__ = ["DeviceSpec", "MI100", "A100", "RX6900XT", "check_device",
+           "get_device", "list_devices"]
 
 
 @dataclass(frozen=True)
@@ -106,13 +107,23 @@ RX6900XT = DeviceSpec(
 _REGISTRY: Dict[str, DeviceSpec] = {d.name: d for d in (MI100, A100, RX6900XT)}
 
 
+def _unknown(name: str) -> str:
+    return f"unknown device {name!r}; known devices: {', '.join(list_devices())}"
+
+
 def get_device(name: str) -> DeviceSpec:
     """Look up a device spec by name (``MI100``, ``A100``, ``6900XT``)."""
     try:
         return _REGISTRY[name]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(f"unknown device {name!r}; known devices: {known}") from None
+        raise KeyError(_unknown(name)) from None
+
+
+def check_device(name: str) -> None:
+    """Reject a device name that is not modelled, for configs that name
+    a device and look it up only when they run."""
+    if name not in _REGISTRY:
+        raise ValueError(_unknown(name))
 
 
 def list_devices() -> List[str]:

@@ -31,6 +31,7 @@ from repro.fleet.fleet import (FleetConfig, FleetSimulator, FleetStats,
                                FleetTrace, RegionConfig, RegionStats,
                                TenantStats, merge_traces)
 from repro.fleet.routing import ROUTING_POLICIES, RoutingPolicy
+from repro.gpu.device import check_device
 from repro.packs.store import PackPolicy, PackTransferCounters
 from repro.serving.cluster import ClusterConfig, ClusterSimulator, ClusterStats
 from repro.serving.requests import (RequestTrace, bursty_trace, diurnal_trace,
@@ -99,7 +100,7 @@ class ExperimentTask:
     # (``payload["metrics"]``).  Defaults off, which leaves payloads —
     # and therefore cache keys and old cached entries — untouched.
     collect_metrics: bool = False
-    # Cluster resilience policy (checkpoint/restore, breaker, admission
+    # Resilience policy (checkpoint/restore, breaker, admission
     # control); None keeps cache keys for policy-free replays stable.
     resilience: Optional[ResiliencePolicy] = None
     # Fleet-replay knobs (kind == "fleet" only; all of them are deleted
@@ -129,6 +130,7 @@ class ExperimentTask:
             raise ValueError(f"unknown task kind {self.kind!r}")
         if self.scheme not in _SCHEMES_BY_VALUE:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        check_device(self.device)
         for name in ("batch", "instances", "trace_ring", "tenants"):
             check_count(name, getattr(self, name), 1)
         if (self.trace_retention is not None
@@ -148,12 +150,11 @@ class ExperimentTask:
             if not self.fleet_devices:
                 raise ValueError("fleet_devices must name at least one "
                                  "device when given")
+            for device in self.fleet_devices:
+                check_device(device)
         if self.kind != "fleet" and self.tenants != 1:
             raise ValueError("the tenant split applies to fleet replays; "
                              f"{self.kind!r} tasks have one tenant")
-        if self.kind == "fleet" and self.resilience is not None:
-            raise ValueError("fleet tasks do not take a resilience policy "
-                             "(it is a cluster-level knob)")
         if self.packs is not None and self.kind not in ("cluster", "fleet"):
             raise ValueError("kernel packs apply to cluster/fleet replays; "
                              f"{self.kind!r} tasks do not take them")
@@ -205,6 +206,8 @@ class ExperimentTask:
                 cell += f"/w{self.shed_wait_s:g}"
             if self.tenants != 1:
                 cell += f"/n{self.tenants}"
+            if self.resilience is not None:
+                cell += "/rz"
             if self.packs is not None:
                 cell += "/pk"
             if self.faults is not None and not self.faults.is_zero:
@@ -233,13 +236,10 @@ class ExperimentTask:
         if not self.collect_metrics:
             # Same stability rule for the metrics knob.
             del out["collect_metrics"]
-        if self.kind == "cluster" and self.resilience is None:
+        if self.resilience is None:
             # Same stability rule for the resilience knob.
-            del out["resilience"]
-        if self.kind == "fleet":
-            # Fleet tasks never carry one (enforced in __post_init__).
-            del out["resilience"]
-        else:
+            out.pop("resilience", None)
+        if self.kind != "fleet":
             # The fleet knobs vanish from every non-fleet description so
             # pre-fleet cache keys stay valid verbatim.
             for knob in ("arrival", "peak_rate_hz", "period_s", "burst_s",
@@ -519,6 +519,7 @@ def build_replay(task: ExperimentTask):
                          shed_wait_s=task.shed_wait_s,
                          trace_retention=task.trace_retention,
                          trace_ring=task.trace_ring,
+                         resilience=task.resilience,
                          packs=task.packs)
     return config, arrival_trace(task)
 

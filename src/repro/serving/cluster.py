@@ -22,10 +22,9 @@ from typing import Dict, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.core.schemes import Scheme
-from repro.obs.monitors import emit_alert_spans
 from repro.packs.artifact import pack_for
 from repro.packs.store import PackPolicy, feed_pack_metrics
-from repro.serving.pool import COLD, FAILED, SHED, InstancePool, PoolStats
+from repro.serving.pool import InstancePool, PoolStats
 from repro.serving.requests import RequestTrace
 from repro.serving.resilience import ResiliencePolicy, ResilienceState
 from repro.serving.server import InferenceServer
@@ -33,7 +32,7 @@ from repro.sim.faults import FaultPlan
 from repro.sim.trace import RETENTION_POLICIES, TraceRecorder, check_count
 
 __all__ = ["ClusterConfig", "ClusterStats", "ClusterSimulator",
-           "service_times"]
+           "attach_resilience", "service_times"]
 
 
 @dataclass(frozen=True)
@@ -124,26 +123,41 @@ def service_times(server: InferenceServer, scheme: Scheme, model: str,
     return memo[cold_key], memo[warm_key]
 
 
+def attach_resilience(pool: InstancePool,
+                      policy: Optional[ResiliencePolicy],
+                      server: InferenceServer, model: str,
+                      batch: int) -> None:
+    """Attach ``policy``'s supervisor to ``pool``, whose serve times are
+    ``model``'s at ``batch`` on ``server``.
+
+    Its shed, drain, restore and breaker records go to the pool's trace
+    actor.  An overloaded, degraded pool serves cold spawns at the
+    reactive (baseline) cold time; a restart waits the pool's fault
+    plan's restart delay.  An absent or inert policy attaches nothing,
+    so the replay stays byte-identical (golden tests).
+    """
+    if policy is None or policy.is_inert:
+        return
+    degraded_cold = (service_times(server, Scheme.BASELINE, model, batch)[0]
+                     if policy.degrade_wait_s is not None else pool.cold)
+    plan = pool.plan if pool.plan is not None else FaultPlan()
+    pool.resilience = ResilienceState(
+        policy, pool.stats.faults, pool.recorder, pool.warm, pool.cold_extra,
+        degraded_cold, plan.restart_delay_s, pool.actor)
+
+
 class ClusterSimulator:
     """Replays a request trace against an autoscaled instance pool."""
 
     def __init__(self, server: InferenceServer, config: ClusterConfig,
-                 metrics=None, spans=None, monitors=None) -> None:
+                 metrics=None, spans=None) -> None:
         self.server = server
         self.config = config
         # Telemetry (repro.obs), all optional.  ``spans`` requires a
         # trace retention policy — spans mirror the cluster's trace
         # records, including the ones the fast-forward path synthesizes.
-        # ``monitors`` (an SLOMonitorSet) observes every completed /
-        # failed request from the stepping loop; it needs the
-        # per-request stream, so fast-forward must be off.
         self.metrics = metrics
         self.spans = spans
-        self.monitors = monitors
-        if monitors is not None and config.fast_forward:
-            raise ValueError(
-                "SLO monitors evaluate the per-request stepping stream; "
-                "build the ClusterConfig with fast_forward=False")
         if metrics is not None:
             self._m_requests = metrics.counter(
                 "cluster_requests_total", "Requests served by outcome")
@@ -184,20 +198,8 @@ class ClusterSimulator:
                             keep_alive=config.keep_alive_s,
                             faults=config.faults, recorder=recorder)
         injector = pool.injector
-        # Resilience layer: an inert policy is equivalent to none at
-        # all, so the replay stays byte-identical (golden tests).
-        policy = config.resilience
-        if policy is not None and not policy.is_inert:
-            degraded_cold = (
-                service_times(self.server, Scheme.BASELINE, trace.model,
-                              trace.batch)[0]
-                if policy.degrade_wait_s is not None else cold)
-            restart_delay = (config.faults.restart_delay_s
-                             if config.faults is not None
-                             else FaultPlan().restart_delay_s)
-            pool.resilience = ResilienceState(
-                policy, stats.faults, recorder, warm, pool.cold_extra,
-                degraded_cold, restart_delay)
+        attach_resilience(pool, config.resilience, self.server, trace.model,
+                          trace.batch)
         # Kernel-pack hierarchy: the content-addressed pack for this
         # (scheme, model, batch) and the per-replay fetch ladder.
         # ``packs=None`` builds nothing.
@@ -209,7 +211,6 @@ class ClusterSimulator:
                             and pool.pack_state is None)
         crash_rate = (config.faults.crash_rate
                       if config.faults is not None else 0.0)
-        monitors = self.monitors
         arrivals = trace.arrivals
         index, n = 0, len(arrivals)
         while index < n:
@@ -233,17 +234,8 @@ class ClusterSimulator:
                     index += processed
                 if index >= n:
                     break
-            arrival = arrivals[index]
+            pool.step(arrivals[index])
             index += 1
-            code = pool.step(arrival)
-            if monitors is not None and code != SHED:
-                if code == FAILED:
-                    fresh = monitors.observe_failed(arrival)
-                else:
-                    fresh = monitors.observe_completed(
-                        arrival, stats.latencies[-1], code == COLD)
-                if fresh and self.spans is not None:
-                    emit_alert_spans(self.spans, fresh)
         if self.metrics is not None:
             self._feed_metrics(stats, pool)
         return stats

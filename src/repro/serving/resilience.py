@@ -33,7 +33,10 @@ the seeded fault plumbing (:mod:`repro.sim.faults`) into a system that
 
 The policy composes with the existing fault plans; an inert (or absent)
 policy leaves the cluster replay byte-identical to the pre-resilience
-simulator, which the golden regression tests pin.
+simulator, which the golden regression tests pin.  A bare cluster and
+every fleet region attach the supervisor to their pool the same way
+(:func:`repro.serving.cluster.attach_resilience`); its records go to
+the pool's trace actor.
 """
 
 from __future__ import annotations
@@ -142,7 +145,7 @@ class ResilienceState:
     def __init__(self, policy: ResiliencePolicy, counters: FaultCounters,
                  recorder: Optional[TraceRecorder],
                  warm: float, cold_extra: float, degraded_cold: float,
-                 restart_delay_s: float) -> None:
+                 restart_delay_s: float, actor: str) -> None:
         self.policy = policy
         self.counters = counters
         self.recorder = recorder
@@ -150,6 +153,8 @@ class ResilienceState:
         self.cold_extra = cold_extra
         self.degraded_cold = degraded_cold
         self.restart_delay_s = restart_delay_s
+        # Trace actor of the supervisor's records: the pool's own.
+        self.actor = actor
         self.degraded = False
         self._queued_starts: List[float] = []
 
@@ -191,7 +196,7 @@ class ResilienceState:
     def _shed(self, now: float) -> None:
         self.counters.shed_requests += 1
         if self.recorder is not None:
-            self.recorder.record(now, now, "cluster", Phase.FAULT, "shed")
+            self.recorder.record(now, now, self.actor, Phase.FAULT, "shed")
 
     def cold_service(self, frac_base: float, default_cold: float) -> float:
         """Service time of a cold serve for an instance whose warm
@@ -275,7 +280,7 @@ class ResilienceState:
         instance.ramp_end = ready
         self.counters.drains += 1
         if self.recorder is not None:
-            self.recorder.record(finish, ready, "cluster", Phase.DRAIN,
+            self.recorder.record(finish, ready, self.actor, Phase.DRAIN,
                                  "drain")
 
     def on_crash(self, instance, crash_time: float,
@@ -305,7 +310,7 @@ class ResilienceState:
             self.counters.warm_restores += 1
             if self.recorder is not None:
                 self.recorder.record(crash_time + delay,
-                                     crash_time + downtime, "cluster",
+                                     crash_time + downtime, self.actor,
                                      Phase.RESTORE, "restore")
         ready = crash_time + downtime
         instance.busy_until = ready
@@ -339,7 +344,7 @@ class ResilienceState:
         self.counters.breaker_opens += 1
         if self.recorder is not None:
             self.recorder.record(crash_time, instance.breaker_until,
-                                 "cluster", Phase.FAULT, "breaker-open")
+                                 self.actor, Phase.FAULT, "breaker-open")
 
     # ------------------------------------------------------------------
     # Checkpoint/restore model

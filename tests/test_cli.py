@@ -119,10 +119,14 @@ class TestFleetCommand:
                      "scale-to-zero"]) == 2
         assert "idle_timeout_s" in capsys.readouterr().out
 
-    def test_single_region_delegates(self, capsys):
+    def test_single_region_runs_as_a_fleet(self, capsys):
         assert main(["fleet", "res", "--devices", "MI100",
-                     "--routing", "single", "--duration", "6"]) == 0
-        assert "single-cluster fast path" in capsys.readouterr().out
+                     "--routing", "single", "--duration", "6",
+                     "--jobs", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "r0 [MI100]" in out
+        assert "single-cluster" not in out
+        assert "sharded replay: static mode, 1 shard(s)" in out
 
     def test_frontier_writes_report(self, tmp_path, capsys):
         import json
@@ -213,12 +217,13 @@ def test_validate_stdout_matches_golden(capsys):
     (["fleet", "res", "--instances", "0"], "instances"),
     (["cluster", "res", "--keep-alive", "-1"], "keep-alive"),
     (["fleet", "res", "--tenants", "0"], "tenants"),
+    (["fleet", "res", "--devices", "MI100,bogus"], "device"),
     (["serve", "alex", "--batch", "0"], "batch"),
     (["session", "alex", "--requests", "0"], "requests"),
     (["profile", "event-kernel", "--ops", "0"], "ops"),
 ], ids=["cluster-instances", "chaos-instances", "fleet-instances",
-        "cluster-keep-alive", "fleet-tenants", "serve-batch",
-        "session-requests", "profile-ops"])
+        "cluster-keep-alive", "fleet-tenants", "fleet-devices",
+        "serve-batch", "session-requests", "profile-ops"])
 def test_bad_run_arguments_print_error_and_exit_2(argv, field, capsys):
     assert main(argv) == 2
     out = capsys.readouterr().out

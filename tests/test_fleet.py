@@ -304,11 +304,23 @@ class TestFleetTask:
                         checkpoint_restore=restore)).cell_id)
         assert len(ids) == 4
 
-    def test_rejects_fleet_resilience(self):
-        from repro.serving.resilience import ResiliencePolicy
-        with pytest.raises(ValueError, match="resilience"):
-            ExperimentTask(kind="fleet", device="MI100", model="res",
-                           scheme="PaSK", resilience=ResiliencePolicy())
+    def test_accepts_fleet_resilience(self):
+        from repro.runner.chaos import CRASH_POLICY
+        plain = ExperimentTask(kind="fleet", device="MI100", model="res",
+                               scheme="PaSK", rate_hz=50.0, duration_s=4.0,
+                               instances=2,
+                               faults=FaultPlan(seed=3, crash_rate=0.02))
+        assert "resilience" not in plain.describe()
+        task = dataclasses.replace(plain, resilience=CRASH_POLICY)
+        assert task.describe()["resilience"] == dataclasses.asdict(
+            CRASH_POLICY)
+        assert task.cell_id != plain.cell_id
+        assert "/rz" in task.cell_id
+        config, _ = build_replay(task)
+        assert config.resilience is CRASH_POLICY
+        stats = fleet_stats_from_payload(execute_task(task))
+        assert stats.conserved
+        assert stats.regions["r0"].faults.warm_restores > 0
 
     def test_rejects_unknown_arrival(self):
         with pytest.raises(ValueError, match="arrival"):

@@ -2,20 +2,24 @@
 
 Three pins:
 
-- **Delegation byte-identity** — a single-region fleet under inert
-  policies replays byte-identical to the bare
-  :class:`~repro.serving.cluster.ClusterSimulator`: every latency,
-  queue wait, counter, fault dictionary and trace record, with
-  fast-forward on and off, under fault plans and under a resilience
-  policy.
+- **One region is a bare cluster** — a single-region fleet under inert
+  policies replays like the bare
+  :class:`~repro.serving.cluster.ClusterSimulator`, which stays the
+  reference: every latency, queue wait, counter, fault dictionary and
+  trace record (the cluster's ``cluster`` actor read as ``region:r0``),
+  against the cluster with fast-forward on and off, under fault plans,
+  under a resilience policy and under resilience with kernel packs.
 - **General-path equivalence** — the arrival-by-arrival path mirrors
-  the cluster stepping arithmetic exactly: a single-region fleet forced
-  onto it equals ``ClusterSimulator(fast_forward=False)``.
+  the cluster stepping arithmetic exactly, for non-inert routing and
+  merged multi-tenant traces too.
+- **Coupled serial golden** — payload digests and span counts of
+  2-region coupled fleets.
 
 The claims of ``benchmarks/fleet_frontier_report.json`` are checked
 here too; ``tests/test_scenarios.py`` pins its bytes.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -32,6 +36,7 @@ from repro.obs.monitors import SLOPolicy
 from repro.obs.spans import SpanRecorder
 from repro.packs import PackPolicy
 from repro.runner import fleet_stats_to_payload
+from repro.runner.chaos import CRASH_POLICY, OVERLOAD_POLICY
 from repro.serving.cluster import ClusterConfig, ClusterSimulator
 from repro.serving.requests import bursty_trace, burst_trace, poisson_trace
 from repro.serving.resilience import ResiliencePolicy
@@ -64,50 +69,82 @@ def _assert_region_equals_cluster(region, cluster):
     assert region.cold_starts == cluster.cold_starts
     assert region.warm_hits == cluster.warm_hits
     assert region.failed == cluster.failed
+    assert region.shed == cluster.shed
+    assert region.pack_restores == cluster.pack_restores
     assert region.faults.as_dict() == cluster.faults.as_dict()
 
 
+def _as_region(records):
+    """The cluster's trace records as region ``r0`` writes them."""
+    assert {record.actor for record in records} <= {"cluster"}
+    return [dataclasses.replace(record, actor="region:r0")
+            for record in records]
+
+
 class TestDelegationByteIdentity:
+    """A one-region fleet equals the bare cluster it once handed its
+    trace to; the cluster is the reference it is pinned against."""
+
     @pytest.mark.parametrize("fast_forward", [True, False])
     def test_plain_replay(self, fast_forward):
         trace = poisson_trace("res", 5.0, 10.0, seed=4)
         cluster = _cluster_stats(trace, fast_forward=fast_forward)
-        fleet = _fleet_stats(trace,
-                             fleet_kwargs={"fast_forward": fast_forward})
-        assert fleet.delegated
-        region = fleet.regions["r0"]
-        _assert_region_equals_cluster(region, cluster)
-        assert region.fast_forwarded == cluster.fast_forwarded
-        if fast_forward:
-            assert region.fast_forwarded > 0
+        fleet = _fleet_stats(trace)
+        _assert_region_equals_cluster(fleet.regions["r0"], cluster)
 
     def test_under_fault_plan(self):
         plan = FaultPlan(seed=11, crash_rate=0.08)
         trace = poisson_trace("res", 6.0, 8.0, seed=5)
         cluster = _cluster_stats(trace, faults=plan)
         fleet = _fleet_stats(trace, faults=plan)
-        assert fleet.delegated
         _assert_region_equals_cluster(fleet.regions["r0"], cluster)
 
     def test_under_resilience_policy(self):
-        policy = ResiliencePolicy()
         plan = FaultPlan(seed=3, crash_rate=0.05)
-        trace = poisson_trace("res", 6.0, 8.0, seed=6)
-        cluster = _cluster_stats(trace, faults=plan, resilience=policy)
+        exercised = set()
+        for trace in (poisson_trace("res", 30.0, 8.0, seed=6),
+                      bursty_trace("res", 20.0, 2000.0, 1.0, 0.2, 4.0,
+                                   seed=6)):
+            for policy in (ResiliencePolicy(), CRASH_POLICY,
+                           OVERLOAD_POLICY):
+                cluster = _cluster_stats(trace, faults=plan,
+                                         resilience=policy,
+                                         trace_retention="full")
+                fleet = _fleet_stats(trace, faults=plan,
+                                     fleet_kwargs={"resilience": policy,
+                                                   "trace_retention": "full"})
+                region = fleet.regions["r0"]
+                _assert_region_equals_cluster(region, cluster)
+                assert (list(region.trace.records)
+                        == _as_region(cluster.trace.records))
+                exercised.update(name for name, value in
+                                 region.faults.as_dict().items() if value)
+        assert {"warm_restores", "breaker_opens", "shed_requests",
+                "degraded_requests"} <= exercised
+
+    def test_under_resilience_with_packs(self):
+        plan = FaultPlan(seed=2, crash_rate=0.08,
+                         pack_local_failure_rate=0.3)
+        trace = poisson_trace("res", 20.0, 6.0, seed=3)
+        cluster = _cluster_stats(trace, faults=plan, resilience=CRASH_POLICY,
+                                 packs=PackPolicy())
         fleet = _fleet_stats(trace, faults=plan,
-                             fleet_kwargs={"resilience": policy})
-        assert fleet.delegated
-        _assert_region_equals_cluster(fleet.regions["r0"], cluster)
+                             fleet_kwargs={"resilience": CRASH_POLICY,
+                                           "packs": PackPolicy()})
+        region = fleet.regions["r0"]
+        _assert_region_equals_cluster(region, cluster)
+        assert region.faults.warm_restores > 0
+        assert region.pack_restores > 0
+        assert region.packs == cluster.packs
 
     def test_trace_records_identical(self):
         trace = poisson_trace("res", 5.0, 6.0, seed=7)
         cluster = _cluster_stats(trace, trace_retention="full")
         fleet = _fleet_stats(
             trace, fleet_kwargs={"trace_retention": "full"})
-        assert fleet.delegated
         recorder = fleet.regions["r0"].trace
         assert recorder is not None
-        assert list(recorder.records) == list(cluster.trace.records)
+        assert list(recorder.records) == _as_region(cluster.trace.records)
 
     @given(seed=st.integers(0, 300), rate=st.floats(0.5, 12.0),
            fast_forward=st.booleans())
@@ -115,10 +152,31 @@ class TestDelegationByteIdentity:
     def test_property_over_seeds(self, seed, rate, fast_forward):
         trace = poisson_trace("res", rate, 5.0, seed=seed)
         cluster = _cluster_stats(trace, fast_forward=fast_forward)
-        fleet = _fleet_stats(trace,
-                             fleet_kwargs={"fast_forward": fast_forward})
-        assert fleet.delegated
+        fleet = _fleet_stats(trace)
         _assert_region_equals_cluster(fleet.regions["r0"], cluster)
+
+
+class TestRegionResilience:
+    def test_supervisor_records_on_region_actor(self):
+        # Two saturated warm-first regions under CRASH_POLICY: each
+        # region's supervisor writes its records on its own actor.
+        regions = tuple(
+            RegionConfig(f"r{k}", device=device, scheme=Scheme.PASK,
+                         max_instances=1, keep_alive_s=0.5,
+                         faults=FaultPlan(seed=5 + k, crash_rate=0.01))
+            for k, device in enumerate(("MI100", "A100")))
+        config = FleetConfig(regions=regions,
+                             routing=RoutingPolicy("warm-first"),
+                             resilience=CRASH_POLICY, trace_retention="full")
+        stats = FleetSimulator(config).run(
+            poisson_trace("res", 300.0, 4.0, seed=1))
+        assert stats.conserved
+        for name, region in stats.regions.items():
+            restores = [record for record in region.trace.records
+                        if record.label == "restore"]
+            assert len(restores) == region.faults.warm_restores > 0
+            assert {record.actor for record in region.trace.records} == {
+                f"region:{name}"}
 
 
 class TestGeneralPathEquivalence:

@@ -145,16 +145,26 @@ class TestShardedTelemetryIdentity:
         assert equivalence_problems(serial, sharded) == []
         assert serial_metrics.to_json() == shard_metrics.to_json()
 
-    def test_span_capture_rejects_trace_retention(self):
+    @pytest.mark.parametrize("regions", [1, 2])
+    def test_span_capture_with_trace_retention_runs_serially(self, regions):
+        # Request-level recorders bind to the span recorder in-region,
+        # so the sharded entry point replays this combination serially,
+        # a one-region fleet included.
         config = FleetConfig(
             regions=(RegionConfig(name="us-east", device="MI100",
                                   scheme=Scheme.PASK, max_instances=2),
                      RegionConfig(name="eu-west", device="A100",
-                                  scheme=Scheme.PASK, max_instances=2)),
+                                  scheme=Scheme.PASK,
+                                  max_instances=2))[:regions],
             routing=RoutingPolicy("round-robin"),
             trace_retention="aggregate")
-        with pytest.raises(ValueError, match="trace retention"):
-            run_fleet_sharded(config, _trace(), spans=SpanRecorder())
+        serial_spans, shard_spans = SpanRecorder(), SpanRecorder()
+        serial = FleetSimulator(config, spans=serial_spans).run(_trace())
+        sharded, report = run_fleet_sharded(config, _trace(),
+                                            spans=shard_spans)
+        assert report.mode == "serial"
+        assert equivalence_problems(serial, sharded) == []
+        assert list(serial_spans) == list(shard_spans)
 
     def test_coupled_routing_composes_spans_with_trace_retention(self):
         # Coupled routing runs serially, where request-level recorders
@@ -260,9 +270,9 @@ class TestSLOMonitors:
         assert burn() == burn()
 
     def test_pack_restores_are_not_cold_on_either_fleet_path(self):
-        # The delegated (bare-cluster) path and the general path must
-        # feed the cold-rate monitor the same outcome: a pack restore is
-        # not a cold start.
+        # A single-cluster fleet and a least-queue one feed the
+        # cold-rate monitor the same outcome: a pack restore is not a
+        # cold start.
         trace = poisson_trace("res", 20.0, 30.0, seed=1)
         slo = SLOPolicy(cold_rate_target=0.01, window_s=5.0)
 

@@ -3,7 +3,7 @@
 Sharding must be invisible in every result — region counters,
 latencies, queue waits, fault dictionaries, trace records and tenant
 accounting all equal the serial ``FleetSimulator.run`` output bit for
-bit, across every execution mode (delegated, static, serial), at
+bit, across both execution modes (static, serial), at
 ``jobs=1`` (in-process shards) and across a real process pool, on a
 golden grid of configs and on hypothesis-generated fleets.
 """
@@ -21,6 +21,7 @@ from repro.fleet import (AutoscalePolicy, FleetConfig, FleetSimulator,
                          equivalence_problems, merge_traces,
                          run_fleet_sharded)
 from repro.obs import MetricsRegistry, SLOPolicy, SpanRecorder
+from repro.runner.chaos import CRASH_POLICY, OVERLOAD_POLICY
 from repro.runner.engine import run_shards
 from repro.runner.tasks import fleet_stats_to_payload
 from repro.serving.requests import poisson_trace
@@ -97,6 +98,15 @@ _GRID = {
         regions=_regions(3), routing=RoutingPolicy("round-robin"),
         autoscale=AutoscalePolicy(kind="scale-to-zero",
                                   idle_timeout_s=0.1)),
+    "round-robin-crash-resilience": FleetConfig(
+        regions=tuple(
+            dataclasses.replace(region, faults=FaultPlan(seed=7 + i,
+                                                         crash_rate=0.08))
+            for i, region in enumerate(_regions(2))),
+        routing=RoutingPolicy("round-robin"), resilience=CRASH_POLICY,
+        trace_retention="full"),
+    "single-region-overload": FleetConfig(
+        regions=_regions(1), resilience=OVERLOAD_POLICY),
 }
 
 
@@ -114,11 +124,15 @@ def test_sharded_matches_serial_process_pool(name):
     _check(_GRID[name], _trace(), jobs=2)
 
 
-def test_delegated_single_cluster_passthrough():
+def test_single_cluster_fleet_replays_static():
+    # A one-region fleet is sharded like any other; its stats keep the
+    # ``delegated`` key, derived from the config on both paths.
     config = FleetConfig(regions=_regions(1))
-    _, report = _check(config, _trace())
-    assert report.mode == "delegated"
-    assert report.shards == 0
+    stats, report = _check(config, _trace())
+    assert report.mode == "static"
+    assert report.shards == 1
+    assert report.analytic_total == stats.offered
+    assert stats.delegated
 
 
 def test_static_mode_round_robin_no_rollbacks():

@@ -3,8 +3,9 @@
 Three invariants, each pinned under hypothesis-generated configs:
 
 - **Conservation** — every offered request is exactly one of completed,
-  failed, or shed, for arbitrary region counts, policies, fault plans
-  and shed bounds.
+  failed, or shed, for arbitrary region counts, policies, fault plans,
+  shed bounds, resilience policies and pack ladders; pack bytes are
+  conserved, and the sharded replay equals the serial one.
 - **Determinism** — a fleet replay is a pure function of (config,
   trace): rerunning it reproduces every latency and counter.
 - **No starvation** — the router never dispatches to an unroutable
@@ -16,6 +17,7 @@ policy, and the coupled loop against its scan budget: one pool scan
 per region per arrival, plus one per reroute.
 """
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -25,14 +27,20 @@ from hypothesis import given, settings, strategies as st
 from repro.core.schemes import Scheme
 from repro.fleet import (AutoscalePolicy, FleetConfig, FleetSimulator,
                          RegionConfig, RouterState, RoutingPolicy,
-                         merge_traces)
+                         equivalence_problems, merge_traces,
+                         run_fleet_sharded)
 from repro.fleet.fleet import _RegionState
+from repro.packs import PackPolicy
 from repro.runner import fleet_stats_from_payload, fleet_stats_to_payload
+from repro.runner.chaos import CRASH_POLICY, OVERLOAD_POLICY
 from repro.serving.pool import InstancePool
 from repro.serving.requests import bursty_trace, poisson_trace
+from repro.serving.resilience import ResiliencePolicy
 from repro.sim.faults import FaultPlan
 
 _POLICIES = ("single", "round-robin", "least-queue", "warm-first")
+_RESILIENCE = (None, ResiliencePolicy.disabled(), CRASH_POLICY,
+               OVERLOAD_POLICY)
 
 _DEVICES = ("MI100", "A100", "6900XT")
 _SCHEMES = (Scheme.BASELINE, Scheme.PASK, Scheme.NNV12)
@@ -81,7 +89,8 @@ def _fleet_configs(draw):
         routing=RoutingPolicy(draw(st.sampled_from(
             ("single", "round-robin", "least-queue", "warm-first")))),
         autoscale=draw(_autoscale_strategy()),
-        shed_wait_s=draw(st.one_of(st.none(), st.floats(0.0, 0.5))))
+        shed_wait_s=draw(st.one_of(st.none(), st.floats(0.0, 0.5))),
+        resilience=draw(st.sampled_from(_RESILIENCE)))
 
 
 @st.composite
@@ -115,6 +124,22 @@ class TestConservation:
         stats = FleetSimulator(config).run(trace)
         assert all(lat > 0 for lat in stats.latencies)
         assert 0.0 <= stats.availability <= 1.0
+
+
+class TestResilienceInFleets:
+    @given(config=_fleet_configs(), trace=_fleet_traces(),
+           packs=st.sampled_from((None, PackPolicy())))
+    @settings(max_examples=40, deadline=None)
+    def test_conserved_and_sharded_equals_serial(self, config, trace, packs):
+        # Every region takes the resilience supervisor, under any
+        # routing, autoscaler, fault plan and pack ladder.
+        config = dataclasses.replace(config, packs=packs)
+        serial = FleetSimulator(config).run(trace)
+        assert serial.conserved
+        for region in serial.regions.values():
+            assert region.packs is None or region.packs.conserved
+        sharded, _ = run_fleet_sharded(config, trace)
+        assert equivalence_problems(serial, sharded) == []
 
 
 class TestDeterminism:

@@ -28,7 +28,8 @@ SERVER = InferenceServer("MI100")
 def make_state(policy, recorder=None, warm=1e-3, cold_extra=1e-2,
                degraded_cold=5e-2, restart_delay=0.05):
     return ResilienceState(policy, FaultCounters(), recorder,
-                           warm, cold_extra, degraded_cold, restart_delay)
+                           warm, cold_extra, degraded_cold, restart_delay,
+                           "cluster")
 
 
 # ----------------------------------------------------------------------

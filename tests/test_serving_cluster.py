@@ -344,3 +344,22 @@ def test_config_rejects_bad_integer_counts(make, name, minimum, bad):
     with pytest.raises(ValueError, match=name):
         make(**{name: value})
     make(**{name: minimum + 1})  # a valid count still builds
+
+
+# (constructor, field, value naming an unknown device).
+_UNKNOWN_DEVICES = [
+    (_region_config, "device", "bogus"), (_cluster_task, "device", "bogus"),
+    (_fleet_task, "device", "bogus"),
+    (_fleet_task, "fleet_devices", ("MI100", "bogus"))]
+
+
+@pytest.mark.parametrize(
+    "make,name,value", _UNKNOWN_DEVICES,
+    ids=[f"{make.__name__.lstrip('_')}.{name}"
+         for make, name, _ in _UNKNOWN_DEVICES])
+def test_config_rejects_unknown_device(make, name, value):
+    """An unknown device fails at construction, naming the known ones
+    (``RegionConfig(device="bogus")`` used to build and then die in the
+    replay with a KeyError)."""
+    with pytest.raises(ValueError, match="'bogus'.*A100, MI100"):
+        make(**{name: value})
