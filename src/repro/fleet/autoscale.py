@@ -161,7 +161,7 @@ class AutoscalerState:
                     instant = 1.0 / gap
                     self._rate = (policy.ewma_alpha * instant
                                   + (1.0 - policy.ewma_alpha) * self._rate)
-            target = math.ceil(self._rate * region.warm
+            target = math.ceil(self._rate * region.pool.warm
                                * policy.prewarm_headroom)
             want = min(self.cap, target) - region.live_count(now) - 1
             if want > 0 and (self._last_prewarm is None

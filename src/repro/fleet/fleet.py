@@ -14,9 +14,11 @@ checkpoint-restore accounting.
 One execution path
 ------------------
 Every fleet replays arrival by arrival.  Each region schedules through
-the same :class:`~repro.serving.pool.InstancePool` the cluster drives,
-with the same resilience supervisor attached when a non-inert
-:class:`ResiliencePolicy` is set, so a one-region fleet under inert
+an :class:`~repro.serving.pool.InstancePool` built by the cluster's own
+:func:`~repro.serving.cluster.build_pool`, with the same resilience
+supervisor when a non-inert :class:`ResiliencePolicy` is set, and the
+same shedding check, :meth:`~repro.serving.pool.InstancePool.shed`, in
+front of each step.  So a one-region fleet under inert
 routing and autoscaling (:attr:`FleetConfig.is_single_cluster`)
 produces the latencies, counters, fault dictionaries and trace records
 of the bare ``ClusterSimulator`` — under fault plans, resilience and
@@ -46,16 +48,15 @@ from repro.fleet.autoscale import AutoscalePolicy, AutoscalerState
 from repro.fleet.routing import RouterState, RoutingPolicy
 from repro.gpu.device import check_device
 from repro.obs.monitors import SLOMonitorSet, SLOPolicy, emit_alert_spans
-from repro.packs.artifact import pack_for
 from repro.packs.store import PackPolicy, RegistryFabric, feed_pack_metrics
-from repro.serving.cluster import attach_resilience, service_times
-from repro.serving.pool import (COLD, FAILED, SHED, InstancePool,
-                                OfferedSummary, PoolStats)
+from repro.serving.cluster import build_pool
+from repro.serving.pool import (COLD, FAILED, SHED, OfferedSummary,
+                                PoolStats)
 from repro.serving.requests import RequestTrace
 from repro.serving.resilience import ResiliencePolicy
 from repro.serving.server import InferenceServer, server_for
 from repro.sim.faults import FaultPlan
-from repro.sim.trace import RETENTION_POLICIES, TraceRecorder, check_count
+from repro.sim.trace import check_count, check_retention
 
 __all__ = ["RegionConfig", "FleetConfig", "FleetTrace", "merge_traces",
            "RegionStats", "TenantStats", "FleetStats", "FleetSimulator"]
@@ -127,11 +128,7 @@ class FleetConfig:
         if (self.shed_wait_s is not None
                 and not 0 <= self.shed_wait_s < math.inf):
             raise ValueError("shed_wait_s must be finite and non-negative")
-        if (self.trace_retention is not None
-                and self.trace_retention not in RETENTION_POLICIES):
-            raise ValueError(
-                f"unknown trace retention {self.trace_retention!r}; "
-                f"expected None or one of {RETENTION_POLICIES}")
+        check_retention(self.trace_retention)
         check_count("trace_ring", self.trace_ring, 1)
 
     @property
@@ -518,48 +515,49 @@ def _drained(windows: Tuple[Tuple[float, float], ...], now: float) -> bool:
 
 
 class _RegionState:
-    """One region: its :class:`InstancePool` under an autoscaler.
+    """Region ``index`` of ``fleet``: its :class:`InstancePool` under an
+    autoscaler.
 
-    The pool does the scheduling, with the resilience supervisor when a
-    policy is given; the region adds what the fleet layer owns — the
-    routing query surface (drains, predicted wait, warm headroom), the
-    autoscaler's breathing cap and warm floor, fleet load shedding and
-    off-path pre-warming — and logs its control-plane decisions as
-    event tuples when ``events`` is given.
+    The pool, built as the cluster's is, does the scheduling and the
+    load shedding, with the fleet's resilience supervisor if any; the
+    region adds what the fleet layer owns — the routing query surface
+    (drains, predicted wait, warm headroom), the autoscaler's breathing
+    cap and warm floor, restore billing and off-path pre-warming — and
+    logs its control-plane decisions as event tuples when ``events`` is
+    given.
     """
 
-    def __init__(self, config: RegionConfig, server: InferenceServer,
-                 policy: AutoscalePolicy, model: str, batch: int,
-                 retention: Optional[str], ring: int,
-                 shed_wait: Optional[float] = None,
-                 pack_policy: Optional[PackPolicy] = None,
-                 region_index: int = 0,
+    def __init__(self, fleet: FleetConfig, index: int, model: str,
+                 batch: int,
+                 servers: Optional[Dict[str, InferenceServer]] = None,
                  fabric: Optional[RegistryFabric] = None,
-                 resilience: Optional[ResiliencePolicy] = None) -> None:
-        self.config = config
-        self.policy = policy
+                 spans=None) -> None:
+        self.config = config = fleet.regions[index]
+        self.policy = policy = (fleet.autoscale if fleet.autoscale
+                                is not None else AutoscalePolicy())
         self.scaler = AutoscalerState(policy, config.max_instances)
         self.stats = RegionStats(name=config.name, device=config.device)
-        pack = (pack_for(server, model, config.scheme, batch)
-                if pack_policy is not None else None)
-        cold, self.warm = service_times(server, config.scheme, model, batch)
-        recorder = (TraceRecorder(retention=retention, ring_size=ring)
-                    if retention is not None else None)
-        self.pool = pool = InstancePool(
-            self.stats, self.warm, cold, cap=self.scaler.cap,
+        # The process's shared server per device (unless ``servers``
+        # names one) shares the service-time memo across every fleet and
+        # cluster in the process.
+        server = (servers[config.device]
+                  if servers is not None and config.device in servers
+                  else server_for(config.device))
+        # This region's pack ladder runs against its own registry (dark
+        # during its outage windows), failing over through ``fabric``.
+        self.pool = pool = build_pool(
+            server, config.scheme, model, batch, self.stats,
+            cap=self.scaler.cap,
             keep_alive=self.scaler.keep_alive(config.keep_alive_s),
-            actor=f"region:{config.name}", faults=config.faults,
-            recorder=recorder)
-        pool.shed_wait = shed_wait
+            faults=config.faults, retention=fleet.trace_retention,
+            ring=fleet.trace_ring, resilience=fleet.resilience,
+            packs=fleet.packs, actor=f"region:{config.name}",
+            region_index=index, fabric=fabric, spans=spans)
+        pool.shed_wait = fleet.shed_wait_s
         self._sync_cap()
         if policy.checkpoint_restore:
             pool.restore_cost = (policy.restore_overhead_s
                                  + pool.cold_extra / policy.restore_speedup)
-        attach_resilience(pool, resilience, server, model, batch)
-        if pack_policy is not None:
-            # This region's ladder runs against its own registry (dark
-            # during its outage windows), failing over through ``fabric``.
-            pool.attach_packs(pack_policy, pack, region_index, fabric)
 
     def _sync_cap(self) -> None:
         pool = self.pool
@@ -606,13 +604,11 @@ class _RegionState:
         Returns the pool's outcome code."""
         stats = self.stats
         pool = self.pool
-        if pool.shed_wait is not None:
-            wait = pool.predicted_wait(t)
-            if wait > pool.shed_wait:
-                stats.shed += 1
-                if events is not None:
-                    events.append((k, EV_SHED, wait, 0))
-                return SHED
+        wait = pool.shed(t)
+        if wait is not None:
+            if events is not None:
+                events.append((k, EV_SHED, wait, 0))
+            return SHED
         if events is not None:
             events.append((k, EV_ROUTE, 0, 0))
         ups = stats.scale_ups
@@ -637,18 +633,6 @@ class _RegionState:
 # The simulator
 # ----------------------------------------------------------------------
 
-# Fleets instantiate regions by device name; the process's shared
-# server per device keeps replays fast and lets the cluster-level
-# service-time memo (_SERVICE_TIMES) be shared across every fleet and
-# cluster in the process.
-def _server_for(device: str,
-                override: Optional[Dict[str, InferenceServer]]) -> \
-        InferenceServer:
-    if override is not None and device in override:
-        return override[device]
-    return server_for(device)
-
-
 class FleetSimulator:
     """Replays a (multi-tenant) trace against a multi-region fleet."""
 
@@ -672,8 +656,6 @@ class FleetSimulator:
         spans = self.spans
         monitors = SLOMonitorSet(self.slo) if self.slo is not None \
             else None
-        policy = config.autoscale if config.autoscale is not None \
-            else AutoscalePolicy()
         # Region registries for the pack hierarchy: each region's own
         # outage windows, shared so every store can find the first lit
         # remote registry for cross-region failover.
@@ -684,16 +666,9 @@ class FleetSimulator:
                 if rc.faults is not None else ()
                 for rc in config.regions])
         regions: List[_RegionState] = []
-        for region_index, region_config in enumerate(config.regions):
-            state = _RegionState(
-                region_config, _server_for(region_config.device,
-                                           self._servers),
-                policy, trace.model, trace.batch, config.trace_retention,
-                config.trace_ring, config.shed_wait_s,
-                pack_policy=config.packs, region_index=region_index,
-                fabric=fabric, resilience=config.resilience)
-            if spans is not None and state.pool.recorder is not None:
-                spans.bind(state.pool.recorder)
+        for index in range(len(config.regions)):
+            state = _RegionState(config, index, trace.model, trace.batch,
+                                 self._servers, fabric, spans)
             if self.metrics is not None:
                 state.pool.queue_depth = _QueueDepthTracker()
             regions.append(state)
@@ -705,7 +680,8 @@ class FleetSimulator:
         router = RouterState(config.routing)
         # Only the reactive autoscaler has an idle tick; every other
         # kind's returns at once.
-        ticking = policy.kind == "reactive"
+        ticking = (config.autoscale is not None
+                   and config.autoscale.kind == "reactive")
         for k, (arrival, tenant_index) in enumerate(zip(trace.arrivals,
                                                          trace.tenants)):
             tenant = tenants[tenant_index]

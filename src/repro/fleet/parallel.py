@@ -16,12 +16,15 @@ That observation yields two execution modes, picked automatically:
 - **static** — routing that never reads region state (``single``,
   ``round-robin``, or a lone routable region, as in any one-region
   fleet) is precomputed exactly from the drain windows.  Every region
-  then replays its own sub-stream in one shot; regions under ``fixed``
-  / ``scale-to-zero`` autoscaling with no fault plan, no resilience
-  supervisor and no trace retention replay it through the pool's
-  analytic :meth:`~repro.serving.pool.InstancePool.advance` (warm
-  floor, restore billing and shedding included).  This is the
-  1e7–1e8-request throughput path.
+  then replays its own sub-stream in one shot.  Under ``fixed`` /
+  ``scale-to-zero`` autoscaling it goes through
+  :meth:`~repro.serving.pool.InstancePool.replay`, the loop the bare
+  cluster runs: analytic (warm floor, restore billing and shedding
+  included) between pre-sampled crashes, under any trace retention,
+  stepping under a resilience supervisor or where a fault plan meets
+  shedding.  This is the 1e7–1e8-request throughput path.  ``reactive``
+  and ``predictive`` regions tick and offer arrival by arrival, as the
+  serial loop does.
 - **serial** — coupled work runs serially.  State-coupled routing
   (``least-queue`` / ``warm-first`` across >= 2 routable regions) reads
   every region's predicted wait and warm-idle bit at every arrival,
@@ -44,21 +47,18 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.fleet.autoscale import AutoscalePolicy
 from repro.fleet.fleet import (EV_ROUTE, EV_SCALE_DOWN, EV_SHED,
                                FleetConfig, FleetSimulator, FleetStats,
-                               FleetTrace, RegionConfig, RegionStats,
-                               TenantStats, _drained, _emit_event,
-                               _emit_unroutable, _feed_region_metrics,
-                               _feed_tenant_metrics, _new_stats,
-                               _QueueDepthTracker, _RegionState,
-                               _server_for)
+                               FleetTrace, RegionStats, TenantStats,
+                               _drained, _emit_event, _emit_unroutable,
+                               _feed_region_metrics, _feed_tenant_metrics,
+                               _new_stats, _QueueDepthTracker,
+                               _RegionState)
 from repro.fleet.routing import RouterState
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitors import SLOMonitorSet, emit_alert_spans
 from repro.serving.pool import COLD, FAILED, SHED
 from repro.serving.requests import RequestTrace, poisson_trace
-from repro.serving.resilience import ResiliencePolicy
 from repro.sim.trace import TraceRecorder
 
 __all__ = ["TraceSpec", "ShardReport", "run_fleet_sharded",
@@ -199,19 +199,13 @@ class _RegionJob:
     """One shard's worth of work: a region plus its assigned arrivals."""
 
     region_index: int
-    config: RegionConfig
-    policy: AutoscalePolicy
-    resilience: Optional[ResiliencePolicy]
-    shed_wait_s: Optional[float]
-    retention: Optional[str]
-    ring: int
+    fleet: FleetConfig
     trace: Optional[FleetTrace]      # explicit arrivals, or ...
     spec: Optional[TraceSpec]        # ... regenerated in-worker
     assignment: tuple
     # --- telemetry knobs ----------------------------------------------
     collect_metrics: bool = False    # feed a fresh registry, ship a dump
     want_events: bool = False        # log control-plane event tuples
-    routing_kind: str = "single"     # the fleet_routed_total policy label
 
 
 @dataclass
@@ -227,33 +221,39 @@ class _RegionResult:
     events: Optional[list] = None    # (k, code, a, b) control-plane log
 
 
-def _job_trace(job: _RegionJob) -> FleetTrace:
-    return job.trace if job.trace is not None else job.spec.materialize()
-
-
-def _build_state(job: _RegionJob, trace: FleetTrace) -> _RegionState:
-    region = job.config
-    return _RegionState(region, _server_for(region.device, None),
-                        job.policy, trace.model, trace.batch,
-                        job.retention, job.ring, job.shed_wait_s,
-                        resilience=job.resilience)
-
-
 def _replay_region(job: _RegionJob) -> _RegionResult:
     """Replay the shard's sub-stream under the exact assignment,
     producing the serial RegionStats."""
-    trace = _job_trace(job)
-    state = _build_state(job, trace)
+    trace = job.trace if job.trace is not None else job.spec.materialize()
+    mine = job.region_index
+    state = _RegionState(job.fleet, mine, trace.model, trace.batch)
     pool = state.pool
     if job.collect_metrics:
         pool.queue_depth = _QueueDepthTracker()
     arrivals = trace.arrivals
-    mine = job.region_index
     outcomes = array("b")
     events: Optional[list] = [] if job.want_events else None
     analytic = 0
     began = perf_counter()
-    if state.policy.kind == "reactive":
+    kind = state.policy.kind
+    if kind in ("fixed", "scale-to-zero"):
+        # A constant cap and inert autoscaler hooks: the sub-stream
+        # replays through the pool's own loop, analytically between
+        # crashes wherever the pool allows it.
+        indices = _assigned(job.assignment, mine, len(arrivals))
+        if isinstance(indices, range):
+            sub = arrivals[indices.start:indices.stop:indices.step]
+        else:
+            sub = [arrivals[k] for k in indices]
+        sheds: List[Tuple[int, float]] = []
+        analytic = pool.replay(sub, outcomes=outcomes, sheds=sheds)
+        if events is not None:
+            shed_waits = dict(sheds)
+            events.extend(
+                (k, EV_SHED, shed_waits[pos], 0) if pos in shed_waits
+                else (k, EV_ROUTE, 0, 0)
+                for pos, k in enumerate(indices))
+    elif kind == "reactive":
         # Reactive capacity breathes on *global* quiet time: the scaler
         # ticks at every fleet arrival, routed here or not.
         member = _membership(job.assignment)
@@ -261,26 +261,6 @@ def _replay_region(job: _RegionJob) -> _RegionResult:
             state.tick(t, k, events)
             if member(k) == mine:
                 outcomes.append(state.offer(t, k, events))
-    elif (job.retention is None and pool.injector is None
-          and pool.resilience is None
-          and state.policy.kind in ("fixed", "scale-to-zero")):
-        # Closed-form evolution: no crashes, no supervisor, a constant
-        # cap and inert autoscaler hooks, so the sub-stream replays
-        # analytically.
-        indices = _assigned(job.assignment, mine, len(arrivals))
-        if isinstance(indices, range):
-            sub = arrivals[indices.start:indices.stop:indices.step]
-        else:
-            sub = [arrivals[k] for k in indices]
-        sheds: List[Tuple[int, float]] = []
-        pool.advance(sub, 0, len(sub), outcomes, sheds)
-        analytic = len(sub) - len(sheds)
-        if events is not None:
-            shed_waits = dict(sheds)
-            events.extend(
-                (k, EV_SHED, shed_waits[pos], 0) if pos in shed_waits
-                else (k, EV_ROUTE, 0, 0)
-                for pos, k in enumerate(indices))
     else:
         for k in _assigned(job.assignment, mine, len(arrivals)):
             outcomes.append(state.offer(arrivals[k], k, events))
@@ -292,7 +272,7 @@ def _replay_region(job: _RegionJob) -> _RegionResult:
     metrics_dump = None
     if job.collect_metrics:
         registry = MetricsRegistry()
-        _feed_region_metrics(registry, stats, job.routing_kind,
+        _feed_region_metrics(registry, stats, job.fleet.routing.kind,
                              pool.queue_depth.peak)
         metrics_dump = registry.to_json()
     return _RegionResult(stats=stats, trace_state=trace_state,
@@ -451,8 +431,6 @@ def run_fleet_sharded(config: FleetConfig,
         return stats, ShardReport(mode="serial", jobs=jobs, shards=0,
                                   wall_s=perf_counter() - began)
     n_regions = len(config.regions)
-    policy = (config.autoscale if config.autoscale is not None
-              else AutoscalePolicy())
     monitors = SLOMonitorSet(slo) if slo is not None else None
     report = ShardReport(mode="static", jobs=jobs, shards=n_regions)
     from repro.runner.engine import run_shards  # local: avoids a cycle
@@ -465,17 +443,12 @@ def run_fleet_sharded(config: FleetConfig,
         # boundary; in-process shards share the materialized arrivals.
         ship_spec = trace_spec if pool is not None else None
         region_jobs = [
-            _RegionJob(region_index=i, config=region, policy=policy,
-                       resilience=config.resilience,
-                       shed_wait_s=config.shed_wait_s,
-                       retention=config.trace_retention,
-                       ring=config.trace_ring,
+            _RegionJob(region_index=i, fleet=config,
                        trace=None if ship_spec is not None else trace,
                        spec=ship_spec, assignment=assignment,
                        collect_metrics=metrics is not None,
-                       want_events=spans is not None,
-                       routing_kind=config.routing.kind)
-            for i, region in enumerate(config.regions)]
+                       want_events=spans is not None)
+            for i in range(n_regions)]
         results = run_shards(_replay_region, region_jobs, pool=pool)
         stats = _merge(config, trace, assignment, results, report,
                        spans=spans, monitors=monitors)

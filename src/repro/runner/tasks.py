@@ -39,8 +39,8 @@ from repro.serving.requests import (RequestTrace, bursty_trace, diurnal_trace,
 from repro.serving.resilience import ResiliencePolicy
 from repro.serving.server import server_for
 from repro.sim.faults import FaultCounters, FaultPlan
-from repro.sim.trace import (RETENTION_POLICIES, Phase, TraceRecord,
-                             TraceRecorder, check_count)
+from repro.sim.trace import (Phase, TraceRecord, TraceRecorder,
+                             check_count, check_retention)
 
 __all__ = [
     "ExperimentTask",
@@ -58,6 +58,14 @@ __all__ = [
 ARRIVAL_KINDS = ("poisson", "diurnal", "bursty")
 
 _SCHEMES_BY_VALUE = {s.value: s for s in Scheme}
+
+# The knobs that only some task kinds read, each mapped to those kinds.
+_REPLAY_KINDS, _FLEET_KINDS = ("cluster", "fleet"), ("fleet",)
+_KIND_KNOBS = {"resilience": _REPLAY_KINDS, "packs": _REPLAY_KINDS,
+               **dict.fromkeys(("arrival", "peak_rate_hz", "period_s",
+                                "burst_s", "fleet_devices", "routing",
+                                "autoscale", "shed_wait_s", "tenants"),
+                               _FLEET_KINDS)}
 
 
 @dataclass(frozen=True)
@@ -133,11 +141,7 @@ class ExperimentTask:
         check_device(self.device)
         for name in ("batch", "instances", "trace_ring", "tenants"):
             check_count(name, getattr(self, name), 1)
-        if (self.trace_retention is not None
-                and self.trace_retention not in RETENTION_POLICIES):
-            raise ValueError(
-                f"unknown trace retention {self.trace_retention!r}; "
-                f"expected None or one of {RETENTION_POLICIES}")
+        check_retention(self.trace_retention)
         if self.arrival not in ARRIVAL_KINDS:
             raise ValueError(f"unknown arrival kind {self.arrival!r}; "
                              f"expected one of {ARRIVAL_KINDS}")
@@ -152,12 +156,15 @@ class ExperimentTask:
                                  "device when given")
             for device in self.fleet_devices:
                 check_device(device)
-        if self.kind != "fleet" and self.tenants != 1:
-            raise ValueError("the tenant split applies to fleet replays; "
-                             f"{self.kind!r} tasks have one tenant")
-        if self.packs is not None and self.kind not in ("cluster", "fleet"):
-            raise ValueError("kernel packs apply to cluster/fleet replays; "
-                             f"{self.kind!r} tasks do not take them")
+        # A knob the kind never reads would drop out of describe(), and
+        # so out of the cache key: reject it instead.
+        for knob in fields(self):
+            kinds = _KIND_KNOBS.get(knob.name, (self.kind,))
+            if (self.kind not in kinds
+                    and getattr(self, knob.name) != knob.default):
+                raise ValueError(f"{knob.name} applies to "
+                                 f"{'/'.join(kinds)} replays; "
+                                 f"{self.kind!r} tasks do not take it")
 
     @property
     def region_devices(self) -> Tuple[str, ...]:

@@ -10,8 +10,9 @@ re-triggering cold starts.
 The per-request service times come from the deterministic simulation
 (:class:`~repro.serving.server.InferenceServer`); the scheduling —
 queueing, autoscaling, keep-alive, crashes — is the shared
-:class:`~repro.serving.pool.InstancePool`, which fleet regions and
-sharded fleet workers drive too.
+:class:`~repro.serving.pool.InstancePool`, built by :func:`build_pool`
+and replayed by :meth:`~repro.serving.pool.InstancePool.replay` here,
+in every fleet region and in every static fleet shard alike.
 """
 
 from __future__ import annotations
@@ -23,16 +24,17 @@ from weakref import WeakKeyDictionary
 
 from repro.core.schemes import Scheme
 from repro.packs.artifact import pack_for
-from repro.packs.store import PackPolicy, feed_pack_metrics
+from repro.packs.store import (PackPolicy, PackStoreState, RegistryFabric,
+                               feed_pack_metrics)
 from repro.serving.pool import InstancePool, PoolStats
 from repro.serving.requests import RequestTrace
 from repro.serving.resilience import ResiliencePolicy, ResilienceState
 from repro.serving.server import InferenceServer
 from repro.sim.faults import FaultPlan
-from repro.sim.trace import RETENTION_POLICIES, TraceRecorder, check_count
+from repro.sim.trace import TraceRecorder, check_count, check_retention
 
 __all__ = ["ClusterConfig", "ClusterStats", "ClusterSimulator",
-           "attach_resilience", "service_times"]
+           "build_pool", "service_times"]
 
 
 @dataclass(frozen=True)
@@ -52,14 +54,11 @@ class ClusterConfig:
     # records (see repro.sim.trace).
     trace_retention: Optional[str] = None
     trace_ring: int = 1024
-    # Analytic fast-forward: requests are replayed through an O(log n)
-    # heap recurrence instead of the full scheduling scan — including
-    # partial-warm pools (cold spawns become a warm-up frontier in the
-    # heap), keep-alive reclaims, and fault plans (the replay
-    # fast-forwards *between* pre-sampled fault sites).  Results are
-    # byte-identical either way (pinned by tests); the knob exists so
-    # benchmarks can measure the win.  A non-inert resilience policy or
-    # a pack ladder still forces event stepping.
+    # Analytic fast-forward (InstancePool.replay): an O(log n) heap
+    # recurrence instead of the scheduling scan, between pre-sampled
+    # fault sites.  Results are byte-identical either way (pinned by
+    # tests); the knob lets benchmarks measure the win.  A non-inert
+    # resilience policy or a pack ladder still forces event stepping.
     fast_forward: bool = True
     # Resilience layer (repro.serving.resilience): warm-state
     # checkpoint/restore, crash-loop supervision, admission control and
@@ -82,11 +81,7 @@ class ClusterConfig:
         check_count("trace_ring", self.trace_ring, 1)
         if not 0 <= self.keep_alive_s < math.inf:
             raise ValueError("keep-alive must be finite and non-negative")
-        if (self.trace_retention is not None
-                and self.trace_retention not in RETENTION_POLICIES):
-            raise ValueError(
-                f"unknown trace retention {self.trace_retention!r}; "
-                f"expected None or one of {RETENTION_POLICIES}")
+        check_retention(self.trace_retention)
 
 
 # A bare cluster's replay outcome is one pool's (the restore and prewarm
@@ -123,27 +118,48 @@ def service_times(server: InferenceServer, scheme: Scheme, model: str,
     return memo[cold_key], memo[warm_key]
 
 
-def attach_resilience(pool: InstancePool,
-                      policy: Optional[ResiliencePolicy],
-                      server: InferenceServer, model: str,
-                      batch: int) -> None:
-    """Attach ``policy``'s supervisor to ``pool``, whose serve times are
-    ``model``'s at ``batch`` on ``server``.
+def build_pool(server: InferenceServer, scheme: Scheme, model: str,
+               batch: int, stats: PoolStats, *, cap: int, keep_alive: float,
+               faults: Optional[FaultPlan] = None,
+               retention: Optional[str] = None, ring: int = 1024,
+               resilience: Optional[ResiliencePolicy] = None,
+               packs: Optional[PackPolicy] = None, actor: str = "cluster",
+               region_index: int = 0,
+               fabric: Optional[RegistryFabric] = None,
+               spans=None) -> InstancePool:
+    """The :class:`InstancePool` of the cluster or of a fleet region:
+    ``model`` at ``batch`` under ``scheme`` on ``server``, into ``stats``.
 
-    Its shed, drain, restore and breaker records go to the pool's trace
-    actor.  An overloaded, degraded pool serves cold spawns at the
-    reactive (baseline) cold time; a restart waits the pool's fault
-    plan's restart delay.  An absent or inert policy attaches nothing,
-    so the replay stays byte-identical (golden tests).
+    A ``retention`` records into a fresh :class:`TraceRecorder` that
+    ``spans`` observes.  A non-inert ``resilience`` policy attaches its
+    supervisor (records on ``actor``; degraded cold spawns at the
+    baseline cold time; restarts wait the fault plan's delay), and
+    ``packs`` the fetch ladder against registry ``region_index`` of
+    ``fabric``.  An absent or inert one attaches nothing, so the replay
+    stays byte-identical (golden tests).
     """
-    if policy is None or policy.is_inert:
-        return
-    degraded_cold = (service_times(server, Scheme.BASELINE, model, batch)[0]
-                     if policy.degrade_wait_s is not None else pool.cold)
-    plan = pool.plan if pool.plan is not None else FaultPlan()
-    pool.resilience = ResilienceState(
-        policy, pool.stats.faults, pool.recorder, pool.warm, pool.cold_extra,
-        degraded_cold, plan.restart_delay_s, pool.actor)
+    recorder: Optional[TraceRecorder] = None
+    if retention is not None:
+        recorder = TraceRecorder(retention=retention, ring_size=ring)
+        if spans is not None:
+            spans.bind(recorder)
+    cold, warm = service_times(server, scheme, model, batch)
+    pool = InstancePool(stats, warm, cold, cap=cap, keep_alive=keep_alive,
+                        actor=actor, faults=faults, recorder=recorder)
+    if resilience is not None and not resilience.is_inert:
+        degraded_cold = (
+            service_times(server, Scheme.BASELINE, model, batch)[0]
+            if resilience.degrade_wait_s is not None else cold)
+        plan = faults if faults is not None else FaultPlan()
+        pool.resilience = ResilienceState(
+            resilience, stats.faults, recorder, warm, pool.cold_extra,
+            degraded_cold, plan.restart_delay_s, actor)
+    if packs is not None:
+        pool.pack_state = PackStoreState(
+            packs, pack_for(server, model, scheme, batch), pool.injector,
+            recorder, actor=actor, region_index=region_index, fabric=fabric)
+        stats.packs = pool.pack_state.counters
+    return pool
 
 
 class ClusterSimulator:
@@ -167,75 +183,24 @@ class ClusterSimulator:
                 "cluster_latency_seconds", "End-to-end request latency")
 
     def run(self, trace: RequestTrace) -> ClusterStats:
-        """Replay ``trace`` and collect per-request statistics.
+        """Replay ``trace`` through :meth:`InstancePool.replay` and
+        collect per-request statistics.
 
-        Every arrival goes through :meth:`InstancePool.step` (crashes,
-        reroutes, resilience and the pack ladder included), so every
-        request is accounted for: ``stats.completed + stats.failed +
-        stats.shed == len(trace)``.
-
-        Whenever every pooled instance is warm (vacuously from the very
-        first arrival) and neither a resilience supervisor nor a pack
-        ladder is attached, requests are fast-forwarded through
-        :meth:`InstancePool.advance` — cold spawns, reclaims and
-        queueing included.  With a fault plan, the injector pre-samples
-        the next ``cluster.request`` failure and the window up to it
-        replays analytically; the crash itself (and the pool until it is
-        all-warm again) goes through the step, so crash/reroute
-        accounting is identical draw-for-draw.
+        Every request is accounted for: ``stats.completed + stats.failed
+        + stats.shed == len(trace)``.  ``stats.fast_forwarded`` counts
+        the requests the replay served analytically (none with
+        ``config.fast_forward`` off).
         """
         config = self.config
         stats = ClusterStats()
-        recorder: Optional[TraceRecorder] = None
-        if config.trace_retention is not None:
-            recorder = TraceRecorder(retention=config.trace_retention,
-                                     ring_size=config.trace_ring)
-            if self.spans is not None:
-                self.spans.bind(recorder)
-        cold, warm = service_times(self.server, config.scheme, trace.model,
-                                   trace.batch)
-        pool = InstancePool(stats, warm, cold, cap=config.max_instances,
-                            keep_alive=config.keep_alive_s,
-                            faults=config.faults, recorder=recorder)
-        injector = pool.injector
-        attach_resilience(pool, config.resilience, self.server, trace.model,
-                          trace.batch)
-        # Kernel-pack hierarchy: the content-addressed pack for this
-        # (scheme, model, batch) and the per-replay fetch ladder.
-        # ``packs=None`` builds nothing.
-        if config.packs is not None:
-            pool.attach_packs(config.packs,
-                              pack_for(self.server, trace.model,
-                                       config.scheme, trace.batch))
-        can_fast_forward = (config.fast_forward and pool.resilience is None
-                            and pool.pack_state is None)
-        crash_rate = (config.faults.crash_rate
-                      if config.faults is not None else 0.0)
-        arrivals = trace.arrivals
-        index, n = 0, len(arrivals)
-        while index < n:
-            if can_fast_forward and all(inst.warm
-                                        for inst in pool.instances):
-                if injector is None:
-                    limit = n
-                else:
-                    limit = index + injector.preview_failures(
-                        "cluster.request", crash_rate, n - index)
-                if limit > index:
-                    pool.advance(arrivals, index, limit)
-                    processed = limit - index
-                    stats.fast_forwarded += processed
-                    if injector is not None:
-                        # Consume the surviving draws in bulk so the
-                        # downstream fault sequence matches stepping.
-                        if crash_rate > 0.0:
-                            injector.advance("cluster.request", processed)
-                        stats.faults.completed_requests += processed
-                    index += processed
-                if index >= n:
-                    break
-            pool.step(arrivals[index])
-            index += 1
+        pool = build_pool(
+            self.server, config.scheme, trace.model, trace.batch, stats,
+            cap=config.max_instances, keep_alive=config.keep_alive_s,
+            faults=config.faults, retention=config.trace_retention,
+            ring=config.trace_ring, resilience=config.resilience,
+            packs=config.packs, spans=self.spans)
+        stats.fast_forwarded = pool.replay(trace.arrivals,
+                                           config.fast_forward)
         if self.metrics is not None:
             self._feed_metrics(stats, pool)
         return stats

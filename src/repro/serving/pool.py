@@ -3,7 +3,8 @@
 PASK's claim is about one instance's cold start; this module turns an
 instance's cold and warm serve times into request latencies.  Every
 replay in the simulator — a bare cluster, each fleet region, each
-sharded fleet worker — drives the same :class:`InstancePool`:
+sharded fleet worker — drives the same :class:`InstancePool`, built by
+the one :func:`repro.serving.cluster.build_pool`:
 
 - :meth:`InstancePool.step` schedules one arrival.  It reclaims
   instances idle past the keep-alive (never below the warm floor),
@@ -17,6 +18,10 @@ sharded fleet worker — drives the same :class:`InstancePool`:
   a window in which nothing crashes.  Its float arithmetic matches
   :meth:`step` operation for operation, so either path yields the same
   latencies, counters and trace records bit for bit (pinned by tests).
+- :meth:`InstancePool.replay` is the one replay loop over a stream of
+  arrivals: :meth:`advance` over every all-warm window up to the next
+  pre-sampled crash, :meth:`shed` and :meth:`step` otherwise.  The
+  cluster and every static fleet shard replay through it.
 
 A fleet region's routing, shedding and autoscaler queries read
 :meth:`InstancePool.scan`, one pass over the live instances kept until
@@ -46,9 +51,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.packs.artifact import KernelPack
-from repro.packs.store import (PackPolicy, PackStoreState,
-                               PackTransferCounters, RegistryFabric)
+from repro.packs.store import PackStoreState, PackTransferCounters
 from repro.serving.metrics import percentile as nearest_rank_percentile
 from repro.serving.resilience import ResilienceState
 from repro.sim.faults import FaultCounters, FaultPlan, availability
@@ -62,6 +65,7 @@ __all__ = ["InstancePool", "PoolStats", "LatencySummary", "OfferedSummary",
 WARM, FAILED, SHED, COLD, RESTORE, PACK = range(6)
 
 _LAST_USED = operator.attrgetter("last_used")
+_WARM = operator.attrgetter("warm")
 _READY_AT = ResilienceState.ready_at
 
 
@@ -243,16 +247,6 @@ class InstancePool:
         # scheduling attempt (the fleet's queue-depth gauge).
         self.queue_depth = None
 
-    def attach_packs(self, policy: PackPolicy, pack: KernelPack,
-                     region_index: int = 0,
-                     fabric: Optional[RegistryFabric] = None) -> None:
-        """Stand up the kernel-pack fetch ladder for spawns."""
-        self.pack_state = PackStoreState(policy, pack, self.injector,
-                                         self.recorder, actor=self.actor,
-                                         region_index=region_index,
-                                         fabric=fabric)
-        self.stats.packs = self.pack_state.counters
-
     # -- queries -------------------------------------------------------
 
     def live(self, now: float) -> List[_Instance]:
@@ -324,6 +318,19 @@ class InstancePool:
         if warm_idle or len(live) < self.cap:
             return 0.0
         return earliest - now if earliest > now else 0.0
+
+    def shed(self, now: float) -> Optional[float]:
+        """Load shedding at admission: with ``shed_wait`` set, an arrival
+        at ``now`` whose :meth:`predicted_wait` exceeds it is counted
+        shed and that wait is returned; otherwise None (admit it)."""
+        shed_wait = self.shed_wait
+        if shed_wait is None:
+            return None
+        wait = self.predicted_wait(now)
+        if wait <= shed_wait:
+            return None
+        self.stats.shed += 1
+        return wait
 
     # -- the scheduling step -------------------------------------------
 
@@ -508,9 +515,9 @@ class InstancePool:
                 sheds: Optional[list] = None) -> None:
         """Replay ``arrivals[lo:hi]`` analytically.
 
-        Preconditions (the caller's): no resilience supervisor or pack
-        ladder, every instance warm, and no crash inside the window.  A
-        warm instance's ``busy_until`` equals its ``last_used`` (both
+        Preconditions (:meth:`replay` checks them): no resilience
+        supervisor or pack ladder, every instance warm, and no crash
+        inside the window.  A warm instance's ``busy_until`` equals its ``last_used`` (both
         are its last finish), and instances are exchangeable, so
         scheduling reduces to the multi-server recurrence ``finish_k =
         max(a_k, oldest) + warm`` over a min-heap of finish times — the
@@ -688,3 +695,58 @@ class InstancePool:
             inst.last_used = finish
             inst.warm = True
         self.ever_warm = ever_warm
+
+    def replay(self, arrivals, fast_forward: bool = True, outcomes=None,
+               sheds: Optional[list] = None) -> int:
+        """Replay ``arrivals``; return how many were served analytically.
+
+        While every instance is warm and no supervisor or pack ladder is
+        attached, :meth:`advance` replays each window up to the next
+        ``cluster.request`` failure the fault plan pre-samples, and the
+        window's surviving draws are consumed in bulk, so crashes match
+        stepping draw for draw.  Everything else goes through
+        :meth:`shed` and :meth:`step`.  A shed arrival draws no crash,
+        so a pool with both a fault plan and ``shed_wait`` steps every
+        arrival.  ``outcomes`` and ``sheds`` are :meth:`advance`'s.
+        """
+        stats = self.stats
+        injector = self.injector
+        crash_rate = self.plan.crash_rate if injector is not None else 0.0
+        shedding = self.shed_wait is not None
+        analytic = (fast_forward and self.resilience is None
+                    and self.pack_state is None
+                    and (injector is None or not shedding))
+        served = 0
+        index, n = 0, len(arrivals)
+        while index < n:
+            if analytic and all(map(_WARM, self.instances)):
+                limit = n
+                if injector is not None:
+                    limit = index + injector.preview_failures(
+                        "cluster.request", crash_rate, n - index)
+                if limit > index:
+                    shed = stats.shed
+                    self.advance(arrivals, index, limit, outcomes, sheds)
+                    processed = limit - index
+                    served += processed - (stats.shed - shed)
+                    if injector is not None:
+                        # Consume the surviving draws in bulk so the
+                        # downstream fault sequence matches stepping.
+                        if crash_rate > 0.0:
+                            injector.advance("cluster.request", processed)
+                        stats.faults.completed_requests += processed
+                    index = limit
+                    if index >= n:
+                        break
+            arrival = arrivals[index]
+            wait = self.shed(arrival) if shedding else None
+            if wait is None:
+                code = self.step(arrival)
+            else:
+                code = SHED
+                if sheds is not None:
+                    sheds.append((index, wait))
+            if outcomes is not None:
+                outcomes.append(code)
+            index += 1
+        return served

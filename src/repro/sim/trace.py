@@ -44,7 +44,8 @@ from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple,
                     Union)
 
 __all__ = ["Phase", "TraceRecord", "TraceRecorder", "merge_intervals",
-           "subtract_intervals", "RETENTION_POLICIES", "check_count"]
+           "subtract_intervals", "RETENTION_POLICIES", "check_count",
+           "check_retention"]
 
 RETENTION_POLICIES = ("full", "aggregate")
 
@@ -253,6 +254,15 @@ def check_count(field: str, value: Any, minimum: int = 0) -> None:
             or value < minimum:
         raise ValueError(f"{field} must be an integer >= {minimum}, "
                          f"got {value!r}")
+
+
+def check_retention(retention: Optional[str]) -> None:
+    """Raise ``ValueError`` unless ``retention`` is None or one of
+    :data:`RETENTION_POLICIES`: the ``trace_retention`` check of every
+    config that takes one."""
+    if retention is not None and retention not in RETENTION_POLICIES:
+        raise ValueError(f"unknown trace retention {retention!r}; "
+                         f"expected None or one of {RETENTION_POLICIES}")
 
 
 def _state_count(field: str, count: Any) -> int:

@@ -16,6 +16,7 @@ from repro.runner import (ExperimentTask, execute_task,
                           fleet_stats_from_payload, fleet_stats_to_payload)
 from repro.runner.tasks import build_replay
 from repro.serving.requests import poisson_trace
+from repro.serving.resilience import ResiliencePolicy
 from repro.sim.faults import FaultPlan
 
 
@@ -360,9 +361,27 @@ class TestFleetTask:
             [(f"t{i}", poisson_trace("res", 2.0, 5.0, seed=4 + i))
              for i in range(3)])
 
-    def test_rejects_tenants_on_cluster_tasks(self):
-        with pytest.raises(ValueError, match="tenant"):
-            ExperimentTask(kind="cluster", tenants=2)
+    # A knob the task's kind never reads used to build and drop out of
+    # describe(), so the task shared the default task's cache key.
+    _UNREAD_KNOBS = [
+        ("cluster", "tenants", 2),
+        ("cold", "resilience", ResiliencePolicy(degrade_wait_s=0.1)),
+        ("hot", "resilience", ResiliencePolicy(degrade_wait_s=0.1)),
+        ("cold", "packs", PackPolicy()),
+        ("cluster", "autoscale",
+         AutoscalePolicy(kind="scale-to-zero", idle_timeout_s=0.1)),
+        ("cluster", "routing", "least-queue"),
+        ("cluster", "shed_wait_s", 0.01),
+        ("cluster", "fleet_devices", ("MI100", "A100")),
+        ("cluster", "arrival", "bursty"),
+        ("cold", "peak_rate_hz", 5.0)]
+
+    @pytest.mark.parametrize("kind,knob,value", _UNREAD_KNOBS,
+                             ids=[f"{kind}-{knob}"
+                                  for kind, knob, _ in _UNREAD_KNOBS])
+    def test_rejects_knobs_the_kind_does_not_read(self, kind, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            ExperimentTask(kind=kind, **{knob: value})
 
     def test_execute_round_trips_through_payload(self):
         task = ExperimentTask(

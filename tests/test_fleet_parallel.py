@@ -107,6 +107,21 @@ _GRID = {
         trace_retention="full"),
     "single-region-overload": FleetConfig(
         regions=_regions(1), resilience=OVERLOAD_POLICY),
+    "round-robin-crash-aggregate": FleetConfig(
+        regions=tuple(
+            dataclasses.replace(region, faults=FaultPlan(seed=7 + i,
+                                                         crash_rate=0.05))
+            for i, region in enumerate(_regions(2))),
+        routing=RoutingPolicy("round-robin"), trace_retention="aggregate"),
+    # A shed arrival draws no crash: one-instance regions that restart
+    # slowly queue, so shedding and crashes interleave.
+    "round-robin-crash-shed": FleetConfig(
+        regions=tuple(
+            dataclasses.replace(region, max_instances=1,
+                                faults=FaultPlan(seed=7 + i, crash_rate=0.05,
+                                                 restart_delay_s=0.5))
+            for i, region in enumerate(_regions(2))),
+        routing=RoutingPolicy("round-robin"), shed_wait_s=0.01),
 }
 
 
@@ -150,6 +165,23 @@ def test_analytic_fast_path_serves_everything():
     assert report.analytic_total == stats.offered
     stats, report = _check(_GRID["scale-to-zero-analytic"], _trace())
     assert report.analytic_total == stats.offered
+
+
+@pytest.mark.parametrize("name", ("round-robin-full", "single-drains",
+                                  "round-robin-crash-aggregate"))
+def test_static_shards_fast_forward_under_faults_and_retention(name):
+    # A static fixed-capacity shard replays through the cluster's loop,
+    # so a fault plan or a trace retention no longer forces stepping.
+    _, report = _check(_GRID[name], _trace())
+    assert report.mode == "static"
+    assert report.analytic_total > 0
+
+
+def test_crashes_and_shedding_interleave_on_static_shards():
+    stats, report = _check(_GRID["round-robin-crash-shed"], _trace())
+    assert report.mode == "static"
+    assert stats.shed > 0
+    assert sum(r.faults.crashes for r in stats.regions.values()) > 0
 
 
 def test_analytic_fast_path_with_shedding():
