@@ -36,6 +36,7 @@ metrics as Prometheus text and JSON, and the fleet's monitors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -630,8 +631,8 @@ def _check_args(args) -> None:
     run command's task checks its own)."""
     if args.command == "session":
         check_count("requests", args.requests, 1)
-        if not args.interval_ms >= 0:
-            raise ValueError(f"interval-ms must be >= 0, "
+        if not 0 <= args.interval_ms < math.inf:
+            raise ValueError(f"interval-ms must be finite and >= 0, "
                              f"got {args.interval_ms!r}")
     elif args.command == "profile" and args.ops is not None:
         check_count("ops", args.ops, 1)

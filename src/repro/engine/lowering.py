@@ -26,6 +26,7 @@ from repro.primitive.problem import (
     PoolProblem,
 )
 from repro.primitive.solvers.activation import SPECIALIZED_ACTIVATIONS
+from repro.sim.trace import check_count
 
 __all__ = ["LoweringOptions", "lower"]
 
@@ -49,8 +50,7 @@ class LoweringOptions:
     apply_passes: bool = True
 
     def __post_init__(self) -> None:
-        if self.batch <= 0:
-            raise ValueError(f"batch must be positive, got {self.batch}")
+        check_count("batch", self.batch, 1)
 
 
 def _pair(value) -> Tuple[int, int]:

@@ -54,7 +54,7 @@ from repro.serving.pool import (COLD, FAILED, SHED, OfferedSummary,
                                 PoolStats)
 from repro.serving.requests import RequestTrace
 from repro.serving.resilience import ResiliencePolicy
-from repro.serving.server import InferenceServer, server_for
+from repro.serving.server import server_for
 from repro.sim.faults import FaultPlan
 from repro.sim.trace import check_count, check_retention
 
@@ -529,7 +529,6 @@ class _RegionState:
 
     def __init__(self, fleet: FleetConfig, index: int, model: str,
                  batch: int,
-                 servers: Optional[Dict[str, InferenceServer]] = None,
                  fabric: Optional[RegistryFabric] = None,
                  spans=None) -> None:
         self.config = config = fleet.regions[index]
@@ -537,12 +536,9 @@ class _RegionState:
                                 is not None else AutoscalePolicy())
         self.scaler = AutoscalerState(policy, config.max_instances)
         self.stats = RegionStats(name=config.name, device=config.device)
-        # The process's shared server per device (unless ``servers``
-        # names one) shares the service-time memo across every fleet and
-        # cluster in the process.
-        server = (servers[config.device]
-                  if servers is not None and config.device in servers
-                  else server_for(config.device))
+        # The process's shared server per device shares the
+        # service-time memo across every fleet and cluster in the process.
+        server = server_for(config.device)
         # This region's pack ladder runs against its own registry (dark
         # during its outage windows), failing over through ``fabric``.
         self.pool = pool = build_pool(
@@ -637,14 +633,11 @@ class FleetSimulator:
     """Replays a (multi-tenant) trace against a multi-region fleet."""
 
     def __init__(self, config: FleetConfig, metrics=None, spans=None,
-                 slo: Optional[SLOPolicy] = None,
-                 servers: Optional[Dict[str, InferenceServer]] = None
-                 ) -> None:
+                 slo: Optional[SLOPolicy] = None) -> None:
         self.config = config
         self.metrics = metrics
         self.spans = spans
         self.slo = slo
-        self._servers = servers
 
     def run(self, trace) -> FleetStats:
         """Replay ``trace`` (a :class:`RequestTrace` or
@@ -668,7 +661,7 @@ class FleetSimulator:
         regions: List[_RegionState] = []
         for index in range(len(config.regions)):
             state = _RegionState(config, index, trace.model, trace.batch,
-                                 self._servers, fabric, spans)
+                                 fabric, spans)
             if self.metrics is not None:
                 state.pool.queue_depth = _QueueDepthTracker()
             regions.append(state)

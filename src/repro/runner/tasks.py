@@ -60,8 +60,13 @@ ARRIVAL_KINDS = ("poisson", "diurnal", "bursty")
 _SCHEMES_BY_VALUE = {s.value: s for s in Scheme}
 
 # The knobs that only some task kinds read, each mapped to those kinds.
+# Any other kind rejects a non-default value and leaves the knob out of
+# its description.
 _REPLAY_KINDS, _FLEET_KINDS = ("cluster", "fleet"), ("fleet",)
-_KIND_KNOBS = {"resilience": _REPLAY_KINDS, "packs": _REPLAY_KINDS,
+_KIND_KNOBS = {**dict.fromkeys(("rate_hz", "duration_s", "seed",
+                                "instances", "keep_alive_s",
+                                "trace_retention", "trace_ring",
+                                "resilience", "packs"), _REPLAY_KINDS),
                **dict.fromkeys(("arrival", "peak_rate_hz", "period_s",
                                 "burst_s", "fleet_devices", "routing",
                                 "autoscale", "shed_wait_s", "tenants"),
@@ -93,7 +98,7 @@ class ExperimentTask:
     scheme: str = Scheme.BASELINE.value
     batch: int = 1
     faults: Optional[FaultPlan] = None
-    # Cluster-replay knobs (ignored for cold/hot serves).
+    # Cluster-replay knobs (cluster and fleet tasks only).
     rate_hz: float = 20.0
     duration_s: float = 4.0
     seed: int = 0
@@ -226,39 +231,23 @@ class ExperimentTask:
         """JSON-safe dict of every outcome-relevant field (cache keys
         and report cells are built from this)."""
         out = asdict(self)
-        out["faults"] = asdict(self.faults) if self.faults is not None else None
-        out["resilience"] = (asdict(self.resilience)
-                             if self.resilience is not None else None)
-        out["autoscale"] = (asdict(self.autoscale)
-                            if self.autoscale is not None else None)
-        if self.kind not in ("cluster", "fleet"):
-            for knob in ("rate_hz", "duration_s", "seed", "instances",
-                         "keep_alive_s", "trace_retention", "trace_ring",
-                         "resilience"):
+        # A knob the kind never reads holds its default (__post_init__
+        # checks), so leaving it out keeps the cache keys of the kinds
+        # that predate it valid verbatim.
+        for knob, kinds in _KIND_KNOBS.items():
+            if self.kind not in kinds:
                 del out[knob]
-        elif self.trace_retention is None:
-            # Keep cache keys for untraced replays stable across the
-            # introduction of the tracing knobs.
-            del out["trace_retention"], out["trace_ring"]
+        # Same stability rule for knobs left at their off value.
+        if self.trace_retention is None:
+            out.pop("trace_retention", None)
+            out.pop("trace_ring", None)
         if not self.collect_metrics:
-            # Same stability rule for the metrics knob.
             del out["collect_metrics"]
-        if self.resilience is None:
-            # Same stability rule for the resilience knob.
-            out.pop("resilience", None)
-        if self.kind != "fleet":
-            # The fleet knobs vanish from every non-fleet description so
-            # pre-fleet cache keys stay valid verbatim.
-            for knob in ("arrival", "peak_rate_hz", "period_s", "burst_s",
-                         "fleet_devices", "routing", "autoscale",
-                         "shed_wait_s"):
-                del out[knob]
-        if self.packs is None:
-            # Same stability rule for the pack-hierarchy knob.
-            out.pop("packs", None)
+        for knob in ("resilience", "packs"):
+            if getattr(self, knob) is None:
+                out.pop(knob, None)
         if self.tenants == 1:
-            # Same stability rule for the tenant split.
-            del out["tenants"]
+            out.pop("tenants", None)
         if self.kind == "hot":
             # Hot serves always run the baseline-lowered program.
             del out["scheme"]
@@ -537,10 +526,8 @@ def run_replay(task: ExperimentTask, config, trace, metrics=None,
     serially, feeding the given telemetry sinks (an SLO policy applies
     to fleets only); returns the cluster or fleet stats."""
     if task.kind == "fleet":
-        servers = {device: server_for(device)
-                   for device in task.region_devices}
-        return FleetSimulator(config, metrics=metrics, spans=spans, slo=slo,
-                              servers=servers).run(trace)
+        return FleetSimulator(config, metrics=metrics, spans=spans,
+                              slo=slo).run(trace)
     return ClusterSimulator(server_for(task.device), config, metrics=metrics,
                             spans=spans).run(trace)
 

@@ -5,14 +5,20 @@ registry with per-policy lowered variants) and spins up a fresh simulated
 runtime per request -- a cold start is literally a new runtime with no
 loaded modules, matching the preemptive/serverless/edge scenarios of the
 paper's introduction.
+
+Every one-request entry point (cold, hot, checkpoint capture, restore)
+runs through one harness, ``InferenceServer._serve``, and hands it only
+the request's body; a session keeps its own request loop but builds and
+counts each result the same way.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Union
 
 from repro.core.results import ExecutionResult
-from repro.core.schemes import Scheme, build_executor, program_code_objects
+from repro.core.schemes import Scheme, build_executor, run_hot
 from repro.engine.program import Program
 from repro.engine.registry import ModelRegistry
 from repro.gpu.device import DeviceSpec, get_device
@@ -23,6 +29,7 @@ from repro.primitive.library import MIOpenLibrary
 from repro.sim.core import Environment
 from repro.sim.faults import (CheckpointFault, FaultError, FaultPlan,
                               RestoreFault)
+from repro.sim.trace import TraceRecorder, check_count
 
 __all__ = ["InferenceServer", "ServeResult", "serve_cold", "serve_hot",
            "server_for"]
@@ -78,6 +85,66 @@ class InferenceServer:
     # ------------------------------------------------------------------
     # Online: serving
     # ------------------------------------------------------------------
+    def _instance(self, model: str, scheme: Scheme, batch: int,
+                  faults: Optional[FaultPlan], spans, metrics):
+        """The lowered program and a fresh instance to serve it on:
+        ``(program, env, injector, runtime)``, no module loaded."""
+        program = self._lowered(model, scheme, batch)
+        env = Environment()
+        injector = faults.injector() if faults is not None else None
+        if injector is not None and metrics is not None:
+            injector.bind_metrics(metrics)
+        runtime = HipRuntime(env, self.device, faults=injector,
+                             spans=spans, metrics=metrics)
+        return program, env, injector, runtime
+
+    def _executing(self, executor):
+        """A serve body that runs ``executor`` (an executor of
+        :mod:`repro.core.schemes`) on the program."""
+        return lambda env, runtime, program, metadata: executor(
+            env, runtime, self.library, self.blas, program)
+
+    def _serve(self, kind: str, model: str, scheme: Scheme, batch: int,
+               faults: Optional[FaultPlan], spans, metrics, body,
+               label: Optional[str] = None, after=None):
+        """Serve one request on a fresh instance; returns
+        ``(result, stats)``.
+
+        The harness of every one-request entry point.  The generator
+        ``body(env, runtime, program, metadata)`` is the request: it runs
+        in the ``"{kind}-{model}"`` process inside the ``"{kind}:{model}"``
+        request span and returns a stats dict.  ``after(env, runtime,
+        stats, metadata)``, if given, runs in the same process once the
+        span has closed.  A :class:`FaultError` that escapes ends the
+        request explicitly failed, with its message under
+        ``metadata["error"]``.  ``label`` names the scheme in the span and
+        the result (default: ``scheme.label``; ``scheme`` still picks the
+        lowering).
+        """
+        program, env, injector, runtime = self._instance(
+            model, scheme, batch, faults, spans, metrics)
+        label = label or scheme.label
+        stats: Dict[str, object] = {}
+        metadata = {"device": self.device.name, "instructions": len(program)}
+
+        def driver():
+            with runtime.spans.request(f"{kind}:{model}", model=model,
+                                       scheme=label, batch=batch):
+                stats.update((yield from body(env, runtime, program,
+                                              metadata)) or {})
+            if after is not None:
+                yield from after(env, runtime, stats, metadata)
+
+        process = env.process(driver(), name=f"{kind}-{model}")
+        failed = False
+        try:
+            env.run(until=process)
+        except FaultError as error:
+            failed = True
+            metadata["error"] = str(error)
+        return _result(runtime, injector, failed, label, model, batch, stats,
+                       metadata), stats
+
     def serve_cold(self, model: str, scheme: Scheme = Scheme.BASELINE,
                    batch: int = 1,
                    faults: Optional[FaultPlan] = None,
@@ -95,49 +162,9 @@ class InferenceServer:
         middleware activity mirrors into causal spans.  Both default to
         off, which costs nothing and changes nothing.
         """
-        program = self._lowered(model, scheme, batch)
-        env = Environment()
-        injector = faults.injector() if faults is not None else None
-        if injector is not None and metrics is not None:
-            injector.bind_metrics(metrics)
-        runtime = HipRuntime(env, self.device, faults=injector,
-                             spans=spans, metrics=metrics)
-        executor = build_executor(scheme)
-
-        outcome: Dict[str, object] = {}
-        metadata = {"device": self.device.name, "instructions": len(program)}
-        failed = False
-
-        def driver():
-            with runtime.spans.request(f"serve:{model}", model=model,
-                                       scheme=scheme.label, batch=batch):
-                stats = yield from executor(env, runtime, self.library,
-                                            self.blas, program)
-            outcome.update(stats or {})
-
-        process = env.process(driver(), name=f"serve-{model}")
-        try:
-            env.run(until=process)
-        except FaultError as error:
-            failed = True
-            metadata["error"] = str(error)
-        if injector is not None:
-            if failed:
-                injector.counters.failed_requests += 1
-            else:
-                injector.counters.completed_requests += 1
-        return ExecutionResult(
-            scheme=scheme.label, model=model, batch=batch,
-            total_time=env.now, trace=runtime.trace,
-            loads=runtime.load_count, loaded_bytes=runtime.loaded_bytes,
-            milestone=outcome.get("milestone"),
-            cache_stats=outcome.get("cache_stats"),
-            reused_layers=outcome.get("reused_layers", 0),
-            skipped_loads=outcome.get("skipped_loads", 0),
-            faults=injector.counters if injector is not None else None,
-            failed=failed,
-            metadata=metadata,
-        )
+        body = self._executing(build_executor(scheme))
+        return self._serve("serve", model, scheme, batch, faults, spans,
+                           metrics, body)[0]
 
     def serve_session(self, model: str, scheme: Scheme = Scheme.PASK,
                       n_requests: int = 3, interval_s: float = 0.05,
@@ -156,25 +183,21 @@ class InferenceServer:
 
         With ``spans``, each request becomes one request-lifecycle span
         in the shared recorder (request 0 cold, the rest warm), which is
-        the input per-request cold-start attribution works from.
+        the input per-request cold-start attribution works from.  A
+        request that fails on injected faults ends the session: it is
+        the last result.
         """
-        if n_requests < 1:
-            raise ValueError("need at least one request")
-        if interval_s < 0:
-            raise ValueError("interval must be non-negative")
-        program = self._lowered(model, scheme, batch)
-        env = Environment()
-        injector = faults.injector() if faults is not None else None
-        if injector is not None and metrics is not None:
-            injector.bind_metrics(metrics)
-        runtime = HipRuntime(env, self.device, faults=injector,
-                             spans=spans, metrics=metrics)
+        check_count("n_requests", n_requests, 1)
+        if not 0 <= interval_s < math.inf:
+            raise ValueError(f"interval_s must be finite and >= 0, "
+                             f"got {interval_s!r}")
+        program, env, injector, runtime = self._instance(
+            model, scheme, batch, faults, spans, metrics)
         executor = build_executor(scheme)
         results: List[ExecutionResult] = []
 
         def session():
             from repro.core.preloader import preload_during_interval
-            from repro.sim.trace import TraceRecorder
             for request in range(n_requests):
                 trace = TraceRecorder()
                 runtime.trace = trace
@@ -186,49 +209,27 @@ class InferenceServer:
                     spans.bind(trace)
                 loads_before = runtime.load_count
                 start = env.now
+                stats: Dict[str, object] = {}
+                metadata = {"request": request, "device": self.device.name}
+                failed = False
                 try:
                     with runtime.spans.request(f"request-{request}",
                                                model=model, request=request,
                                                scheme=scheme.label):
-                        stats = yield from executor(env, runtime,
-                                                    self.library,
-                                                    self.blas, program)
+                        stats = (yield from executor(
+                            env, runtime, self.library, self.blas,
+                            program)) or {}
                 except FaultError as error:
-                    # The instance died mid-request: record the request
-                    # as explicitly failed and end the session (the
-                    # cluster layer models the subsequent restart).
-                    if injector is not None:
-                        injector.counters.failed_requests += 1
-                    results.append(ExecutionResult(
-                        scheme=scheme.label, model=model, batch=batch,
-                        total_time=env.now - start, trace=trace,
-                        loads=runtime.load_count - loads_before,
-                        loaded_bytes=runtime.loaded_bytes,
-                        faults=injector.counters if injector else None,
-                        failed=True,
-                        metadata={"request": request,
-                                  "device": self.device.name,
-                                  "error": str(error)},
-                    ))
+                    # The instance died mid-request: the request is
+                    # explicitly failed and the session ends (the cluster
+                    # layer models the subsequent restart).
+                    failed = True
+                    metadata["error"] = str(error)
+                results.append(_result(runtime, injector, failed,
+                                       scheme.label, model, batch, stats,
+                                       metadata, start, loads_before))
+                if failed or request == n_requests - 1:
                     return
-                stats = stats or {}
-                if injector is not None:
-                    injector.counters.completed_requests += 1
-                results.append(ExecutionResult(
-                    scheme=scheme.label, model=model, batch=batch,
-                    total_time=env.now - start, trace=trace,
-                    loads=runtime.load_count - loads_before,
-                    loaded_bytes=runtime.loaded_bytes,
-                    milestone=stats.get("milestone"),
-                    cache_stats=stats.get("cache_stats"),
-                    reused_layers=stats.get("reused_layers", 0),
-                    skipped_loads=stats.get("skipped_loads", 0),
-                    faults=injector.counters if injector else None,
-                    metadata={"request": request,
-                              "device": self.device.name},
-                ))
-                if request == n_requests - 1:
-                    break
                 deadline = env.now + interval_s
                 if interval_preload:
                     pending = stats.get("skipped_desired", [])
@@ -256,56 +257,15 @@ class InferenceServer:
         serve itself fails on injected faults, the result is explicitly
         failed and the snapshot is ``None``.
         """
-        program = self._lowered(model, scheme, batch)
-        env = Environment()
-        injector = faults.injector() if faults is not None else None
-        if injector is not None and metrics is not None:
-            injector.bind_metrics(metrics)
-        runtime = HipRuntime(env, self.device, faults=injector,
-                             spans=spans, metrics=metrics)
-        executor = build_executor(scheme)
-
-        outcome: Dict[str, object] = {}
-        metadata = {"device": self.device.name, "instructions": len(program)}
-        failed = False
-
-        def driver():
-            with runtime.spans.request(f"capture:{model}", model=model,
-                                       scheme=scheme.label, batch=batch):
-                stats = yield from executor(env, runtime, self.library,
-                                            self.blas, program)
-            outcome.update(stats or {})
+        def checkpoint(env, runtime, stats, metadata):
             served_at = env.now
-            snapshot = yield from runtime.snapshot()
-            outcome["snapshot"] = snapshot
-            outcome["checkpoint_s"] = env.now - served_at
+            stats["snapshot"] = yield from runtime.snapshot()
+            metadata["checkpoint_s"] = env.now - served_at
 
-        process = env.process(driver(), name=f"capture-{model}")
-        try:
-            env.run(until=process)
-        except FaultError as error:
-            failed = True
-            metadata["error"] = str(error)
-        if injector is not None:
-            if failed:
-                injector.counters.failed_requests += 1
-            else:
-                injector.counters.completed_requests += 1
-        if "checkpoint_s" in outcome:
-            metadata["checkpoint_s"] = outcome["checkpoint_s"]
-        result = ExecutionResult(
-            scheme=scheme.label, model=model, batch=batch,
-            total_time=env.now, trace=runtime.trace,
-            loads=runtime.load_count, loaded_bytes=runtime.loaded_bytes,
-            milestone=outcome.get("milestone"),
-            cache_stats=outcome.get("cache_stats"),
-            reused_layers=outcome.get("reused_layers", 0),
-            skipped_loads=outcome.get("skipped_loads", 0),
-            faults=injector.counters if injector is not None else None,
-            failed=failed,
-            metadata=metadata,
-        )
-        return result, outcome.get("snapshot")
+        result, stats = self._serve(
+            "capture", model, scheme, batch, faults, spans, metrics,
+            self._executing(build_executor(scheme)), after=checkpoint)
+        return result, stats.get("snapshot")
 
     def serve_restored(self, model: str, snapshot: RuntimeSnapshot,
                        scheme: Scheme = Scheme.PASK, batch: int = 1,
@@ -320,58 +280,23 @@ class InferenceServer:
         ``restore.load`` fault) falls back to the plain cold path;
         ``result.metadata["restore_failed"]`` records why.
         """
-        program = self._lowered(model, scheme, batch)
-        env = Environment()
-        injector = faults.injector() if faults is not None else None
-        if injector is not None and metrics is not None:
-            injector.bind_metrics(metrics)
-        runtime = HipRuntime(env, self.device, faults=injector,
-                             spans=spans, metrics=metrics)
-        executor = build_executor(scheme)
+        execute = self._executing(build_executor(scheme))
 
-        outcome: Dict[str, object] = {}
-        metadata = {"device": self.device.name, "instructions": len(program)}
-        failed = False
+        def restore_then_execute(env, runtime, program, metadata):
+            try:
+                metadata["restored_modules"] = \
+                    yield from runtime.restore(snapshot)
+                metadata["restored_bytes"] = runtime.restored_bytes
+            except (CheckpointFault, RestoreFault) as error:
+                # Fall back to a full cold start: the restore time
+                # already spent is sunk cost, nothing is resident.
+                metadata["restore_failed"] = str(error)
+            return (yield from execute(env, runtime, program, metadata))
 
-        def driver():
-            with runtime.spans.request(f"restore:{model}", model=model,
-                                       scheme=scheme.label, batch=batch):
-                try:
-                    restored = yield from runtime.restore(snapshot)
-                    metadata["restored_modules"] = restored
-                    metadata["restored_bytes"] = runtime.restored_bytes
-                except (CheckpointFault, RestoreFault) as error:
-                    # Fall back to a full cold start: the restore time
-                    # already spent is sunk cost, nothing is resident.
-                    metadata["restore_failed"] = str(error)
-                stats = yield from executor(env, runtime, self.library,
-                                            self.blas, program)
-            outcome.update(stats or {})
-
-        process = env.process(driver(), name=f"restore-{model}")
-        try:
-            env.run(until=process)
-        except FaultError as error:
-            failed = True
-            metadata["error"] = str(error)
-        if injector is not None:
-            if failed:
-                injector.counters.failed_requests += 1
-            else:
-                injector.counters.completed_requests += 1
-        metadata["restored_hits"] = outcome.get("restored_hits", 0)
-        return ExecutionResult(
-            scheme=scheme.label, model=model, batch=batch,
-            total_time=env.now, trace=runtime.trace,
-            loads=runtime.load_count, loaded_bytes=runtime.loaded_bytes,
-            milestone=outcome.get("milestone"),
-            cache_stats=outcome.get("cache_stats"),
-            reused_layers=outcome.get("reused_layers", 0),
-            skipped_loads=outcome.get("skipped_loads", 0),
-            faults=injector.counters if injector is not None else None,
-            failed=failed,
-            metadata=metadata,
-        )
+        result, stats = self._serve("restore", model, scheme, batch, faults,
+                                    spans, metrics, restore_then_execute)
+        result.metadata["restored_hits"] = stats.get("restored_hits", 0)
+        return result
 
     def serve_hot(self, model: str, batch: int = 1,
                   faults: Optional[FaultPlan] = None,
@@ -380,48 +305,35 @@ class InferenceServer:
 
         This is the denominator of Fig. 1(a)'s cold/hot slowdowns.
         """
-        program = self._lowered(model, Scheme.BASELINE, batch)
-        env = Environment()
-        injector = faults.injector() if faults is not None else None
-        if injector is not None and metrics is not None:
-            injector.bind_metrics(metrics)
-        runtime = HipRuntime(env, self.device, faults=injector,
-                             spans=spans, metrics=metrics)
-        runtime.preload(program_code_objects(program, self.library, self.blas))
+        return self._serve("hot", model, Scheme.BASELINE, batch, faults,
+                           spans, metrics, self._executing(run_hot),
+                           label="Hot")[0]
 
-        def driver():
-            from repro.core.schemes import _issue_instruction
-            bundle = program.engine_bundle
-            with runtime.spans.request(f"hot:{model}", model=model,
-                                       scheme="Hot", batch=batch):
-                for instr in program.instructions:
-                    yield from _issue_instruction(env, runtime, self.library,
-                                                  self.blas, instr,
-                                                  actor="host", lazy=True,
-                                                  engine_bundle=bundle)
-                yield from runtime.synchronize()
 
-        metadata = {"device": self.device.name, "instructions": len(program)}
-        failed = False
-        process = env.process(driver(), name=f"hot-{model}")
-        try:
-            env.run(until=process)
-        except FaultError as error:
-            failed = True
-            metadata["error"] = str(error)
-        if injector is not None:
-            if failed:
-                injector.counters.failed_requests += 1
-            else:
-                injector.counters.completed_requests += 1
-        return ExecutionResult(
-            scheme="Hot", model=model, batch=batch, total_time=env.now,
-            trace=runtime.trace, loads=runtime.load_count,
-            loaded_bytes=runtime.loaded_bytes,
-            faults=injector.counters if injector is not None else None,
-            failed=failed,
-            metadata=metadata,
-        )
+def _result(runtime: HipRuntime, injector, failed: bool, scheme: str,
+            model: str, batch: int, stats, metadata,
+            start: float = 0.0, loads_before: int = 0) -> ExecutionResult:
+    """Count one served request on the fault injector (if any) and build
+    its result: the time and loads since ``start``/``loads_before`` on
+    ``runtime``, the executor's ``stats`` and the serve's ``metadata``."""
+    if injector is not None:
+        if failed:
+            injector.counters.failed_requests += 1
+        else:
+            injector.counters.completed_requests += 1
+    return ExecutionResult(
+        scheme=scheme, model=model, batch=batch,
+        total_time=runtime.env.now - start, trace=runtime.trace,
+        loads=runtime.load_count - loads_before,
+        loaded_bytes=runtime.loaded_bytes,
+        milestone=stats.get("milestone"),
+        cache_stats=stats.get("cache_stats"),
+        reused_layers=stats.get("reused_layers", 0),
+        skipped_loads=stats.get("skipped_loads", 0),
+        faults=injector.counters if injector is not None else None,
+        failed=failed,
+        metadata=metadata,
+    )
 
 
 # One server per device per process, shared by the experiment suites,

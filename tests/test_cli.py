@@ -220,10 +220,12 @@ def test_validate_stdout_matches_golden(capsys):
     (["fleet", "res", "--devices", "MI100,bogus"], "device"),
     (["serve", "alex", "--batch", "0"], "batch"),
     (["session", "alex", "--requests", "0"], "requests"),
+    (["session", "alex", "--interval-ms", "inf"], "interval-ms"),
     (["profile", "event-kernel", "--ops", "0"], "ops"),
 ], ids=["cluster-instances", "chaos-instances", "fleet-instances",
         "cluster-keep-alive", "fleet-tenants", "fleet-devices",
-        "serve-batch", "session-requests", "profile-ops"])
+        "serve-batch", "session-requests", "session-interval",
+        "profile-ops"])
 def test_bad_run_arguments_print_error_and_exit_2(argv, field, capsys):
     assert main(argv) == 2
     out = capsys.readouterr().out

@@ -374,7 +374,14 @@ class TestFleetTask:
         ("cluster", "shed_wait_s", 0.01),
         ("cluster", "fleet_devices", ("MI100", "A100")),
         ("cluster", "arrival", "bursty"),
-        ("cold", "peak_rate_hz", 5.0)]
+        ("cold", "peak_rate_hz", 5.0),
+        ("cold", "rate_hz", 5.0),
+        ("cold", "duration_s", 9.0),
+        ("hot", "seed", 7),
+        ("cold", "instances", 9),
+        ("hot", "keep_alive_s", 2.0),
+        ("cold", "trace_retention", "full"),
+        ("cold", "trace_ring", 8)]
 
     @pytest.mark.parametrize("kind,knob,value", _UNREAD_KNOBS,
                              ids=[f"{kind}-{knob}"

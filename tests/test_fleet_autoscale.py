@@ -16,9 +16,7 @@ from repro.core.schemes import Scheme
 from repro.fleet import (AutoscalePolicy, FleetConfig, FleetSimulator,
                          FleetTrace, RegionConfig)
 from repro.serving.requests import RequestTrace, periodic_trace
-from repro.serving.server import InferenceServer
 
-_SERVER = InferenceServer("MI100")
 _IDLE = 0.5
 
 
@@ -29,7 +27,7 @@ def _run(arrivals, autoscale, instances=2):
                               keep_alive_s=1000.0),),
         autoscale=autoscale)
     trace = RequestTrace("res", tuple(arrivals))
-    stats = FleetSimulator(config, servers={"MI100": _SERVER}).run(
+    stats = FleetSimulator(config).run(
         FleetTrace.from_request_trace(trace))
     assert not stats.delegated  # non-inert autoscale => general path
     assert stats.conserved

@@ -60,7 +60,7 @@ def _fleet_stats(trace, fleet_kwargs=None, **region_kwargs):
                               max_instances=2, keep_alive_s=0.5,
                               **region_kwargs),),
         **(fleet_kwargs or {}))
-    return FleetSimulator(config, servers={"MI100": _SERVER}).run(trace)
+    return FleetSimulator(config).run(trace)
 
 
 def _assert_region_equals_cluster(region, cluster):

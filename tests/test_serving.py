@@ -1,11 +1,14 @@
 """Tests for the serving harness and metrics helpers."""
 
+import math
+
 import pytest
 
 from repro.core.schemes import Scheme
 from repro.serving import InferenceServer, geometric_mean, mean, serve_cold, \
     serve_hot
 from repro.serving.metrics import normalize
+from repro.serving.server import server_for
 
 
 class TestMetrics:
@@ -47,6 +50,21 @@ class TestInferenceServer:
         cold = server.serve_cold("vgg", Scheme.BASELINE)
         hot = server.serve_hot("vgg")
         assert hot.total_time < cold.total_time
+
+    @pytest.mark.parametrize("serve, kwargs, field", [
+        ("serve_cold", {"batch": 1.5}, "batch"),
+        ("serve_cold", {"batch": True}, "batch"),
+        ("serve_hot", {"batch": 2.0}, "batch"),
+        ("serve_session", {"interval_s": math.nan}, "interval_s"),
+        ("serve_session", {"interval_s": math.inf}, "interval_s"),
+        ("serve_session", {"n_requests": True}, "n_requests"),
+        ("serve_session", {"n_requests": 2.0}, "n_requests"),
+    ])
+    def test_bad_arguments_rejected(self, serve, kwargs, field):
+        """A fractional or bool batch or request count and a NaN or
+        infinite interval fail before anything is served."""
+        with pytest.raises(ValueError, match=field):
+            getattr(server_for("MI100"), serve)("res", **kwargs)
 
     def test_custom_model_registration(self):
         from repro.graph import GraphBuilder
