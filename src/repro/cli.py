@@ -23,9 +23,10 @@ Commands
 
 The run commands (``serve``, ``cluster``, ``chaos``, ``fleet``) parse
 their arguments into one :class:`~repro.runner.tasks.ExperimentTask`;
-the replays go through the same ``build_replay``/``run_replay`` as the
-experiment grid and the scenarios.  A handler only picks serial or
-sharded replay and formats the outcome.  A bad argument prints
+the replays go through the same ``build_replay`` and replay entry
+point as the experiment grid and the scenarios (``run_replay``; a fleet
+through the ``run_fleet_sharded`` it calls), and a handler only formats
+the outcome.  A bad argument prints
 ``error: ...`` and exits 2.  ``--telemetry DIR`` on any run command
 records spans and metrics (plus SLO monitors for a fleet) and writes
 them as one bundle (:func:`repro.obs.write_bundle`): manifest, Perfetto
@@ -42,7 +43,9 @@ from typing import Any, Dict, List, Optional
 
 from repro._version import __version__
 from repro.core.schemes import Scheme
-from repro.fleet import AutoscalePolicy
+from repro.fleet import (AutoscalePolicy, FleetSimulator,
+                         equivalence_problems, run_fleet_sharded)
+from repro.gpu.device import list_devices
 from repro.models import MODEL_INFO, list_models
 from repro.obs import MetricsRegistry, SLOPolicy, SpanRecorder, write_bundle
 from repro.report import format_table
@@ -51,13 +54,14 @@ from repro.runner.profile import LAYERS, profile_layer
 from repro.runner.scenarios import SCENARIOS, run_scenario
 from repro.runner.tasks import ExperimentTask, build_replay, run_replay
 from repro.serving.experiments import DEFAULT_BATCHES, ExperimentSuite
-from repro.serving.server import InferenceServer, server_for
+from repro.serving.server import server_for
 from repro.sim.faults import FaultPlan
 from repro.sim.trace import check_count
 
 __all__ = ["main", "build_parser"]
 
 _SCHEMES = {s.label.lower(): s for s in Scheme}
+_DEVICES = list_devices()
 _EXPERIMENTS = ("fig1a", "fig1b", "fig6a", "fig6b", "table2", "fig7",
                 "fig8", "fig9")
 
@@ -79,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serving scheme (default: baseline)")
     serve.add_argument("--batch", type=int, default=1)
     serve.add_argument("--device", default="MI100",
-                       choices=["MI100", "A100", "6900XT"])
+                       choices=_DEVICES)
     serve.add_argument("--hot", action="store_true",
                        help="run a successive-iteration (hot) request")
     serve.add_argument("--timeline", action="store_true",
@@ -89,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="regenerate a paper figure/table")
     experiment.add_argument("name", choices=_EXPERIMENTS + ("all",))
     experiment.add_argument("--device", default="MI100",
-                            choices=["MI100", "A100", "6900XT"])
+                            choices=_DEVICES)
     experiment.add_argument("--jobs", type=int, default=1,
                             help="prewarm the experiment grid through the "
                                  "parallel runner with this many worker "
@@ -106,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     session.add_argument("--no-preload", action="store_true",
                          help="disable Sec. VI interval preloading")
     session.add_argument("--device", default="MI100",
-                         choices=["MI100", "A100", "6900XT"])
+                         choices=_DEVICES)
 
     cluster = sub.add_parser("cluster",
                              help="replay a Poisson trace on a pool")
@@ -120,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--instances", type=int, default=4)
     cluster.add_argument("--seed", type=int, default=0)
     cluster.add_argument("--device", default="MI100",
-                         choices=["MI100", "A100", "6900XT"])
+                         choices=_DEVICES)
     cluster.add_argument("--trace-retention", default=None,
                          choices=["full", "aggregate"],
                          help="record request-level trace intervals "
@@ -175,16 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--crash-rate", type=float, default=0.0,
                        help="per-second instance crash rate in every "
                             "region (seeded)")
-    fleet.add_argument("--jobs", type=int, default=1,
-                       help="worker processes: shards the replay by "
-                            "region (results byte-identical to serial)")
     fleet.add_argument("--verify-serial", action="store_true",
-                       help="also run the serial simulator and check the "
-                            "sharded replay is byte-identical (CI gate)")
+                       help="also run the stepping reference and check "
+                            "the replay is byte-identical (CI gate)")
     validate = sub.add_parser(
         "validate", help="check the reproduction against the paper's claims")
     validate.add_argument("--device", default="MI100",
-                          choices=["MI100", "A100", "6900XT"])
+                          choices=_DEVICES)
 
     chaos = sub.add_parser(
         "chaos", help="run the serving stack under seeded fault injection")
@@ -207,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--instances", type=int, default=4)
     chaos.add_argument("--keep-alive", type=float, default=0.5)
     chaos.add_argument("--device", default="MI100",
-                       choices=["MI100", "A100", "6900XT"])
+                       choices=_DEVICES)
     chaos.add_argument("--timeline", action="store_true",
                        help="render the faulted cold start as a Gantt")
 
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("name", choices=sorted(SCENARIOS))
     scenario.add_argument("--model", default="res")
     scenario.add_argument("--device", default="MI100",
-                          choices=["MI100", "A100", "6900XT"])
+                          choices=_DEVICES)
     scenario.add_argument("--jobs", type=int, default=1,
                           help="worker processes (default: 1, serial)")
     scenario.add_argument("--output", default=None, metavar="FILE",
@@ -351,8 +352,7 @@ def _cmd_profile(args, out) -> int:
 
 
 def _cmd_session(args, out) -> int:
-    server = InferenceServer(args.device)
-    results = server.serve_session(
+    results = server_for(args.device).serve_session(
         args.model, Scheme.PASK, n_requests=args.requests,
         interval_s=args.interval_ms / 1e3,
         interval_preload=not args.no_preload)
@@ -527,13 +527,7 @@ def _cmd_chaos(args, task, config, trace, sinks, out):
 
 
 def _cmd_fleet(args, task, config, trace, sinks, out):
-    report = None
-    if args.jobs > 1 or args.verify_serial:
-        from repro.fleet import equivalence_problems, run_fleet_sharded
-        stats, report = run_fleet_sharded(config, trace, jobs=args.jobs,
-                                          **sinks)
-    else:
-        stats = run_replay(task, config, trace, **sinks)
+    stats, report = run_fleet_sharded(config, trace, **sinks)
 
     out(f"{stats.offered} requests of {task.model!r} under "
         f"{task.scheme_enum.label} across {len(config.regions)} region(s) "
@@ -564,9 +558,8 @@ def _cmd_fleet(args, task, config, trace, sinks, out):
         f"p50 {stats.percentile(0.5) * 1e3:.2f} ms, "
         f"p99 {stats.percentile(0.99) * 1e3:.2f} ms")
     out(f"  availability {stats.availability:.4%}")
-    if report is not None:
-        out(f"  sharded replay: {report.mode} mode, {report.shards} "
-            f"shard(s) x {report.jobs} job(s)")
+    if args.verify_serial:
+        out(f"  replay: {report.mode} mode")
     if not stats.conserved:
         out(f"error: conservation violated — offered {stats.offered} != "
             f"completed {stats.completed} + failed {stats.failed} + "
@@ -574,14 +567,15 @@ def _cmd_fleet(args, task, config, trace, sinks, out):
         return 1, stats
     if args.verify_serial:
         problems = equivalence_problems(
-            run_replay(task, config, trace, slo=sinks.get("slo")), stats)
+            FleetSimulator(config, slo=sinks.get("slo")).run(trace), stats)
         if problems:
             out(f"  serial equivalence: FAIL ({len(problems)} mismatched "
                 f"field(s))")
             for problem in problems[:10]:
                 out(f"    {problem}")
             return 1, stats
-        out("  serial equivalence: PASS (sharded replay byte-identical)")
+        out("  serial equivalence: PASS (replay byte-identical to the "
+            "stepping reference)")
     return 0, stats
 
 

@@ -8,8 +8,8 @@ from repro.fleet.autoscale import AUTOSCALE_KINDS, AutoscalePolicy
 from repro.fleet.fleet import FleetConfig, FleetSimulator, FleetStats, \
     FleetTrace, RegionConfig, RegionStats, TenantStats, merge_traces
 from repro.fleet.routing import ROUTING_POLICIES, RouterState, RoutingPolicy
-from repro.fleet.parallel import (ShardReport, TraceSpec,
-                                  equivalence_problems, run_fleet_sharded)
+from repro.fleet.parallel import (ShardReport, equivalence_problems,
+                                  run_fleet_sharded)
 
 __all__ = [
     "AUTOSCALE_KINDS",
@@ -25,7 +25,6 @@ __all__ = [
     "RoutingPolicy",
     "ShardReport",
     "TenantStats",
-    "TraceSpec",
     "equivalence_problems",
     "merge_traces",
     "run_fleet_sharded",

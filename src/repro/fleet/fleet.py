@@ -11,9 +11,13 @@ autoscaling policy (:mod:`repro.fleet.autoscale`) manage per-region
 capacity — with every scale-up billed through the existing cold-start /
 checkpoint-restore accounting.
 
-One execution path
-------------------
-Every fleet replays arrival by arrival.  Each region schedules through
+The coupled loop
+----------------
+:meth:`FleetSimulator.run` replays every fleet arrival by arrival; it
+is the stepping reference the static replay of
+:func:`~repro.fleet.parallel.run_fleet_sharded`, the entry point every
+fleet task and ``repro fleet`` run goes through, is pinned against.
+Each region schedules through
 an :class:`~repro.serving.pool.InstancePool` built by the cluster's own
 :func:`~repro.serving.cluster.build_pool`, with the same resilience
 supervisor when a non-inert :class:`ResiliencePolicy` is set, and the
@@ -24,8 +28,8 @@ produces the latencies, counters, fault dictionaries and trace records
 of the bare ``ClusterSimulator`` — under fault plans, resilience and
 packs alike, with ``cluster`` records on ``region:<name>``
 (equivalence-pinned).  Such a fleet steps where the bare cluster
-fast-forwards, so its ``fast_forwarded`` stays 0; the sharded replay
-(:mod:`repro.fleet.parallel`) can run it analytically.
+fast-forwards, so its ``fast_forwarded`` stays 0; the entry point
+(:mod:`repro.fleet.parallel`) replays it analytically.
 
 Accounting invariant (property-pinned): every offered request is
 exactly one of completed, failed, or shed —
@@ -344,11 +348,12 @@ def _new_stats(config: FleetConfig, trace: FleetTrace) -> FleetStats:
 # ----------------------------------------------------------------------
 #
 # A region logs each control-plane decision as a ``(k, code, a, b)``
-# event tuple (``k`` the global arrival index).  The serial loop logs
-# into a :class:`_SpanSink`, which emits the span at once; a sharded
-# worker logs into a list the coordinator (repro.fleet.parallel)
-# replays through the same :func:`_emit_event` — that is what makes
-# telemetry-on sharded span dumps byte-identical to serial.
+# event tuple (``k`` the global arrival index).  The coupled loop logs
+# into a :class:`_SpanSink`, which emits the span at once; a region
+# replayed on its own (static mode, repro.fleet.parallel) logs into a
+# list that the global-order walk replays through the same
+# :func:`_emit_event` — that is what makes telemetry-on static span
+# dumps byte-identical to the coupled loop's.
 
 EV_SCALE_DOWN, EV_SHED, EV_ROUTE, EV_SCALE_UP, EV_PREWARM = range(5)
 
@@ -357,8 +362,9 @@ class _QueueDepthTracker:
     """Peak number of concurrently queued requests in one region.
 
     Fed the ``(arrival, start)`` pair of every first scheduling attempt
-    (the same stream that produces ``queue_waits``, which the sharded
-    equivalence audit pins — so stepping and analytic replays agree).
+    (the same stream that produces ``queue_waits``, which the static
+    replay's equivalence audit pins — so stepping and analytic replays
+    agree).
     Only allocated when metrics are on.
     """
 
@@ -429,60 +435,47 @@ _QUEUE_DEPTH_HELP = "Peak concurrently queued requests per region"
 _TENANT_HELP = "Per-tenant fleet requests by outcome"
 
 
-def _feed_region_metrics(registry, region: "RegionStats",
-                         routing_kind: str,
-                         queue_peak: Optional[int]) -> None:
-    """Feed one region's slice of the fleet metrics into ``registry``.
-
-    Shared by the serial fed-at-the-end path and the sharded workers
-    (each worker feeds a fresh registry for its own region; the
-    coordinator merges the dumps).  Per-region label sets are disjoint
-    and ``to_json`` sorts, so merged output is byte-identical to
-    serial.
-    """
-    name = region.name
+def _feed_fleet_metrics(registry, stats: "FleetStats", routing_kind: str,
+                        queue_peaks: Dict[str, int]) -> None:
+    """Feed a whole fleet replay's metrics into ``registry``: each
+    region's slice, then the per-tenant outcomes and the unroutable-shed
+    counter."""
     requests = registry.counter("fleet_requests_total", _REQUESTS_HELP)
     scale = registry.counter("fleet_scale_events_total", _SCALE_HELP)
     latency = registry.histogram("fleet_latency_seconds", _LATENCY_HELP)
     routed = registry.counter("fleet_routed_total", _ROUTED_HELP)
     autoscale = registry.counter("fleet_autoscale_total", _AUTOSCALE_HELP)
     depth = registry.gauge("fleet_queue_depth", _QUEUE_DEPTH_HELP)
-    for outcome, value in region.outcome_counts():
-        if value:
-            requests.inc(value, outcome=outcome, region=name)
-    for kind, value in (("up", region.scale_ups),
-                        ("down", region.scale_downs),
-                        ("prewarm", region.prewarm_spawns)):
-        if value:
-            scale.inc(value, kind=kind, region=name)
-    series = latency.labels(region=name)
-    for value in region.latencies:
-        series.observe(value)
-    if region.requests:
-        routed.inc(region.requests, policy=routing_kind, region=name)
-    # Restore-vs-cold billing of capacity transitions.  Live keep-alive
-    # reclaims are intentionally absent: stepping and analytic replays
-    # may coalesce them differently, and only *billed* transitions are
-    # equivalence-pinned.
-    for action, value in (("scale-up", region.scale_ups),
-                          ("scale-down", region.scale_downs),
-                          ("prewarm", region.prewarm_spawns),
-                          ("prewarm-restore", region.prewarm_restores),
-                          ("restore", region.restores),
-                          ("pack-restore", region.pack_restores),
-                          ("cold-spawn", region.cold_starts)):
-        if value:
-            autoscale.inc(value, action=action, region=name)
-    if queue_peak is not None:
-        depth.set(queue_peak, region=name)
-    if region.packs is not None:
-        feed_pack_metrics(registry, region.packs, region=name)
-
-
-def _feed_tenant_metrics(registry, stats: "FleetStats") -> None:
-    """Feed the fleet-level (non-region) metrics: per-tenant outcomes
-    plus the unroutable-shed counter.  The sharded coordinator calls
-    this after merging the per-region worker dumps."""
+    for name, region in stats.regions.items():
+        for outcome, value in region.outcome_counts():
+            if value:
+                requests.inc(value, outcome=outcome, region=name)
+        for kind, value in (("up", region.scale_ups),
+                            ("down", region.scale_downs),
+                            ("prewarm", region.prewarm_spawns)):
+            if value:
+                scale.inc(value, kind=kind, region=name)
+        series = latency.labels(region=name)
+        for value in region.latencies:
+            series.observe(value)
+        if region.requests:
+            routed.inc(region.requests, policy=routing_kind, region=name)
+        # Restore-vs-cold billing of capacity transitions.  Live
+        # keep-alive reclaims are intentionally absent: stepping and
+        # analytic replays may coalesce them differently, and only
+        # *billed* transitions are equivalence-pinned.
+        for action, value in (("scale-up", region.scale_ups),
+                              ("scale-down", region.scale_downs),
+                              ("prewarm", region.prewarm_spawns),
+                              ("prewarm-restore", region.prewarm_restores),
+                              ("restore", region.restores),
+                              ("pack-restore", region.pack_restores),
+                              ("cold-spawn", region.cold_starts)):
+            if value:
+                autoscale.inc(value, action=action, region=name)
+        depth.set(queue_peaks[name], region=name)
+        if region.packs is not None:
+            feed_pack_metrics(registry, region.packs, region=name)
     tenant_counter = registry.counter("fleet_tenant_requests_total",
                                       _TENANT_HELP)
     for name, tenant in stats.tenants.items():
@@ -490,17 +483,8 @@ def _feed_tenant_metrics(registry, stats: "FleetStats") -> None:
             if value:
                 tenant_counter.inc(value, outcome=outcome, tenant=name)
     if stats.shed_unroutable:
-        registry.counter("fleet_requests_total", _REQUESTS_HELP).inc(
-            stats.shed_unroutable, outcome="unroutable", region="-")
-
-
-def _feed_fleet_metrics(registry, stats: "FleetStats", routing_kind: str,
-                        queue_peaks: Optional[Dict[str, int]]) -> None:
-    """Feed a whole fleet replay's metrics (regions + tenants)."""
-    for name, region in stats.regions.items():
-        peak = queue_peaks.get(name) if queue_peaks is not None else None
-        _feed_region_metrics(registry, region, routing_kind, peak)
-    _feed_tenant_metrics(registry, stats)
+        requests.inc(stats.shed_unroutable, outcome="unroutable",
+                     region="-")
 
 
 # ----------------------------------------------------------------------
@@ -625,6 +609,48 @@ class _RegionState:
         return pool.step(t)
 
 
+def _build_regions(config: FleetConfig, trace: FleetTrace,
+                   queue_depth: bool, spans=None) -> List[_RegionState]:
+    """Every region of ``config``, ready to replay ``trace``; each pool
+    tracks its queue depth when ``queue_depth`` (metrics are on)."""
+    # Region registries for the pack hierarchy: each region's own
+    # outage windows, shared so every store can find the first lit
+    # remote registry for cross-region failover.
+    fabric: Optional[RegistryFabric] = None
+    if config.packs is not None:
+        fabric = RegistryFabric([
+            rc.faults.registry_outage_windows
+            if rc.faults is not None else ()
+            for rc in config.regions])
+    regions: List[_RegionState] = []
+    for index in range(len(config.regions)):
+        state = _RegionState(config, index, trace.model, trace.batch,
+                             fabric, spans)
+        if queue_depth:
+            state.pool.queue_depth = _QueueDepthTracker()
+        regions.append(state)
+    return regions
+
+
+def _finish(config: FleetConfig, stats: FleetStats,
+            regions: List[_RegionState], tenants: List[TenantStats],
+            monitors: Optional[SLOMonitorSet], metrics) -> None:
+    """Collect a finished replay's regions, tenants and monitors into
+    ``stats`` and feed ``metrics`` (if any) once from them — the
+    fed-at-the-end pattern the cluster uses, so the replay loops stay
+    untouched."""
+    for region in regions:
+        stats.regions[region.config.name] = region.stats
+    for tenant in tenants:
+        stats.tenants[tenant.name] = tenant
+    if monitors is not None:
+        stats.monitors = monitors.summary()
+    if metrics is not None:
+        peaks = {region.config.name: region.pool.queue_depth.peak
+                 for region in regions}
+        _feed_fleet_metrics(metrics, stats, config.routing.kind, peaks)
+
+
 # ----------------------------------------------------------------------
 # The simulator
 # ----------------------------------------------------------------------
@@ -649,22 +675,8 @@ class FleetSimulator:
         spans = self.spans
         monitors = SLOMonitorSet(self.slo) if self.slo is not None \
             else None
-        # Region registries for the pack hierarchy: each region's own
-        # outage windows, shared so every store can find the first lit
-        # remote registry for cross-region failover.
-        fabric: Optional[RegistryFabric] = None
-        if config.packs is not None:
-            fabric = RegistryFabric([
-                rc.faults.registry_outage_windows
-                if rc.faults is not None else ()
-                for rc in config.regions])
-        regions: List[_RegionState] = []
-        for index in range(len(config.regions)):
-            state = _RegionState(config, index, trace.model, trace.batch,
-                                 fabric, spans)
-            if self.metrics is not None:
-                state.pool.queue_depth = _QueueDepthTracker()
-            regions.append(state)
+        regions = _build_regions(config, trace, self.metrics is not None,
+                                 spans)
         sinks = ([_SpanSink(spans, region.config.name, config.routing.kind,
                             trace) for region in regions]
                  if spans is not None else [None] * len(regions))
@@ -706,27 +718,5 @@ class FleetSimulator:
                          if monitors is not None else None)
             if spans is not None and fresh:
                 emit_alert_spans(spans, fresh)
-        for region in regions:
-            stats.regions[region.config.name] = region.stats
-        for tenant in tenants:
-            stats.tenants[tenant.name] = tenant
-        if monitors is not None:
-            stats.monitors = monitors.summary()
-        queue_peaks = None
-        if self.metrics is not None:
-            queue_peaks = {region.config.name: region.pool.queue_depth.peak
-                           for region in regions}
-        self._feed_metrics(stats, queue_peaks)
+        _finish(config, stats, regions, tenants, monitors, self.metrics)
         return stats
-
-    # -- telemetry -----------------------------------------------------
-
-    def _feed_metrics(self, stats: FleetStats,
-                      queue_peaks: Optional[Dict[str, int]]) -> None:
-        """Feed the metrics registry once from the collected stats (the
-        same fed-at-the-end pattern the cluster uses, so the scheduling
-        loops stay untouched)."""
-        if self.metrics is None:
-            return
-        _feed_fleet_metrics(self.metrics, stats, self.config.routing.kind,
-                            queue_peaks)

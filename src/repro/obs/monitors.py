@@ -6,9 +6,9 @@ availability, tail latency, cold-serve rate — and a
 sliding time window, emitting deterministic :class:`Alert` events when
 a monitor starts or stops burning.  Everything here is dependency-free
 and pure-deterministic: the same observation stream always produces the
-same alerts, so sharded replays that feed the monitors in global
-arrival order reproduce the serial alert stream byte for byte (pinned
-by ``tests/test_fleet_obs.py``).
+same alerts, so static fleet replays that feed the monitors in global
+arrival order reproduce the coupled loop's alert stream byte for byte
+(pinned by ``tests/test_fleet_obs.py``).
 
 Monitors follow the burn-rate alerting model: the availability monitor
 fires when the windowed error rate consumes the error budget

@@ -27,7 +27,7 @@ serial path, and the determinism tests pin that property.
 
 from repro.runner.cache import CacheCounters, ResultCache, task_key
 from repro.runner.engine import (RunStats, TaskOutcome, prewarm_suite,
-                                 run_shards, run_tasks)
+                                 run_tasks)
 from repro.runner.grid import experiment_grid
 from repro.runner.profile import (LAYERS, Layer, LayerTiming,
                                   profile_layer)
@@ -51,7 +51,6 @@ __all__ = [
     "ResultCache",
     "CacheCounters",
     "task_key",
-    "run_shards",
     "run_tasks",
     "RunStats",
     "TaskOutcome",

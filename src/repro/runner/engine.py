@@ -25,31 +25,8 @@ from repro.runner.cache import CacheCounters, ResultCache, task_key
 from repro.runner.tasks import (ExperimentTask, execute_task,
                                 result_from_payload)
 
-__all__ = ["RunStats", "TaskOutcome", "run_tasks", "run_shards",
+__all__ = ["RunStats", "TaskOutcome", "run_tasks",
            "prewarm_suite", "prewarm_suite_tasks"]
-
-
-def run_shards(worker, payloads, jobs: int = 1, pool=None) -> list:
-    """Map a picklable ``worker`` over ``payloads``, preserving order.
-
-    The sharded-replay primitive under
-    :func:`repro.fleet.parallel.run_fleet_sharded`: when ``pool`` (a
-    ``ProcessPoolExecutor``) is given it is used directly — callers
-    running several optimistic rounds keep one pool alive across calls
-    instead of paying a spin-up per round.  Otherwise ``jobs > 1``
-    spins up a transient pool, and ``jobs <= 1`` executes in-process —
-    the same code path bit for bit, which is what keeps the
-    byte-identity tests honest without forking.
-    """
-    items = list(payloads)
-    if len(items) > 1:
-        if pool is not None:
-            return list(pool.map(worker, items, chunksize=1))
-        if jobs > 1:
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(items))) as transient:
-                return list(transient.map(worker, items, chunksize=1))
-    return [worker(item) for item in items]
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,11 @@ operations:
   trace retention, fast-forward on; **cluster-stepping** — the same
   replay with full retention and fast-forward off.
 - **fleet-static** / **fleet-serial** — 4 regions, round-robin, 200 Hz,
-  replayed sharded (static mode, one job) / through the serial
-  :class:`~repro.fleet.fleet.FleetSimulator`.
+  replayed through :func:`~repro.fleet.parallel.run_fleet_sharded`
+  (static mode) / through the coupled loop of
+  :class:`~repro.fleet.fleet.FleetSimulator`, the stepping reference.
 - **fleet-coupled** / **fleet-coupled-telemetry** — 2 regions,
-  warm-first, 200 Hz, through the sharded entry point (state-coupled
+  warm-first, 200 Hz, through the same entry point (state-coupled
   routing, so serial mode), telemetry off / every sink on (metrics,
   decision spans and SLO monitors).
 - **spinup-cold** / **spinup-checkpoint** / **spinup-pack** — one
@@ -37,7 +38,7 @@ operations:
 For the request workloads ``ops`` sets the trace duration (``ops /
 rate``), so a row reports the exact, Poisson-distributed arrival count.
 Trace generation, server or fleet construction and warm-up serves are
-not timed.  Ratios (telemetry overhead, sharded speedup, pack speedup)
+not timed.  Ratios (telemetry overhead, static speedup, pack speedup)
 are read off two rows on the same workload.  Only ``wall_s`` varies
 between machines; the counters are deterministic simulation outputs.
 
@@ -53,8 +54,9 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.core.schemes import Scheme
 from repro.engine.lowering import lower
 from repro.fleet.autoscale import AutoscalePolicy
-from repro.fleet.fleet import FleetConfig, FleetSimulator, RegionConfig
-from repro.fleet.parallel import TraceSpec, run_fleet_sharded
+from repro.fleet.fleet import (FleetConfig, FleetSimulator, FleetTrace,
+                               RegionConfig)
+from repro.fleet.parallel import run_fleet_sharded
 from repro.fleet.routing import RoutingPolicy
 from repro.models import build_model
 from repro.obs import MetricsRegistry, SLOPolicy, SpanRecorder
@@ -230,11 +232,10 @@ def _serial(config: FleetConfig, rate_hz: float):
     return prepare
 
 
-def _sharded(config: FleetConfig, telemetry: bool = False):
+def _entry_point(config: FleetConfig, telemetry: bool = False):
     def prepare(ops: int) -> Callable[[], Readout]:
-        spec = TraceSpec(model=MODEL, rate_hz=200.0, duration_s=ops / 200.0,
-                         seed=SEED)
-        trace = spec.materialize()
+        trace = FleetTrace.from_request_trace(
+            poisson_trace(MODEL, 200.0, ops / 200.0, seed=SEED))
         spans: Optional[SpanRecorder] = None
         sinks = {}
         if telemetry:
@@ -244,8 +245,7 @@ def _sharded(config: FleetConfig, telemetry: bool = False):
                                        cold_rate_target=0.5))
 
         def run() -> Readout:
-            stats, report = run_fleet_sharded(config, trace, jobs=1,
-                                              trace_spec=spec, **sinks)
+            stats, report = run_fleet_sharded(config, trace, **sinks)
             return lambda: (stats.offered,
                             _fleet_counters(stats, report, spans))
         return run
@@ -260,12 +260,14 @@ LAYERS: Dict[str, Layer] = {layer.name: layer for layer in (
     Layer("serve-cold-telemetry", 20, _serve_cold(telemetry=True)),
     Layer("cluster-ff", 100_000, _cluster("aggregate", fast_forward=True)),
     Layer("cluster-stepping", 10_000, _cluster("full", fast_forward=False)),
-    Layer("fleet-static", 100_000, _sharded(_fleet_config(4, "round-robin"))),
+    Layer("fleet-static", 100_000,
+          _entry_point(_fleet_config(4, "round-robin"))),
     Layer("fleet-serial", 100_000,
           _serial(_fleet_config(4, "round-robin"), 200.0)),
-    Layer("fleet-coupled", 10_000, _sharded(_fleet_config(2, "warm-first"))),
+    Layer("fleet-coupled", 10_000,
+          _entry_point(_fleet_config(2, "warm-first"))),
     Layer("fleet-coupled-telemetry", 10_000,
-          _sharded(_fleet_config(2, "warm-first"), telemetry=True)),
+          _entry_point(_fleet_config(2, "warm-first"), telemetry=True)),
     Layer("spinup-cold", 5_000, _serial(_spinup_config(False, False), 50.0)),
     Layer("spinup-checkpoint", 5_000,
           _serial(_spinup_config(True, False), 50.0)),

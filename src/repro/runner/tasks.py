@@ -21,15 +21,16 @@ function of the task, so server reuse never changes a result.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.cache import CacheStats
 from repro.core.results import ExecutionResult
 from repro.core.schemes import Scheme
 from repro.fleet.autoscale import AutoscalePolicy
-from repro.fleet.fleet import (FleetConfig, FleetSimulator, FleetStats,
-                               FleetTrace, RegionConfig, RegionStats,
-                               TenantStats, merge_traces)
+from repro.fleet.fleet import (FleetConfig, FleetStats, FleetTrace,
+                               RegionConfig, RegionStats, TenantStats,
+                               merge_traces)
+from repro.fleet.parallel import run_fleet_sharded
 from repro.fleet.routing import ROUTING_POLICIES, RoutingPolicy
 from repro.gpu.device import check_device
 from repro.packs.store import PackPolicy, PackTransferCounters
@@ -432,15 +433,6 @@ def fleet_stats_from_payload(payload: Dict[str, Any]) -> FleetStats:
     return stats
 
 
-def payload_to_object(payload: Dict[str, Any]) -> Any:
-    """Reconstruct whichever result object ``payload`` encodes."""
-    if payload.get("type") == "cluster":
-        return cluster_stats_from_payload(payload)
-    if payload.get("type") == "fleet":
-        return fleet_stats_from_payload(payload)
-    return result_from_payload(payload)
-
-
 # ----------------------------------------------------------------------
 # Worker-side execution
 # ----------------------------------------------------------------------
@@ -522,12 +514,14 @@ def build_replay(task: ExperimentTask):
 
 def run_replay(task: ExperimentTask, config, trace, metrics=None,
                spans=None, slo=None):
-    """Replay :func:`build_replay`'s ``(config, trace)`` for ``task``
-    serially, feeding the given telemetry sinks (an SLO policy applies
-    to fleets only); returns the cluster or fleet stats."""
+    """Replay :func:`build_replay`'s ``(config, trace)`` for ``task``,
+    feeding the given telemetry sinks (an SLO policy applies to fleets
+    only); returns the cluster or fleet stats.  A fleet replays through
+    :func:`~repro.fleet.parallel.run_fleet_sharded`, in the mode its
+    config picks."""
     if task.kind == "fleet":
-        return FleetSimulator(config, metrics=metrics, spans=spans,
-                              slo=slo).run(trace)
+        return run_fleet_sharded(config, trace, metrics=metrics,
+                                 spans=spans, slo=slo)[0]
     return ClusterSimulator(server_for(task.device), config, metrics=metrics,
                             spans=spans).run(trace)
 

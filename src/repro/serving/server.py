@@ -208,6 +208,7 @@ class InferenceServer:
                 if spans is not None:
                     spans.bind(trace)
                 loads_before = runtime.load_count
+                bytes_before = runtime.loaded_bytes
                 start = env.now
                 stats: Dict[str, object] = {}
                 metadata = {"request": request, "device": self.device.name}
@@ -227,7 +228,8 @@ class InferenceServer:
                     metadata["error"] = str(error)
                 results.append(_result(runtime, injector, failed,
                                        scheme.label, model, batch, stats,
-                                       metadata, start, loads_before))
+                                       metadata, start, loads_before,
+                                       bytes_before))
                 if failed or request == n_requests - 1:
                     return
                 deadline = env.now + interval_s
@@ -312,10 +314,12 @@ class InferenceServer:
 
 def _result(runtime: HipRuntime, injector, failed: bool, scheme: str,
             model: str, batch: int, stats, metadata,
-            start: float = 0.0, loads_before: int = 0) -> ExecutionResult:
+            start: float = 0.0, loads_before: int = 0,
+            bytes_before: int = 0) -> ExecutionResult:
     """Count one served request on the fault injector (if any) and build
-    its result: the time and loads since ``start``/``loads_before`` on
-    ``runtime``, the executor's ``stats`` and the serve's ``metadata``."""
+    its result: the time, loads and loaded bytes since ``start`` /
+    ``loads_before`` / ``bytes_before`` on ``runtime``, the executor's
+    ``stats`` and the serve's ``metadata``."""
     if injector is not None:
         if failed:
             injector.counters.failed_requests += 1
@@ -325,7 +329,7 @@ def _result(runtime: HipRuntime, injector, failed: bool, scheme: str,
         scheme=scheme, model=model, batch=batch,
         total_time=runtime.env.now - start, trace=runtime.trace,
         loads=runtime.load_count - loads_before,
-        loaded_bytes=runtime.loaded_bytes,
+        loaded_bytes=runtime.loaded_bytes - bytes_before,
         milestone=stats.get("milestone"),
         cache_stats=stats.get("cache_stats"),
         reused_layers=stats.get("reused_layers", 0),

@@ -122,11 +122,18 @@ class TestFleetCommand:
     def test_single_region_runs_as_a_fleet(self, capsys):
         assert main(["fleet", "res", "--devices", "MI100",
                      "--routing", "single", "--duration", "6",
-                     "--jobs", "2"]) == 0
+                     "--verify-serial"]) == 0
         out = capsys.readouterr().out
         assert "r0 [MI100]" in out
         assert "single-cluster" not in out
-        assert "sharded replay: static mode, 1 shard(s)" in out
+        assert "  replay: static mode\n" in out
+        assert "serial equivalence: PASS" in out
+
+    def test_jobs_flag_is_gone(self, capsys):
+        # The fleet replays in one process; there is no fan-out to size.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fleet", "res", "--jobs", "2"])
+        assert exit_info.value.code == 2
 
     def test_frontier_writes_report(self, tmp_path, capsys):
         import json
@@ -297,17 +304,36 @@ def test_two_runs_write_identical_bundles(tmp_path, capsys):
 
 
 def test_sharded_fleet_bundle_matches_serial(tmp_path, capsys):
+    # A round-robin fleet replays in static mode; its bundle equals one
+    # written from the coupled loop, the stepping reference, with the
+    # same sinks.
+    from repro._version import __version__
+    from repro.cli import _run_task
+    from repro.fleet import FleetSimulator
+    from repro.obs import SLOPolicy, SpanRecorder, write_bundle
+    from repro.runner.cache import task_key
+    from repro.runner.tasks import build_replay
+
     argv = ["fleet", "res", "--devices", "MI100,A100", "--routing",
             "round-robin", "--autoscale", "scale-to-zero", "--idle-timeout",
             "0.2", "--min-instances", "1", "--checkpoint-restore",
             "--keep-alive", "0.2", "--instances", "2", "--arrival", "bursty",
             "--rate", "4", "--peak-rate", "2000", "--duration", "20",
             "--shed-wait", "0.002"]
-    _run_with_telemetry(argv, tmp_path / "serial", capsys)
-    _run_with_telemetry(argv + ["--jobs", "2"], tmp_path / "sharded", capsys)
-    serial = _bundle(tmp_path / "serial")
-    assert "monitors.json" in serial
-    assert _bundle(tmp_path / "sharded") == serial
+    _run_with_telemetry(argv, tmp_path / "cli", capsys)
+    task = _run_task(build_parser().parse_args(argv))
+    config, trace = build_replay(task)
+    spans, metrics = SpanRecorder(), MetricsRegistry()
+    stats = FleetSimulator(config, metrics=metrics, spans=spans,
+                           slo=SLOPolicy()).run(trace)
+    manifest = {"command": "fleet", "task": task.describe(),
+                "task_key": task_key(task), "code_version": __version__}
+    assert write_bundle(str(tmp_path / "reference"), manifest, spans,
+                        metrics, monitors=stats.monitors,
+                        device=",".join(task.region_devices)) == []
+    reference = _bundle(tmp_path / "reference")
+    assert "monitors.json" in reference
+    assert _bundle(tmp_path / "cli") == reference
 
 
 def test_invalid_bundle_trace_exits_1(tmp_path, capsys, monkeypatch):

@@ -197,6 +197,33 @@ class TestServeSession:
                                        n_requests=2, interval_s=0.01)
         assert results[1].total_time < results[0].total_time
 
+    @pytest.mark.parametrize("preload", [False, True])
+    def test_loaded_bytes_are_per_request(self, server, monkeypatch,
+                                          preload):
+        # Each request bills the bytes it loaded, as it counts its own
+        # loads; without interval preloading every load belongs to a
+        # request, so the bills sum to what the instance holds.
+        runtimes = []
+
+        class Recording(HipRuntime):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runtimes.append(self)
+
+        monkeypatch.setattr("repro.serving.server.HipRuntime", Recording)
+        results = server.serve_session("res", Scheme.PASK, n_requests=3,
+                                       interval_s=0.1,
+                                       interval_preload=preload)
+        (runtime,) = runtimes
+        billed = sum(r.loaded_bytes for r in results)
+        if preload:
+            assert billed < runtime.loaded_bytes
+            assert results[-1].loads == results[-1].loaded_bytes == 0
+        else:
+            assert billed == runtime.loaded_bytes
+        assert all((r.loads == 0) == (r.loaded_bytes == 0) for r in results)
+        assert results[1].loaded_bytes < results[0].loaded_bytes
+
     def test_validation(self, server):
         with pytest.raises(ValueError):
             server.serve_session("alex", n_requests=0)

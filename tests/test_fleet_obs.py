@@ -6,10 +6,10 @@ Two contracts are pinned here:
   (spans, metrics, monitors) to a fleet replay leaves every stat
   byte-identical to the telemetry-off run, serial and sharded alike
   (hypothesis-pinned across configs).
-- **Serial/sharded telemetry identity** — a telemetry-on sharded
-  replay produces byte-identical span lists, metrics dumps and monitor
-  summaries to the telemetry-on serial replay, in static and serial
-  mode, in-process and across worker processes.
+- **Static/coupled telemetry identity** — a telemetry-on replay
+  through ``run_fleet_sharded`` produces byte-identical span lists,
+  metrics dumps and monitor summaries to the telemetry-on coupled
+  loop, in static and serial mode.
 """
 
 import json
@@ -129,27 +129,11 @@ class TestShardedTelemetryIdentity:
         assert serial.monitors == sharded.monitors
         assert validate_monitors(sharded.monitors) == []
 
-    def test_identity_holds_across_worker_processes(self):
-        # Round-robin shards statically, so the shards really cross
-        # the process boundary.
-        config = _config(AutoscalePolicy(kind="scale-to-zero",
-                                         idle_timeout_s=0.2),
-                         routing="round-robin")
-        trace = _trace(rate=40.0)
-        serial_metrics = MetricsRegistry()
-        serial = FleetSimulator(config, metrics=serial_metrics,
-                                slo=_SLO).run(trace)
-        shard_metrics = MetricsRegistry()
-        sharded, _ = run_fleet_sharded(config, trace, jobs=2,
-                                       metrics=shard_metrics, slo=_SLO)
-        assert equivalence_problems(serial, sharded) == []
-        assert serial_metrics.to_json() == shard_metrics.to_json()
-
     @pytest.mark.parametrize("regions", [1, 2])
     def test_span_capture_with_trace_retention_runs_serially(self, regions):
         # Request-level recorders bind to the span recorder in-region,
-        # so the sharded entry point replays this combination serially,
-        # a one-region fleet included.
+        # so the entry point replays this combination through the
+        # coupled loop, a one-region fleet included.
         config = FleetConfig(
             regions=(RegionConfig(name="us-east", device="MI100",
                                   scheme=Scheme.PASK, max_instances=2),

@@ -1,29 +1,31 @@
-"""Sharded fleet replay: byte-identity with the serial simulator.
+"""The fleet replay entry point: byte-identity with the stepping
+reference.
 
-Sharding must be invisible in every result — region counters,
-latencies, queue waits, fault dictionaries, trace records and tenant
-accounting all equal the serial ``FleetSimulator.run`` output bit for
-bit, across both execution modes (static, serial), at
-``jobs=1`` (in-process shards) and across a real process pool, on a
-golden grid of configs and on hypothesis-generated fleets.
+The mode ``run_fleet_sharded`` picks must be invisible in every result
+— region counters, latencies, queue waits, fault dictionaries, trace
+records and tenant accounting all equal the coupled
+``FleetSimulator.run`` output bit for bit, in both modes (static,
+serial), on a golden grid of configs and on hypothesis-generated
+fleets.
 """
 
 import dataclasses
 import json
-import math
 
 import pytest
 from hypothesis import given, settings
 
 from repro.core.schemes import Scheme
 from repro.fleet import (AutoscalePolicy, FleetConfig, FleetSimulator,
-                         FleetTrace, RegionConfig, RoutingPolicy, TraceSpec,
+                         FleetTrace, RegionConfig, RoutingPolicy,
                          equivalence_problems, merge_traces,
                          run_fleet_sharded)
 from repro.obs import MetricsRegistry, SLOPolicy, SpanRecorder
 from repro.runner.chaos import CRASH_POLICY, OVERLOAD_POLICY
-from repro.runner.engine import run_shards
-from repro.runner.tasks import fleet_stats_to_payload
+from repro.runner import tasks
+from repro.runner.scenarios import _frontier_tasks
+from repro.runner.tasks import (ExperimentTask, build_replay, execute_task,
+                                fleet_stats_to_payload)
 from repro.serving.requests import poisson_trace
 from repro.sim.faults import FaultPlan
 from tests.test_fleet_properties import _fleet_configs, _fleet_traces
@@ -34,9 +36,9 @@ def _trace(rate=6.0, duration=8.0, seed=3):
         poisson_trace("res", rate, duration, seed=seed))
 
 
-def _check(config, trace, jobs=1, **kwargs):
+def _check(config, trace, **kwargs):
     serial = FleetSimulator(config).run(trace)
-    sharded, report = run_fleet_sharded(config, trace, jobs=jobs, **kwargs)
+    sharded, report = run_fleet_sharded(config, trace, **kwargs)
     problems = equivalence_problems(serial, sharded)
     assert not problems, "\n".join(problems)
     assert sharded.conserved
@@ -130,22 +132,13 @@ def test_sharded_matches_serial_golden_grid(name):
     _check(_GRID[name], _trace())
 
 
-@pytest.mark.parametrize("name", ("round-robin-full",
-                                  "warm-first-reactive-shed",
-                                  "least-queue-faults-restore"))
-def test_sharded_matches_serial_process_pool(name):
-    # The same grid rows across a real ProcessPoolExecutor: pickling
-    # jobs out and stats/recorder state back must not perturb a bit.
-    _check(_GRID[name], _trace(), jobs=2)
-
-
 def test_single_cluster_fleet_replays_static():
-    # A one-region fleet is sharded like any other; its stats keep the
-    # ``delegated`` key, derived from the config on both paths.
+    # A one-region fleet replays statically like any other; its stats
+    # keep the ``delegated`` key, derived from the config on both paths.
     config = FleetConfig(regions=_regions(1))
     stats, report = _check(config, _trace())
     assert report.mode == "static"
-    assert report.shards == 1
+    assert list(report.analytic_served) == ["r0"]
     assert report.analytic_total == stats.offered
     assert stats.delegated
 
@@ -196,12 +189,11 @@ def test_analytic_fast_path_with_shedding():
     assert sum(r.shed for r in stats.regions.values()) > 0
 
 
-@pytest.mark.parametrize("jobs", (1, 2))
 @pytest.mark.parametrize("routing", ("warm-first", "least-queue"))
-def test_coupled_routing_runs_serially(routing, jobs):
+def test_coupled_routing_runs_serially(routing):
     # State-coupled routing reads every region at every arrival, so the
-    # sharded entry point hands it to the serial simulator: every result
-    # and every telemetry sink is the serial one, byte for byte.
+    # entry point hands it to the coupled loop: every result and every
+    # telemetry sink is the reference's, byte for byte.
     config = dataclasses.replace(
         _GRID["warm-first-reactive-shed"], routing=RoutingPolicy(routing))
     trace = _trace()
@@ -210,9 +202,8 @@ def test_coupled_routing_runs_serially(routing, jobs):
     serial = FleetSimulator(config, metrics=serial_metrics,
                             spans=serial_spans, slo=slo).run(trace)
     metrics, spans = MetricsRegistry(), SpanRecorder()
-    sharded, report = run_fleet_sharded(config, trace, jobs=jobs,
-                                        metrics=metrics, spans=spans,
-                                        slo=slo)
+    sharded, report = run_fleet_sharded(config, trace, metrics=metrics,
+                                        spans=spans, slo=slo)
     assert report.mode == "serial"
     assert report.rounds == report.rollbacks == report.resimulated == 0
     assert not equivalence_problems(serial, sharded)
@@ -231,46 +222,47 @@ def test_multi_tenant_merge_order():
     _check(_GRID["predictive-prewarm"], trace)
 
 
-def test_trace_spec_regenerates_identically():
-    spec = TraceSpec(model="res", rate_hz=6.0, duration_s=8.0, seed=3)
-    serial = FleetSimulator(_GRID["warm-first-reactive-shed"]).run(
-        spec.materialize())
-    sharded, report = run_fleet_sharded(
-        _GRID["warm-first-reactive-shed"], jobs=2, trace_spec=spec)
-    assert not equivalence_problems(serial, sharded)
-    assert report.mode == "serial"
+_STATIC_TASKS = {
+    "round-robin": ExperimentTask(
+        kind="fleet", fleet_devices=("MI100", "A100"), routing="round-robin",
+        rate_hz=6.0, duration_s=8.0, seed=3,
+        faults=FaultPlan(seed=5, crash_rate=0.05)),
+    "fleet-frontier": _frontier_tasks("MI100", "res")[("pask+restore", 0.25)],
+}
 
 
-@pytest.mark.parametrize("field", ("rate_hz", "duration_s"))
-@pytest.mark.parametrize("bad", (math.nan, math.inf))
-def test_trace_spec_rejects_non_finite(field, bad):
-    # materialize() used to loop forever on these.
-    with pytest.raises(ValueError, match="finite"):
-        TraceSpec(**{field: bad})
+@pytest.mark.parametrize("name", sorted(_STATIC_TASKS))
+def test_fleet_tasks_replay_static_through_run_replay(name, monkeypatch):
+    # Every fleet task replays through the entry point; a state-free
+    # routing replays in static mode and still pays out the stepping
+    # reference's payload.
+    task = _STATIC_TASKS[name]
+    modes = []
+
+    def spy(*args, **kwargs):
+        stats, report = run_fleet_sharded(*args, **kwargs)
+        modes.append(report.mode)
+        return stats, report
+
+    monkeypatch.setattr(tasks, "run_fleet_sharded", spy)
+    config, trace = build_replay(task)
+    reference = fleet_stats_to_payload(FleetSimulator(config).run(trace))
+    assert fleet_stats_to_payload(tasks.run_replay(task, config, trace)) \
+        == reference
+    assert execute_task(task) == reference
+    assert modes == ["static", "static"]
 
 
-def test_trace_spec_validates():
-    with pytest.raises(ValueError):
-        TraceSpec(rate_hz=0.0)
-    with pytest.raises(ValueError):
-        TraceSpec(duration_s=-1.0)
-    with pytest.raises(ValueError):
-        run_fleet_sharded(_GRID["round-robin-full"])  # no trace, no spec
-
-
-def _square(x):
-    return x * x
-
-
-def test_run_shards_preserves_order():
-    items = list(range(7))
-    assert run_shards(_square, items) == [x * x for x in items]
-    assert run_shards(_square, items, jobs=3) == [x * x for x in items]
-    assert run_shards(_square, []) == []
+@pytest.mark.parametrize("jobs", (0, 2, 4))
+def test_only_one_job_is_accepted(jobs):
+    # The replay always runs in-process; ``jobs`` survives only as the
+    # value 1 that existing callers pass.
+    with pytest.raises(ValueError, match="jobs"):
+        run_fleet_sharded(_GRID["round-robin-full"], _trace(), jobs=jobs)
 
 
 # ----------------------------------------------------------------------
-# Property: sharded == serial for arbitrary fleets
+# Property: the entry point == the stepping reference for arbitrary fleets
 # ----------------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)

@@ -6,11 +6,9 @@ outage and peer churn windows — changes nothing about a replay that has
 no pack hierarchy attached, because the pack sites are only ever
 visited when a :class:`~repro.packs.PackPolicy` is set and a zero-rate
 site never draws.  Pinned for the cluster replay, the serial fleet
-simulator and the sharded fleet runner, at the payload level (the form
+simulator and the fleet entry point, at the payload level (the form
 that lands in caches and scenario reports).
 """
-
-import pytest
 
 from repro.core.schemes import Scheme
 from repro.fleet import (FleetConfig, FleetSimulator, FleetTrace,
@@ -76,18 +74,17 @@ class TestPacksNoneIsByteInert:
             assert "packs" not in region
             assert "pack_restores" not in region
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_fleet_sharded_replay(self, jobs):
+    def test_fleet_sharded_replay(self):
         serial = fleet_stats_to_payload(
             FleetSimulator(_fleet_config(PACKY_PLAN)).run(_fleet_trace()))
         stats, report = run_fleet_sharded(_fleet_config(PACKY_PLAN),
-                                          _fleet_trace(), jobs=jobs)
+                                          _fleet_trace())
         assert fleet_stats_to_payload(stats) == serial
 
     def test_sharded_packs_run_falls_back_to_serial_exactly(self):
-        # With a pack policy attached the sharded entry point must
-        # produce the serial result (mode "serial": packs share one
-        # fetch ledger per region, which shards can't split).
+        # With a pack policy attached the entry point must produce the
+        # coupled loop's result (mode "serial": the registry fabric
+        # couples the regions' fetch ladders).
         from repro.packs import PackPolicy
         config_dict = dict(
             regions=_fleet_config(None).regions,
@@ -95,7 +92,7 @@ class TestPacksNoneIsByteInert:
             packs=PackPolicy())
         config = FleetConfig(**config_dict)
         serial = FleetSimulator(config).run(_fleet_trace())
-        sharded, report = run_fleet_sharded(config, _fleet_trace(), jobs=2)
+        sharded, report = run_fleet_sharded(config, _fleet_trace())
         assert report.mode == "serial"
         assert (fleet_stats_to_payload(sharded)
                 == fleet_stats_to_payload(serial))

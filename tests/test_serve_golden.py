@@ -250,7 +250,7 @@ _GOLDEN = {
         snapshot=None),
     'session-ends-early': dict(
         payloads=['d8b37137db01abc4bdec57bfd7e1a9ef',
-                  'e597baf22e32f0645891e3882828c17f'],
+                  'ae032db767e54ffc5027c546f6eff32e'],
         failed=[False, True],
         metadata_keys=[['request', 'device'], ['request', 'device', 'error']],
         spans=513,
@@ -259,9 +259,9 @@ _GOLDEN = {
         snapshot=None),
     'session-no-preload': dict(
         payloads=['e28037de0589cbb6fb44a9bb9b14cb03',
-                  '1573818f00ac5e64e0776ce2e96350bc',
-                  '912223508a14d3401523841f51bb24e9',
-                  '68c1982d40689083704131f58fe0b88d'],
+                  'b6f4752f50d98039dd218883a5f49678',
+                  'bce82e8c1e517f93642e552b9b6a5674',
+                  '43c4d9908d559d7792bca5ea26a45f93'],
         failed=[False, False, False, False],
         metadata_keys=[['request', 'device'],
                        ['request', 'device'],
@@ -273,9 +273,9 @@ _GOLDEN = {
         snapshot=None),
     'session-preload': dict(
         payloads=['a847b6ba02cb853c760fbd0a10f46c7b',
-                  'fccc499326deb3442770bfa68a297dc8',
-                  '945b707b7e3030b2b9eb5370aa22a16a',
-                  '67c71380001a7e95569018f81252f9bc'],
+                  '2a2777012b050fcdc21731bb4eb16572',
+                  '5e451e81628e51dd4d6260bdcd358129',
+                  'e2305f3edee0faa93d3070d4e5229a20'],
         failed=[False, False, False, False],
         metadata_keys=[['request', 'device'],
                        ['request', 'device'],
