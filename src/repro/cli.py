@@ -180,8 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-second instance crash rate in every "
                             "region (seeded)")
     fleet.add_argument("--verify-serial", action="store_true",
-                       help="also run the stepping reference and check "
-                            "the replay is byte-identical (CI gate)")
+                       help="in static mode, also run the stepping "
+                            "reference and check the replay is "
+                            "byte-identical (CI gate)")
     validate = sub.add_parser(
         "validate", help="check the reproduction against the paper's claims")
     validate.add_argument("--device", default="MI100",
@@ -565,7 +566,10 @@ def _cmd_fleet(args, task, config, trace, sinks, out):
             f"completed {stats.completed} + failed {stats.failed} + "
             f"shed {stats.shed}")
         return 1, stats
-    if args.verify_serial:
+    if args.verify_serial and report.mode == "serial":
+        out("  serial equivalence: n/a (serial mode is the stepping "
+            "reference)")
+    elif args.verify_serial:
         problems = equivalence_problems(
             FleetSimulator(config, slo=sinks.get("slo")).run(trace), stats)
         if problems:

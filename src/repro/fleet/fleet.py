@@ -13,12 +13,14 @@ checkpoint-restore accounting.
 
 The coupled loop
 ----------------
-:meth:`FleetSimulator.run` replays every fleet arrival by arrival; it
-is the stepping reference the static replay of
+:meth:`FleetSimulator.run` replays every fleet arrival by arrival.
 :func:`~repro.fleet.parallel.run_fleet_sharded`, the entry point every
-fleet task and ``repro fleet`` run goes through, is pinned against.
-Each region schedules through
-an :class:`~repro.serving.pool.InstancePool` built by the cluster's own
+fleet task and ``repro fleet`` run goes through, runs it for every
+config it cannot replay region by region, and its static replay is
+pinned against it.  A region emits its control-plane decisions —
+scale-down, scale-up, pre-warm, route, shed — as spans the moment it
+takes them.  Each region schedules through an
+:class:`~repro.serving.pool.InstancePool` built by the cluster's own
 :func:`~repro.serving.cluster.build_pool`, with the same resilience
 supervisor when a non-inert :class:`ResiliencePolicy` is set, and the
 same shedding check, :meth:`~repro.serving.pool.InstancePool.shed`, in
@@ -347,15 +349,12 @@ def _new_stats(config: FleetConfig, trace: FleetTrace) -> FleetStats:
 # Control-plane telemetry
 # ----------------------------------------------------------------------
 #
-# A region logs each control-plane decision as a ``(k, code, a, b)``
-# event tuple (``k`` the global arrival index).  The coupled loop logs
-# into a :class:`_SpanSink`, which emits the span at once; a region
-# replayed on its own (static mode, repro.fleet.parallel) logs into a
-# list that the global-order walk replays through the same
-# :func:`_emit_event` — that is what makes telemetry-on static span
-# dumps byte-identical to the coupled loop's.
-
-EV_SCALE_DOWN, EV_SHED, EV_ROUTE, EV_SCALE_UP, EV_PREWARM = range(5)
+# A region emits each control-plane decision (scale-down, scale-up,
+# pre-warm, route, shed) as a zero-duration span the moment it takes it,
+# interleaved with the trace records the spans mirror.  A static replay
+# (repro.fleet.parallel) has fixed or scale-to-zero regions, whose only
+# decisions are route and shed; it emits those from the regions'
+# outcomes in global arrival order.
 
 
 class _QueueDepthTracker:
@@ -384,46 +383,9 @@ class _QueueDepthTracker:
                 self.peak = len(starts)
 
 
-def _emit_event(spans, name: str, policy: str, trace: "FleetTrace",
-                event: Tuple) -> None:
-    """Emit one logged control-plane event as a zero-duration span."""
-    k, code, a, b = event
-    t = trace.arrivals[k]
-    actor = f"region:{name}"
-    if code == EV_SCALE_DOWN:
-        spans.event("fleet:scale-down", t, actor=actor, count=a, cap=b)
-    elif code == EV_SHED:
-        spans.event("fleet:shed", t, actor=actor, wait=a)
-    elif code == EV_ROUTE:
-        spans.event("fleet:route", t, actor=actor, policy=policy,
-                    tenant=trace.tenant_names[trace.tenants[k]])
-    elif code == EV_SCALE_UP:
-        spans.event("fleet:scale-up", t, actor=actor, count=a, cap=b)
-    else:
-        spans.event("fleet:prewarm", t, actor=actor, spawned=a, restores=b)
-
-
 def _emit_unroutable(spans, t: float, tenant: str) -> None:
     spans.event("fleet:shed", t, actor="fleet", reason="unroutable",
                 tenant=tenant)
-
-
-class _SpanSink:
-    """A region's event log in the serial loop: each appended event
-    becomes a span at once, interleaved with the trace records the
-    spans mirror."""
-
-    __slots__ = ("spans", "name", "policy", "trace")
-
-    def __init__(self, spans, name: str, policy: str,
-                 trace: "FleetTrace") -> None:
-        self.spans = spans
-        self.name = name
-        self.policy = policy
-        self.trace = trace
-
-    def append(self, event: Tuple) -> None:
-        _emit_event(self.spans, self.name, self.policy, self.trace, event)
 
 
 _REQUESTS_HELP = "Fleet requests by outcome and region"
@@ -507,8 +469,7 @@ class _RegionState:
     region adds what the fleet layer owns — the routing query surface
     (drains, predicted wait, warm headroom), the autoscaler's breathing
     cap and warm floor, restore billing and off-path pre-warming — and
-    logs its control-plane decisions as event tuples when ``events`` is
-    given.
+    emits its control-plane decisions as spans when ``spans`` is given.
     """
 
     def __init__(self, fleet: FleetConfig, index: int, model: str,
@@ -520,6 +481,9 @@ class _RegionState:
                                 is not None else AutoscalePolicy())
         self.scaler = AutoscalerState(policy, config.max_instances)
         self.stats = RegionStats(name=config.name, device=config.device)
+        self.spans = spans
+        self.actor = actor = f"region:{config.name}"
+        self.routing = fleet.routing.kind
         # The process's shared server per device shares the
         # service-time memo across every fleet and cluster in the process.
         server = server_for(config.device)
@@ -531,7 +495,7 @@ class _RegionState:
             keep_alive=self.scaler.keep_alive(config.keep_alive_s),
             faults=config.faults, retention=fleet.trace_retention,
             ring=fleet.trace_ring, resilience=fleet.resilience,
-            packs=fleet.packs, actor=f"region:{config.name}",
+            packs=fleet.packs, actor=actor,
             region_index=index, fabric=fabric, spans=spans)
         pool.shed_wait = fleet.shed_wait_s
         self._sync_cap()
@@ -567,52 +531,56 @@ class _RegionState:
 
     # -- mutation ------------------------------------------------------
 
-    def tick(self, now: float, k: int = 0, events=None) -> None:
-        """The autoscaler's idle tick at fleet arrival ``k``."""
+    def tick(self, now: float) -> None:
+        """The autoscaler's idle tick at a fleet arrival."""
         stats = self.stats
         downs = stats.scale_downs
         self.scaler.idle_tick(self, now)
         if stats.scale_downs > downs:
             self._sync_cap()
-            if events is not None:
-                events.append((k, EV_SCALE_DOWN, stats.scale_downs - downs,
-                               self.scaler.cap))
+            if self.spans is not None:
+                self.spans.event("fleet:scale-down", now, actor=self.actor,
+                                 count=stats.scale_downs - downs,
+                                 cap=self.scaler.cap)
 
-    def offer(self, t: float, k: int = 0, events=None) -> int:
-        """Serve arrival ``k`` routed here: shed check, autoscaler
-        observation, pre-warm, then the pool step — in that order.
-        Returns the pool's outcome code."""
+    def offer(self, t: float, tenant: str) -> int:
+        """Serve an arrival of ``tenant`` routed here: shed check,
+        autoscaler observation, pre-warm, then the pool step — in that
+        order.  Returns the pool's outcome code."""
         stats = self.stats
         pool = self.pool
+        spans = self.spans
         wait = pool.shed(t)
         if wait is not None:
-            if events is not None:
-                events.append((k, EV_SHED, wait, 0))
+            if spans is not None:
+                spans.event("fleet:shed", t, actor=self.actor, wait=wait)
             return SHED
-        if events is not None:
-            events.append((k, EV_ROUTE, 0, 0))
+        if spans is not None:
+            spans.event("fleet:route", t, actor=self.actor,
+                        policy=self.routing, tenant=tenant)
         ups = stats.scale_ups
         extra = self.scaler.observe_arrival(self, t)
         if stats.scale_ups > ups:
             self._sync_cap()
-            if events is not None:
-                events.append((k, EV_SCALE_UP, stats.scale_ups - ups,
-                               self.scaler.cap))
+            if spans is not None:
+                spans.event("fleet:scale-up", t, actor=self.actor,
+                            count=stats.scale_ups - ups, cap=self.scaler.cap)
         if extra:
             spawned = stats.prewarm_spawns
             restored = stats.prewarm_restores
             pool.prewarm(extra, t)
-            if events is not None and stats.prewarm_spawns > spawned:
-                events.append((k, EV_PREWARM,
-                               stats.prewarm_spawns - spawned,
-                               stats.prewarm_restores - restored))
+            if spans is not None and stats.prewarm_spawns > spawned:
+                spans.event("fleet:prewarm", t, actor=self.actor,
+                            spawned=stats.prewarm_spawns - spawned,
+                            restores=stats.prewarm_restores - restored)
         return pool.step(t)
 
 
 def _build_regions(config: FleetConfig, trace: FleetTrace,
                    queue_depth: bool, spans=None) -> List[_RegionState]:
     """Every region of ``config``, ready to replay ``trace``; each pool
-    tracks its queue depth when ``queue_depth`` (metrics are on)."""
+    tracks its queue depth when ``queue_depth`` (metrics are on), and
+    each region emits its control-plane spans into ``spans``."""
     # Region registries for the pack hierarchy: each region's own
     # outage windows, shared so every store can find the first lit
     # remote registry for cross-region failover.
@@ -677,9 +645,6 @@ class FleetSimulator:
             else None
         regions = _build_regions(config, trace, self.metrics is not None,
                                  spans)
-        sinks = ([_SpanSink(spans, region.config.name, config.routing.kind,
-                            trace) for region in regions]
-                 if spans is not None else [None] * len(regions))
         stats = _new_stats(config, trace)
         tenants = [TenantStats(name=name) for name in trace.tenant_names]
         router = RouterState(config.routing)
@@ -687,13 +652,12 @@ class FleetSimulator:
         # kind's returns at once.
         ticking = (config.autoscale is not None
                    and config.autoscale.kind == "reactive")
-        for k, (arrival, tenant_index) in enumerate(zip(trace.arrivals,
-                                                         trace.tenants)):
+        for arrival, tenant_index in zip(trace.arrivals, trace.tenants):
             tenant = tenants[tenant_index]
             tenant.offered += 1
             if ticking:
-                for region, sink in zip(regions, sinks):
-                    region.tick(arrival, k, sink)
+                for region in regions:
+                    region.tick(arrival)
             choice = router.choose(regions, arrival)
             if choice is None:
                 stats.shed_unroutable += 1
@@ -702,7 +666,7 @@ class FleetSimulator:
                     _emit_unroutable(spans, arrival, tenant.name)
                 continue
             region = regions[choice]
-            code = region.offer(arrival, k, sinks[choice])
+            code = region.offer(arrival, tenant.name)
             if code == SHED:
                 tenant.shed += 1
                 continue

@@ -8,44 +8,41 @@ dictionaries, trace records, tenant accounting and telemetry
 ``repro fleet --verify-serial`` CI gate).  It is what every fleet task,
 scenario and ``repro fleet`` run replays through.
 
-The only cross-region coupling in a fleet replay is the *routing
-decision*: ``idle_tick`` / ``observe_arrival`` / shedding / the
-resilience supervisor / serving all mutate the routed region alone.
-That observation yields two modes, picked from the config:
+Two modes, picked from the config:
 
-- **static** — routing that never reads region state (``single``,
-  ``round-robin``, or a lone routable region, as in any one-region
-  fleet) is precomputed exactly from the drain windows.  Every region
-  then replays its own sub-stream in one go.  Under ``fixed`` /
-  ``scale-to-zero`` autoscaling it goes through
-  :meth:`~repro.serving.pool.InstancePool.replay`, the loop the bare
-  cluster runs: analytic (warm floor, restore billing and shedding
+- **static** — every region replays its own sub-stream in one go
+  through :meth:`~repro.serving.pool.InstancePool.replay`, the loop the
+  bare cluster runs: analytic (warm floor, restore billing and shedding
   included) between pre-sampled crashes, under any trace retention,
   stepping under a resilience supervisor or where a fault plan meets
-  shedding.  ``reactive`` and ``predictive`` regions tick and offer
-  arrival by arrival, as the coupled loop does.  A walk in global
-  arrival order then rebuilds the tenants, the SLO monitors and the
-  control-plane spans.
-- **serial** — coupled work runs through ``FleetSimulator.run``.
-  State-coupled routing (``least-queue`` / ``warm-first`` across >= 2
-  routable regions) reads every region's predicted wait and warm-idle
-  bit at every arrival, and kernel packs couple regions through the
-  registry fabric; span capture with trace retention binds each
-  region's recorder to the span recorder, so its request-level spans
-  would leave the coupled order if a region replayed alone.
+  shedding.  That needs routing that never reads region state
+  (``single``, ``round-robin``, or a one-region fleet), precomputed
+  exactly from the drain windows, and ``fixed`` / ``scale-to-zero``
+  autoscaling (or none), whose cap is constant and whose hooks are
+  inert.  A walk in global arrival order then rebuilds the tenants, the
+  SLO monitors and the route and shed spans, the only control-plane
+  decisions such regions take.
+- **serial** — everything else runs through ``FleetSimulator.run``.
+  ``least-queue`` / ``warm-first`` across >= 2 regions read every
+  region's predicted wait and warm-idle bit at every arrival;
+  ``reactive`` / ``predictive`` regions tick on global quiet time and
+  move their cap arrival by arrival; kernel packs couple regions
+  through the registry fabric; span capture with trace retention binds
+  each region's recorder to the span recorder, so its request-level
+  spans would leave the coupled order if a region replayed alone.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import cycle, repeat
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.fleet.fleet import (EV_ROUTE, EV_SCALE_DOWN, EV_SHED,
-                               FleetConfig, FleetSimulator, FleetStats,
+from repro.fleet.fleet import (FleetConfig, FleetSimulator, FleetStats,
                                FleetTrace, TenantStats, _build_regions,
-                               _drained, _emit_event, _emit_unroutable,
-                               _finish, _new_stats, _RegionState)
+                               _drained, _emit_unroutable, _finish,
+                               _new_stats, _RegionState)
 from repro.fleet.routing import RouterState
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitors import SLOMonitorSet, emit_alert_spans
@@ -82,16 +79,6 @@ class ShardReport:
 # the common cases O(1): ("constant", i), ("modulo", n_regions), or
 # ("explicit", signed-byte array).
 
-def _membership(assignment):
-    """``k -> region code`` accessor for an assignment encoding."""
-    kind, value = assignment
-    if kind == "constant":
-        return lambda k: value
-    if kind == "modulo":
-        return lambda k: k % value
-    return value.__getitem__
-
-
 def _assigned(assignment, region_index: int, n: int):
     """The global arrival indices owned by ``region_index``, in order."""
     kind, value = assignment
@@ -116,31 +103,29 @@ class _DrainProxy:
 
 
 def _static_assignment(config: FleetConfig, trace: FleetTrace):
-    """The exact assignment when routing never reads region state.
+    """The exact assignment when every region can replay on its own.
 
-    Returns an encoding, or ``None`` when the policy is state-coupled
-    (``least-queue`` / ``warm-first`` with >= 2 routable regions at
-    some arrival) and the replay must run coupled.
+    Returns an encoding, or ``None`` when the replay must run coupled:
+    under a ``reactive`` / ``predictive`` autoscaler, or under
+    ``least-queue`` / ``warm-first`` routing over >= 2 regions.
     """
     kind = config.routing.kind
     n_regions = len(config.regions)
+    autoscale = config.autoscale
+    if autoscale is not None and autoscale.kind in ("reactive",
+                                                    "predictive"):
+        return None
+    if kind in ("least-queue", "warm-first") and n_regions > 1:
+        return None
     windows = [region.drain_windows for region in config.regions]
-    state_free = kind in ("single", "round-robin") or n_regions == 1
     if not any(windows):
         if kind == "single" or n_regions == 1:
             return ("constant", 0)
-        if kind == "round-robin":
-            return ("modulo", n_regions)
-        return None
+        return ("modulo", n_regions)
     proxies = [_DrainProxy(w) for w in windows]
     router = RouterState(config.routing)
     codes = array("b")
     for t in trace.arrivals:
-        if not state_free:
-            # least-queue / warm-first stay static only through the
-            # router's lone-candidate shortcut.
-            if sum(p.routable(t) for p in proxies) > 1:
-                return None
         choice = router.choose(proxies, t)
         codes.append(-1 if choice is None else choice)
     return ("explicit", codes)
@@ -151,61 +136,33 @@ def _static_assignment(config: FleetConfig, trace: FleetTrace):
 # ----------------------------------------------------------------------
 
 def _replay_region(state: _RegionState, index: int, assignment,
-                   arrivals, want_events: bool
-                   ) -> Tuple[array, Optional[list], int]:
+                   arrivals) -> Tuple[array, List[Tuple[int, float]], int]:
     """Replay region ``index``'s sub-stream of ``arrivals`` on ``state``
-    under the exact assignment.
+    under the exact assignment, through the pool's own loop.
 
-    Returns one pool outcome code per routed arrival, the logged
-    ``(k, code, a, b)`` control-plane events (``None`` unless
-    ``want_events``) and the count served analytically."""
-    pool = state.pool
-    outcomes = array("b")
-    events: Optional[list] = [] if want_events else None
-    analytic = 0
-    kind = state.policy.kind
-    if kind in ("fixed", "scale-to-zero"):
-        # A constant cap and inert autoscaler hooks: the sub-stream
-        # replays through the pool's own loop, analytically between
-        # crashes wherever the pool allows it.
-        indices = _assigned(assignment, index, len(arrivals))
-        if isinstance(indices, range):
-            sub = arrivals[indices.start:indices.stop:indices.step]
-        else:
-            sub = [arrivals[k] for k in indices]
-        sheds: List[Tuple[int, float]] = []
-        analytic = pool.replay(sub, outcomes=outcomes, sheds=sheds)
-        if events is not None:
-            shed_waits = dict(sheds)
-            events.extend(
-                (k, EV_SHED, shed_waits[pos], 0) if pos in shed_waits
-                else (k, EV_ROUTE, 0, 0)
-                for pos, k in enumerate(indices))
-    elif kind == "reactive":
-        # Reactive capacity breathes on *global* quiet time: the scaler
-        # ticks at every fleet arrival, routed here or not.
-        member = _membership(assignment)
-        for k, t in enumerate(arrivals):
-            state.tick(t, k, events)
-            if member(k) == index:
-                outcomes.append(state.offer(t, k, events))
+    Returns one pool outcome code per routed arrival, the ``(position,
+    wait)`` of every shed arrival in sub-stream order and the count
+    served analytically."""
+    indices = _assigned(assignment, index, len(arrivals))
+    if isinstance(indices, range):
+        sub = arrivals[indices.start:indices.stop:indices.step]
     else:
-        for k in _assigned(assignment, index, len(arrivals)):
-            outcomes.append(state.offer(arrivals[k], k, events))
-    return outcomes, events, analytic
+        sub = [arrivals[k] for k in indices]
+    outcomes = array("b")
+    sheds: List[Tuple[int, float]] = []
+    analytic = state.pool.replay(sub, outcomes=outcomes, sheds=sheds)
+    return outcomes, sheds, analytic
 
 
 def _merge(stats: FleetStats, trace: FleetTrace, assignment,
-           regions: List[_RegionState], results, routing_kind: str,
-           spans=None,
+           regions: List[_RegionState], results, spans=None,
            monitors: Optional[SLOMonitorSet] = None) -> List[TenantStats]:
     """Rebuild the coupled loop's tenant accounting from the regions'
     outcomes, walking the arrivals in global order.
 
-    With ``spans`` the walk also replays the regions' logged
-    control-plane events — interleaved with the unroutable decisions
-    only the fleet sees — in the exact order the coupled loop emits
-    them, so the span list is byte-identical to the reference.  With
+    With ``spans`` the walk also emits the spans the coupled loop does,
+    in its order: the unroutable decisions only the fleet sees and each
+    routed region's shed (with its wait) or route decision.  With
     ``monitors`` it feeds the SLO monitor set in the same observation
     order."""
     tenants = [TenantStats(name=name) for name in trace.tenant_names]
@@ -228,28 +185,18 @@ def _merge(stats: FleetStats, trace: FleetTrace, assignment,
                 merged[i::value] = region_latencies
             tenant.latencies = merged
         return tenants
-    member = _membership(assignment)
+    if kind == "constant":
+        codes = repeat(value)
+    elif kind == "modulo":
+        codes = cycle(range(value))
+    else:
+        codes = value
     outcome_iters = [iter(outcomes) for outcomes, _, _ in results]
+    shed_iters = [iter(sheds) for _, sheds, _ in results]
     latency_iters = [iter(region_latencies) for region_latencies in latencies]
-    arrivals = trace.arrivals
-    names = [state.config.name for state in regions]
-    events = [log if log is not None else [] for _, log, _ in results]
-    positions = [0] * len(results)
-    for k, tenant_index in enumerate(trace.tenants):
+    for t, tenant_index, code in zip(trace.arrivals, trace.tenants, codes):
         tenant = tenants[tenant_index]
         tenant.offered += 1
-        t = arrivals[k]
-        if spans is not None:
-            # Coupled order: every region's idle tick fires before the
-            # routing decision, in region order.
-            for i, name in enumerate(names):
-                log, p = events[i], positions[i]
-                while (p < len(log) and log[p][0] == k
-                       and log[p][1] == EV_SCALE_DOWN):
-                    _emit_event(spans, name, routing_kind, trace, log[p])
-                    p += 1
-                positions[i] = p
-        code = member(k)
         if code < 0:
             stats.shed_unroutable += 1
             tenant.shed += 1
@@ -257,17 +204,16 @@ def _merge(stats: FleetStats, trace: FleetTrace, assignment,
                 _emit_unroutable(spans, t, tenant.name)
             continue
         outcome = next(outcome_iters[code])
-        if spans is not None:
-            # Then the routed region's shed or route decision and its
-            # autoscaler reaction, in the order it logged them.
-            log, p = events[code], positions[code]
-            while p < len(log) and log[p][0] == k:
-                _emit_event(spans, names[code], routing_kind, trace, log[p])
-                p += 1
-            positions[code] = p
+        region = regions[code]
         if outcome == SHED:
             tenant.shed += 1
+            if spans is not None:
+                _, wait = next(shed_iters[code])
+                spans.event("fleet:shed", t, actor=region.actor, wait=wait)
             continue
+        if spans is not None:
+            spans.event("fleet:route", t, actor=region.actor,
+                        policy=region.routing, tenant=tenant.name)
         if outcome == FAILED:
             tenant.failed += 1
             fresh = (monitors.observe_failed(t)
@@ -310,8 +256,7 @@ def run_fleet_sharded(config: FleetConfig,
                                slo=slo).run(trace)
         return stats, ShardReport(mode="serial")
     regions = _build_regions(config, trace, metrics is not None)
-    results = [_replay_region(state, index, assignment, trace.arrivals,
-                              spans is not None)
+    results = [_replay_region(state, index, assignment, trace.arrivals)
                for index, state in enumerate(regions)]
     report = ShardReport(mode="static", analytic_served={
         state.config.name: analytic
@@ -319,7 +264,7 @@ def run_fleet_sharded(config: FleetConfig,
     stats = _new_stats(config, trace)
     monitors = SLOMonitorSet(slo) if slo is not None else None
     tenants = _merge(stats, trace, assignment, regions, results,
-                     config.routing.kind, spans=spans, monitors=monitors)
+                     spans=spans, monitors=monitors)
     _finish(config, stats, regions, tenants, monitors, metrics)
     return stats, report
 

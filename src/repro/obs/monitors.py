@@ -273,9 +273,9 @@ def emit_alert_spans(spans, alerts: List[Alert]) -> None:
     """Mirror alerts into zero-duration ``alert``-category spans.
 
     One shared emitter keeps the span arguments identical wherever the
-    monitors run (serial fleet loop, cluster stepping loop, sharded
-    merge replay) — that is what makes the sharded span stream
-    byte-identical to serial.
+    monitors run (the coupled fleet loop and the static fleet replay's
+    global-order walk) — that is what makes the static span stream
+    byte-identical to the coupled one.
     """
     for alert in alerts:
         spans.event(f"slo:{alert.monitor}", alert.t, actor="slo",

@@ -20,6 +20,7 @@ function of the task, so server reuse never changes a result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Dict, Optional, Tuple, Union
 
@@ -147,6 +148,15 @@ class ExperimentTask:
         check_device(self.device)
         for name in ("batch", "instances", "trace_ring", "tenants"):
             check_count(name, getattr(self, name), 1)
+        check_count("seed", self.seed)
+        if not 0 <= self.keep_alive_s < math.inf:
+            raise ValueError("keep-alive must be finite and non-negative")
+        for name in ("rate_hz", "duration_s", "peak_rate_hz", "period_s",
+                     "burst_s", "shed_wait_s"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {value!r}")
         check_retention(self.trace_retention)
         if self.arrival not in ARRIVAL_KINDS:
             raise ValueError(f"unknown arrival kind {self.arrival!r}; "

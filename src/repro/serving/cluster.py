@@ -11,8 +11,9 @@ The per-request service times come from the deterministic simulation
 (:class:`~repro.serving.server.InferenceServer`); the scheduling —
 queueing, autoscaling, keep-alive, crashes — is the shared
 :class:`~repro.serving.pool.InstancePool`, built by :func:`build_pool`
-and replayed by :meth:`~repro.serving.pool.InstancePool.replay` here,
-in every fleet region and in every static fleet shard alike.
+here and in every fleet region, and replayed by
+:meth:`~repro.serving.pool.InstancePool.replay` here and in every region
+of a static fleet replay.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 PASK's claim is about one instance's cold start; this module turns an
 instance's cold and warm serve times into request latencies.  Every
-replay in the simulator — a bare cluster, each fleet region, each
-sharded fleet worker — drives the same :class:`InstancePool`, built by
+replay in the simulator — a bare cluster or a fleet region, coupled
+or static — drives the same :class:`InstancePool`, built by
 the one :func:`repro.serving.cluster.build_pool`:
 
 - :meth:`InstancePool.step` schedules one arrival.  It reclaims
@@ -21,7 +21,8 @@ the one :func:`repro.serving.cluster.build_pool`:
 - :meth:`InstancePool.replay` is the one replay loop over a stream of
   arrivals: :meth:`advance` over every all-warm window up to the next
   pre-sampled crash, :meth:`shed` and :meth:`step` otherwise.  The
-  cluster and every static fleet shard replay through it.
+  cluster and every region of a static fleet replay
+  (:mod:`repro.fleet.parallel`) replay through it.
 
 A fleet region's routing, shedding and autoscaler queries read
 :meth:`InstancePool.scan`, one pass over the live instances kept until

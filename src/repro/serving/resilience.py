@@ -35,8 +35,8 @@ The policy composes with the existing fault plans; an inert (or absent)
 policy leaves the cluster replay byte-identical to the pre-resilience
 simulator, which the golden regression tests pin.  A bare cluster and
 every fleet region attach the supervisor to their pool the same way
-(:func:`repro.serving.cluster.attach_resilience`); its records go to
-the pool's trace actor.
+(:func:`repro.serving.cluster.build_pool`); its records go to the
+pool's trace actor.
 """
 
 from __future__ import annotations

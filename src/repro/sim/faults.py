@@ -165,6 +165,7 @@ class FaultPlan:
         for name in ("max_load_attempts", "max_launch_attempts"):
             check_count(name, getattr(self, name), 1)
         check_count("max_reroutes", self.max_reroutes)
+        check_count("seed", self.seed)
         for name in ("load_backoff_base_s", "exec_stall_s",
                      "loader_stall_s", "restart_delay_s"):
             if not 0 <= getattr(self, name) < math.inf:

@@ -129,6 +129,18 @@ class TestFleetCommand:
         assert "  replay: static mode\n" in out
         assert "serial equivalence: PASS" in out
 
+    def test_verify_serial_is_not_applicable_in_serial_mode(self, capsys):
+        # A coupled run is the stepping reference itself: comparing it
+        # with a second stepping run could never fail, so no PASS.
+        assert main(["fleet", "res", "--devices", "MI100,A100",
+                     "--routing", "least-queue", "--duration", "6",
+                     "--verify-serial"]) == 0
+        out = capsys.readouterr().out
+        assert "  replay: serial mode\n" in out
+        assert ("  serial equivalence: n/a (serial mode is the stepping "
+                "reference)\n") in out
+        assert "PASS" not in out
+
     def test_jobs_flag_is_gone(self, capsys):
         # The fleet replays in one process; there is no fan-out to size.
         with pytest.raises(SystemExit) as exit_info:

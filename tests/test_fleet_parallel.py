@@ -20,6 +20,7 @@ from repro.fleet import (AutoscalePolicy, FleetConfig, FleetSimulator,
                          FleetTrace, RegionConfig, RoutingPolicy,
                          equivalence_problems, merge_traces,
                          run_fleet_sharded)
+from repro.fleet.routing import ROUTING_POLICIES
 from repro.obs import MetricsRegistry, SLOPolicy, SpanRecorder
 from repro.runner.chaos import CRASH_POLICY, OVERLOAD_POLICY
 from repro.runner import tasks
@@ -214,6 +215,48 @@ def test_coupled_routing_runs_serially(routing):
     assert list(serial_spans) == list(spans)
     assert serial.monitors is not None
     assert serial.monitors == sharded.monitors
+
+
+_AUTOSCALERS = {
+    "none": None,
+    "fixed": AutoscalePolicy(kind="fixed", min_instances=1),
+    "scale-to-zero": AutoscalePolicy(kind="scale-to-zero",
+                                     idle_timeout_s=0.1),
+    "reactive": AutoscalePolicy(kind="reactive", scale_up_wait_s=0.01),
+    "predictive": AutoscalePolicy(kind="predictive"),
+}
+# (config, mode): static exactly where every region replays through its
+# own pool loop -- state-free routing over fixed / scale-to-zero
+# autoscaling (or none).
+_MODE_CASES = {
+    f"{routing}-{scaler}": (
+        FleetConfig(regions=_regions(2), routing=RoutingPolicy(routing),
+                    autoscale=policy),
+        "static" if routing in ("single", "round-robin")
+        and scaler in ("none", "fixed", "scale-to-zero") else "serial")
+    for routing in ROUTING_POLICIES
+    for scaler, policy in _AUTOSCALERS.items()}
+# Warm-first with one of two regions drained throughout: a single
+# routable region, but the routing still reads region state.
+_MODE_CASES["warm-first-drained"] = (
+    FleetConfig(regions=(dataclasses.replace(_regions(2)[0],
+                                             drain_windows=((0.0, 100.0),)),
+                         _regions(2)[1]),
+                routing=RoutingPolicy("warm-first")), "serial")
+# One region: every routing policy is state-free.
+_MODE_CASES["least-queue-one-region"] = (
+    FleetConfig(regions=_regions(1), routing=RoutingPolicy("least-queue")),
+    "static")
+
+
+@pytest.mark.parametrize("name", sorted(_MODE_CASES))
+def test_mode_follows_config(name):
+    config, mode = _MODE_CASES[name]
+    trace = _trace()
+    sharded, report = run_fleet_sharded(config, trace)
+    assert report.mode == mode
+    assert equivalence_problems(FleetSimulator(config).run(trace),
+                                sharded) == []
 
 
 def test_multi_tenant_merge_order():

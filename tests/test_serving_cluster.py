@@ -12,6 +12,7 @@ from repro.fleet.autoscale import AutoscalePolicy
 from repro.fleet.fleet import (FleetConfig, FleetStats, FleetTrace,
                                RegionConfig, RegionStats, TenantStats)
 from repro.fleet.parallel import equivalence_problems
+from repro.obs.monitors import SLOPolicy
 from repro.packs.store import PackPolicy, TierPolicy
 from repro.runner.tasks import (ExperimentTask, cluster_stats_from_payload,
                                 cluster_stats_to_payload)
@@ -309,7 +310,8 @@ def _device_spec(**kw):
 
 
 def _tier_policy(**kw):
-    return TierPolicy(bandwidth_bps=1e9, latency_s=0.0, timeout_s=1.0, **kw)
+    return TierPolicy(**{"bandwidth_bps": 1e9, "latency_s": 0.0,
+                         "timeout_s": 1.0, **kw})
 
 
 # (constructor, field, minimum) for every integer count a config
@@ -344,6 +346,38 @@ def test_config_rejects_bad_integer_counts(make, name, minimum, bad):
     with pytest.raises(ValueError, match=name):
         make(**{name: value})
     make(**{name: minimum + 1})  # a valid count still builds
+
+
+# Every public config and trace constructor, called with the fewest
+# arguments it builds from.  The fleet task takes every replay knob.
+_CONSTRUCTORS = (ClusterConfig, _region_config, _fleet_config,
+                 AutoscalePolicy, FaultPlan, ResiliencePolicy, _tier_policy,
+                 PackPolicy, SLOPolicy, _fleet_task, _request_trace,
+                 _fleet_trace, _device_spec)
+# Integer fields must reject all of these; float fields (every one of
+# which must be non-negative) the first three.  A bool is a valid float
+# (``True == 1.0``), so bool-on-float is deliberately not drawn.
+_BAD_INTEGERS = (math.nan, math.inf, -1, True, 0.5)
+_BAD_FLOATS = (math.nan, math.inf, -1.0)
+_BAD_NUMBERS = [
+    (make, spec.name, bad)
+    for make in _CONSTRUCTORS
+    for spec in dataclasses.fields(make())
+    for bad in ({"int": _BAD_INTEGERS, "Optional[int]": _BAD_INTEGERS,
+                 "float": _BAD_FLOATS, "Optional[float]": _BAD_FLOATS}
+                .get(spec.type, ()))]
+
+
+@pytest.mark.parametrize(
+    "make,name,bad", _BAD_NUMBERS,
+    ids=[f"{make.__name__.lstrip('_')}.{name}={bad!r}"
+         for make, name, bad in _BAD_NUMBERS])
+def test_config_rejects_bad_numbers(make, name, bad):
+    """A NaN, infinite, negative, bool or fractional number fails at
+    construction (``ExperimentTask(kind="fleet", rate_hz=nan)`` and
+    ``FaultPlan(seed=0.5)`` used to build)."""
+    with pytest.raises(ValueError):
+        make(**{name: bad})
 
 
 # (constructor, field, value naming an unknown device).
