@@ -162,7 +162,7 @@ def _merge(stats: FleetStats, trace: FleetTrace, assignment,
 
     With ``spans`` the walk also emits the spans the coupled loop does,
     in its order: the unroutable decisions only the fleet sees and each
-    routed region's shed (with its wait) or route decision.  With
+    routed arrival's shed (with its wait) or route decision.  With
     ``monitors`` it feeds the SLO monitor set in the same observation
     order."""
     tenants = [TenantStats(name=name) for name in trace.tenant_names]
@@ -192,7 +192,11 @@ def _merge(stats: FleetStats, trace: FleetTrace, assignment,
     else:
         codes = value
     outcome_iters = [iter(outcomes) for outcomes, _, _ in results]
-    shed_iters = [iter(sheds) for _, sheds, _ in results]
+    # A pool sheds on its own wait check (logged with the wait) or at
+    # the supervisor's admission (not logged; the coupled loop has
+    # emitted the route span by then), so sheds match by position.
+    shed_waits = [dict(sheds) for _, sheds, _ in results]
+    positions = [0] * len(regions)
     latency_iters = [iter(region_latencies) for region_latencies in latencies]
     for t, tenant_index, code in zip(trace.arrivals, trace.tenants, codes):
         tenant = tenants[tenant_index]
@@ -205,15 +209,17 @@ def _merge(stats: FleetStats, trace: FleetTrace, assignment,
             continue
         outcome = next(outcome_iters[code])
         region = regions[code]
+        if spans is not None:
+            wait = shed_waits[code].get(positions[code])
+            positions[code] += 1
+            if wait is not None:
+                spans.event("fleet:shed", t, actor=region.actor, wait=wait)
+            else:
+                spans.event("fleet:route", t, actor=region.actor,
+                            policy=region.routing, tenant=tenant.name)
         if outcome == SHED:
             tenant.shed += 1
-            if spans is not None:
-                _, wait = next(shed_iters[code])
-                spans.event("fleet:shed", t, actor=region.actor, wait=wait)
             continue
-        if spans is not None:
-            spans.event("fleet:route", t, actor=region.actor,
-                        policy=region.routing, tenant=tenant.name)
         if outcome == FAILED:
             tenant.failed += 1
             fresh = (monitors.observe_failed(t)

@@ -149,10 +149,8 @@ class ExperimentTask:
         for name in ("batch", "instances", "trace_ring", "tenants"):
             check_count(name, getattr(self, name), 1)
         check_count("seed", self.seed)
-        if not 0 <= self.keep_alive_s < math.inf:
-            raise ValueError("keep-alive must be finite and non-negative")
-        for name in ("rate_hz", "duration_s", "peak_rate_hz", "period_s",
-                     "burst_s", "shed_wait_s"):
+        for name in ("rate_hz", "duration_s", "keep_alive_s",
+                     "peak_rate_hz", "period_s", "burst_s", "shed_wait_s"):
             value = getattr(self, name)
             if value is not None and not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, "

@@ -234,7 +234,7 @@ def test_validate_stdout_matches_golden(capsys):
     (["cluster", "res", "--instances", "0"], "instances"),
     (["chaos", "res", "--instances", "0"], "instances"),
     (["fleet", "res", "--instances", "0"], "instances"),
-    (["cluster", "res", "--keep-alive", "-1"], "keep-alive"),
+    (["cluster", "res", "--keep-alive", "-1"], "keep_alive_s"),
     (["fleet", "res", "--tenants", "0"], "tenants"),
     (["fleet", "res", "--devices", "MI100,bogus"], "device"),
     (["serve", "alex", "--batch", "0"], "batch"),

@@ -27,13 +27,15 @@ from repro.fleet.fleet import _QueueDepthTracker
 from repro.obs import (MetricsRegistry, SLOMonitorSet, SLOPolicy,
                        SpanRecorder, validate_dump, validate_monitors)
 from repro.packs import PackPolicy
+from repro.runner.chaos import OVERLOAD_POLICY
 from repro.serving.requests import RequestTrace, poisson_trace
 
 _SLO = SLOPolicy(availability_target=0.999, p99_target_s=1.0,
                  cold_rate_target=0.5, window_s=2.0)
 
 
-def _config(autoscale=None, routing="warm-first", shed_wait_s=None):
+def _config(autoscale=None, routing="warm-first", shed_wait_s=None,
+            resilience=None):
     return FleetConfig(
         regions=(RegionConfig(name="us-east", device="MI100",
                               scheme=Scheme.PASK, max_instances=4),
@@ -41,7 +43,8 @@ def _config(autoscale=None, routing="warm-first", shed_wait_s=None):
                               scheme=Scheme.BASELINE, max_instances=2)),
         routing=RoutingPolicy(routing),
         autoscale=autoscale,
-        shed_wait_s=shed_wait_s)
+        shed_wait_s=shed_wait_s,
+        resilience=resilience)
 
 
 def _trace(rate=60.0, duration=2.0, seed=0):
@@ -128,6 +131,27 @@ class TestShardedTelemetryIdentity:
         assert serial_metrics.to_json() == shard_metrics.to_json()
         assert serial.monitors == sharded.monitors
         assert validate_monitors(sharded.monitors) == []
+
+    @pytest.mark.parametrize("shed_wait_s", [None, 0.03])
+    def test_supervisor_sheds_keep_route_spans(self, shed_wait_s):
+        # The supervisor sheds at admission, after the coupled loop has
+        # emitted the route span; the pool's own wait check sheds before
+        # it.  At 0.03 s this trace sheds both ways, interleaved.
+        config = _config(routing="round-robin", shed_wait_s=shed_wait_s,
+                         resilience=OVERLOAD_POLICY)
+        trace = _trace(rate=200.0)
+        serial_spans = SpanRecorder()
+        serial = FleetSimulator(config, spans=serial_spans,
+                                slo=_SLO).run(trace)
+        shard_spans = SpanRecorder()
+        sharded, report = run_fleet_sharded(config, trace, spans=shard_spans,
+                                            slo=_SLO)
+        assert report.mode == "static"
+        assert equivalence_problems(serial, sharded) == []
+        assert list(serial_spans) == list(shard_spans)
+        shed_spans = sum(s.name == "fleet:shed" for s in shard_spans)
+        assert 0 < sum(t.shed for t in sharded.tenants.values())
+        assert shed_spans < sum(t.shed for t in sharded.tenants.values())
 
     @pytest.mark.parametrize("regions", [1, 2])
     def test_span_capture_with_trace_retention_runs_serially(self, regions):

@@ -314,68 +314,57 @@ def _tier_policy(**kw):
                          "timeout_s": 1.0, **kw})
 
 
-# (constructor, field, minimum) for every integer count a config
-# constructor checks.
-_INTEGER_COUNTS = [
-    (ClusterConfig, "max_instances", 1), (ClusterConfig, "trace_ring", 1),
-    (_region_config, "max_instances", 1), (_fleet_config, "trace_ring", 1),
-    (AutoscalePolicy, "min_instances", 0), (FaultPlan, "max_reroutes", 0),
-    (FaultPlan, "max_load_attempts", 1),
-    (FaultPlan, "max_launch_attempts", 1),
-    (ResiliencePolicy, "checkpoint_retention", 1),
-    (ResiliencePolicy, "breaker_threshold", 1),
-    (ResiliencePolicy, "max_queue_depth", 0),
-    (ResiliencePolicy, "recycle_after_requests", 1),
-    (_cluster_task, "instances", 1), (_cluster_task, "trace_ring", 1),
-    (_cluster_task, "batch", 1), (_tier_policy, "max_attempts", 1),
-    (_fleet_task, "tenants", 1), (_request_trace, "batch", 1),
-    (_fleet_trace, "batch", 1), (_device_spec, "compute_units", 1)]
-
-
-@pytest.mark.parametrize("bad", ("nan", "fraction", "bool", "below"))
-@pytest.mark.parametrize(
-    "make,name,minimum", _INTEGER_COUNTS,
-    ids=[f"{make.__name__.lstrip('_')}.{name}"
-         for make, name, _ in _INTEGER_COUNTS])
-def test_config_rejects_bad_integer_counts(make, name, minimum, bad):
-    """A NaN, fractional, bool or too-small count fails at construction,
-    naming the field (``ClusterConfig(max_instances=nan)`` used to build
-    and then die mid-replay with an IndexError)."""
-    value = {"nan": float("nan"), "fraction": minimum + 0.5, "bool": True,
-             "below": minimum - 1}[bad]
-    with pytest.raises(ValueError, match=name):
-        make(**{name: value})
-    make(**{name: minimum + 1})  # a valid count still builds
-
-
 # Every public config and trace constructor, called with the fewest
 # arguments it builds from.  The fleet task takes every replay knob.
 _CONSTRUCTORS = (ClusterConfig, _region_config, _fleet_config,
                  AutoscalePolicy, FaultPlan, ResiliencePolicy, _tier_policy,
                  PackPolicy, SLOPolicy, _fleet_task, _request_trace,
                  _fleet_trace, _device_spec)
-# Integer fields must reject all of these; float fields (every one of
-# which must be non-negative) the first three.  A bool is a valid float
-# (``True == 1.0``), so bool-on-float is deliberately not drawn.
-_BAD_INTEGERS = (math.nan, math.inf, -1, True, 0.5)
-_BAD_FLOATS = (math.nan, math.inf, -1.0)
-_BAD_NUMBERS = [
-    (make, spec.name, bad)
-    for make in _CONSTRUCTORS
-    for spec in dataclasses.fields(make())
-    for bad in ({"int": _BAD_INTEGERS, "Optional[int]": _BAD_INTEGERS,
-                 "float": _BAD_FLOATS, "Optional[float]": _BAD_FLOATS}
-                .get(spec.type, ()))]
 
 
-@pytest.mark.parametrize(
-    "make,name,bad", _BAD_NUMBERS,
-    ids=[f"{make.__name__.lstrip('_')}.{name}={bad!r}"
-         for make, name, bad in _BAD_NUMBERS])
-def test_config_rejects_bad_numbers(make, name, bad):
-    """A NaN, infinite, negative, bool or fractional number fails at
-    construction (``ExperimentTask(kind="fleet", rate_hz=nan)`` and
+def _fields_of(types):
+    """(constructor, field) for every field of one of ``types``."""
+    return [(make, spec.name) for make in _CONSTRUCTORS
+            for spec in dataclasses.fields(make()) if spec.type in types]
+
+
+def _ids(cases):
+    return [f"{make.__name__.lstrip('_')}.{name}" for make, name in cases]
+
+
+# Every integer field counts from 1 except these, which count from 0.
+# The cluster task rejects fleet-only knobs, so it adds its own counts.
+_ZERO_MINIMUM = ("seed", "min_instances", "max_reroutes", "max_queue_depth")
+_INTEGER_FIELDS = (_fields_of(("int", "Optional[int]"))
+                   + [(_cluster_task, name)
+                      for name in ("instances", "trace_ring", "batch")])
+# Every float field must be finite and non-negative.
+_FLOAT_FIELDS = _fields_of(("float", "Optional[float]"))
+
+
+@pytest.mark.parametrize("bad", ("nan", "inf", "fraction", "bool", "below"))
+@pytest.mark.parametrize("make,name", _INTEGER_FIELDS,
+                         ids=_ids(_INTEGER_FIELDS))
+def test_config_rejects_bad_integer_counts(make, name, bad):
+    """A NaN, infinite, fractional, bool or too-small count fails at
+    construction, naming the field (``ClusterConfig(max_instances=nan)``
+    used to build and then die mid-replay with an IndexError, and
     ``FaultPlan(seed=0.5)`` used to build)."""
+    minimum = 0 if name in _ZERO_MINIMUM else 1
+    value = {"nan": math.nan, "inf": math.inf, "fraction": minimum + 0.5,
+             "bool": True, "below": minimum - 1}[bad]
+    with pytest.raises(ValueError, match=name):
+        make(**{name: value})
+    make(**{name: minimum + 1})  # a valid count still builds
+
+
+# A bool is a valid float (``True == 1.0``), so bool-on-float is
+# deliberately not drawn.
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -1.0))
+@pytest.mark.parametrize("make,name", _FLOAT_FIELDS, ids=_ids(_FLOAT_FIELDS))
+def test_config_rejects_bad_floats(make, name, bad):
+    """A NaN, infinite or negative float fails at construction
+    (``ExperimentTask(kind="fleet", rate_hz=nan)`` used to build)."""
     with pytest.raises(ValueError):
         make(**{name: bad})
 
