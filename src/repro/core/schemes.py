@@ -79,6 +79,7 @@ def program_code_objects(program: Program, library: MIOpenLibrary,
                          blas: BlasLibrary) -> List[CodeObjectFile]:
     """Every code object ``program`` touches (the Ideal scheme's preload)."""
     out: Dict[str, CodeObjectFile] = {}
+    bundle = program.engine_bundle
     for instr in program.instructions:
         if instr.kind is InstrKind.MIOPEN_PRIMITIVE:
             solution = library.solution_by_name(instr.solution_name)
@@ -86,8 +87,7 @@ def program_code_objects(program: Program, library: MIOpenLibrary,
                        + solution.transform_code_objects(instr.problem)):
                 out[co.name] = co
         elif instr.kind is InstrKind.ENGINE_KERNEL:
-            co = program.engine_bundle
-            out[co.name] = co
+            out[bundle.name] = bundle
         elif instr.kind is InstrKind.BLAS_GEMM:
             solution = blas.find_best(instr.problem)
             co = solution.code_object_for(instr.problem)
@@ -114,26 +114,24 @@ def _request_setup(env: Environment, runtime: HipRuntime):
     runtime.trace.record(start, env.now, "host", Phase.OTHER, "request-setup")
 
 
-def _upload_weights(env: Environment, runtime: HipRuntime, program: Program,
+def _upload_weights(env: Environment, runtime: HipRuntime,
                     actor: str = "host"):
-    """Copy the model weights to device memory (opt-in; see
-    ``InferenceServer(upload_weights=True)``).
+    """Copy the runtime's pending model weights to device memory (opt-in;
+    see ``InferenceServer(upload_weights=True)``).
 
     Reactive schemes pay this serially before launching; PASK runs it as
     a concurrent DMA alongside parsing and loading.
     """
-    if not program.metadata.get("upload_weights"):
-        return
-    weight_bytes = program.metadata.get("weight_bytes", 0)
+    weight_bytes = runtime.pending_weight_bytes
     if weight_bytes <= 0:
         return
     start = env.now
     yield env.timeout(weight_bytes / _H2D_BANDWIDTH)
     runtime.trace.record(start, env.now, actor, Phase.OTHER,
                          "weight-upload", bytes=weight_bytes)
-    # Weights persist in device memory: later requests on this program
-    # instance (e.g. within a session) skip the upload.
-    program.metadata["upload_weights"] = False
+    # Weights persist in device memory: later requests on this runtime
+    # (e.g. within a session) skip the upload.
+    runtime.pending_weight_bytes = 0
 
 
 def _issue_instruction(env: Environment, runtime: HipRuntime,
@@ -180,7 +178,7 @@ def _issue_all(env, runtime, library, blas, program):
 
 def _run_baseline(env, runtime, library, blas, program) -> Dict[str, Any]:
     yield from _request_setup(env, runtime)
-    yield from _upload_weights(env, runtime, program)
+    yield from _upload_weights(env, runtime)
     yield from _parse_all(env, runtime, program)
     yield from _issue_all(env, runtime, library, blas, program)
     return {}
@@ -212,7 +210,7 @@ def _run_nnv12(env, runtime, library, blas, program) -> Dict[str, Any]:
     """
     bundle = program.engine_bundle
     yield from _request_setup(env, runtime)
-    yield from _upload_weights(env, runtime, program)
+    yield from _upload_weights(env, runtime)
     yield from _parse_all(env, runtime, program)
     channel = Channel(env, None, name="nnv12-load->issue")
 
@@ -250,8 +248,8 @@ def _run_pask(env, runtime, library, blas, program,
     yield from _request_setup(env, runtime)
     # PASK overlaps the weight DMA with parsing/loading (a concurrent
     # copy engine transfer), instead of paying it serially.
-    uploader = env.process(_upload_weights(env, runtime, program,
-                                           actor="dma"), "weight-dma")
+    uploader = env.process(_upload_weights(env, runtime, actor="dma"),
+                           "weight-dma")
     middleware = PaskMiddleware(env, runtime, library, blas, config)
     stats = yield from middleware.execute(program)
     yield uploader
@@ -262,7 +260,7 @@ def _run_pask_r(env, runtime, library, blas, program) -> Dict[str, Any]:
     """Reuse without interleaving, on the naive exhaustive cache."""
     bundle = program.engine_bundle
     yield from _request_setup(env, runtime)
-    yield from _upload_weights(env, runtime, program)
+    yield from _upload_weights(env, runtime)
     yield from _parse_all(env, runtime, program)
     cache = NaiveSolutionCache()
     reused = 0

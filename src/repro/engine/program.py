@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Set, Tuple
 
 from repro.engine.instruction import Instruction, InstrKind
@@ -62,15 +63,15 @@ class Program:
         return {p for p in self.distinct_primitive_problems
                 if isinstance(p, ConvProblem)}
 
-    @property
+    @cached_property
     def engine_bundle(self):
         """The per-model JIT bundle holding all engine kernels.
 
         The engine compiles its fused elementwise/data-movement kernels
         into one code object embedded in the lowered model file, so a
         model pays a single load for all of them.  Returns None when the
-        program has no engine kernels.  Deterministic, so it is recomputed
-        rather than serialized.
+        program has no engine kernels.  Deterministic, so it is derived
+        once per program rather than serialized.
         """
         names = sorted({i.engine_kernel.name
                         for i in self.of_kind(InstrKind.ENGINE_KERNEL)})

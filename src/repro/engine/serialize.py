@@ -101,7 +101,7 @@ def serialize_program(program: Program) -> str:
         "format": "repro-mgx-v1",
         "name": program.name,
         "batch": program.batch,
-        "metadata": program.metadata,
+        "metadata": dict(program.metadata),
         "instructions": instructions,
     })
 

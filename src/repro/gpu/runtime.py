@@ -127,6 +127,10 @@ class HipRuntime:
         # RuntimeSnapshot.restore() rather than a full load.
         self.restored_names: Set[str] = set()
         self.restored_bytes = 0
+        # Model weights still to copy to device memory: set by a server
+        # that uploads weights, cleared by the upload, so later requests
+        # on this runtime (a session) find them resident.
+        self.pending_weight_bytes = 0
 
     # ------------------------------------------------------------------
     # Module management

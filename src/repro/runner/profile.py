@@ -34,6 +34,12 @@ operations:
   scale-to-zero region of 2 instances, idle timeout 0.05 s, 50 Hz; a
   reclaimed instance comes back by cold load, checkpoint restore or a
   kernel-pack fetch.
+- **paper-claims** — the first ``ops`` rows of
+  :data:`~repro.serving.validation.CLAIMS` (36 in all) measured on a
+  fresh :class:`~repro.serving.experiments.ExperimentSuite`: the work
+  behind ``repro validate``.  The suite serves through the process's
+  shared server, so only the first run in a process also lowers the
+  programs; a best-of-N measures the serves.
 
 For the request workloads ``ops`` sets the trace duration (``ops /
 rate``), so a row reports the exact, Poisson-distributed arrival count.
@@ -62,8 +68,10 @@ from repro.models import build_model
 from repro.obs import MetricsRegistry, SLOPolicy, SpanRecorder
 from repro.packs import PackPolicy
 from repro.serving.cluster import ClusterConfig, ClusterSimulator
+from repro.serving.experiments import ExperimentSuite
 from repro.serving.requests import poisson_trace
 from repro.serving.server import InferenceServer
+from repro.serving.validation import CLAIMS
 from repro.sim.core import Environment
 
 __all__ = ["Layer", "LayerTiming", "LAYERS", "profile_layer"]
@@ -252,6 +260,16 @@ def _entry_point(config: FleetConfig, telemetry: bool = False):
     return prepare
 
 
+def _paper_claims(ops: int) -> Callable[[], Readout]:
+    suite = ExperimentSuite(DEVICE)
+    claims = CLAIMS[:ops]
+
+    def run() -> Readout:
+        held = sum(claim.evaluate(suite)[1] for claim in claims)
+        return lambda: (len(claims), {"held": held})
+    return run
+
+
 LAYERS: Dict[str, Layer] = {layer.name: layer for layer in (
     Layer("event-kernel", 100_000, _event_kernel),
     Layer("model-build", 100, _model_build),
@@ -272,6 +290,7 @@ LAYERS: Dict[str, Layer] = {layer.name: layer for layer in (
     Layer("spinup-checkpoint", 5_000,
           _serial(_spinup_config(True, False), 50.0)),
     Layer("spinup-pack", 5_000, _serial(_spinup_config(False, True), 50.0)),
+    Layer("paper-claims", len(CLAIMS), _paper_claims),
 )}
 
 

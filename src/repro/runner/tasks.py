@@ -149,8 +149,14 @@ class ExperimentTask:
         for name in ("batch", "instances", "trace_ring", "tenants"):
             check_count(name, getattr(self, name), 1)
         check_count("seed", self.seed)
-        for name in ("rate_hz", "duration_s", "keep_alive_s",
-                     "peak_rate_hz", "period_s", "burst_s", "shed_wait_s"):
+        # A replay needs arrivals: its rate and duration must be positive.
+        for name in ("rate_hz", "duration_s"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {value!r}")
+        for name in ("keep_alive_s", "peak_rate_hz", "period_s", "burst_s",
+                     "shed_wait_s"):
             value = getattr(self, name)
             if value is not None and not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, "

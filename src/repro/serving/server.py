@@ -68,10 +68,7 @@ class InferenceServer:
             graph = self._resolve_graph(model)
             self.registry.compile_and_register(
                 graph, key=key, options=scheme.lowering_options(batch))
-        program = self.registry.load(key)
-        if self.upload_weights:
-            program.metadata["upload_weights"] = True
-        return program
+        return self.registry.load(key)
 
     def _resolve_graph(self, model: str) -> Graph:
         if model in self._graphs:
@@ -96,6 +93,9 @@ class InferenceServer:
             injector.bind_metrics(metrics)
         runtime = HipRuntime(env, self.device, faults=injector,
                              spans=spans, metrics=metrics)
+        if self.upload_weights:
+            runtime.pending_weight_bytes = program.metadata.get(
+                "weight_bytes", 0)
         return program, env, injector, runtime
 
     def _executing(self, executor):

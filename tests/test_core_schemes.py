@@ -3,6 +3,9 @@
 import pytest
 
 from repro.core.schemes import Scheme, program_code_objects
+from repro.engine.instruction import InstrKind
+from repro.engine.program import Program
+from repro.models import list_models
 from repro.serving.experiments import ExperimentSuite
 from repro.sim.trace import Phase
 
@@ -43,6 +46,35 @@ class TestProgramCodeObjects:
         assert any(name.startswith("mgx_jit_") for name in names)
         assert any(name.startswith("Blas") for name in names)
         assert len(names) == len(code_objects)  # deduplicated
+
+    @pytest.mark.parametrize("scheme", [Scheme.BASELINE, Scheme.NNV12],
+                             ids=["default", "native"])
+    @pytest.mark.parametrize("model", list_models())
+    def test_matches_per_instruction_walk(self, model, scheme):
+        """The preload set equals a walk that derives every engine
+        instruction's bundle afresh: same names, order and sizes."""
+        server = SUITE.server()
+        program = server._lowered(model, scheme, 1)
+        expected, seen = [], set()
+        for instr in program.instructions:
+            if instr.kind is InstrKind.MIOPEN_PRIMITIVE:
+                solution = server.library.solution_by_name(
+                    instr.solution_name)
+                touched = ((solution.code_object_for(instr.problem),)
+                           + solution.transform_code_objects(instr.problem))
+            elif instr.kind is InstrKind.ENGINE_KERNEL:
+                touched = (Program.engine_bundle.func(program),)
+            elif instr.kind is InstrKind.BLAS_GEMM:
+                touched = (server.blas.find_best(instr.problem)
+                           .code_object_for(instr.problem),)
+            else:
+                touched = ()
+            for co in touched:
+                if co.name not in seen:
+                    seen.add(co.name)
+                    expected.append((co.name, co.size_bytes))
+        actual = program_code_objects(program, server.library, server.blas)
+        assert [(co.name, co.size_bytes) for co in actual] == expected
 
 
 class TestSchemeOrdering:

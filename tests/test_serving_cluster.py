@@ -359,12 +359,23 @@ def test_config_rejects_bad_integer_counts(make, name, bad):
 
 
 # A bool is a valid float (``True == 1.0``), so bool-on-float is
-# deliberately not drawn.
-@pytest.mark.parametrize("bad", (math.nan, math.inf, -1.0))
-@pytest.mark.parametrize("make,name", _FLOAT_FIELDS, ids=_ids(_FLOAT_FIELDS))
+# deliberately not drawn.  A replay task's rate and duration must also
+# be above zero.
+_BAD_FLOATS = ([(make, name, bad) for make, name in _FLOAT_FIELDS
+                for bad in (math.nan, math.inf, -1.0)]
+               + [(make, name, 0.0) for make in (_cluster_task, _fleet_task)
+                  for name in ("rate_hz", "duration_s")])
+
+
+@pytest.mark.parametrize(
+    "make,name,bad", _BAD_FLOATS,
+    ids=[f"{make.__name__.lstrip('_')}.{name}-{bad}"
+         for make, name, bad in _BAD_FLOATS])
 def test_config_rejects_bad_floats(make, name, bad):
     """A NaN, infinite or negative float fails at construction
-    (``ExperimentTask(kind="fleet", rate_hz=nan)`` used to build)."""
+    (``ExperimentTask(kind="fleet", rate_hz=nan)`` used to build), and so
+    does a zero replay rate or duration (``rate_hz=0.0`` used to build
+    and then fail in ``build_replay``)."""
     with pytest.raises(ValueError):
         make(**{name: bad})
 
