@@ -47,10 +47,12 @@ class CodeObjectFile:
                 raise ValueError(
                     f"duplicate symbol {symbol.name!r} in {self.name!r}")
             seen.add(symbol.name)
+        # Not a field: outside repr, equality and hashing.
+        object.__setattr__(self, "_symbol_names", frozenset(seen))
 
     def has_symbol(self, name: str) -> bool:
         """Whether this image exports a kernel called ``name``."""
-        return any(s.name == name for s in self.symbols)
+        return name in self._symbol_names
 
     @staticmethod
     def single_kernel(name: str, size_bytes: int) -> "CodeObjectFile":

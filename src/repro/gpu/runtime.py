@@ -358,15 +358,16 @@ class HipRuntime:
         issuing thread asserts that loading already happened.
         """
         name = code_object.name
-        if not self.is_loaded(name) and not self.is_loading(name):
-            if not lazy:
+        if name not in self._modules:
+            if not lazy and name not in self._pending:
                 raise KernelNotLoadedError(
                     f"code object {name!r} not loaded and lazy loading disabled")
-        if not self.is_loaded(name):
             yield from self.module_load(code_object, actor=actor,
                                         reactive=True)
         module = self._modules[name]
-        yield from self.get_function(module, symbol_name, actor=actor)
+        if symbol_name not in module.resolved_symbols:
+            yield from self.get_function(module, symbol_name, actor=actor)
+        label = label or symbol_name
         attempt = 1
         while self.faults is not None and self.faults.launch_fails():
             # Injected transient launch error: the failed driver call
@@ -376,8 +377,7 @@ class HipRuntime:
             fault_start = self.env.now
             yield self.env.timeout(self.device.kernel_launch_overhead_s)
             self.trace.record(fault_start, self.env.now, actor, Phase.FAULT,
-                              f"{label or symbol_name}/launch-fault",
-                              attempt=attempt)
+                              f"{label}/launch-fault", attempt=attempt)
             if attempt >= self.faults.plan.max_launch_attempts:
                 raise LaunchFault(
                     f"launch of {symbol_name!r} failed after "
@@ -386,15 +386,12 @@ class HipRuntime:
             attempt += 1
         start = self.env.now
         yield self.env.timeout(self.device.kernel_launch_overhead_s)
-        self.trace.record(start, self.env.now, actor, Phase.ISSUE,
-                          label or symbol_name)
+        self.trace.record(start, self.env.now, actor, Phase.ISSUE, label)
         # Causality: the EXEC span about to be recorded waited on this
         # code object's LOAD span, the symbol resolve, and the CHECK
         # span of its instruction (if any).  No-op when telemetry is off.
-        self.spans.stage_exec_links(name, label or symbol_name,
-                                    f"{name}:{symbol_name}")
-        completion = self.stream.enqueue(duration, label or symbol_name, **meta)
-        return completion
+        self.spans.stage_exec_links(name, label, f"{name}:{symbol_name}")
+        return self.stream.enqueue(duration, label, **meta)
 
     def synchronize(self):
         """Device synchronize (generator): wait for the stream to drain."""

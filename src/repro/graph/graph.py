@@ -26,6 +26,7 @@ class Graph:
     def __init__(self, name: str = "graph") -> None:
         self.name = name
         self.nodes: List[Node] = []
+        self._node_names: Set[str] = set()
         self.tensors: Dict[str, TensorDesc] = {}
         self.inputs: List[str] = []
         self.outputs: List[str] = []
@@ -53,7 +54,7 @@ class Graph:
         if missing:
             raise GraphError(
                 f"node {node.name!r} references undefined tensors {missing}")
-        if any(n.name == node.name for n in self.nodes):
+        if node.name in self._node_names:
             raise GraphError(f"duplicate node name {node.name!r}")
         input_descs = [self.tensors[t] for t in node.inputs]
         output_descs = infer_shapes(node, input_descs)
@@ -65,6 +66,7 @@ class Graph:
             self._declare_tensor(tensor_name, desc)
             self._producer[tensor_name] = node
         self.nodes.append(node)
+        self._node_names.add(node.name)
         return node
 
     def mark_output(self, name: str) -> None:

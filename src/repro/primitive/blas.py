@@ -10,11 +10,12 @@ swin2), whose compute is dominated by BLAS calls.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.gpu.device import DeviceSpec
 from repro.gpu.runtime import HipRuntime
 from repro.primitive.find_db import FindDb
+from repro.primitive.library import LaunchPlan
 from repro.primitive.patterns import SolutionPattern
 from repro.primitive.perf_model import solution_time
 from repro.primitive.problem import GemmProblem, PrimitiveKind
@@ -87,6 +88,7 @@ class BlasLibrary:
         self.solutions = list(solutions) if solutions is not None \
             else build_blas_solutions()
         self.find_db = FindDb(self.solutions, device)
+        self._plans: Dict[GemmProblem, LaunchPlan] = {}
 
     def find_best(self, problem: GemmProblem) -> Solution:
         """The fastest applicable GEMM kernel (always exists: generic)."""
@@ -95,16 +97,23 @@ class BlasLibrary:
             raise RuntimeError(f"BLAS registry has no kernel for {problem}")
         return best
 
+    def launch_plan(self, problem: GemmProblem) -> LaunchPlan:
+        """The one kernel a GEMM launches: the best kernel's binary and
+        its time, derived on first use and kept, keyed by value."""
+        plan = self._plans.get(problem)
+        if plan is None:
+            solution = self.find_best(problem)
+            code_object = solution.code_object_for(problem)
+            plan = self._plans[problem] = LaunchPlan(solution.name, ((
+                code_object, code_object.symbols[0].name,
+                solution_time(problem, solution, self.device), ""),))
+        return plan
+
     def run_gemm(self, runtime: HipRuntime, problem: GemmProblem,
                  actor: str = "host", label: str = ""):
         """Execute a GEMM (generator); loads its binary lazily, always.
 
         Returns the completion event of the launched kernel.
         """
-        solution = self.find_best(problem)
-        code_object = solution.code_object_for(problem)
-        exec_time = solution_time(problem, solution, self.device)
-        completion = yield from runtime.launch_kernel(
-            code_object, code_object.symbols[0].name, exec_time,
-            actor=actor, label=label or solution.name, lazy=True)
-        return completion
+        plan = self.launch_plan(problem)
+        return (yield from plan.replay(runtime, actor, label, lazy=True))

@@ -14,6 +14,8 @@ from typing import Tuple, Union
 from repro.tensors import DataType, Layout, TensorDesc
 
 __all__ = [
+    "HashOnce",
+    "hash_once",
     "PrimitiveKind",
     "ConvProblem",
     "PoolProblem",
@@ -21,6 +23,38 @@ __all__ = [
     "GemmProblem",
     "Problem",
 ]
+
+
+class HashOnce:
+    """Base of a slotted frozen dataclass decorated with
+    :func:`hash_once`: holds the slot its hash is kept in."""
+
+    __slots__ = ("_hash",)
+
+
+def hash_once(cls):
+    """Class decorator over a slotted frozen dataclass deriving from
+    :class:`HashOnce`: hash its fields once per instance and keep the
+    result.
+
+    The generated ``__hash__`` rebuilds and rehashes the field tuple on
+    every dict lookup, enums included, whose ``__hash__`` runs in
+    Python.  The kept value hashes enum names, so it differs between
+    processes; a slotted dataclass pickles and copies its fields only,
+    so the value never leaves the process that computed it.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = field_hash(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    cls.__hash__ = __hash__
+    return cls
 
 
 class PrimitiveKind(enum.Enum):
@@ -32,8 +66,9 @@ class PrimitiveKind(enum.Enum):
     GEMM = "gemm"   # served by the BLAS library, not MIOpen
 
 
-@dataclass(frozen=True)
-class ConvProblem:
+@hash_once
+@dataclass(frozen=True, slots=True)
+class ConvProblem(HashOnce):
     """A 2-D forward convolution problem."""
 
     batch: int
@@ -121,8 +156,9 @@ class ConvProblem:
                            self.layout)
 
 
-@dataclass(frozen=True)
-class PoolProblem:
+@hash_once
+@dataclass(frozen=True, slots=True)
+class PoolProblem(HashOnce):
     """A 2-D pooling problem (max or average, including global)."""
 
     batch: int
@@ -183,8 +219,9 @@ class PoolProblem:
                            self.dtype, self.layout)
 
 
-@dataclass(frozen=True)
-class ActivationProblem:
+@hash_once
+@dataclass(frozen=True, slots=True)
+class ActivationProblem(HashOnce):
     """An elementwise activation problem over a flattened extent."""
 
     numel: int
@@ -222,8 +259,9 @@ class ActivationProblem:
                                  self.dtype, self.layout)
 
 
-@dataclass(frozen=True)
-class GemmProblem:
+@hash_once
+@dataclass(frozen=True, slots=True)
+class GemmProblem(HashOnce):
     """A (batched) matrix-multiply problem served by the BLAS library."""
 
     m: int

@@ -33,9 +33,11 @@ from repro.primitive.problem import (
     ActivationProblem,
     ConvProblem,
     GemmProblem,
+    HashOnce,
     PoolProblem,
     PrimitiveKind,
     Problem,
+    hash_once,
 )
 from repro.tensors import DataType, Layout
 
@@ -89,8 +91,9 @@ class Constraint:
         return bool(self.predicate(problem))
 
 
-@dataclass(frozen=True)
-class Solution:
+@hash_once
+@dataclass(frozen=True, slots=True)
+class Solution(HashOnce):
     """A solver template at a fixed specialization level."""
 
     name: str

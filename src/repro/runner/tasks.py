@@ -36,7 +36,8 @@ from repro.fleet.routing import ROUTING_POLICIES, RoutingPolicy
 from repro.gpu.device import check_device
 from repro.packs.store import PackPolicy, PackTransferCounters
 from repro.serving.cluster import ClusterConfig, ClusterSimulator, ClusterStats
-from repro.serving.requests import (RequestTrace, bursty_trace, diurnal_trace,
+from repro.serving.requests import (RequestTrace, bursty_trace,
+                                    check_modulation, diurnal_trace,
                                     poisson_trace)
 from repro.serving.resilience import ResiliencePolicy
 from repro.serving.server import server_for
@@ -185,6 +186,11 @@ class ExperimentTask:
                 raise ValueError(f"{knob.name} applies to "
                                  f"{'/'.join(kinds)} replays; "
                                  f"{self.kind!r} tasks do not take it")
+        if self.arrival != "poisson":
+            # The generator's own check, on the values it will be given.
+            rate, peak, period, burst = _arrival_shape(self)
+            check_modulation(rate, peak, period, self.duration_s,
+                             burst if self.arrival == "bursty" else None)
 
     @property
     def region_devices(self) -> Tuple[str, ...]:
@@ -278,8 +284,7 @@ def _trace_to_payload(trace: TraceRecorder) -> Any:
     (records + streaming aggregates) otherwise, since an aggregate-mode
     recorder cannot be rebuilt from its ring alone."""
     if trace.retention == "full":
-        return [[r.start, r.end, r.actor, r.phase.value, r.label,
-                 [[k, v] for k, v in r.meta]] for r in trace.records]
+        return trace.rows()
     return trace.state_dict()
 
 
@@ -451,6 +456,20 @@ def fleet_stats_from_payload(payload: Dict[str, Any]) -> FleetStats:
 # Worker-side execution
 # ----------------------------------------------------------------------
 
+def _arrival_shape(task: ExperimentTask
+                   ) -> Tuple[float, float, float, float]:
+    """The per-tenant ``(rate, peak, period, burst)`` a fleet task's
+    trace generator draws from, unset knobs at their derived defaults."""
+    period = task.period_s
+    if period is None:
+        period = task.duration_s / (2.0 if task.arrival == "diurnal" else 4.0)
+    peak = task.peak_rate_hz
+    if peak is None:
+        peak = (4.0 if task.arrival == "diurnal" else 8.0) * task.rate_hz
+    burst = task.burst_s if task.burst_s is not None else period / 5.0
+    return task.rate_hz / task.tenants, peak / task.tenants, period, burst
+
+
 def arrival_trace(task: ExperimentTask) -> Union[RequestTrace, FleetTrace]:
     """The workload a fleet task replays, from its arrival knobs.
 
@@ -461,14 +480,7 @@ def arrival_trace(task: ExperimentTask) -> Union[RequestTrace, FleetTrace]:
     from seed + i; the tenant traces merge into one :class:`FleetTrace`.
     """
     n = task.tenants
-    rate = task.rate_hz / n
-    period = task.period_s
-    if period is None:
-        period = task.duration_s / (2.0 if task.arrival == "diurnal" else 4.0)
-    peak = task.peak_rate_hz
-    if peak is None:
-        peak = (4.0 if task.arrival == "diurnal" else 8.0) * task.rate_hz
-    peak /= n
+    rate, peak, period, burst_len = _arrival_shape(task)
 
     def tenant_trace(seed: int) -> RequestTrace:
         if task.arrival == "poisson":
@@ -477,7 +489,6 @@ def arrival_trace(task: ExperimentTask) -> Union[RequestTrace, FleetTrace]:
         if task.arrival == "diurnal":
             return diurnal_trace(task.model, rate, peak, period,
                                  task.duration_s, seed=seed, batch=task.batch)
-        burst_len = task.burst_s if task.burst_s is not None else period / 5.0
         return bursty_trace(task.model, rate, peak, period, burst_len,
                             task.duration_s, seed=seed, batch=task.batch)
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.sim.trace import check_count
 
 __all__ = ["RequestTrace", "poisson_trace", "burst_trace", "periodic_trace",
-           "diurnal_trace", "bursty_trace"]
+           "diurnal_trace", "bursty_trace", "check_modulation"]
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,27 @@ def _thinned_trace(model: str, rate_at, peak_hz: float, duration_s: float,
     return RequestTrace(model, tuple(arrivals), batch)
 
 
+def check_modulation(base_rate_hz: float, peak_rate_hz: float,
+                     period_s: float, duration_s: float,
+                     burst_s: Optional[float] = None) -> None:
+    """Raise ``ValueError`` unless a modulated trace can be drawn from
+    these values: ``0 < base <= peak < inf``, a positive finite period
+    and duration, and, for a bursty trace, a ``burst_s`` that fits
+    inside its period.
+
+    :func:`diurnal_trace`, :func:`bursty_trace` and a fleet task that
+    will call one of them all check through here."""
+    if not 0 < base_rate_hz <= peak_rate_hz < math.inf:
+        raise ValueError(f"need 0 < base rate <= peak rate < inf, got "
+                         f"{base_rate_hz!r} and {peak_rate_hz!r}")
+    if not (0 < period_s < math.inf and 0 < duration_s < math.inf):
+        raise ValueError(f"period and duration must be positive and "
+                         f"finite, got {period_s!r} and {duration_s!r}")
+    if burst_s is not None and not 0 <= burst_s <= period_s:
+        raise ValueError(f"a burst of {burst_s!r} s must fit inside its "
+                         f"{period_s!r} s period")
+
+
 def diurnal_trace(model: str, base_rate_hz: float, peak_rate_hz: float,
                   period_s: float, duration_s: float,
                   seed: int = 0, batch: int = 1) -> RequestTrace:
@@ -122,10 +143,7 @@ def diurnal_trace(model: str, base_rate_hz: float, peak_rate_hz: float,
     exactly the cold-start exposure the paper's serverless scenario
     describes.  Deterministic per seed.
     """
-    if not 0 < base_rate_hz <= peak_rate_hz < math.inf:
-        raise ValueError("need 0 < base_rate_hz <= peak_rate_hz < inf")
-    if not (0 < period_s < math.inf and 0 < duration_s < math.inf):
-        raise ValueError("period and duration must be positive and finite")
+    check_modulation(base_rate_hz, peak_rate_hz, period_s, duration_s)
 
     def rate_at(t: float) -> float:
         phase = 0.5 * (1.0 - math.cos(2.0 * math.pi * t / period_s))
@@ -146,13 +164,8 @@ def bursty_trace(model: str, base_rate_hz: float, burst_rate_hz: float,
     Bursts starting from an idle (scaled-down) pool are the adversarial
     input for autoscaling hysteresis.  Deterministic per seed.
     """
-    if not 0 < base_rate_hz <= burst_rate_hz < math.inf:
-        raise ValueError("need 0 < base_rate_hz <= burst_rate_hz < inf")
-    if not (0 < burst_every_s < math.inf and 0 < duration_s < math.inf):
-        raise ValueError("burst period and duration must be positive and "
-                         "finite")
-    if not 0 <= burst_duration_s <= burst_every_s:
-        raise ValueError("burst_duration_s must fit inside burst_every_s")
+    check_modulation(base_rate_hz, burst_rate_hz, burst_every_s, duration_s,
+                     burst_duration_s)
 
     def rate_at(t: float) -> float:
         in_burst = (t % burst_every_s) < burst_duration_s

@@ -407,7 +407,7 @@ class Environment:
         """
         if isinstance(until, Event):
             stop_event = until
-            while not stop_event.processed:
+            while not stop_event._processed:
                 if not (self._immediate or self._queue):
                     raise SimulationError(
                         "simulation ran out of events before the awaited "

@@ -19,7 +19,6 @@ The claims of ``benchmarks/fleet_frontier_report.json`` are checked
 here too; ``tests/test_scenarios.py`` pins its bytes.
 """
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -77,7 +76,7 @@ def _assert_region_equals_cluster(region, cluster):
 def _as_region(records):
     """The cluster's trace records as region ``r0`` writes them."""
     assert {record.actor for record in records} <= {"cluster"}
-    return [dataclasses.replace(record, actor="region:r0")
+    return [record._replace(actor="region:r0")
             for record in records]
 
 

@@ -1,5 +1,8 @@
 """Unit tests for primitive problem descriptors."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.primitive import (
@@ -9,7 +12,8 @@ from repro.primitive import (
     PoolProblem,
     PrimitiveKind,
 )
-from repro.tensors import DataType
+from repro.primitive.solvers import all_miopen_solutions
+from repro.tensors import DataType, Layout
 
 
 class TestConvProblem:
@@ -117,3 +121,25 @@ class TestGemmProblem:
     def test_validation(self):
         with pytest.raises(ValueError):
             GemmProblem(0, 1, 1)
+
+
+@pytest.mark.parametrize("value", [
+    ConvProblem(1, 64, 56, 56, 64, (3, 3), pad=(1, 1), layout=Layout.NHWC),
+    PoolProblem(1, 64, 56, 56, (3, 3), (2, 2)),
+    ActivationProblem(4096, "relu", DataType.FP16),
+    GemmProblem(128, 768, 768, batch=4),
+    all_miopen_solutions()[0],
+], ids=lambda value: type(value).__name__)
+def test_kept_hash_stays_out_of_pickles_and_copies(value):
+    """The hash is kept on the instance after its first use, but it
+    hashes enum names, which differ between processes: a pickle or a
+    copy must not carry it."""
+    first = hash(value)
+    assert hash(value) == first
+    assert value._hash == first
+    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                  copy.deepcopy(value)):
+        assert not hasattr(clone, "_hash")
+        assert clone == value
+        assert hash(clone) == first
+    assert "_hash" not in repr(value)

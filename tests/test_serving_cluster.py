@@ -14,7 +14,8 @@ from repro.fleet.fleet import (FleetConfig, FleetStats, FleetTrace,
 from repro.fleet.parallel import equivalence_problems
 from repro.obs.monitors import SLOPolicy
 from repro.packs.store import PackPolicy, TierPolicy
-from repro.runner.tasks import (ExperimentTask, cluster_stats_from_payload,
+from repro.runner.tasks import (ExperimentTask, build_replay,
+                                cluster_stats_from_payload,
                                 cluster_stats_to_payload)
 from repro.serving.cluster import (ClusterConfig, ClusterSimulator,
                                    ClusterStats)
@@ -378,6 +379,42 @@ def test_config_rejects_bad_floats(make, name, bad):
     and then fail in ``build_replay``)."""
     with pytest.raises(ValueError):
         make(**{name: bad})
+
+
+# Fleet arrivals whose trace generator rejects the values the task
+# hands it; each one used to build and then fail in ``build_replay``.
+_BAD_ARRIVALS = {
+    "diurnal-zero-period": dict(arrival="diurnal", period_s=0.0),
+    "diurnal-peak-below-rate": dict(arrival="diurnal", rate_hz=8.0,
+                                    peak_rate_hz=4.0),
+    "diurnal-zero-peak": dict(arrival="diurnal", peak_rate_hz=0.0),
+    "bursty-zero-period": dict(arrival="bursty", period_s=0.0),
+    "bursty-peak-below-rate": dict(arrival="bursty", rate_hz=8.0,
+                                   peak_rate_hz=4.0),
+    "bursty-burst-longer-than-period": dict(arrival="bursty", period_s=1.0,
+                                            burst_s=2.0),
+    "bursty-derived-period-shorter-than-burst": dict(arrival="bursty",
+                                                     duration_s=4.0,
+                                                     burst_s=1.5),
+}
+
+
+@pytest.mark.parametrize("knobs", list(_BAD_ARRIVALS.values()),
+                         ids=list(_BAD_ARRIVALS))
+def test_fleet_task_rejects_arrivals_its_generator_rejects(knobs):
+    with pytest.raises(ValueError):
+        _fleet_task(**knobs)
+
+
+@pytest.mark.parametrize("arrival", ("diurnal", "bursty"))
+def test_fleet_task_at_the_arrival_boundary_builds_and_replays(arrival):
+    """A peak equal to the rate, split over tenants, and a burst as long
+    as its period are the edge of what the generators accept."""
+    task = _fleet_task(arrival=arrival, rate_hz=3.0, peak_rate_hz=3.0,
+                       period_s=0.5, burst_s=0.5, duration_s=1.0,
+                       tenants=3)
+    config, trace = build_replay(task)
+    assert len(trace) > 0
 
 
 # (constructor, field, value naming an unknown device).

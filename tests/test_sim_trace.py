@@ -5,7 +5,8 @@ import math
 import pytest
 
 from repro.sim import Phase, TraceRecorder, merge_intervals
-from repro.sim.trace import subtract_intervals
+from repro.runner.tasks import _trace_from_payload, _trace_to_payload
+from repro.sim.trace import TraceRecord, subtract_intervals
 
 
 def test_merge_disjoint_intervals():
@@ -84,6 +85,8 @@ def test_record_rejects_reversed_interval():
     recorder = TraceRecorder()
     with pytest.raises(ValueError):
         recorder.record(2.0, 1.0, "gpu", Phase.EXEC)
+    assert recorder.record_count == 0
+    assert recorder.records == []
 
 
 @pytest.mark.parametrize("start,end", [
@@ -172,4 +175,34 @@ def test_meta_is_preserved_and_hashable():
     recorder = TraceRecorder()
     rec = recorder.record(0.0, 1.0, "gpu", Phase.EXEC, "k", layer=3, kind="conv")
     assert dict(rec.meta) == {"layer": 3, "kind": "conv"}
-    hash(rec)  # frozen dataclass must stay hashable
+    hash(rec)  # records stay hashable
+
+
+@pytest.mark.parametrize("field", TraceRecord._fields + ("duration",))
+def test_record_fields_cannot_be_assigned(field):
+    rec = TraceRecord(0.0, 1.0, "gpu", Phase.EXEC, "k", (("layer", 3),))
+    with pytest.raises(AttributeError):
+        setattr(rec, field, 2.0)
+    assert rec == TraceRecord(0.0, 1.0, "gpu", Phase.EXEC, "k",
+                              (("layer", 3),))
+    assert rec.duration == 1.0
+
+
+def _two_records():
+    """One record with meta and one without, through ``record()``."""
+    recorder = TraceRecorder()
+    recorder.record(0.0, 0.5, "loader", Phase.LOAD, "conv.co",
+                    size=4096, attempt=1)
+    recorder.record(0.5, 1.25, "gpu", Phase.EXEC)
+    return recorder
+
+
+def test_payload_rows_of_records_with_and_without_meta():
+    recorder = _two_records()
+    rows = [[0.0, 0.5, "loader", "load", "conv.co",
+             [["attempt", 1], ["size", 4096]]],
+            [0.5, 1.25, "gpu", "exec", "", []]]
+    assert _trace_to_payload(recorder) == rows
+    assert recorder.state_dict()["records"] == rows
+    assert _trace_from_payload(rows) == recorder
+    assert TraceRecorder.from_state(recorder.state_dict()) == recorder
