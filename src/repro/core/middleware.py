@@ -31,7 +31,7 @@ from repro.primitive.blas import BlasLibrary
 from repro.primitive.library import MIOpenLibrary
 from repro.primitive.perf_model import kernel_time
 from repro.sim.channel import Channel, ChannelClosed, ChannelClosedError
-from repro.sim.core import Environment
+from repro.sim.core import Environment, Event
 from repro.sim.faults import LoadFault
 from repro.sim.trace import Phase
 
@@ -360,17 +360,21 @@ class PaskMiddleware:
     # Issuer thread
     # ------------------------------------------------------------------
     def _issuer(self, inbox: Channel):
+        tracker = self.tracker
+
+        def executed(kernel_end: Event) -> None:
+            tracker.record_executed(kernel_end._value)
+
         while True:
             item = yield inbox.get()
             if item is ChannelClosed:
                 return
             instr, plan, payload = item
-            completion = None
             if plan is PLAN_NOOP:
-                self.tracker.record_executed(instr.index)
+                tracker.record_executed(instr.index)
                 continue
             if plan is PLAN_BLAS:
-                completion = yield from self.blas.run_gemm(
+                end = yield from self.blas.run_gemm(
                     self.runtime, instr.problem, actor="issuer",
                     label=instr.name)
             elif plan is PLAN_ENGINE:
@@ -378,25 +382,29 @@ class PaskMiddleware:
                 duration = kernel_time(kernel.flops, kernel.bytes_moved,
                                        _ENGINE_KERNEL_EFFICIENCY,
                                        self.runtime.device)
-                completion = yield from self.runtime.launch_kernel(
+                end = yield from self.runtime.launch_kernel(
                     self._engine_bundle, kernel.name,
                     duration, actor="issuer", label=instr.name, lazy=False)
             elif plan is PLAN_DESIRED:
-                completion = yield from self.library.run_solution(
+                end = yield from self.library.run_solution(
                     self.runtime, instr.problem, payload, actor="issuer",
                     label=instr.name, lazy=False)
             elif plan is PLAN_REUSE:
                 instance, run_problem = payload
-                completion = yield from self.library.run_solution(
+                end = yield from self.library.run_solution(
                     self.runtime, run_problem, instance.solution,
                     tuned_for=instance.tuned_for, actor="issuer",
                     label=f"{instr.name}/reused", lazy=False)
             elif plan is PLAN_FALLBACK:
-                completion = yield from self._issue_reactive(instr)
+                end = yield from self._issue_reactive(instr)
             else:  # pragma: no cover - defensive
                 raise RuntimeError(f"unknown plan {plan!r}")
-            if completion is not None:
-                self._watch_completion(completion, instr.index)
+            if end is not None:
+                # The milestone needs only the layer's end on the GPU
+                # (Sec. III-A): one timeout carrying its index, created
+                # before anything else is scheduled.
+                self.env.timeout(end - self.env.now, instr.index) \
+                    ._add_callback(executed)
 
     def _issue_reactive(self, instr: Instruction):
         """Execute ``instr`` through the reactive lazy launch path --
@@ -405,30 +413,21 @@ class PaskMiddleware:
             self.tracker.record_executed(instr.index)
             return None
         if instr.kind is InstrKind.BLAS_GEMM:
-            completion = yield from self.blas.run_gemm(
+            end = yield from self.blas.run_gemm(
                 self.runtime, instr.problem, actor="issuer",
                 label=instr.name)
-            return completion
+            return end
         if instr.kind is InstrKind.ENGINE_KERNEL:
             kernel = instr.engine_kernel
             duration = kernel_time(kernel.flops, kernel.bytes_moved,
                                    _ENGINE_KERNEL_EFFICIENCY,
                                    self.runtime.device)
-            completion = yield from self.runtime.launch_kernel(
+            end = yield from self.runtime.launch_kernel(
                 self._engine_bundle, kernel.name, duration,
                 actor="issuer", label=f"{instr.name}/fallback", lazy=True)
-            return completion
+            return end
         desired = self.library.solution_by_name(instr.solution_name)
-        completion = yield from self.library.run_solution(
+        end = yield from self.library.run_solution(
             self.runtime, instr.problem, desired, actor="issuer",
             label=f"{instr.name}/fallback", lazy=True)
-        return completion
-
-    def _watch_completion(self, completion, index: int):
-        tracker = self.tracker
-
-        def watcher():
-            yield completion
-            tracker.record_executed(index)
-
-        self.env.process(watcher(), name=f"watch-{index}")
+        return end

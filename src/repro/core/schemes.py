@@ -138,28 +138,29 @@ def _issue_instruction(env: Environment, runtime: HipRuntime,
                        library: MIOpenLibrary, blas: BlasLibrary,
                        instr: Instruction, actor: str, lazy: bool,
                        engine_bundle=None):
-    """Execute one instruction reactively; returns its completion event."""
+    """Execute one instruction reactively; returns its last kernel's end
+    time (``None`` for a no-op)."""
     if instr.kind is InstrKind.NOOP:
         return None
     if instr.kind is InstrKind.BLAS_GEMM:
-        completion = yield from blas.run_gemm(runtime, instr.problem,
-                                              actor=actor, label=instr.name)
-        return completion
+        end = yield from blas.run_gemm(runtime, instr.problem,
+                                       actor=actor, label=instr.name)
+        return end
     if instr.kind is InstrKind.ENGINE_KERNEL:
         kernel = instr.engine_kernel
         code_object = engine_bundle if engine_bundle is not None \
             else kernel.code_object
         duration = kernel_time(kernel.flops, kernel.bytes_moved,
                                _ENGINE_KERNEL_EFFICIENCY, runtime.device)
-        completion = yield from runtime.launch_kernel(
+        end = yield from runtime.launch_kernel(
             code_object, kernel.name, duration,
             actor=actor, label=instr.name, lazy=lazy)
-        return completion
+        return end
     solution = library.solution_by_name(instr.solution_name)
-    completion = yield from library.run_solution(
+    end = yield from library.run_solution(
         runtime, instr.problem, solution, actor=actor, label=instr.name,
         lazy=lazy)
-    return completion
+    return end
 
 
 # ----------------------------------------------------------------------

@@ -348,7 +348,7 @@ class HipRuntime:
     def launch_kernel(self, code_object: CodeObjectFile, symbol_name: str,
                       duration: float, actor: str = "host",
                       label: str = "", lazy: bool = True, **meta):
-        """Launch one kernel (generator); returns its completion event.
+        """Launch one kernel (generator); returns its end time.
 
         With ``lazy=True`` (default runtime behaviour) an absent code
         object is loaded on demand, stalling the calling thread -- this is

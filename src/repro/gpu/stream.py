@@ -1,13 +1,16 @@
 """An in-order GPU stream.
 
-Kernels enqueue in FIFO order and execute back-to-back on the device; the
-host gets a completion event per kernel.  The stream records each
+Kernels enqueue in FIFO order and execute back-to-back on the device.
+Enqueueing a kernel returns its end time and schedules nothing: a host
+that must wait for the kernel waits ``end - now`` itself, and one that
+does not costs the event queue nothing.  The stream records each
 execution in the trace with actor ``"gpu"`` so GPU utilization (Fig. 6(b))
 is the merged EXEC busy time over the run span.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.obs.spans import NULL_RECORDER
@@ -43,15 +46,16 @@ class Stream:
         """Number of kernels enqueued so far."""
         return self._kernels_executed
 
-    def enqueue(self, duration: float, label: str = "kernel", **meta) -> Event:
+    def enqueue(self, duration: float, label: str = "kernel", **meta) -> float:
         """Enqueue a kernel taking ``duration`` seconds of GPU time.
 
-        Returns an event that triggers when the kernel completes.  Kernels
+        Returns the simulated time at which the kernel completes.  Kernels
         start no earlier than now and no earlier than the previous kernel's
         completion (in-order stream semantics).
         """
-        if duration < 0:
-            raise ValueError(f"negative kernel duration {duration!r}")
+        if not 0.0 <= duration < math.inf:
+            raise ValueError(
+                f"kernel duration must be finite and >= 0, got {duration!r}")
         start = max(self.env.now, self._available_at)
         if self.faults is not None:
             # Injected device-side stall (``stream.enqueue``): the kernel
@@ -72,7 +76,7 @@ class Stream:
             # No EXEC record, so any causal links staged for this kernel
             # must not leak onto the next one.
             self.spans.drop_staged()
-        return self.env.timeout(end - self.env.now, value=label)
+        return end
 
     def synchronize(self) -> Event:
         """Event that triggers once all enqueued kernels have completed."""

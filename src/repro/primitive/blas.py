@@ -113,7 +113,7 @@ class BlasLibrary:
                  actor: str = "host", label: str = ""):
         """Execute a GEMM (generator); loads its binary lazily, always.
 
-        Returns the completion event of the launched kernel.
+        Returns the end time of the launched kernel.
         """
         plan = self.launch_plan(problem)
         return (yield from plan.replay(runtime, actor, label, lazy=True))

@@ -4,7 +4,7 @@
 ``run_solution`` is the online entry point (``miopenRunSolution``) that
 PASK hooks: it loads whatever code objects the solution instance needs
 (lazily by default -- the reactive behaviour), launches the cast and
-compute kernels, and returns the completion event.
+compute kernels, and returns the last kernel's end time.
 
 What a call launches -- binaries, symbols and kernel times -- is a pure
 function of the problem, the solution instance and the device, so each
@@ -44,15 +44,15 @@ class LaunchPlan(NamedTuple):
 
     def replay(self, runtime: HipRuntime, actor: str, label: str,
                lazy: bool):
-        """Launch every step on ``runtime`` (generator); returns the
-        completion event of the last kernel."""
+        """Launch every step on ``runtime`` (generator); returns the end
+        time of the last kernel."""
         label = label or self.name
-        completion = None
+        end = None
         for code_object, symbol, duration, suffix in self.steps:
-            completion = yield from runtime.launch_kernel(
+            end = yield from runtime.launch_kernel(
                 code_object, symbol, duration, actor=actor,
                 label=label + suffix, lazy=lazy)
-        return completion
+        return end
 
 
 class MIOpenLibrary:
@@ -129,7 +129,7 @@ class MIOpenLibrary:
         efficiency accordingly.  The launches come from
         :meth:`launch_plan`, so a call only issues them.
 
-        Returns the completion event of the last launched kernel.
+        Returns the end time of the last launched kernel.
         """
         plan = self.launch_plan(problem, solution, tuned_for)
         return (yield from plan.replay(runtime, actor, label, lazy))

@@ -19,6 +19,7 @@ the kernel small enough to test exhaustively:
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from typing import (Any, Callable, Deque, Generator, Iterable, List, Optional,
                     Tuple)
@@ -33,6 +34,12 @@ __all__ = [
     "AllOf",
     "AnyOf",
 ]
+
+
+_INF = math.inf
+_new_timeout = object.__new__
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
 
 class SimulationError(Exception):
@@ -148,13 +155,17 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers ``delay`` time units after creation."""
+    """An event that triggers ``delay`` time units after creation.
+
+    :meth:`Environment.timeout` builds the same event in one call; this
+    constructor is the readable form of it.
+    """
 
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"delay must be finite and >= 0, got {delay!r}")
         super().__init__(env)
         self.delay = delay
         self._triggered = True
@@ -334,35 +345,32 @@ class Environment:
         if delay == 0.0:
             self._immediate.append((self._now, sequence, event))
         else:
-            heapq.heappush(self._queue, (self._now + delay, sequence, event))
-
-    def _pop_next(self) -> Tuple[float, int, Event]:
-        """The globally next ``(time, sequence, event)`` entry."""
-        immediate = self._immediate
-        queue = self._queue
-        if immediate:
-            # Unique sequence numbers mean the tuple comparison never
-            # reaches the (incomparable) Event element.
-            if queue and queue[0] < immediate[0]:
-                return heapq.heappop(queue)
-            return immediate.popleft()
-        if queue:
-            return heapq.heappop(queue)
-        raise SimulationError("no more events scheduled")
-
-    def _peek_time(self) -> Optional[float]:
-        """The next scheduled time, or ``None`` when nothing is queued."""
-        if self._immediate:
-            if self._queue:
-                return min(self._immediate[0][0], self._queue[0][0])
-            return self._immediate[0][0]
-        if self._queue:
-            return self._queue[0][0]
-        return None
+            _heappush(self._queue, (self._now + delay, sequence, event))
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Return an event triggering ``delay`` time units from now."""
-        return Timeout(self, delay, value)
+        """Return an event triggering ``delay`` time units from now.
+
+        Builds and queues the :class:`Timeout` in this one call: the
+        hot path of every simulation, so it skips the constructor chain.
+        """
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"delay must be finite and >= 0, got {delay!r}")
+        event = _new_timeout(Timeout)
+        event.env = self
+        event.callbacks = None
+        event._single_callback = None
+        event._value = value
+        event._exception = None
+        event._triggered = True
+        event._processed = False
+        event.delay = delay
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        if delay == 0.0:
+            self._immediate.append((self._now, sequence, event))
+        else:
+            _heappush(self._queue, (self._now + delay, sequence, event))
+        return event
 
     def event(self) -> Event:
         """Return a fresh, untriggered event."""
@@ -381,22 +389,58 @@ class Environment:
         """Event triggering when any of ``events`` triggers."""
         return AnyOf(self, events)
 
+    def _dispatch(self, stop: Event, horizon: float) -> None:
+        """Pop and dispatch events in ``(time, sequence)`` order until
+        ``stop`` is processed, the next event lies beyond ``horizon`` or
+        the queue drains -- the one loop behind :meth:`step` and every
+        form of :meth:`run`.
+
+        Every entry on the immediate deque is at the current time: the
+        clock only advances on a heap pop, and a heap entry is popped
+        ahead of a non-empty deque only when it is no later than the
+        deque's head.  So only a heap pop moves the clock, and only it
+        can cross ``horizon``.
+        """
+        immediate = self._immediate
+        queue = self._queue
+        popleft = immediate.popleft
+        while not stop._processed:
+            if immediate:
+                # Unique sequence numbers mean the tuple comparison never
+                # reaches the (incomparable) Event element.
+                if queue and queue[0] < immediate[0]:
+                    event = _heappop(queue)[2]
+                else:
+                    event = popleft()[2]
+            elif queue:
+                if queue[0][0] > horizon:
+                    return
+                self._now, _, event = _heappop(queue)
+            else:
+                return
+            single = event._single_callback
+            callbacks = event.callbacks
+            event._single_callback = None
+            event.callbacks = None
+            event._processed = True
+            if single is not None:
+                single(event)
+            if callbacks:
+                for callback in callbacks:
+                    callback(event)
+
     def step(self) -> None:
         """Process the next scheduled event."""
-        time, _seq, event = self._pop_next()
-        if time < self._now:
-            raise SimulationError("event scheduled in the past")
-        self._now = time
-        single = event._single_callback
-        callbacks = event.callbacks
-        event._single_callback = None
-        event.callbacks = None
-        event._processed = True
-        if single is not None:
-            single(event)
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
+        immediate = self._immediate
+        queue = self._queue
+        if immediate:
+            head = queue[0] if queue and queue[0] < immediate[0] \
+                else immediate[0]
+        elif queue:
+            head = queue[0]
+        else:
+            raise SimulationError("no more events scheduled")
+        self._dispatch(head[2], _INF)
 
     def run(self, until: Optional[Any] = None) -> Any:
         """Run the simulation.
@@ -406,27 +450,24 @@ class Environment:
         is processed, returning its value).
         """
         if isinstance(until, Event):
-            stop_event = until
-            while not stop_event._processed:
-                if not (self._immediate or self._queue):
-                    raise SimulationError(
-                        "simulation ran out of events before the awaited "
-                        f"event triggered: {stop_event!r}")
-                self.step()
-            return stop_event.value
-        if until is not None:
-            horizon = float(until)
+            self._dispatch(until, _INF)
+            if not until._processed:
+                raise SimulationError(
+                    "simulation ran out of events before the awaited "
+                    f"event triggered: {until!r}")
+            return until.value
+        # A fresh event is never processed: only the horizon or an empty
+        # queue ends the loop.
+        if until is None:
+            self._dispatch(Event(self), _INF)
+            return None
+        horizon = float(until)
+        if not self._now <= horizon < _INF:
             if horizon < self._now:
                 raise SimulationError("cannot run into the past")
-            while True:
-                upcoming = self._peek_time()
-                if upcoming is None or upcoming > horizon:
-                    break
-                self.step()
-            self._now = horizon
-            return None
-        while self._immediate or self._queue:
-            self.step()
+            raise SimulationError(f"horizon must be finite, got {until!r}")
+        self._dispatch(Event(self), horizon)
+        self._now = horizon
         return None
 
     def __repr__(self) -> str:

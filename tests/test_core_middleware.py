@@ -3,11 +3,17 @@
 import pytest
 
 from repro.core.middleware import PaskConfig, PaskMiddleware
+from repro.core.milestone import MilestoneTracker
+from repro.core.schemes import Scheme
 from repro.engine import LoweringOptions, lower
+from repro.engine.instruction import InstrKind
 from repro.gpu import HipRuntime, MI100
 from repro.graph import GraphBuilder
+from repro.models import list_models
 from repro.primitive import BlasLibrary, MIOpenLibrary
+from repro.serving.server import InferenceServer
 from repro.sim import Environment, Phase
+from repro.sim.core import Process
 
 LIBRARY = MIOpenLibrary(MI100)
 BLAS = BlasLibrary(MI100)
@@ -137,3 +143,54 @@ class TestSmallPrograms:
         program = lower(b.finish(), LIBRARY)
         env, runtime, middleware, outcome = run_middleware(program)
         assert env.now > 0
+
+
+class TestMilestoneSignal:
+    """Sec. III-A's milestone needs each layer's end on the GPU: the
+    issuer reports it at exactly that instant, without a process per
+    layer."""
+
+    SERVER = InferenceServer(MI100)
+
+    @pytest.mark.parametrize("scheme", [Scheme.PASK, Scheme.PASK_I])
+    @pytest.mark.parametrize("model", list_models())
+    def test_layer_reports_executed_at_its_last_kernel_end(
+            self, model, scheme, monkeypatch):
+        envs, signals, names = [], [], []
+        middleware_init = PaskMiddleware.__init__
+        record_executed = MilestoneTracker.record_executed
+        process_init = Process.__init__
+
+        def capture_env(middleware, env, *args, **kwargs):
+            envs.append(env)
+            middleware_init(middleware, env, *args, **kwargs)
+
+        def signal(tracker, index):
+            signals.append((index, envs[-1].now))
+            record_executed(tracker, index)
+
+        def name_process(process, env, generator, name=None):
+            names.append(name)
+            process_init(process, env, generator, name)
+
+        monkeypatch.setattr(PaskMiddleware, "__init__", capture_env)
+        monkeypatch.setattr(MilestoneTracker, "record_executed", signal)
+        monkeypatch.setattr(Process, "__init__", name_process)
+        result = self.SERVER.serve_cold(model, scheme, batch=1)
+        assert not result.failed
+
+        last_end = {}
+        for record in result.trace.filtered(phase=Phase.EXEC, actor="gpu"):
+            name = record.label.split("/")[0]
+            last_end[name] = max(last_end.get(name, 0.0), record.end)
+        program = self.SERVER._lowered(model, scheme, 1)
+        assert sorted(index for index, _ in signals) \
+            == list(range(len(program)))
+        for index, now in signals:
+            instr = program.instructions[index]
+            if instr.kind is InstrKind.NOOP:
+                assert instr.name not in last_end
+            else:
+                assert now == last_end[instr.name], instr.name
+        assert not [name for name in names
+                    if name and name.startswith("watch-")]

@@ -202,8 +202,8 @@ def test_exec_stall_delays_kernel_and_is_traced():
     code_object = CodeObjectFile.single_kernel("k", 50_000)
 
     def proc():
-        completion = yield from runtime.launch_kernel(code_object, "k", 1e-4)
-        yield completion
+        end = yield from runtime.launch_kernel(code_object, "k", 1e-4)
+        yield env.timeout(end - env.now)
 
     env.process(proc())
     env.run()

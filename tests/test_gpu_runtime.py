@@ -39,7 +39,8 @@ class TestStream:
         seen = {}
 
         def proc():
-            yield stream.enqueue(1.5, "k")
+            end = stream.enqueue(1.5, "k")
+            yield env.timeout(end - env.now)
             seen["t"] = env.now
 
         env.process(proc())
@@ -78,8 +79,18 @@ class TestStream:
     def test_negative_duration_rejected(self):
         env = Environment()
         stream = Stream(env)
-        with pytest.raises(ValueError):
-            stream.enqueue(-1.0)
+        for duration in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                stream.enqueue(duration)
+        assert stream.available_at == 0.0
+        assert stream.kernels_executed == 0
+
+    def test_enqueue_returns_end_and_schedules_nothing(self):
+        env = Environment()
+        stream = Stream(env)
+        assert stream.enqueue(1.0, "k1") == 1.0
+        assert stream.enqueue(2.0, "k2") == 3.0
+        assert env.events_scheduled == 0
 
     def test_zero_duration_records_nothing(self):
         env = Environment()
@@ -197,9 +208,9 @@ class TestLaunchKernel:
         done = {}
 
         def proc():
-            completion = yield from runtime.launch_kernel(
+            end = yield from runtime.launch_kernel(
                 CO, "conv_kernel", duration=0.01)
-            yield completion
+            yield env.timeout(end - env.now)
             done["t"] = env.now
 
         env.process(proc())
@@ -231,9 +242,9 @@ class TestLaunchKernel:
 
         def issuer():
             yield env.timeout(0.001)  # loader already started
-            completion = yield from runtime.launch_kernel(
+            end = yield from runtime.launch_kernel(
                 CO, "conv_kernel", duration=0.0, lazy=False)
-            yield completion
+            yield env.timeout(end - env.now)
             done["t"] = env.now
 
         env.process(loader())
@@ -248,9 +259,9 @@ class TestLaunchKernel:
         done = {}
 
         def proc():
-            completion = yield from runtime.launch_kernel(
+            end = yield from runtime.launch_kernel(
                 CO, "conv_kernel", duration=0.01)
-            yield completion
+            yield env.timeout(end - env.now)
             done["t"] = env.now
 
         env.process(proc())
@@ -262,9 +273,9 @@ class TestLaunchKernel:
         runtime.preload([CO])
 
         def proc():
-            completion = yield from runtime.launch_kernel(
+            end = yield from runtime.launch_kernel(
                 CO, "conv_kernel", duration=0.02, actor="issuer", label="L0")
-            yield completion
+            yield env.timeout(end - env.now)
 
         env.process(proc())
         env.run()

@@ -113,9 +113,9 @@ class TestRunSolution:
         solution = library.find_best(CONV_3X3, native_layout_only=True)
 
         def proc():
-            completion = yield from library.run_solution(
+            end = yield from library.run_solution(
                 runtime, CONV_3X3, solution, actor="host", label="L0")
-            yield completion
+            yield env.timeout(end - env.now)
 
         env.process(proc())
         env.run()
@@ -129,9 +129,9 @@ class TestRunSolution:
         xdlops = library.solution_by_name("ConvImplicitGemmXdlopsFwd")
 
         def proc():
-            completion = yield from library.run_solution(
+            end = yield from library.run_solution(
                 runtime, CONV_3X3, xdlops)
-            yield completion
+            yield env.timeout(end - env.now)
 
         env.process(proc())
         env.run()
@@ -146,9 +146,9 @@ class TestRunSolution:
         runtime.preload([tip.code_object_for(CONV_3X3)])
 
         def proc():
-            completion = yield from library.run_solution(
+            end = yield from library.run_solution(
                 runtime, other, tip, tuned_for=CONV_3X3, lazy=False)
-            yield completion
+            yield env.timeout(end - env.now)
 
         env.process(proc())
         env.run()
@@ -164,9 +164,9 @@ class TestRunSolution:
                 runtime.preload([solution.code_object_for(CONV_3X3)])
 
             def proc():
-                completion = yield from library.run_solution(
+                end = yield from library.run_solution(
                     runtime, CONV_3X3, solution)
-                yield completion
+                yield env.timeout(end - env.now)
 
             env.process(proc())
             env.run()
@@ -201,8 +201,8 @@ class TestBlasLibrary:
         p = GemmProblem(768, 768, 768)
 
         def proc():
-            completion = yield from blas.run_gemm(runtime, p)
-            yield completion
+            end = yield from blas.run_gemm(runtime, p)
+            yield env.timeout(end - env.now)
 
         env.process(proc())
         env.run()
@@ -216,8 +216,8 @@ class TestBlasLibrary:
 
         def proc():
             for _ in range(3):
-                completion = yield from blas.run_gemm(runtime, p)
-                yield completion
+                end = yield from blas.run_gemm(runtime, p)
+                yield env.timeout(end - env.now)
 
         env.process(proc())
         env.run()

@@ -45,9 +45,15 @@ def test_timeout_carries_value():
 
 
 def test_negative_delay_rejected():
+    # NaN would corrupt the heap order and inf would run the clock to inf.
     env = Environment()
-    with pytest.raises(SimulationError):
-        env.timeout(-1.0)
+    for delay in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(SimulationError):
+            env.timeout(delay)
+        with pytest.raises(SimulationError):
+            Timeout(env, delay)
+    assert env.events_scheduled == 0
+    assert env.now == 0.0
 
 
 def test_sequential_timeouts_accumulate():
@@ -237,6 +243,33 @@ def test_run_into_the_past_rejected():
     env.run(until=5.0)
     with pytest.raises(SimulationError):
         env.run(until=4.0)
+
+
+def test_step_dispatches_exactly_one_event():
+    # At t=1 a heap entry (b) precedes an immediate one (c) scheduled
+    # later at the same instant: each step() takes only the next one.
+    env = Environment()
+    log = []
+    a = env.timeout(1.0)
+    b = env.timeout(1.0)
+    c = env.event()
+    a._add_callback(lambda event: (log.append("a"), c.succeed()))
+    b._add_callback(lambda event: log.append("b"))
+    c._add_callback(lambda event: log.append("c"))
+    for expected in (["a"], ["a", "b"], ["a", "b", "c"]):
+        env.step()
+        assert log == expected
+    with pytest.raises(SimulationError):
+        env.step()
+
+
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+def test_run_until_non_finite_horizon_rejected(horizon):
+    env = Environment()
+    env.timeout(1.0)
+    with pytest.raises(SimulationError):
+        env.run(until=horizon)
+    assert env.now == 0.0
 
 
 def test_events_scheduled_counts_every_schedule():
@@ -598,3 +631,107 @@ def test_zero_delay_chain_runs_within_one_instant(delays):
     # Everything that fired before the chain also fired at t=0.
     for _, fired_at in order[:chain_pos]:
         assert fired_at == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Property test: every form of ``run`` dispatches exactly what a loop of
+# ``step()`` calls does -- the same callbacks at the same instants, in the
+# same order, from the same number of scheduled events.
+# ---------------------------------------------------------------------------
+
+_instants = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.5, 2.5])
+_actions = st.one_of(
+    st.tuples(st.just("timeout"), _instants),
+    st.tuples(st.just("event"), _instants),
+    st.tuples(st.just("all_of"), st.lists(_instants, min_size=1, max_size=3)),
+    st.tuples(st.just("any_of"), st.lists(_instants, min_size=1, max_size=3)),
+    st.tuples(st.just("interrupt"), st.integers(0, 3)),
+)
+_scripts = st.lists(st.lists(_actions, max_size=6), min_size=1, max_size=4)
+
+
+def _start(env, scripts, log):
+    """One process per script; every callback logs ``(now, label)``."""
+    processes = []
+
+    def wait(name, step, action, arg):
+        if action == "timeout":
+            return env.timeout(arg, value=step)
+        if action == "event":
+            # A bare event, succeeded from a timeout's callback.
+            event = env.event()
+
+            def trigger(_timeout):
+                log.append((env.now, f"{name}.{step}:trigger"))
+                event.succeed(step)
+            env.timeout(arg)._add_callback(trigger)
+            return event
+        timeouts = [env.timeout(delay, value=i) for i, delay in enumerate(arg)]
+        return env.all_of(timeouts) if action == "all_of" \
+            else env.any_of(timeouts)
+
+    def body(name, script):
+        for step, (action, arg) in enumerate(script):
+            try:
+                if action == "interrupt":
+                    # Past the first zero-delay hop every process has
+                    # started, so the interrupt lands inside its ``try``.
+                    value = yield env.timeout(0.0)
+                    target = processes[arg % len(processes)]
+                    if target.is_alive and target is not processes[name]:
+                        target.interrupt(cause=(name, step))
+                else:
+                    value = yield wait(name, step, action, arg)
+                log.append((env.now, f"{name}.{step}:{value!r}"))
+            except Interrupt as interrupt:
+                log.append((env.now, f"{name}.{step}:{interrupt.cause!r}"))
+        return name
+
+    for name, script in enumerate(scripts):
+        processes.append(env.process(body(name, script), name=f"p{name}"))
+    return processes
+
+
+def _next_time(env):
+    heads = [entries[0][0] for entries in (env._immediate, env._queue)
+             if entries]
+    return min(heads) if heads else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scripts, st.sampled_from(["drain", "horizon", "event"]),
+       st.sampled_from([0.0, 0.5, 1.0, 1.2, 2.5, 4.0]))
+def test_every_run_form_dispatches_what_step_does(scripts, form, horizon):
+    runs = []
+    for stepping in (False, True):
+        env = Environment()
+        log = []
+        processes = _start(env, scripts, log)
+        if form == "drain":
+            if stepping:
+                while _next_time(env) is not None:
+                    env.step()
+            else:
+                env.run()
+        elif form == "horizon":
+            if stepping:
+                upcoming = _next_time(env)
+                while upcoming is not None and upcoming <= horizon:
+                    env.step()
+                    upcoming = _next_time(env)
+            else:
+                env.run(until=horizon)
+                assert env.now == horizon
+        else:
+            awaited = processes[-1]
+            if stepping:
+                while not awaited.processed:
+                    env.step()
+            else:
+                assert env.run(until=awaited) == len(processes) - 1
+        midway = (list(log), env.events_scheduled)
+        env.run()   # whatever the form left queued
+        # Only run(until=horizon) moves the clock past the last event.
+        clock = None if form == "horizon" else env.now
+        runs.append((midway, log, env.events_scheduled, clock))
+    assert runs[0] == runs[1]
