@@ -12,24 +12,27 @@ Two modes, picked from the config:
 
 - **static** — every region replays its own sub-stream in one go
   through :meth:`~repro.serving.pool.InstancePool.replay`, the loop the
-  bare cluster runs: analytic (warm floor, restore billing and shedding
-  included) between pre-sampled crashes, under any trace retention,
-  stepping under a resilience supervisor or where a fault plan meets
-  shedding.  That needs routing that never reads region state
-  (``single``, ``round-robin``, or a one-region fleet), precomputed
-  exactly from the drain windows, and ``fixed`` / ``scale-to-zero``
-  autoscaling (or none), whose cap is constant and whose hooks are
-  inert.  A walk in global arrival order then rebuilds the tenants, the
-  SLO monitors and the route and shed spans, the only control-plane
-  decisions such regions take.
+  bare cluster runs: analytic (warm floor, restore billing, the
+  kernel-pack ladder and shedding included) between pre-sampled
+  crashes, under any trace retention, stepping under a resilience
+  supervisor or where a fault plan meets shedding.  That needs routing
+  that never reads region state (``single``, ``round-robin``, or a
+  one-region fleet), precomputed exactly from the drain windows, and
+  ``fixed`` / ``scale-to-zero`` autoscaling (or none), whose cap is
+  constant and whose hooks are inert.  Packs do not couple regions: a
+  region's ladder fails over through the registry fabric, which reads
+  only the fault plans' static outage windows.  A walk in global
+  arrival order then rebuilds the tenants, the SLO monitors and the
+  route and shed spans, the only control-plane decisions such regions
+  take.
 - **serial** — everything else runs through ``FleetSimulator.run``.
   ``least-queue`` / ``warm-first`` across >= 2 regions read every
   region's predicted wait and warm-idle bit at every arrival;
   ``reactive`` / ``predictive`` regions tick on global quiet time and
-  move their cap arrival by arrival; kernel packs couple regions
-  through the registry fabric; span capture with trace retention binds
-  each region's recorder to the span recorder, so its request-level
-  spans would leave the coupled order if a region replayed alone.
+  move their cap arrival by arrival; span capture with trace retention
+  binds each region's recorder to the span recorder, so its
+  request-level spans would leave the coupled order if a region
+  replayed alone.
 """
 
 from __future__ import annotations
@@ -253,9 +256,8 @@ def run_fleet_sharded(config: FleetConfig,
                          f"got {jobs!r}")
     if isinstance(trace, RequestTrace):
         trace = FleetTrace.from_request_trace(trace)
-    assignment = (None if config.packs is not None
-                  or (spans is not None
-                      and config.trace_retention is not None)
+    assignment = (None if spans is not None
+                  and config.trace_retention is not None
                   else _static_assignment(config, trace))
     if assignment is None:
         stats = FleetSimulator(config, metrics=metrics, spans=spans,

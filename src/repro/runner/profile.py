@@ -31,9 +31,11 @@ operations:
   routing, so serial mode), telemetry off / every sink on (metrics,
   decision spans and SLO monitors).
 - **spinup-cold** / **spinup-checkpoint** / **spinup-pack** — one
-  scale-to-zero region of 2 instances, idle timeout 0.05 s, 50 Hz; a
-  reclaimed instance comes back by cold load, checkpoint restore or a
-  kernel-pack fetch.
+  scale-to-zero region of 2 instances, idle timeout 0.05 s, 50 Hz,
+  through the coupled loop; a reclaimed instance comes back by cold
+  load, checkpoint restore or a kernel-pack fetch.
+  **spinup-pack-static** — spinup-pack's fleet through
+  :func:`~repro.fleet.parallel.run_fleet_sharded` (static mode).
 - **paper-claims** — the first ``ops`` rows of
   :data:`~repro.serving.validation.CLAIMS` (36 in all) measured on a
   fresh :class:`~repro.serving.experiments.ExperimentSuite`: the work
@@ -240,10 +242,11 @@ def _serial(config: FleetConfig, rate_hz: float):
     return prepare
 
 
-def _entry_point(config: FleetConfig, telemetry: bool = False):
+def _entry_point(config: FleetConfig, telemetry: bool = False,
+                 rate_hz: float = 200.0):
     def prepare(ops: int) -> Callable[[], Readout]:
         trace = FleetTrace.from_request_trace(
-            poisson_trace(MODEL, 200.0, ops / 200.0, seed=SEED))
+            poisson_trace(MODEL, rate_hz, ops / rate_hz, seed=SEED))
         spans: Optional[SpanRecorder] = None
         sinks = {}
         if telemetry:
@@ -290,6 +293,8 @@ LAYERS: Dict[str, Layer] = {layer.name: layer for layer in (
     Layer("spinup-checkpoint", 5_000,
           _serial(_spinup_config(True, False), 50.0)),
     Layer("spinup-pack", 5_000, _serial(_spinup_config(False, True), 50.0)),
+    Layer("spinup-pack-static", 5_000,
+          _entry_point(_spinup_config(False, True), rate_hz=50.0)),
     Layer("paper-claims", len(CLAIMS), _paper_claims),
 )}
 

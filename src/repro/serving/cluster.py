@@ -59,7 +59,8 @@ class ClusterConfig:
     # recurrence instead of the scheduling scan, between pre-sampled
     # fault sites.  Results are byte-identical either way (pinned by
     # tests); the knob lets benchmarks measure the win.  A non-inert
-    # resilience policy or a pack ladder still forces event stepping.
+    # resilience policy still forces event stepping; a pack ladder
+    # bills each spawn's fetch between fast-forwarded runs.
     fast_forward: bool = True
     # Resilience layer (repro.serving.resilience): warm-state
     # checkpoint/restore, crash-loop supervision, admission control and

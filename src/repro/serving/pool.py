@@ -336,7 +336,8 @@ class InstancePool:
     # -- the scheduling step -------------------------------------------
 
     def _spawn(self, t: float, fresh: bool, frac_base: float, tail: float,
-               cold_load: float) -> Tuple[float, int, Optional[str]]:
+               cold_load: float, peer_warm: bool
+               ) -> Tuple[float, int, Optional[str]]:
         """``(time, code, pack tier)`` of bringing up a non-warm instance.
 
         The one source chain: a fresh spawn in a pool that keeps
@@ -346,6 +347,8 @@ class InstancePool:
         no ladder) pays the cold load.  On the request path ``tail`` is
         the warm serve and ``cold_load`` the full cold serve; off it
         (pre-warming) they are zero and the cold spin-up extra.
+        ``peer_warm`` is whether another warm instance lives in the pool
+        (the ladder's peer tier).
         """
         if fresh and self.restore_cost is not None and self.ever_warm:
             return self.restore_cost + tail, RESTORE, None
@@ -354,7 +357,7 @@ class InstancePool:
             return resilience.cold_service(frac_base, cold_load), COLD, None
         pack_state = self.pack_state
         if pack_state is not None:
-            fetch = pack_state.fetch(t, any(i.warm for i in self.instances))
+            fetch = pack_state.fetch(t, peer_warm)
             if fetch.hit:
                 return (fetch.elapsed_s + pack_state.apply_s + tail, PACK,
                         fetch.tier)
@@ -420,7 +423,8 @@ class InstancePool:
                 service, code, tier = self.warm, WARM, None
             else:
                 service, code, tier = self._spawn(
-                    start, spawned, instance.frac_base, self.warm, self.cold)
+                    start, spawned, instance.frac_base, self.warm, self.cold,
+                    any(map(_WARM, instances)))
             if resilience is not None:
                 resilience.on_scheduled(instance, start, service,
                                         warm_attempt)
@@ -451,6 +455,23 @@ class InstancePool:
             stats.faults.reroutes += 1
             now = crash_time
             live = self.live(now)
+        finish = self._bill(code, start, service, tier)
+        instance.busy_until = finish
+        instance.last_used = finish
+        instance.warm = True
+        stats.latencies.append(finish - arrival)
+        if injector is not None or resilience is not None:
+            stats.faults.completed_requests += 1
+        if resilience is not None:
+            resilience.on_complete(instance, finish)
+        return code
+
+    def _bill(self, code: int, start: float, service: float,
+              tier: Optional[str]) -> float:
+        """Count a serve of outcome ``code`` starting at ``start`` and
+        trace it; return its finish.  A spawn's serve splits into its
+        spin-up (LOAD) and the warm tail (EXEC)."""
+        stats = self.stats
         if code == WARM:
             stats.warm_hits += 1
         elif code == COLD:
@@ -460,12 +481,8 @@ class InstancePool:
         else:
             stats.restores += 1
             stats.restore_s += self.restore_cost
-        finish = start + service
-        instance.busy_until = finish
-        instance.last_used = finish
-        instance.warm = True
         self.ever_warm = True
-        stats.latencies.append(finish - arrival)
+        finish = start + service
         recorder = self.recorder
         if recorder is not None:
             if code == WARM:
@@ -482,11 +499,7 @@ class InstancePool:
                                 load_name)
                 recorder.record(boundary, finish, self.actor, Phase.EXEC,
                                 "serve")
-        if injector is not None or resilience is not None:
-            stats.faults.completed_requests += 1
-        if resilience is not None:
-            resilience.on_complete(instance, finish)
-        return code
+        return finish
 
     def prewarm(self, count: int, now: float) -> None:
         """Spawn up to ``count`` instances off the request path.  The
@@ -498,7 +511,8 @@ class InstancePool:
         for _ in range(count):
             if len(self.instances) >= self.cap:
                 break
-            cost, code, _ = self._spawn(now, True, 0.0, 0.0, self.cold_extra)
+            cost, code, _ = self._spawn(now, True, 0.0, 0.0, self.cold_extra,
+                                        any(map(_WARM, self.instances)))
             self.instances.append(_Instance(busy_until=now + cost,
                                             last_used=now + cost, warm=True))
             self.ever_warm = True
@@ -517,16 +531,18 @@ class InstancePool:
         """Replay ``arrivals[lo:hi]`` analytically.
 
         Preconditions (:meth:`replay` checks them): no resilience
-        supervisor or pack ladder, every instance warm, and no crash
-        inside the window.  A warm instance's ``busy_until`` equals its ``last_used`` (both
+        supervisor, every instance warm, and no crash inside the window.
+        A warm instance's ``busy_until`` equals its ``last_used`` (both
         are its last finish), and instances are exchangeable, so
         scheduling reduces to the multi-server recurrence ``finish_k =
         max(a_k, oldest) + warm`` over a min-heap of finish times — the
         root is both the earliest-free and the longest-idle instance.
         Pool transitions are analytic too: a reclaim pops expired roots
         down to the warm floor (keeping the newest expired, as
-        :meth:`live` does); a spawn pushes its cold (or restore) finish
-        as a warm-up frontier; queueing at capacity waits on the root.
+        :meth:`live` does); a spawn is billed through :meth:`_spawn`, as
+        in :meth:`step` (a checkpoint restore, the pack ladder, then a
+        cold load), and pushes its finish as a warm-up frontier;
+        queueing at capacity waits on the root.
 
         Runs of warm hits go through the tight inner loop below and are
         billed in bulk; each transition (and, with ``shed_wait`` set,
@@ -542,8 +558,6 @@ class InstancePool:
         shed_wait = self.shed_wait
         warm = self.warm
         cold = self.cold
-        restore_cost = self.restore_cost
-        ever_warm = self.ever_warm
         stats = self.stats
         recorder = self.recorder
         actor = self.actor
@@ -609,7 +623,7 @@ class InstancePool:
                     outcomes.frombytes(bytes(served))
                 stats.warm_hits += served
                 pos += served
-                ever_warm = True
+                self.ever_warm = True
             if event is None:
                 if size:
                     break  # window exhausted
@@ -640,45 +654,23 @@ class InstancePool:
             if size and heap[0] <= arrival:
                 # A warm instance is free after all (the break was a
                 # reclaim of an even older one).
-                start = arrival
-                finish = start + warm
-                heapreplace(heap, finish)
-                code = WARM
+                start, service, code, tier = arrival, warm, WARM, None
             elif size < cap:
-                # Spawn: the warm-up frontier joins the heap at its cold
-                # (or checkpoint-restore) finish time.
+                # Spawn: every instance left is warm, so a peer is
+                # available exactly when one is left.
                 start = arrival
-                if restore_cost is not None and ever_warm:
-                    service = restore_cost + warm
-                    code = RESTORE
-                    stats.restores += 1
-                    stats.restore_s += restore_cost
-                else:
-                    service = cold
-                    code = COLD
-                    stats.cold_starts += 1
-                finish = start + service
-                heappush(heap, finish)
-                size += 1
+                service, code, tier = self._spawn(start, True, 0.0, warm,
+                                                  cold, size > 0)
             else:
                 # At capacity with nothing free: queue on the earliest.
-                start = heap[0]
-                finish = start + warm
-                heapreplace(heap, finish)
-                code = WARM
+                start, service, code, tier = heap[0], warm, WARM, None
+            finish = self._bill(code, start, service, tier)
             if code == WARM:
-                stats.warm_hits += 1
-                if recorder is not None:
-                    recorder.record(start, finish, actor, Phase.EXEC,
-                                    "serve")
-            elif recorder is not None:
-                boundary = start + (service - warm if service > warm
-                                    else 0.0)
-                recorder.record(start, boundary, actor, Phase.LOAD,
-                                "cold-start" if code == COLD else "restore")
-                recorder.record(boundary, finish, actor, Phase.EXEC,
-                                "serve")
-            ever_warm = True
+                heapreplace(heap, finish)
+            else:
+                # The warm-up frontier joins the heap at its finish.
+                heappush(heap, finish)
+                size += 1
             queue_waits.append(start - arrival)
             if tracker is not None:
                 tracker.observe(arrival, start)
@@ -695,17 +687,17 @@ class InstancePool:
             inst.busy_until = finish
             inst.last_used = finish
             inst.warm = True
-        self.ever_warm = ever_warm
 
     def replay(self, arrivals, fast_forward: bool = True, outcomes=None,
                sheds: Optional[list] = None) -> int:
         """Replay ``arrivals``; return how many were served analytically.
 
-        While every instance is warm and no supervisor or pack ladder is
-        attached, :meth:`advance` replays each window up to the next
+        While every instance is warm and no supervisor is attached,
+        :meth:`advance` replays each window up to the next
         ``cluster.request`` failure the fault plan pre-samples, and the
         window's surviving draws are consumed in bulk, so crashes match
-        stepping draw for draw.  Everything else goes through
+        stepping draw for draw.  A pack ladder draws at its own sites in
+        spawn order on either path.  Everything else goes through
         :meth:`shed` and :meth:`step`.  A shed arrival draws no crash,
         so a pool with both a fault plan and ``shed_wait`` steps every
         arrival.  ``outcomes`` and ``sheds`` are :meth:`advance`'s.
@@ -715,7 +707,6 @@ class InstancePool:
         crash_rate = self.plan.crash_rate if injector is not None else 0.0
         shedding = self.shed_wait is not None
         analytic = (fast_forward and self.resilience is None
-                    and self.pack_state is None
                     and (injector is None or not shedding))
         served = 0
         index, n = 0, len(arrivals)

@@ -13,7 +13,8 @@ the kernel small enough to test exhaustively:
 - :class:`Timeout`,
 - :class:`Process` (a generator; also an event that triggers on return),
 - :class:`AllOf` / :class:`AnyOf` combinators,
-- process interruption (used for cancelling speculative loads).
+- process interruption (:meth:`Process.interrupt`; the serving stack
+  never interrupts a process, the kernel tests pin its semantics).
 """
 
 from __future__ import annotations
@@ -185,13 +186,16 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = None
-        self._interrupts: List[Interrupt] = []
-        # Bootstrap: resume the generator at the current time.
+        # Pending interrupt triggers, each carrying its Interrupt.
+        self._interrupts: List[Event] = []
+        # Bootstrap: start the generator at the current time.  It is the
+        # first event waited on, so an interrupt (scheduled after it)
+        # always lands on a started generator.
         bootstrap = Event(env)
         bootstrap._triggered = True
         env._schedule(bootstrap)
         bootstrap._add_callback(self._resume)
+        self._target: Optional[Event] = bootstrap
 
     @property
     def is_alive(self) -> bool:
@@ -202,26 +206,26 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._triggered:
             raise SimulationError(f"{self!r} has already terminated")
-        self._interrupts.append(Interrupt(cause))
-        # Detach from the event currently waited on; resume immediately.
+        # Delivered when its trigger is processed, detaching the process
+        # from the event it waits on.
         trigger = Event(self.env)
         trigger._triggered = True
+        trigger._value = Interrupt(cause)
         self.env._schedule(trigger)
+        self._interrupts.append(trigger)
         trigger._add_callback(self._resume)
 
     def _resume(self, event: Event) -> None:
         if self._triggered:
             return
-        # Ignore stale wakeups from an event we stopped waiting for
-        # (e.g. after an interrupt detached us from it).
-        if self._interrupts:
-            exc: Optional[BaseException] = self._interrupts.pop(0)
-        elif event is not self._target and self._target is not None:
-            return
-        elif event._exception is not None:
-            exc = event._exception
+        if event is self._target:
+            exc: Optional[BaseException] = event._exception
+        elif event in self._interrupts:
+            self._interrupts.remove(event)
+            exc = event._value
         else:
-            exc = None
+            # A stale wakeup from an event an interrupt detached us from.
+            return
         self._target = None
         try:
             if exc is not None:

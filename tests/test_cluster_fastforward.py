@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.schemes import Scheme
+from repro.packs import PackPolicy
 from repro.serving.cluster import ClusterConfig, ClusterSimulator
 from repro.serving.requests import (RequestTrace, burst_trace,
                                     periodic_trace, poisson_trace)
@@ -42,6 +43,8 @@ def _assert_identical(slow, fast):
     assert fast.warm_hits == slow.warm_hits
     assert fast.failed == slow.failed
     assert fast.faults.as_dict() == slow.faults.as_dict()
+    assert fast.pack_restores == slow.pack_restores
+    assert fast.packs == slow.packs
     if slow.trace is not None:
         assert list(fast.trace.records) == list(slow.trace.records)
         # Under aggregate retention the records are only the ring:
@@ -233,7 +236,10 @@ def test_config_validates_knobs():
 # ----------------------------------------------------------------------
 
 class _StubServer:
-    """Constant service times; lets hypothesis vary the cold/warm gap."""
+    """Constant service times; lets hypothesis vary the cold/warm gap.
+    Its kernel pack is a real ResNet-50 instance's."""
+
+    device = _SERVER.device
 
     def __init__(self, cold, warm):
         self._cold = cold
@@ -244,6 +250,19 @@ class _StubServer:
 
     def serve_hot(self, model, batch):
         return SimpleNamespace(total_time=self._warm)
+
+    def capture_snapshot(self, model, scheme, batch):
+        return _resnet_snapshot(scheme, batch)
+
+
+_SNAPSHOTS = {}
+
+
+def _resnet_snapshot(scheme, batch):
+    key = (scheme, batch)
+    if key not in _SNAPSHOTS:
+        _SNAPSHOTS[key] = _SERVER.capture_snapshot("res", scheme, batch)
+    return _SNAPSHOTS[key]
 
 
 arrival_lists = st.lists(
@@ -273,27 +292,51 @@ def test_fast_forward_equivalence_property(arrivals, warm, cold_factor,
     assert fast.fast_forwarded == len(trace)
 
 
-@settings(max_examples=60, deadline=None)
+_rates = st.sampled_from([0.0, 0.0, 0.2, 0.6])
+_windows = st.lists(
+    st.tuples(st.floats(0.0, 10.0, allow_nan=False),
+              st.floats(0.01, 3.0, allow_nan=False)),
+    max_size=2).map(lambda spans: tuple((start, start + length)
+                                        for start, length in spans))
+
+
+@settings(max_examples=100, deadline=None)
 @given(arrivals=arrival_lists,
        warm=st.floats(0.001, 0.5, allow_nan=False),
        cold_factor=st.floats(1.0, 20.0, allow_nan=False),
        keep_alive=st.floats(0.0, 2.0, allow_nan=False),
        instances=st.integers(1, 5),
        seed=st.integers(0, 99),
-       crash=st.floats(0.0, 0.6, allow_nan=False))
+       crash=st.floats(0.0, 0.6, allow_nan=False),
+       packs=st.one_of(st.none(), st.just(PackPolicy())),
+       pack_failures=st.tuples(_rates, _rates, _rates, _rates),
+       outages=_windows, churn=_windows)
 def test_fast_forward_fault_equivalence_property(arrivals, warm,
                                                  cold_factor, keep_alive,
-                                                 instances, seed, crash):
-    plan = FaultPlan(seed=seed, crash_rate=crash)
+                                                 instances, seed, crash,
+                                                 packs, pack_failures,
+                                                 outages, churn):
+    local, peer, origin, corruption = pack_failures
+    plan = FaultPlan(seed=seed, crash_rate=crash,
+                     pack_local_failure_rate=local,
+                     pack_peer_failure_rate=peer,
+                     pack_origin_failure_rate=origin,
+                     pack_corruption_rate=corruption,
+                     registry_outage_windows=outages,
+                     peer_churn_windows=churn)
     trace = RequestTrace("m", tuple(arrivals))
     server = _StubServer(cold=warm * cold_factor, warm=warm)
     slow = ClusterSimulator(server, ClusterConfig(
         fast_forward=False, max_instances=instances,
-        keep_alive_s=keep_alive, faults=plan,
+        keep_alive_s=keep_alive, faults=plan, packs=packs,
         trace_retention="full")).run(trace)
     fast = ClusterSimulator(server, ClusterConfig(
         fast_forward=True, max_instances=instances,
-        keep_alive_s=keep_alive, faults=plan,
+        keep_alive_s=keep_alive, faults=plan, packs=packs,
         trace_retention="full")).run(trace)
     _assert_identical(slow, fast)
     assert fast.requests == len(trace)
+    if packs is not None and _first_crash_index(seed, crash) > 0:
+        # The first arrival survives, so the pack pool's first window
+        # replays analytically.
+        assert fast.fast_forwarded > 0

@@ -22,6 +22,7 @@ from repro.fleet import (AutoscalePolicy, FleetConfig, FleetSimulator,
                          run_fleet_sharded)
 from repro.fleet.routing import ROUTING_POLICIES
 from repro.obs import MetricsRegistry, SLOPolicy, SpanRecorder
+from repro.packs import PackPolicy
 from repro.runner.chaos import CRASH_POLICY, OVERLOAD_POLICY
 from repro.runner import tasks
 from repro.runner.scenarios import _frontier_tasks
@@ -125,6 +126,21 @@ _GRID = {
                                                  restart_delay_s=0.5))
             for i, region in enumerate(_regions(2))),
         routing=RoutingPolicy("round-robin"), shed_wait_s=0.01),
+    # Pack ladders replay static: a region's fetches fail over through
+    # the registry fabric, which reads only static outage windows.
+    "pack-one-region-scale-to-zero": FleetConfig(
+        regions=_regions(1), packs=PackPolicy(),
+        autoscale=AutoscalePolicy(kind="scale-to-zero", idle_timeout_s=0.1),
+        trace_retention="full"),
+    "pack-round-robin-dark-registry": FleetConfig(
+        regions=tuple(
+            dataclasses.replace(region, keep_alive_s=0.3, faults=FaultPlan(
+                seed=5 + i, pack_origin_failure_rate=0.2,
+                registry_outage_windows=windows))
+            for i, (region, windows) in enumerate(zip(
+                _regions(3), (((0.0, 100.0),), ((2.0, 5.0),), ())))),
+        routing=RoutingPolicy("round-robin"), packs=PackPolicy(),
+        trace_retention="full"),
 }
 
 
@@ -162,10 +178,13 @@ def test_analytic_fast_path_serves_everything():
 
 
 @pytest.mark.parametrize("name", ("round-robin-full", "single-drains",
-                                  "round-robin-crash-aggregate"))
+                                  "round-robin-crash-aggregate",
+                                  "pack-one-region-scale-to-zero",
+                                  "pack-round-robin-dark-registry"))
 def test_static_shards_fast_forward_under_faults_and_retention(name):
     # A static fixed-capacity shard replays through the cluster's loop,
-    # so a fault plan or a trace retention no longer forces stepping.
+    # so a fault plan, a trace retention or a pack ladder does not
+    # force stepping.
     _, report = _check(_GRID[name], _trace())
     assert report.mode == "static"
     assert report.analytic_total > 0

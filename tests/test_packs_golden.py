@@ -81,10 +81,10 @@ class TestPacksNoneIsByteInert:
                                           _fleet_trace())
         assert fleet_stats_to_payload(stats) == serial
 
-    def test_sharded_packs_run_falls_back_to_serial_exactly(self):
-        # With a pack policy attached the entry point must produce the
-        # coupled loop's result (mode "serial": the registry fabric
-        # couples the regions' fetch ladders).
+    def test_sharded_packs_run_replays_static_exactly(self):
+        # With a pack policy attached, round-robin regions still replay
+        # on their own (the registry fabric reads only static outage
+        # windows), and the result is the coupled loop's.
         from repro.packs import PackPolicy
         config_dict = dict(
             regions=_fleet_config(None).regions,
@@ -93,7 +93,7 @@ class TestPacksNoneIsByteInert:
         config = FleetConfig(**config_dict)
         serial = FleetSimulator(config).run(_fleet_trace())
         sharded, report = run_fleet_sharded(config, _fleet_trace())
-        assert report.mode == "serial"
+        assert report.mode == "static"
         assert (fleet_stats_to_payload(sharded)
                 == fleet_stats_to_payload(serial))
         assert sharded.pack_restores > 0

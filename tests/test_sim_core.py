@@ -364,6 +364,33 @@ def test_interrupted_process_can_keep_running():
     assert log == [3.0]
 
 
+def test_interrupt_before_first_step_lands_inside_the_body():
+    # A interrupts B before B's bootstrap has run: B still starts, and
+    # the interrupt reaches the ``try`` around B's first wait.
+    env = Environment()
+    log = []
+
+    def attacker():
+        processes[1].interrupt("x")
+        log.append(("attacked", env.now))
+        yield env.timeout(0.0)
+
+    def victim():
+        log.append(("started", env.now))
+        try:
+            yield env.timeout(10.0)
+        except Interrupt as interrupt:
+            log.append(("interrupted", interrupt.cause, env.now))
+        yield env.timeout(1.0)
+        log.append(("resumed", env.now))
+
+    processes = [env.process(attacker()), env.process(victim())]
+    env.run()
+    assert log == [("attacked", 0.0), ("started", 0.0),
+                   ("interrupted", "x", 0.0), ("resumed", 1.0)]
+    assert processes[1].ok
+
+
 def test_interrupt_finished_process_rejected():
     env = Environment()
 
