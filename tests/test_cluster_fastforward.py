@@ -8,9 +8,12 @@ dynamics — partial-warm pools (cold spawns fold into the heap as a
 warm-up frontier), keep-alive reclaims, queueing at capacity — and
 fault plans, where the replay fast-forwards *between* pre-sampled
 ``cluster.request`` fault sites and consumes the surviving draws in
-bulk, so the fault sequence is identical draw-for-draw.
+bulk, so the fault sequence is identical draw-for-draw, and kernel-pack
+ladders, whose spawns walk the same fetch ladder (and draw at the same
+pack fault sites, in the same order) on either path.
 """
 
+import functools
 from types import SimpleNamespace
 
 import pytest
@@ -255,14 +258,9 @@ class _StubServer:
         return _resnet_snapshot(scheme, batch)
 
 
-_SNAPSHOTS = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _resnet_snapshot(scheme, batch):
-    key = (scheme, batch)
-    if key not in _SNAPSHOTS:
-        _SNAPSHOTS[key] = _SERVER.capture_snapshot("res", scheme, batch)
-    return _SNAPSHOTS[key]
+    return _SERVER.capture_snapshot("res", scheme, batch)
 
 
 arrival_lists = st.lists(
