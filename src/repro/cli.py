@@ -4,7 +4,8 @@ Commands
 --------
 - ``models`` — list the Table I model zoo.
 - ``serve MODEL`` — one cold (or hot) run, with scheme/batch/device knobs.
-- ``experiment NAME`` — regenerate a figure/table (fig1a ... fig9, all).
+- ``experiment NAME`` — regenerate a figure/table (fig1a ... fig9, all)
+  from one in-process suite that serves each cell once.
 - ``session MODEL`` — consecutive requests on one instance, with or
   without Sec. VI interval preloading.
 - ``cluster MODEL`` — replay a Poisson trace against an autoscaled pool.
@@ -32,12 +33,16 @@ records spans and metrics (plus SLO monitors for a fleet) and writes
 them as one bundle (:func:`repro.obs.write_bundle`): manifest, Perfetto
 trace (open in https://ui.perfetto.dev), cold-start attribution,
 metrics as Prometheus text and JSON, and the fleet's monitors.
+
+A reader that closes the pipe early (``repro validate | head -2``)
+ends the command with exit code 1 and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -49,10 +54,10 @@ from repro.gpu.device import list_devices
 from repro.models import MODEL_INFO, list_models
 from repro.obs import MetricsRegistry, SLOPolicy, SpanRecorder, write_bundle
 from repro.report import format_table
-from repro.runner.cache import task_key
 from repro.runner.profile import LAYERS, profile_layer
 from repro.runner.scenarios import SCENARIOS, run_scenario
-from repro.runner.tasks import ExperimentTask, build_replay, run_replay
+from repro.runner.tasks import (ExperimentTask, build_replay, run_replay,
+                                task_key)
 from repro.serving.experiments import DEFAULT_BATCHES, ExperimentSuite
 from repro.serving.server import server_for
 from repro.sim.faults import FaultPlan
@@ -94,13 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("name", choices=_EXPERIMENTS + ("all",))
     experiment.add_argument("--device", default="MI100",
                             choices=_DEVICES)
-    experiment.add_argument("--jobs", type=int, default=1,
-                            help="prewarm the experiment grid through the "
-                                 "parallel runner with this many worker "
-                                 "processes (default: serial)")
-    experiment.add_argument("--cache-dir", default=None,
-                            help="reuse/populate an on-disk result cache "
-                                 "at this path while prewarming")
 
     session = sub.add_parser("session",
                              help="consecutive requests on one instance")
@@ -219,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--model", default="res")
     scenario.add_argument("--device", default="MI100",
                           choices=_DEVICES)
-    scenario.add_argument("--jobs", type=int, default=1,
-                          help="worker processes (default: 1, serial)")
     scenario.add_argument("--output", default=None, metavar="FILE",
                           help="write the byte-stable report here")
 
@@ -287,16 +283,6 @@ def _render_experiment(suite: ExperimentSuite, name: str, out) -> None:
 
 def _cmd_experiment(args, out) -> int:
     suite = ExperimentSuite(args.device)
-    jobs = getattr(args, "jobs", 1)
-    cache_dir = getattr(args, "cache_dir", None)
-    if jobs > 1 or cache_dir is not None:
-        from repro.runner import ResultCache
-        cache = ResultCache(cache_dir) if cache_dir is not None else None
-        stats = suite.prewarm(jobs=jobs, cache=cache)
-        out(f"prewarmed {stats.tasks} cells with {stats.jobs} jobs in "
-            f"{stats.wall_s:.2f}s ({stats.hits} cache hits, "
-            f"{stats.executed} executed)")
-        out("")
     names = _EXPERIMENTS if args.name == "all" else (args.name,)
     for name in names:
         _render_experiment(suite, name, out)
@@ -587,7 +573,7 @@ def _cmd_scenario(args, out) -> int:
     import json
 
     report, gates = run_scenario(args.name, device=args.device,
-                                 model=args.model, jobs=args.jobs)
+                                 model=args.model)
     for gate, passed in gates.items():
         out(f"[{'PASS' if passed else 'FAIL'}] {args.name}: {gate}")
     if args.output is not None:
@@ -638,6 +624,19 @@ def _check_args(args) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
+    try:
+        return _main(argv)
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so
+        # the interpreter's exit flush is quiet too, as the ``signal``
+        # module docs recommend.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+
+
+def _main(argv: Optional[List[str]]) -> int:
     args = build_parser().parse_args(argv)
 
     def out(text: str = "") -> None:

@@ -4,7 +4,7 @@ A small, dependency-free cousin of the Prometheus client model, tuned
 for a simulator: bucket bounds are *fixed* exponential ladders (never
 adapted from data), label sets are sorted, and both dump formats emit in
 sorted order — so two identical runs produce byte-identical dumps, and
-dumps from parallel engine workers merge associatively.
+the dumps of separate runs (a scenario's cells) merge associatively.
 
 Instruments are created through a :class:`MetricsRegistry`::
 

@@ -1,19 +1,13 @@
-"""Parallel experiment engine with an on-disk result cache.
+"""Experiment tasks and the tables built from them.
 
-The serial :class:`~repro.serving.experiments.ExperimentSuite` memoizes
-results per process; this package adds the layer above it:
+The :class:`~repro.serving.experiments.ExperimentSuite` memoizes
+results per process; this package names and runs the cells behind it:
 
 - :mod:`repro.runner.tasks` — a serializable :class:`ExperimentTask`
   describing one simulation cell (cold/hot serve, cluster or fleet
-  replay) and a pure executor turning a task into a JSON-safe payload
-  that round-trips back into its result object.
-- :mod:`repro.runner.cache` — a content-addressed on-disk store under
-  ``.repro-cache/``; keys hash the task, the device's calibration
-  constants, the fault plan and the code version, so stale caches
-  self-invalidate.
-- :mod:`repro.runner.engine` — fans task grids across a
-  ``ProcessPoolExecutor`` and can prewarm an ``ExperimentSuite`` so all
-  figure/table computations run from parallel-computed cells.
+  replay), its content key (:func:`task_key`), and a pure executor
+  turning a task into a JSON-safe payload that round-trips back into
+  its result object.
 - :mod:`repro.runner.grid` — the paper-figure task grid.
 - :mod:`repro.runner.scenarios` / :mod:`repro.runner.schema` — the
   ``repro scenario`` table, one entry per checked-in comparison report
@@ -21,13 +15,12 @@ results per process; this package adds the layer above it:
 - :mod:`repro.runner.profile` — the ``repro profile`` table: one timed
   workload per simulator layer.
 
-Everything is deterministic: a parallel run is byte-identical to the
-serial path, and the determinism tests pin that property.
+Every grid runs in one plain loop over :func:`execute_task`, and
+everything is deterministic: a payload round-tripped through
+:func:`result_from_payload` equals the result the suite serves
+directly, and the determinism tests pin that property.
 """
 
-from repro.runner.cache import CacheCounters, ResultCache, task_key
-from repro.runner.engine import (RunStats, TaskOutcome, prewarm_suite,
-                                 run_tasks)
 from repro.runner.grid import experiment_grid
 from repro.runner.profile import (LAYERS, Layer, LayerTiming,
                                   profile_layer)
@@ -37,7 +30,8 @@ from repro.runner.tasks import (ExperimentTask, cluster_stats_from_payload,
                                 cluster_stats_to_payload, execute_task,
                                 fleet_stats_from_payload,
                                 fleet_stats_to_payload,
-                                result_from_payload, result_to_payload)
+                                result_from_payload, result_to_payload,
+                                task_key)
 
 __all__ = [
     "ExperimentTask",
@@ -48,13 +42,7 @@ __all__ = [
     "cluster_stats_from_payload",
     "fleet_stats_to_payload",
     "fleet_stats_from_payload",
-    "ResultCache",
-    "CacheCounters",
     "task_key",
-    "run_tasks",
-    "RunStats",
-    "TaskOutcome",
-    "prewarm_suite",
     "experiment_grid",
     "validate_report",
     "Scenario",

@@ -1,8 +1,7 @@
-"""The paper-figure task grid for the engine.
+"""The paper-figure task grid.
 
 :func:`experiment_grid` is everything the paper figures need for one
-suite.  It prewarms an ``ExperimentSuite`` before ``experiment all``,
-and the ``paper-grid`` benchmark workload draws its cells from it.
+suite; the ``paper-grid`` benchmark workload draws its cells from it.
 """
 
 from __future__ import annotations

@@ -45,9 +45,11 @@ operations:
 
 For the request workloads ``ops`` sets the trace duration (``ops /
 rate``), so a row reports the exact, Poisson-distributed arrival count.
-Trace generation, server or fleet construction and warm-up serves are
-not timed.  Ratios (telemetry overhead, static speedup, pack speedup)
-are read off two rows on the same workload.  Only ``wall_s`` varies
+Trace generation, server or fleet construction (including the
+per-server service-time and kernel-pack memos a fleet's regions read)
+and warm-up serves are not timed, so a row reads the same run alone or
+after another row.  Ratios (telemetry overhead, static speedup, pack
+speedup) are read off two rows on the same workload.  Only ``wall_s`` varies
 between machines; the counters are deterministic simulation outputs.
 
 Adding a layer means adding one entry to :data:`LAYERS`.
@@ -68,11 +70,12 @@ from repro.fleet.parallel import run_fleet_sharded
 from repro.fleet.routing import RoutingPolicy
 from repro.models import build_model
 from repro.obs import MetricsRegistry, SLOPolicy, SpanRecorder
-from repro.packs import PackPolicy
-from repro.serving.cluster import ClusterConfig, ClusterSimulator
+from repro.packs import PackPolicy, pack_for
+from repro.serving.cluster import (ClusterConfig, ClusterSimulator,
+                                   service_times)
 from repro.serving.experiments import ExperimentSuite
 from repro.serving.requests import poisson_trace
-from repro.serving.server import InferenceServer
+from repro.serving.server import InferenceServer, server_for
 from repro.serving.validation import CLAIMS
 from repro.sim.core import Environment
 
@@ -230,9 +233,22 @@ def _spinup_config(checkpoint_restore: bool, packs: bool) -> FleetConfig:
         packs=PackPolicy() if packs else None)
 
 
+def _warm_fleet_memos(config: FleetConfig) -> None:
+    """Fill the per-server memos that building ``config``'s regions
+    reads: the service times and, with packs on, the kernel-pack
+    capture.  A fleet builds its regions inside the timed replay, so
+    without this the first fleet row in a process would also time them."""
+    for region in config.regions:
+        server = server_for(region.device)
+        service_times(server, region.scheme, MODEL, 1)
+        if config.packs is not None:
+            pack_for(server, MODEL, region.scheme)
+
+
 def _serial(config: FleetConfig, rate_hz: float):
     def prepare(ops: int) -> Callable[[], Readout]:
         trace = poisson_trace(MODEL, rate_hz, ops / rate_hz, seed=SEED)
+        _warm_fleet_memos(config)
         simulator = FleetSimulator(config)
 
         def run() -> Readout:
@@ -247,6 +263,7 @@ def _entry_point(config: FleetConfig, telemetry: bool = False,
     def prepare(ops: int) -> Callable[[], Readout]:
         trace = FleetTrace.from_request_trace(
             poisson_trace(MODEL, rate_hz, ops / rate_hz, seed=SEED))
+        _warm_fleet_memos(config)
         spans: Optional[SpanRecorder] = None
         sinks = {}
         if telemetry:

@@ -4,7 +4,7 @@ Each checked-in comparison report under ``benchmarks/`` is one
 :class:`Scenario` entry.  An entry names its labelled task list and a
 ``summarize`` that turns the report cells into the report's extra
 section plus named pass/fail gates.  :func:`run_scenario` does the work
-every entry shares: run the tasks through the engine, build the report
+every entry shares: execute each distinct task once, build the report
 with :func:`build_report`, look up each task's cell once and validate
 the payload.  The output is byte-stable, so ``repro scenario NAME
 --output benchmarks/<report>`` regenerates a checked-in report, and
@@ -47,10 +47,9 @@ from repro.obs.metrics import merge_dumps
 from repro.packs import PackPolicy
 from repro.packs.store import PackTransferCounters
 from repro.runner.chaos import CRASH_POLICY, OVERLOAD_POLICY
-from repro.runner.engine import RunStats, TaskOutcome, run_tasks
 from repro.runner.schema import SCHEMA_VERSION, validate_report
 from repro.runner.tasks import (ExperimentTask, cluster_stats_from_payload,
-                                fleet_stats_from_payload)
+                                execute_task, fleet_stats_from_payload)
 from repro.serving.server import InferenceServer
 from repro.sim.faults import FaultPlan
 
@@ -328,14 +327,14 @@ SCENARIOS: Dict[str, Scenario] = {s.name: s for s in (
 
 # --- the report -------------------------------------------------------
 
-def _cluster_cell(task: ExperimentTask, outcome: TaskOutcome
+def _cluster_cell(task: ExperimentTask, payload: Dict[str, Any]
                   ) -> Dict[str, Any]:
-    stats = cluster_stats_from_payload(outcome.payload)
+    stats = cluster_stats_from_payload(payload)
     trace = stats.trace
     cell = {
         "id": task.cell_id, "kind": "cluster", "device": task.device,
         "model": task.model, "scheme": task.scheme, "batch": task.batch,
-        "cache_hit": outcome.cached, "requests": stats.requests,
+        "cache_hit": False, "requests": stats.requests,
         "completed": stats.completed, "failed": stats.failed,
         "cold_starts": stats.cold_starts,
         "mean_latency_s": stats.mean_latency,
@@ -358,14 +357,14 @@ def _cluster_cell(task: ExperimentTask, outcome: TaskOutcome
     return cell
 
 
-def _fleet_cell(task: ExperimentTask, outcome: TaskOutcome
+def _fleet_cell(task: ExperimentTask, payload: Dict[str, Any]
                 ) -> Dict[str, Any]:
-    stats = fleet_stats_from_payload(outcome.payload)
+    stats = fleet_stats_from_payload(payload)
     cell = {
         "id": task.cell_id, "kind": "fleet",
         "device": ",".join(task.region_devices),
         "model": task.model, "scheme": task.scheme, "batch": task.batch,
-        "cache_hit": outcome.cached,
+        "cache_hit": False,
         "regions": len(stats.regions),
         "routing": task.routing,
         "autoscale": (task.autoscale.kind if task.autoscale is not None
@@ -395,31 +394,31 @@ def _fleet_cell(task: ExperimentTask, outcome: TaskOutcome
 _CELL_BUILDERS = {"cluster": _cluster_cell, "fleet": _fleet_cell}
 
 
-def build_report(grid: str, outcomes: Dict[ExperimentTask, TaskOutcome],
-                 stats: RunStats) -> Dict[str, Any]:
-    """The report payload for one uncached engine run.
+def build_report(grid: str, payloads: Dict[ExperimentTask, Dict[str, Any]]
+                 ) -> Dict[str, Any]:
+    """The report payload for ``{task: payload}``, one cell per task.
 
-    ``run``, ``cache``, ``summary`` and ``totals.simulated_time_s`` are
-    constant for every scenario; they stay in the layout as literals so
-    the checked-in reports keep their bytes.
+    ``meta.jobs``, ``run``, ``cache``, every cell's ``cache_hit``,
+    ``totals.executed``, ``summary`` and ``totals.simulated_time_s``
+    are constant for every scenario; they stay in the layout as
+    literals so the checked-in reports keep their bytes.
     """
-    cells = [_CELL_BUILDERS[task.kind](task, outcome)
-             for task, outcome in outcomes.items()]
+    cells = [_CELL_BUILDERS[task.kind](task, payload)
+             for task, payload in payloads.items()]
     report: Dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
-        "meta": {"code_version": __version__, "grid": grid,
-                 "jobs": stats.jobs},
+        "meta": {"code_version": __version__, "grid": grid, "jobs": 1},
         "run": {"created_unix": 0.0,
                 "created_iso": "1970-01-01T00:00:00+00:00",
                 "wall_clock_s": 0.0},
         "cache": {"enabled": False, "hits": 0, "misses": 0, "writes": 0},
-        "totals": {"cells": len(cells), "executed": stats.executed,
+        "totals": {"cells": len(cells), "executed": len(cells),
                    "simulated_time_s": 0},
         "cells": cells,
         "summary": {"speedups": {}},
     }
-    dumps = [outcome.payload["metrics"] for outcome in outcomes.values()
-             if outcome.payload.get("metrics")]
+    dumps = [payload["metrics"] for payload in payloads.values()
+             if payload.get("metrics")]
     if dumps:
         # Per-cell registry dumps fold into one report-level view
         # (counters/histograms add, gauges last-write-wins).
@@ -427,8 +426,8 @@ def build_report(grid: str, outcomes: Dict[ExperimentTask, TaskOutcome],
     return report
 
 
-def run_scenario(name: str, device: str = "MI100", model: str = "res",
-                 jobs: int = 1) -> Tuple[Dict[str, Any], Gates]:
+def run_scenario(name: str, device: str = "MI100", model: str = "res"
+                 ) -> Tuple[Dict[str, Any], Gates]:
     """Run scenario ``name`` and return its report and gates.
 
     The report is :func:`build_report`'s payload plus the scenario's
@@ -437,8 +436,9 @@ def run_scenario(name: str, device: str = "MI100", model: str = "res",
     """
     scenario = SCENARIOS[name]
     tasks = scenario.tasks(device, model)
-    outcomes, stats = run_tasks(list(tasks.values()), jobs=jobs, cache=None)
-    report = build_report(scenario.name, outcomes, stats)
+    payloads = {task: execute_task(task)
+                for task in dict.fromkeys(tasks.values())}
+    report = build_report(scenario.name, payloads)
     by_id = {cell["id"]: cell for cell in report["cells"]}
     cells = {label: by_id[task.cell_id] for label, task in tasks.items()}
     report[scenario.section], gates = scenario.summarize(cells, device,

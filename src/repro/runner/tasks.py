@@ -9,21 +9,24 @@ the scenarios and the ``repro serve|cluster|chaos|fleet`` commands.
 telemetry sinks, and :func:`execute_task` turns a task into a JSON-safe
 payload; :func:`result_from_payload` / :func:`cluster_stats_from_payload`
 reconstruct the original result objects exactly (floats survive a JSON
-round-trip bit-for-bit via ``repr``), which is what lets the parallel
-engine and the on-disk cache stay byte-identical to the serial path.
+round-trip bit-for-bit via ``repr``).  :func:`task_key` names a task by
+content for the telemetry bundle's manifest.
 
-Workers use the process's shared server per device
-(:func:`~repro.serving.server.server_for`), so repeated tasks in one
-worker reuse compiled programs; the simulation itself is a pure
-function of the task, so server reuse never changes a result.
+Tasks run on the process's shared server per device
+(:func:`~repro.serving.server.server_for`), so repeated tasks reuse
+compiled programs; the simulation itself is a pure function of the
+task, so server reuse never changes a result.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Dict, Optional, Tuple, Union
 
+from repro._version import __version__
 from repro.core.cache import CacheStats
 from repro.core.results import ExecutionResult
 from repro.core.schemes import Scheme
@@ -33,7 +36,7 @@ from repro.fleet.fleet import (FleetConfig, FleetStats, FleetTrace,
                                merge_traces)
 from repro.fleet.parallel import run_fleet_sharded
 from repro.fleet.routing import ROUTING_POLICIES, RoutingPolicy
-from repro.gpu.device import check_device
+from repro.gpu.device import check_device, get_device
 from repro.packs.store import PackPolicy, PackTransferCounters
 from repro.serving.cluster import ClusterConfig, ClusterSimulator, ClusterStats
 from repro.serving.requests import (RequestTrace, bursty_trace,
@@ -47,6 +50,7 @@ from repro.sim.trace import (Phase, TraceRecord, TraceRecorder,
 
 __all__ = [
     "ExperimentTask",
+    "task_key",
     "build_replay",
     "run_replay",
     "execute_task",
@@ -249,11 +253,11 @@ class ExperimentTask:
         return f"{self.kind}/{self.device}/{self.model}/{self.scheme}/b{self.batch}"
 
     def describe(self) -> Dict[str, Any]:
-        """JSON-safe dict of every outcome-relevant field (cache keys
+        """JSON-safe dict of every outcome-relevant field (task keys
         and report cells are built from this)."""
         out = asdict(self)
         # A knob the kind never reads holds its default (__post_init__
-        # checks), so leaving it out keeps the cache keys of the kinds
+        # checks), so leaving it out keeps the descriptions of the kinds
         # that predate it valid verbatim.
         for knob, kinds in _KIND_KNOBS.items():
             if self.kind not in kinds:
@@ -273,6 +277,19 @@ class ExperimentTask:
             # Hot serves always run the baseline-lowered program.
             del out["scheme"]
         return out
+
+
+def task_key(task: ExperimentTask) -> str:
+    """A content digest naming ``task``: blake2b over a canonical JSON
+    encoding of its description, its device's calibration constants and
+    the code version."""
+    material = {
+        "code_version": __version__,
+        "task": task.describe(),
+        "calibration": asdict(get_device(task.device)),
+    }
+    blob = json.dumps(material, sort_keys=True, separators=(",", ":"))
+    return hashlib.blake2b(blob.encode(), digest_size=16).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -552,11 +569,7 @@ def run_replay(task: ExperimentTask, config, trace, metrics=None,
 
 
 def execute_task(task: ExperimentTask) -> Dict[str, Any]:
-    """Run ``task``'s simulation and return its JSON-safe payload.
-
-    This is the function worker processes run; it must stay importable
-    at module top level so :mod:`concurrent.futures` can pickle it.
-    """
+    """Run ``task``'s simulation and return its JSON-safe payload."""
     metrics = None
     if task.collect_metrics:
         from repro.obs.metrics import MetricsRegistry

@@ -72,8 +72,9 @@ class ExperimentSuite:
                     batch: int, result: ExecutionResult) -> None:
         """Seed the cold-run memo with an externally computed result.
 
-        This is the bridge from :mod:`repro.runner`: the parallel engine
-        computes the grid out of process and injects the cells here, so
+        The benchmark's ``_PaperSuite`` (``bench/workloads.py``) executes
+        the paper grid as :mod:`repro.runner` tasks and injects each
+        cell's :func:`~repro.runner.tasks.result_from_payload` here, so
         every figure/table method replays from the memo without running
         a simulation.  Results are byte-identical either way (the
         determinism tests pin this).
@@ -84,21 +85,6 @@ class ExperimentSuite:
                    result: ExecutionResult) -> None:
         """Seed the hot-run memo (see :meth:`inject_cold`)."""
         self._hot[(device, model, batch)] = result
-
-    def prewarm(self, jobs: int = 1, cache=None):
-        """Fill the memo tables through the parallel engine.
-
-        Runs the full experiment grid (headline schemes across the
-        Table II batch sweep, the ablations, hot runs, and the Fig. 1(a)
-        cells on the other devices) out of process and injects every
-        cell, after which all figure/table methods replay from the memo.
-        Returns the engine's :class:`~repro.runner.RunStats`.
-        """
-        from repro.runner.engine import prewarm_suite_tasks
-        from repro.runner.grid import experiment_grid
-        tasks = experiment_grid(device=self.device, models=self.models,
-                                faults=self.faults)
-        return prewarm_suite_tasks(self, tasks, jobs=jobs, cache=cache)
 
     def speedup(self, model: str, scheme: Scheme, batch: int = 1,
                 device: Optional[str] = None) -> float:

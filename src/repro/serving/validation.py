@@ -8,7 +8,8 @@ one test per row, and ``scripts/generate_experiments_md.py`` lists the
 rows under each figure of EXPERIMENTS.md.
 
 The figure rows read the suite's memo of cold and hot serves, so a
-prewarmed suite checks them without simulating anything.  The
+suite seeded through ``inject_cold`` / ``inject_hot`` checks them
+without simulating anything.  The
 extension rows (Sec. VI, the design ablations, the cost-model
 sensitivity, serving tail latency and weight upload) run their own
 small simulations on the process's shared server.

@@ -84,13 +84,6 @@ class TestCommands:
         assert "p99" in out
 
 
-class TestBenchCommand:
-    def test_experiment_jobs_flag(self, capsys):
-        args = build_parser().parse_args(
-            ["experiment", "fig6a", "--jobs", "4"])
-        assert args.jobs == 4
-
-
 class TestFleetCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["fleet"])
@@ -141,10 +134,17 @@ class TestFleetCommand:
                 "reference)\n") in out
         assert "PASS" not in out
 
-    def test_jobs_flag_is_gone(self, capsys):
-        # The fleet replays in one process; there is no fan-out to size.
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "res", "--jobs", "2"],
+        ["experiment", "fig6a", "--jobs", "2"],
+        ["experiment", "fig6a", "--cache-dir", "cache"],
+        ["scenario", "chaos", "--jobs", "2"],
+    ], ids=["fleet", "experiment", "experiment-cache-dir", "scenario"])
+    def test_jobs_flag_is_gone(self, argv, capsys):
+        # Every grid and replay runs in one process; there is no fan-out
+        # to size and no result cache to point at.
         with pytest.raises(SystemExit) as exit_info:
-            main(["fleet", "res", "--jobs", "2"])
+            main(argv)
         assert exit_info.value.code == 2
 
     def test_frontier_writes_report(self, tmp_path, capsys):
@@ -272,8 +272,7 @@ def _run_with_telemetry(argv, directory, capsys):
 
 def test_serve_bundle_layout(tmp_path, capsys):
     from repro._version import __version__
-    from repro.runner.cache import task_key
-    from repro.runner.tasks import ExperimentTask
+    from repro.runner.tasks import ExperimentTask, task_key
 
     _run_with_telemetry(_SERVE_PASK, tmp_path, capsys)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -323,8 +322,7 @@ def test_sharded_fleet_bundle_matches_serial(tmp_path, capsys):
     from repro.cli import _run_task
     from repro.fleet import FleetSimulator
     from repro.obs import SLOPolicy, SpanRecorder, write_bundle
-    from repro.runner.cache import task_key
-    from repro.runner.tasks import build_replay
+    from repro.runner.tasks import build_replay, task_key
 
     argv = ["fleet", "res", "--devices", "MI100,A100", "--routing",
             "round-robin", "--autoscale", "scale-to-zero", "--idle-timeout",
@@ -353,3 +351,31 @@ def test_invalid_bundle_trace_exits_1(tmp_path, capsys, monkeypatch):
                         lambda payload: ["event[3]: broken"])
     assert main(_SERVE_PASK + ["--telemetry", str(tmp_path)]) == 1
     assert "  invalid trace: event[3]: broken" in capsys.readouterr().out
+
+
+def test_closed_stdout_exits_1_without_traceback(tmp_path, monkeypatch):
+    # A reader that closes the pipe early (``repro validate | head``)
+    # makes every write raise BrokenPipeError.
+    import os
+    import sys
+
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as handle:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(handle.fileno()))
+        assert main(["models"]) == 1
+        # The stream's descriptor now points at devnull, so the
+        # interpreter's exit flush cannot raise again.
+        assert os.path.samestat(os.fstat(handle.fileno()),
+                                os.stat(os.devnull))

@@ -66,6 +66,19 @@ class TestBudgetGate:
         assert pack["pack_restores"] > 0 and pack["pack_bytes"] > 0
         assert cold["pack_restores"] == 0 and cold["cold_starts"] > 0
 
+    @pytest.mark.parametrize("name", ["spinup-pack", "spinup-pack-static"])
+    def test_fleet_rows_fill_the_server_memos_untimed(self, name,
+                                                      monkeypatch):
+        # On a fresh process server, the timed replay must find the
+        # service times and the kernel pack already derived.
+        monkeypatch.setattr("repro.serving.server._SERVERS", {})
+        run = LAYERS[name].prepare(200)
+
+        def timed_derivation(*args, **kwargs):
+            raise AssertionError("the timed replay served or captured")
+        for method in ("serve_cold", "serve_hot", "capture_snapshot"):
+            monkeypatch.setattr(InferenceServer, method, timed_derivation)
+        assert run()()[1]["pack_restores"] > 0
 
     def test_build_and_lowering_layers_time_the_offline_path(self):
         # The lowering row lowers exactly the program a PaSK serve runs.
