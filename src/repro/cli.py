@@ -41,12 +41,12 @@ ends the command with exit code 1 and no traceback.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from typing import Any, Dict, List, Optional
 
 from repro._version import __version__
+from repro.checks import check_count, check_range
 from repro.core.schemes import Scheme
 from repro.fleet import (AutoscalePolicy, FleetSimulator,
                          equivalence_problems, run_fleet_sharded)
@@ -61,7 +61,6 @@ from repro.runner.tasks import (ExperimentTask, build_replay, run_replay,
 from repro.serving.experiments import DEFAULT_BATCHES, ExperimentSuite
 from repro.serving.server import server_for
 from repro.sim.faults import FaultPlan
-from repro.sim.trace import check_count
 
 __all__ = ["main", "build_parser"]
 
@@ -615,9 +614,7 @@ def _check_args(args) -> None:
     run command's task checks its own)."""
     if args.command == "session":
         check_count("requests", args.requests, 1)
-        if not 0 <= args.interval_ms < math.inf:
-            raise ValueError(f"interval-ms must be finite and >= 0, "
-                             f"got {args.interval_ms!r}")
+        check_range("interval-ms", args.interval_ms)
     elif args.command == "profile" and args.ops is not None:
         check_count("ops", args.ops, 1)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.checks import check_count
 from repro.engine.instruction import EngineKernel, Instruction, InstrKind
 from repro.engine.passes import run_passes
 from repro.engine.program import Program
@@ -26,7 +27,6 @@ from repro.primitive.problem import (
     PoolProblem,
 )
 from repro.primitive.solvers.activation import SPECIALIZED_ACTIVATIONS
-from repro.sim.trace import check_count
 
 __all__ = ["LoweringOptions", "lower"]
 

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.sim.trace import check_count
+from repro.checks import check_count, check_one_of, check_range
 
 __all__ = ["AutoscalePolicy", "AutoscalerState", "AUTOSCALE_KINDS"]
 
@@ -68,24 +68,18 @@ class AutoscalePolicy:
     restore_speedup: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.kind not in AUTOSCALE_KINDS:
-            raise ValueError(f"unknown autoscale kind {self.kind!r}; "
-                             f"expected one of {AUTOSCALE_KINDS}")
+        check_one_of("autoscale kind", self.kind, AUTOSCALE_KINDS)
         check_count("min_instances", self.min_instances)
         if self.kind == "scale-to-zero" and self.idle_timeout_s is None:
             raise ValueError("scale-to-zero needs an idle_timeout_s")
         for name in ("idle_timeout_s", "scale_up_wait_s",
                      "scale_down_idle_s", "prewarm_cooldown_s",
                      "restore_overhead_s"):
-            value = getattr(self, name)
-            if value is not None and not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if not 0 < self.prewarm_headroom < math.inf:
-            raise ValueError("prewarm_headroom must be finite and positive")
-        if not 1.0 <= self.restore_speedup < math.inf:
-            raise ValueError("restore_speedup must be finite and >= 1")
+            check_range(name, getattr(self, name), optional=True)
+        check_range("ewma_alpha", self.ewma_alpha, 0, 1, low_open=True,
+                    high_open=False)
+        check_range("prewarm_headroom", self.prewarm_headroom, low_open=True)
+        check_range("restore_speedup", self.restore_speedup, 1)
 
     @property
     def is_inert(self) -> bool:

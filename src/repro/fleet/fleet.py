@@ -44,11 +44,12 @@ restore-on-crash belongs to the resilience supervisor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.checks import (check_arrivals, check_count, check_range,
+                          check_retention, check_windows)
 from repro.core.schemes import Scheme
 from repro.fleet.autoscale import AutoscalePolicy, AutoscalerState
 from repro.fleet.routing import RouterState, RoutingPolicy
@@ -62,7 +63,6 @@ from repro.serving.requests import RequestTrace
 from repro.serving.resilience import ResiliencePolicy
 from repro.serving.server import server_for
 from repro.sim.faults import FaultPlan
-from repro.sim.trace import check_count, check_retention
 
 __all__ = ["RegionConfig", "FleetConfig", "FleetTrace", "merge_traces",
            "RegionStats", "TenantStats", "FleetStats", "FleetSimulator"]
@@ -92,12 +92,8 @@ class RegionConfig:
             raise ValueError("region needs a name")
         check_device(self.device)
         check_count("max_instances", self.max_instances, 1)
-        if not 0 <= self.keep_alive_s < math.inf:
-            raise ValueError("keep-alive must be finite and non-negative")
-        for window in self.drain_windows:
-            if len(window) != 2 or not 0 <= window[0] < window[1] < math.inf:
-                raise ValueError(f"bad drain window {window!r}; "
-                                 "need 0 <= start < end < inf")
+        check_range("keep_alive_s", self.keep_alive_s)
+        check_windows("drain_windows", self.drain_windows)
 
 
 @dataclass(frozen=True)
@@ -131,10 +127,8 @@ class FleetConfig:
         names = [r.name for r in self.regions]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate region names: {names}")
-        if (self.shed_wait_s is not None
-                and not 0 <= self.shed_wait_s < math.inf):
-            raise ValueError("shed_wait_s must be finite and non-negative")
-        check_retention(self.trace_retention)
+        check_range("shed_wait_s", self.shed_wait_s, optional=True)
+        check_retention("trace_retention", self.trace_retention)
         check_count("trace_ring", self.trace_ring, 1)
 
     @property
@@ -165,16 +159,9 @@ class FleetTrace:
     batch: int = 1
 
     def __post_init__(self) -> None:
-        if not self.arrivals:
-            raise ValueError("a trace needs at least one request")
+        check_arrivals("arrivals", self.arrivals)
         if len(self.tenants) != len(self.arrivals):
             raise ValueError("tenants must tag every arrival")
-        if not all(map(math.isfinite, self.arrivals)):
-            raise ValueError("non-finite arrival time")
-        if any(t < 0 for t in self.arrivals):
-            raise ValueError("negative arrival time")
-        if list(self.arrivals) != sorted(self.arrivals):
-            raise ValueError("arrivals must be sorted")
         if not self.tenant_names:
             raise ValueError("need at least one tenant name")
         if len(set(self.tenant_names)) != len(self.tenant_names):

@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.checks import check_one_of
+
 __all__ = ["RoutingPolicy", "RouterState", "ROUTING_POLICIES"]
 
 ROUTING_POLICIES = ("single", "round-robin", "least-queue", "warm-first")
@@ -44,9 +46,7 @@ class RoutingPolicy:
     kind: str = "single"
 
     def __post_init__(self) -> None:
-        if self.kind not in ROUTING_POLICIES:
-            raise ValueError(f"unknown routing policy {self.kind!r}; "
-                             f"expected one of {ROUTING_POLICIES}")
+        check_one_of("routing policy", self.kind, ROUTING_POLICIES)
 
     @property
     def is_inert(self) -> bool:

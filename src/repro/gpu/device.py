@@ -10,11 +10,10 @@ and the CDNA/ROCm loader is slightly slower than CUDA's.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Dict, List
 
-from repro.sim.trace import check_count
+from repro.checks import check_count, check_one_of, check_range
 
 __all__ = ["DeviceSpec", "MI100", "A100", "RX6900XT", "check_device",
            "get_device", "list_devices"]
@@ -46,14 +45,11 @@ class DeviceSpec:
     def __post_init__(self) -> None:
         check_count("compute_units", self.compute_units, 1)
         # Every cost constant, the reactive penalty included, must be
-        # positive and finite; NaN fails the comparison too.
+        # positive and finite.
         for spec in fields(self):
-            if spec.name in ("name", "vendor"):
-                continue
-            value = getattr(self, spec.name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"device {self.name!r}: {spec.name} must "
-                                 f"be positive and finite, got {value!r}")
+            if spec.type == "float":
+                check_range(spec.name, getattr(self, spec.name),
+                            low_open=True)
 
     @property
     def fp32_flops(self) -> float:
@@ -107,23 +103,19 @@ RX6900XT = DeviceSpec(
 _REGISTRY: Dict[str, DeviceSpec] = {d.name: d for d in (MI100, A100, RX6900XT)}
 
 
-def _unknown(name: str) -> str:
-    return f"unknown device {name!r}; known devices: {', '.join(list_devices())}"
-
-
 def get_device(name: str) -> DeviceSpec:
     """Look up a device spec by name (``MI100``, ``A100``, ``6900XT``)."""
     try:
         return _REGISTRY[name]
     except KeyError:
-        raise KeyError(_unknown(name)) from None
+        raise KeyError(f"unknown device {name!r}; known devices: "
+                       f"{', '.join(list_devices())}") from None
 
 
 def check_device(name: str) -> None:
     """Reject a device name that is not modelled, for configs that name
     a device and look it up only when they run."""
-    if name not in _REGISTRY:
-        raise ValueError(_unknown(name))
+    check_one_of("device", name, list_devices())
 
 
 def list_devices() -> List[str]:

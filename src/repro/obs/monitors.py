@@ -25,11 +25,12 @@ replay leaves every latency, counter and trace byte-identical
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
+
+from repro.checks import check_range
 
 __all__ = ["SLOPolicy", "Alert", "SLOMonitorSet", "validate_monitors",
            "emit_alert_spans"]
@@ -54,18 +55,14 @@ class SLOPolicy:
     burn_threshold: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.availability_target < 1.0:
-            raise ValueError("availability_target must be in (0, 1)")
-        if (self.p99_target_s is not None
-                and not 0 < self.p99_target_s < math.inf):
-            raise ValueError("p99_target_s must be positive and finite")
-        if (self.cold_rate_target is not None
-                and not 0.0 <= self.cold_rate_target < 1.0):
-            raise ValueError("cold_rate_target must be in [0, 1)")
-        if not 0 < self.window_s < math.inf:
-            raise ValueError("window_s must be positive and finite")
-        if not 0 < self.burn_threshold < math.inf:
-            raise ValueError("burn_threshold must be positive and finite")
+        check_range("availability_target", self.availability_target, 0, 1,
+                    low_open=True)
+        check_range("p99_target_s", self.p99_target_s, low_open=True,
+                    optional=True)
+        check_range("cold_rate_target", self.cold_rate_target, 0, 1,
+                    optional=True)
+        for name in ("window_s", "burn_threshold"):
+            check_range(name, getattr(self, name), low_open=True)
 
 
 @dataclass(frozen=True)

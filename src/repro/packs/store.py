@@ -29,13 +29,13 @@ discarded-corrupt, or abandoned-on-timeout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
+from repro.checks import check_count, check_one_of, check_range
 from repro.packs.artifact import KernelPack
 from repro.sim.faults import FaultInjector
-from repro.sim.trace import Phase, TraceRecorder, check_count
+from repro.sim.trace import Phase, TraceRecorder
 
 __all__ = ["TierPolicy", "PackPolicy", "PackTransferCounters",
            "PackFetchResult", "PackStoreState", "RegistryFabric",
@@ -55,11 +55,9 @@ class TierPolicy:
     backoff_base_s: float = 500e-6  # doubles per retry
 
     def __post_init__(self) -> None:
-        if not 0 < self.bandwidth_bps < math.inf:
-            raise ValueError("bandwidth must be positive and finite")
+        check_range("bandwidth_bps", self.bandwidth_bps, low_open=True)
         for name in ("latency_s", "timeout_s", "backoff_base_s"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
+            check_range(name, getattr(self, name))
         check_count("max_attempts", self.max_attempts, 1)
 
 
@@ -91,17 +89,12 @@ class PackPolicy:
 
     def __post_init__(self) -> None:
         for name in ("verify_bps", "apply_bps"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if not 0 <= self.apply_overhead_s < math.inf:
-            raise ValueError("apply_overhead_s must be non-negative and "
-                             "finite")
-        if not 1.0 <= self.cross_region_penalty < math.inf:
-            raise ValueError("cross_region_penalty must be >= 1 and finite")
+            check_range(name, getattr(self, name), low_open=True)
+        check_range("apply_overhead_s", self.apply_overhead_s)
+        check_range("cross_region_penalty", self.cross_region_penalty, 1)
 
     def tier(self, name: str) -> TierPolicy:
-        if name not in PACK_TIERS:
-            raise ValueError(f"unknown pack tier {name!r}")
+        check_one_of("pack tier", name, PACK_TIERS)
         return getattr(self, name)
 
     def apply_s(self, size_bytes: int) -> float:

@@ -11,6 +11,7 @@ import enum
 from dataclasses import dataclass
 from typing import Tuple, Union
 
+from repro.checks import check_one_of
 from repro.tensors import DataType, Layout, TensorDesc
 
 __all__ = [
@@ -173,8 +174,7 @@ class PoolProblem(HashOnce):
     layout: Layout = Layout.NCHW
 
     def __post_init__(self) -> None:
-        if self.mode not in ("max", "avg"):
-            raise ValueError(f"unknown pooling mode {self.mode!r}")
+        check_one_of("pooling mode", self.mode, ("max", "avg"))
         if any(v <= 0 for v in (self.batch, self.channels, self.height,
                                 self.width, *self.kernel, *self.stride)):
             raise ValueError(f"non-positive field in {self}")

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
+from repro.checks import check_one_of, check_range
 from repro.gpu.codeobject import CodeObjectFile, KernelSymbol
 from repro.primitive.patterns import SolutionPattern
 from repro.primitive.problem import (
@@ -110,11 +111,10 @@ class Solution(HashOnce):
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("solution needs a name")
-        if self.specialization not in (GENERIC, SPECIALIZED,
-                                       HIGHLY_SPECIALIZED):
-            raise ValueError(f"bad specialization {self.specialization}")
-        if not 0.0 < self.base_efficiency <= 1.0:
-            raise ValueError(f"efficiency out of range: {self.base_efficiency}")
+        check_one_of("specialization", self.specialization,
+                     (GENERIC, SPECIALIZED, HIGHLY_SPECIALIZED))
+        check_range("base_efficiency", self.base_efficiency, 0, 1,
+                    low_open=True, high_open=False)
         if self.kernels_per_launch < 1:
             raise ValueError("kernels_per_launch must be >= 1")
 

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro._version import __version__
+from repro.checks import (check_count, check_one_of, check_range,
+                          check_retention)
 from repro.core.cache import CacheStats
 from repro.core.results import ExecutionResult
 from repro.core.schemes import Scheme
@@ -45,8 +46,7 @@ from repro.serving.requests import (RequestTrace, bursty_trace,
 from repro.serving.resilience import ResiliencePolicy
 from repro.serving.server import server_for
 from repro.sim.faults import FaultCounters, FaultPlan
-from repro.sim.trace import (Phase, TraceRecord, TraceRecorder,
-                             check_count, check_retention)
+from repro.sim.trace import Phase, TraceRecord, TraceRecorder
 
 __all__ = [
     "ExperimentTask",
@@ -146,33 +146,22 @@ class ExperimentTask:
     packs: Optional[PackPolicy] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("cold", "hot", "cluster", "fleet"):
-            raise ValueError(f"unknown task kind {self.kind!r}")
-        if self.scheme not in _SCHEMES_BY_VALUE:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        check_one_of("task kind", self.kind,
+                     ("cold", "hot", "cluster", "fleet"))
+        check_one_of("scheme", self.scheme, _SCHEMES_BY_VALUE)
         check_device(self.device)
         for name in ("batch", "instances", "trace_ring", "tenants"):
             check_count(name, getattr(self, name), 1)
         check_count("seed", self.seed)
         # A replay needs arrivals: its rate and duration must be positive.
         for name in ("rate_hz", "duration_s"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, "
-                                 f"got {value!r}")
+            check_range(name, getattr(self, name), low_open=True)
         for name in ("keep_alive_s", "peak_rate_hz", "period_s", "burst_s",
                      "shed_wait_s"):
-            value = getattr(self, name)
-            if value is not None and not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative, "
-                                 f"got {value!r}")
-        check_retention(self.trace_retention)
-        if self.arrival not in ARRIVAL_KINDS:
-            raise ValueError(f"unknown arrival kind {self.arrival!r}; "
-                             f"expected one of {ARRIVAL_KINDS}")
-        if self.routing not in ROUTING_POLICIES:
-            raise ValueError(f"unknown routing policy {self.routing!r}; "
-                             f"expected one of {ROUTING_POLICIES}")
+            check_range(name, getattr(self, name), optional=True)
+        check_retention("trace_retention", self.trace_retention)
+        check_one_of("arrival kind", self.arrival, ARRIVAL_KINDS)
+        check_one_of("routing policy", self.routing, ROUTING_POLICIES)
         if self.fleet_devices is not None:
             object.__setattr__(self, "fleet_devices",
                                tuple(self.fleet_devices))

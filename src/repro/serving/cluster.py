@@ -18,11 +18,11 @@ of a static fleet replay.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 from weakref import WeakKeyDictionary
 
+from repro.checks import check_count, check_range, check_retention
 from repro.core.schemes import Scheme
 from repro.packs.artifact import pack_for
 from repro.packs.store import (PackPolicy, PackStoreState, RegistryFabric,
@@ -32,7 +32,7 @@ from repro.serving.requests import RequestTrace
 from repro.serving.resilience import ResiliencePolicy, ResilienceState
 from repro.serving.server import InferenceServer
 from repro.sim.faults import FaultPlan
-from repro.sim.trace import TraceRecorder, check_count, check_retention
+from repro.sim.trace import TraceRecorder
 
 __all__ = ["ClusterConfig", "ClusterStats", "ClusterSimulator",
            "build_pool", "service_times"]
@@ -81,9 +81,8 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         check_count("max_instances", self.max_instances, 1)
         check_count("trace_ring", self.trace_ring, 1)
-        if not 0 <= self.keep_alive_s < math.inf:
-            raise ValueError("keep-alive must be finite and non-negative")
-        check_retention(self.trace_retention)
+        check_range("keep_alive_s", self.keep_alive_s)
+        check_retention("trace_retention", self.trace_retention)
 
 
 # A bare cluster's replay outcome is one pool's (the restore and prewarm

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.sim.trace import check_count
+from repro.checks import check_arrivals, check_count, check_range
 
 __all__ = ["RequestTrace", "poisson_trace", "burst_trace", "periodic_trace",
            "diurnal_trace", "bursty_trace", "check_modulation"]
@@ -28,14 +28,7 @@ class RequestTrace:
     batch: int = 1
 
     def __post_init__(self) -> None:
-        if not self.arrivals:
-            raise ValueError("a trace needs at least one request")
-        if not all(map(math.isfinite, self.arrivals)):
-            raise ValueError("non-finite arrival time")
-        if any(t < 0 for t in self.arrivals):
-            raise ValueError("negative arrival time")
-        if list(self.arrivals) != sorted(self.arrivals):
-            raise ValueError("arrivals must be sorted")
+        check_arrivals("arrivals", self.arrivals)
         check_count("batch", self.batch, 1)
 
     def __len__(self) -> int:
@@ -59,8 +52,8 @@ def poisson_trace(model: str, rate_hz: float, duration_s: float,
                   seed: int = 0, batch: int = 1) -> RequestTrace:
     """Poisson arrivals at ``rate_hz`` for ``duration_s`` (deterministic
     per seed; always contains at least the t=0 request)."""
-    if not (0 < rate_hz < math.inf and 0 < duration_s < math.inf):
-        raise ValueError("rate and duration must be positive and finite")
+    check_range("rate_hz", rate_hz, low_open=True)
+    check_range("duration_s", duration_s, low_open=True)
     rng = random.Random(seed)
     arrivals: List[float] = [0.0]
     t = 0.0
@@ -75,10 +68,8 @@ def poisson_trace(model: str, rate_hz: float, duration_s: float,
 def burst_trace(model: str, burst_size: int, spacing_s: float = 0.0,
                 batch: int = 1) -> RequestTrace:
     """A spike: ``burst_size`` requests arriving ~simultaneously."""
-    if burst_size <= 0:
-        raise ValueError("burst_size must be positive")
-    if not 0 <= spacing_s < math.inf:
-        raise ValueError("spacing must be non-negative and finite")
+    check_count("burst_size", burst_size, 1)
+    check_range("spacing_s", spacing_s)
     arrivals = tuple(i * spacing_s for i in range(burst_size))
     return RequestTrace(model, arrivals, batch)
 
@@ -86,8 +77,8 @@ def burst_trace(model: str, burst_size: int, spacing_s: float = 0.0,
 def periodic_trace(model: str, period_s: float, count: int,
                    batch: int = 1) -> RequestTrace:
     """Evenly spaced requests (an edge-device sensor loop)."""
-    if not 0 < period_s < math.inf or count <= 0:
-        raise ValueError("period and count must be positive and finite")
+    check_range("period_s", period_s, low_open=True)
+    check_count("count", count, 1)
     arrivals = tuple(i * period_s for i in range(count))
     return RequestTrace(model, arrivals, batch)
 
@@ -121,15 +112,12 @@ def check_modulation(base_rate_hz: float, peak_rate_hz: float,
 
     :func:`diurnal_trace`, :func:`bursty_trace` and a fleet task that
     will call one of them all check through here."""
-    if not 0 < base_rate_hz <= peak_rate_hz < math.inf:
-        raise ValueError(f"need 0 < base rate <= peak rate < inf, got "
-                         f"{base_rate_hz!r} and {peak_rate_hz!r}")
-    if not (0 < period_s < math.inf and 0 < duration_s < math.inf):
-        raise ValueError(f"period and duration must be positive and "
-                         f"finite, got {period_s!r} and {duration_s!r}")
-    if burst_s is not None and not 0 <= burst_s <= period_s:
-        raise ValueError(f"a burst of {burst_s!r} s must fit inside its "
-                         f"{period_s!r} s period")
+    check_range("base_rate_hz", base_rate_hz, low_open=True)
+    check_range("peak_rate_hz", peak_rate_hz, base_rate_hz)
+    check_range("period_s", period_s, low_open=True)
+    check_range("duration_s", duration_s, low_open=True)
+    if burst_s is not None:
+        check_range("burst_s", burst_s, 0, period_s, high_open=False)
 
 
 def diurnal_trace(model: str, base_rate_hz: float, peak_rate_hz: float,

@@ -42,12 +42,12 @@ pool's trace actor.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.checks import check_count, check_range
 from repro.sim.faults import FaultCounters, FaultInjector
-from repro.sim.trace import Phase, TraceRecorder, check_count
+from repro.sim.trace import Phase, TraceRecorder
 
 __all__ = ["ResiliencePolicy", "ResilienceState"]
 
@@ -87,30 +87,23 @@ class ResiliencePolicy:
     drain_restart_s: float = 0.01         # process swap during a drain
 
     def __post_init__(self) -> None:
-        if (self.checkpoint_interval_s is not None
-                and not 0 < self.checkpoint_interval_s < math.inf):
-            raise ValueError("checkpoint_interval_s must be positive and "
-                             "finite")
+        check_range("checkpoint_interval_s", self.checkpoint_interval_s,
+                    low_open=True, optional=True)
         for name in ("checkpoint_write_s", "restore_overhead_s",
                      "max_restart_delay_s", "breaker_window_s",
                      "breaker_cooldown_s", "breaker_max_cooldown_s",
                      "drain_restart_s"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
+            check_range(name, getattr(self, name))
         for name in ("restore_speedup", "restart_backoff",
                      "breaker_backoff"):
-            if not 1.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be >= 1 and finite")
+            check_range(name, getattr(self, name), 1)
         check_count("checkpoint_retention", self.checkpoint_retention, 1)
         for name, minimum in (("breaker_threshold", 1),
                               ("max_queue_depth", 0),
                               ("recycle_after_requests", 1)):
-            if getattr(self, name) is not None:
-                check_count(name, getattr(self, name), minimum)
+            check_count(name, getattr(self, name), minimum, optional=True)
         for name in ("shed_wait_s", "degrade_wait_s"):
-            value = getattr(self, name)
-            if value is not None and not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
+            check_range(name, getattr(self, name), optional=True)
 
     @classmethod
     def disabled(cls) -> "ResiliencePolicy":

@@ -14,9 +14,9 @@ counts each result the same way.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Union
 
+from repro.checks import check_count, check_range
 from repro.core.results import ExecutionResult
 from repro.core.schemes import Scheme, build_executor, run_hot
 from repro.engine.program import Program
@@ -29,7 +29,7 @@ from repro.primitive.library import MIOpenLibrary
 from repro.sim.core import Environment
 from repro.sim.faults import (CheckpointFault, FaultError, FaultPlan,
                               RestoreFault)
-from repro.sim.trace import TraceRecorder, check_count
+from repro.sim.trace import TraceRecorder
 
 __all__ = ["InferenceServer", "ServeResult", "serve_cold", "serve_hot",
            "server_for"]
@@ -188,9 +188,7 @@ class InferenceServer:
         the last result.
         """
         check_count("n_requests", n_requests, 1)
-        if not 0 <= interval_s < math.inf:
-            raise ValueError(f"interval_s must be finite and >= 0, "
-                             f"got {interval_s!r}")
+        check_range("interval_s", interval_s)
         program, env, injector, runtime = self._instance(
             model, scheme, batch, faults, spans, metrics)
         executor = build_executor(scheme)

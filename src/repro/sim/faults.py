@@ -27,11 +27,10 @@ fallback, request rerouting) is exhausted.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
-from repro.sim.trace import check_count
+from repro.checks import check_count, check_range, check_windows
 
 __all__ = [
     "FaultError",
@@ -159,27 +158,17 @@ class FaultPlan:
                      "restore_failure_rate", "pack_local_failure_rate",
                      "pack_peer_failure_rate", "pack_origin_failure_rate",
                      "pack_corruption_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+            check_range(name, getattr(self, name), 0, 1, high_open=False)
         for name in ("max_load_attempts", "max_launch_attempts"):
             check_count(name, getattr(self, name), 1)
         check_count("max_reroutes", self.max_reroutes)
         check_count("seed", self.seed)
         for name in ("load_backoff_base_s", "exec_stall_s",
                      "loader_stall_s", "restart_delay_s"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
-        if (self.load_timeout_s is not None
-                and not 0 <= self.load_timeout_s < math.inf):
-            raise ValueError("load_timeout_s must be non-negative and "
-                             "finite")
+            check_range(name, getattr(self, name))
+        check_range("load_timeout_s", self.load_timeout_s, optional=True)
         for name in ("registry_outage_windows", "peer_churn_windows"):
-            for window in getattr(self, name):
-                if (len(window) != 2
-                        or not 0 <= window[0] < window[1] < math.inf):
-                    raise ValueError(f"bad {name} window {window!r}; "
-                                     "need 0 <= start < end < inf")
+            check_windows(name, getattr(self, name))
 
     @property
     def is_zero(self) -> bool:

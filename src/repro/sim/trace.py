@@ -42,11 +42,11 @@ from itertools import accumulate, chain, compress, islice, repeat
 from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
-__all__ = ["Phase", "TraceRecord", "TraceRecorder", "merge_intervals",
-           "subtract_intervals", "RETENTION_POLICIES", "check_count",
-           "check_retention"]
+from repro.checks import (RETENTION_POLICIES, check_count, check_range,
+                          check_retention)
 
-RETENTION_POLICIES = ("full", "aggregate")
+__all__ = ["Phase", "TraceRecord", "TraceRecorder", "merge_intervals",
+           "subtract_intervals", "RETENTION_POLICIES"]
 
 
 class Phase(enum.Enum):
@@ -249,32 +249,6 @@ def _route_keys(phase: Optional[Phase], actor: Optional[str]
     return ((phase, actor), (phase, None), (None, actor), (None, None))
 
 
-def check_count(field: str, value: Any, minimum: int = 0) -> None:
-    """Raise ``ValueError`` naming ``field`` unless ``value`` is an
-    integer (a bool is not one) of at least ``minimum``.  Every config
-    constructor checks its integer counts with this, so a NaN or
-    fractional count fails where it is written, not mid-replay."""
-    if not isinstance(value, int) or isinstance(value, bool) \
-            or value < minimum:
-        raise ValueError(f"{field} must be an integer >= {minimum}, "
-                         f"got {value!r}")
-
-
-def check_retention(retention: Optional[str]) -> None:
-    """Raise ``ValueError`` unless ``retention`` is None or one of
-    :data:`RETENTION_POLICIES`: the ``trace_retention`` check of every
-    config that takes one."""
-    if retention is not None and retention not in RETENTION_POLICIES:
-        raise ValueError(f"unknown trace retention {retention!r}; "
-                         f"expected None or one of {RETENTION_POLICIES}")
-
-
-def _state_count(field: str, count: Any) -> int:
-    """``count`` if it is a non-negative integer (bool is not one)."""
-    check_count(f"trace state field {field}", count)
-    return count
-
-
 def _check_union(field: str, starts: List[float], ends: List[float]) -> None:
     """Reject columns that are not a canonical interval union: every
     segment ordered, each one starting after the previous one ends, all
@@ -283,8 +257,8 @@ def _check_union(field: str, starts: List[float], ends: List[float]) -> None:
             -_INF < starts[0] and ends[-1] < _INF
             and all(map(operator.le, starts, ends))
             and all(map(operator.lt, ends, islice(starts, 1, None)))):
-        raise ValueError(f"trace state field {field} must be sorted, "
-                         f"disjoint, finite (start, end) segments")
+        raise ValueError(f"{field} must be sorted, disjoint, finite "
+                         f"(start, end) segments")
 
 
 class TraceRecorder:
@@ -308,9 +282,7 @@ class TraceRecorder:
 
     def __init__(self, records: Optional[Iterable[TraceRecord]] = None,
                  retention: str = "full", ring_size: int = 1024) -> None:
-        if retention not in RETENTION_POLICIES:
-            raise ValueError(f"unknown retention policy {retention!r}; "
-                             f"expected one of {RETENTION_POLICIES}")
+        check_retention("retention", retention, optional=False)
         check_count("ring_size", ring_size, 1)
         self.retention = retention
         self.ring_size = ring_size
@@ -775,20 +747,20 @@ class TraceRecorder:
                 tuple((k, v) for k, v in meta)))
         for index, (phase, actor, total, count, segs) in enumerate(
                 state["acc"]):
-            field = f"acc[{index}]"
-            if not 0.0 <= total < _INF:
-                raise ValueError(f"trace state field {field}.total must be "
-                                 f"finite and non-negative, got {total!r}")
+            field = f"trace state field acc[{index}]"
+            check_range(f"{field}.total", total)
             acc = _Accumulator()
             acc.total = total
-            acc.count = _state_count(f"{field}.count", count)
+            check_count(f"{field}.count", count)
+            acc.count = count
             acc.starts = [start for start, _ in segs]
             acc.ends = [end for _, end in segs]
             _check_union(f"{field}.segs", acc.starts, acc.ends)
             acc._dirty = True
             key = (Phase(phase) if phase is not None else None, actor)
             recorder._acc[key] = acc
-        recorder._count = _state_count("count", state["count"])
+        check_count("trace state field count", state["count"])
+        recorder._count = state["count"]
         span_start, span_end = state["span"]
         if not -_INF < span_start <= span_end < _INF:
             raise ValueError(f"trace state field span must be a finite "

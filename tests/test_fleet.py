@@ -36,12 +36,12 @@ class TestRegionConfig:
             RegionConfig("r0", max_instances=0)
 
     def test_rejects_negative_keep_alive(self):
-        with pytest.raises(ValueError, match="keep-alive"):
+        with pytest.raises(ValueError, match="keep_alive_s"):
             RegionConfig("r0", keep_alive_s=-1.0)
 
     @pytest.mark.parametrize("bad", (math.nan, math.inf))
     def test_rejects_non_finite_keep_alive(self, bad):
-        with pytest.raises(ValueError, match="keep-alive"):
+        with pytest.raises(ValueError, match="keep_alive_s"):
             RegionConfig("r0", keep_alive_s=bad)
 
     @pytest.mark.parametrize("window", [(1.0, 1.0), (2.0, 1.0),
@@ -49,7 +49,7 @@ class TestRegionConfig:
                                         (math.nan, 1.0), (0.0, math.nan),
                                         (0.0, math.inf)])
     def test_rejects_bad_drain_window(self, window):
-        with pytest.raises(ValueError, match="drain window"):
+        with pytest.raises(ValueError, match="drain_windows"):
             RegionConfig("r0", drain_windows=(window,))
 
 

@@ -109,7 +109,7 @@ class TestClusterConfig:
         with pytest.raises(ValueError):
             ClusterConfig(keep_alive_s=-1)
         for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="keep-alive"):
+            with pytest.raises(ValueError, match="keep_alive_s"):
                 ClusterConfig(keep_alive_s=bad)
 
 
