@@ -16,6 +16,7 @@ from typing import Any, List, Optional, Tuple
 
 from repro.tensors import DataType
 
+from repro.checks import check_count
 from repro.core.cache import (
     CategoricalSolutionCache,
     LoadedInstance,
@@ -79,6 +80,10 @@ class PaskConfig:
     # Ablation knobs (not paper variants):
     cache_mru: bool = True            # recency-ordered categorical lists
     reuse_before_milestone: bool = False  # skip the milestone gate
+
+    def __post_init__(self) -> None:
+        check_count("load_channel_capacity", self.load_channel_capacity, 1,
+                    optional=True)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 from repro.checks import check_one_of
-from repro.tensors import DataType, Layout, TensorDesc
+from repro.tensors import DataType, Layout
 
 __all__ = [
     "HashOnce",
@@ -142,12 +142,6 @@ class ConvProblem(HashOnce):
                  + self.out_channels * (self.in_channels // self.group) * r * s
                  + self.batch * self.out_channels * ho * wo)
         return elems * self.dtype.size_bytes
-
-    @property
-    def input_desc(self) -> TensorDesc:
-        """Descriptor of the input activation tensor."""
-        return TensorDesc((self.batch, self.in_channels, self.height,
-                           self.width), self.dtype, self.layout)
 
     def with_batch(self, batch: int) -> "ConvProblem":
         """The same problem at a different batch size."""

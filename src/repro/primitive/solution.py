@@ -303,11 +303,3 @@ def _exact_signature(problem: Problem) -> str:
         return (f"gemm_m{problem.m}_n{problem.n}_k{problem.k}"
                 f"_b{problem.batch}_{problem.dtype.label}")
     raise TypeError(f"unknown problem type {type(problem).__name__}")
-
-
-def _tile(dim: int) -> int:
-    """Round a GEMM dimension to its tuning tile bucket."""
-    for tile in (256, 128, 64, 32, 16):
-        if dim % tile == 0:
-            return tile
-    return 1

@@ -117,19 +117,21 @@ class ExperimentTask:
     trace_retention: Optional[str] = None
     trace_ring: int = 1024
     # Telemetry: collect a metrics-registry dump alongside the result
-    # (``payload["metrics"]``).  Defaults off, which leaves payloads —
-    # and therefore cache keys and old cached entries — untouched.
+    # (``payload["metrics"]``).  Defaults off, which leaves payloads,
+    # the bundle manifest and ``task_key`` untouched.
     collect_metrics: bool = False
     # Resilience policy (checkpoint/restore, breaker, admission
-    # control); None keeps cache keys for policy-free replays stable.
+    # control); None keeps the manifest and ``task_key`` of policy-free
+    # replays stable.
     resilience: Optional[ResiliencePolicy] = None
     # Fleet-replay knobs (kind == "fleet" only; all of them are deleted
-    # from describe() for every other kind so existing cache keys stay
-    # stable).  ``arrival`` selects the workload generator — "poisson"
-    # reuses rate_hz/duration_s/seed directly; "diurnal"/"bursty" read
-    # ``peak_rate_hz``/``period_s``/``burst_s`` (each with a derived
-    # default) on top.  ``fleet_devices`` places one region per listed
-    # device (default: one region on ``device``).
+    # from describe() for every other kind so the manifest and
+    # ``task_key`` of those kinds stay stable).  ``arrival`` selects the
+    # workload generator — "poisson" reuses rate_hz/duration_s/seed
+    # directly; "diurnal"/"bursty" read ``peak_rate_hz``/``period_s``/
+    # ``burst_s`` (each with a derived default) on top.
+    # ``fleet_devices`` places one region per listed device (default:
+    # one region on ``device``).
     arrival: str = "poisson"
     peak_rate_hz: Optional[float] = None
     period_s: Optional[float] = None
@@ -142,7 +144,7 @@ class ExperimentTask:
     # left out of describe() at 1.
     tenants: int = 1
     # Kernel-pack fetch hierarchy (repro.packs) for cluster and fleet
-    # replays; None keeps existing cache keys stable.
+    # replays; None keeps the manifest and ``task_key`` stable.
     packs: Optional[PackPolicy] = None
 
     def __post_init__(self) -> None:
@@ -171,7 +173,7 @@ class ExperimentTask:
             for device in self.fleet_devices:
                 check_device(device)
         # A knob the kind never reads would drop out of describe(), and
-        # so out of the cache key: reject it instead.
+        # so out of the manifest and ``task_key``: reject it instead.
         for knob in fields(self):
             kinds = _KIND_KNOBS.get(knob.name, (self.kind,))
             if (self.kind not in kinds

@@ -13,10 +13,8 @@ parse/load/issue threads (Sec. III-D) become :class:`~repro.sim.channel.Channel`
 
 from repro.sim.core import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
@@ -35,7 +33,6 @@ from repro.sim.trace import Phase, TraceRecord, TraceRecorder, merge_intervals
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Channel",
     "ChannelClosed",
     "ChannelClosedError",
@@ -46,7 +43,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "InstanceCrash",
-    "Interrupt",
     "LaunchFault",
     "LoadFault",
     "Phase",

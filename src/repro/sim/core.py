@@ -12,9 +12,7 @@ the kernel small enough to test exhaustively:
 - :class:`Event` with ``succeed``/``fail``,
 - :class:`Timeout`,
 - :class:`Process` (a generator; also an event that triggers on return),
-- :class:`AllOf` / :class:`AnyOf` combinators,
-- process interruption (:meth:`Process.interrupt`; the serving stack
-  never interrupts a process, the kernel tests pin its semantics).
+- the :class:`AllOf` combinator.
 """
 
 from __future__ import annotations
@@ -31,9 +29,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "AllOf",
-    "AnyOf",
 ]
 
 
@@ -45,18 +41,6 @@ _heappop = heapq.heappop
 
 class SimulationError(Exception):
     """Raised for illegal uses of the simulation kernel."""
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -177,7 +161,7 @@ class Timeout(Event):
 class Process(Event):
     """A running generator; also an event that triggers when it returns."""
 
-    __slots__ = ("_generator", "name", "_target", "_interrupts")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, env: "Environment", generator: Generator[Event, Any, Any],
                  name: Optional[str] = None) -> None:
@@ -186,47 +170,14 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        # Pending interrupt triggers, each carrying its Interrupt.
-        self._interrupts: List[Event] = []
-        # Bootstrap: start the generator at the current time.  It is the
-        # first event waited on, so an interrupt (scheduled after it)
-        # always lands on a started generator.
+        # Bootstrap: start the generator at the current time.
         bootstrap = Event(env)
         bootstrap._triggered = True
         env._schedule(bootstrap)
         bootstrap._add_callback(self._resume)
-        self._target: Optional[Event] = bootstrap
-
-    @property
-    def is_alive(self) -> bool:
-        """Whether the underlying generator has not yet finished."""
-        return not self._triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._triggered:
-            raise SimulationError(f"{self!r} has already terminated")
-        # Delivered when its trigger is processed, detaching the process
-        # from the event it waits on.
-        trigger = Event(self.env)
-        trigger._triggered = True
-        trigger._value = Interrupt(cause)
-        self.env._schedule(trigger)
-        self._interrupts.append(trigger)
-        trigger._add_callback(self._resume)
 
     def _resume(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if event is self._target:
-            exc: Optional[BaseException] = event._exception
-        elif event in self._interrupts:
-            self._interrupts.remove(event)
-            exc = event._value
-        else:
-            # A stale wakeup from an event an interrupt detached us from.
-            return
-        self._target = None
+        exc = event._exception
         try:
             if exc is not None:
                 next_event = self._generator.throw(exc)
@@ -247,7 +198,6 @@ class Process(Event):
         if not isinstance(next_event, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {next_event!r}, expected an Event")
-        self._target = next_event
         next_event._add_callback(self._resume)
 
     def __repr__(self) -> str:
@@ -285,35 +235,13 @@ class AllOf(Event):
         return on_done
 
 
-class AnyOf(Event):
-    """Triggers as soon as any constituent event triggers."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env)
-        events = list(events)
-        if not events:
-            raise SimulationError("AnyOf requires at least one event")
-        for event in events:
-            event._add_callback(self._on_done)
-
-    def _on_done(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if event._exception is not None:
-            self.fail(event._exception)
-        else:
-            self.succeed(event._value)
-
-
 class Environment:
     """The simulation environment: clock plus event queue.
 
     Scheduling is split between two structures sharing one sequence
     counter: a heap for delayed events and a FIFO deque for immediate
     (zero-delay) ones.  Immediate scheduling dominates the hot path —
-    every ``succeed``, process bootstrap, interrupt trigger and process
+    every ``succeed``, process bootstrap and process
     termination schedules at the current instant — and the deque makes
     those O(1) instead of paying the heap's O(log n) push *and* pop.
     Because simulated time never decreases, the deque is always sorted
@@ -388,10 +316,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event triggering when all ``events`` have succeeded."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event triggering when any of ``events`` triggers."""
-        return AnyOf(self, events)
 
     def _dispatch(self, stop: Event, horizon: float) -> None:
         """Pop and dispatch events in ``(time, sequence)`` order until

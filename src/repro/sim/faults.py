@@ -428,11 +428,6 @@ class FaultInjector:
         return self.should_fail("pack.verify",
                                 self.plan.pack_corruption_rate)
 
-    def registry_dark(self, now: float) -> bool:
-        """Whether this plan's origin registry is inside an outage
-        window at ``now`` (used for cross-region failover decisions)."""
-        return _in_windows(self.plan.registry_outage_windows, now)
-
     def load_backoff(self, attempt: int) -> float:
         """Exponential backoff before load retry ``attempt`` (1-based)."""
         return self.plan.load_backoff_base_s * (2 ** (attempt - 1))

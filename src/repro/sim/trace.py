@@ -265,10 +265,9 @@ class TraceRecorder:
     """Collects trace records and computes the paper's aggregate metrics.
 
     ``retention="full"`` (default) keeps the entire record history in
-    ``records`` — a plain list, safe to read and, for legacy callers,
-    to append to or truncate.  The accumulators catch up with that list
-    before every metric query: appended records are folded in list
-    order, a truncated list is re-folded from scratch.
+    ``records``, a plain list that callers only read.  The accumulators
+    catch up with it before every metric query, folding what
+    :meth:`record` appended since the last one in list order.
     ``retention="aggregate"`` folds each record as it arrives and keeps
     only the accumulators plus a bounded ring (``ring_size``) of the
     most recent records; aggregate metrics are byte-identical between
@@ -299,13 +298,11 @@ class TraceRecorder:
         self._routes: Dict[_Key, _Route] = {}
         self._count = 0          # records folded so far
         self._synced = 0         # records folded from the full-mode list
-        self._tail: Optional[TraceRecord] = None  # the last one folded
         self._span_start = 0.0
         self._span_end = 0.0
         # Optional telemetry hook (repro.obs): called with every record
         # that flows through ingest()/ingest_stream().  None (default)
-        # keeps the hot path to a single falsy check; records appended
-        # directly to ``records`` by legacy callers bypass it.
+        # keeps the hot path to a single falsy check.
         self.observer: Optional[Any] = None
         if records is not None:
             for record in records:
@@ -329,18 +326,9 @@ class TraceRecorder:
             ends = ends[-keep:]
         built = [TraceRecord(start, end, actor, phase, label)
                  for start, end in zip(starts, ends)]
-        records = self._records
+        self._records.extend(built)
         if self.retention == "full":
-            # Records appended through a reference taken before the
-            # batch arrived after it: keep them behind it.
-            late = records[self._synced:]
-            del records[self._synced:]
-            records.extend(built)
             self._synced += len(built)
-            self._tail = built[-1]
-            records.extend(late)
-        else:
-            records.extend(built)
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -556,33 +544,12 @@ class TraceRecorder:
     def _sync(self) -> None:
         """Fold the records in the full-mode list that the accumulators
         have not seen yet: everything ``record()``/``ingest()`` appended
-        since the last query, and anything legacy callers appended to
-        ``records`` directly.
-
-        A list that no longer holds the last folded record where it was
-        folded has been truncated (and maybe appended to since): what
-        is left is re-folded from scratch.
-        """
-        if self.retention != "full":
-            return
+        since the last query.  A pending batch tail is already folded,
+        and ``record()``/``ingest()`` build it before they append."""
         records = self._records
-        synced = self._synced
-        if len(records) == synced and (not synced
-                                       or records[-1] is self._tail):
-            return
-        if self._pending is not None:
-            self._flush()
-            synced = self._synced
-        if synced and (len(records) < synced
-                       or records[synced - 1] is not self._tail):
-            self._acc.clear()
-            self._routes.clear()
-            self._count = 0
-            synced = 0
-        self._fold(records[synced:])
-        self._synced = len(records)
-        if records:
-            self._tail = records[-1]
+        if self.retention == "full" and len(records) > self._synced:
+            self._fold(records[self._synced:])
+            self._synced = len(records)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -766,8 +733,6 @@ class TraceRecorder:
             raise ValueError(f"trace state field span must be a finite "
                              f"(start, end) pair, got {state['span']!r}")
         recorder._synced = len(recorder._records)
-        if recorder._records:
-            recorder._tail = recorder._records[-1]
         recorder._span_start, recorder._span_end = span_start, span_end
         return recorder
 
@@ -779,7 +744,6 @@ class TraceRecorder:
         self._routes.clear()
         self._count = 0
         self._synced = 0
-        self._tail = None
         self._span_start = 0.0
         self._span_end = 0.0
 

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.core.middleware import PaskConfig
 from repro.core.schemes import Scheme
 from repro.gpu.device import MI100
 from repro.fleet.autoscale import AutoscalePolicy
@@ -320,7 +321,7 @@ def _tier_policy(**kw):
 _CONSTRUCTORS = (ClusterConfig, _region_config, _fleet_config,
                  AutoscalePolicy, FaultPlan, ResiliencePolicy, _tier_policy,
                  PackPolicy, SLOPolicy, _fleet_task, _request_trace,
-                 _fleet_trace, _device_spec)
+                 _fleet_trace, _device_spec, PaskConfig)
 
 
 def _fields_of(types):
@@ -377,7 +378,7 @@ def test_config_rejects_bad_floats(make, name, bad):
     (``ExperimentTask(kind="fleet", rate_hz=nan)`` used to build), and so
     does a zero replay rate or duration (``rate_hz=0.0`` used to build
     and then fail in ``build_replay``)."""
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=name):
         make(**{name: bad})
 
 

@@ -6,7 +6,6 @@ from repro.sim import (
     AllOf,
     Environment,
     Event,
-    Interrupt,
     SimulationError,
     Timeout,
 )
@@ -307,125 +306,6 @@ def test_all_of_empty_triggers_immediately():
     assert combined.value == []
 
 
-def test_any_of_returns_first_value():
-    env = Environment()
-    seen = {}
-
-    def proc():
-        value = yield env.any_of([env.timeout(3.0, "slow"),
-                                  env.timeout(1.0, "fast")])
-        seen["value"] = value
-        seen["time"] = env.now
-
-    env.process(proc())
-    env.run()
-    assert seen == {"value": "fast", "time": 1.0}
-
-
-def test_interrupt_raises_inside_process():
-    env = Environment()
-    log = []
-
-    def victim():
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            log.append(("interrupted", interrupt.cause, env.now))
-
-    def attacker(target):
-        yield env.timeout(5.0)
-        target.interrupt(cause="stop")
-
-    target = env.process(victim())
-    env.process(attacker(target))
-    env.run()
-    assert log == [("interrupted", "stop", 5.0)]
-
-
-def test_interrupted_process_can_keep_running():
-    env = Environment()
-    log = []
-
-    def victim():
-        try:
-            yield env.timeout(100.0)
-        except Interrupt:
-            pass
-        yield env.timeout(1.0)
-        log.append(env.now)
-
-    def attacker(target):
-        yield env.timeout(2.0)
-        target.interrupt()
-
-    target = env.process(victim())
-    env.process(attacker(target))
-    env.run()
-    assert log == [3.0]
-
-
-def test_interrupt_before_first_step_lands_inside_the_body():
-    # A interrupts B before B's bootstrap has run: B still starts, and
-    # the interrupt reaches the ``try`` around B's first wait.
-    env = Environment()
-    log = []
-
-    def attacker():
-        processes[1].interrupt("x")
-        log.append(("attacked", env.now))
-        yield env.timeout(0.0)
-
-    def victim():
-        log.append(("started", env.now))
-        try:
-            yield env.timeout(10.0)
-        except Interrupt as interrupt:
-            log.append(("interrupted", interrupt.cause, env.now))
-        yield env.timeout(1.0)
-        log.append(("resumed", env.now))
-
-    processes = [env.process(attacker()), env.process(victim())]
-    env.run()
-    assert log == [("attacked", 0.0), ("started", 0.0),
-                   ("interrupted", "x", 0.0), ("resumed", 1.0)]
-    assert processes[1].ok
-
-
-def test_interrupt_finished_process_rejected():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1.0)
-
-    process = env.process(quick())
-    env.run()
-    with pytest.raises(SimulationError):
-        process.interrupt()
-
-
-def test_stale_wakeup_after_interrupt_is_ignored():
-    env = Environment()
-    log = []
-
-    def victim():
-        try:
-            yield env.timeout(10.0)
-        except Interrupt:
-            log.append(("interrupted", env.now))
-        yield env.timeout(100.0)
-        log.append(("resumed", env.now))
-
-    def attacker(target):
-        yield env.timeout(4.0)
-        target.interrupt()
-
-    target = env.process(victim())
-    env.process(attacker(target))
-    env.run()
-    # The stale timeout at t=10 must not wake the process early.
-    assert log == [("interrupted", 4.0), ("resumed", 104.0)]
-
-
 def test_process_exception_propagates_to_waiting_parent():
     env = Environment()
     caught = {}
@@ -454,18 +334,6 @@ def test_yield_non_event_raises():
     env.process(bad())
     with pytest.raises(SimulationError):
         env.run()
-
-
-def test_is_alive_transitions():
-    env = Environment()
-
-    def proc():
-        yield env.timeout(1.0)
-
-    process = env.process(proc())
-    assert process.is_alive
-    env.run()
-    assert not process.is_alive
 
 
 def test_event_value_before_trigger_rejected():
@@ -577,60 +445,6 @@ def test_all_of_preserves_input_order(delays):
     assert seen["time"] == max(delays)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(min_value=0.0, max_value=10.0,
-                          allow_nan=False, allow_infinity=False),
-                min_size=1, max_size=10))
-def test_any_of_returns_earliest_scheduled_winner(delays):
-    """AnyOf fires at the min delay with the first-scheduled winner."""
-    env = Environment()
-    seen = {}
-
-    def proc():
-        value = yield env.any_of(
-            [env.timeout(d, value=i) for i, d in enumerate(delays)])
-        seen["value"] = value
-        seen["time"] = env.now
-
-    env.process(proc())
-    env.run()
-    fastest = min(delays)
-    assert seen["time"] == fastest
-    # Ties break by scheduling sequence: first index at the min delay.
-    assert seen["value"] == delays.index(fastest)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.floats(min_value=0.5, max_value=5.0,
-                 allow_nan=False, allow_infinity=False),
-       st.floats(min_value=0.0, max_value=0.4,
-                 allow_nan=False, allow_infinity=False))
-def test_interrupt_fires_before_pending_timeout(wait, strike):
-    """An interrupt lands at the attacker's time, not the victim's, and
-    the stale wakeup never resumes the victim early."""
-    env = Environment()
-    log = []
-
-    def victim():
-        try:
-            yield env.timeout(wait)
-            log.append(("finished", env.now))
-        except Interrupt as interrupt:
-            log.append(("interrupted", interrupt.cause, env.now))
-        yield env.timeout(wait)
-        log.append(("resumed", env.now))
-
-    def attacker(target):
-        yield env.timeout(strike)
-        target.interrupt(cause="chaos")
-
-    target = env.process(victim())
-    env.process(attacker(target))
-    env.run()
-    assert log[0] == ("interrupted", "chaos", strike)
-    assert log[1] == ("resumed", strike + wait)
-
-
 @settings(max_examples=50, deadline=None)
 @given(_delays)
 def test_zero_delay_chain_runs_within_one_instant(delays):
@@ -671,15 +485,12 @@ _actions = st.one_of(
     st.tuples(st.just("timeout"), _instants),
     st.tuples(st.just("event"), _instants),
     st.tuples(st.just("all_of"), st.lists(_instants, min_size=1, max_size=3)),
-    st.tuples(st.just("any_of"), st.lists(_instants, min_size=1, max_size=3)),
-    st.tuples(st.just("interrupt"), st.integers(0, 3)),
 )
 _scripts = st.lists(st.lists(_actions, max_size=6), min_size=1, max_size=4)
 
 
 def _start(env, scripts, log):
     """One process per script; every callback logs ``(now, label)``."""
-    processes = []
 
     def wait(name, step, action, arg):
         if action == "timeout":
@@ -693,30 +504,17 @@ def _start(env, scripts, log):
                 event.succeed(step)
             env.timeout(arg)._add_callback(trigger)
             return event
-        timeouts = [env.timeout(delay, value=i) for i, delay in enumerate(arg)]
-        return env.all_of(timeouts) if action == "all_of" \
-            else env.any_of(timeouts)
+        return env.all_of([env.timeout(delay, value=i)
+                           for i, delay in enumerate(arg)])
 
     def body(name, script):
         for step, (action, arg) in enumerate(script):
-            try:
-                if action == "interrupt":
-                    # Past the first zero-delay hop every process has
-                    # started, so the interrupt lands inside its ``try``.
-                    value = yield env.timeout(0.0)
-                    target = processes[arg % len(processes)]
-                    if target.is_alive and target is not processes[name]:
-                        target.interrupt(cause=(name, step))
-                else:
-                    value = yield wait(name, step, action, arg)
-                log.append((env.now, f"{name}.{step}:{value!r}"))
-            except Interrupt as interrupt:
-                log.append((env.now, f"{name}.{step}:{interrupt.cause!r}"))
+            value = yield wait(name, step, action, arg)
+            log.append((env.now, f"{name}.{step}:{value!r}"))
         return name
 
-    for name, script in enumerate(scripts):
-        processes.append(env.process(body(name, script), name=f"p{name}"))
-    return processes
+    return [env.process(body(name, script), name=f"p{name}")
+            for name, script in enumerate(scripts)]
 
 
 def _next_time(env):

@@ -374,10 +374,8 @@ _query = st.tuples(
 _full_ops = st.lists(st.one_of(
     st.tuples(st.just("record"), _full_record, st.booleans()),
     st.tuples(st.just("ingest"), _full_record),
-    st.tuples(st.just("append"), _full_record),
     st.tuples(st.just("stream"), st.lists(_span, max_size=8), st.booleans(),
               st.sampled_from(_ACTORS), st.sampled_from(_ALL_PHASES)),
-    st.tuples(st.just("truncate"), st.integers(0, 12)),
     st.tuples(st.just("query"), _query)), max_size=25)
 
 
@@ -476,7 +474,7 @@ def test_full_retention_matches_naive_oracle(ops):
     oracle = _Oracle()
     for index, op in enumerate(ops):
         kind = op[0]
-        if kind in ("record", "ingest", "append"):
+        if kind in ("record", "ingest"):
             ((start, end), actor, phase) = op[1]
             meta = (("step", index),) if kind == "record" and op[2] else ()
             rec = TraceRecord(start, end, actor, phase, "x", meta)
@@ -484,10 +482,8 @@ def test_full_retention_matches_naive_oracle(ops):
                 returned = recorder.record(start, end, actor, phase, "x",
                                            **dict(meta))
                 assert returned == rec
-            elif kind == "ingest":
-                recorder.ingest(rec)
             else:
-                recorder.records.append(rec)
+                recorder.ingest(rec)
             oracle.records.append(rec)
         elif kind == "stream":
             _, spans, ordered, actor, phase = op
@@ -497,9 +493,6 @@ def test_full_retention_matches_naive_oracle(ops):
                                    [e for _, e in spans], actor, phase, "x")
             oracle.records.extend(TraceRecord(s, e, actor, phase, "x")
                                   for s, e in spans)
-        elif kind == "truncate":
-            del recorder.records[op[1]:]
-            del oracle.records[op[1]:]
         else:
             _check_query(recorder, oracle, op[1])
     # Every query agrees at the end, whatever the interleaving left

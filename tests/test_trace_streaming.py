@@ -14,8 +14,8 @@ import pytest
 from repro.core.schemes import Scheme
 from repro.models import list_models
 from repro.serving.server import InferenceServer
-from repro.sim.trace import (RETENTION_POLICIES, Phase, TraceRecord,
-                             TraceRecorder, merge_intervals)
+from repro.sim.trace import (RETENTION_POLICIES, Phase, TraceRecorder,
+                             merge_intervals)
 
 _SCHEMES = (Scheme.BASELINE, Scheme.NNV12, Scheme.PASK, Scheme.IDEAL)
 _SERVER = InferenceServer("MI100")
@@ -161,49 +161,6 @@ def test_clear_resets_aggregates():
     assert recorder.retained_records == 0
     assert recorder.total() == 0.0
     assert recorder.span() == (0.0, 0.0)
-
-
-def test_legacy_direct_append_is_folded_lazily():
-    # Pre-streaming callers append TraceRecords straight onto .records;
-    # metrics must still see them (full retention only).
-    recorder = TraceRecorder()
-    recorder.records.append(TraceRecord(0.0, 2.0, "gpu", Phase.EXEC))
-    recorder.records.append(TraceRecord(1.0, 3.0, "gpu", Phase.EXEC))
-    assert recorder.total(Phase.EXEC) == pytest.approx(4.0)
-    assert recorder.busy_time(Phase.EXEC) == pytest.approx(3.0)
-    assert recorder.record_count == 2
-    assert recorder.span() == (0.0, 3.0)
-
-
-def test_external_truncation_rebuilds_aggregates():
-    recorder = TraceRecorder()
-    recorder.record(0.0, 1.0, "gpu", Phase.EXEC)
-    recorder.record(5.0, 6.0, "gpu", Phase.EXEC)
-    # Query first, so both records are folded before the truncation:
-    # the rebuild must fold what is left, not merely retain it.
-    assert recorder.busy_time(Phase.EXEC) == 2.0
-    del recorder.records[1:]
-    assert recorder.busy_time(Phase.EXEC) == 1.0
-    assert recorder.record_count == 1
-    assert recorder.total(Phase.EXEC) == pytest.approx(1.0)
-    assert recorder.span() == (0.0, 1.0)
-
-
-def test_truncation_hidden_by_later_appends_still_rebuilds():
-    # Truncate, then append back to the folded length: the list is as
-    # long as before, but its last folded record is gone.
-    recorder = TraceRecorder()
-    recorder.record(0.0, 1.0, "gpu", Phase.EXEC)
-    recorder.record(5.0, 6.0, "gpu", Phase.EXEC)
-    assert recorder.total(Phase.EXEC) == 2.0
-    del recorder.records[1:]
-    recorder.record(2.0, 4.0, "gpu", Phase.EXEC)
-    assert recorder.total(Phase.EXEC) == 3.0
-    assert recorder.span() == (0.0, 4.0)
-    del recorder.records[1:]
-    recorder.records.append(TraceRecord(3.0, 3.5, "gpu", Phase.EXEC))
-    assert recorder.busy_time(Phase.EXEC) == 1.5
-    assert recorder.record_count == 2
 
 
 def test_record_is_not_folded_until_queried():
@@ -414,31 +371,6 @@ def test_clear_drops_the_pending_tail(retention, ring_size):
     fresh = TraceRecorder(retention=retention, ring_size=ring_size)
     fresh.record(2.0, 3.0, "gpu", Phase.EXEC)
     assert json.dumps(lazy.state_dict()) == json.dumps(fresh.state_dict())
-
-
-def test_legacy_append_lands_behind_a_pending_tail():
-    lazy, eager = _lazy_and_eager("full", 4)
-    for recorder in (lazy, eager):
-        recorder.records.append(TraceRecord(9.0, 9.5, "gpu", Phase.EXEC))
-    assert lazy.total(Phase.EXEC) == eager.total(Phase.EXEC)
-    assert lazy.busy_time(Phase.EXEC) == eager.busy_time(Phase.EXEC)
-    assert lazy.record_count == eager.record_count == 12
-    assert lazy.span() == eager.span()
-    assert list(lazy.records) == list(eager.records)
-
-
-def test_append_through_a_held_list_lands_behind_a_pending_tail():
-    # A reference taken before the batch still sees appends land after
-    # the batch's records, as they would have with an eager ingest.
-    recorder = TraceRecorder()
-    held = recorder.records
-    recorder.ingest_stream(_STARTS, _ENDS, "cluster", Phase.EXEC)
-    late = TraceRecord(9.0, 9.5, "gpu", Phase.EXEC)
-    held.append(late)
-    assert recorder.record_count == 11
-    assert recorder.records is held
-    assert held[-1] is late
-    assert [r.start for r in held[:-1]] == _STARTS
 
 
 @pytest.mark.parametrize("streamed", (False, True), ids=("record", "stream"))
