@@ -3,15 +3,14 @@
 Offline preparation (Fig. 3): the engine receives an ONNX-like graph,
 applies hardware-independent optimization passes (DCE, CSE, fusion),
 lowers every node to an instruction -- choosing the optimal primitive
-solution per layer via the library's find-db -- and serializes the result
-as a *lowered model* stored in the model registry.  Online serving
+solution per layer via the library's find-db -- and stores the result as
+a *lowered model* in the model registry.  Online serving
 schemes (:mod:`repro.core.schemes`) consume that lowered model.
 """
 
 from repro.engine.instruction import EngineKernel, Instruction, InstrKind
 from repro.engine.program import Program
 from repro.engine.lowering import LoweringOptions, lower
-from repro.engine.serialize import deserialize_program, serialize_program
 from repro.engine.registry import ModelRegistry
 from repro.engine.passes import default_passes, run_passes
 
@@ -23,8 +22,6 @@ __all__ = [
     "ModelRegistry",
     "Program",
     "default_passes",
-    "deserialize_program",
     "lower",
     "run_passes",
-    "serialize_program",
 ]

@@ -1,4 +1,4 @@
-"""Lowered programs: the engine's serialized execution artifact."""
+"""Lowered programs: the engine's execution artifact."""
 
 from __future__ import annotations
 
@@ -18,7 +18,9 @@ class Program:
     """An ordered sequence of lowered instructions plus metadata.
 
     This is the ``.mgx``-file equivalent: the artifact the model registry
-    stores offline and the serving schemes parse, load and execute online.
+    stores offline, as built, and the serving schemes parse, load and
+    execute online.  Parsing is simulated: each instruction bills its
+    ``parse_cost_s`` on every serve.
     """
 
     name: str
@@ -71,7 +73,7 @@ class Program:
         into one code object embedded in the lowered model file, so a
         model pays a single load for all of them.  Returns None when the
         program has no engine kernels.  Deterministic, so it is derived
-        once per program rather than serialized.
+        once per program rather than stored.
         """
         names = sorted({i.engine_kernel.name
                         for i in self.of_kind(InstrKind.ENGINE_KERNEL)})

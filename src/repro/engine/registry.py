@@ -2,12 +2,12 @@
 
 Serving frameworks "maintain a model registry to store the lowered model
 and directly load them when the request comes to avoid redundant
-lowering" (Sec. II-A).  Registration passes every program once through
-the serialized ``.mgx`` format (:func:`serialize_program` then
-:func:`deserialize_program`) and stores the parsed :class:`Program`;
-every load returns that same read-only object, so no serve parses JSON
-on the host.  Parsing is still billed online: the executors charge
-each instruction's simulated ``parse_cost_s`` on every serve.
+lowering" (Sec. II-A).  The registry stores each program as lowered,
+with its metadata copied into a read-only mapping, and every load
+returns that same object, so no serve re-lowers or re-reads a model on
+the host.  Parsing the lowered model is still billed online: the
+executors charge each instruction's simulated ``parse_cost_s`` on every
+serve.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Dict, List, Optional
 
 from repro.engine.lowering import LoweringOptions, lower
 from repro.engine.program import Program
-from repro.engine.serialize import deserialize_program, serialize_program
 from repro.graph import Graph
 from repro.primitive.library import MIOpenLibrary
 
@@ -26,7 +25,7 @@ __all__ = ["ModelRegistry"]
 
 
 class ModelRegistry:
-    """In-memory store of parsed lowered models, keyed by name.
+    """In-memory store of lowered models, keyed by name.
 
     A stored program is shared by every serve that loads it, so it is
     read-only: its instructions are frozen and its metadata is a
@@ -43,16 +42,19 @@ class ModelRegistry:
         return self.register(lower(graph, self.library, options), key)
 
     def register(self, program: Program, key: Optional[str] = None) -> str:
-        """Store an already-lowered program, as parsed back from its
-        serialized form."""
+        """Store an already-lowered program.  Its metadata is copied, so
+        the caller's dict never reaches the stored program."""
         key = key or program.name
-        parsed = deserialize_program(serialize_program(program))
         self._store[key] = dataclasses.replace(
-            parsed, metadata=MappingProxyType(parsed.metadata))
+            program, metadata=MappingProxyType(dict(program.metadata)))
         return key
 
+    def unregister(self, key: str) -> None:
+        """Forget ``key``'s program, if one is stored."""
+        self._store.pop(key, None)
+
     def load(self, key: str) -> Program:
-        """Fetch a registered model (the stored, already-parsed program)."""
+        """Fetch a registered model (the stored program itself)."""
         try:
             return self._store[key]
         except KeyError:

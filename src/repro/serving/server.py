@@ -1,10 +1,10 @@
 """The inference server: end-to-end cold and hot runs.
 
-``InferenceServer`` owns the offline side (library, find-db, model
-registry with per-policy lowered variants) and spins up a fresh simulated
-runtime per request -- a cold start is literally a new runtime with no
-loaded modules, matching the preemptive/serverless/edge scenarios of the
-paper's introduction.
+``InferenceServer`` owns the offline side (library, find-db, each
+model's optimized graph, model registry with per-policy lowered
+variants) and spins up a fresh simulated runtime per request -- a cold
+start is literally a new runtime with no loaded modules, matching the
+preemptive/serverless/edge scenarios of the paper's introduction.
 
 Every one-request entry point (cold, hot, checkpoint capture, restore)
 runs through one harness, ``InferenceServer._serve``, and hands it only
@@ -14,11 +14,13 @@ counts each result the same way.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Union
 
 from repro.checks import check_count, check_range
 from repro.core.results import ExecutionResult
 from repro.core.schemes import Scheme, build_executor, run_hot
+from repro.engine.passes import run_passes
 from repro.engine.program import Program
 from repro.engine.registry import ModelRegistry
 from repro.gpu.device import DeviceSpec, get_device
@@ -53,8 +55,15 @@ class InferenceServer:
     # Offline: model registration
     # ------------------------------------------------------------------
     def register_model(self, graph: Graph) -> None:
-        """Make a model graph available for serving under its name."""
-        self._graphs[graph.name] = graph
+        """Make a model graph available for serving under its name.
+
+        Programs compiled from an earlier graph of the same name are
+        dropped, so the next serve compiles from this one.
+        """
+        self._graphs[graph.name] = run_passes(graph)
+        for key in self.registry.keys():
+            if key.startswith(f"{graph.name}@"):
+                self.registry.unregister(key)
 
     def _program_key(self, model: str, scheme: Scheme, batch: int) -> str:
         policy = "native" if scheme is Scheme.NNV12 else "default"
@@ -65,19 +74,21 @@ class InferenceServer:
         and caches it in the registry on first use."""
         key = self._program_key(model, scheme, batch)
         if key not in self.registry:
-            graph = self._resolve_graph(model)
+            options = replace(scheme.lowering_options(batch),
+                              apply_passes=False)
             self.registry.compile_and_register(
-                graph, key=key, options=scheme.lowering_options(batch))
+                self._resolve_graph(model), key=key, options=options)
         return self.registry.load(key)
 
     def _resolve_graph(self, model: str) -> Graph:
-        if model in self._graphs:
-            return self._graphs[model]
-        # Fall back to the built-in model zoo.
-        from repro.models import build_model
-        graph = build_model(model)
-        self._graphs[model] = graph
-        return graph
+        """``model``'s optimized graph: the passes are hardware- and
+        policy-independent, so they run once per model, not once per
+        lowering."""
+        if model not in self._graphs:
+            # Fall back to the built-in model zoo.
+            from repro.models import build_model
+            self._graphs[model] = run_passes(build_model(model))
+        return self._graphs[model]
 
     # ------------------------------------------------------------------
     # Online: serving

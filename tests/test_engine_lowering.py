@@ -1,4 +1,4 @@
-"""Unit tests for lowering, programs, serialization and the registry."""
+"""Unit tests for lowering, programs and the registry."""
 
 import pytest
 
@@ -6,9 +6,7 @@ from repro.engine import (
     InstrKind,
     LoweringOptions,
     ModelRegistry,
-    deserialize_program,
     lower,
-    serialize_program,
 )
 from repro.gpu import MI100
 from repro.graph import GraphBuilder
@@ -144,26 +142,6 @@ class TestProgram:
     def test_total_parse_cost_positive(self, library):
         program = lower(small_cnn(), library)
         assert program.total_parse_cost_s > 0
-
-
-class TestSerialization:
-    def test_round_trip_identity(self, library):
-        program = lower(small_cnn(), library)
-        restored = deserialize_program(serialize_program(program))
-        assert restored.name == program.name
-        assert len(restored) == len(program)
-        for a, b in zip(program, restored):
-            assert a == b
-
-    def test_round_trip_transformer(self, library):
-        program = lower(transformer_block(), library, LoweringOptions(batch=4))
-        restored = deserialize_program(serialize_program(program))
-        assert restored.batch == 4
-        assert restored.instructions == program.instructions
-
-    def test_bad_format_rejected(self):
-        with pytest.raises(ValueError):
-            deserialize_program('{"format": "mystery"}')
 
 
 class TestRegistry:

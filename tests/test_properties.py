@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import CategoricalSolutionCache, LoadedInstance, \
     NaiveSolutionCache
-from repro.engine.serialize import deserialize_program, serialize_program
 from repro.engine.instruction import EngineKernel, Instruction, InstrKind
 from repro.engine.program import Program
 from repro.gpu import MI100, load_time, CodeObjectFile
@@ -242,34 +241,6 @@ def test_naive_finds_whenever_categorical_same_pattern_finds(entries, query):
     n = naive.get_sub_solution(desired, query)
     if c.hit:
         assert n.hit
-
-
-# ----------------------------------------------------------------------
-# Serialization round-trip
-# ----------------------------------------------------------------------
-
-@given(st.lists(conv_problems, min_size=1, max_size=8))
-@settings(max_examples=40)
-def test_program_round_trip(problems):
-    instructions = []
-    for index, problem in enumerate(problems):
-        solution = next(s for s in _CONV_SOLUTIONS if s.is_applicable(problem))
-        instructions.append(Instruction(
-            index, f"layer{index}", InstrKind.MIOPEN_PRIMITIVE,
-            problem=problem, solution_name=solution.name))
-    program = Program("prop", tuple(instructions))
-    restored = deserialize_program(serialize_program(program))
-    assert restored.instructions == program.instructions
-
-
-@given(st.sampled_from(["Add", "Softmax", "Gelu"]),
-       st.floats(0, 1e9), st.integers(0, 10**9))
-def test_engine_kernel_round_trip(op, flops, bytes_moved):
-    kernel = EngineKernel(op, "1x2x3", flops, bytes_moved)
-    instr = Instruction(0, "k", InstrKind.ENGINE_KERNEL, engine_kernel=kernel)
-    program = Program("ek", (instr,))
-    restored = deserialize_program(serialize_program(program))
-    assert restored.instructions[0].engine_kernel == kernel
 
 
 # ----------------------------------------------------------------------
