@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from itertools import islice
+from numbers import Real
 from typing import Any, Collection, Iterable, Sequence
 
 __all__ = ["RETENTION_POLICIES", "check_count", "check_range",
@@ -47,10 +48,11 @@ def check_range(field: str, value: Any, low: float = 0.0,
     """``value`` is a finite number between ``low`` and ``high``, each
     end closed unless ``low_open``/``high_open`` (the default range is
     ``[0, inf)``), or None when ``optional``.  NaN fails every
-    comparison, so it is rejected too."""
+    comparison, so it is rejected too, as is anything not a number."""
     if optional and value is None:
         return
-    if not ((low < value if low_open else low <= value)
+    if not isinstance(value, Real) or not (
+            (low < value if low_open else low <= value)
             and (value < high if high_open else value <= high)
             and value < _INF):
         if high == _INF:

@@ -84,11 +84,6 @@ class Program:
         return CodeObjectFile(f"mgx_jit_{self.name}@b{self.batch}", size,
                               symbols)
 
-    @property
-    def total_parse_cost_s(self) -> float:
-        """Summed de-serialization cost of all instructions."""
-        return sum(i.parse_cost_s for i in self.instructions)
-
     def stats(self) -> Dict[str, Any]:
         """Summary counters used by reports and tests."""
         per_kind = {kind: 0 for kind in InstrKind}

@@ -72,10 +72,10 @@ class AutoscalePolicy:
         check_count("min_instances", self.min_instances)
         if self.kind == "scale-to-zero" and self.idle_timeout_s is None:
             raise ValueError("scale-to-zero needs an idle_timeout_s")
-        for name in ("idle_timeout_s", "scale_up_wait_s",
-                     "scale_down_idle_s", "prewarm_cooldown_s",
-                     "restore_overhead_s"):
-            check_range(name, getattr(self, name), optional=True)
+        check_range("idle_timeout_s", self.idle_timeout_s, optional=True)
+        for name in ("scale_up_wait_s", "scale_down_idle_s",
+                     "prewarm_cooldown_s", "restore_overhead_s"):
+            check_range(name, getattr(self, name))
         check_range("ewma_alpha", self.ewma_alpha, 0, 1, low_open=True,
                     high_open=False)
         check_range("prewarm_headroom", self.prewarm_headroom, low_open=True)

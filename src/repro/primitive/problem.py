@@ -121,11 +121,6 @@ class ConvProblem(HashOnce):
         return self.group == self.in_channels == self.out_channels
 
     @property
-    def is_pointwise(self) -> bool:
-        """Whether the filter is 1x1."""
-        return self.kernel == (1, 1)
-
-    @property
     def flops(self) -> float:
         """Multiply-accumulate FLOPs of the direct algorithm."""
         ho, wo = self.out_spatial

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
-from repro.checks import check_one_of, check_range
+from repro.checks import check_count, check_one_of, check_range
 from repro.gpu.codeobject import CodeObjectFile, KernelSymbol
 from repro.primitive.patterns import SolutionPattern
 from repro.primitive.problem import (
@@ -115,8 +115,7 @@ class Solution(HashOnce):
                      (GENERIC, SPECIALIZED, HIGHLY_SPECIALIZED))
         check_range("base_efficiency", self.base_efficiency, 0, 1,
                     low_open=True, high_open=False)
-        if self.kernels_per_launch < 1:
-            raise ValueError("kernels_per_launch must be >= 1")
+        check_count("kernels_per_launch", self.kernels_per_launch, 1)
 
     # ------------------------------------------------------------------
     # Applicability (IsApplicable)

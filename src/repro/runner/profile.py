@@ -36,6 +36,13 @@ operations:
   load, checkpoint restore or a kernel-pack fetch.
   **spinup-pack-static** — spinup-pack's fleet through
   :func:`~repro.fleet.parallel.run_fleet_sharded` (static mode).
+- **paper-compile** — every program that the first ``ops`` cells of
+  :func:`~repro.runner.grid.experiment_grid` (324 in all) serve,
+  compiled on one fresh :class:`~repro.serving.server.InferenceServer`
+  per device: each model graph optimized once, then one lowering per
+  (model, policy, batch).  The row counts the programs compiled (144 for
+  the whole grid) and the graphs optimized.  Server construction is not
+  timed; compilation, including every find-db query, is.
 - **paper-claims** — the first ``ops`` rows of
   :data:`~repro.serving.validation.CLAIMS` (36 in all) measured on a
   fresh :class:`~repro.serving.experiments.ExperimentSuite`: the work
@@ -71,6 +78,7 @@ from repro.fleet.routing import RoutingPolicy
 from repro.models import build_model
 from repro.obs import MetricsRegistry, SLOPolicy, SpanRecorder
 from repro.packs import PackPolicy, pack_for
+from repro.runner.grid import experiment_grid
 from repro.serving.cluster import (ClusterConfig, ClusterSimulator,
                                    service_times)
 from repro.serving.experiments import ExperimentSuite
@@ -280,6 +288,21 @@ def _entry_point(config: FleetConfig, telemetry: bool = False,
     return prepare
 
 
+def _paper_compile(ops: int) -> Callable[[], Readout]:
+    cells = experiment_grid()[:ops]
+    servers = {cell.device: InferenceServer(cell.device) for cell in cells}
+
+    def run() -> Readout:
+        for cell in cells:
+            servers[cell.device]._lowered(cell.model, cell.scheme_enum,
+                                          cell.batch)
+        return lambda: (
+            sum(len(server.registry.keys()) for server in servers.values()),
+            {"graphs": sum(len(server._graphs)
+                           for server in servers.values())})
+    return run
+
+
 def _paper_claims(ops: int) -> Callable[[], Readout]:
     suite = ExperimentSuite(DEVICE)
     claims = CLAIMS[:ops]
@@ -312,6 +335,7 @@ LAYERS: Dict[str, Layer] = {layer.name: layer for layer in (
     Layer("spinup-pack", 5_000, _serial(_spinup_config(False, True), 50.0)),
     Layer("spinup-pack-static", 5_000,
           _entry_point(_spinup_config(False, True), rate_hz=50.0)),
+    Layer("paper-compile", len(experiment_grid()), _paper_compile),
     Layer("paper-claims", len(CLAIMS), _paper_claims),
 )}
 

@@ -158,8 +158,8 @@ class ExperimentTask:
         # A replay needs arrivals: its rate and duration must be positive.
         for name in ("rate_hz", "duration_s"):
             check_range(name, getattr(self, name), low_open=True)
-        for name in ("keep_alive_s", "peak_rate_hz", "period_s", "burst_s",
-                     "shed_wait_s"):
+        check_range("keep_alive_s", self.keep_alive_s)
+        for name in ("peak_rate_hz", "period_s", "burst_s", "shed_wait_s"):
             check_range(name, getattr(self, name), optional=True)
         check_retention("trace_retention", self.trace_retention)
         check_one_of("arrival kind", self.arrival, ARRIVAL_KINDS)

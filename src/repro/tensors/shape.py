@@ -52,14 +52,6 @@ class TensorDesc:
             raise ValueError(f"batch must be positive, got {batch}")
         return TensorDesc((batch,) + self.dims[1:], self.dtype, self.layout)
 
-    def with_layout(self, layout: Layout) -> "TensorDesc":
-        """A copy in a different memory layout (same logical dims)."""
-        return TensorDesc(self.dims, self.dtype, layout)
-
-    def with_dtype(self, dtype: DataType) -> "TensorDesc":
-        """A copy with a different element type."""
-        return TensorDesc(self.dims, dtype, self.layout)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         dims = "x".join(str(d) for d in self.dims)
         return f"{dims}:{self.dtype.label}:{self.layout.value}"

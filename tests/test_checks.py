@@ -17,6 +17,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
     (lambda: check_count("n", 1.5, 1, optional=True),
      "n must be None or an integer >= 1, got 1.5"),
     (lambda: check_range("x", math.nan), "x must be finite and >= 0, got nan"),
+    (lambda: check_range("x", None), "x must be finite and >= 0, got None"),
     (lambda: check_range("x", 0.0, low_open=True),
      "x must be finite and > 0, got 0.0"),
     (lambda: check_range("x", -1.0, optional=True),

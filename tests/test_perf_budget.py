@@ -89,6 +89,13 @@ class TestBudgetGate:
         served = InferenceServer("MI100")._lowered("res", Scheme.PASK, 1)
         assert lowering.counters["instructions"] == len(served.instructions)
 
+    def test_paper_compile_covers_every_grid_program(self):
+        # 12 models: 2 policies x 5 batches on MI100, the default
+        # policy at batch 1 on the other two devices.
+        timing = profile_layer("paper-compile")
+        assert timing.ops == 12 * (2 * 5 + 2)
+        assert timing.counters["graphs"] == 12 * 3
+
 
 class TestEndToEnd:
     def test_tiny_cluster_budget_passes(self, tmp_path, capsys):

@@ -37,8 +37,11 @@ class TestConvProblem:
     def test_depthwise_and_pointwise_flags(self):
         dw = ConvProblem(1, 32, 8, 8, 32, (3, 3), pad=(1, 1), group=32)
         pw = ConvProblem(1, 32, 8, 8, 64, (1, 1))
-        assert dw.is_depthwise and not dw.is_pointwise
-        assert pw.is_pointwise and not pw.is_depthwise
+        assert dw.is_depthwise and not pw.is_depthwise
+        # Pointwise is a solver constraint: the 1x1 GEMM serves pw only.
+        gemm1x1 = next(s for s in all_miopen_solutions()
+                       if s.name == "ConvGemmFwd1x1")
+        assert gemm1x1.is_applicable(pw) and not gemm1x1.is_applicable(dw)
 
     def test_with_batch(self):
         p = ConvProblem(1, 3, 32, 32, 8, (3, 3))

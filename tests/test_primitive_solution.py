@@ -1,5 +1,7 @@
 """Unit tests for solutions: ladders, signatures, tuning compatibility."""
 
+import math
+
 import pytest
 
 from repro.primitive import (
@@ -223,6 +225,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             Solution("x", SolutionPattern.DIRECT, PrimitiveKind.CONVOLUTION,
                      specialization=0, base_efficiency=1.5)
+
+    @pytest.mark.parametrize("bad", (math.nan, 1.5, True, 0),
+                             ids=("nan", "fractional", "bool", "zero"))
+    def test_bad_kernels_per_launch_rejected(self, bad):
+        # NaN, 1.5 and True used to pass the old ``< 1`` test.
+        with pytest.raises(ValueError, match="kernels_per_launch"):
+            Solution("x", SolutionPattern.DIRECT, PrimitiveKind.CONVOLUTION,
+                     specialization=0, base_efficiency=0.5,
+                     kernels_per_launch=bad)
 
     def test_wrong_kind_never_applicable(self):
         naive = by_name("ConvDirectNaiveFwd")

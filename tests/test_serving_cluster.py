@@ -362,11 +362,13 @@ def test_config_rejects_bad_integer_counts(make, name, bad):
 
 # A bool is a valid float (``True == 1.0``), so bool-on-float is
 # deliberately not drawn.  A replay task's rate and duration must also
-# be above zero.
+# be above zero, and a field that is not Optional must not be None.
 _BAD_FLOATS = ([(make, name, bad) for make, name in _FLOAT_FIELDS
                 for bad in (math.nan, math.inf, -1.0)]
                + [(make, name, 0.0) for make in (_cluster_task, _fleet_task)
-                  for name in ("rate_hz", "duration_s")])
+                  for name in ("rate_hz", "duration_s")]
+               + [(make, name, None)
+                  for make, name in _fields_of(("float",))])
 
 
 @pytest.mark.parametrize(
@@ -377,7 +379,10 @@ def test_config_rejects_bad_floats(make, name, bad):
     """A NaN, infinite or negative float fails at construction
     (``ExperimentTask(kind="fleet", rate_hz=nan)`` used to build), and so
     does a zero replay rate or duration (``rate_hz=0.0`` used to build
-    and then fail in ``build_replay``)."""
+    and then fail in ``build_replay``) and a None where the field is
+    not Optional (``keep_alive_s=None`` used to build and then fail in
+    ``build_replay``, ``AutoscalePolicy(scale_up_wait_s=None)`` in
+    ``execute_task``)."""
     with pytest.raises(ValueError, match=name):
         make(**{name: bad})
 

@@ -71,11 +71,6 @@ class TestTensorDesc:
         with pytest.raises(ValueError):
             TensorDesc((1, 3)).with_batch(0)
 
-    def test_with_layout_and_dtype(self):
-        t = TensorDesc((1, 3, 8, 8))
-        assert t.with_layout(Layout.NHWC).layout is Layout.NHWC
-        assert t.with_dtype(DataType.FP16).size_bytes == t.numel * 2
-
     def test_hashable_and_equal(self):
         a = TensorDesc((1, 3, 8, 8))
         b = TensorDesc((1, 3, 8, 8))
