@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import operator
 from itertools import islice
-from numbers import Real
 from typing import Any, Collection, Iterable, Sequence
 
 __all__ = ["RETENTION_POLICIES", "check_count", "check_range",
@@ -48,13 +47,17 @@ def check_range(field: str, value: Any, low: float = 0.0,
     """``value`` is a finite number between ``low`` and ``high``, each
     end closed unless ``low_open``/``high_open`` (the default range is
     ``[0, inf)``), or None when ``optional``.  NaN fails every
-    comparison, so it is rejected too, as is anything not a number."""
+    comparison, so it is rejected too, as is a value that does not
+    compare with a number (None where it is not ``optional``)."""
     if optional and value is None:
         return
-    if not isinstance(value, Real) or not (
-            (low < value if low_open else low <= value)
-            and (value < high if high_open else value <= high)
-            and value < _INF):
+    try:
+        inside = ((low < value if low_open else low <= value)
+                  and (value < high if high_open else value <= high)
+                  and value < _INF)
+    except TypeError:
+        inside = False
+    if not inside:
         if high == _INF:
             bound = f"finite and {'>' if low_open else '>='} {low:g}"
         else:
