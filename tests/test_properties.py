@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import CategoricalSolutionCache, LoadedInstance, \
     NaiveSolutionCache
-from repro.engine.instruction import EngineKernel, Instruction, InstrKind
-from repro.engine.program import Program
 from repro.gpu import MI100, load_time, CodeObjectFile
 from repro.primitive import ConvProblem, kernel_time
 from repro.primitive.solution import _bucket_signature, _exact_signature
