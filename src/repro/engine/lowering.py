@@ -69,12 +69,14 @@ def lower(graph: Graph, library: MIOpenLibrary,
     options = options or LoweringOptions()
     if options.apply_passes:
         graph = run_passes(graph)
-    overrides = (_bucket_consolidation(graph, library, options)
+    problems = [_primitive_problem(graph, node, options.batch)
+                for node in graph.nodes]
+    overrides = (_bucket_consolidation(graph, problems, library, options)
                  if options.consolidate_buckets else {})
     instructions: List[Instruction] = []
-    for node in graph.nodes:
-        instructions.append(_lower_node(graph, node, library, options,
-                                        index=len(instructions),
+    for node, problem in zip(graph.nodes, problems):
+        instructions.append(_lower_node(graph, node, problem, library,
+                                        options, index=len(instructions),
                                         overrides=overrides))
     weight_bytes = sum(graph.desc(name).size_bytes
                        for name in graph.initializers)
@@ -104,17 +106,17 @@ def _primitive_problem(graph: Graph, node: Node, batch: int):
     return None
 
 
-def _bucket_consolidation(graph: Graph, library: MIOpenLibrary,
+def _bucket_consolidation(graph: Graph, problems, library: MIOpenLibrary,
                           options: LoweringOptions):
     """Cold-start-aware kernel selection (NNV12 policy).
 
     Groups primitive layers by the bucket-level solution that could serve
     them; groups of two or more adopt the shared bucket binary, so all of
-    them together pay one load.
+    them together pay one load.  ``problems`` holds each node's MIOpen
+    problem (None if not MIOpen-served), in node order.
     """
     groups = {}
-    for node in graph.nodes:
-        problem = _primitive_problem(graph, node, options.batch)
+    for node, problem in zip(graph.nodes, problems):
         if problem is None:
             continue
         ranked = library.find_db.query(
@@ -133,16 +135,17 @@ def _bucket_consolidation(graph: Graph, library: MIOpenLibrary,
     return overrides
 
 
-def _lower_node(graph: Graph, node: Node, library: MIOpenLibrary,
+def _lower_node(graph: Graph, node: Node, problem, library: MIOpenLibrary,
                 options: LoweringOptions, index: int,
                 overrides=None) -> Instruction:
-    category = op_category(node.op)
-    batch = options.batch
-    problem = _primitive_problem(graph, node, batch)
+    """``node``'s instruction; ``problem`` is its MIOpen problem (None
+    if not MIOpen-served)."""
     if problem is not None:
         forced = (overrides or {}).get(node.name)
         return _miopen_instruction(index, node, problem, library, options,
                                    forced_solution=forced)
+    category = op_category(node.op)
+    batch = options.batch
     if category is OpCategory.GEMM:
         return Instruction(index, node.name, InstrKind.BLAS_GEMM,
                            problem=_gemm_problem(graph, node, batch))

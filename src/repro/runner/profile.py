@@ -41,8 +41,10 @@ operations:
   compiled on one fresh :class:`~repro.serving.server.InferenceServer`
   per device: each model graph optimized once, then one lowering per
   (model, policy, batch).  The row counts the programs compiled (144 for
-  the whole grid) and the graphs optimized.  Server construction is not
-  timed; compilation, including every find-db query, is.
+  the whole grid), the graphs optimized and the distinct problems the
+  servers' find-dbs scored (each scored once per library, whatever the
+  ranking flags).  Server construction is not timed; compilation,
+  including every find-db query, is.
 - **paper-claims** — the first ``ops`` rows of
   :data:`~repro.serving.validation.CLAIMS` (36 in all) measured on a
   fresh :class:`~repro.serving.experiments.ExperimentSuite`: the work
@@ -299,6 +301,9 @@ def _paper_compile(ops: int) -> Callable[[], Readout]:
         return lambda: (
             sum(len(server.registry.keys()) for server in servers.values()),
             {"graphs": sum(len(server._graphs)
+                           for server in servers.values()),
+             "scored": sum(server.library.find_db.scored
+                           + server.blas.find_db.scored
                            for server in servers.values())})
     return run
 

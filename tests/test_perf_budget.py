@@ -95,6 +95,9 @@ class TestBudgetGate:
         timing = profile_layer("paper-compile")
         assert timing.ops == 12 * (2 * 5 + 2)
         assert timing.counters["graphs"] == 12 * 3
+        # distinct problems: MI100 1,073, A100 217, 6900XT 217; each is
+        # scored once, whichever policies rank it
+        assert timing.counters["scored"] == 1_507
 
 
 class TestEndToEnd:
