@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Tuple
-from weakref import WeakKeyDictionary
+from typing import Tuple
 
 from repro.core.schemes import Scheme
 from repro.gpu.device import DeviceSpec
@@ -107,25 +106,21 @@ def pack_from_snapshot(snapshot: RuntimeSnapshot,
                       constants=constants)
 
 
-# Per-server pack memo, mirroring the cluster layer's service-time memo:
-# building a pack replays one cold serve plus a snapshot, so every
-# (scheme, model, batch) pays that exactly once per process.  Packs are
-# derived fault-free (fetch faults are injected at the store layer), so
-# sharing across fault plans is sound.
-_PACKS: "WeakKeyDictionary" = WeakKeyDictionary()
-
-
 def pack_for(server, model: str, scheme: Scheme,
              batch: int = 1) -> KernelPack:
     """The kernel pack a warm ``(scheme, model, batch)`` instance on
     ``server`` would publish, derived from ``HipRuntime.snapshot()``
-    via :meth:`~repro.serving.server.InferenceServer.capture_snapshot`
-    and memoized per server."""
-    try:
-        memo: Dict[Tuple, KernelPack] = _PACKS.setdefault(server, {})
-    except TypeError:  # non-weakref-able server stand-in (tests)
-        memo = {}
-    key = (scheme, model, batch)
+    via :meth:`~repro.serving.server.InferenceServer.capture_snapshot`.
+
+    Building a pack replays one cold serve plus a snapshot, so it is
+    kept in the server's
+    :meth:`~repro.serving.server.InferenceServer.model_memo` and paid
+    once per server.  Packs are derived fault-free (fetch faults are
+    injected at the store layer), so sharing one across fault plans is
+    sound.
+    """
+    memo = server.model_memo(model)
+    key = ("pack", scheme, batch)
     if key not in memo:
         _, snapshot = server.capture_snapshot(model, scheme, batch)
         if snapshot is None:  # pragma: no cover - fault-free capture

@@ -19,8 +19,7 @@ of a static fleet replay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
-from weakref import WeakKeyDictionary
+from typing import Optional, Tuple
 
 from repro.checks import check_count, check_range, check_retention
 from repro.core.schemes import Scheme
@@ -91,29 +90,23 @@ class ClusterConfig:
 ClusterStats = PoolStats
 
 
-# Per-server service-time memo shared by every ClusterSimulator built on
-# that server: replaying many traces (or many fault plans) against the
-# same (scheme, model, batch) re-simulates the cold/hot serve exactly
-# once per process instead of once per simulator.  Keyed weakly so a
-# discarded server releases its entries.  Service times are always
-# simulated fault-free (crashes are injected at the cluster layer), so
-# sharing across configs with different fault plans is sound.
-_SERVICE_TIMES: "WeakKeyDictionary[InferenceServer, Dict[Tuple, float]]" = \
-    WeakKeyDictionary()
-
-
 def service_times(server: InferenceServer, scheme: Scheme, model: str,
                   batch: int) -> Tuple[float, float]:
     """``(cold, warm)`` serve times of ``model`` under ``scheme``,
-    simulated once per server and memoized in :data:`_SERVICE_TIMES`."""
-    try:
-        memo = _SERVICE_TIMES.setdefault(server, {})
-    except TypeError:  # non-weakref-able server stand-in (tests)
-        memo = {}
-    cold_key = ("cold", scheme, model, batch)
+    simulated once per server and kept in its
+    :meth:`~repro.serving.server.InferenceServer.model_memo`.
+
+    Every :class:`ClusterSimulator` built on that server then replays
+    many traces (or many fault plans) against the same (scheme, model,
+    batch) without re-simulating the serves.  Service times are always
+    simulated fault-free (crashes are injected at the cluster layer), so
+    sharing them across configs with different fault plans is sound.
+    """
+    memo = server.model_memo(model)
+    cold_key = ("cold", scheme, batch)
     if cold_key not in memo:
         memo[cold_key] = server.serve_cold(model, scheme, batch).total_time
-    warm_key = ("hot", model, batch)
+    warm_key = ("hot", batch)
     if warm_key not in memo:
         memo[warm_key] = server.serve_hot(model, batch).total_time
     return memo[cold_key], memo[warm_key]

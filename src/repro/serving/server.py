@@ -15,7 +15,7 @@ counts each result the same way.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.checks import check_count, check_range
 from repro.core.results import ExecutionResult
@@ -50,6 +50,7 @@ class InferenceServer:
         self.blas = BlasLibrary(self.device)
         self.registry = ModelRegistry(self.library)
         self._graphs: Dict[str, Graph] = {}
+        self._memos: Dict[str, Dict[Tuple, object]] = {}
 
     # ------------------------------------------------------------------
     # Offline: model registration
@@ -58,12 +59,21 @@ class InferenceServer:
         """Make a model graph available for serving under its name.
 
         Programs compiled from an earlier graph of the same name are
-        dropped, so the next serve compiles from this one.
+        dropped, and so is its :meth:`model_memo`, so the next serve
+        compiles from this one.
         """
         self._graphs[graph.name] = run_passes(graph)
+        self._memos.pop(graph.name, None)
         for key in self.registry.keys():
             if key.startswith(f"{graph.name}@"):
                 self.registry.unregister(key)
+
+    def model_memo(self, model: str) -> Dict[Tuple, object]:
+        """A memo for what the layers above derive from serving
+        ``model`` on this server (the cluster's service times, the
+        kernel pack).  ``register_model`` empties it with the model's
+        programs."""
+        return self._memos.setdefault(model, {})
 
     def _program_key(self, model: str, scheme: Scheme, batch: int) -> str:
         policy = "native" if scheme is Scheme.NNV12 else "default"

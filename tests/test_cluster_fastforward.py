@@ -248,6 +248,9 @@ class _StubServer:
         self._cold = cold
         self._warm = warm
 
+    def model_memo(self, model):
+        return {}
+
     def serve_cold(self, model, scheme, batch):
         return SimpleNamespace(total_time=self._cold)
 

@@ -12,7 +12,9 @@ from repro.core.schemes import Scheme
 from repro.engine.lowering import lower
 from repro.graph import GraphBuilder
 from repro.models import build_model
+from repro.packs import pack_for
 from repro.primitive.library import MIOpenLibrary
+from repro.serving.cluster import service_times
 from repro.serving.server import InferenceServer
 
 MODEL = "res"
@@ -111,10 +113,11 @@ def test_lowering_leaves_the_optimized_graph_unchanged():
     assert _signature(graph) == before
 
 
-def _custom(channels):
+def _custom(channels, kernel=3):
     b = GraphBuilder("custom")
     x = b.input("x", (1, 3, 32, 32))
-    b.output(b.relu(b.conv(x, channels, 3, pad=1, name="c1")))
+    b.output(b.relu(b.conv(x, channels, kernel, pad=kernel // 2,
+                           name="c1")))
     return b.finish()
 
 
@@ -135,3 +138,23 @@ def test_reregistered_model_compiles_from_the_new_graph(monkeypatch):
         assert program.primitive_instructions[0].problem.out_channels == 16
         assert program == lower(_custom(16), server.library,
                                 scheme.lowering_options(1))
+
+
+@pytest.mark.parametrize("derive, new_graph", [
+    (lambda server: service_times(server, Scheme.PASK, "custom", 1),
+     _custom(256)),
+    # a new kernel size, so the pack holds other binaries
+    (lambda server: pack_for(server, "custom", Scheme.PASK),
+     _custom(8, kernel=1)),
+], ids=["service_times", "pack_for"])
+def test_reregistered_model_drops_what_was_derived_from_it(derive,
+                                                           new_graph):
+    """What the cluster and pack layers derive from a model's serves is
+    derived again from the new graph, as on a fresh server."""
+    server = InferenceServer("MI100")
+    server.register_model(_custom(8))
+    old = derive(server)
+    server.register_model(new_graph)
+    fresh = InferenceServer("MI100")
+    fresh.register_model(new_graph)
+    assert derive(server) == derive(fresh) != old
