@@ -343,9 +343,11 @@ def _cmd_session(args, out) -> int:
         interval_s=args.interval_ms / 1e3,
         interval_preload=not args.no_preload)
     rows = [[f"request {r.metadata['request']}", r.total_time * 1e3,
-             r.loads, r.reused_layers] for r in results]
+             r.loads, r.metadata["interval_loads"], r.reused_layers]
+            for r in results]
     mode = "off" if args.no_preload else "on"
-    out(format_table(["", "latency ms", "loads", "reused"], rows,
+    out(format_table(["", "latency ms", "loads", "preloaded before",
+                      "reused"], rows,
                      title=f"{args.model}: PASK session "
                            f"(interval preload {mode})"))
     return 0

@@ -202,6 +202,11 @@ class InferenceServer:
         solutions PASK skipped, so later requests run their optimal
         kernels -- the paper's inter-request loading discussion.
 
+        A result's ``loads`` and ``loaded_bytes`` count what the request
+        itself loaded.  What the idle interval before it preloaded is
+        reported apart, under ``metadata["interval_loads"]`` and
+        ``metadata["interval_loaded_bytes"]`` (0 for request 0).
+
         With ``spans``, each request becomes one request-lifecycle span
         in the shared recorder (request 0 cold, the rest warm), which is
         the input per-request cold-start attribution works from.  A
@@ -217,6 +222,7 @@ class InferenceServer:
 
         def session():
             from repro.core.preloader import preload_during_interval
+            interval_loads = interval_bytes = 0
             for request in range(n_requests):
                 trace = TraceRecorder()
                 runtime.trace = trace
@@ -230,7 +236,9 @@ class InferenceServer:
                 bytes_before = runtime.loaded_bytes
                 start = env.now
                 stats: Dict[str, object] = {}
-                metadata = {"request": request, "device": self.device.name}
+                metadata = {"request": request, "device": self.device.name,
+                            "interval_loads": interval_loads,
+                            "interval_loaded_bytes": interval_bytes}
                 failed = False
                 try:
                     with runtime.spans.request(f"request-{request}",
@@ -252,10 +260,14 @@ class InferenceServer:
                 if failed or request == n_requests - 1:
                     return
                 deadline = env.now + interval_s
+                idle_loads = runtime.load_count
+                idle_bytes = runtime.loaded_bytes
                 if interval_preload:
                     pending = stats.get("skipped_desired", [])
                     yield from preload_during_interval(env, runtime,
                                                        pending, deadline)
+                interval_loads = runtime.load_count - idle_loads
+                interval_bytes = runtime.loaded_bytes - idle_bytes
                 remaining = deadline - env.now
                 if remaining > 0:
                     yield env.timeout(remaining)

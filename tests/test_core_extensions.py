@@ -183,6 +183,26 @@ class TestServeSession:
                                        interval_preload=True)
         assert results[-1].loads == 0
 
+    @pytest.mark.parametrize("preload", [False, True])
+    def test_interval_loads_are_reported_apart(self, server, preload):
+        """The preloader's loads, recorded in the trace of the request
+        before the interval, are reported on the request after it, and
+        never in ``loads``."""
+        results = server.serve_session("res", Scheme.PASK, n_requests=3,
+                                       interval_s=0.05,
+                                       interval_preload=preload)
+        reported = [(r.metadata["interval_loads"],
+                     r.metadata["interval_loaded_bytes"]) for r in results]
+        traced = [(0, 0)] + [
+            (len(loads), sum(dict(record.meta)["size"] for record in loads))
+            for loads in ([record for record in r.trace.records
+                           if record.actor == "interval-preloader"]
+                          for r in results[:-1])]
+        assert reported == traced
+        assert (reported[1][1] > 0) is preload
+        loads = [r.loads for r in results]
+        assert loads[0] == 13 and (loads[1:] == [0, 0]) is preload
+
     def test_no_preload_keeps_warming_gradually(self, server):
         with_pre = server.serve_session("res", Scheme.PASK, n_requests=2,
                                         interval_s=0.1,
