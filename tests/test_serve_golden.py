@@ -249,38 +249,37 @@ _GOLDEN = {
         metrics='4cc38b06bbbdd4f54db39528ace75a72',
         snapshot=None),
     'session-ends-early': dict(
-        payloads=['d8b37137db01abc4bdec57bfd7e1a9ef',
-                  'ae032db767e54ffc5027c546f6eff32e'],
+        payloads=['d82beebc57ab65a20a183183f25d242d',
+                  '0414b66a5df47fae0875f8f5225cd9c8'],
         failed=[False, True],
-        metadata_keys=[['request', 'device'], ['request', 'device', 'error']],
+        metadata_keys=[['request', 'device', 'interval_loads',
+                        'interval_loaded_bytes'],
+                       ['request', 'device', 'interval_loads',
+                        'interval_loaded_bytes', 'error']],
         spans=513,
         span_digest='6666a49b43276b3657b49d6f8df4ffac',
         metrics='1146720c2e43497ac09d0768e98bea66',
         snapshot=None),
     'session-no-preload': dict(
-        payloads=['e28037de0589cbb6fb44a9bb9b14cb03',
-                  'b6f4752f50d98039dd218883a5f49678',
-                  'bce82e8c1e517f93642e552b9b6a5674',
-                  '43c4d9908d559d7792bca5ea26a45f93'],
+        payloads=['bfac4045189de8137fd890a6622bd16e',
+                  'a007387934883b875dacfa2c338bd7a3',
+                  '4e0a80df1737005422358e57bff7896a',
+                  '426ecb6d5a2ec28a921a2fde56fb323c'],
         failed=[False, False, False, False],
-        metadata_keys=[['request', 'device'],
-                       ['request', 'device'],
-                       ['request', 'device'],
-                       ['request', 'device']],
+        metadata_keys=[['request', 'device', 'interval_loads',
+                        'interval_loaded_bytes']] * 4,
         spans=1467,
         span_digest='e9f80fb4b8e951310d13b956cb71bb07',
         metrics='728b38cca6cbcc2855668d769262f906',
         snapshot=None),
     'session-preload': dict(
-        payloads=['a847b6ba02cb853c760fbd0a10f46c7b',
-                  '2a2777012b050fcdc21731bb4eb16572',
-                  '5e451e81628e51dd4d6260bdcd358129',
-                  'e2305f3edee0faa93d3070d4e5229a20'],
+        payloads=['311ccc5eae7ab5ea38600b436b59d27a',
+                  'c3c7aa171a34d28fbb1e378aa5bf26c6',
+                  '3d2c73722a234184059ac8333329763d',
+                  'a77848a474666d89890ae0adb62fc74b'],
         failed=[False, False, False, False],
-        metadata_keys=[['request', 'device'],
-                       ['request', 'device'],
-                       ['request', 'device'],
-                       ['request', 'device']],
+        metadata_keys=[['request', 'device', 'interval_loads',
+                        'interval_loaded_bytes']] * 4,
         spans=1401,
         span_digest='129d49f9b51446c11b5290b33f571b8e',
         metrics='86305a51af2d58546e491d0104d90141',
