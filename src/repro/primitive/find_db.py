@@ -75,10 +75,10 @@ class FindDb:
                 scored = self._scored[problem] = self._score(problem)
             if native_layout_only:
                 scored = [entry for entry in scored if not entry[3]]
-            if include_transform_cost and any(entry[3] for entry in scored):
+            if include_transform_cost:
                 cast = 2 * transform_exec_time(problem, self.device)
-                scored = [(time + cast, name, solution, needs_cast)
-                          if needs_cast else (time, name, solution, needs_cast)
+                scored = [(time + cast if needs_cast else time, name,
+                           solution, needs_cast)
                           for time, name, solution, needs_cast in scored]
             ranked = self._cache[key] = [
                 entry[2] for entry in sorted(
