@@ -4,11 +4,12 @@ Each checked-in comparison report under ``benchmarks/`` is one
 :class:`Scenario` entry.  An entry names its labelled task list and a
 ``summarize`` that turns the report cells into the report's extra
 section plus named pass/fail gates.  :func:`run_scenario` does the work
-every entry shares: execute each distinct task once, build the report
-with :func:`build_report`, look up each task's cell once and validate
-the payload.  The output is byte-stable, so ``repro scenario NAME
---output benchmarks/<report>`` regenerates a checked-in report, and
-``tests/test_scenarios.py`` pins each report's bytes.
+every entry shares: replay each distinct task once, build the report
+from the replayed stats with :func:`build_report`, look up each task's
+cell once and validate the report.  The output is byte-stable, so
+``repro scenario NAME --output benchmarks/<report>`` regenerates a
+checked-in report, and ``tests/test_scenarios.py`` pins each report's
+bytes.
 
 The entries:
 
@@ -38,24 +39,28 @@ Adding a scenario means adding one entry to :data:`SCENARIOS`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple, Union
 
 from repro._version import __version__
 from repro.core.schemes import Scheme
 from repro.fleet.autoscale import AutoscalePolicy
-from repro.obs.metrics import merge_dumps
+from repro.fleet.fleet import FleetStats
+from repro.obs.metrics import MetricsRegistry, merge_dumps
 from repro.packs import PackPolicy
 from repro.packs.store import PackTransferCounters
 from repro.runner.chaos import CRASH_POLICY, OVERLOAD_POLICY
 from repro.runner.schema import SCHEMA_VERSION, validate_report
-from repro.runner.tasks import (ExperimentTask, cluster_stats_from_payload,
-                                execute_task, fleet_stats_from_payload)
+from repro.runner.tasks import ExperimentTask, build_replay, run_replay
+from repro.serving.cluster import ClusterStats
 from repro.serving.server import InferenceServer
 from repro.sim.faults import FaultPlan
 
 __all__ = ["Scenario", "SCENARIOS", "build_report", "run_scenario"]
 
 Cells = Dict[Hashable, Dict[str, Any]]
+# A replayed task's stats and its metrics-registry dump (None unless
+# the task collects metrics).
+Replayed = Tuple[Union[ClusterStats, FleetStats], Optional[Dict[str, Any]]]
 Gates = Dict[str, bool]
 
 # Every scenario's availability gate.
@@ -327,9 +332,8 @@ SCENARIOS: Dict[str, Scenario] = {s.name: s for s in (
 
 # --- the report -------------------------------------------------------
 
-def _cluster_cell(task: ExperimentTask, payload: Dict[str, Any]
+def _cluster_cell(task: ExperimentTask, stats: ClusterStats
                   ) -> Dict[str, Any]:
-    stats = cluster_stats_from_payload(payload)
     trace = stats.trace
     cell = {
         "id": task.cell_id, "kind": "cluster", "device": task.device,
@@ -357,9 +361,8 @@ def _cluster_cell(task: ExperimentTask, payload: Dict[str, Any]
     return cell
 
 
-def _fleet_cell(task: ExperimentTask, payload: Dict[str, Any]
+def _fleet_cell(task: ExperimentTask, stats: FleetStats
                 ) -> Dict[str, Any]:
-    stats = fleet_stats_from_payload(payload)
     cell = {
         "id": task.cell_id, "kind": "fleet",
         "device": ",".join(task.region_devices),
@@ -394,17 +397,18 @@ def _fleet_cell(task: ExperimentTask, payload: Dict[str, Any]
 _CELL_BUILDERS = {"cluster": _cluster_cell, "fleet": _fleet_cell}
 
 
-def build_report(grid: str, payloads: Dict[ExperimentTask, Dict[str, Any]]
+def build_report(grid: str, replayed: Dict[ExperimentTask, Replayed]
                  ) -> Dict[str, Any]:
-    """The report payload for ``{task: payload}``, one cell per task.
+    """The report for ``{task: (stats, metrics dump or None)}``, one
+    cell per task.
 
     ``meta.jobs``, ``run``, ``cache``, every cell's ``cache_hit``,
     ``totals.executed``, ``summary`` and ``totals.simulated_time_s``
     are constant for every scenario; they stay in the layout as
     literals so the checked-in reports keep their bytes.
     """
-    cells = [_CELL_BUILDERS[task.kind](task, payload)
-             for task, payload in payloads.items()]
+    cells = [_CELL_BUILDERS[task.kind](task, stats)
+             for task, (stats, _) in replayed.items()]
     report: Dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "meta": {"code_version": __version__, "grid": grid, "jobs": 1},
@@ -417,13 +421,18 @@ def build_report(grid: str, payloads: Dict[ExperimentTask, Dict[str, Any]]
         "cells": cells,
         "summary": {"speedups": {}},
     }
-    dumps = [payload["metrics"] for payload in payloads.values()
-             if payload.get("metrics")]
+    dumps = [dump for _, dump in replayed.values() if dump]
     if dumps:
         # Per-cell registry dumps fold into one report-level view
         # (counters/histograms add, gauges last-write-wins).
         report["metrics"] = merge_dumps(dumps)
     return report
+
+
+def _replay(task: ExperimentTask) -> Replayed:
+    metrics = MetricsRegistry() if task.collect_metrics else None
+    stats = run_replay(task, *build_replay(task), metrics=metrics)
+    return stats, metrics.to_json() if metrics is not None else None
 
 
 def run_scenario(name: str, device: str = "MI100", model: str = "res"
@@ -436,9 +445,8 @@ def run_scenario(name: str, device: str = "MI100", model: str = "res"
     """
     scenario = SCENARIOS[name]
     tasks = scenario.tasks(device, model)
-    payloads = {task: execute_task(task)
-                for task in dict.fromkeys(tasks.values())}
-    report = build_report(scenario.name, payloads)
+    replayed = {task: _replay(task) for task in dict.fromkeys(tasks.values())}
+    report = build_report(scenario.name, replayed)
     by_id = {cell["id"]: cell for cell in report["cells"]}
     cells = {label: by_id[task.cell_id] for label, task in tasks.items()}
     report[scenario.section], gates = scenario.summarize(cells, device,

@@ -7,10 +7,11 @@ the scenarios and the ``repro serve|cluster|chaos|fleet`` commands.
 :func:`build_replay` turns a cluster or fleet task into its
 ``(config, trace)``, :func:`run_replay` replays them with the caller's
 telemetry sinks, and :func:`execute_task` turns a task into a JSON-safe
-payload; :func:`result_from_payload` / :func:`cluster_stats_from_payload`
-reconstruct the original result objects exactly (floats survive a JSON
-round-trip bit-for-bit via ``repr``).  :func:`task_key` names a task by
-content for the telemetry bundle's manifest.
+payload, the fingerprint the goldens and the benchmark digests compare
+(floats survive a JSON round-trip bit-for-bit via ``repr``).  The
+stats encoders are one-way; only a serve's payload decodes, through
+:func:`result_from_payload`.  :func:`task_key` names a task by content
+for the telemetry bundle's manifest.
 
 Tasks run on the process's shared server per device
 (:func:`~repro.serving.server.server_for`), so repeated tasks reuse
@@ -33,8 +34,7 @@ from repro.core.results import ExecutionResult
 from repro.core.schemes import Scheme
 from repro.fleet.autoscale import AutoscalePolicy
 from repro.fleet.fleet import (FleetConfig, FleetStats, FleetTrace,
-                               RegionConfig, RegionStats, TenantStats,
-                               merge_traces)
+                               RegionConfig, merge_traces)
 from repro.fleet.parallel import run_fleet_sharded
 from repro.fleet.routing import ROUTING_POLICIES, RoutingPolicy
 from repro.gpu.device import check_device, get_device
@@ -57,9 +57,7 @@ __all__ = [
     "result_to_payload",
     "result_from_payload",
     "cluster_stats_to_payload",
-    "cluster_stats_from_payload",
     "fleet_stats_to_payload",
-    "fleet_stats_from_payload",
 ]
 
 ARRIVAL_KINDS = ("poisson", "diurnal", "bursty")
@@ -284,7 +282,7 @@ def task_key(task: ExperimentTask) -> str:
 
 
 # ----------------------------------------------------------------------
-# Result <-> payload round-trips
+# Results and stats as payloads
 # ----------------------------------------------------------------------
 
 def _trace_to_payload(trace: TraceRecorder) -> Any:
@@ -297,8 +295,8 @@ def _trace_to_payload(trace: TraceRecorder) -> Any:
 
 
 def _trace_from_payload(payload: Any) -> TraceRecorder:
-    if isinstance(payload, dict):
-        return TraceRecorder.from_state(payload)
+    """Inverse of :func:`_trace_to_payload` for a full-retention trace,
+    the only kind an execution result carries."""
     recorder = TraceRecorder()
     for start, end, actor, phase, label, meta in payload:
         recorder.ingest(TraceRecord(
@@ -369,16 +367,12 @@ def result_from_payload(payload: Dict[str, Any]) -> ExecutionResult:
     )
 
 
-# Per-field JSON codecs of the pool fields that are not plain JSON
-# values (a None passes through either way).
+# Per-field JSON encoders of the pool fields that are not plain JSON
+# values (a None passes through).
 _POOL_ENCODERS = {"latencies": list, "queue_waits": list,
                   "faults": FaultCounters.as_dict,
                   "packs": PackTransferCounters.as_dict,
                   "trace": _trace_to_payload}
-_POOL_DECODERS = {"latencies": list, "queue_waits": list,
-                  "faults": lambda d: FaultCounters(**d),
-                  "packs": lambda d: PackTransferCounters(**d),
-                  "trace": _trace_from_payload}
 # A bare cluster never restores from a checkpoint or pre-warms; its
 # payload has never carried those counters.
 _CLUSTER_OMITS = ("restores", "restore_s", "prewarm_spawns",
@@ -403,34 +397,14 @@ def _pool_to_payload(stats, omit: Tuple[str, ...] = ()) -> Dict[str, Any]:
     return out
 
 
-def _pool_from_payload(cls, entry: Dict[str, Any]):
-    """Inverse of :func:`_pool_to_payload` for ``cls`` (a PoolStats
-    subclass or TenantStats); absent fields keep their defaults."""
-    kwargs = {}
-    for f in fields(cls):
-        if f.name not in entry:
-            continue
-        value = entry[f.name]
-        decode = _POOL_DECODERS.get(f.name)
-        kwargs[f.name] = (value if decode is None or value is None
-                          else decode(value))
-    return cls(**kwargs)
-
-
 def cluster_stats_to_payload(stats: ClusterStats) -> Dict[str, Any]:
-    """A JSON-safe payload that reconstructs ``stats`` exactly."""
+    """A JSON-safe payload of every field of ``stats``."""
     return {"type": "cluster", **_pool_to_payload(stats, _CLUSTER_OMITS)}
 
 
-def cluster_stats_from_payload(payload: Dict[str, Any]) -> ClusterStats:
-    """Inverse of :func:`cluster_stats_to_payload`."""
-    if payload.get("type") != "cluster":
-        raise ValueError(f"not a cluster payload: {payload.get('type')!r}")
-    return _pool_from_payload(ClusterStats, payload)
-
-
 def fleet_stats_to_payload(stats: FleetStats) -> Dict[str, Any]:
-    """A JSON-safe payload that reconstructs ``stats`` exactly."""
+    """A JSON-safe payload of every field of ``stats``, region by
+    region and tenant by tenant."""
     payload: Dict[str, Any] = {
         "type": "fleet",
         "offered": stats.offered,
@@ -443,21 +417,6 @@ def fleet_stats_to_payload(stats: FleetStats) -> Dict[str, Any]:
         # Absent rather than null so pre-SLO payloads stay byte-stable.
         payload["monitors"] = stats.monitors
     return payload
-
-
-def fleet_stats_from_payload(payload: Dict[str, Any]) -> FleetStats:
-    """Inverse of :func:`fleet_stats_to_payload`."""
-    if payload.get("type") != "fleet":
-        raise ValueError(f"not a fleet payload: {payload.get('type')!r}")
-    stats = FleetStats(offered=payload["offered"],
-                       shed_unroutable=payload["shed_unroutable"],
-                       delegated=payload["delegated"])
-    for entry in payload["regions"]:
-        stats.regions[entry["name"]] = _pool_from_payload(RegionStats, entry)
-    for entry in payload["tenants"]:
-        stats.tenants[entry["name"]] = _pool_from_payload(TenantStats, entry)
-    stats.monitors = payload.get("monitors")
-    return stats
 
 
 # ----------------------------------------------------------------------

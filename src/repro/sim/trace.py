@@ -42,8 +42,7 @@ from itertools import accumulate, chain, compress, islice, repeat
 from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
-from repro.checks import (RETENTION_POLICIES, check_count, check_range,
-                          check_retention)
+from repro.checks import RETENTION_POLICIES, check_count, check_retention
 
 __all__ = ["Phase", "TraceRecord", "TraceRecorder", "merge_intervals",
            "subtract_intervals", "RETENTION_POLICIES"]
@@ -247,18 +246,6 @@ def _route_keys(phase: Optional[Phase], actor: Optional[str]
                 ) -> Tuple[_Key, _Key, _Key, _Key]:
     """The four filter keys a ``(phase, actor)`` record counts under."""
     return ((phase, actor), (phase, None), (None, actor), (None, None))
-
-
-def _check_union(field: str, starts: List[float], ends: List[float]) -> None:
-    """Reject columns that are not a canonical interval union: every
-    segment ordered, each one starting after the previous one ends, all
-    bounds finite.  NaN fails every comparison, so it is caught too."""
-    if starts and not (
-            -_INF < starts[0] and ends[-1] < _INF
-            and all(map(operator.le, starts, ends))
-            and all(map(operator.lt, ends, islice(starts, 1, None)))):
-        raise ValueError(f"{field} must be sorted, disjoint, finite "
-                         f"(start, end) segments")
 
 
 class TraceRecorder:
@@ -680,9 +667,11 @@ class TraceRecorder:
 
     def state_dict(self) -> Dict[str, Any]:
         """JSON-safe snapshot of the recorder: retained records plus the
-        streaming aggregates, so :meth:`from_state` reconstructs an
-        aggregate-mode recorder exactly even though most of its record
-        history is gone.  Floats survive a JSON round-trip bit-for-bit.
+        record count, the span and the streaming accumulators, so it
+        describes an aggregate-mode recorder whole even though most of
+        its record history is gone.  An aggregate-retention cluster
+        payload carries it, and ``equivalence_problems`` compares two
+        recorders by it.  Floats survive a JSON round-trip bit-for-bit.
         """
         self._sync()
         return {
@@ -695,46 +684,6 @@ class TraceRecorder:
                      a.total, a.count, [[s, e] for s, e in a.segments()]]
                     for (phase, actor), a in self._acc.items()],
         }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "TraceRecorder":
-        """Inverse of :meth:`state_dict`.
-
-        Cached payloads load through here, so a state no recorder could
-        have written is rejected with an error naming the field: a
-        negative or non-integer count, a total that is negative or not
-        finite, segments that are not a sorted, disjoint union of finite
-        intervals, or a span that is reversed or not finite.
-        """
-        recorder = cls(retention=state["retention"],
-                       ring_size=state["ring_size"])
-        for start, end, actor, phase, label, meta in state["records"]:
-            recorder._records.append(TraceRecord(
-                start, end, actor, Phase(phase), label,
-                tuple((k, v) for k, v in meta)))
-        for index, (phase, actor, total, count, segs) in enumerate(
-                state["acc"]):
-            field = f"trace state field acc[{index}]"
-            check_range(f"{field}.total", total)
-            acc = _Accumulator()
-            acc.total = total
-            check_count(f"{field}.count", count)
-            acc.count = count
-            acc.starts = [start for start, _ in segs]
-            acc.ends = [end for _, end in segs]
-            _check_union(f"{field}.segs", acc.starts, acc.ends)
-            acc._dirty = True
-            key = (Phase(phase) if phase is not None else None, actor)
-            recorder._acc[key] = acc
-        check_count("trace state field count", state["count"])
-        recorder._count = state["count"]
-        span_start, span_end = state["span"]
-        if not -_INF < span_start <= span_end < _INF:
-            raise ValueError(f"trace state field span must be a finite "
-                             f"(start, end) pair, got {state['span']!r}")
-        recorder._synced = len(recorder._records)
-        recorder._span_start, recorder._span_end = span_start, span_end
-        return recorder
 
     def clear(self) -> None:
         """Drop all records and aggregates."""

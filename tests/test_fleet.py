@@ -1,7 +1,7 @@
 """Unit tests for the fleet layer: configs, traces, stats, payloads."""
 
+import copy
 import dataclasses
-import json
 import math
 
 import pytest
@@ -12,11 +12,13 @@ from repro.fleet import (AUTOSCALE_KINDS, AutoscalePolicy, FleetConfig,
                          RegionConfig, RegionStats, RoutingPolicy,
                          equivalence_problems, merge_traces)
 from repro.packs.store import PackPolicy
-from repro.runner import (ExperimentTask, execute_task,
-                          fleet_stats_from_payload, fleet_stats_to_payload)
-from repro.runner.tasks import build_replay
+from repro.runner import ExperimentTask
+from repro.runner.tasks import build_replay, run_replay
+from repro.serving.cluster import ClusterConfig, ClusterSimulator
+from repro.serving.pool import PoolStats
 from repro.serving.requests import poisson_trace
 from repro.serving.resilience import ResiliencePolicy
+from repro.serving.server import server_for
 from repro.sim.faults import FaultPlan
 
 
@@ -225,6 +227,13 @@ def _general_stats(seed=0, **fleet_kwargs):
     return FleetSimulator(config).run(trace)
 
 
+def _audited(expected, got, label):
+    """Whether ``equivalence_problems`` reports ``label`` or a field
+    under it."""
+    return any(problem.startswith((f"{label}:", f"{label}."))
+               for problem in equivalence_problems(expected, got))
+
+
 def _perturbed(value):
     """Some value unequal to ``value``."""
     if isinstance(value, list):
@@ -252,29 +261,27 @@ class TestFleetStats:
         with pytest.raises(ValueError):
             stats.percentile(1.5)
 
-    def test_payload_round_trip_exact(self):
-        for kwargs in ({"trace_retention": "full"},
-                       {"trace_retention": "aggregate",
-                        "packs": PackPolicy()}):
-            stats = _general_stats(**kwargs)
-            payload = json.loads(json.dumps(fleet_stats_to_payload(stats)))
-            restored = fleet_stats_from_payload(payload)
-            assert equivalence_problems(stats, restored) == []
-            assert restored.conserved
-
     def test_audit_covers_every_region_field(self):
         stats = _general_stats(trace_retention="full")
         for f in dataclasses.fields(RegionStats):
-            restored = fleet_stats_from_payload(fleet_stats_to_payload(stats))
-            region = restored.regions["east"]
+            changed = copy.deepcopy(stats)
+            region = changed.regions["east"]
             setattr(region, f.name, _perturbed(getattr(region, f.name)))
-            problems = equivalence_problems(stats, restored)
-            assert any(p.startswith(f"regions.east.{f.name}")
-                       for p in problems), f.name
+            assert _audited(stats, changed, f"regions.east.{f.name}"), f.name
 
-    def test_payload_rejects_wrong_type(self):
-        with pytest.raises(ValueError, match="not a fleet payload"):
-            fleet_stats_from_payload({"type": "cluster"})
+    def test_audit_covers_every_pool_field_of_a_cluster(self):
+        config = ClusterConfig(
+            scheme=Scheme.PASK, max_instances=2, keep_alive_s=0.05,
+            faults=FaultPlan(seed=3, crash_rate=0.05,
+                             pack_local_failure_rate=0.2),
+            packs=PackPolicy(), trace_retention="full")
+        stats = ClusterSimulator(server_for("MI100"), config).run(
+            poisson_trace("res", 25.0, 4.0, seed=1))
+        assert stats.pack_restores and stats.faults.crashes
+        for f in dataclasses.fields(PoolStats):
+            changed = copy.deepcopy(stats)
+            setattr(changed, f.name, _perturbed(getattr(changed, f.name)))
+            assert _audited(stats, changed, f.name), f.name
 
 
 class TestFleetTask:
@@ -317,9 +324,9 @@ class TestFleetTask:
             CRASH_POLICY)
         assert task.cell_id != plain.cell_id
         assert "/rz" in task.cell_id
-        config, _ = build_replay(task)
+        config, trace = build_replay(task)
         assert config.resilience is CRASH_POLICY
-        stats = fleet_stats_from_payload(execute_task(task))
+        stats = run_replay(task, config, trace)
         assert stats.conserved
         assert stats.regions["r0"].faults.warm_restores > 0
 
@@ -390,14 +397,13 @@ class TestFleetTask:
         with pytest.raises(ValueError, match=knob):
             ExperimentTask(kind=kind, **{knob: value})
 
-    def test_execute_round_trips_through_payload(self):
+    def test_replays_a_two_region_diurnal_fleet(self):
         task = ExperimentTask(
             kind="fleet", device="MI100", model="res", scheme="PaSK",
             arrival="diurnal", rate_hz=2.0, duration_s=6.0, seed=2,
             instances=2, keep_alive_s=0.5,
             fleet_devices=("MI100", "A100"), routing="round-robin")
-        payload = execute_task(task)
-        stats = fleet_stats_from_payload(payload)
+        stats = run_replay(task, *build_replay(task))
         assert stats.offered > 0
         assert stats.conserved
         assert not stats.delegated

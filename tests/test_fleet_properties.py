@@ -31,7 +31,6 @@ from repro.fleet import (AutoscalePolicy, FleetConfig, FleetSimulator,
                          run_fleet_sharded)
 from repro.fleet.fleet import _RegionState
 from repro.packs import PackPolicy
-from repro.runner import fleet_stats_from_payload, fleet_stats_to_payload
 from repro.runner.chaos import CRASH_POLICY, OVERLOAD_POLICY
 from repro.serving.pool import InstancePool
 from repro.serving.requests import bursty_trace, poisson_trace
@@ -163,17 +162,6 @@ class TestDeterminism:
             assert other.faults.as_dict() == region.faults.as_dict()
         for name, tenant in first.tenants.items():
             assert second.tenants[name].latencies == tenant.latencies
-
-    @given(config=_fleet_configs(), trace=_fleet_traces())
-    @settings(max_examples=15, deadline=None)
-    def test_payload_round_trip_preserves_everything(self, config, trace):
-        stats = FleetSimulator(config).run(trace)
-        restored = fleet_stats_from_payload(fleet_stats_to_payload(stats))
-        assert restored.offered == stats.offered
-        assert restored.conserved == stats.conserved
-        assert restored.latencies == stats.latencies
-        assert restored.cold_starts == stats.cold_starts
-        assert restored.restores == stats.restores
 
 
 class _FakePool:

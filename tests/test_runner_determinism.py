@@ -6,7 +6,7 @@ The benchmark's paper grid executes each cell as an
 :class:`ExperimentSuite` (``inject_cold`` / ``inject_hot``).  That path
 must be invisible: the rebuilt results, and every figure, table and
 speedup computed from them, equal those of a suite that serves
-directly.  The scenario reports built from fresh payloads must pass the
+directly.  The scenario reports built from fresh replays must pass the
 report schema.
 """
 
@@ -15,6 +15,7 @@ from repro.runner import (SCENARIOS, ExperimentTask, execute_task,
                           experiment_grid, result_from_payload,
                           validate_report)
 from repro.runner.scenarios import build_report
+from repro.runner.tasks import build_replay, run_replay
 from repro.serving.experiments import ExperimentSuite
 
 _MODELS = ("res", "vit")
@@ -85,7 +86,8 @@ class TestPayloadRoundTrip:
 
 def test_build_report_is_schema_valid():
     tasks = SCENARIOS["chaos"].tasks("MI100", "res").values()
-    report = build_report("chaos", {task: execute_task(task)
-                                    for task in tasks})
+    report = build_report("chaos", {
+        task: (run_replay(task, *build_replay(task)), None)
+        for task in tasks})
     assert validate_report(report) == []
     assert report["totals"]["executed"] == len(report["cells"]) == 4

@@ -1,7 +1,6 @@
 """Tests for request traces and the autoscaling cluster simulator."""
 
 import dataclasses
-import json
 import math
 
 import pytest
@@ -12,12 +11,9 @@ from repro.gpu.device import MI100
 from repro.fleet.autoscale import AutoscalePolicy
 from repro.fleet.fleet import (FleetConfig, FleetStats, FleetTrace,
                                RegionConfig, RegionStats, TenantStats)
-from repro.fleet.parallel import equivalence_problems
 from repro.obs.monitors import SLOPolicy
 from repro.packs.store import PackPolicy, TierPolicy
-from repro.runner.tasks import (ExperimentTask, build_replay,
-                                cluster_stats_from_payload,
-                                cluster_stats_to_payload)
+from repro.runner.tasks import ExperimentTask, build_replay
 from repro.serving.cluster import (ClusterConfig, ClusterSimulator,
                                    ClusterStats)
 from repro.serving.metrics import percentile
@@ -264,23 +260,6 @@ class TestClusterStatsEdgeCases:
         assert stats.mean_latency == 0.0
         assert stats.percentile(0.5) == 0.0
         assert stats.percentile(0.99) == 0.0
-
-
-@pytest.mark.parametrize("retention", ("full", "aggregate"))
-def test_cluster_payload_round_trip_exact(server, retention):
-    """Every pool field survives the cluster payload's JSON round trip,
-    on a replay with packs, crashes and a trace."""
-    config = ClusterConfig(
-        scheme=Scheme.PASK, max_instances=2, keep_alive_s=0.05,
-        faults=FaultPlan(seed=3, crash_rate=0.05,
-                         pack_local_failure_rate=0.2),
-        packs=PackPolicy(), trace_retention=retention)
-    stats = ClusterSimulator(server, config).run(
-        poisson_trace("res", 25.0, 4.0, seed=1))
-    assert stats.pack_restores and stats.faults.crashes
-    payload = json.loads(json.dumps(cluster_stats_to_payload(stats)))
-    restored = cluster_stats_from_payload(payload)
-    assert equivalence_problems(stats, restored) == []
 
 
 def _fleet_config(**kw):

@@ -205,4 +205,3 @@ def test_payload_rows_of_records_with_and_without_meta():
     assert _trace_to_payload(recorder) == rows
     assert recorder.state_dict()["records"] == rows
     assert _trace_from_payload(rows) == recorder
-    assert TraceRecorder.from_state(recorder.state_dict()) == recorder
