@@ -338,7 +338,7 @@ def _cluster_cell(task: ExperimentTask, stats: ClusterStats
     cell = {
         "id": task.cell_id, "kind": "cluster", "device": task.device,
         "model": task.model, "scheme": task.scheme, "batch": task.batch,
-        "cache_hit": False, "requests": stats.requests,
+        "requests": stats.requests,
         "completed": stats.completed, "failed": stats.failed,
         "cold_starts": stats.cold_starts,
         "mean_latency_s": stats.mean_latency,
@@ -367,7 +367,6 @@ def _fleet_cell(task: ExperimentTask, stats: FleetStats
         "id": task.cell_id, "kind": "fleet",
         "device": ",".join(task.region_devices),
         "model": task.model, "scheme": task.scheme, "batch": task.batch,
-        "cache_hit": False,
         "regions": len(stats.regions),
         "routing": task.routing,
         "autoscale": (task.autoscale.kind if task.autoscale is not None
@@ -400,26 +399,14 @@ _CELL_BUILDERS = {"cluster": _cluster_cell, "fleet": _fleet_cell}
 def build_report(grid: str, replayed: Dict[ExperimentTask, Replayed]
                  ) -> Dict[str, Any]:
     """The report for ``{task: (stats, metrics dump or None)}``, one
-    cell per task.
-
-    ``meta.jobs``, ``run``, ``cache``, every cell's ``cache_hit``,
-    ``totals.executed``, ``summary`` and ``totals.simulated_time_s``
-    are constant for every scenario; they stay in the layout as
-    literals so the checked-in reports keep their bytes.
-    """
+    cell per task."""
     cells = [_CELL_BUILDERS[task.kind](task, stats)
              for task, (stats, _) in replayed.items()]
     report: Dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
-        "meta": {"code_version": __version__, "grid": grid, "jobs": 1},
-        "run": {"created_unix": 0.0,
-                "created_iso": "1970-01-01T00:00:00+00:00",
-                "wall_clock_s": 0.0},
-        "cache": {"enabled": False, "hits": 0, "misses": 0, "writes": 0},
-        "totals": {"cells": len(cells), "executed": len(cells),
-                   "simulated_time_s": 0},
+        "meta": {"code_version": __version__, "grid": grid},
+        "totals": {"cells": len(cells)},
         "cells": cells,
-        "summary": {"speedups": {}},
     }
     dumps = [dump for _, dump in replayed.values() if dump]
     if dumps:

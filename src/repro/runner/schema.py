@@ -12,7 +12,7 @@ from typing import Any, Dict, List
 
 __all__ = ["SCHEMA_VERSION", "validate_report"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _CLUSTER_CELL_PROPS = {
     "id": {"type": "string"},
@@ -21,7 +21,6 @@ _CLUSTER_CELL_PROPS = {
     "model": {"type": "string"},
     "scheme": {"type": "string"},
     "batch": {"type": "integer", "minimum": 1},
-    "cache_hit": {"type": "boolean"},
     "requests": {"type": "integer", "minimum": 0},
     "completed": {"type": "integer", "minimum": 0},
     "failed": {"type": "integer", "minimum": 0},
@@ -57,7 +56,6 @@ _FLEET_CELL_PROPS = {
     "model": {"type": "string"},
     "scheme": {"type": "string"},
     "batch": {"type": "integer", "minimum": 1},
-    "cache_hit": {"type": "boolean"},
     "regions": {"type": "integer", "minimum": 1},
     "routing": {"type": "string"},
     "autoscale": {"type": "string"},
@@ -186,17 +184,8 @@ def validate_report(payload: Any) -> List[str]:
            f"schema_version: expected {SCHEMA_VERSION}, "
            f"got {payload.get('schema_version')!r}")
     _check_section(payload, "meta",
-                   {"code_version": "string", "grid": "string",
-                    "jobs": "integer"}, errors)
-    _check_section(payload, "run",
-                   {"created_unix": "number", "created_iso": "string",
-                    "wall_clock_s": "number"}, errors)
-    _check_section(payload, "cache",
-                   {"enabled": "boolean", "hits": "integer",
-                    "misses": "integer", "writes": "integer"}, errors)
-    _check_section(payload, "totals",
-                   {"cells": "integer", "executed": "integer",
-                    "simulated_time_s": "number"}, errors)
+                   {"code_version": "string", "grid": "string"}, errors)
+    _check_section(payload, "totals", {"cells": "integer"}, errors)
     cells = payload.get("cells")
     if not isinstance(cells, list):
         errors.append("cells: missing or not an array")
@@ -207,10 +196,6 @@ def validate_report(payload: Any) -> List[str]:
         if isinstance(totals, dict) and totals.get("cells") != len(cells):
             errors.append(f"totals.cells: {totals.get('cells')} != "
                           f"{len(cells)} cells present")
-    summary = payload.get("summary")
-    if not isinstance(summary, dict) or not isinstance(
-            summary.get("speedups"), dict):
-        errors.append("summary.speedups: missing or not an object")
     if "metrics" in payload:
         # Optional telemetry section; when present it must be a valid
         # registry dump.

@@ -47,8 +47,7 @@ class TestValidator:
 
     def test_missing_section_reported(self):
         payload = _valid_payload()
-        for section in ("schema_version", "meta", "run", "cache",
-                        "totals", "cells", "summary"):
+        for section in ("schema_version", "meta", "totals", "cells"):
             broken = copy.deepcopy(payload)
             del broken[section]
             errors = validate_report(broken)
