@@ -284,23 +284,21 @@ def run_fleet_sharded(config: FleetConfig,
 def equivalence_problems(serial, sharded) -> List[str]:
     """Field-by-field audit of two stats objects of one type -- the
     stepping reference's and :func:`run_fleet_sharded`'s
-    :class:`FleetStats`, or any stats and its payload round trip; empty
-    when the two are equal.
+    :class:`FleetStats`, or two cluster replays' stats (fast-forward
+    against stepping); empty when the two are equal.
 
     It walks every dataclass field (regions, tenants and monitors key by
     key, fault and pack counters field by field) and compares trace
-    recorders by their records and record count, so a field added to a
-    stats type is audited without being listed here.
+    recorders by their ``state_dict()``: records, record count, span and
+    streaming accumulators.  A field added to a stats type is audited
+    without being listed here.
     """
     problems: List[str] = []
 
     def audit(label: str, expected, got) -> None:
         if type(expected) is type(got):
             if isinstance(expected, TraceRecorder):
-                audit(f"{label}.records", list(expected.records),
-                      list(got.records))
-                audit(f"{label}.record_count", expected.record_count,
-                      got.record_count)
+                audit(label, expected.state_dict(), got.state_dict())
                 return
             if isinstance(expected, dict):
                 audit(label, list(expected), list(got))

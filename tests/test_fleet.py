@@ -20,6 +20,7 @@ from repro.serving.requests import poisson_trace
 from repro.serving.resilience import ResiliencePolicy
 from repro.serving.server import server_for
 from repro.sim.faults import FaultPlan
+from repro.sim.trace import Phase, TraceRecorder
 
 
 class TestRegionConfig:
@@ -282,6 +283,23 @@ class TestFleetStats:
             changed = copy.deepcopy(stats)
             setattr(changed, f.name, _perturbed(getattr(changed, f.name)))
             assert _audited(stats, changed, f.name), f.name
+
+
+    def test_audit_reads_the_aggregates_behind_a_ring(self):
+        # Same ring, count, span and busy union; only the summed
+        # durations differ, in records the ring no longer holds.
+        recorders = []
+        for early in ((0.0, 2.0), (1.0, 2.0)):
+            recorder = TraceRecorder(retention="aggregate", ring_size=2)
+            for start, end in ((0.0, 2.0), early, (3.0, 4.0), (5.0, 6.0)):
+                recorder.record(start, end, "gpu", Phase.EXEC)
+            recorders.append(recorder)
+        first, second = recorders
+        assert list(first.records) == list(second.records)
+        assert first.total() != second.total()
+        problems = equivalence_problems(PoolStats(trace=first),
+                                        PoolStats(trace=second))
+        assert [p.split(":")[0] for p in problems] == ["trace.acc"]
 
 
 class TestFleetTask:
