@@ -9,7 +9,7 @@ memoizes serve results so that one session never simulates the same
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.results import ExecutionResult
 from repro.core.schemes import Scheme
@@ -26,6 +26,9 @@ DEFAULT_BATCHES = (1, 4, 16, 64, 128)
 TRANSFORMER_MODELS = ("vit", "swin", "swin2")
 CONV_MODELS = tuple(m for m in list_models() if m not in TRANSFORMER_MODELS)
 
+# A memoized result and the ``model_memo`` it was made under.
+_Memoized = Tuple[Dict[Tuple, object], ExecutionResult]
+
 
 class ExperimentSuite:
     """Runs and memoizes all experiments for one device."""
@@ -38,8 +41,11 @@ class ExperimentSuite:
         # Optional fault plan threaded through every serve; an all-zero
         # plan leaves every experiment byte-identical to no plan at all.
         self.faults = faults
-        self._cold: Dict[Tuple[str, str, Scheme, int], ExecutionResult] = {}
-        self._hot: Dict[Tuple[str, str, int], ExecutionResult] = {}
+        # Each result is kept next to the server's ``model_memo`` of its
+        # model when it was made; ``register_model`` replaces that memo,
+        # so a result of a replaced graph is served afresh.
+        self._cold: Dict[Tuple[str, str, Scheme, int], _Memoized] = {}
+        self._hot: Dict[Tuple[str, str, int], _Memoized] = {}
 
     # ------------------------------------------------------------------
     # Memoized serving
@@ -48,25 +54,32 @@ class ExperimentSuite:
         """The process's shared inference server for ``device``."""
         return server_for(device or self.device)
 
+    def _memoized(self, memo: Dict, key: Tuple, device: str, model: str,
+                  serve: Callable[[InferenceServer], ExecutionResult]
+                  ) -> ExecutionResult:
+        current = server_for(device).model_memo(model)
+        entry = memo.get(key)
+        if entry is None or entry[0] is not current:
+            entry = memo[key] = (current, serve(self.server(device)))
+        return entry[1]
+
     def cold(self, model: str, scheme: Scheme, batch: int = 1,
              device: Optional[str] = None) -> ExecutionResult:
         """Memoized cold run."""
         device = device or self.device
-        key = (device, model, scheme, batch)
-        if key not in self._cold:
-            self._cold[key] = self.server(device).serve_cold(
-                model, scheme, batch, faults=self.faults)
-        return self._cold[key]
+        return self._memoized(
+            self._cold, (device, model, scheme, batch), device, model,
+            lambda server: server.serve_cold(model, scheme, batch,
+                                             faults=self.faults))
 
     def hot(self, model: str, batch: int = 1,
             device: Optional[str] = None) -> ExecutionResult:
         """Memoized hot (successive-iteration) run."""
         device = device or self.device
-        key = (device, model, batch)
-        if key not in self._hot:
-            self._hot[key] = self.server(device).serve_hot(
-                model, batch, faults=self.faults)
-        return self._hot[key]
+        return self._memoized(
+            self._hot, (device, model, batch), device, model,
+            lambda server: server.serve_hot(model, batch,
+                                            faults=self.faults))
 
     def inject_cold(self, device: str, model: str, scheme: Scheme,
                     batch: int, result: ExecutionResult) -> None:
@@ -79,12 +92,14 @@ class ExperimentSuite:
         a simulation.  Results are byte-identical either way (the
         determinism tests pin this).
         """
-        self._cold[(device, model, scheme, batch)] = result
+        self._cold[(device, model, scheme, batch)] = (
+            server_for(device).model_memo(model), result)
 
     def inject_hot(self, device: str, model: str, batch: int,
                    result: ExecutionResult) -> None:
         """Seed the hot-run memo (see :meth:`inject_cold`)."""
-        self._hot[(device, model, batch)] = result
+        self._hot[(device, model, batch)] = (
+            server_for(device).model_memo(model), result)
 
     def speedup(self, model: str, scheme: Scheme, batch: int = 1,
                 device: Optional[str] = None) -> float:

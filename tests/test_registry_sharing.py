@@ -15,6 +15,7 @@ from repro.models import build_model
 from repro.packs import pack_for
 from repro.primitive.library import MIOpenLibrary
 from repro.serving.cluster import service_times
+from repro.serving.experiments import ExperimentSuite
 from repro.serving.server import InferenceServer
 
 MODEL = "res"
@@ -113,8 +114,8 @@ def test_lowering_leaves_the_optimized_graph_unchanged():
     assert _signature(graph) == before
 
 
-def _custom(channels, kernel=3):
-    b = GraphBuilder("custom")
+def _custom(channels, kernel=3, name="custom"):
+    b = GraphBuilder(name)
     x = b.input("x", (1, 3, 32, 32))
     b.output(b.relu(b.conv(x, channels, kernel, pad=kernel // 2,
                            name="c1")))
@@ -158,3 +159,28 @@ def test_reregistered_model_drops_what_was_derived_from_it(derive,
     fresh = InferenceServer("MI100")
     fresh.register_model(new_graph)
     assert derive(server) == derive(fresh) != old
+
+
+# An ExperimentSuite serves on the process's shared server, so its
+# model gets a name no other test registers there.
+_SUITE_SERVES = {
+    "cold": (lambda suite: suite.cold("suite-custom", Scheme.PASK),
+             lambda server: server.serve_cold("suite-custom", Scheme.PASK)),
+    "hot": (lambda suite: suite.hot("suite-custom"),
+            lambda server: server.serve_hot("suite-custom")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SUITE_SERVES))
+def test_suite_serves_a_reregistered_model_from_the_new_graph(kind):
+    suite_serve, server_serve = _SUITE_SERVES[kind]
+    suite = ExperimentSuite("MI100")
+    suite.server().register_model(_custom(8, name="suite-custom"))
+    old = suite_serve(suite)
+    assert suite_serve(suite) is old
+    new_graph = _custom(8, kernel=1, name="suite-custom")
+    suite.server().register_model(new_graph)
+    fresh = InferenceServer("MI100")
+    fresh.register_model(new_graph)
+    expected = server_serve(fresh).total_time
+    assert suite_serve(suite).total_time == expected != old.total_time
