@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 from typing import Tuple, Union
 
-from repro.checks import check_one_of
+from repro.checks import check_count, check_one_of
 from repro.tensors import DataType, Layout
 
 __all__ = [
@@ -58,6 +58,33 @@ def hash_once(cls):
     return cls
 
 
+_INT = {int}
+
+
+def _dims_ok(positive: Tuple, nonnegative: Tuple = ()) -> bool:
+    """Whether every dimension is a plain ``int``, ``positive`` ones at
+    least 1 and ``nonnegative`` ones at least 0: one pass over each
+    whole tuple, since a grid compile builds thousands of problems.
+    NaN, fractions and ``True`` are not ``int``s."""
+    return (set(map(type, positive)).union(map(type, nonnegative)) <= _INT
+            and min(positive) > 0 and min(nonnegative, default=0) >= 0)
+
+
+def _check_dims(problem: object, positive: Tuple[str, ...],
+                nonnegative: Tuple[str, ...] = ()) -> None:
+    """``check_count`` each named dimension field of ``problem`` (each
+    item of a tuple field), so a problem :func:`_dims_ok` turned down
+    fails with an error naming the field."""
+    for names, minimum in ((positive, 1), (nonnegative, 0)):
+        for name in names:
+            value = getattr(problem, name)
+            if isinstance(value, tuple):
+                for index, item in enumerate(value):
+                    check_count(f"{name}[{index}]", item, minimum)
+            else:
+                check_count(name, value, minimum)
+
+
 class PrimitiveKind(enum.Enum):
     """Which primitive routine a problem belongs to."""
 
@@ -89,10 +116,10 @@ class ConvProblem(HashOnce):
         positives = (self.batch, self.in_channels, self.height, self.width,
                      self.out_channels, *self.kernel, *self.stride,
                      *self.dilation, self.group)
-        if any(v <= 0 for v in positives):
-            raise ValueError(f"non-positive field in {self}")
-        if any(p < 0 for p in self.pad):
-            raise ValueError(f"negative padding in {self}")
+        if not _dims_ok(positives, self.pad):
+            _check_dims(self, ("batch", "in_channels", "height", "width",
+                               "out_channels", "kernel", "stride",
+                               "dilation", "group"), ("pad",))
         if self.in_channels % self.group or self.out_channels % self.group:
             raise ValueError(
                 f"channels {self.in_channels}->{self.out_channels} not "
@@ -138,12 +165,6 @@ class ConvProblem(HashOnce):
                  + self.batch * self.out_channels * ho * wo)
         return elems * self.dtype.size_bytes
 
-    def with_batch(self, batch: int) -> "ConvProblem":
-        """The same problem at a different batch size."""
-        return ConvProblem(batch, self.in_channels, self.height, self.width,
-                           self.out_channels, self.kernel, self.stride,
-                           self.pad, self.dilation, self.group, self.dtype,
-                           self.layout)
 
 
 @hash_once
@@ -164,9 +185,10 @@ class PoolProblem(HashOnce):
 
     def __post_init__(self) -> None:
         check_one_of("pooling mode", self.mode, ("max", "avg"))
-        if any(v <= 0 for v in (self.batch, self.channels, self.height,
-                                self.width, *self.kernel, *self.stride)):
-            raise ValueError(f"non-positive field in {self}")
+        if not _dims_ok((self.batch, self.channels, self.height, self.width,
+                         *self.kernel, *self.stride), self.pad):
+            _check_dims(self, ("batch", "channels", "height", "width",
+                               "kernel", "stride"), ("pad",))
 
     @property
     def kind(self) -> PrimitiveKind:
@@ -201,11 +223,6 @@ class PoolProblem(HashOnce):
         elems = self.batch * self.channels * (self.height * self.width + ho * wo)
         return elems * self.dtype.size_bytes
 
-    def with_batch(self, batch: int) -> "PoolProblem":
-        """The same problem at a different batch size."""
-        return PoolProblem(batch, self.channels, self.height, self.width,
-                           self.kernel, self.stride, self.pad, self.mode,
-                           self.dtype, self.layout)
 
 
 @hash_once
@@ -219,8 +236,8 @@ class ActivationProblem(HashOnce):
     layout: Layout = Layout.NCHW
 
     def __post_init__(self) -> None:
-        if self.numel <= 0:
-            raise ValueError(f"non-positive numel {self.numel}")
+        if not _dims_ok((self.numel,)):
+            _check_dims(self, ("numel",))
         if not self.activation:
             raise ValueError("activation kind required")
 
@@ -242,10 +259,6 @@ class ActivationProblem(HashOnce):
         """Read + write of the full extent."""
         return 2 * self.numel * self.dtype.size_bytes
 
-    def with_batch(self, batch: int) -> "ActivationProblem":
-        """Scale the extent as if the leading batch dim changed from 1."""
-        return ActivationProblem(self.numel * batch, self.activation,
-                                 self.dtype, self.layout)
 
 
 @hash_once
@@ -261,8 +274,8 @@ class GemmProblem(HashOnce):
     layout: Layout = Layout.NCHW
 
     def __post_init__(self) -> None:
-        if any(v <= 0 for v in (self.m, self.n, self.k, self.batch)):
-            raise ValueError(f"non-positive dimension in {self}")
+        if not _dims_ok((self.m, self.n, self.k, self.batch)):
+            _check_dims(self, ("m", "n", "k", "batch"))
 
     @property
     def kind(self) -> PrimitiveKind:
@@ -280,10 +293,6 @@ class GemmProblem(HashOnce):
         elems = self.batch * (self.m * self.k + self.k * self.n + self.m * self.n)
         return elems * self.dtype.size_bytes
 
-    def with_batch(self, batch: int) -> "GemmProblem":
-        """The same GEMM with a different batch count."""
-        return GemmProblem(self.m, self.n, self.k, batch, self.dtype,
-                           self.layout)
 
 
 Problem = Union[ConvProblem, PoolProblem, ActivationProblem, GemmProblem]

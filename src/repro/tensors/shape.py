@@ -46,12 +46,6 @@ class TensorDesc:
         """Total storage in bytes."""
         return self.numel * self.dtype.size_bytes
 
-    def with_batch(self, batch: int) -> "TensorDesc":
-        """A copy with the leading (batch) dimension replaced."""
-        if batch <= 0:
-            raise ValueError(f"batch must be positive, got {batch}")
-        return TensorDesc((batch,) + self.dims[1:], self.dtype, self.layout)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         dims = "x".join(str(d) for d in self.dims)
         return f"{dims}:{self.dtype.label}:{self.layout.value}"

@@ -1,6 +1,7 @@
 """Unit tests for primitive problem descriptors."""
 
 import copy
+import math
 import pickle
 
 import pytest
@@ -43,12 +44,6 @@ class TestConvProblem:
                        if s.name == "ConvGemmFwd1x1")
         assert gemm1x1.is_applicable(pw) and not gemm1x1.is_applicable(dw)
 
-    def test_with_batch(self):
-        p = ConvProblem(1, 3, 32, 32, 8, (3, 3))
-        p4 = p.with_batch(4)
-        assert p4.batch == 4
-        assert p4.flops == pytest.approx(4 * p.flops)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ConvProblem(0, 3, 32, 32, 8, (3, 3))
@@ -86,10 +81,6 @@ class TestPoolProblem:
         with pytest.raises(ValueError):
             PoolProblem(1, 8, 8, 8, (2, 2), (2, 2), mode="median")
 
-    def test_with_batch(self):
-        p = PoolProblem(1, 8, 8, 8, (2, 2), (2, 2))
-        assert p.with_batch(16).batch == 16
-
 
 class TestActivationProblem:
     def test_flops_scale_by_kind(self):
@@ -102,10 +93,6 @@ class TestActivationProblem:
             ActivationProblem(0, "relu")
         with pytest.raises(ValueError):
             ActivationProblem(10, "")
-
-    def test_with_batch_scales_extent(self):
-        p = ActivationProblem(100, "relu")
-        assert p.with_batch(8).numel == 800
 
 
 class TestGemmProblem:
@@ -124,6 +111,47 @@ class TestGemmProblem:
     def test_validation(self):
         with pytest.raises(ValueError):
             GemmProblem(0, 1, 1)
+
+
+# A dimension must be a plain int: NaN compares false against 0, a
+# fraction is not a count, and True is an int only to Python.
+_BAD_DIMS = [
+    ("gemm-nan-m", lambda: GemmProblem(m=math.nan, n=True, k=2.5, batch=1),
+     r"^m must be an integer >= 1, got nan$"),
+    ("gemm-true-n", lambda: GemmProblem(m=2, n=True, k=2.5), r"^n must"),
+    ("gemm-fraction-k", lambda: GemmProblem(m=2, n=3, k=2.5), r"^k must"),
+    ("conv-nan-height",
+     lambda: ConvProblem(1, 3, math.nan, 32, 8, (3, 3)), r"^height must"),
+    ("conv-fraction-kernel",
+     lambda: ConvProblem(1, 3, 32, 32, 8, (3, 1.5)), r"^kernel\[1\] must"),
+    ("conv-true-group",
+     lambda: ConvProblem(1, 3, 32, 32, 3, (3, 3), group=True),
+     r"^group must"),
+    ("conv-fraction-pad",
+     lambda: ConvProblem(1, 3, 32, 32, 8, (3, 3), pad=(0.5, 0)),
+     r"^pad\[0\] must be an integer >= 0"),
+    ("pool-nan-channels",
+     lambda: PoolProblem(1, math.nan, 8, 8, (2, 2), (2, 2)),
+     r"^channels must"),
+    ("pool-true-stride",
+     lambda: PoolProblem(1, 8, 8, 8, (2, 2), (True, 2)), r"^stride\[0\] must"),
+    ("pool-negative-pad",
+     lambda: PoolProblem(1, 8, 8, 8, (2, 2), (2, 2), pad=(0, -1)),
+     r"^pad\[1\] must be an integer >= 0"),
+    ("activation-fraction-numel",
+     lambda: ActivationProblem(2.5, "relu"), r"^numel must"),
+    ("activation-true-numel",
+     lambda: ActivationProblem(True, "relu"), r"^numel must"),
+    ("activation-nan-numel",
+     lambda: ActivationProblem(math.nan, "relu"), r"^numel must"),
+]
+
+
+@pytest.mark.parametrize("build,message", [case[1:] for case in _BAD_DIMS],
+                         ids=[case[0] for case in _BAD_DIMS])
+def test_rejects_a_dimension_that_is_not_a_count(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("value", [

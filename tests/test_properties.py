@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures & invariants."""
 
+import dataclasses
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -121,7 +122,7 @@ def test_tuning_compatible_implies_applicable(problem):
     for solution in _CONV_SOLUTIONS:
         if not solution.is_applicable(problem):
             continue
-        other = problem.with_batch(problem.batch + 1)
+        other = dataclasses.replace(problem, batch=problem.batch + 1)
         if solution.tuning_compatible(problem, other):
             assert solution.is_applicable(other)
 
@@ -142,7 +143,7 @@ def test_bucket_signature_coarser_than_exact(problem):
 @given(conv_problems)
 @settings(max_examples=60)
 def test_efficiency_never_exceeds_base(problem):
-    other = problem.with_batch(problem.batch + 3)
+    other = dataclasses.replace(problem, batch=problem.batch + 3)
     for solution in _CONV_SOLUTIONS:
         assert solution.efficiency(problem, other) <= solution.base_efficiency + 1e-12
 
@@ -160,7 +161,7 @@ def test_code_object_deterministic_and_positive(problem):
 @given(conv_problems, st.sampled_from([1, 2, 4, 8, 16, 64]))
 @settings(max_examples=60)
 def test_flops_scale_linearly_with_batch(problem, factor):
-    scaled = problem.with_batch(problem.batch * factor)
+    scaled = dataclasses.replace(problem, batch=problem.batch * factor)
     assert math.isclose(scaled.flops, problem.flops * factor, rel_tol=1e-9)
 
 

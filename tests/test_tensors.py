@@ -61,16 +61,6 @@ class TestTensorDesc:
         with pytest.raises(ValueError):
             TensorDesc((1, -2))
 
-    def test_with_batch(self):
-        t = TensorDesc((1, 3, 224, 224))
-        t64 = t.with_batch(64)
-        assert t64.dims == (64, 3, 224, 224)
-        assert t.dims == (1, 3, 224, 224)  # original untouched
-
-    def test_with_batch_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            TensorDesc((1, 3)).with_batch(0)
-
     def test_hashable_and_equal(self):
         a = TensorDesc((1, 3, 8, 8))
         b = TensorDesc((1, 3, 8, 8))
