@@ -12,7 +12,8 @@ from repro.fleet import (AUTOSCALE_KINDS, AutoscalePolicy, FleetConfig,
                          RegionConfig, RegionStats, RoutingPolicy,
                          equivalence_problems, merge_traces)
 from repro.packs.store import PackPolicy
-from repro.runner import ExperimentTask
+from repro.runner import (ExperimentTask, execute_task,
+                          fleet_stats_to_payload)
 from repro.runner.tasks import build_replay, run_replay
 from repro.serving.cluster import ClusterConfig, ClusterSimulator
 from repro.serving.pool import PoolStats
@@ -415,13 +416,14 @@ class TestFleetTask:
         with pytest.raises(ValueError, match=knob):
             ExperimentTask(kind=kind, **{knob: value})
 
-    def test_replays_a_two_region_diurnal_fleet(self):
+    def test_execute_round_trips_through_payload(self):
         task = ExperimentTask(
             kind="fleet", device="MI100", model="res", scheme="PaSK",
             arrival="diurnal", rate_hz=2.0, duration_s=6.0, seed=2,
             instances=2, keep_alive_s=0.5,
             fleet_devices=("MI100", "A100"), routing="round-robin")
         stats = run_replay(task, *build_replay(task))
+        assert execute_task(task) == fleet_stats_to_payload(stats)
         assert stats.offered > 0
         assert stats.conserved
         assert not stats.delegated
