@@ -166,7 +166,6 @@ class ConvProblem(HashOnce):
         return elems * self.dtype.size_bytes
 
 
-
 @hash_once
 @dataclass(frozen=True, slots=True)
 class PoolProblem(HashOnce):
@@ -224,7 +223,6 @@ class PoolProblem(HashOnce):
         return elems * self.dtype.size_bytes
 
 
-
 @hash_once
 @dataclass(frozen=True, slots=True)
 class ActivationProblem(HashOnce):
@@ -260,7 +258,6 @@ class ActivationProblem(HashOnce):
         return 2 * self.numel * self.dtype.size_bytes
 
 
-
 @hash_once
 @dataclass(frozen=True, slots=True)
 class GemmProblem(HashOnce):
@@ -292,7 +289,6 @@ class GemmProblem(HashOnce):
         """A + B + C matrix bytes (one pass each)."""
         elems = self.batch * (self.m * self.k + self.k * self.n + self.m * self.n)
         return elems * self.dtype.size_bytes
-
 
 
 Problem = Union[ConvProblem, PoolProblem, ActivationProblem, GemmProblem]
