@@ -6,6 +6,14 @@ are Python generators that yield events and are resumed when those events
 trigger.  Ties in time are broken by a monotonically increasing sequence
 number, so runs are fully deterministic.
 
+Most events have one waiter and are the next event due when they are
+yielded: a lone process's timeout chain.  A process then resumes in
+place: it pops that event itself and goes on, without a round trip
+through the dispatch loop.  It pops exactly what the loop would have,
+every event still takes its sequence number, and :meth:`Environment.step`
+never takes the shortcut, so a loop of ``step()`` calls is the
+reference every form of :meth:`Environment.run` is checked against.
+
 Only the features needed by the reproduction are implemented, which keeps
 the kernel small enough to test exhaustively:
 
@@ -139,6 +147,11 @@ class Event:
         return f"<{type(self).__name__} {state} at t={self.env.now:g}>"
 
 
+# The stop event of an environment whose dispatch loop is not running.
+_IDLE = object.__new__(Event)
+_IDLE._processed = True
+
+
 class Timeout(Event):
     """An event that triggers ``delay`` time units after creation.
 
@@ -177,28 +190,64 @@ class Process(Event):
         bootstrap._add_callback(self._resume)
 
     def _resume(self, event: Event) -> None:
-        exc = event._exception
-        try:
-            if exc is not None:
-                next_event = self._generator.throw(exc)
-            else:
-                next_event = self._generator.send(event._value)
-        except StopIteration as stop:
-            self._value = stop.value
-            self._triggered = True
-            self.env._schedule(self)
+        env = self.env
+        generator = self._generator
+        # Resume in place: when the event the generator yields is the
+        # one the dispatch loop would pop next, pop it here and go on,
+        # instead of returning to the loop only to be called back.  That
+        # holds only while the loop has nothing left to do for the event
+        # that called us -- no other waiter on it -- and has not reached
+        # its stop event; a processed stop (_IDLE) turns the shortcut off.
+        stop = env._stop if event.callbacks is None else _IDLE
+        immediate = env._immediate
+        queue = env._queue
+        horizon = env._horizon
+        while True:
+            exc = event._exception
+            try:
+                if exc is not None:
+                    event = generator.throw(exc)
+                else:
+                    event = generator.send(event._value)
+            except StopIteration as stop_iteration:
+                self._value = stop_iteration.value
+                self._triggered = True
+                env._schedule(self)
+                return
+            except BaseException as failure:  # propagate to waiters
+                self._exception = failure
+                self._triggered = True
+                env._schedule(self)
+                if not self._has_waiters:
+                    raise
+                return
+            if not isinstance(event, Event):
+                raise SimulationError(
+                    f"process {self.name!r} yielded {event!r}, expected an Event")
+            if event._processed:
+                # A late waiter sees the value at once.
+                continue
+            if (not stop._processed and event._single_callback is None
+                    and event.callbacks is None):
+                # Is it the head of the merge, exactly as _dispatch
+                # picks it?  An untriggered event is in neither queue.
+                if immediate:
+                    if queue and queue[0] < immediate[0]:
+                        if queue[0][2] is event:
+                            _heappop(queue)
+                            event._processed = True
+                            continue
+                    elif immediate[0][2] is event:
+                        immediate.popleft()
+                        event._processed = True
+                        continue
+                elif (queue and queue[0][2] is event
+                      and queue[0][0] <= horizon):
+                    env._now = _heappop(queue)[0]
+                    event._processed = True
+                    continue
+            event._add_callback(self._resume)
             return
-        except BaseException as failure:  # propagate to waiters
-            self._exception = failure
-            self._triggered = True
-            self.env._schedule(self)
-            if not self._has_waiters:
-                raise
-            return
-        if not isinstance(next_event, Event):
-            raise SimulationError(
-                f"process {self.name!r} yielded {next_event!r}, expected an Event")
-        next_event._add_callback(self._resume)
 
     def __repr__(self) -> str:
         state = "finished" if self._triggered else "alive"
@@ -249,6 +298,11 @@ class Environment:
     exact global ordering the single heap had: ties in time still break
     by sequence number, and determinism is preserved bit-for-bit (the
     property tests pin this).
+
+    While :meth:`_dispatch` runs, the environment holds its stop event
+    and horizon, so a process can tell whether the loop would pop the
+    event it just yielded next, and pop it in place
+    (:meth:`Process._resume`).
     """
 
     def __init__(self) -> None:
@@ -256,6 +310,10 @@ class Environment:
         self._queue: List[Tuple[float, int, Event]] = []
         self._immediate: Deque[Tuple[float, int, Event]] = deque()
         self._sequence = 0
+        # What the running dispatch loop stops at; a processed event
+        # while none runs, so no process resumes in place then.
+        self._stop: Event = _IDLE
+        self._horizon = _INF
 
     @property
     def now(self) -> float:
@@ -332,30 +390,39 @@ class Environment:
         immediate = self._immediate
         queue = self._queue
         popleft = immediate.popleft
-        while not stop._processed:
-            if immediate:
-                # Unique sequence numbers mean the tuple comparison never
-                # reaches the (incomparable) Event element.
-                if queue and queue[0] < immediate[0]:
-                    event = _heappop(queue)[2]
+        outer = self._stop, self._horizon
+        self._stop = stop
+        self._horizon = horizon
+        try:
+            while not stop._processed:
+                if immediate:
+                    # Unique sequence numbers mean the tuple comparison
+                    # never reaches the (incomparable) Event element.
+                    if queue and queue[0] < immediate[0]:
+                        event = _heappop(queue)[2]
+                    else:
+                        event = popleft()[2]
+                elif queue:
+                    if queue[0][0] > horizon:
+                        return
+                    self._now, _, event = _heappop(queue)
                 else:
-                    event = popleft()[2]
-            elif queue:
-                if queue[0][0] > horizon:
                     return
-                self._now, _, event = _heappop(queue)
-            else:
-                return
-            single = event._single_callback
-            callbacks = event.callbacks
-            event._single_callback = None
-            event.callbacks = None
-            event._processed = True
-            if single is not None:
-                single(event)
-            if callbacks:
-                for callback in callbacks:
-                    callback(event)
+                event._processed = True
+                single = event._single_callback
+                if single is not None:
+                    event._single_callback = None
+                    # The other waiters stay attached until they have
+                    # run: a process resumes in place only while none
+                    # is left (see Process._resume).
+                    single(event)
+                    callbacks = event.callbacks
+                    if callbacks is not None:
+                        for callback in callbacks:
+                            callback(event)
+                        event.callbacks = None
+        finally:
+            self._stop, self._horizon = outer
 
     def step(self) -> None:
         """Process the next scheduled event."""

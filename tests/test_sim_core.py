@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import math
+
 import pytest
 
 from repro.sim import (
@@ -235,6 +237,81 @@ def test_run_until_horizon_leaves_later_immediates_queued():
     assert env.now == 1.0
     env.run()  # draining the rest picks the late event back up
     assert log == [("early", 1.0), ("late", 1.5)]
+
+
+def test_run_until_horizon_takes_a_timeout_landing_on_it():
+    # The second timeout is the next event due and lands exactly on the
+    # horizon: the process resumes from it before run() returns.
+    env = Environment()
+    seen = []
+
+    def proc():
+        for _ in range(3):
+            yield env.timeout(1.0)
+            seen.append(env.now)
+
+    env.process(proc())
+    env.run(until=2.0)
+    assert seen == [1.0, 2.0]
+    assert env.now == 2.0
+    env.run()
+    assert seen == [1.0, 2.0, 3.0]
+
+
+def test_run_until_horizon_leaves_a_timeout_just_past_it_queued():
+    env = Environment()
+    seen = []
+    past = math.nextafter(2.0, math.inf)
+
+    def proc():
+        yield env.timeout(1.0)
+        seen.append(env.now)
+        yield env.timeout(past - env.now)
+        seen.append(env.now)
+
+    env.process(proc())
+    env.run(until=2.0)
+    assert seen == [1.0]
+    assert env.now == 2.0
+    scheduled = env.events_scheduled
+    env.run(until=past)
+    assert seen == [1.0, past]
+    # Bootstrap, two timeouts; the process ends at the last horizon.
+    assert env.events_scheduled == scheduled + 1 == 4
+
+
+def test_run_resumes_a_lone_process_in_place(monkeypatch):
+    # A chain of timeouts nobody else waits on is resumed in one call
+    # under run(), and once per event under step(), with the same
+    # outcome and the same events scheduled.
+    from repro.sim.core import Process
+
+    calls = []
+    resume = Process._resume
+
+    def counting(process, event):
+        calls.append(event)
+        return resume(process, event)
+
+    monkeypatch.setattr(Process, "_resume", counting)
+    outcomes = []
+    for stepping in (False, True):
+        env = Environment()
+        del calls[:]
+
+        def chain():
+            for delay in (0.0, 1.0, 0.0, 2.5):
+                yield env.timeout(delay)
+            return env.now
+
+        process = env.process(chain())
+        if stepping:
+            while not process.processed:
+                env.step()
+        else:
+            env.run(until=process)
+        outcomes.append((process.value, env.events_scheduled, len(calls)))
+    assert outcomes == [(3.5, 6, 1), (3.5, 6, 5)]
 
 
 def test_run_into_the_past_rejected():
@@ -481,10 +558,17 @@ def test_zero_delay_chain_runs_within_one_instant(delays):
 # ---------------------------------------------------------------------------
 
 _instants = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.5, 2.5])
+# ``run`` resumes a process in place when the event it yields is the
+# next one due, and ``step`` never does: the actions below cover each
+# guard of that shortcut -- a second waiter ("shared"), a failed event
+# ("fail") and an event already processed when yielded ("again").
 _actions = st.one_of(
     st.tuples(st.just("timeout"), _instants),
     st.tuples(st.just("event"), _instants),
     st.tuples(st.just("all_of"), st.lists(_instants, min_size=1, max_size=3)),
+    st.tuples(st.just("shared"), _instants),
+    st.tuples(st.just("fail"), _instants),
+    st.tuples(st.just("again"), _instants),
 )
 _scripts = st.lists(st.lists(_actions, max_size=6), min_size=1, max_size=4)
 
@@ -492,24 +576,55 @@ _scripts = st.lists(st.lists(_actions, max_size=6), min_size=1, max_size=4)
 def _start(env, scripts, log):
     """One process per script; every callback logs ``(now, label)``."""
 
+    def triggered_at(delay, name, step, trigger):
+        """A bare event, triggered from a timeout's callback."""
+        event = env.event()
+
+        def fire(_timeout):
+            log.append((env.now, f"{name}.{step}:trigger"))
+            trigger(event)
+        env.timeout(delay)._add_callback(fire)
+        return event
+
+    def watcher(name, step, event):
+        value = yield event
+        log.append((env.now, f"{name}.{step}:watched {value!r}"))
+        yield env.timeout(0.0)
+        log.append((env.now, f"{name}.{step}:watcher done"))
+
     def wait(name, step, action, arg):
-        if action == "timeout":
+        if action in ("timeout", "again"):
             return env.timeout(arg, value=step)
         if action == "event":
-            # A bare event, succeeded from a timeout's callback.
-            event = env.event()
-
-            def trigger(_timeout):
-                log.append((env.now, f"{name}.{step}:trigger"))
-                event.succeed(step)
-            env.timeout(arg)._add_callback(trigger)
+            return triggered_at(arg, name, step,
+                                lambda event: event.succeed(step))
+        if action == "shared":
+            # This process waits first, a watcher second.
+            event = triggered_at(arg, name, step,
+                                 lambda event: event.succeed(step))
+            env.process(watcher(name, step, event))
             return event
+        if action == "fail":
+            error = ValueError(f"{name}.{step}")
+            if arg == 0.0:
+                # Failed before it is yielded: at the head of the queue
+                # when nothing else is due now.
+                return env.event().fail(error)
+            return triggered_at(arg, name, step,
+                                lambda event: event.fail(error))
         return env.all_of([env.timeout(delay, value=i)
                            for i, delay in enumerate(arg)])
 
     def body(name, script):
         for step, (action, arg) in enumerate(script):
-            value = yield wait(name, step, action, arg)
+            event = wait(name, step, action, arg)
+            try:
+                value = yield event
+                if action == "again":
+                    # Processed by now: the process resumes at once.
+                    value = (value, (yield event))
+            except ValueError as error:
+                value = f"failed {error}"
             log.append((env.now, f"{name}.{step}:{value!r}"))
         return name
 
