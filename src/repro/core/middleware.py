@@ -30,7 +30,6 @@ from repro.engine.program import Program
 from repro.gpu.runtime import HipRuntime
 from repro.primitive.blas import BlasLibrary
 from repro.primitive.library import MIOpenLibrary
-from repro.primitive.perf_model import kernel_time
 from repro.sim.channel import Channel, ChannelClosed, ChannelClosedError
 from repro.sim.core import Environment, Event
 from repro.sim.faults import LoadFault
@@ -49,7 +48,6 @@ PLAN_NOOP = "noop"
 # it through the reactive lazy launch path instead.
 PLAN_FALLBACK = "fallback"
 
-_ENGINE_KERNEL_EFFICIENCY = 0.60
 _CACHE_OP_OVERHEAD_S = 2e-6
 
 
@@ -124,6 +122,7 @@ class PaskMiddleware:
         self.tracker: Optional[MilestoneTracker] = None
         self.shared = _Shared()
         self._engine_bundle = None
+        self._plans: Tuple[Any, ...] = ()
         # Telemetry rides on the runtime's handles (no-op when off).
         metrics = getattr(runtime, "metrics", None)
         self.metrics = metrics
@@ -145,6 +144,7 @@ class PaskMiddleware:
         env = self.env
         self.tracker = MilestoneTracker(len(program))
         self._engine_bundle = program.engine_bundle
+        self._plans = program.launch_plans(self.library, self.blas)
         parse_to_load = Channel(env, self.config.load_channel_capacity,
                                 name="parse->load")
         load_to_issue = Channel(env, None, name="load->issue")
@@ -237,17 +237,23 @@ class PaskMiddleware:
         return False
 
     def _plan_instruction(self, instr: Instruction):
-        """Decide how ``instr`` executes; perform proactive loads."""
+        """Decide how ``instr`` executes; perform proactive loads.
+
+        Returns ``(instr, plan, payload)``: the payload of a DESIRED,
+        ENGINE or BLAS plan is the launch plan the issuer replays."""
         if instr.kind is InstrKind.NOOP:
             return (instr, PLAN_NOOP, None)
+        launch = self._plans[instr.index]
         if instr.kind is InstrKind.BLAS_GEMM:
             if not self.config.manage_blas:
                 # hipBLAS loads internally; stock PASK cannot preload it.
-                return (instr, PLAN_BLAS, None)
-            # Sec. VI extension: PASK hooked into the BLAS library too.
+                return (instr, PLAN_BLAS, launch)
+            # Sec. VI extension: PASK hooked into the BLAS library too,
+            # running the GEMM through the primitive library's path.
             desired = self.blas.find_best(instr.problem)
-            plan = yield from self._plan_primitive(instr, desired,
-                                                   instr.problem)
+            plan = yield from self._plan_primitive(
+                instr, desired, instr.problem,
+                self.library.launch_plan(instr.problem, desired))
             return plan
         if instr.kind is InstrKind.ENGINE_KERNEL:
             try:
@@ -256,13 +262,14 @@ class PaskMiddleware:
             except LoadFault:
                 self._count_fallback()
                 return (instr, PLAN_FALLBACK, None)
-            return (instr, PLAN_ENGINE, None)
+            return (instr, PLAN_ENGINE, launch)
 
         desired = self.library.solution_by_name(instr.solution_name)
-        plan = yield from self._plan_primitive(instr, desired, instr.problem)
+        plan = yield from self._plan_primitive(instr, desired, instr.problem,
+                                               launch)
         return plan
 
-    def _plan_primitive(self, instr: Instruction, desired, problem):
+    def _plan_primitive(self, instr: Instruction, desired, problem, launch):
         main_co = desired.code_object_for(problem)
         casts = desired.transform_code_objects(problem)
 
@@ -280,7 +287,7 @@ class PaskMiddleware:
                 self._count_fallback()
                 return (instr, PLAN_FALLBACK, None)
             self._cache_insert(LoadedInstance(desired, problem))
-            return (instr, PLAN_DESIRED, desired)
+            return (instr, PLAN_DESIRED, launch)
 
         if (self.config.reuse_enabled and at_or_past_milestone
                 and len(self.cache)):
@@ -342,7 +349,7 @@ class PaskMiddleware:
             self._count_fallback()
             return (instr, PLAN_FALLBACK, None)
         self._cache_insert(LoadedInstance(desired, problem))
-        return (instr, PLAN_DESIRED, desired)
+        return (instr, PLAN_DESIRED, launch)
 
     def _load_all(self, code_objects):
         for code_object in code_objects:
@@ -378,23 +385,7 @@ class PaskMiddleware:
             if plan is PLAN_NOOP:
                 tracker.record_executed(instr.index)
                 continue
-            if plan is PLAN_BLAS:
-                end = yield from self.blas.run_gemm(
-                    self.runtime, instr.problem, actor="issuer",
-                    label=instr.name)
-            elif plan is PLAN_ENGINE:
-                kernel = instr.engine_kernel
-                duration = kernel_time(kernel.flops, kernel.bytes_moved,
-                                       _ENGINE_KERNEL_EFFICIENCY,
-                                       self.runtime.device)
-                end = yield from self.runtime.launch_kernel(
-                    self._engine_bundle, kernel.name,
-                    duration, actor="issuer", label=instr.name, lazy=False)
-            elif plan is PLAN_DESIRED:
-                end = yield from self.library.run_solution(
-                    self.runtime, instr.problem, payload, actor="issuer",
-                    label=instr.name, lazy=False)
-            elif plan is PLAN_REUSE:
+            if plan is PLAN_REUSE:
                 instance, run_problem = payload
                 end = yield from self.library.run_solution(
                     self.runtime, run_problem, instance.solution,
@@ -402,8 +393,12 @@ class PaskMiddleware:
                     label=f"{instr.name}/reused", lazy=False)
             elif plan is PLAN_FALLBACK:
                 end = yield from self._issue_reactive(instr)
-            else:  # pragma: no cover - defensive
-                raise RuntimeError(f"unknown plan {plan!r}")
+            else:
+                # DESIRED, ENGINE or BLAS: replay the loader's launch
+                # plan; only the BLAS library still loads lazily.
+                end = yield from payload.replay(self.runtime, "issuer",
+                                                instr.name,
+                                                plan is PLAN_BLAS)
             if end is not None:
                 # The milestone needs only the layer's end on the GPU
                 # (Sec. III-A): one timeout carrying its index, created
@@ -414,25 +409,11 @@ class PaskMiddleware:
     def _issue_reactive(self, instr: Instruction):
         """Execute ``instr`` through the reactive lazy launch path --
         the fallback when the proactive loader gave up on it."""
-        if instr.kind is InstrKind.NOOP:
+        launch = self._plans[instr.index]
+        if launch is None:
             self.tracker.record_executed(instr.index)
             return None
-        if instr.kind is InstrKind.BLAS_GEMM:
-            end = yield from self.blas.run_gemm(
-                self.runtime, instr.problem, actor="issuer",
-                label=instr.name)
-            return end
-        if instr.kind is InstrKind.ENGINE_KERNEL:
-            kernel = instr.engine_kernel
-            duration = kernel_time(kernel.flops, kernel.bytes_moved,
-                                   _ENGINE_KERNEL_EFFICIENCY,
-                                   self.runtime.device)
-            end = yield from self.runtime.launch_kernel(
-                self._engine_bundle, kernel.name, duration,
-                actor="issuer", label=f"{instr.name}/fallback", lazy=True)
-            return end
-        desired = self.library.solution_by_name(instr.solution_name)
-        end = yield from self.library.run_solution(
-            self.runtime, instr.problem, desired, actor="issuer",
-            label=f"{instr.name}/fallback", lazy=True)
-        return end
+        label = instr.name if instr.kind is InstrKind.BLAS_GEMM \
+            else f"{instr.name}/fallback"
+        return (yield from launch.replay(self.runtime, "issuer", label,
+                                         True))

@@ -18,25 +18,23 @@ serving harness (:mod:`repro.serving.server`) wraps them into
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.core.cache import LoadedInstance, NaiveSolutionCache
 from repro.core.middleware import PaskConfig, PaskMiddleware
-from repro.engine.instruction import Instruction, InstrKind
+from repro.engine.instruction import InstrKind
 from repro.engine.lowering import LoweringOptions
 from repro.engine.program import Program
 from repro.gpu.codeobject import CodeObjectFile
 from repro.gpu.runtime import HipRuntime
 from repro.primitive.blas import BlasLibrary
 from repro.primitive.library import MIOpenLibrary
-from repro.primitive.perf_model import kernel_time
 from repro.sim.channel import Channel, ChannelClosed
 from repro.sim.core import Environment
 from repro.sim.trace import Phase
 
 __all__ = ["Scheme", "build_executor", "program_code_objects", "run_hot"]
 
-_ENGINE_KERNEL_EFFICIENCY = 0.60
 # Fixed per-request framework setup (context handles, workspace alloc,
 # input staging) -- part of the "others" share in the breakdowns.
 _REQUEST_SETUP_S = 250e-6
@@ -134,46 +132,18 @@ def _upload_weights(env: Environment, runtime: HipRuntime,
     runtime.pending_weight_bytes = 0
 
 
-def _issue_instruction(env: Environment, runtime: HipRuntime,
-                       library: MIOpenLibrary, blas: BlasLibrary,
-                       instr: Instruction, actor: str, lazy: bool,
-                       engine_bundle=None):
-    """Execute one instruction reactively; returns its last kernel's end
-    time (``None`` for a no-op)."""
-    if instr.kind is InstrKind.NOOP:
-        return None
-    if instr.kind is InstrKind.BLAS_GEMM:
-        end = yield from blas.run_gemm(runtime, instr.problem,
-                                       actor=actor, label=instr.name)
-        return end
-    if instr.kind is InstrKind.ENGINE_KERNEL:
-        kernel = instr.engine_kernel
-        code_object = engine_bundle if engine_bundle is not None \
-            else kernel.code_object
-        duration = kernel_time(kernel.flops, kernel.bytes_moved,
-                               _ENGINE_KERNEL_EFFICIENCY, runtime.device)
-        end = yield from runtime.launch_kernel(
-            code_object, kernel.name, duration,
-            actor=actor, label=instr.name, lazy=lazy)
-        return end
-    solution = library.solution_by_name(instr.solution_name)
-    end = yield from library.run_solution(
-        runtime, instr.problem, solution, actor=actor, label=instr.name,
-        lazy=lazy)
-    return end
-
-
 # ----------------------------------------------------------------------
 # Executors
 # ----------------------------------------------------------------------
 
 def _issue_all(env, runtime, library, blas, program):
-    """Issue every instruction lazily from the host, then synchronize."""
-    bundle = program.engine_bundle
-    for instr in program.instructions:
-        yield from _issue_instruction(env, runtime, library, blas, instr,
-                                      actor="host", lazy=True,
-                                      engine_bundle=bundle)
+    """Issue every instruction lazily from the host, replaying its
+    launch plan (:meth:`Program.launch_plans`; none for a no-op), then
+    synchronize."""
+    plans = program.launch_plans(library, blas)
+    for instr, plan in zip(program.instructions, plans):
+        if plan is not None:
+            yield from plan.replay(runtime, "host", instr.name, True)
     yield from runtime.synchronize()
 
 
@@ -210,6 +180,7 @@ def _run_nnv12(env, runtime, library, blas, program) -> Dict[str, Any]:
     parsed) and no runtime reuse.
     """
     bundle = program.engine_bundle
+    plans = program.launch_plans(library, blas)
     yield from _request_setup(env, runtime)
     yield from _upload_weights(env, runtime)
     yield from _parse_all(env, runtime, program)
@@ -232,10 +203,10 @@ def _run_nnv12(env, runtime, library, blas, program) -> Dict[str, Any]:
             instr = yield channel.get()
             if instr is ChannelClosed:
                 return
-            lazy = instr.kind is InstrKind.BLAS_GEMM
-            yield from _issue_instruction(env, runtime, library, blas, instr,
-                                          actor="issuer", lazy=lazy,
-                                          engine_bundle=bundle)
+            plan = plans[instr.index]
+            if plan is not None:
+                yield from plan.replay(runtime, "issuer", instr.name,
+                                       instr.kind is InstrKind.BLAS_GEMM)
 
     loader_proc = env.process(loader(), "nnv12-loader")
     issuer_proc = env.process(issuer(), "nnv12-issuer")
@@ -259,7 +230,7 @@ def _run_pask(env, runtime, library, blas, program,
 
 def _run_pask_r(env, runtime, library, blas, program) -> Dict[str, Any]:
     """Reuse without interleaving, on the naive exhaustive cache."""
-    bundle = program.engine_bundle
+    plans = program.launch_plans(library, blas)
     yield from _request_setup(env, runtime)
     yield from _upload_weights(env, runtime)
     yield from _parse_all(env, runtime, program)
@@ -267,18 +238,16 @@ def _run_pask_r(env, runtime, library, blas, program) -> Dict[str, Any]:
     reused = 0
     skipped = 0
     for instr in program.instructions:
+        plan = plans[instr.index]
         if instr.kind is not InstrKind.MIOPEN_PRIMITIVE:
-            yield from _issue_instruction(env, runtime, library, blas, instr,
-                                          actor="host", lazy=True,
-                                          engine_bundle=bundle)
+            if plan is not None:
+                yield from plan.replay(runtime, "host", instr.name, True)
             continue
         desired = library.solution_by_name(instr.solution_name)
         problem = instr.problem
         main_co = desired.code_object_for(problem)
         if runtime.is_loaded(main_co.name):
-            yield from _issue_instruction(env, runtime, library, blas, instr,
-                                          actor="host", lazy=True,
-                                          engine_bundle=bundle)
+            yield from plan.replay(runtime, "host", instr.name, True)
             cache.insert(LoadedInstance(desired, problem))
             continue
         result = cache.get_sub_solution(desired, problem)
@@ -296,9 +265,7 @@ def _run_pask_r(env, runtime, library, blas, program) -> Dict[str, Any]:
             reused += 1
             skipped += 1
             continue
-        yield from _issue_instruction(env, runtime, library, blas, instr,
-                                      actor="host", lazy=True,
-                                      engine_bundle=bundle)
+        yield from plan.replay(runtime, "host", instr.name, True)
         cache.insert(LoadedInstance(desired, problem))
     yield from runtime.synchronize()
     return {"cache_stats": cache.stats, "reused_layers": reused,

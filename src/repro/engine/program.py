@@ -4,13 +4,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Dict, List, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.engine.instruction import Instruction, InstrKind
+from repro.engine.instruction import EngineKernel, Instruction, InstrKind
 from repro.gpu.codeobject import CodeObjectFile, KernelSymbol
+from repro.primitive.blas import BlasLibrary
+from repro.primitive.library import LaunchPlan, MIOpenLibrary
+from repro.primitive.perf_model import kernel_time
 from repro.primitive.problem import Problem
 
 __all__ = ["Program"]
+
+# Fraction of device peak an engine-generated (JIT) kernel achieves.
+_ENGINE_KERNEL_EFFICIENCY = 0.60
 
 
 @dataclass(frozen=True)
@@ -83,6 +89,50 @@ class Program:
         size = 30_000 + 8_000 * len(symbols)
         return CodeObjectFile(f"mgx_jit_{self.name}@b{self.batch}", size,
                               symbols)
+
+    def launch_plans(self, library: MIOpenLibrary, blas: BlasLibrary
+                     ) -> Tuple[Optional[LaunchPlan], ...]:
+        """What each instruction launches, by index: its
+        :class:`~repro.primitive.library.LaunchPlan` on the libraries'
+        device, or None for a no-op.
+
+        A pure function of the program and the device, so it is derived
+        once per program and library pair and kept on the program: a
+        serve only replays it, and a server that drops the program drops
+        the table with it.  The table holds one slot per instruction and
+        no plan of its own but the engine kernels': the MIOpen and BLAS
+        plans are the libraries' (shared by value), and equal engine
+        kernels share one plan, launched from :attr:`engine_bundle`.
+        """
+        held = self.__dict__.get("_launch_plans")
+        if held is not None and held[0] is library and held[1] is blas:
+            return held[2]
+        bundle = self.engine_bundle
+        engine: Dict[EngineKernel, LaunchPlan] = {}
+        plans: List[Optional[LaunchPlan]] = []
+        for instr in self.instructions:
+            kind = instr.kind
+            if kind is InstrKind.MIOPEN_PRIMITIVE:
+                solution = library.solution_by_name(instr.solution_name)
+                plan = library.launch_plan(instr.problem, solution)
+            elif kind is InstrKind.BLAS_GEMM:
+                plan = blas.launch_plan(instr.problem)
+            elif kind is InstrKind.ENGINE_KERNEL:
+                kernel = instr.engine_kernel
+                plan = engine.get(kernel)
+                if plan is None:
+                    plan = engine[kernel] = LaunchPlan(kernel.name, ((
+                        bundle, kernel.name,
+                        kernel_time(kernel.flops, kernel.bytes_moved,
+                                    _ENGINE_KERNEL_EFFICIENCY,
+                                    library.device), ""),))
+            else:
+                plan = None
+            plans.append(plan)
+        held = (library, blas, tuple(plans))
+        # Frozen: stored the way cached_property stores engine_bundle.
+        self.__dict__["_launch_plans"] = held
+        return held[2]
 
     def stats(self) -> Dict[str, Any]:
         """Summary counters used by reports and tests."""

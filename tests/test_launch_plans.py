@@ -1,23 +1,30 @@
 """Launch plans issue exactly what deriving every launch per call did.
 
-``MIOpenLibrary.run_solution`` and ``BlasLibrary.run_gemm`` derive each
-launch (binaries, symbols, kernel times) once per library and replay
-it.  The reference below is the per-call derivation they replace.  Every
-model is served cold at batch 1 and 16 under all six schemes on MI100
-and A100, once through the plans and once through the reference, and
-the kernel launches must match: the same code object and symbol, the
-same duration bit for bit, the same label, actor and laziness.
+The libraries derive each launch (binaries, symbols, kernel times) once
+per library as a launch plan, ``Program.launch_plans`` hands each
+instruction its plan once per program, and a serve only replays them.
+The reference below is the per-call derivation they replace, engine
+kernels included.  Every model is served cold at batch 1 and 16 under
+all six schemes on MI100 and A100, once through the plans and once
+through the reference, and the kernel launches must match: the same
+code object and symbol, the same duration bit for bit, the same label,
+actor and laziness.
 """
+
+import gc
+import weakref
 
 import pytest
 
 from repro.core.schemes import Scheme
+from repro.engine import InstrKind, Program
 from repro.gpu import A100, MI100, HipRuntime
-from repro.models import list_models
+from repro.models import build_model, list_models
 from repro.primitive import ConvProblem, GemmProblem
 from repro.primitive.blas import BlasLibrary
 from repro.primitive.library import MIOpenLibrary
-from repro.primitive.perf_model import solution_time, transform_exec_time
+from repro.primitive.perf_model import (kernel_time, solution_time,
+                                        transform_exec_time)
 from repro.serving.server import InferenceServer
 from repro.sim import Environment
 from repro.tensors import Layout
@@ -63,6 +70,39 @@ def _reference_run_gemm(blas, runtime, problem, actor="host", label=""):
     return completion
 
 
+class _PerCallLaunch:
+    """One instruction's launches, derived afresh on every replay."""
+
+    def __init__(self, program, instr, library, blas):
+        self.bundle = program.engine_bundle
+        self.instr = instr
+        self.library = library
+        self.blas = blas
+
+    def replay(self, runtime, actor, label, lazy):
+        instr = self.instr
+        if instr.kind is InstrKind.BLAS_GEMM:
+            return _reference_run_gemm(self.blas, runtime, instr.problem,
+                                       actor=actor, label=label)
+        if instr.kind is InstrKind.ENGINE_KERNEL:
+            kernel = instr.engine_kernel
+            return runtime.launch_kernel(
+                self.bundle, kernel.name,
+                kernel_time(kernel.flops, kernel.bytes_moved, 0.60,
+                            runtime.device),
+                actor=actor, label=label, lazy=lazy)
+        return _reference_run_solution(
+            self.library, runtime, instr.problem,
+            self.library.solution_by_name(instr.solution_name),
+            actor=actor, label=label, lazy=lazy)
+
+
+def _per_call_plans(program, library, blas):
+    return tuple(None if instr.kind is InstrKind.NOOP
+                 else _PerCallLaunch(program, instr, library, blas)
+                 for instr in program.instructions)
+
+
 def _record_launches(monkeypatch):
     """Log every kernel launch as (code object, symbol, duration bits,
     label, actor, lazy)."""
@@ -104,9 +144,7 @@ def test_plans_issue_the_per_call_launches(device, model, monkeypatch):
 
     monkeypatch.setattr(server.library, "run_solution",
                         reference_run_solution)
-    monkeypatch.setattr(server.blas, "run_gemm",
-                        lambda *args, **kwargs: _reference_run_gemm(
-                            server.blas, *args, **kwargs))
+    monkeypatch.setattr(Program, "launch_plans", _per_call_plans)
     assert _serve_all(server, model) == planned_times
     assert launches == planned
     assert planned
@@ -170,3 +208,43 @@ def test_libraries_on_different_devices_never_share_a_plan():
     for mi100_plan, a100_plan in zip(plans["MI100"], plans["A100"]):
         assert mi100_plan is not a100_plan
         assert mi100_plan.steps[-1][2] != a100_plan.steps[-1][2]
+
+
+def test_a_program_derives_its_instruction_plans_once():
+    server = InferenceServer(MI100)
+    library, blas = server.library, server.blas
+    program = server._lowered("res", Scheme.PASK, 1)
+    plans = program.launch_plans(library, blas)
+    assert program.launch_plans(library, blas) is plans
+    assert len(plans) == len(program)
+    engine = {}
+    for instr, plan in zip(program.instructions, plans):
+        if instr.kind is InstrKind.NOOP:
+            assert plan is None
+        elif instr.kind is InstrKind.MIOPEN_PRIMITIVE:
+            assert plan is library.launch_plan(
+                instr.problem, library.solution_by_name(instr.solution_name))
+        elif instr.kind is InstrKind.BLAS_GEMM:
+            assert plan is blas.launch_plan(instr.problem)
+        else:
+            # Equal engine kernels share one plan, from the bundle.
+            assert engine.setdefault(instr.engine_kernel, plan) is plan
+            assert plan.steps[0][0] is program.engine_bundle
+    assert len(engine) < program.stats()["per_kind"]["engine"]
+    other = InferenceServer(A100)
+    assert program.launch_plans(other.library, other.blas) is not plans
+
+
+def test_registering_a_model_drops_its_programs_plans():
+    server = InferenceServer(MI100)
+    graph = build_model("res")
+    server.register_model(graph)
+    program = server._lowered(graph.name, Scheme.PASK, 1)
+    program.launch_plans(server.library, server.blas)
+    dropped = weakref.ref(program)
+    del program
+    server.register_model(build_model("res"))
+    gc.collect()
+    assert dropped() is None
+    fresh = server._lowered(graph.name, Scheme.PASK, 1)
+    assert "_launch_plans" not in vars(fresh)
