@@ -240,6 +240,9 @@ class _Accumulator:
 _Key = Tuple[Optional[Phase], Optional[str]]
 _Route = Tuple[_Accumulator, _Accumulator, _Accumulator, _Accumulator]
 _INF = math.inf
+# Builds a record straight from its six fields, skipping the named
+# tuple's Python-level ``__new__`` on the hot path.
+_tuple_new = tuple.__new__
 
 
 def _route_keys(phase: Optional[Phase], actor: Optional[str]
@@ -330,8 +333,9 @@ class TraceRecorder:
                     f"record ends before it starts: {start} > {end}")
             raise ValueError(
                 f"record duration must be finite: ({start}, {end})")
-        rec = TraceRecord(start, end, actor, phase, label,
-                          tuple(sorted(meta.items())) if meta else ())
+        rec = _tuple_new(TraceRecord, (
+            start, end, actor, phase, label,
+            tuple(sorted(meta.items())) if meta else ()))
         if (self.observer is None and self._pending is None
                 and self.retention == "full"):
             self._records.append(rec)   # what ingest() reduces to here
@@ -660,9 +664,10 @@ class TraceRecorder:
         """The retained records as JSON-safe rows: ``[start, end, actor,
         phase value, label, [[key, value], ...]]``."""
         # A comprehension, not list(map(list, meta)): an empty list built
-        # from a map keeps an item block, and a grid pass holds ~10^5 rows.
+        # from a map keeps an item block, and a grid pass holds ~10^5
+        # rows.  Most records carry no meta, so those skip the inner one.
         return [[start, end, actor, phase._value_, label,
-                 [[k, v] for k, v in meta]]
+                 [[k, v] for k, v in meta] if meta else []]
                 for start, end, actor, phase, label, meta in self.records]
 
     def state_dict(self) -> Dict[str, Any]:
