@@ -17,7 +17,7 @@ from typing import Any, Collection, Iterable, Sequence
 
 __all__ = ["RETENTION_POLICIES", "check_count", "check_range",
            "check_one_of", "check_retention", "check_windows",
-           "check_arrivals"]
+           "check_arrivals", "dims_ok", "check_dims"]
 
 #: The trace retention policies of :class:`repro.sim.trace.TraceRecorder`.
 RETENTION_POLICIES = ("full", "aggregate")
@@ -39,6 +39,33 @@ def check_count(field: str, value: Any, minimum: int = 0, *,
     if not isinstance(value, int) or isinstance(value, bool) \
             or value < minimum:
         _reject(field, f"an integer >= {minimum}", value, optional)
+
+
+_INT = {int}
+
+
+def dims_ok(positive: Sequence, nonnegative: Sequence = ()) -> bool:
+    """Whether every dimension is a plain ``int``, ``positive`` ones at
+    least 1 and ``nonnegative`` ones at least 0: one pass over each
+    whole tuple, since a grid compile builds thousands of shapes.
+    NaN, fractions and ``True`` are not ``int``s."""
+    return (set(map(type, positive)).union(map(type, nonnegative)) <= _INT
+            and min(positive) > 0 and min(nonnegative, default=0) >= 0)
+
+
+def check_dims(owner: object, positive: Sequence[str],
+               nonnegative: Sequence[str] = ()) -> None:
+    """``check_count`` each named dimension field of ``owner`` (each
+    item of a tuple field), so a shape :func:`dims_ok` turned down
+    fails with an error naming the dimension."""
+    for names, minimum in ((positive, 1), (nonnegative, 0)):
+        for name in names:
+            value = getattr(owner, name)
+            if isinstance(value, tuple):
+                for index, item in enumerate(value):
+                    check_count(f"{name}[{index}]", item, minimum)
+            else:
+                check_count(name, value, minimum)
 
 
 def check_range(field: str, value: Any, low: float = 0.0,

@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 from typing import Tuple, Union
 
-from repro.checks import check_count, check_one_of
+from repro.checks import check_dims, check_one_of, dims_ok
 from repro.tensors import DataType, Layout
 
 __all__ = [
@@ -58,31 +58,17 @@ def hash_once(cls):
     return cls
 
 
-_INT = {int}
+_PAIRS = ("kernel", "stride", "pad", "dilation")
 
 
-def _dims_ok(positive: Tuple, nonnegative: Tuple = ()) -> bool:
-    """Whether every dimension is a plain ``int``, ``positive`` ones at
-    least 1 and ``nonnegative`` ones at least 0: one pass over each
-    whole tuple, since a grid compile builds thousands of problems.
-    NaN, fractions and ``True`` are not ``int``s."""
-    return (set(map(type, positive)).union(map(type, nonnegative)) <= _INT
-            and min(positive) > 0 and min(nonnegative, default=0) >= 0)
-
-
-def _check_dims(problem: object, positive: Tuple[str, ...],
-                nonnegative: Tuple[str, ...] = ()) -> None:
-    """``check_count`` each named dimension field of ``problem`` (each
-    item of a tuple field), so a problem :func:`_dims_ok` turned down
-    fails with an error naming the field."""
-    for names, minimum in ((positive, 1), (nonnegative, 0)):
-        for name in names:
-            value = getattr(problem, name)
-            if isinstance(value, tuple):
-                for index, item in enumerate(value):
-                    check_count(f"{name}[{index}]", item, minimum)
-            else:
-                check_count(name, value, minimum)
+def _check_pairs(problem: object, names: Tuple[str, ...]) -> None:
+    """Reject a window field of ``problem`` that is not a pair, naming
+    the field: the output shape and the FLOPs unpack each one."""
+    for name in names:
+        value = getattr(problem, name)
+        if not (isinstance(value, tuple) and len(value) == 2):
+            raise ValueError(f"{name} must be a pair of integers, "
+                             f"got {value!r}")
 
 
 class PrimitiveKind(enum.Enum):
@@ -113,13 +99,14 @@ class ConvProblem(HashOnce):
     layout: Layout = Layout.NCHW
 
     def __post_init__(self) -> None:
+        _check_pairs(self, _PAIRS)
         positives = (self.batch, self.in_channels, self.height, self.width,
                      self.out_channels, *self.kernel, *self.stride,
                      *self.dilation, self.group)
-        if not _dims_ok(positives, self.pad):
-            _check_dims(self, ("batch", "in_channels", "height", "width",
-                               "out_channels", "kernel", "stride",
-                               "dilation", "group"), ("pad",))
+        if not dims_ok(positives, self.pad):
+            check_dims(self, ("batch", "in_channels", "height", "width",
+                              "out_channels", "kernel", "stride",
+                              "dilation", "group"), ("pad",))
         if self.in_channels % self.group or self.out_channels % self.group:
             raise ValueError(
                 f"channels {self.in_channels}->{self.out_channels} not "
@@ -184,10 +171,11 @@ class PoolProblem(HashOnce):
 
     def __post_init__(self) -> None:
         check_one_of("pooling mode", self.mode, ("max", "avg"))
-        if not _dims_ok((self.batch, self.channels, self.height, self.width,
-                         *self.kernel, *self.stride), self.pad):
-            _check_dims(self, ("batch", "channels", "height", "width",
-                               "kernel", "stride"), ("pad",))
+        _check_pairs(self, _PAIRS[:3])
+        if not dims_ok((self.batch, self.channels, self.height, self.width,
+                        *self.kernel, *self.stride), self.pad):
+            check_dims(self, ("batch", "channels", "height", "width",
+                              "kernel", "stride"), ("pad",))
 
     @property
     def kind(self) -> PrimitiveKind:
@@ -234,8 +222,8 @@ class ActivationProblem(HashOnce):
     layout: Layout = Layout.NCHW
 
     def __post_init__(self) -> None:
-        if not _dims_ok((self.numel,)):
-            _check_dims(self, ("numel",))
+        if not dims_ok((self.numel,)):
+            check_dims(self, ("numel",))
         if not self.activation:
             raise ValueError("activation kind required")
 
@@ -271,8 +259,8 @@ class GemmProblem(HashOnce):
     layout: Layout = Layout.NCHW
 
     def __post_init__(self) -> None:
-        if not _dims_ok((self.m, self.n, self.k, self.batch)):
-            _check_dims(self, ("m", "n", "k", "batch"))
+        if not dims_ok((self.m, self.n, self.k, self.batch)):
+            check_dims(self, ("m", "n", "k", "batch"))
 
     @property
     def kind(self) -> PrimitiveKind:

@@ -7,6 +7,7 @@ from functools import reduce
 from operator import mul
 from typing import Tuple
 
+from repro.checks import check_dims, dims_ok
 from repro.tensors.dtype import DataType
 from repro.tensors.layout import Layout
 
@@ -28,8 +29,8 @@ class TensorDesc:
     def __post_init__(self) -> None:
         if not self.dims:
             raise ValueError("tensor must have at least one dimension")
-        if any(d <= 0 for d in self.dims):
-            raise ValueError(f"non-positive dimension in {self.dims}")
+        if not dims_ok(self.dims):
+            check_dims(self, ("dims",))
 
     @property
     def rank(self) -> int:

@@ -144,6 +144,26 @@ _BAD_DIMS = [
      lambda: ActivationProblem(True, "relu"), r"^numel must"),
     ("activation-nan-numel",
      lambda: ActivationProblem(math.nan, "relu"), r"^numel must"),
+    # A window field is a pair: the output shape and FLOPs unpack it.
+    ("conv-single-kernel",
+     lambda: ConvProblem(1, 3, 8, 8, 8, (3,)),
+     r"^kernel must be a pair of integers, got \(3,\)$"),
+    ("conv-int-stride",
+     lambda: ConvProblem(1, 3, 8, 8, 8, (3, 3), stride=2),
+     r"^stride must be a pair"),
+    ("conv-single-pad",
+     lambda: ConvProblem(1, 3, 8, 8, 8, (3, 3), pad=(1,)),
+     r"^pad must be a pair"),
+    ("conv-triple-dilation",
+     lambda: ConvProblem(1, 3, 8, 8, 8, (3, 3), dilation=(1, 1, 1)),
+     r"^dilation must be a pair"),
+    ("pool-int-kernel",
+     lambda: PoolProblem(1, 8, 8, 8, 2, (2, 2)), r"^kernel must be a pair"),
+    ("pool-single-stride",
+     lambda: PoolProblem(1, 8, 8, 8, (2, 2), (2,)), r"^stride must be a pair"),
+    ("pool-triple-pad",
+     lambda: PoolProblem(1, 8, 8, 8, (2, 2), (2, 2), pad=(0, 0, 0)),
+     r"^pad must be a pair"),
 ]
 
 

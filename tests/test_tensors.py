@@ -1,5 +1,7 @@
 """Unit tests for tensor descriptors, dtypes and layouts."""
 
+import math
+
 import pytest
 
 from repro.tensors import DataType, Layout, TensorDesc, layout_transform_time
@@ -60,6 +62,18 @@ class TestTensorDesc:
             TensorDesc((1, 0, 3))
         with pytest.raises(ValueError):
             TensorDesc((1, -2))
+
+    # A dimension must be a plain int: NaN compares false against 0, a
+    # fraction is not a count, and True is an int only to Python.
+    @pytest.mark.parametrize("dims,message", [
+        ((1, math.nan, 2.5, True),
+         r"^dims\[1\] must be an integer >= 1, got nan$"),
+        ((1, 3, 2.5), r"^dims\[2\] must be an integer >= 1, got 2.5$"),
+        ((True, 3), r"^dims\[0\] must be an integer >= 1, got True$"),
+    ], ids=("nan", "fraction", "bool"))
+    def test_rejects_a_dimension_that_is_not_a_count(self, dims, message):
+        with pytest.raises(ValueError, match=message):
+            TensorDesc(dims)
 
     def test_hashable_and_equal(self):
         a = TensorDesc((1, 3, 8, 8))
