@@ -45,6 +45,12 @@ operations:
   servers' find-dbs scored (each scored once per library, whatever the
   ranking flags).  Server construction is not timed; compilation,
   including every find-db query, is.
+- **paper-serve** — every one of the first ``ops`` cells of
+  :func:`~repro.runner.grid.experiment_grid` served on one
+  :class:`~repro.serving.server.InferenceServer` per device, warmed by
+  one untimed pass (compilation, find-db, launch plans): the grid's
+  cold and hot serves alone.  The row counts the events the serves
+  scheduled and the trace records they built.
 - **paper-claims** — the first ``ops`` rows of
   :data:`~repro.serving.validation.CLAIMS` (36 in all) measured on a
   fresh :class:`~repro.serving.experiments.ExperimentSuite`: the work
@@ -308,6 +314,30 @@ def _paper_compile(ops: int) -> Callable[[], Readout]:
     return run
 
 
+def _paper_serve(ops: int) -> Callable[[], Readout]:
+    cells = experiment_grid()[:ops]
+    servers = {cell.device: InferenceServer(cell.device) for cell in cells}
+
+    def serve(cell):
+        server = servers[cell.device]
+        if cell.kind == "hot":
+            return server.serve_hot(cell.model, cell.batch)
+        return server.serve_cold(cell.model, cell.scheme_enum, cell.batch)
+
+    for cell in cells:  # warm-up: compile, find-db, launch plans
+        serve(cell)
+    warm_events = sum(server.events_scheduled for server in servers.values())
+
+    def run() -> Readout:
+        results = [serve(cell) for cell in cells]
+        return lambda: (len(results), {
+            "events": sum(server.events_scheduled
+                          for server in servers.values()) - warm_events,
+            "records": sum(len(result.trace.records)
+                           for result in results)})
+    return run
+
+
 def _paper_claims(ops: int) -> Callable[[], Readout]:
     suite = ExperimentSuite(DEVICE)
     claims = CLAIMS[:ops]
@@ -341,6 +371,7 @@ LAYERS: Dict[str, Layer] = {layer.name: layer for layer in (
     Layer("spinup-pack-static", 5_000,
           _entry_point(_spinup_config(False, True), rate_hz=50.0)),
     Layer("paper-compile", len(experiment_grid()), _paper_compile),
+    Layer("paper-serve", len(experiment_grid()), _paper_serve),
     Layer("paper-claims", len(CLAIMS), _paper_claims),
 )}
 

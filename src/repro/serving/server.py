@@ -51,6 +51,9 @@ class InferenceServer:
         self.registry = ModelRegistry(self.library)
         self._graphs: Dict[str, Graph] = {}
         self._memos: Dict[str, Dict[Tuple, object]] = {}
+        # Events scheduled by every serve on this server, summed: the
+        # event-kernel volume behind `repro profile paper-serve`.
+        self.events_scheduled = 0
 
     # ------------------------------------------------------------------
     # Offline: model registration
@@ -163,6 +166,7 @@ class InferenceServer:
         except FaultError as error:
             failed = True
             metadata["error"] = str(error)
+        self.events_scheduled += env.events_scheduled
         return _result(runtime, injector, failed, label, model, batch, stats,
                        metadata), stats
 
@@ -274,6 +278,7 @@ class InferenceServer:
 
         process = env.process(session(), name=f"session-{model}")
         env.run(until=process)
+        self.events_scheduled += env.events_scheduled
         return results
 
     # ------------------------------------------------------------------

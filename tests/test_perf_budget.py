@@ -99,6 +99,13 @@ class TestBudgetGate:
         # scored once, whichever policies rank it
         assert timing.counters["scored"] == 1_507
 
+    def test_paper_serve_serves_every_grid_cell(self):
+        # The timed pass serves each cell once more after the warm-up:
+        # the grid's event and trace-record volume, deterministic.
+        timing = profile_layer("paper-serve")
+        assert timing.ops == 324
+        assert timing.counters == {"events": 150_365, "records": 121_756}
+
 
 class TestEndToEnd:
     def test_tiny_cluster_budget_passes(self, tmp_path, capsys):
