@@ -58,9 +58,6 @@ def hash_once(cls):
     return cls
 
 
-_PAIRS = ("kernel", "stride", "pad", "dilation")
-
-
 def _check_pairs(problem: object, names: Tuple[str, ...]) -> None:
     """Reject a window field of ``problem`` that is not a pair, naming
     the field: the output shape and the FLOPs unpack each one."""
@@ -99,7 +96,7 @@ class ConvProblem(HashOnce):
     layout: Layout = Layout.NCHW
 
     def __post_init__(self) -> None:
-        _check_pairs(self, _PAIRS)
+        _check_pairs(self, ("kernel", "stride", "pad", "dilation"))
         positives = (self.batch, self.in_channels, self.height, self.width,
                      self.out_channels, *self.kernel, *self.stride,
                      *self.dilation, self.group)
@@ -171,7 +168,7 @@ class PoolProblem(HashOnce):
 
     def __post_init__(self) -> None:
         check_one_of("pooling mode", self.mode, ("max", "avg"))
-        _check_pairs(self, _PAIRS[:3])
+        _check_pairs(self, ("kernel", "stride", "pad"))
         if not dims_ok((self.batch, self.channels, self.height, self.width,
                         *self.kernel, *self.stride), self.pad):
             check_dims(self, ("batch", "channels", "height", "width",
