@@ -10,9 +10,10 @@ from repro.engine.instruction import InstrKind
 from repro.gpu import HipRuntime, MI100
 from repro.graph import GraphBuilder
 from repro.models import list_models
+from repro.obs import SpanRecorder
 from repro.primitive import BlasLibrary, MIOpenLibrary
 from repro.serving.server import InferenceServer
-from repro.sim import Environment, Phase
+from repro.sim import Environment, FaultPlan, Phase
 from repro.sim.core import Process
 
 LIBRARY = MIOpenLibrary(MI100)
@@ -194,3 +195,93 @@ class TestMilestoneSignal:
                 assert now == last_end[instr.name], instr.name
         assert not [name for name in names
                     if name and name.startswith("watch-")]
+
+
+# ----------------------------------------------------------------------
+# One plan record per layer: the plan kind names the launches
+# ----------------------------------------------------------------------
+# Load faults (3 attempts at 30 %) and loader stalls past the load
+# timeout: seed 3 drives res and vit through both fallback causes, and
+# both serves still complete.
+_FALLBACK_PLAN = FaultPlan(seed=3, load_failure_rate=0.3,
+                           max_load_attempts=3, loader_stall_rate=0.2,
+                           loader_stall_s=0.002, load_timeout_s=0.001)
+_SUFFIXES = ("/reused", "/fallback", "/cast_in", "/cast_out")
+_PLAN_SERVER = InferenceServer(MI100)
+
+
+def _layer_of(label):
+    while label.endswith(_SUFFIXES):
+        label = label.rsplit("/", 1)[0]
+    return label
+
+
+@pytest.mark.parametrize("faults", (None, _FALLBACK_PLAN),
+                         ids=("clean", "fallbacks"))
+@pytest.mark.parametrize("model", ("res", "vit"))
+def test_each_plan_kind_names_its_layers_launches(model, faults,
+                                                  monkeypatch):
+    """Every layer's ``plan:<layer>`` event names how the issuer launches
+    it: DESIRED and ENGINE eagerly under the layer's name, BLAS lazily
+    under it, REUSE eagerly as ``<layer>/reused``, FALLBACK lazily as
+    ``<layer>/fallback`` (the bare name for a BLAS GEMM), NOOP not at
+    all."""
+    launches = []
+    launch = HipRuntime.launch_kernel
+
+    def recording(runtime, code_object, symbol_name, duration,
+                  actor="host", label="", lazy=True, **meta):
+        launches.append((label, actor, lazy))
+        return (yield from launch(runtime, code_object, symbol_name,
+                                  duration, actor=actor, label=label,
+                                  lazy=lazy, **meta))
+
+    monkeypatch.setattr(HipRuntime, "launch_kernel", recording)
+    spans = SpanRecorder()
+    result = _PLAN_SERVER.serve_cold(model, Scheme.PASK, faults=faults,
+                                     spans=spans)
+    assert not result.failed
+    plans = {span.name[len("plan:"):]: dict(span.attrs)["plan"]
+             for span in spans.spans if span.name.startswith("plan:")}
+    program = _PLAN_SERVER._lowered(model, Scheme.PASK, 1)
+    assert list(plans) == [instr.name for instr in program.instructions]
+    blas = {instr.name for instr in program.of_kind(InstrKind.BLAS_GEMM)}
+    noops = {instr.name for instr in program.of_kind(InstrKind.NOOP)}
+
+    by_layer = {}
+    for label, actor, lazy in launches:
+        assert actor == "issuer", label
+        by_layer.setdefault(_layer_of(label), []).append((label, lazy))
+    for layer, kind in plans.items():
+        issued = by_layer.pop(layer, [])
+        if layer in noops:
+            # A no-op launches nothing, whichever plan it took.
+            assert kind in ("noop", "fallback") and issued == [], layer
+            continue
+        if kind == "fallback" and layer in blas:
+            prefix, lazy = layer, True
+        else:
+            prefix, lazy = {
+                "desired": (layer, False), "engine": (layer, False),
+                "blas": (layer, True), "reuse": (f"{layer}/reused", False),
+                "fallback": (f"{layer}/fallback", True)}[kind]
+        assert issued, layer
+        for label, launched_lazy in issued:
+            assert label in (prefix, f"{prefix}/cast_in",
+                             f"{prefix}/cast_out"), (kind, label)
+            assert launched_lazy is lazy, (kind, label)
+    assert by_layer == {}
+
+    kinds = set(plans.values())
+    if faults is None:
+        assert ("reuse" in kinds) == (model == "res")
+    else:
+        timeouts = sum(record.label.endswith("/load-timeout")
+                       for record in result.trace.records)
+        # Both causes: loader stalls past the timeout, and load faults.
+        assert 0 < timeouts < result.faults.fallbacks
+        assert "fallback" in kinds
+        assert result.faults.fallbacks == sum(
+            kind == "fallback" for kind in plans.values())
+    if model == "vit":
+        assert "blas" in kinds

@@ -97,6 +97,19 @@ class _PerCallLaunch:
             actor=actor, label=label, lazy=lazy)
 
 
+class _PerCallSolution:
+    """One library call's launches, derived afresh on every replay."""
+
+    def __init__(self, library, problem, solution, tuned_for):
+        self.args = (library, problem, solution, tuned_for)
+
+    def replay(self, runtime, actor, label, lazy):
+        library, problem, solution, tuned_for = self.args
+        return _reference_run_solution(library, runtime, problem, solution,
+                                       tuned_for, actor=actor, label=label,
+                                       lazy=lazy)
+
+
 def _per_call_plans(program, library, blas):
     return tuple(None if instr.kind is InstrKind.NOOP
                  else _PerCallLaunch(program, instr, library, blas)
@@ -142,8 +155,15 @@ def test_plans_issue_the_per_call_launches(device, model, monkeypatch):
         return _reference_run_solution(server.library, runtime, problem,
                                        solution, tuned_for, **kwargs)
 
+    def reference_launch_plan(problem, solution, tuned_for=None):
+        calls.append((problem, tuned_for))
+        return _PerCallSolution(server.library, problem, solution, tuned_for)
+
+    # PaSK-R runs its reuse through ``run_solution``; PaSK replays the
+    # library's launch plan for the cached binary.
     monkeypatch.setattr(server.library, "run_solution",
                         reference_run_solution)
+    monkeypatch.setattr(server.library, "launch_plan", reference_launch_plan)
     monkeypatch.setattr(Program, "launch_plans", _per_call_plans)
     assert _serve_all(server, model) == planned_times
     assert launches == planned
