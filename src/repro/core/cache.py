@@ -16,7 +16,7 @@ PASK overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.primitive.problem import Problem
 from repro.primitive.solution import Solution
@@ -91,7 +91,23 @@ class CacheStats:
         self.total_check_cost_s += result.check_cost_s
 
 
-_Filter = Callable[[LoadedInstance], bool]
+def _query(entries: Iterable[LoadedInstance], problem: Problem,
+           stats: CacheStats) -> QueryResult:
+    """Check ``entries`` in order up to the first that can serve
+    ``problem``, summing each checked candidate's cost, and fold the
+    outcome into ``stats``."""
+    lookups = 0
+    cost = 0.0
+    found: Optional[LoadedInstance] = None
+    for entry in entries:
+        lookups += 1
+        cost += entry.solution.check_cost_s
+        if entry.can_serve(problem):
+            found = entry
+            break
+    result = QueryResult(found, lookups, cost)
+    stats.observe(result)
+    return result
 
 
 class CategoricalSolutionCache:
@@ -144,30 +160,18 @@ class CategoricalSolutionCache:
                 entries.insert(0, entries.pop(position))
                 return
 
-    def get_sub_solution(self, desired: Solution, problem: Problem,
-                         extra_filter: Optional[_Filter] = None) -> QueryResult:
+    def get_sub_solution(self, desired: Solution,
+                         problem: Problem) -> QueryResult:
         """GETSUBSOLUTION (Algorithm 1): first applicable same-pattern
         instance in MRU order.
 
-        ``extra_filter`` lets the middleware reject candidates that would
-        need additional absent code objects (layout casts).  A failed
-        query returns immediately without probing other patterns.
+        A failed query returns immediately without probing other
+        patterns.
         """
-        entries = self._lists.get(desired.pattern, [])
-        lookups = 0
-        cost = 0.0
-        found: Optional[LoadedInstance] = None
-        for entry in entries:
-            lookups += 1
-            cost += entry.solution.check_cost_s
-            if entry.can_serve(problem) and (extra_filter is None
-                                             or extra_filter(entry)):
-                found = entry
-                break
-        result = QueryResult(found, lookups, cost)
-        self.stats.observe(result)
-        if found is not None:
-            self._touch(found)
+        result = _query(self._lists.get(desired.pattern, ()), problem,
+                        self.stats)
+        if result.hit:
+            self._touch(result.instance)
         return result
 
 
@@ -204,19 +208,7 @@ class NaiveSolutionCache:
         self._keys.add(instance.key)
         self.stats.insertions += 1
 
-    def get_sub_solution(self, desired: Solution, problem: Problem,
-                         extra_filter: Optional[_Filter] = None) -> QueryResult:
+    def get_sub_solution(self, desired: Solution,
+                         problem: Problem) -> QueryResult:
         """First applicable substitute in insertion order."""
-        lookups = 0
-        cost = 0.0
-        found: Optional[LoadedInstance] = None
-        for entry in self._entries:
-            lookups += 1
-            cost += entry.solution.check_cost_s
-            if entry.can_serve(problem) and (extra_filter is None
-                                             or extra_filter(entry)):
-                found = entry
-                break
-        result = QueryResult(found, lookups, cost)
-        self.stats.observe(result)
-        return result
+        return _query(self._entries, problem, self.stats)

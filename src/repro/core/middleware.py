@@ -5,7 +5,10 @@ processes connected by SPSC channels, exactly as in the paper's
 implementation.  The loader applies Algorithm 1 after the milestone:
 use the desired solution if its binary is resident, otherwise query the
 solution cache for a reusable instance, and only load from scratch when
-no substitute exists.
+no substitute exists.  For every layer it hands the issuer one record,
+``(instr, plan, launch, label, lazy)``: the plan kind, the launch plan
+to replay (None for nothing), the label its kernels carry and whether
+they load lazily.  The issuer only replays records.
 """
 
 from __future__ import annotations
@@ -16,11 +19,9 @@ from typing import Any, List, Optional, Tuple
 
 from repro.tensors import DataType
 
-from repro.checks import check_count
 from repro.core.cache import (
     CategoricalSolutionCache,
     LoadedInstance,
-    NaiveSolutionCache,
     QueryResult,
 )
 from repro.primitive.problem import PrimitiveKind
@@ -30,7 +31,7 @@ from repro.engine.program import Program
 from repro.gpu.runtime import HipRuntime
 from repro.primitive.blas import BlasLibrary
 from repro.primitive.library import MIOpenLibrary
-from repro.sim.channel import Channel, ChannelClosed, ChannelClosedError
+from repro.sim.channel import Channel, ChannelClosed
 from repro.sim.core import Environment, Event
 from repro.sim.faults import LoadFault
 from repro.sim.trace import Phase
@@ -44,8 +45,8 @@ PLAN_ENGINE = "engine"
 PLAN_BLAS = "blas"
 PLAN_NOOP = "noop"
 # The proactive loader gave up on this layer (load fault after retries,
-# or an injected stall exceeded the load timeout); the issuer executes
-# it through the reactive lazy launch path instead.
+# or an injected stall exceeded the load timeout); the issuer replays
+# the layer's launch plan lazily, as the reactive path does.
 PLAN_FALLBACK = "fallback"
 
 _CACHE_OP_OVERHEAD_S = 2e-6
@@ -69,19 +70,11 @@ class PaskConfig:
     """
 
     reuse_enabled: bool = True       # False => PaSK-I
-    categorical_cache: bool = True   # False => naive exhaustive cache
-    # The parser races ahead of the loader by design (the milestone logic
-    # depends on it), so the parse->load channel is unbounded by default.
-    load_channel_capacity: Optional[int] = None
     manage_blas: bool = False        # Sec. VI: extend PASK to hipBLAS
     precision_fallback: bool = False  # Sec. VI: mixed-precision reuse
     # Ablation knobs (not paper variants):
     cache_mru: bool = True            # recency-ordered categorical lists
     reuse_before_milestone: bool = False  # skip the milestone gate
-
-    def __post_init__(self) -> None:
-        check_count("load_channel_capacity", self.load_channel_capacity, 1,
-                    optional=True)
 
 
 @dataclass
@@ -93,7 +86,6 @@ class _Shared:
     # Layers whose desired binary was already resident because a warm-
     # state restore re-materialized it (no load, no cache query needed).
     restored_hits: int = 0
-    issue_errors: List[BaseException] = field(default_factory=list)
     # Desired solutions whose loads were skipped by reuse: candidates for
     # loading in the interval between requests (Sec. VI).
     skipped_desired: List[Tuple[Any, Any]] = field(default_factory=list)
@@ -112,13 +104,10 @@ class PaskMiddleware:
         self.blas = blas
         self.config = config or PaskConfig()
         # The cache persists for the life of the middleware process; pass
-        # one in to share it across consecutive requests/models.
-        if cache is not None:
-            self.cache = cache
-        else:
-            self.cache = (CategoricalSolutionCache(mru=self.config.cache_mru)
-                          if self.config.categorical_cache
-                          else NaiveSolutionCache())
+        # one in to share it across consecutive requests/models, or a
+        # ``NaiveSolutionCache`` for the exhaustive-scan ablation.
+        self.cache = cache if cache is not None \
+            else CategoricalSolutionCache(mru=self.config.cache_mru)
         self.tracker: Optional[MilestoneTracker] = None
         self.shared = _Shared()
         self._engine_bundle = None
@@ -145,9 +134,8 @@ class PaskMiddleware:
         self.tracker = MilestoneTracker(len(program))
         self._engine_bundle = program.engine_bundle
         self._plans = program.launch_plans(self.library, self.blas)
-        parse_to_load = Channel(env, self.config.load_channel_capacity,
-                                name="parse->load")
-        load_to_issue = Channel(env, None, name="load->issue")
+        parse_to_load = Channel(env, name="parse->load")
+        load_to_issue = Channel(env, name="load->issue")
 
         parser = env.process(self._parser(program, parse_to_load), "pask-parser")
         loader = env.process(self._loader(parse_to_load, load_to_issue),
@@ -155,8 +143,6 @@ class PaskMiddleware:
         issuer = env.process(self._issuer(load_to_issue), "pask-issuer")
         yield env.all_of([parser, loader, issuer])
         yield from self.runtime.synchronize()
-        if self.shared.issue_errors:
-            raise self.shared.issue_errors[0]
         return {
             "milestone": self.tracker.milestone,
             "reused_layers": self.shared.reused_layers,
@@ -176,11 +162,7 @@ class PaskMiddleware:
             self.runtime.trace.record(start, self.env.now, "parser",
                                       Phase.PARSE, instr.name)
             self.tracker.record_parsed()
-            try:
-                yield out.put(instr)
-            except ChannelClosedError:
-                # Downstream crashed and closed the channel; stop parsing.
-                return
+            yield out.put(instr)
         out.close()
 
     # ------------------------------------------------------------------
@@ -196,14 +178,14 @@ class PaskMiddleware:
                     self._m_queue_depth.set(len(inbox))
                 fallback = yield from self._loader_stall(instr)
                 if fallback:
-                    plan = (instr, PLAN_FALLBACK, None)
+                    record = self._fallback(instr)
                 else:
-                    plan = yield from self._plan_instruction(instr)
+                    record = yield from self._plan_instruction(instr)
                 spans = self.runtime.spans
                 if spans.enabled:
                     spans.event(f"plan:{instr.name}", self.env.now,
-                                actor="loader", plan=plan[1])
-                yield out.put(plan)
+                                actor="loader", plan=record[1])
+                yield out.put(record)
         finally:
             # Close unconditionally so a crashed loader never leaves the
             # issuer parked on a pending get.
@@ -239,55 +221,51 @@ class PaskMiddleware:
     def _plan_instruction(self, instr: Instruction):
         """Decide how ``instr`` executes; perform proactive loads.
 
-        Returns ``(instr, plan, payload)``: the payload of a DESIRED,
-        ENGINE or BLAS plan is the launch plan the issuer replays."""
+        Returns the layer's ``(instr, plan, launch, label, lazy)``
+        record."""
         if instr.kind is InstrKind.NOOP:
-            return (instr, PLAN_NOOP, None)
+            return (instr, PLAN_NOOP, None, None, False)
         launch = self._plans[instr.index]
         if instr.kind is InstrKind.BLAS_GEMM:
             if not self.config.manage_blas:
                 # hipBLAS loads internally; stock PASK cannot preload it.
-                return (instr, PLAN_BLAS, launch)
+                return (instr, PLAN_BLAS, launch, instr.name, True)
             # Sec. VI extension: PASK hooked into the BLAS library too,
             # running the GEMM through the primitive library's path.
             desired = self.blas.find_best(instr.problem)
-            plan = yield from self._plan_primitive(
+            return (yield from self._plan_primitive(
                 instr, desired, instr.problem,
-                self.library.launch_plan(instr.problem, desired))
-            return plan
+                self.library.launch_plan(instr.problem, desired)))
         if instr.kind is InstrKind.ENGINE_KERNEL:
             try:
                 yield from self.runtime.module_load(self._engine_bundle,
                                                     actor="loader")
             except LoadFault:
-                self._count_fallback()
-                return (instr, PLAN_FALLBACK, None)
-            return (instr, PLAN_ENGINE, launch)
+                return self._load_fault(instr)
+            return (instr, PLAN_ENGINE, launch, instr.name, False)
 
         desired = self.library.solution_by_name(instr.solution_name)
-        plan = yield from self._plan_primitive(instr, desired, instr.problem,
-                                               launch)
-        return plan
+        return (yield from self._plan_primitive(instr, desired,
+                                                instr.problem, launch))
 
     def _plan_primitive(self, instr: Instruction, desired, problem, launch):
-        main_co = desired.code_object_for(problem)
-        casts = desired.transform_code_objects(problem)
+        code_objects = desired.code_objects(problem)
 
         gpu_idle = self.runtime.stream.available_at <= self.env.now
         at_or_past_milestone = (self.tracker.check(instr.index, gpu_idle)
                                 or self.config.reuse_before_milestone)
 
-        if self.runtime.is_loaded(main_co.name):
+        main = code_objects[0].name
+        if self.runtime.is_loaded(main):
             # Desired solution already resident (Algorithm 1 line 3).
-            if main_co.name in self.runtime.restored_names:
+            if main in self.runtime.restored_names:
                 self.shared.restored_hits += 1
             try:
-                yield from self._load_all(casts)
+                yield from self._load_all(code_objects[1:])
             except LoadFault:
-                self._count_fallback()
-                return (instr, PLAN_FALLBACK, None)
-            self._cache_insert(LoadedInstance(desired, problem))
-            return (instr, PLAN_DESIRED, launch)
+                return self._load_fault(instr)
+            self.cache.insert(LoadedInstance(desired, problem))
+            return (instr, PLAN_DESIRED, launch, instr.name, False)
 
         if (self.config.reuse_enabled and at_or_past_milestone
                 and len(self.cache)):
@@ -322,7 +300,10 @@ class PaskMiddleware:
                 self.runtime.trace.record(start, self.env.now, "loader",
                                           Phase.CHECK, instr.name,
                                           lookups=result.lookups)
-            yield from self._bill_overhead()
+            start = self.env.now
+            yield self.env.timeout(_CACHE_OP_OVERHEAD_S)
+            self.runtime.trace.record(start, self.env.now, "loader",
+                                      Phase.OVERHEAD, "cache-op")
             if self.metrics is not None:
                 self._m_checks.inc(
                     outcome="hit" if result.hit else "miss")
@@ -335,44 +316,47 @@ class PaskMiddleware:
                     yield from self._load_all(
                         instance.solution.transform_code_objects(run_problem))
                 except LoadFault:
-                    self._count_fallback()
-                    return (instr, PLAN_FALLBACK, None)
+                    return self._load_fault(instr)
                 self.shared.reused_layers += 1
                 self.shared.skipped_loads += 1
                 self.shared.skipped_desired.append((desired, problem))
-                return (instr, PLAN_REUSE, (instance, run_problem))
+                return (instr, PLAN_REUSE,
+                        self.library.launch_plan(run_problem,
+                                                 instance.solution,
+                                                 instance.tuned_for),
+                        f"{instr.name}/reused", False)
 
         # No substitute: load the desired solution from scratch.
         try:
-            yield from self._load_all((main_co,) + casts)
+            yield from self._load_all(code_objects)
         except LoadFault:
-            self._count_fallback()
-            return (instr, PLAN_FALLBACK, None)
-        self._cache_insert(LoadedInstance(desired, problem))
-        return (instr, PLAN_DESIRED, launch)
+            return self._load_fault(instr)
+        self.cache.insert(LoadedInstance(desired, problem))
+        return (instr, PLAN_DESIRED, launch, instr.name, False)
 
     def _load_all(self, code_objects):
         for code_object in code_objects:
             yield from self.runtime.module_load(code_object, actor="loader")
 
-    def _count_fallback(self) -> None:
+    def _fallback(self, instr: Instruction):
+        """The record of a layer the proactive loader gave up on: its
+        launch plan, replayed lazily as the reactive path would."""
+        label = instr.name if instr.kind is InstrKind.BLAS_GEMM \
+            else f"{instr.name}/fallback"
+        return (instr, PLAN_FALLBACK, self._plans[instr.index], label, True)
+
+    def _load_fault(self, instr: Instruction):
+        """A proactive load faulted out: count it, fall back."""
         if self.runtime.faults is not None:
             self.runtime.faults.counters.fallbacks += 1
-
-    def _cache_insert(self, instance: LoadedInstance):
-        self.cache.insert(instance)
-
-    def _bill_overhead(self):
-        start = self.env.now
-        yield self.env.timeout(_CACHE_OP_OVERHEAD_S)
-        self.runtime.trace.record(start, self.env.now, "loader",
-                                  Phase.OVERHEAD, "cache-op")
+        return self._fallback(instr)
 
     # ------------------------------------------------------------------
     # Issuer thread
     # ------------------------------------------------------------------
     def _issuer(self, inbox: Channel):
         tracker = self.tracker
+        runtime = self.runtime
 
         def executed(kernel_end: Event) -> None:
             tracker.record_executed(kernel_end._value)
@@ -381,39 +365,13 @@ class PaskMiddleware:
             item = yield inbox.get()
             if item is ChannelClosed:
                 return
-            instr, plan, payload = item
-            if plan is PLAN_NOOP:
+            instr, _plan, launch, label, lazy = item
+            if launch is None:
                 tracker.record_executed(instr.index)
                 continue
-            if plan is PLAN_REUSE:
-                instance, run_problem = payload
-                end = yield from self.library.run_solution(
-                    self.runtime, run_problem, instance.solution,
-                    tuned_for=instance.tuned_for, actor="issuer",
-                    label=f"{instr.name}/reused", lazy=False)
-            elif plan is PLAN_FALLBACK:
-                end = yield from self._issue_reactive(instr)
-            else:
-                # DESIRED, ENGINE or BLAS: replay the loader's launch
-                # plan; only the BLAS library still loads lazily.
-                end = yield from payload.replay(self.runtime, "issuer",
-                                                instr.name,
-                                                plan is PLAN_BLAS)
-            if end is not None:
-                # The milestone needs only the layer's end on the GPU
-                # (Sec. III-A): one timeout carrying its index, created
-                # before anything else is scheduled.
-                self.env.timeout(end - self.env.now, instr.index) \
-                    ._add_callback(executed)
-
-    def _issue_reactive(self, instr: Instruction):
-        """Execute ``instr`` through the reactive lazy launch path --
-        the fallback when the proactive loader gave up on it."""
-        launch = self._plans[instr.index]
-        if launch is None:
-            self.tracker.record_executed(instr.index)
-            return None
-        label = instr.name if instr.kind is InstrKind.BLAS_GEMM \
-            else f"{instr.name}/fallback"
-        return (yield from launch.replay(self.runtime, "issuer", label,
-                                         True))
+            end = yield from launch.replay(runtime, "issuer", label, lazy)
+            # The milestone needs only the layer's end on the GPU
+            # (Sec. III-A): one timeout carrying its index, created
+            # before anything else is scheduled.
+            self.env.timeout(end - self.env.now, instr.index) \
+                ._add_callback(executed)

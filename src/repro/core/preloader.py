@@ -34,9 +34,7 @@ def preload_during_interval(env: Environment, runtime: HipRuntime,
     """
     loaded = 0
     for solution, problem in pending:
-        code_objects = ((solution.code_object_for(problem),)
-                        + solution.transform_code_objects(problem))
-        for code_object in code_objects:
+        for code_object in solution.code_objects(problem):
             if runtime.is_loaded(code_object.name):
                 continue
             if env.now + load_time(code_object, runtime.device) > deadline:

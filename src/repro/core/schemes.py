@@ -81,8 +81,7 @@ def program_code_objects(program: Program, library: MIOpenLibrary,
     for instr in program.instructions:
         if instr.kind is InstrKind.MIOPEN_PRIMITIVE:
             solution = library.solution_by_name(instr.solution_name)
-            for co in ((solution.code_object_for(instr.problem),)
-                       + solution.transform_code_objects(instr.problem)):
+            for co in solution.code_objects(instr.problem):
                 out[co.name] = co
         elif instr.kind is InstrKind.ENGINE_KERNEL:
             out[bundle.name] = bundle
@@ -184,14 +183,13 @@ def _run_nnv12(env, runtime, library, blas, program) -> Dict[str, Any]:
     yield from _request_setup(env, runtime)
     yield from _upload_weights(env, runtime)
     yield from _parse_all(env, runtime, program)
-    channel = Channel(env, None, name="nnv12-load->issue")
+    channel = Channel(env, name="nnv12-load->issue")
 
     def loader():
         for instr in program.instructions:
             if instr.kind is InstrKind.MIOPEN_PRIMITIVE:
                 solution = library.solution_by_name(instr.solution_name)
-                for co in ((solution.code_object_for(instr.problem),)
-                           + solution.transform_code_objects(instr.problem)):
+                for co in solution.code_objects(instr.problem):
                     yield from runtime.module_load(co, actor="loader")
             elif instr.kind is InstrKind.ENGINE_KERNEL:
                 yield from runtime.module_load(bundle, actor="loader")

@@ -1,15 +1,16 @@
 """The MIOpen-like library front end.
 
 ``find_best`` is the offline find step (used during lowering);
-``run_solution`` is the online entry point (``miopenRunSolution``) that
-PASK hooks: it loads whatever code objects the solution instance needs
-(lazily by default -- the reactive behaviour), launches the cast and
-compute kernels, and returns the last kernel's end time.
+``run_solution`` is the online entry point (``miopenRunSolution``): it
+loads whatever code objects the solution instance needs (lazily by
+default -- the reactive behaviour), launches the cast and compute
+kernels, and returns the last kernel's end time.
 
 What a call launches -- binaries, symbols and kernel times -- is a pure
 function of the problem, the solution instance and the device, so each
 library derives it once as a :class:`LaunchPlan` and every later call
-only replays it on its runtime.
+only replays it on its runtime.  The executors and PASK's issuer replay
+the plans directly; only PaSK-R goes through ``run_solution``.
 """
 
 from __future__ import annotations

@@ -221,6 +221,12 @@ class Solution(HashOnce):
                                        self.preferred_layout.value,
                                        _bucket_signature(problem))
 
+    def code_objects(self, problem: Problem) -> Tuple[CodeObjectFile, ...]:
+        """Every binary running ``problem`` needs resident: the
+        solver's own, then its casts."""
+        return ((self.code_object_for(problem),)
+                + self.transform_code_objects(problem))
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (f"{self.name}[{self.pattern.value},"
                 f"spec={self.specialization},eff={self.base_efficiency:.2f}]")

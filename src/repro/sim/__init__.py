@@ -8,7 +8,8 @@ simulated clock.
 The design intentionally mirrors the concurrency primitives the paper's
 implementation uses: host threads become :class:`~repro.sim.core.Process`
 objects, and the single-producer-single-consumer channels coordinating the
-parse/load/issue threads (Sec. III-D) become :class:`~repro.sim.channel.Channel`.
+parse/load/issue threads (Sec. III-D) become :class:`~repro.sim.channel.Channel`,
+unbounded because the parser runs ahead of the loader by design.
 """
 
 from repro.sim.core import (
@@ -19,7 +20,7 @@ from repro.sim.core import (
     SimulationError,
     Timeout,
 )
-from repro.sim.channel import Channel, ChannelClosed, ChannelClosedError
+from repro.sim.channel import Channel, ChannelClosed
 from repro.sim.faults import (
     FaultCounters,
     FaultError,
@@ -35,7 +36,6 @@ __all__ = [
     "AllOf",
     "Channel",
     "ChannelClosed",
-    "ChannelClosedError",
     "Environment",
     "Event",
     "FaultCounters",

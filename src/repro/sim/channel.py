@@ -2,24 +2,21 @@
 
 The paper's implementation coordinates the parse/load/issue host threads
 with SPSC channels (Sec. III-D); this module provides the simulated
-equivalent.  ``put`` and ``get`` return events to be yielded from a
-process.  A channel can be *closed* by the producer; pending and
+equivalent.  Channels are unbounded: the parser runs ahead of the
+loader by design (the milestone depends on it), so no producer ever
+waits on a slot.  ``put`` and ``get`` return events to be yielded from
+a process.  A channel can be *closed* by the producer; pending and
 subsequent ``get`` calls then resolve to :data:`ChannelClosed`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional, Tuple
+from typing import Any, Deque, Optional
 
 from repro.sim.core import Environment, Event, SimulationError
 
-__all__ = ["Channel", "ChannelClosed", "ChannelClosedError"]
-
-
-class ChannelClosedError(SimulationError):
-    """Delivered to a producer whose pending ``put`` was cut off by
-    :meth:`Channel.close` (e.g. the consumer crashed)."""
+__all__ = ["Channel", "ChannelClosed"]
 
 
 class _ChannelClosedType:
@@ -40,48 +37,33 @@ ChannelClosed = _ChannelClosedType()
 
 
 class Channel:
-    """FIFO channel with optional bounded capacity.
+    """Unbounded FIFO channel."""
 
-    ``capacity=None`` means unbounded (puts never block).  With a bounded
-    capacity a ``put`` blocks until a slot frees up, which is how
-    back-pressure between the parse, load and issue threads is modelled.
-    """
-
-    def __init__(self, env: Environment, capacity: Optional[int] = None,
-                 name: str = "channel") -> None:
-        if capacity is not None and capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity!r}")
+    def __init__(self, env: Environment, name: str = "channel") -> None:
         self.env = env
-        self.capacity = capacity
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[Tuple[Event, Any]] = deque()
         self._closed = False
 
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has been called."""
-        return self._closed
-
     def put(self, item: Any) -> Event:
-        """Enqueue ``item``; the returned event triggers once accepted."""
+        """Enqueue ``item``; the returned event has already triggered.
+
+        The event still takes its sequence number, as every event does,
+        so the kernel's tie-breaks stay those of a yielded put.
+        """
         if self._closed:
             raise SimulationError(f"put() on closed channel {self.name!r}")
         event = self.env.event()
         if self._getters:
             # Hand the item straight to the oldest waiting getter.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            event.succeed()
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            event.succeed()
+            self._getters.popleft().succeed(item)
         else:
-            self._putters.append((event, item))
+            self._items.append(item)
+        event.succeed()
         return event
 
     def get(self) -> Event:
@@ -93,7 +75,6 @@ class Channel:
         event = self.env.event()
         if self._items:
             event.succeed(self._items.popleft())
-            self._admit_waiting_putter()
         elif self._closed:
             event.succeed(ChannelClosed)
         else:
@@ -104,33 +85,18 @@ class Channel:
         """Mark the channel closed; wakes getters once items drain.
 
         A pending ``get`` receives :data:`ChannelClosed` (after any
-        buffered items); a pending ``put`` fails with
-        :class:`ChannelClosedError`.  Closing therefore never leaves a
-        blocked producer or consumer parked forever -- the property a
-        crashed/stalled peer thread relies on to unwind cleanly.
+        buffered items), so closing never leaves a consumer parked
+        forever -- the property a crashed or stalled peer thread relies
+        on to unwind cleanly.
         """
         if self._closed:
             return
         self._closed = True
-        while self._putters:
-            event, _item = self._putters.popleft()
-            event.fail(ChannelClosedError(
-                f"put() cut off by close() on channel {self.name!r}"))
         if not self._items:
-            while self._getters:
-                self._getters.popleft().succeed(ChannelClosed)
-
-    def _admit_waiting_putter(self) -> None:
-        if self._putters and (self.capacity is None
-                              or len(self._items) < self.capacity):
-            event, item = self._putters.popleft()
-            self._items.append(item)
-            event.succeed()
-        if self._closed and not self._items:
             while self._getters:
                 self._getters.popleft().succeed(ChannelClosed)
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
         return (f"<Channel {self.name} {state} items={len(self._items)} "
-                f"getters={len(self._getters)} putters={len(self._putters)}>")
+                f"getters={len(self._getters)}>")

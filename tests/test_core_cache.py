@@ -121,14 +121,6 @@ class TestCategoricalCache:
         assert result.lookups >= 1
         assert result.check_cost_s >= result.lookups * 5e-6
 
-    def test_extra_filter_rejects(self):
-        cache = CategoricalSolutionCache()
-        cache.insert(inst(WINO33, P_3X3_A))
-        result = cache.get_sub_solution(WINO33, P_3X3_B,
-                                        extra_filter=lambda e: False)
-        assert not result.hit
-        assert result.lookups == 1
-
     def test_entries_by_pattern(self):
         cache = CategoricalSolutionCache()
         cache.insert(inst(WINO33, P_3X3_A))

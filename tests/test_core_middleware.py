@@ -34,10 +34,10 @@ def repeated_conv_graph(n_convs=8, channels=32):
     return b.finish()
 
 
-def run_middleware(program, config=None):
+def run_middleware(program, config=None, cache=None):
     env = Environment()
     runtime = HipRuntime(env, MI100)
-    middleware = PaskMiddleware(env, runtime, LIBRARY, BLAS, config)
+    middleware = PaskMiddleware(env, runtime, LIBRARY, BLAS, config, cache)
     outcome = {}
 
     def driver():
@@ -93,9 +93,9 @@ class TestPipeline:
         assert env_on.now < env_off.now
 
     def test_naive_cache_config(self, program):
-        _, _, middleware, outcome = run_middleware(
-            program, PaskConfig(categorical_cache=False))
         from repro.core.cache import NaiveSolutionCache
+        _, _, middleware, outcome = run_middleware(
+            program, cache=NaiveSolutionCache())
         assert isinstance(middleware.cache, NaiveSolutionCache)
         assert outcome["cache_stats"].queries > 0
 

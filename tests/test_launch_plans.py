@@ -147,16 +147,16 @@ def test_plans_issue_the_per_call_launches(device, model, monkeypatch):
     planned_times = _serve_all(server, model)
     planned = list(launches)
     del launches[:]
-    calls = []
+    calls = {"run_solution": [], "launch_plan": []}
 
     def reference_run_solution(runtime, problem, solution, tuned_for=None,
                                **kwargs):
-        calls.append((problem, tuned_for))
+        calls["run_solution"].append((problem, tuned_for))
         return _reference_run_solution(server.library, runtime, problem,
                                        solution, tuned_for, **kwargs)
 
     def reference_launch_plan(problem, solution, tuned_for=None):
-        calls.append((problem, tuned_for))
+        calls["launch_plan"].append((problem, tuned_for))
         return _PerCallSolution(server.library, problem, solution, tuned_for)
 
     # PaSK-R runs its reuse through ``run_solution``; PaSK replays the
@@ -169,9 +169,11 @@ def test_plans_issue_the_per_call_launches(device, model, monkeypatch):
     assert launches == planned
     assert planned
     if model == "res":
-        # PaSK's reuse runs a problem on a binary tuned for another one.
-        assert any(tuned is not None and tuned != problem
-                   for problem, tuned in calls)
+        # Reuse runs a problem on a binary tuned for another one: PaSK-R
+        # through ``run_solution``, PaSK through the library's plan.
+        for entry in ("run_solution", "launch_plan"):
+            assert any(tuned is not None and tuned != problem
+                       for problem, tuned in calls[entry]), entry
         assert any(label.endswith("/reused") for *_, label, _, _ in planned)
 
 

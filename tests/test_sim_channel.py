@@ -44,37 +44,6 @@ def test_get_blocks_until_put():
     assert log == [("late", 5.0)]
 
 
-def test_bounded_put_blocks_until_slot_free():
-    env = Environment()
-    channel = Channel(env, capacity=1)
-    log = []
-
-    def producer():
-        yield channel.put("a")
-        log.append(("put-a", env.now))
-        yield channel.put("b")
-        log.append(("put-b", env.now))
-
-    def consumer():
-        yield env.timeout(3.0)
-        item = yield channel.get()
-        log.append((f"got-{item}", env.now))
-        item = yield channel.get()
-        log.append((f"got-{item}", env.now))
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert log == [("put-a", 0.0), ("got-a", 3.0), ("put-b", 3.0),
-                   ("got-b", 3.0)]
-
-
-def test_capacity_must_be_positive():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        Channel(env, capacity=0)
-
-
 def test_close_wakes_blocked_getter_with_sentinel():
     env = Environment()
     channel = Channel(env)
@@ -146,7 +115,7 @@ def test_len_reflects_buffered_items():
 
 def test_handoff_to_waiting_getter_skips_buffer():
     env = Environment()
-    channel = Channel(env, capacity=1)
+    channel = Channel(env)
     log = []
 
     def consumer():
@@ -205,39 +174,12 @@ def test_pipeline_of_two_channels():
 # ----------------------------------------------------------------------
 # Regression: close() with parked processes (fault-injection hang)
 # ----------------------------------------------------------------------
-# A crashed consumer closing a bounded channel used to raise in the
-# closing process and leave the blocked producer parked forever -- the
-# exact hang a stalled-loader fault triggers.  close() now fails the
-# pending put with ChannelClosedError instead.
-
-def test_close_fails_blocked_putter_instead_of_raising():
-    from repro.sim import ChannelClosedError
-
-    env = Environment()
-    channel = Channel(env, capacity=1)
-    outcomes = []
-
-    def producer():
-        yield channel.put("a")
-        try:
-            yield channel.put("b")
-            outcomes.append("put-b-ok")
-        except ChannelClosedError:
-            outcomes.append("put-b-closed")
-
-    def crashing_consumer():
-        yield env.timeout(1.0)
-        channel.close()  # dies without ever consuming
-
-    env.process(producer())
-    env.process(crashing_consumer())
-    env.run()
-    assert outcomes == ["put-b-closed"]
-
+# A crashed peer closing a channel must never leave a process parked
+# forever -- the exact hang a stalled-loader fault would trigger.
 
 def test_close_during_pending_get_delivers_sentinel_not_hang():
     env = Environment()
-    channel = Channel(env, capacity=1)
+    channel = Channel(env)
     seen = []
 
     def consumer():
@@ -261,29 +203,26 @@ def test_close_during_pending_get_delivers_sentinel_not_hang():
 
 def test_stalled_pipeline_unwinds_cleanly_on_close():
     # Three-stage pipeline shaped like parse -> load -> issue.  The
-    # middle stage crashes; both its neighbours must unpark: the
-    # upstream putter via ChannelClosedError, the downstream getter via
-    # the ChannelClosed sentinel.  No process is left waiting.
-    from repro.sim import ChannelClosedError
-
+    # middle stage crashes and closes its outbox: the issuer drains what
+    # was sent and unparks on the ChannelClosed sentinel, and the
+    # parser, whose puts never block, runs to the end.  No process is
+    # left waiting.
     env = Environment()
-    upstream = Channel(env, capacity=1)
-    downstream = Channel(env, capacity=1)
+    upstream = Channel(env)
+    downstream = Channel(env)
     events = []
 
     def parser():
-        try:
-            for i in range(10):
-                yield upstream.put(i)
-        except ChannelClosedError:
-            events.append("parser-stopped")
+        for i in range(10):
+            yield upstream.put(i)
+        upstream.close()
+        events.append("parser-done")
 
     def crashing_loader():
         item = yield upstream.get()
         yield downstream.put(item)
         yield env.timeout(1.0)
-        # Simulated crash: close both sides on the way out.
-        upstream.close()
+        # Simulated crash: close the outbox on the way out.
         downstream.close()
 
     def issuer():
@@ -294,10 +233,9 @@ def test_stalled_pipeline_unwinds_cleanly_on_close():
                 return
             events.append(("issued", item))
 
-    env.process(parser())
-    env.process(crashing_loader())
-    env.process(issuer())
+    processes = [env.process(parser()), env.process(crashing_loader()),
+                 env.process(issuer())]
     env.run()
-    assert ("issued", 0) in events
-    assert "parser-stopped" in events
-    assert "issuer-stopped" in events
+    assert events == [("issued", 0), "parser-done", "issuer-stopped"]
+    assert all(process.triggered for process in processes)
+    assert len(upstream) == 9
