@@ -16,7 +16,7 @@ from itertools import islice
 from typing import Any, Collection, Iterable, Sequence
 
 __all__ = ["RETENTION_POLICIES", "check_count", "check_range",
-           "check_one_of", "check_retention", "check_windows",
+           "check_one_of", "check_retention", "check_windows", "in_windows",
            "check_arrivals", "dims_ok", "check_dims"]
 
 #: The trace retention policies of :class:`repro.sim.trace.TraceRecorder`.
@@ -117,6 +117,12 @@ def check_windows(field: str, windows: Iterable[Sequence[float]]) -> None:
         if len(window) != 2 or not 0 <= window[0] < window[1] < _INF:
             raise ValueError(f"{field} must be (start, end) pairs with "
                              f"0 <= start < end < inf, got {window!r}")
+
+
+def in_windows(windows: Iterable[Sequence[float]], t: float) -> bool:
+    """Whether ``t`` falls inside one of the half-open ``[start, end)``
+    windows that :func:`check_windows` accepts."""
+    return any(start <= t < end for start, end in windows)
 
 
 def check_arrivals(field: str, arrivals: Sequence[float]) -> None:

@@ -49,7 +49,7 @@ from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.checks import (check_arrivals, check_count, check_range,
-                          check_retention, check_windows)
+                          check_retention, check_windows, in_windows)
 from repro.core.schemes import Scheme
 from repro.fleet.autoscale import AutoscalePolicy, AutoscalerState
 from repro.fleet.routing import RouterState, RoutingPolicy
@@ -370,9 +370,36 @@ class _QueueDepthTracker:
                 self.peak = len(starts)
 
 
-def _emit_unroutable(spans, t: float, tenant: str) -> None:
-    spans.event("fleet:shed", t, actor="fleet", reason="unroutable",
-                tenant=tenant)
+def _bill_tenant(stats: "FleetStats", tenant: "TenantStats", t: float,
+                 outcome: Optional[int], latencies,
+                 monitors: Optional[SLOMonitorSet], spans) -> None:
+    """Account one arrival at ``t`` to its tenant: ``outcome`` is its
+    region's serve code, or None when no region was routable, and a
+    completed request's latency is the next of ``latencies`` (its
+    region's, one per completed request).  Feeds the SLO monitors and
+    emits the unroutable shed and alert spans.  The one accounting of
+    the stepping loop and of the static merge."""
+    tenant.offered += 1
+    if outcome is None:
+        stats.shed_unroutable += 1
+        tenant.shed += 1
+        if spans is not None:
+            spans.event("fleet:shed", t, actor="fleet", reason="unroutable",
+                        tenant=tenant.name)
+        return
+    if outcome == SHED:
+        tenant.shed += 1
+        return
+    if outcome == FAILED:
+        tenant.failed += 1
+        fresh = monitors.observe_failed(t) if monitors is not None else None
+    else:
+        latency = next(latencies)
+        tenant.latencies.append(latency)
+        fresh = (monitors.observe_completed(t, latency, outcome == COLD)
+                 if monitors is not None else None)
+    if spans is not None and fresh:
+        emit_alert_spans(spans, fresh)
 
 
 _REQUESTS_HELP = "Fleet requests by outcome and region"
@@ -440,13 +467,6 @@ def _feed_fleet_metrics(registry, stats: "FleetStats", routing_kind: str,
 # Region runtime state
 # ----------------------------------------------------------------------
 
-def _drained(windows: Tuple[Tuple[float, float], ...], now: float) -> bool:
-    """Whether ``now`` falls in one of a region's half-open drain
-    ``windows``: the one drain predicate of routing, serial or
-    precomputed."""
-    return any(start <= now < end for start, end in windows)
-
-
 class _RegionState:
     """Region ``index`` of ``fleet``: its :class:`InstancePool` under an
     autoscaler.
@@ -505,7 +525,7 @@ class _RegionState:
         spawned (the arrival pays the cold start), so only an explicit
         drain takes a region out of rotation."""
         windows = self.config.drain_windows
-        return not windows or not _drained(windows, now)
+        return not windows or not in_windows(windows, now)
 
     def live_count(self, now: float) -> int:
         return len(self.pool.scan(now)[0])
@@ -639,35 +659,21 @@ class FleetSimulator:
         # kind's returns at once.
         ticking = (config.autoscale is not None
                    and config.autoscale.kind == "reactive")
+        # A list iterator also yields what is appended after it was
+        # made: each region's next latency is its latest request's.
+        latencies = [iter(region.stats.latencies) for region in regions]
         for arrival, tenant_index in zip(trace.arrivals, trace.tenants):
             tenant = tenants[tenant_index]
-            tenant.offered += 1
             if ticking:
                 for region in regions:
                     region.tick(arrival)
             choice = router.choose(regions, arrival)
             if choice is None:
-                stats.shed_unroutable += 1
-                tenant.shed += 1
-                if spans is not None:
-                    _emit_unroutable(spans, arrival, tenant.name)
+                _bill_tenant(stats, tenant, arrival, None, None, monitors,
+                             spans)
                 continue
-            region = regions[choice]
-            code = region.offer(arrival, tenant.name)
-            if code == SHED:
-                tenant.shed += 1
-                continue
-            if code == FAILED:
-                tenant.failed += 1
-                fresh = (monitors.observe_failed(arrival)
-                         if monitors is not None else None)
-            else:
-                latency = region.stats.latencies[-1]
-                tenant.latencies.append(latency)
-                fresh = (monitors.observe_completed(arrival, latency,
-                                                    code == COLD)
-                         if monitors is not None else None)
-            if spans is not None and fresh:
-                emit_alert_spans(spans, fresh)
+            code = regions[choice].offer(arrival, tenant.name)
+            _bill_tenant(stats, tenant, arrival, code, latencies[choice],
+                         monitors, spans)
         _finish(config, stats, regions, tenants, monitors, self.metrics)
         return stats

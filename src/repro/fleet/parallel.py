@@ -42,14 +42,14 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import cycle, repeat
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.checks import in_windows
 from repro.fleet.fleet import (FleetConfig, FleetSimulator, FleetStats,
-                               FleetTrace, TenantStats, _build_regions,
-                               _drained, _emit_unroutable, _finish,
-                               _new_stats, _RegionState)
+                               FleetTrace, TenantStats, _bill_tenant,
+                               _build_regions, _finish, _new_stats,
+                               _RegionState)
 from repro.fleet.routing import RouterState
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.monitors import SLOMonitorSet, emit_alert_spans
-from repro.serving.pool import COLD, FAILED, SHED
+from repro.obs.monitors import SLOMonitorSet
 from repro.serving.requests import RequestTrace
 from repro.sim.trace import TraceRecorder
 
@@ -102,7 +102,7 @@ class _DrainProxy:
         self.windows = windows
 
     def routable(self, now: float) -> bool:
-        return not _drained(self.windows, now)
+        return not in_windows(self.windows, now)
 
 
 def _static_assignment(config: FleetConfig, trace: FleetTrace):
@@ -203,12 +203,8 @@ def _merge(stats: FleetStats, trace: FleetTrace, assignment,
     latency_iters = [iter(region_latencies) for region_latencies in latencies]
     for t, tenant_index, code in zip(trace.arrivals, trace.tenants, codes):
         tenant = tenants[tenant_index]
-        tenant.offered += 1
         if code < 0:
-            stats.shed_unroutable += 1
-            tenant.shed += 1
-            if spans is not None:
-                _emit_unroutable(spans, t, tenant.name)
+            _bill_tenant(stats, tenant, t, None, None, monitors, spans)
             continue
         outcome = next(outcome_iters[code])
         region = regions[code]
@@ -220,20 +216,8 @@ def _merge(stats: FleetStats, trace: FleetTrace, assignment,
             else:
                 spans.event("fleet:route", t, actor=region.actor,
                             policy=region.routing, tenant=tenant.name)
-        if outcome == SHED:
-            tenant.shed += 1
-            continue
-        if outcome == FAILED:
-            tenant.failed += 1
-            fresh = (monitors.observe_failed(t)
-                     if monitors is not None else None)
-        else:
-            latency = next(latency_iters[code])
-            tenant.latencies.append(latency)
-            fresh = (monitors.observe_completed(t, latency, outcome == COLD)
-                     if monitors is not None else None)
-        if spans is not None and fresh:
-            emit_alert_spans(spans, fresh)
+        _bill_tenant(stats, tenant, t, outcome, latency_iters[code],
+                     monitors, spans)
     return tenants
 
 

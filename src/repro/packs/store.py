@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
-from repro.checks import check_count, check_one_of, check_range
+from repro.checks import check_count, check_one_of, check_range, in_windows
 from repro.packs.artifact import KernelPack
 from repro.sim.faults import FaultInjector
 from repro.sim.trace import Phase, TraceRecorder
@@ -208,12 +208,9 @@ class RegistryFabric:
                                                   ...]]) -> None:
         self._windows = outage_windows
 
-    def _dark(self, index: int, t: float) -> bool:
-        return any(start <= t < end for start, end in self._windows[index])
-
     def lit_registry(self, own_index: int, t: float) -> Optional[int]:
-        for index in range(len(self._windows)):
-            if index != own_index and not self._dark(index, t):
+        for index, windows in enumerate(self._windows):
+            if index != own_index and not in_windows(windows, t):
                 return index
         return None
 

@@ -30,7 +30,7 @@ import hashlib
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
-from repro.checks import check_count, check_range, check_windows
+from repro.checks import check_count, check_range, check_windows, in_windows
 
 __all__ = [
     "FaultError",
@@ -82,12 +82,6 @@ class PackFetchFault(FaultError):
 class PackVerifyFault(FaultError):
     """A fetched kernel pack failed its integrity check (digest
     mismatch); the transferred bytes are discarded."""
-
-
-def _in_windows(windows: Tuple[Tuple[float, float], ...],
-                t: float) -> bool:
-    """Whether ``t`` falls inside any half-open ``[start, end)`` window."""
-    return any(start <= t < end for start, end in windows)
 
 
 @dataclass(frozen=True)
@@ -414,11 +408,10 @@ class FaultInjector:
         """
         plan = self.plan
         if windowed:
-            if tier == "origin" and _in_windows(
+            if tier == "origin" and in_windows(
                     plan.registry_outage_windows, now):
                 return True
-            if tier == "peer" and _in_windows(plan.peer_churn_windows,
-                                              now):
+            if tier == "peer" and in_windows(plan.peer_churn_windows, now):
                 return True
         return self.should_fail(f"pack.fetch.{tier}",
                                 getattr(plan, self._PACK_RATES[tier]))
