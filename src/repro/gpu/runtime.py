@@ -89,12 +89,11 @@ class HipRuntime:
     """Simulated HIP host runtime bound to one device and one stream."""
 
     def __init__(self, env: Environment, device: DeviceSpec,
-                 trace: Optional[TraceRecorder] = None,
                  faults: Optional[object] = None,
                  spans=None, metrics=None) -> None:
         self.env = env
         self.device = device
-        self.trace = trace if trace is not None else TraceRecorder()
+        self.trace = TraceRecorder()
         # ``faults`` may be a FaultPlan (a fresh per-run injector is
         # derived) or an already-bound FaultInjector (shared cursor).
         if isinstance(faults, FaultPlan):
@@ -122,7 +121,6 @@ class HipRuntime:
         self._modules: Dict[str, HipModule] = {}
         self._pending: Dict[str, Event] = {}
         self.load_count = 0
-        self.total_load_time = 0.0
         # Warm-restore accounting: modules that became resident via
         # RuntimeSnapshot.restore() rather than a full load.
         self.restored_names: Set[str] = set()
@@ -206,7 +204,6 @@ class HipRuntime:
         module = HipModule(code_object, loaded_at=self.env.now)
         self._modules[name] = module
         self.load_count += 1
-        self.total_load_time += duration
         self.trace.record(start, self.env.now, actor, Phase.LOAD,
                           name, size=code_object.size_bytes)
         if self.metrics is not None:
