@@ -26,6 +26,7 @@ from repro.engine.registry import ModelRegistry
 from repro.gpu.device import DeviceSpec, get_device
 from repro.gpu.runtime import HipRuntime, RuntimeSnapshot
 from repro.graph import Graph
+from repro.models import MODEL_INFO
 from repro.primitive.blas import BlasLibrary
 from repro.primitive.library import MIOpenLibrary
 from repro.sim.core import Environment
@@ -37,6 +38,14 @@ __all__ = ["InferenceServer", "ServeResult", "serve_cold", "serve_hot",
            "server_for"]
 
 ServeResult = ExecutionResult
+
+
+def _model_key(model: str) -> str:
+    """The one name a model's graph, memo and programs are kept under:
+    a zoo model's abbreviation, whether it is named by that or by its
+    full name; any other model's own name."""
+    info = MODEL_INFO.get(model)
+    return info.abbr if info is not None else model
 
 
 class InferenceServer:
@@ -59,16 +68,18 @@ class InferenceServer:
     # Offline: model registration
     # ------------------------------------------------------------------
     def register_model(self, graph: Graph) -> None:
-        """Make a model graph available for serving under its name.
+        """Make a model graph available for serving under its name (or,
+        for a zoo model, under either of its names).
 
-        Programs compiled from an earlier graph of the same name are
+        Programs compiled from an earlier graph of the same model are
         dropped, and so is its :meth:`model_memo`, so the next serve
         compiles from this one.
         """
-        self._graphs[graph.name] = run_passes(graph)
-        self._memos.pop(graph.name, None)
+        model = _model_key(graph.name)
+        self._graphs[model] = run_passes(graph)
+        self._memos.pop(model, None)
         for key in self.registry.keys():
-            if key.startswith(f"{graph.name}@"):
+            if key.startswith(f"{model}@"):
                 self.registry.unregister(key)
 
     def model_memo(self, model: str) -> Dict[Tuple, object]:
@@ -76,11 +87,11 @@ class InferenceServer:
         ``model`` on this server (the cluster's service times, the
         kernel pack).  ``register_model`` empties it with the model's
         programs."""
-        return self._memos.setdefault(model, {})
+        return self._memos.setdefault(_model_key(model), {})
 
     def _program_key(self, model: str, scheme: Scheme, batch: int) -> str:
         policy = "native" if scheme is Scheme.NNV12 else "default"
-        return f"{model}@{policy}@b{batch}"
+        return f"{_model_key(model)}@{policy}@b{batch}"
 
     def _lowered(self, model: str, scheme: Scheme, batch: int) -> Program:
         """The lowered program for (model, scheme policy, batch); compiles
@@ -97,6 +108,7 @@ class InferenceServer:
         """``model``'s optimized graph: the passes are hardware- and
         policy-independent, so they run once per model, not once per
         lowering."""
+        model = _model_key(model)
         if model not in self._graphs:
             # Fall back to the built-in model zoo.
             from repro.models import build_model

@@ -141,6 +141,33 @@ def test_reregistered_model_compiles_from_the_new_graph(monkeypatch):
                                 scheme.lowering_options(1))
 
 
+def test_a_zoo_model_is_one_model_under_either_name(monkeypatch):
+    """``res`` and ``resnet34`` name one zoo model: serving it under
+    either name compiles it once, both names share one memo, and
+    re-registering its graph drops what was served under the other."""
+    server = InferenceServer("MI100")
+    first = server.serve_cold("res")
+    assert server.registry.keys() == ["res@default@b1"]
+    calls = _count_passes(monkeypatch)
+    again = server.serve_cold("resnet34")
+    assert calls == []
+    assert server.registry.keys() == ["res@default@b1"]
+    assert (again.model, again.total_time) == ("resnet34", first.total_time)
+    assert server.model_memo("resnet34") is server.model_memo("res")
+
+    new_graph = _custom(8, name="resnet34")
+    server.register_model(new_graph)
+    assert server.registry.keys() == []
+    served = server.serve_cold("res")
+    assert server.registry.keys() == ["res@default@b1"]
+    assert server._lowered("res", Scheme.BASELINE, 1) == lower(
+        new_graph, server.library, Scheme.BASELINE.lowering_options(1))
+    fresh = InferenceServer("MI100")
+    fresh.register_model(new_graph)
+    assert served.total_time == fresh.serve_cold("resnet34").total_time \
+        != first.total_time
+
+
 @pytest.mark.parametrize("derive, new_graph", [
     (lambda server: service_times(server, Scheme.PASK, "custom", 1),
      _custom(256)),
