@@ -61,7 +61,7 @@ def _as_fp32(problem):
 class PaskConfig:
     """Feature switches distinguishing PaSK from its ablations.
 
-    The last two flags implement the Sec. VI extensions: ``manage_blas``
+    Two flags implement the Sec. VI extensions: ``manage_blas``
     applies PASK's proactive loading and reuse to the BLAS library's GEMM
     kernels ("trivial to extend ... if similar modifications are applied
     to hipBLAS"), and ``precision_fallback`` lets a low-precision layer
