@@ -22,13 +22,17 @@ Commands
   serve, cluster, fleet and spin-up replays) from one layer table, one
   row per layer; ``--budget benchmarks/perf_budget.json`` gates them.
 
-The run commands (``serve``, ``cluster``, ``chaos``, ``fleet``) parse
-their arguments into one :class:`~repro.runner.tasks.ExperimentTask`;
-the replays go through the same ``build_replay`` and replay entry
-point as the experiment grid and the scenarios (``run_replay``; a fleet
-through the ``run_fleet_sharded`` it calls), and a handler only formats
-the outcome.  A bad argument prints
-``error: ...`` and exits 2.  ``--telemetry DIR`` on any run command
+Each argument is one row of the ``_FLAGS`` table: its default for each
+command that takes it, its type, choices and help, and the field it
+sets.  The table builds the parsers and the
+:class:`~repro.runner.tasks.ExperimentTask` of each run command
+(``serve``, ``cluster``, ``chaos``, ``fleet``): a row sets a task field
+or a field of the task's fault plan or autoscale policy, converting
+units where needed.  The replays go through the same ``build_replay``
+and replay entry point as the experiment grid and the scenarios
+(``run_replay``; a fleet through the ``run_fleet_sharded`` it calls),
+and a handler only formats the outcome.  A bad argument prints ``error:
+...`` and exits 2.  ``--telemetry DIR`` on any run command
 records spans and metrics (plus SLO monitors for a fleet) and writes
 them as one bundle (:func:`repro.obs.write_bundle`): manifest, Perfetto
 trace (open in https://ui.perfetto.dev), cold-start attribution,
@@ -41,9 +45,13 @@ ends the command with exit code 1 and no traceback.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
-from typing import Any, Dict, List, Optional
+from collections import defaultdict
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro._version import __version__
 from repro.checks import check_count, check_range
@@ -53,7 +61,7 @@ from repro.fleet import (AutoscalePolicy, FleetSimulator,
 from repro.gpu.device import list_devices
 from repro.models import MODEL_INFO, list_models
 from repro.obs import MetricsRegistry, SLOPolicy, SpanRecorder, write_bundle
-from repro.report import format_table
+from repro.report import format_table, render_timeline
 from repro.runner.profile import LAYERS, profile_layer
 from repro.runner.scenarios import SCENARIOS, run_scenario
 from repro.runner.tasks import (ExperimentTask, build_replay, run_replay,
@@ -65,9 +73,169 @@ from repro.sim.faults import FaultPlan
 __all__ = ["main", "build_parser"]
 
 _SCHEMES = {s.label.lower(): s for s in Scheme}
-_DEVICES = list_devices()
 _EXPERIMENTS = ("fig1a", "fig1b", "fig6a", "fig6b", "table2", "fig7",
                 "fig8", "fig9")
+
+
+@dataclass(frozen=True)
+class _Flag:
+    """One argument, declared once with its default per command.
+
+    ``field`` is what it sets on a run command's task, after
+    ``convert``: a task field, ``faults.<field>`` of its fault plan or
+    ``autoscale.<field>`` of its autoscale policy (None: the handler
+    reads it).  A number default gives the type, a False default makes
+    a switch, a positional with a default is optional, and ``help`` is
+    one text or one per command.  ``check(name, value)`` rejects a bad
+    value of a command that builds no task (a task checks its own).
+    """
+
+    name: str
+    field: Optional[str]
+    defaults: Dict[str, Any]
+    type: Optional[Callable[[str], Any]] = None
+    choices: Optional[Sequence[str]] = None
+    help: Union[None, str, Dict[str, str]] = None
+    convert: Callable[[Any], Any] = lambda value: value
+    metavar: Optional[str] = None
+    nargs: Optional[str] = None
+    check: Optional[Callable[[str, Any], None]] = None
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-").replace("-", "_")
+
+    def add_to(self, parser: argparse.ArgumentParser, command: str) -> None:
+        default = self.defaults[command]
+        text = (self.help.get(command) if isinstance(self.help, dict)
+                else self.help)
+        if default is False:
+            parser.add_argument(self.name, action="store_true", help=text)
+            return
+        number = type(default) if isinstance(default, (int, float)) else None
+        optional = not self.name.startswith("-") and default is not None
+        parser.add_argument(self.name, type=self.type or number,
+                            default=default, choices=self.choices, help=text,
+                            metavar=self.metavar,
+                            nargs="?" if optional else self.nargs)
+
+
+_RUN_COMMANDS = ("serve", "cluster", "chaos", "fleet")
+_REPLAYS = ("cluster", "chaos", "fleet")
+
+
+def _seconds(ms: float) -> float:
+    return ms / 1e3
+
+
+_FLAGS = (
+    _Flag("model", "model", {**dict.fromkeys(_RUN_COMMANDS + ("session",)),
+                             "fleet": "res"},
+          help={"serve": "model abbreviation (e.g. res)"}),
+    _Flag("--scheme", "scheme", {"serve": "baseline", "cluster": "baseline",
+                                 "chaos": "pask", "fleet": "pask"},
+          choices=sorted(_SCHEMES),
+          help={"serve": "serving scheme (default: baseline)"},
+          convert=lambda label: _SCHEMES[label].value),
+    _Flag("--batch", "batch", {"serve": 1}),
+    _Flag("--devices", "fleet_devices", {"fleet": "MI100,A100"},
+          help="comma-separated region devices, one region per entry "
+               "(default: MI100,A100)",
+          convert=lambda text: tuple(filter(None, map(str.strip,
+                                                      text.split(","))))),
+    _Flag("--routing", "routing", {"fleet": "warm-first"},
+          choices=["single", "round-robin", "least-queue", "warm-first"]),
+    _Flag("--autoscale", "autoscale.kind", {"fleet": "none"},
+          choices=["none", "fixed", "scale-to-zero", "reactive",
+                   "predictive"],
+          help="autoscaling policy kind (default: none)",
+          convert=lambda kind: None if kind == "none" else kind),
+    _Flag("--idle-timeout", "autoscale.idle_timeout_s", {"fleet": None},
+          float, help="idle reclaim timeout override in seconds (required "
+                      "for scale-to-zero)"),
+    _Flag("--min-instances", "autoscale.min_instances", {"fleet": 0},
+          help="warm floor pinned during reclaim"),
+    _Flag("--checkpoint-restore", "autoscale.checkpoint_restore",
+          {"fleet": False}, help="scale-up spawns restore a warm-state "
+                                 "checkpoint instead of cold-starting"),
+    _Flag("--arrival", "arrival", {"fleet": "poisson"},
+          choices=["poisson", "diurnal", "bursty"]),
+    _Flag("--rate", "rate_hz", {"cluster": 20.0, "chaos": 20.0, "fleet": 4.0},
+          help={"cluster": "requests per second",
+                "chaos": "cluster replay: requests per second",
+                "fleet": "base arrival rate in requests per second"}),
+    _Flag("--peak-rate", "peak_rate_hz", {"fleet": None}, float,
+          help="diurnal peak / bursty burst rate (default: derived from "
+               "--rate)"),
+    _Flag("--period", "period_s", {"fleet": None}, float,
+          help="diurnal period / burst spacing in seconds"),
+    _Flag("--burst", "burst_s", {"fleet": None}, float,
+          help="burst duration in seconds (bursty arrival)"),
+    _Flag("--duration", "duration_s",
+          {"cluster": 4.0, "chaos": 4.0, "fleet": 30.0}),
+    _Flag("--seed", "seed", dict.fromkeys(_REPLAYS, 0)),
+    _Flag("--tenants", "tenants", {"fleet": 1},
+          help="split traffic into N tenant classes (independent seeded "
+               "substreams at rate/N)"),
+    _Flag("--instances", "instances", {"cluster": 4, "chaos": 4, "fleet": 2},
+          help={"fleet": "max instances per region"}),
+    _Flag("--keep-alive", "keep_alive_s", dict.fromkeys(_REPLAYS, 0.5)),
+    _Flag("--shed-wait", "shed_wait_s", {"fleet": None}, float,
+          help="shed arrivals whose predicted queueing delay exceeds this "
+               "bound"),
+    _Flag("--load-failure-rate", "faults.load_failure_rate", {"chaos": 0.15}),
+    _Flag("--launch-failure-rate", "faults.launch_failure_rate",
+          {"chaos": 0.05}),
+    _Flag("--stall-rate", "faults.loader_stall_rate", {"chaos": 0.20},
+          help="loader-thread stall probability per layer"),
+    _Flag("--stall-ms", "faults.loader_stall_s", {"chaos": 2.0},
+          convert=_seconds),
+    _Flag("--load-timeout-ms", "faults.load_timeout_s", {"chaos": 1.0},
+          help="loader gives up and falls back to the reactive path beyond "
+               "this stall", convert=_seconds),
+    _Flag("--crash-rate", "faults.crash_rate", {"chaos": 0.08, "fleet": 0.0},
+          help="instance crash probability per request"),
+    _Flag("--device", "device",
+          dict.fromkeys(("serve", "cluster", "chaos", "experiment",
+                         "session", "validate", "scenario"), "MI100"),
+          choices=list_devices()),
+    _Flag("--trace-retention", "trace_retention", {"cluster": None},
+          choices=["full", "aggregate"],
+          help="record request-level trace intervals (aggregate keeps "
+               "streaming metrics plus a bounded ring of recent records)"),
+    # Read by the commands themselves, not set on the task.
+    _Flag("--hot", None, {"serve": False},
+          help="run a successive-iteration (hot) request"),
+    _Flag("--timeline", None, {"serve": False, "chaos": False},
+          help={"serve": "render an ASCII Gantt of the execution",
+                "chaos": "render the faulted cold start as a Gantt"}),
+    _Flag("--verify-serial", None, {"fleet": False},
+          help="in static mode, also run the stepping reference and check "
+               "the replay is byte-identical (CI gate)"),
+    _Flag("--telemetry", None, dict.fromkeys(_RUN_COMMANDS), metavar="DIR",
+          help="record spans and metrics (and a fleet's SLO monitors) and "
+               "write them as one bundle to DIR; the printed results are "
+               "unchanged"),
+    # The other commands' arguments.
+    _Flag("name", None, {"experiment": None}, choices=_EXPERIMENTS + ("all",)),
+    _Flag("--requests", None, {"session": 3},
+          check=partial(check_count, minimum=1)),
+    _Flag("--interval-ms", None, {"session": 50.0}, check=check_range),
+    _Flag("--no-preload", None, {"session": False},
+          help="disable Sec. VI interval preloading"),
+    _Flag("name", None, {"scenario": None}, choices=sorted(SCENARIOS)),
+    _Flag("--model", None, {"scenario": "res"}),
+    _Flag("--output", None, {"scenario": None}, metavar="FILE",
+          help="write the byte-stable report here"),
+    _Flag("layers", None, {"profile": None}, metavar="LAYER", nargs="*",
+          help="layers to time (default: all): " + ", ".join(LAYERS)),
+    _Flag("--ops", None, {"profile": None}, int,
+          help="operations per layer (default: each layer's own)",
+          check=partial(check_count, minimum=1, optional=True)),
+    _Flag("--budget", None, {"profile": None}, metavar="FILE",
+          help="time each entry of this budget file, best of its repeats; "
+               "exit 1 if one exceeds regression_factor x budget_s"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,167 +245,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="PASK (DAC 2025) reproduction: cold-start experiments "
                     "on a simulated GPU inference stack.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {name: sub.add_parser(name, help=text) for name, text in (
+        ("models", "list the Table I model zoo"),
+        ("serve", "run one cold (or hot) request"),
+        ("experiment", "regenerate a paper figure/table"),
+        ("session", "consecutive requests on one instance"),
+        ("cluster", "replay a Poisson trace on a pool"),
+        ("fleet", "replay a trace across a multi-region fleet with routing "
+                  "and autoscaling"),
+        ("validate", "check the reproduction against the paper's claims"),
+        ("chaos", "run the serving stack under seeded fault injection"),
+        ("scenario", "run a checked-in comparison report and gate it"),
+        ("profile", "time simulator layers, one row per layer; with "
+                    "--budget, gate them against a budget file"))}
 
-    sub.add_parser("models", help="list the Table I model zoo")
-
-    serve = sub.add_parser("serve", help="run one cold (or hot) request")
-    serve.add_argument("model", help="model abbreviation (e.g. res)")
-    serve.add_argument("--scheme", default="baseline",
-                       choices=sorted(_SCHEMES),
-                       help="serving scheme (default: baseline)")
-    serve.add_argument("--batch", type=int, default=1)
-    serve.add_argument("--device", default="MI100",
-                       choices=_DEVICES)
-    serve.add_argument("--hot", action="store_true",
-                       help="run a successive-iteration (hot) request")
-    serve.add_argument("--timeline", action="store_true",
-                       help="render an ASCII Gantt of the execution")
-
-    experiment = sub.add_parser("experiment",
-                                help="regenerate a paper figure/table")
-    experiment.add_argument("name", choices=_EXPERIMENTS + ("all",))
-    experiment.add_argument("--device", default="MI100",
-                            choices=_DEVICES)
-
-    session = sub.add_parser("session",
-                             help="consecutive requests on one instance")
-    session.add_argument("model")
-    session.add_argument("--requests", type=int, default=3)
-    session.add_argument("--interval-ms", type=float, default=50.0)
-    session.add_argument("--no-preload", action="store_true",
-                         help="disable Sec. VI interval preloading")
-    session.add_argument("--device", default="MI100",
-                         choices=_DEVICES)
-
-    cluster = sub.add_parser("cluster",
-                             help="replay a Poisson trace on a pool")
-    cluster.add_argument("model")
-    cluster.add_argument("--scheme", default="baseline",
-                         choices=sorted(_SCHEMES))
-    cluster.add_argument("--rate", type=float, default=20.0,
-                         help="requests per second")
-    cluster.add_argument("--duration", type=float, default=4.0)
-    cluster.add_argument("--keep-alive", type=float, default=0.5)
-    cluster.add_argument("--instances", type=int, default=4)
-    cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument("--device", default="MI100",
-                         choices=_DEVICES)
-    cluster.add_argument("--trace-retention", default=None,
-                         choices=["full", "aggregate"],
-                         help="record request-level trace intervals "
-                              "(aggregate keeps streaming metrics plus a "
-                              "bounded ring of recent records)")
-
-    fleet = sub.add_parser(
-        "fleet", help="replay a trace across a multi-region fleet with "
-                      "routing and autoscaling")
-    fleet.add_argument("model", nargs="?", default="res")
-    fleet.add_argument("--scheme", default="pask", choices=sorted(_SCHEMES))
-    fleet.add_argument("--devices", default="MI100,A100",
-                       help="comma-separated region devices, one region "
-                            "per entry (default: MI100,A100)")
-    fleet.add_argument("--routing", default="warm-first",
-                       choices=["single", "round-robin", "least-queue",
-                                "warm-first"])
-    fleet.add_argument("--autoscale", default="none",
-                       choices=["none", "fixed", "scale-to-zero",
-                                "reactive", "predictive"],
-                       help="autoscaling policy kind (default: none)")
-    fleet.add_argument("--idle-timeout", type=float, default=None,
-                       help="idle reclaim timeout override in seconds "
-                            "(required for scale-to-zero)")
-    fleet.add_argument("--min-instances", type=int, default=0,
-                       help="warm floor pinned during reclaim")
-    fleet.add_argument("--checkpoint-restore", action="store_true",
-                       help="scale-up spawns restore a warm-state "
-                            "checkpoint instead of cold-starting")
-    fleet.add_argument("--arrival", default="poisson",
-                       choices=["poisson", "diurnal", "bursty"])
-    fleet.add_argument("--rate", type=float, default=4.0,
-                       help="base arrival rate in requests per second")
-    fleet.add_argument("--peak-rate", type=float, default=None,
-                       help="diurnal peak / bursty burst rate "
-                            "(default: derived from --rate)")
-    fleet.add_argument("--period", type=float, default=None,
-                       help="diurnal period / burst spacing in seconds")
-    fleet.add_argument("--burst", type=float, default=None,
-                       help="burst duration in seconds (bursty arrival)")
-    fleet.add_argument("--duration", type=float, default=30.0)
-    fleet.add_argument("--seed", type=int, default=0)
-    fleet.add_argument("--tenants", type=int, default=1,
-                       help="split traffic into N tenant classes "
-                            "(independent seeded substreams at rate/N)")
-    fleet.add_argument("--instances", type=int, default=2,
-                       help="max instances per region")
-    fleet.add_argument("--keep-alive", type=float, default=0.5)
-    fleet.add_argument("--shed-wait", type=float, default=None,
-                       help="shed arrivals whose predicted queueing "
-                            "delay exceeds this bound")
-    fleet.add_argument("--crash-rate", type=float, default=0.0,
-                       help="per-second instance crash rate in every "
-                            "region (seeded)")
-    fleet.add_argument("--verify-serial", action="store_true",
-                       help="in static mode, also run the stepping "
-                            "reference and check the replay is "
-                            "byte-identical (CI gate)")
-    validate = sub.add_parser(
-        "validate", help="check the reproduction against the paper's claims")
-    validate.add_argument("--device", default="MI100",
-                          choices=_DEVICES)
-
-    chaos = sub.add_parser(
-        "chaos", help="run the serving stack under seeded fault injection")
-    chaos.add_argument("model")
-    chaos.add_argument("--scheme", default="pask", choices=sorted(_SCHEMES))
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--load-failure-rate", type=float, default=0.15)
-    chaos.add_argument("--launch-failure-rate", type=float, default=0.05)
-    chaos.add_argument("--stall-rate", type=float, default=0.20,
-                       help="loader-thread stall probability per layer")
-    chaos.add_argument("--stall-ms", type=float, default=2.0)
-    chaos.add_argument("--load-timeout-ms", type=float, default=1.0,
-                       help="loader gives up and falls back to the "
-                            "reactive path beyond this stall")
-    chaos.add_argument("--crash-rate", type=float, default=0.08,
-                       help="instance crash probability per request")
-    chaos.add_argument("--rate", type=float, default=20.0,
-                       help="cluster replay: requests per second")
-    chaos.add_argument("--duration", type=float, default=4.0)
-    chaos.add_argument("--instances", type=int, default=4)
-    chaos.add_argument("--keep-alive", type=float, default=0.5)
-    chaos.add_argument("--device", default="MI100",
-                       choices=_DEVICES)
-    chaos.add_argument("--timeline", action="store_true",
-                       help="render the faulted cold start as a Gantt")
-
-    scenario = sub.add_parser(
-        "scenario", help="run a checked-in comparison report and gate it")
-    scenario.add_argument("name", choices=sorted(SCENARIOS))
-    scenario.add_argument("--model", default="res")
-    scenario.add_argument("--device", default="MI100",
-                          choices=_DEVICES)
-    scenario.add_argument("--output", default=None, metavar="FILE",
-                          help="write the byte-stable report here")
-
-    profile = sub.add_parser(
-        "profile", help="time simulator layers, one row per layer; with "
-                        "--budget, gate them against a budget file")
-    profile.add_argument("layers", nargs="*", metavar="LAYER",
-                         help="layers to time (default: all): "
-                              + ", ".join(LAYERS))
-    profile.add_argument("--ops", type=int, default=None,
-                         help="operations per layer (default: each "
-                              "layer's own)")
-    profile.add_argument("--budget", default=None, metavar="FILE",
-                         help="time each entry of this budget file, best "
-                              "of its repeats; exit 1 if one exceeds "
-                              "regression_factor x budget_s")
-
-    for run in (serve, cluster, chaos, fleet):
-        run.add_argument("--telemetry", default=None, metavar="DIR",
-                         help="record spans and metrics (and a fleet's SLO "
-                              "monitors) and write them as one bundle to "
-                              "DIR; the printed results are unchanged")
+    for flag in _FLAGS:
+        for command in flag.defaults:
+            flag.add_to(parsers[command], command)
     return parser
 
 
@@ -290,8 +314,6 @@ def _cmd_experiment(args, out) -> int:
 
 
 def _cmd_profile(args, out) -> int:
-    import json
-
     rows = [{"layer": name, "ops": args.ops}
             for name in args.layers or LAYERS]
     factor, repeats = None, 1
@@ -354,49 +376,34 @@ def _cmd_session(args, out) -> int:
 
 
 def _run_task(args) -> ExperimentTask:
-    """Parse a run command's arguments into its :class:`ExperimentTask`."""
-    if args.command == "serve":
-        return ExperimentTask(kind="hot" if args.hot else "cold",
-                              device=args.device, model=args.model,
-                              scheme=_SCHEMES[args.scheme].value,
-                              batch=args.batch)
-    knobs = dict(model=args.model, scheme=_SCHEMES[args.scheme].value,
-                 rate_hz=args.rate, duration_s=args.duration,
-                 seed=args.seed, instances=args.instances,
-                 keep_alive_s=args.keep_alive)
-    if args.command == "fleet":
-        autoscale = (None if args.autoscale == "none" else AutoscalePolicy(
-            kind=args.autoscale, min_instances=args.min_instances,
-            idle_timeout_s=args.idle_timeout,
-            checkpoint_restore=args.checkpoint_restore))
-        # Region i of the task crashes on seed + 1000 + i.
-        faults = (FaultPlan(seed=args.seed + 1000, crash_rate=args.crash_rate)
-                  if args.crash_rate > 0 else None)
-        return ExperimentTask(
-            kind="fleet", faults=faults,
-            fleet_devices=tuple(d.strip() for d in args.devices.split(",")
-                                if d.strip()),
-            arrival=args.arrival, peak_rate_hz=args.peak_rate,
-            period_s=args.period, burst_s=args.burst, routing=args.routing,
-            autoscale=autoscale, shed_wait_s=args.shed_wait,
-            tenants=args.tenants, **knobs)
-    faults = None
-    if args.command == "chaos":
-        faults = FaultPlan(
-            seed=args.seed,
-            load_failure_rate=args.load_failure_rate,
-            launch_failure_rate=args.launch_failure_rate,
-            loader_stall_rate=args.stall_rate,
-            loader_stall_s=args.stall_ms / 1e3,
-            load_timeout_s=args.load_timeout_ms / 1e3,
-            crash_rate=args.crash_rate,
-        )
+    """Parse a run command's arguments into its :class:`ExperimentTask`:
+    each flag of the command sets its field on the task, its fault plan
+    or its autoscale policy."""
+    _, kind, fault_seed = _RUNS[args.command]
+    values: Dict[str, Dict[str, Any]] = defaultdict(dict)
+    for flag in _FLAGS:
+        if flag.field is not None and args.command in flag.defaults:
+            group, _, name = flag.field.rpartition(".")
+            values[group][name] = flag.convert(getattr(args, flag.dest))
+    knobs, scaling = values[""], values["autoscale"]
+    # A plan left at its defaults injects nothing: the task carries none.
+    faults = FaultPlan(seed=knobs.get("seed", 0) + fault_seed,
+                       **values["faults"])
+    if faults == FaultPlan(seed=faults.seed):
+        faults = None
+    scaler = scaling.pop("kind", None)
+    unread = [name for name, value in scaling.items()
+              if value != getattr(AutoscalePolicy, name)]
+    if scaler is None and unread:
+        raise ValueError(f"{unread[0]} needs an autoscale policy, not "
+                         f"--autoscale none")
     return ExperimentTask(
-        kind="cluster", device=args.device, faults=faults,
-        trace_retention=getattr(args, "trace_retention", None), **knobs)
+        kind="hot" if getattr(args, "hot", False) else kind,
+        faults=faults, **knobs,
+        autoscale=AutoscalePolicy(scaler, **scaling) if scaler else None)
 
 
-def _run_sinks(args) -> Dict[str, Any]:
+def _run_sinks(args, task) -> Dict[str, Any]:
     """The telemetry sinks a run command passes to the serves and
     replays it prints: none, or with ``--telemetry`` a span recorder
     and a metrics registry (plus the default SLO policy for a fleet)."""
@@ -404,7 +411,7 @@ def _run_sinks(args) -> Dict[str, Any]:
         return {}
     sinks: Dict[str, Any] = {"spans": SpanRecorder(),
                              "metrics": MetricsRegistry()}
-    if args.command == "fleet":
+    if task.kind == "fleet":
         sinks["slo"] = SLOPolicy()
     return sinks
 
@@ -443,7 +450,6 @@ def _cmd_serve(args, task, config, trace, sinks, out):
             f"{result.cache_stats.lookups_per_query:.2f} lookups/query, "
             f"milestone layer {result.milestone}")
     if args.timeline:
-        from repro.report import render_timeline
         out("")
         out(render_timeline(result.trace, total_time=result.total_time))
     return 0, result
@@ -490,7 +496,6 @@ def _cmd_chaos(args, task, config, trace, sinks, out):
     out(f"  loader stalls: {counters.loader_stalls}  "
         f"fallbacks to reactive path: {counters.fallbacks}")
     if args.timeline:
-        from repro.report import render_timeline
         out("")
         out(render_timeline(result.trace, total_time=result.total_time))
 
@@ -517,10 +522,11 @@ def _cmd_chaos(args, task, config, trace, sinks, out):
 def _cmd_fleet(args, task, config, trace, sinks, out):
     stats, report = run_fleet_sharded(config, trace, **sinks)
 
+    autoscale = task.autoscale.kind if task.autoscale else "none"
     out(f"{stats.offered} requests of {task.model!r} under "
         f"{task.scheme_enum.label} across {len(config.regions)} region(s) "
-        f"({args.routing} routing, autoscale {args.autoscale}, "
-        f"{args.arrival} arrivals):")
+        f"({task.routing} routing, autoscale {autoscale}, "
+        f"{task.arrival} arrivals):")
     for region in stats.regions.values():
         line = (f"  {region.name} [{region.device}]: "
                 f"{region.requests} served, "
@@ -571,8 +577,6 @@ def _cmd_fleet(args, task, config, trace, sinks, out):
 
 
 def _cmd_scenario(args, out) -> int:
-    import json
-
     report, gates = run_scenario(args.name, device=args.device,
                                  model=args.model)
     for gate, passed in gates.items():
@@ -601,24 +605,17 @@ def _cmd_validate(args, out) -> int:
     return 1 if failures else 0
 
 
-# The run commands: each parses into an ExperimentTask, serves or
-# replays it with its telemetry sinks, formats the outcome and returns
-# (exit code, outcome).
-_RUNS = {"serve": _cmd_serve, "cluster": _cmd_cluster, "chaos": _cmd_chaos,
-         "fleet": _cmd_fleet}
+# Each run command's handler (it serves or replays the task with the
+# telemetry sinks, prints the outcome and returns (exit code, outcome)),
+# task kind and fault plan seed offset from --seed (fleet region i
+# crashes on seed + 1000 + i).
+_RUNS = {"serve": (_cmd_serve, "cold", 0),
+         "cluster": (_cmd_cluster, "cluster", 0),
+         "chaos": (_cmd_chaos, "cluster", 0),
+         "fleet": (_cmd_fleet, "fleet", 1000)}
 _COMMANDS = {"models": _cmd_models, "experiment": _cmd_experiment,
              "session": _cmd_session, "validate": _cmd_validate,
              "scenario": _cmd_scenario, "profile": _cmd_profile}
-
-
-def _check_args(args) -> None:
-    """Reject the bad arguments of the commands that build no task (a
-    run command's task checks its own)."""
-    if args.command == "session":
-        check_count("requests", args.requests, 1)
-        check_range("interval-ms", args.interval_ms)
-    elif args.command == "profile" and args.ops is not None:
-        check_count("ops", args.ops, 1)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -642,7 +639,9 @@ def _main(argv: Optional[List[str]]) -> int:
         print(text)
 
     try:
-        _check_args(args)
+        for flag in _FLAGS:
+            if flag.check and args.command in flag.defaults:
+                flag.check(flag.name.lstrip("-"), getattr(args, flag.dest))
         if args.command in _RUNS:
             task = _run_task(args)
             config, trace = (build_replay(task)
@@ -653,9 +652,9 @@ def _main(argv: Optional[List[str]]) -> int:
         return 2
     if args.command not in _RUNS:
         return _COMMANDS[args.command](args, out)
-    sinks = _run_sinks(args)
-    code, outcome = _RUNS[args.command](args, task, config, trace, sinks,
-                                        out)
+    sinks = _run_sinks(args, task)
+    code, outcome = _RUNS[args.command][0](args, task, config, trace, sinks,
+                                           out)
     if args.telemetry is not None:
         code = max(code, _write_telemetry(
             args, task, sinks, getattr(outcome, "monitors", None), out))

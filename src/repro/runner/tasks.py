@@ -68,7 +68,9 @@ _SCHEMES_BY_VALUE = {s.value: s for s in Scheme}
 # Any other kind rejects a non-default value and leaves the knob out of
 # its description.
 _REPLAY_KINDS, _FLEET_KINDS = ("cluster", "fleet"), ("fleet",)
-_KIND_KNOBS = {**dict.fromkeys(("rate_hz", "duration_s", "seed",
+# A hot serve always runs the baseline-lowered program.
+_KIND_KNOBS = {"scheme": ("cold",) + _REPLAY_KINDS,
+               **dict.fromkeys(("rate_hz", "duration_s", "seed",
                                 "instances", "keep_alive_s",
                                 "trace_retention", "trace_ring",
                                 "resilience", "packs"), _REPLAY_KINDS),
@@ -177,7 +179,7 @@ class ExperimentTask:
             if (self.kind not in kinds
                     and getattr(self, knob.name) != knob.default):
                 raise ValueError(f"{knob.name} applies to "
-                                 f"{'/'.join(kinds)} replays; "
+                                 f"{'/'.join(kinds)} tasks; "
                                  f"{self.kind!r} tasks do not take it")
         if self.arrival != "poisson":
             # The generator's own check, on the values it will be given.
@@ -262,9 +264,6 @@ class ExperimentTask:
                 out.pop(knob, None)
         if self.tenants == 1:
             out.pop("tenants", None)
-        if self.kind == "hot":
-            # Hot serves always run the baseline-lowered program.
-            del out["scheme"]
         return out
 
 

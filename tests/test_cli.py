@@ -241,10 +241,21 @@ def test_validate_stdout_matches_golden(capsys):
     (["session", "alex", "--requests", "0"], "requests"),
     (["session", "alex", "--interval-ms", "inf"], "interval-ms"),
     (["profile", "event-kernel", "--ops", "0"], "ops"),
+    # --autoscale none attaches no policy, so a policy knob would be lost.
+    (["fleet", "res", "--min-instances", "-1", "--duration", "1"],
+     "min_instances"),
+    (["fleet", "res", "--autoscale", "none", "--idle-timeout", "0.2"],
+     "idle_timeout_s"),
+    (["fleet", "res", "--checkpoint-restore"], "checkpoint_restore"),
+    (["fleet", "res", "--crash-rate", "-0.1"], "crash_rate"),
+    # A hot serve always runs the baseline-lowered program.
+    (["serve", "res", "--hot", "--scheme", "pask"], "scheme"),
 ], ids=["cluster-instances", "chaos-instances", "fleet-instances",
         "cluster-keep-alive", "fleet-tenants", "fleet-devices",
         "serve-batch", "session-requests", "session-interval",
-        "profile-ops"])
+        "profile-ops", "fleet-unscaled-min-instances",
+        "fleet-unscaled-idle-timeout", "fleet-unscaled-checkpoint-restore",
+        "fleet-crash-rate", "serve-hot-scheme"])
 def test_bad_run_arguments_print_error_and_exit_2(argv, field, capsys):
     assert main(argv) == 2
     out = capsys.readouterr().out

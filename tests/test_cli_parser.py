@@ -125,8 +125,7 @@ _ACTIONS = {
                       "shed arrivals whose predicted queueing delay exceeds "
                       "this bound"),
         "crash_rate": (("--crash-rate",), 0.0, "float", None, None,
-                       "per-second instance crash rate in every region "
-                       "(seeded)"),
+                       "instance crash probability per request"),
         "verify_serial": (("--verify-serial",), False, None, None, 0,
                           "in static mode, also run the stepping reference "
                           "and check the replay is byte-identical (CI gate)"),

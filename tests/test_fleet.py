@@ -407,7 +407,8 @@ class TestFleetTask:
         ("cold", "instances", 9),
         ("hot", "keep_alive_s", 2.0),
         ("cold", "trace_retention", "full"),
-        ("cold", "trace_ring", 8)]
+        ("cold", "trace_ring", 8),
+        ("hot", "scheme", Scheme.PASK.value)]
 
     @pytest.mark.parametrize("kind,knob,value", _UNREAD_KNOBS,
                              ids=[f"{kind}-{knob}"

@@ -34,7 +34,8 @@ class TestTaskKey:
         assert task_key(_task(scheme=Scheme.BASELINE.value)) != base
         assert task_key(_task(batch=16)) != base
         assert task_key(_task(device="A100")) != base
-        assert task_key(_task(kind="hot")) != base
+        assert task_key(_task(kind="hot",
+                              scheme=Scheme.BASELINE.value)) != base
 
     def test_changes_with_fault_plan(self):
         base = task_key(_task())
